@@ -40,7 +40,8 @@ val memory : db -> Memory.t
     own registers, flags and cycle counters. Each worker domain of the
     parallel serving pool executes (and compiles) through its own view so
     execution state never races; all compiled code lands in the shared
-    registries. *)
+    registries. The view's context owns a VM stack: free it with
+    {!Qcomp_vm.Emu.release_context} once the domain is done. *)
 val domain_view : db -> db
 
 (** [add_table db schema ~rows ~seed gens] creates a columnar table, fills

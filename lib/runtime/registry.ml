@@ -62,16 +62,12 @@ let functions target ~ht_profile : (string * (Emu.t -> unit)) list =
     ( "umbra_htInsert",
       fun e ->
         let ht = Int64.to_int (arg e 0) in
-        (if Sys.getenv_opt "QC_TRACE_HT" <> None then
-           Printf.eprintf "htInsert ht=%d hash=%Ld\n%!" ht (arg e 1));
         let payload, cost = Htable.insert (Emu.memory e) ht (arg e 1) in
         Emu.charge e cost;
         ret e (Int64.of_int payload) );
     ( "umbra_htLookup",
       fun e ->
         let ht = Int64.to_int (arg e 0) in
-        (if Sys.getenv_opt "QC_TRACE_HT" <> None then
-           Printf.eprintf "htLookup ht=%d hash=%Ld\n%!" ht (arg e 1));
         let entry, cost = Htable.lookup (Emu.memory e) ht (arg e 1) in
         Emu.charge e cost;
         ret e (Int64.of_int entry) );

@@ -28,10 +28,14 @@ type t = {
 
 let create ?(parallel = false) (db : Engine.db) ~lanes =
   if lanes < 1 then invalid_arg "Morsel_sched.create: lanes < 1";
-  (* contexts are created once and reused across queries: each owns a
-     permanent VM stack carved out of linear memory *)
+  (* contexts are created once and reused across queries: each owns a VM
+     stack carved out of linear memory until [release] *)
   let emus = Array.init lanes (fun _ -> Emu.context db.Engine.emu) in
   { db; lanes; emus; parallel }
+
+(** Release every lane's context (its VM stack); the scheduler must not
+    run again. *)
+let release t = Array.iter Emu.release_context t.emus
 
 let lanes t = t.lanes
 let parallel t = t.parallel

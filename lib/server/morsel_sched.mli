@@ -10,9 +10,14 @@ type t
     With [parallel:false] (default) lanes run sequentially on the calling
     domain — deterministic, for the discrete-event driver; with
     [parallel:true] lanes 1.. run on spawned domains while the caller runs
-    lane 0. Lane contexts are permanent: create one scheduler per worker
-    and reuse it across queries. Raises [Invalid_argument] on [lanes < 1]. *)
+    lane 0. Lane contexts live until {!release}: create one scheduler per
+    worker and reuse it across queries. Raises [Invalid_argument] on [lanes < 1]. *)
 val create : ?parallel:bool -> Qcomp_engine.Engine.db -> lanes:int -> t
+
+(** Give back the lane contexts' stacks ({!Qcomp_vm.Emu.release_context})
+    once the driver that created the scheduler is done with it. Raises
+    [Invalid_argument] on a second release. *)
+val release : t -> unit
 
 val lanes : t -> int
 val parallel : t -> bool

@@ -649,6 +649,10 @@ let run_requests ?cache db ~domains config requests =
         Some (Morsel_sched.create ~parallel:true view ~lanes:config.intra)
       else None
     in
+    let release () =
+      Option.iter Morsel_sched.release sched;
+      Qcomp_vm.Emu.release_context view.Engine.emu
+    in
     let rec loop () =
       Mutex.lock mu;
       let rec next () =
@@ -675,7 +679,7 @@ let run_requests ?cache db ~domains config requests =
              Mutex.protect mu (fun () -> unpin_all_locked q));
           loop ()
     in
-    loop ()
+    Fun.protect ~finally:release loop
   in
   (* Compile domains drain the background queue to empty even after the
      workers finish, so a run leaves the cache in the same warmed state the
@@ -699,7 +703,9 @@ let run_requests ?cache db ~domains config requests =
           (try job view with exn -> record_error exn);
           loop ()
     in
-    loop ()
+    Fun.protect
+      ~finally:(fun () -> Qcomp_vm.Emu.release_context view.Engine.emu)
+      loop
   in
   let n_compile = match config.mode with Tiered -> config.compile_slots | _ -> 0 in
   let compilers = List.init n_compile (fun _ -> Domain.spawn compile_worker) in

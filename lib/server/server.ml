@@ -138,13 +138,6 @@ type qstate = {
 let run_requests_events ?cache db config requests =
   Pool.validate_config ~driver:"Server.run" config;
   let sim = Sim.create () in
-  (* one simulated lane pool for the whole run: quanta never overlap in
-     virtual time, so every execution can share the lanes' Emu contexts *)
-  let sched =
-    if config.intra > 1 then
-      Some (Morsel_sched.create ~parallel:false db ~lanes:config.intra)
-    else None
-  in
   let cache =
     match cache with
     | Some c -> c
@@ -152,6 +145,14 @@ let run_requests_events ?cache db config requests =
   in
   let admission : qstate Admission.t =
     Admission.create ?cap:config.admission_cap ~tenants:config.tenants ()
+  in
+  (* one simulated lane pool for the whole run: quanta never overlap in
+     virtual time, so every execution can share the lanes' Emu contexts;
+     released once the cascade ends *)
+  let sched =
+    if config.intra > 1 then
+      Some (Morsel_sched.create ~parallel:false db ~lanes:config.intra)
+    else None
   in
   let sheds = ref [] in
   let free_workers = ref config.workers in
@@ -507,44 +508,47 @@ let run_requests_events ?cache db config requests =
   (* each request is offered at its virtual arrival time: shed-or-admit
      depends only on queue occupancy at that instant, so same trace, same
      cap -> same sheds, byte-identical reports *)
-  List.iter
-    (fun rq ->
-      let shape, params = Pool.normalize_query config rq.rq_plan in
-      let q =
-        {
-          q_name = rq.rq_name;
-          q_plan = shape;
-          q_params = params;
-          q_exact = rq.rq_plan;
-          q_arrival = rq.rq_arrival;
-          q_tenant = rq.rq_tenant;
-          q_start = 0.0;
-          q_first_s = None;
-          q_compile_s = 0.0;
-          q_cache_hit = false;
-          q_cur_tier = "";
-          q_tiers = [];
-          q_upgrading = false;
-          q_swap_ready = None;
-          q_switch_s = None;
-          q_started_tier0 = false;
-          q_pinned = [];
-          q_claims = [];
-          q_done = false;
-        }
-      in
-      Sim.at sim rq.rq_arrival (fun () ->
-          if Admission.offer admission ~tenant:rq.rq_tenant q then dispatch ()
-          else
-            sheds :=
-              {
-                Report.sh_name = rq.rq_name;
-                sh_tenant = rq.rq_tenant;
-                sh_arrival = rq.rq_arrival;
-              }
-              :: !sheds))
-    requests;
-  Sim.run sim;
+  let offer rq =
+    let shape, params = Pool.normalize_query config rq.rq_plan in
+    let q =
+      {
+        q_name = rq.rq_name;
+        q_plan = shape;
+        q_params = params;
+        q_exact = rq.rq_plan;
+        q_arrival = rq.rq_arrival;
+        q_tenant = rq.rq_tenant;
+        q_start = 0.0;
+        q_first_s = None;
+        q_compile_s = 0.0;
+        q_cache_hit = false;
+        q_cur_tier = "";
+        q_tiers = [];
+        q_upgrading = false;
+        q_swap_ready = None;
+        q_switch_s = None;
+        q_started_tier0 = false;
+        q_pinned = [];
+        q_claims = [];
+        q_done = false;
+      }
+    in
+    Sim.at sim rq.rq_arrival (fun () ->
+        if Admission.offer admission ~tenant:rq.rq_tenant q then dispatch ()
+        else
+          sheds :=
+            {
+              Report.sh_name = rq.rq_name;
+              sh_tenant = rq.rq_tenant;
+              sh_arrival = rq.rq_arrival;
+            }
+            :: !sheds)
+  in
+  Fun.protect
+    ~finally:(fun () -> Option.iter Morsel_sched.release sched)
+    (fun () ->
+      List.iter offer requests;
+      Sim.run sim);
   let queries = List.rev !done_q in
   let makespan =
     List.fold_left (fun a q -> Float.max a q.Report.qm_finish) 0.0 queries

@@ -1,35 +1,34 @@
-(* CRC-32C (Castagnoli), reflected polynomial 0x82F63B78, table-driven. *)
+(* CRC-32C (Castagnoli), reflected polynomial 0x82F63B78, table-driven.
+   Entries and accumulators are 32-bit values held in plain [int]s. *)
 
 let table =
-  let t = Array.make 256 0l in
-  for n = 0 to 255 do
-    let c = ref (Int32.of_int n) in
-    for _ = 0 to 7 do
-      if Int32.equal (Int32.logand !c 1l) 1l then
-        c := Int32.logxor (Int32.shift_right_logical !c 1) 0x82F63B78l
-      else c := Int32.shift_right_logical !c 1
-    done;
-    t.(n) <- !c
-  done;
-  t
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then (!c lsr 1) lxor 0x82F63B78 else !c lsr 1
+      done;
+      !c)
 
 let crc32c_byte acc byte =
-  let crc = Int32.of_int (Int64.to_int (Int64.logand acc 0xFFFF_FFFFL)) in
-  let idx = (Int32.to_int crc lxor byte) land 0xFF in
-  let crc' =
-    Int32.logxor (Int32.shift_right_logical crc 8) table.(idx)
+  let crc = Int64.to_int acc land 0xFFFF_FFFF in
+  Int64.of_int ((crc lsr 8) lxor table.((crc lxor byte) land 0xFF))
+
+let crc32c_words crc ~lo ~hi =
+  let step crc word =
+    let c = ref crc in
+    for i = 0 to 3 do
+      c := (!c lsr 8) lxor table.((!c lxor (word lsr (8 * i))) land 0xFF)
+    done;
+    !c
   in
-  Int64.logand (Int64.of_int32 crc') 0xFFFF_FFFFL
+  step (step crc lo) hi
 
 let crc32c acc x =
-  let acc = ref (Int64.logand acc 0xFFFF_FFFFL) in
-  for i = 0 to 7 do
-    let byte =
-      Int64.to_int (Int64.logand (Int64.shift_right_logical x (8 * i)) 0xFFL)
-    in
-    acc := crc32c_byte !acc byte
-  done;
-  !acc
+  Int64.of_int
+    (crc32c_words
+       (Int64.to_int acc land 0xFFFF_FFFF)
+       ~lo:(Int64.to_int x land 0xFFFF_FFFF)
+       ~hi:(Int64.to_int (Int64.shift_right_logical x 32)))
 
 let long_mul_fold x k =
   let p = I128.umul64_wide x k in

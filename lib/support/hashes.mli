@@ -11,6 +11,12 @@
     the low 32 bits of [acc]; the result is zero-extended. *)
 val crc32c : int64 -> int64 -> int64
 
+(** [crc32c_words crc ~lo ~hi] is {!crc32c} with the 32-bit accumulator and
+    the two 32-bit halves of the data word passed as [int]s, so a caller in
+    another compilation unit (the emulator's CRC instruction) neither boxes
+    its arguments nor its result. *)
+val crc32c_words : int -> lo:int -> hi:int -> int
+
 (** CRC-32C over a byte at a time (used for string hashing). *)
 val crc32c_byte : int64 -> int -> int64
 

@@ -844,4 +844,9 @@ let decode_all target b =
     incr idx;
     pos := next
   done;
-  (Array.of_list (List.rev !insts), off2idx)
+  (* the list holds the instructions last-first: fill the array from the
+     back instead of reversing it *)
+  let n = !idx in
+  let arr = Array.make n Minst.Nop in
+  List.iteri (fun k inst -> arr.(n - 1 - k) <- inst) !insts;
+  (arr, off2idx)

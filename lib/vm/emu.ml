@@ -16,12 +16,35 @@ let code_base = 0x100_0000_0000
 let runtime_base = 0x7F00_0000_0000
 let sentinel = 0x7FFF_0000_0000
 
+(** A registered code blob, decoded once at registration. Besides the
+    instructions, registration precomputes everything the execute loop
+    would otherwise redo per executed instruction: each instruction's
+    cycle cost, the byte offset just past it (return addresses) and, for
+    [Jmp]/[Jcc]/[Call_rel], the index of the instruction it lands on. *)
 type code_mod = {
   cm_base : int;
   cm_size : int;
   cm_insts : Minst.t array;
-  cm_off2idx : int array;
+  cm_off2idx : int array;  (** byte offset -> instruction index, or -1 *)
+  cm_cost : int array;  (** simulated cycles of each instruction *)
+  cm_next : int array;  (** byte offset just past each instruction *)
+  cm_target : int array;
+      (** resolved branch target index; -1 when the instruction is not a
+          direct branch, or its target is not an instruction start of this
+          blob (the branch then resolves — and traps — only when taken) *)
 }
+
+(* Matches no address: the initial [last_mod] of every context. *)
+let no_mod =
+  {
+    cm_base = 0;
+    cm_size = 0;
+    cm_insts = [||];
+    cm_off2idx = [||];
+    cm_cost = [||];
+    cm_next = [||];
+    cm_target = [||];
+  }
 
 (** Code + runtime registries shared by every execution context of one
     virtual machine. All mutation happens under [reg_mu]; the hot read
@@ -50,7 +73,9 @@ type shared = {
 and t = {
   target : Target.t;
   mem : Memory.t;
-  regs : int64 array;
+  regs : Bytes.t;
+      (** the register file, 8 native-endian bytes per register: writes
+          store raw words instead of allocating boxed [int64]s *)
   mutable zf : bool;
   mutable sf : bool;
   mutable cf : bool;
@@ -60,17 +85,23 @@ and t = {
   mutable fuel : int;  (** max instructions per [call]; <0 = unlimited *)
   stack_top : int;  (** where [call] plants sp — per context, so domains
                         executing concurrently never share a stack *)
+  stack_base : int;
+      (** the carved stack of a {!context}; -1 for the primary context,
+          whose stack is the top of memory *)
+  mutable released : bool;  (** {!release_context} ran *)
   shared : shared;
-  mutable last_mod : code_mod option;
+  mutable last_mod : code_mod;  (** {!no_mod} when nothing is cached *)
   mutable last_gen : int;  (** [shared.code_gen] when [last_mod] was cached *)
 }
+
+let num_regs = 33
 
 let create ?(mem_size = 256 * 1024 * 1024) target =
   let mem = Memory.create mem_size in
   {
     target;
     mem;
-    regs = Array.make 33 0L;
+    regs = Bytes.make (8 * num_regs) '\000';
     zf = false;
     sf = false;
     cf = false;
@@ -79,6 +110,8 @@ let create ?(mem_size = 256 * 1024 * 1024) target =
     icount = 0;
     fuel = -1;
     stack_top = mem_size - 64;
+    stack_base = -1;
+    released = false;
     shared =
       {
         mods = [];
@@ -95,7 +128,7 @@ let create ?(mem_size = 256 * 1024 * 1024) target =
         reg_mu = Mutex.create ();
         layout_mu = Mutex.create ();
       };
-    last_mod = None;
+    last_mod = no_mod;
     last_gen = 0;
   }
 
@@ -104,7 +137,8 @@ let create ?(mem_size = 256 * 1024 * 1024) target =
     cycle/instruction counters and fuel. This is what lets one worker
     domain execute a query while another compiles or executes elsewhere —
     the virtual machine becomes one "core" per context over shared memory
-    and a shared code segment. *)
+    and a shared code segment. The context's stack is carved out of linear
+    memory; give it back with {!release_context} once the context is done. *)
 (* Stack carved out of linear memory for each additional context; the
    primary context keeps the historical top-of-memory stack. *)
 let context_stack_bytes = 256 * 1024
@@ -118,7 +152,7 @@ let context t =
   {
     target = t.target;
     mem = t.mem;
-    regs = Array.make 33 0L;
+    regs = Bytes.make (8 * num_regs) '\000';
     zf = false;
     sf = false;
     cf = false;
@@ -127,10 +161,22 @@ let context t =
     icount = 0;
     fuel = t.fuel;
     stack_top = base + context_stack_bytes - 64;
+    stack_base = base;
+    released = false;
     shared = t.shared;
-    last_mod = None;
+    last_mod = no_mod;
     last_gen = 0;
   }
+
+(** Free the stack of a context made by {!context}; the context must not
+    run again. Raises [Invalid_argument] on the primary context (its stack
+    is not an allocation) and on a double release. *)
+let release_context t =
+  if t.stack_base < 0 then
+    invalid_arg "Emu.release_context: the primary context owns no carved stack";
+  if t.released then invalid_arg "Emu.release_context: context already released";
+  t.released <- true;
+  Memory.free t.mem ~addr:t.stack_base ~size:context_stack_bytes ~align:16
 
 (** [with_layout_lock t f] runs [f] holding the machine's code-layout lock.
     A JIT linker must predict the address a blob will get
@@ -209,6 +255,40 @@ let remove_runtime t (addr : int64) =
       s.runtime_names <- names;
       s.free_runtime <- idx :: s.free_runtime)
 
+(* ---------------- cost model ---------------- *)
+
+let cost (i : Minst.t) =
+  match i with
+  | Nop -> 0
+  | Mov_rr _ | Mov_ri _ | Movz _ | Movk _ -> 1
+  | Alu_rr (a, _, _) | Alu_ri (a, _, _) | Alu_rrr (a, _, _, _) | Alu_rri (a, _, _, _)
+    -> (
+      match a with Mul -> 3 | _ -> 1)
+  | Cmp_rr _ | Cmp_ri _ -> 1
+  | Ld _ -> 2
+  | St _ -> 2
+  | Lea _ -> 1
+  | Ext _ -> 1
+  | Mul_wide _ | Mul_hi _ -> 4
+  | Div _ | Div_rrr _ -> 20
+  | Msub _ -> 3
+  | Crc32_rr _ | Crc32_rrr _ -> 1
+  | Setcc _ | Csel _ -> 1
+  | Jmp _ -> 1
+  | Jcc _ -> 1
+  | Jmp_ind _ -> 2
+  | Jmp_mem _ -> 3
+  | Call_rel _ -> 2
+  | Call_ind _ -> 3
+  | Ret -> 2
+  | Falu_rr (f, _, _) | Falu_rrr (f, _, _, _) -> (
+      match f with Fdiv -> 15 | Fmul -> 4 | _ -> 3)
+  | Fcmp_rr _ -> 2
+  | Cvt_si2f _ | Cvt_f2si _ -> 4
+  | Brk _ -> 0
+
+let runtime_dispatch_cost = 12
+
 (** Round [n] up to the 4 KiB page granule of the code allocator. Both
     fresh allocation and free-list recycling reserve whole pages, so two
     code blobs never share a page and a released span can be handed out
@@ -246,6 +326,20 @@ let next_code_addr t ~size =
 let register_code t (code : bytes) =
   let insts, off2idx = Asm.decode_all t.target code in
   let size = Bytes.length code in
+  let n = Array.length insts in
+  let next = Array.make n size in
+  for off = 1 to size - 1 do
+    let idx = off2idx.(off) in
+    if idx > 0 then next.(idx - 1) <- off
+  done;
+  let costs = Array.make n 0 and target = Array.make n (-1) in
+  for i = 0 to n - 1 do
+    costs.(i) <- cost insts.(i);
+    match insts.(i) with
+    | Minst.Jmp off | Jcc (_, off) | Call_rel off ->
+        if off >= 0 && off < size then target.(i) <- off2idx.(off)
+    | _ -> ()
+  done;
   let span = page_align size in
   let s = t.shared in
   Mutex.protect s.reg_mu (fun () ->
@@ -258,7 +352,15 @@ let register_code t (code : bytes) =
             base
       in
       let m =
-        { cm_base = base; cm_size = size; cm_insts = insts; cm_off2idx = off2idx }
+        {
+          cm_base = base;
+          cm_size = size;
+          cm_insts = insts;
+          cm_off2idx = off2idx;
+          cm_cost = costs;
+          cm_next = next;
+          cm_target = target;
+        }
       in
       s.mods <- m :: s.mods;
       s.live_code <- s.live_code + size;
@@ -295,66 +397,146 @@ let freed_code_bytes t = t.shared.freed_code
 
 let find_mod t addr =
   let s = t.shared in
-  match t.last_mod with
-  | Some m
-    when t.last_gen = s.code_gen && addr >= m.cm_base
-         && addr < m.cm_base + m.cm_size ->
-      m
-  | _ -> (
-      (* snapshot the generation before the walk: a concurrent release
-         invalidates the cache entry we are about to write, not keep it *)
-      let gen = s.code_gen in
-      match
-        List.find_opt
-          (fun m -> addr >= m.cm_base && addr < m.cm_base + m.cm_size)
-          s.mods
-      with
-      | Some m ->
-          t.last_mod <- Some m;
-          t.last_gen <- gen;
-          m
-      | None ->
-          Mutex.protect s.reg_mu (fun () ->
-              Hashtbl.iter
-                (fun base span ->
-                  if addr >= base && addr < base + span then
-                    raise
-                      (Trap
-                         (Printf.sprintf "use-after-free code region at 0x%x"
-                            addr)))
-                s.poisoned);
-          raise (Trap (Printf.sprintf "jump to unmapped address 0x%x" addr)))
+  let m = t.last_mod in
+  if t.last_gen = s.code_gen && addr >= m.cm_base && addr < m.cm_base + m.cm_size
+  then m
+  else begin
+    (* snapshot the generation before the walk: a concurrent release
+       invalidates the cache entry we are about to write, not keep it *)
+    let gen = s.code_gen in
+    match
+      List.find_opt
+        (fun m -> addr >= m.cm_base && addr < m.cm_base + m.cm_size)
+        s.mods
+    with
+    | Some m ->
+        t.last_mod <- m;
+        t.last_gen <- gen;
+        m
+    | None ->
+        Mutex.protect s.reg_mu (fun () ->
+            Hashtbl.iter
+              (fun base span ->
+                if addr >= base && addr < base + span then
+                  raise
+                    (Trap
+                       (Printf.sprintf "use-after-free code region at 0x%x" addr)))
+              s.poisoned);
+        raise (Trap (Printf.sprintf "jump to unmapped address 0x%x" addr))
+  end
 
-let idx_of t (m : code_mod) addr =
-  let off = addr - m.cm_base in
-  let i = m.cm_off2idx.(off) in
-  if i < 0 then raise (Trap (Printf.sprintf "jump into middle of instruction at 0x%x" addr));
-  ignore t;
+let idx_of (m : code_mod) addr =
+  let i = m.cm_off2idx.(addr - m.cm_base) in
+  if i < 0 then
+    raise (Trap (Printf.sprintf "jump into middle of instruction at 0x%x" addr));
   i
+
+(* ---------------- hot accessors ----------------
+
+   Everything the execute loop calls per instruction is defined here and
+   inlined into it, so register values stay unboxed [int64]s from read to
+   write. Library modules are compiled with [-opaque] in dune's dev profile,
+   so calls into {!Memory} or {!Qcomp_support.I128} could not be inlined:
+   each would box its [int64] arguments and result. The memory accessors
+   below are copies of {!Memory.load}/{!Memory.store} with the same bounds
+   check and the same {!Memory.Fault} messages. *)
+
+let[@inline] reg t r = Bytes.get_int64_ne t.regs (r lsl 3)
+let[@inline] set_reg t r v = Bytes.set_int64_ne t.regs (r lsl 3) v
+
+let[@inline never] access_fault n addr =
+  raise (Memory.Fault (Printf.sprintf "access of %d bytes at 0x%x" n addr))
+
+let[@inline] check_access (mem : Memory.t) addr n =
+  if addr < Memory.page || addr + n > mem.Memory.size then access_fault n addr
+
+let[@inline] load64 (mem : Memory.t) addr =
+  check_access mem addr 8;
+  Bytes.get_int64_le mem.Memory.data addr
+
+let[@inline] store64 (mem : Memory.t) addr v =
+  check_access mem addr 8;
+  Bytes.set_int64_le mem.Memory.data addr v
+
+let[@inline] load (mem : Memory.t) addr size sext =
+  check_access mem addr size;
+  let d = mem.Memory.data in
+  match (size, sext) with
+  | 8, _ -> Bytes.get_int64_le d addr
+  | 4, false ->
+      Int64.logand (Int64.of_int32 (Bytes.get_int32_le d addr)) 0xFFFFFFFFL
+  | 4, true -> Int64.of_int32 (Bytes.get_int32_le d addr)
+  | 2, false -> Int64.of_int (Bytes.get_uint16_le d addr)
+  | 2, true -> Int64.of_int (Bytes.get_int16_le d addr)
+  | 1, false -> Int64.of_int (Bytes.get_uint8 d addr)
+  | 1, true -> Int64.of_int (Bytes.get_int8 d addr)
+  | _ -> raise (Memory.Fault "bad access size")
+
+let[@inline] store (mem : Memory.t) addr size v =
+  check_access mem addr size;
+  let d = mem.Memory.data in
+  match size with
+  | 8 -> Bytes.set_int64_le d addr v
+  | 4 -> Bytes.set_int32_le d addr (Int64.to_int32 v)
+  | 2 -> Bytes.set_uint16_le d addr (Int64.to_int v land 0xFFFF)
+  | 1 -> Bytes.set_uint8 d addr (Int64.to_int v land 0xFF)
+  | _ -> raise (Memory.Fault "bad access size")
+
+(* unsigned a < b *)
+let[@inline] ult (a : int64) b = Int64.sub a Int64.min_int < Int64.sub b Int64.min_int
+
+(* High 64 bits of the 128-bit product, as {!Qcomp_support.I128.umul64_wide}
+   and [smul64_wide] compute them. *)
+let[@inline] umulh a b =
+  let mask32 = 0xFFFF_FFFFL in
+  let a0 = Int64.logand a mask32 and a1 = Int64.shift_right_logical a 32 in
+  let b0 = Int64.logand b mask32 and b1 = Int64.shift_right_logical b 32 in
+  let p00 = Int64.mul a0 b0 in
+  let p01 = Int64.mul a0 b1 in
+  let p10 = Int64.mul a1 b0 in
+  let mid =
+    Int64.add
+      (Int64.add (Int64.shift_right_logical p00 32) (Int64.logand p01 mask32))
+      (Int64.logand p10 mask32)
+  in
+  Int64.add
+    (Int64.add (Int64.mul a1 b1) (Int64.shift_right_logical p01 32))
+    (Int64.add (Int64.shift_right_logical p10 32) (Int64.shift_right_logical mid 32))
+
+let[@inline] smulh a b =
+  let hi = umulh a b in
+  let hi = if a < 0L then Int64.sub hi b else hi in
+  if b < 0L then Int64.sub hi a else hi
+
+let[@inline] crc32c acc x =
+  Int64.of_int
+    (Qcomp_support.Hashes.crc32c_words
+       (Int64.to_int acc land 0xFFFF_FFFF)
+       ~lo:(Int64.to_int x land 0xFFFF_FFFF)
+       ~hi:(Int64.to_int (Int64.shift_right_logical x 32)))
 
 (* ---------------- flags ---------------- *)
 
-let set_zs t (r : int64) =
-  t.zf <- Int64.equal r 0L;
-  t.sf <- Int64.compare r 0L < 0
+let[@inline] set_zs t (r : int64) =
+  t.zf <- r = 0L;
+  t.sf <- r < 0L
 
-let flags_add t a b r =
+let[@inline] flags_add t a b r =
   set_zs t r;
-  t.cf <- Int64.unsigned_compare r a < 0;
-  t.ovf <-
-    Int64.compare (Int64.logand (Int64.logxor a (Int64.lognot b)) (Int64.logxor a r)) 0L < 0
+  t.cf <- ult r a;
+  t.ovf <- Int64.logand (Int64.logxor a (Int64.lognot b)) (Int64.logxor a r) < 0L
 
-let flags_sub t a b r =
+let[@inline] flags_sub t a b r =
   set_zs t r;
-  t.cf <- Int64.unsigned_compare a b < 0;
-  t.ovf <- Int64.compare (Int64.logand (Int64.logxor a b) (Int64.logxor a r)) 0L < 0
+  t.cf <- ult a b;
+  t.ovf <- Int64.logand (Int64.logxor a b) (Int64.logxor a r) < 0L
 
-let flags_logic t r =
+let[@inline] flags_logic t r =
   set_zs t r;
   t.cf <- false;
   t.ovf <- false
 
-let cond_true t (c : Minst.cond) =
+let[@inline] cond_true t (c : Minst.cond) =
   match c with
   | Eq -> t.zf
   | Ne -> not t.zf
@@ -369,109 +551,69 @@ let cond_true t (c : Minst.cond) =
   | Ov -> t.ovf
   | Noov -> not t.ovf
 
-(* ---------------- cost model ---------------- *)
-
-let cost (i : Minst.t) =
-  match i with
-  | Nop -> 0
-  | Mov_rr _ | Mov_ri _ | Movz _ | Movk _ -> 1
-  | Alu_rr (a, _, _) | Alu_ri (a, _, _) | Alu_rrr (a, _, _, _) | Alu_rri (a, _, _, _)
-    -> (
-      match a with Mul -> 3 | _ -> 1)
-  | Cmp_rr _ | Cmp_ri _ -> 1
-  | Ld _ -> 2
-  | St _ -> 2
-  | Lea _ -> 1
-  | Ext _ -> 1
-  | Mul_wide _ | Mul_hi _ -> 4
-  | Div _ | Div_rrr _ -> 20
-  | Msub _ -> 3
-  | Crc32_rr _ | Crc32_rrr _ -> 1
-  | Setcc _ | Csel _ -> 1
-  | Jmp _ -> 1
-  | Jcc _ -> 1
-  | Jmp_ind _ -> 2
-  | Jmp_mem _ -> 3
-  | Call_rel _ -> 2
-  | Call_ind _ -> 3
-  | Ret -> 2
-  | Falu_rr (f, _, _) | Falu_rrr (f, _, _, _) -> (
-      match f with Fdiv -> 15 | Fmul -> 4 | _ -> 3)
-  | Fcmp_rr _ -> 2
-  | Cvt_si2f _ | Cvt_f2si _ -> 4
-  | Brk _ -> 0
-
-let runtime_dispatch_cost = 12
-
 (* ---------------- execution ---------------- *)
 
-let alu_eval t (op : Minst.alu) a b =
+(* [d <- a op b], setting the flags [op] defines. *)
+let[@inline] alu t (op : Minst.alu) d a b =
   match op with
   | Add ->
       let r = Int64.add a b in
       flags_add t a b r;
-      r
+      set_reg t d r
   | Sub ->
       let r = Int64.sub a b in
       flags_sub t a b r;
-      r
+      set_reg t d r
   | Adc ->
       let cin = if t.cf then 1L else 0L in
-      let r = Int64.add (Int64.add a b) cin in
-      let cf1 = Int64.unsigned_compare (Int64.add a b) a < 0 in
-      let cf2 = Int64.unsigned_compare r (Int64.add a b) < 0 in
+      let ab = Int64.add a b in
+      let r = Int64.add ab cin in
       set_zs t r;
-      t.cf <- cf1 || cf2;
+      t.cf <- ult ab a || ult r ab;
       (* signed overflow (valid with carry-in): operands agree, result differs *)
-      t.ovf <-
-        Int64.compare (Int64.logand (Int64.logxor a r) (Int64.logxor b r)) 0L < 0;
-      r
+      t.ovf <- Int64.logand (Int64.logxor a r) (Int64.logxor b r) < 0L;
+      set_reg t d r
   | Sbb ->
       let cin = if t.cf then 1L else 0L in
       let r = Int64.sub (Int64.sub a b) cin in
       let borrow =
-        Int64.unsigned_compare a b < 0
-        || (Int64.equal a b && Int64.equal cin 1L)
-        || Int64.unsigned_compare (Int64.sub a b) cin < 0
+        ult a b || (a = b && cin = 1L) || ult (Int64.sub a b) cin
       in
       set_zs t r;
       t.cf <- borrow;
-      t.ovf <-
-        Int64.compare (Int64.logand (Int64.logxor a b) (Int64.logxor a r)) 0L < 0;
-      r
+      t.ovf <- Int64.logand (Int64.logxor a b) (Int64.logxor a r) < 0L;
+      set_reg t d r
   | And ->
       let r = Int64.logand a b in
       flags_logic t r;
-      r
+      set_reg t d r
   | Or ->
       let r = Int64.logor a b in
       flags_logic t r;
-      r
+      set_reg t d r
   | Xor ->
       let r = Int64.logxor a b in
       flags_logic t r;
-      r
+      set_reg t d r
   | Mul ->
       let r = Int64.mul a b in
       set_zs t r;
-      let wide = Qcomp_support.I128.smul64_wide a b in
-      let hi = Qcomp_support.I128.to_int64 (Qcomp_support.I128.shift_right wide 64) in
-      let ovf = not (Int64.equal hi (Int64.shift_right r 63)) in
+      let ovf = smulh a b <> Int64.shift_right r 63 in
       t.cf <- ovf;
       t.ovf <- ovf;
-      r
+      set_reg t d r
   | Shl ->
       let r = Int64.shift_left a (Int64.to_int b land 63) in
       set_zs t r;
-      r
+      set_reg t d r
   | Shr ->
       let r = Int64.shift_right_logical a (Int64.to_int b land 63) in
       set_zs t r;
-      r
+      set_reg t d r
   | Sar ->
       let r = Int64.shift_right a (Int64.to_int b land 63) in
       set_zs t r;
-      r
+      set_reg t d r
   | Ror ->
       let n = Int64.to_int b land 63 in
       let r =
@@ -479,9 +621,9 @@ let alu_eval t (op : Minst.alu) a b =
         else Int64.logor (Int64.shift_right_logical a n) (Int64.shift_left a (64 - n))
       in
       set_zs t r;
-      r
+      set_reg t d r
 
-let ext_eval v ~bits ~signed =
+let[@inline] ext v ~bits ~signed =
   match (bits, signed) with
   | 8, false -> Int64.logand v 0xFFL
   | 8, true -> Int64.shift_right (Int64.shift_left v 56) 56
@@ -493,197 +635,165 @@ let ext_eval v ~bits ~signed =
   | 1, true -> Int64.shift_right (Int64.shift_left v 63) 63
   | _ -> raise (Trap "bad extension width")
 
-let f64 v = Int64.float_of_bits v
-let bits f = Int64.bits_of_float f
+let[@inline] falu (op : Minst.falu) a b =
+  let a = Int64.float_of_bits a and b = Int64.float_of_bits b in
+  Int64.bits_of_float
+    (match op with Fadd -> a +. b | Fsub -> a -. b | Fmul -> a *. b | Fdiv -> a /. b)
+
+(* x64 return addresses live on the stack, A64 ones in the link register *)
+let[@inline] pop_ret t =
+  if t.target.Target.arch = Target.X64 then begin
+    let sp = t.target.Target.sp in
+    let ra = load64 t.mem (Int64.to_int (reg t sp)) in
+    set_reg t sp (Int64.add (reg t sp) 8L);
+    ra
+  end
+  else reg t Target.lr
+
+let[@inline] push_ret t ra =
+  if t.target.Target.arch = Target.X64 then begin
+    let sp = t.target.Target.sp in
+    set_reg t sp (Int64.sub (reg t sp) 8L);
+    store64 t.mem (Int64.to_int (reg t sp)) ra
+  end
+  else set_reg t Target.lr ra
+
+(* Transfer control to an arbitrary address: code, runtime or sentinel.
+   Returns the instruction index to continue at, in the module [find_mod]
+   just left in [t.last_mod], or -1 once control reaches the sentinel. *)
+let rec goto t (a : int) =
+  if a = sentinel then -1
+  else if is_runtime_addr a then begin
+    (* Landing in the runtime via a tail jump (PLT): execute the callee,
+       then return to the caller's return address. *)
+    let ra = Int64.to_int (pop_ret t) in
+    dispatch_runtime t a;
+    if ra = sentinel then -1 else idx_of (find_mod t ra) ra
+  end
+  else idx_of (find_mod t a) a
 
 (** Run starting at [addr] until control returns to the sentinel.
-    Reentrant: runtime functions may use {!call_generated}. *)
-let rec run_at t addr =
-  let is_x64 = t.target.Target.arch = Target.X64 in
-  let sp = t.target.Target.sp in
-  let cur = ref (find_mod t addr) in
-  let ip = ref (idx_of t !cur addr) in
-  let running = ref true in
-  (* Transfer control to an arbitrary address: code, runtime or sentinel. *)
-  let goto (a : int) =
-    if a = sentinel then running := false
-    else if is_runtime_addr a then begin
-      (* Landing in the runtime via a tail jump (PLT): execute the callee,
-         then return to the caller's return address. *)
-      let retaddr =
-        if is_x64 then begin
-          let ra = Memory.load64 t.mem (Int64.to_int t.regs.(sp)) in
-          t.regs.(sp) <- Int64.add t.regs.(sp) 8L;
-          ra
-        end
-        else t.regs.(Target.lr)
-      in
-      dispatch_runtime t a;
-      let ra = Int64.to_int retaddr in
-      if ra = sentinel then running := false
-      else begin
-        let m = find_mod t ra in
-        cur := m;
-        ip := idx_of t m ra
-      end
-    end
-    else begin
-      let m = find_mod t a in
-      cur := m;
-      ip := idx_of t m a
-    end
-  in
-  let push_ret next_off =
-    let ra = Int64.of_int (!cur.cm_base + next_off) in
-    if is_x64 then begin
-      t.regs.(sp) <- Int64.sub t.regs.(sp) 8L;
-      Memory.store64 t.mem (Int64.to_int t.regs.(sp)) ra
-    end
-    else t.regs.(Target.lr) <- ra
-  in
-  (* Byte offset just past instruction [i] — needed for return addresses.
-     Precomputed per module on first use. *)
-  let next_off_of (m : code_mod) =
-    let n = Array.length m.cm_insts in
-    let a = Array.make n m.cm_size in
-    Array.iteri (fun off idx -> if idx > 0 then a.(idx - 1) <- off) m.cm_off2idx;
-    a
-  in
-  let next_off_cache : (int, int array) Hashtbl.t = Hashtbl.create 4 in
-  let next_off m i =
-    match Hashtbl.find_opt next_off_cache m.cm_base with
-    | Some a -> a.(i)
-    | None ->
-        let a = next_off_of m in
-        Hashtbl.add next_off_cache m.cm_base a;
-        a.(i)
-  in
-  while !running do
-    let m = !cur in
+    Reentrant: runtime functions may use {!call_generated}. Each executed
+    instruction reads its cost and branch target from the module's
+    registration-time tables and allocates nothing. *)
+and run_at t addr =
+  let m = ref (find_mod t addr) in
+  let ip = ref (idx_of !m addr) in
+  while !ip >= 0 do
+    let cm = !m in
     let i = !ip in
-    if i >= Array.length m.cm_insts then raise (Trap "fell off end of code");
-    let inst = m.cm_insts.(i) in
-    t.cycles <- t.cycles + cost inst;
+    if i >= Array.length cm.cm_insts then raise (Trap "fell off end of code");
+    t.cycles <- t.cycles + Array.unsafe_get cm.cm_cost i;
     t.icount <- t.icount + 1;
     if t.fuel >= 0 && t.icount > t.fuel then raise (Trap "fuel exhausted");
-    incr ip;
-    (match inst with
+    ip := i + 1;
+    match Array.unsafe_get cm.cm_insts i with
     | Nop -> ()
-    | Mov_rr (d, s) -> t.regs.(d) <- t.regs.(s)
-    | Mov_ri (d, v) -> t.regs.(d) <- v
-    | Movz (d, imm, sh) -> t.regs.(d) <- Int64.shift_left (Int64.of_int imm) (16 * sh)
+    | Mov_rr (d, s) -> set_reg t d (reg t s)
+    | Mov_ri (d, v) -> set_reg t d v
+    | Movz (d, imm, sh) -> set_reg t d (Int64.shift_left (Int64.of_int imm) (16 * sh))
     | Movk (d, imm, sh) ->
         let mask = Int64.shift_left 0xFFFFL (16 * sh) in
-        t.regs.(d) <-
-          Int64.logor
-            (Int64.logand t.regs.(d) (Int64.lognot mask))
-            (Int64.shift_left (Int64.of_int imm) (16 * sh))
-    | Alu_rr (op, d, s) -> t.regs.(d) <- alu_eval t op t.regs.(d) t.regs.(s)
-    | Alu_ri (op, d, v) -> t.regs.(d) <- alu_eval t op t.regs.(d) v
-    | Alu_rrr (op, d, a, b) -> t.regs.(d) <- alu_eval t op t.regs.(a) t.regs.(b)
-    | Alu_rri (op, d, a, v) -> t.regs.(d) <- alu_eval t op t.regs.(a) v
-    | Cmp_rr (a, b) -> ignore (alu_eval t Sub t.regs.(a) t.regs.(b))
-    | Cmp_ri (a, v) -> ignore (alu_eval t Sub t.regs.(a) v)
+        set_reg t d
+          (Int64.logor
+             (Int64.logand (reg t d) (Int64.lognot mask))
+             (Int64.shift_left (Int64.of_int imm) (16 * sh)))
+    | Alu_rr (op, d, s) -> alu t op d (reg t d) (reg t s)
+    | Alu_ri (op, d, v) -> alu t op d (reg t d) v
+    | Alu_rrr (op, d, a, b) -> alu t op d (reg t a) (reg t b)
+    | Alu_rri (op, d, a, v) -> alu t op d (reg t a) v
+    | Cmp_rr (a, b) ->
+        let a = reg t a and b = reg t b in
+        flags_sub t a b (Int64.sub a b)
+    | Cmp_ri (a, v) ->
+        let a = reg t a in
+        flags_sub t a v (Int64.sub a v)
     | Ld { dst; base; off; size; sext } ->
-        t.regs.(dst) <-
-          Memory.load t.mem ~addr:(Int64.to_int t.regs.(base) + off) ~size ~sext
+        set_reg t dst (load t.mem (Int64.to_int (reg t base) + off) size sext)
     | St { src; base; off; size } ->
-        Memory.store t.mem ~addr:(Int64.to_int t.regs.(base) + off) ~size t.regs.(src)
+        store t.mem (Int64.to_int (reg t base) + off) size (reg t src)
     | Lea { dst; base; index; scale; off } ->
-        let v = Int64.add t.regs.(base) (Int64.of_int off) in
-        let v =
-          if index >= 0 then
-            Int64.add v (Int64.mul t.regs.(index) (Int64.of_int scale))
-          else v
-        in
-        t.regs.(dst) <- v
-    | Ext { dst; src; bits; signed } ->
-        t.regs.(dst) <- ext_eval t.regs.(src) ~bits ~signed
+        let v = Int64.add (reg t base) (Int64.of_int off) in
+        set_reg t dst
+          (if index >= 0 then Int64.add v (Int64.mul (reg t index) (Int64.of_int scale))
+           else v)
+    | Ext { dst; src; bits; signed } -> set_reg t dst (ext (reg t src) ~bits ~signed)
     | Mul_wide { signed; src } ->
-        let p =
-          if signed then Qcomp_support.I128.smul64_wide t.regs.(0) t.regs.(src)
-          else Qcomp_support.I128.umul64_wide t.regs.(0) t.regs.(src)
-        in
-        t.regs.(0) <- Qcomp_support.I128.to_int64 p;
-        t.regs.(2) <-
-          Qcomp_support.I128.to_int64 (Qcomp_support.I128.shift_right_logical p 64)
+        let a = reg t 0 and b = reg t src in
+        set_reg t 0 (Int64.mul a b);
+        set_reg t 2 (if signed then smulh a b else umulh a b)
     | Mul_hi { signed; dst; a; b } ->
-        let p =
-          if signed then Qcomp_support.I128.smul64_wide t.regs.(a) t.regs.(b)
-          else Qcomp_support.I128.umul64_wide t.regs.(a) t.regs.(b)
-        in
-        t.regs.(dst) <-
-          Qcomp_support.I128.to_int64 (Qcomp_support.I128.shift_right_logical p 64)
+        let a = reg t a and b = reg t b in
+        set_reg t dst (if signed then smulh a b else umulh a b)
     | Div { signed; src } ->
-        let d = t.regs.(src) in
-        if Int64.equal d 0L then raise (Trap "integer division by zero");
-        let a = t.regs.(0) in
+        let d = reg t src in
+        if d = 0L then raise (Trap "integer division by zero");
+        let a = reg t 0 in
         if signed then begin
-          if Int64.equal a Int64.min_int && Int64.equal d (-1L) then
-            raise (Trap "integer division overflow");
-          t.regs.(0) <- Int64.div a d;
-          t.regs.(2) <- Int64.rem a d
+          if a = Int64.min_int && d = -1L then raise (Trap "integer division overflow");
+          set_reg t 0 (Int64.div a d);
+          set_reg t 2 (Int64.rem a d)
         end
         else begin
-          t.regs.(0) <- Int64.unsigned_div a d;
-          t.regs.(2) <- Int64.unsigned_rem a d
+          set_reg t 0 (Int64.unsigned_div a d);
+          set_reg t 2 (Int64.unsigned_rem a d)
         end
     | Div_rrr { signed; dst; a; b } ->
         (* AArch64 semantics: division by zero yields zero. *)
-        let bv = t.regs.(b) in
-        if Int64.equal bv 0L then t.regs.(dst) <- 0L
-        else if signed then
-          if Int64.equal t.regs.(a) Int64.min_int && Int64.equal bv (-1L) then
-            t.regs.(dst) <- Int64.min_int
-          else t.regs.(dst) <- Int64.div t.regs.(a) bv
-        else t.regs.(dst) <- Int64.unsigned_div t.regs.(a) bv
+        let bv = reg t b in
+        let av = reg t a in
+        set_reg t dst
+          (if bv = 0L then 0L
+           else if signed then
+             if av = Int64.min_int && bv = -1L then Int64.min_int else Int64.div av bv
+           else Int64.unsigned_div av bv)
     | Msub { dst; a; b; c } ->
-        t.regs.(dst) <- Int64.sub t.regs.(c) (Int64.mul t.regs.(a) t.regs.(b))
-    | Crc32_rr (d, s) ->
-        t.regs.(d) <- Qcomp_support.Hashes.crc32c t.regs.(d) t.regs.(s)
-    | Crc32_rrr (d, a, b) ->
-        t.regs.(d) <- Qcomp_support.Hashes.crc32c t.regs.(a) t.regs.(b)
-    | Setcc (c, d) -> t.regs.(d) <- (if cond_true t c then 1L else 0L)
+        set_reg t dst (Int64.sub (reg t c) (Int64.mul (reg t a) (reg t b)))
+    | Crc32_rr (d, s) -> set_reg t d (crc32c (reg t d) (reg t s))
+    | Crc32_rrr (d, a, b) -> set_reg t d (crc32c (reg t a) (reg t b))
+    | Setcc (c, d) -> set_reg t d (if cond_true t c then 1L else 0L)
     | Csel { cond; dst; a; b } ->
-        t.regs.(dst) <- (if cond_true t cond then t.regs.(a) else t.regs.(b))
-    | Jmp off -> ip := idx_of t m (m.cm_base + off)
-    | Jcc (c, off) -> if cond_true t c then ip := idx_of t m (m.cm_base + off)
-    | Jmp_ind r -> goto (Int64.to_int t.regs.(r))
-    | Jmp_mem slot -> goto (Int64.to_int (Memory.load64 t.mem (Int64.to_int slot)))
+        set_reg t dst (if cond_true t cond then reg t a else reg t b)
+    | Jmp off ->
+        let j = Array.unsafe_get cm.cm_target i in
+        ip := if j >= 0 then j else idx_of cm (cm.cm_base + off)
+    | Jcc (c, off) ->
+        if cond_true t c then begin
+          let j = Array.unsafe_get cm.cm_target i in
+          ip := if j >= 0 then j else idx_of cm (cm.cm_base + off)
+        end
+    | Jmp_ind r ->
+        ip := goto t (Int64.to_int (reg t r));
+        m := t.last_mod
+    | Jmp_mem slot ->
+        ip := goto t (Int64.to_int (load64 t.mem (Int64.to_int slot)));
+        m := t.last_mod
     | Call_rel off ->
-        push_ret (next_off m i);
-        goto (m.cm_base + off)
+        push_ret t (Int64.of_int (cm.cm_base + Array.unsafe_get cm.cm_next i));
+        let j = Array.unsafe_get cm.cm_target i in
+        if j >= 0 then ip := j
+        else begin
+          ip := goto t (cm.cm_base + off);
+          m := t.last_mod
+        end
     | Call_ind r ->
-        push_ret (next_off m i);
-        goto (Int64.to_int t.regs.(r))
+        push_ret t (Int64.of_int (cm.cm_base + Array.unsafe_get cm.cm_next i));
+        ip := goto t (Int64.to_int (reg t r));
+        m := t.last_mod
     | Ret ->
-        let ra =
-          if is_x64 then begin
-            let ra = Memory.load64 t.mem (Int64.to_int t.regs.(sp)) in
-            t.regs.(sp) <- Int64.add t.regs.(sp) 8L;
-            ra
-          end
-          else t.regs.(Target.lr)
-        in
-        goto (Int64.to_int ra)
-    | Falu_rr (op, d, s) ->
-        let a = f64 t.regs.(d) and b = f64 t.regs.(s) in
-        let r = match op with Fadd -> a +. b | Fsub -> a -. b | Fmul -> a *. b | Fdiv -> a /. b in
-        t.regs.(d) <- bits r
-    | Falu_rrr (op, d, x, y) ->
-        let a = f64 t.regs.(x) and b = f64 t.regs.(y) in
-        let r = match op with Fadd -> a +. b | Fsub -> a -. b | Fmul -> a *. b | Fdiv -> a /. b in
-        t.regs.(d) <- bits r
+        ip := goto t (Int64.to_int (pop_ret t));
+        m := t.last_mod
+    | Falu_rr (op, d, s) -> set_reg t d (falu op (reg t d) (reg t s))
+    | Falu_rrr (op, d, x, y) -> set_reg t d (falu op (reg t x) (reg t y))
     | Fcmp_rr (x, y) ->
-        let a = f64 t.regs.(x) and b = f64 t.regs.(y) in
+        let a = Int64.float_of_bits (reg t x) and b = Int64.float_of_bits (reg t y) in
         t.zf <- a = b;
         t.sf <- a < b;
         t.ovf <- false;
         t.cf <- a < b
-    | Cvt_si2f (d, s) -> t.regs.(d) <- bits (Int64.to_float t.regs.(s))
-    | Cvt_f2si (d, s) -> t.regs.(d) <- Int64.of_float (f64 t.regs.(s))
-    | Brk code -> raise (Trap (Printf.sprintf "brk #%d" code)));
-    ()
+    | Cvt_si2f (d, s) -> set_reg t d (Int64.bits_of_float (Int64.to_float (reg t s)))
+    | Cvt_f2si (d, s) -> set_reg t d (Int64.of_float (Int64.float_of_bits (reg t s)))
+    | Brk code -> raise (Trap (Printf.sprintf "brk #%d" code))
   done
 
 and dispatch_runtime t addr =
@@ -702,27 +812,26 @@ and call_generated t ~addr ~(args : int64 array) =
   let tgt = t.target in
   if Array.length args > Array.length tgt.Target.arg_regs then
     invalid_arg "call_generated: too many register arguments";
-  Array.iteri (fun k v -> t.regs.(tgt.Target.arg_regs.(k)) <- v) args;
+  Array.iteri (fun k v -> set_reg t tgt.Target.arg_regs.(k) v) args;
   if is_runtime_addr addr then dispatch_runtime t addr
   else begin
-    if tgt.Target.arch = Target.X64 then begin
-      t.regs.(tgt.Target.sp) <- Int64.sub t.regs.(tgt.Target.sp) 8L;
-      Memory.store64 t.mem (Int64.to_int t.regs.(tgt.Target.sp)) (Int64.of_int sentinel)
-    end
-    else t.regs.(Target.lr) <- Int64.of_int sentinel;
+    push_ret t (Int64.of_int sentinel);
     run_at t addr
   end;
-  (t.regs.(tgt.Target.ret_regs.(0)), t.regs.(tgt.Target.ret_regs.(1)))
+  (reg t tgt.Target.ret_regs.(0), reg t tgt.Target.ret_regs.(1))
 
 (** Top-level entry: sets up a fresh stack then calls [addr]. *)
 let call t ~addr ~args =
+  if t.released then invalid_arg "Emu.call: context released";
   let sp0 = t.stack_top land lnot 15 in
-  t.regs.(t.target.Target.sp) <- Int64.of_int sp0;
+  set_reg t t.target.Target.sp (Int64.of_int sp0);
   call_generated t ~addr ~args
 
 let arg_reg t k = t.target.Target.arg_regs.(k)
-let reg t r = t.regs.(r)
-let set_reg t r v = t.regs.(r) <- v
+
+(* the public accessors, out of line: host callers see plain functions *)
+let reg t r = reg t r
+let set_reg t r v = set_reg t r v
 
 (** Decoded instructions of the module containing [addr] (debugging aid). *)
 let decoded_at t addr =

@@ -418,4 +418,338 @@ let suite =
         check Alcotest.bool "out of range" true
           (raises (fun () ->
                Memory.claim m ~addr:((1 lsl 20) - 8) ~size:16 ~align:8)));
+    Alcotest.test_case "taken branch into the middle of an instruction traps"
+      `Quick (fun () ->
+        (* byte offset 1 lies inside the first instruction; the branch is
+           resolved at registration but must trap only when taken *)
+        let program branch =
+          [
+            Minst.Mov_ri (0, 7L);
+            Minst.Cmp_ri (x64_args.(0), 0L);
+            branch;
+            Minst.Ret;
+          ]
+        in
+        List.iter
+          (fun (what, branch) ->
+            let emu = Emu.create ~mem_size:(1 lsl 20) Target.x64 in
+            let a = Asm.create Target.x64 in
+            List.iter (Asm.emit a) (program branch);
+            let base = Code_region.base (Emu.register_code emu (Asm.finish a)) in
+            let want = Printf.sprintf "jump into middle of instruction at 0x%x" (base + 1) in
+            (match Emu.call emu ~addr:base ~args:[| 1L |] with
+            | exception Emu.Trap msg -> check Alcotest.string what want msg
+            | _ -> Alcotest.failf "%s: expected a trap" what);
+            if what = "jcc" then
+              check Alcotest.int64 "not taken: no trap" 7L
+                (fst (Emu.call emu ~addr:base ~args:[| 0L |])))
+          [
+            ("jcc", Minst.Jcc (Minst.Ne, 1));
+            ("jmp", Minst.Jmp 1);
+            ("call", Minst.Call_rel 1);
+          ]);
+    Alcotest.test_case "fuel exhausted at exactly fuel + 1 instructions" `Quick
+      (fun () ->
+        let emu = Emu.create ~mem_size:(1 lsl 20) Target.x64 in
+        let a = Asm.create Target.x64 in
+        let head = Asm.new_label a in
+        Asm.bind a head;
+        Asm.jmp a head;
+        let spin = Code_region.base (Emu.register_code emu (Asm.finish a)) in
+        let a = Asm.create Target.x64 in
+        List.iter (Asm.emit a)
+          [ Minst.Mov_ri (0, 1L); Minst.Alu_ri (Minst.Add, 0, 1L); Minst.Ret ];
+        let three = Code_region.base (Emu.register_code emu (Asm.finish a)) in
+        emu.Emu.fuel <- 10;
+        (match Emu.call emu ~addr:spin ~args:[||] with
+        | exception Emu.Trap msg -> check Alcotest.string "trap" "fuel exhausted" msg
+        | _ -> Alcotest.fail "expected fuel exhaustion");
+        check Alcotest.int "instructions" 11 (Emu.instructions_executed emu);
+        check Alcotest.int "cycles" 11 (Emu.cycles emu);
+        (* a run of exactly [fuel] instructions completes *)
+        Emu.reset_counters emu;
+        emu.Emu.fuel <- 3;
+        check Alcotest.int64 "within fuel" 2L (fst (Emu.call emu ~addr:three ~args:[||]));
+        check Alcotest.int "three" 3 (Emu.instructions_executed emu);
+        Emu.reset_counters emu;
+        emu.Emu.fuel <- 2;
+        match Emu.call emu ~addr:three ~args:[||] with
+        | exception Emu.Trap msg -> check Alcotest.string "one short" "fuel exhausted" msg
+        | _ -> Alcotest.fail "expected fuel exhaustion");
+    Alcotest.test_case "call and return across two registered modules" `Quick
+      (fun () ->
+        List.iter
+          (fun (target : Target.t) ->
+            let emu = Emu.create ~mem_size:(1 lsl 20) target in
+            let args = target.Target.arg_regs in
+            (* callee module: ret0 = arg0 + 100 *)
+            let a = Asm.create target in
+            List.iter (Asm.emit a)
+              [
+                Minst.Mov_rr (0, args.(0));
+                Minst.Alu_ri (Minst.Add, 0, 100L);
+                Minst.Ret;
+              ];
+            let callee = Code_region.base (Emu.register_code emu (Asm.finish a)) in
+            let caller call =
+              let a = Asm.create target in
+              (match target.Target.arch with
+              | Target.X64 ->
+                  List.iter (Asm.emit a)
+                    [ call; Minst.Alu_rr (Minst.Add, 0, 0); Minst.Ret ]
+              | Target.A64 ->
+                  (* the call clobbers the link register: keep the caller's *)
+                  List.iter (Asm.emit a)
+                    [
+                      Minst.Mov_rr (19, Target.lr);
+                      call;
+                      Minst.Alu_rrr (Minst.Add, 0, 0, 0);
+                      Minst.Mov_rr (Target.lr, 19);
+                      Minst.Ret;
+                    ]);
+              Asm.finish a
+            in
+            let indirect =
+              Code_region.base
+                (Emu.register_code emu
+                   (caller (Minst.Call_ind target.Target.scratch2)))
+            in
+            (* rel call out of its own blob: the registration-time target is
+               unresolved, so the taken call goes through the address map *)
+            let size = Bytes.length (caller (Minst.Call_rel 0)) in
+            let at = Emu.next_code_addr emu ~size in
+            let rel =
+              Code_region.base
+                (Emu.register_code emu (caller (Minst.Call_rel (callee - at))))
+            in
+            check Alcotest.int "predicted base" at rel;
+            let run base =
+              Emu.set_reg emu target.Target.scratch2 (Int64.of_int callee);
+              fst (Emu.call emu ~addr:base ~args:[| 5L |])
+            in
+            check Alcotest.int64 (target.Target.name ^ " indirect") 210L (run indirect);
+            check Alcotest.int64 (target.Target.name ^ " rel") 210L (run rel))
+          [ Target.x64; Target.a64 ]);
+    Alcotest.test_case "a64 movz/movk build a 64-bit constant" `Quick (fun () ->
+        let r =
+          run Target.a64 ~args:[||]
+            [
+              Minst.Movz (0, 0x1234, 1);
+              Minst.Movk (0, 0xABCD, 0);
+              Minst.Movk (0, 0xFFFF, 3);
+              Minst.Movk (0, 0x0042, 1);
+              Minst.Ret;
+            ]
+        in
+        check Alcotest.int64 "constant" 0xFFFF_0000_0042_ABCDL r);
+    Alcotest.test_case "lea with and without an index" `Quick (fun () ->
+        let lea index =
+          run Target.x64 ~args:[| 1000L; 7L |]
+            [
+              Minst.Lea { dst = 0; base = x64_args.(0); index; scale = 8; off = -3 };
+              Minst.Ret;
+            ]
+        in
+        check Alcotest.int64 "indexed" 1053L (lea x64_args.(1));
+        check Alcotest.int64 "no index" 997L (lea (-1)));
+    Alcotest.test_case "setcc, and the flags shifts and ror set" `Quick
+      (fun () ->
+        (* [cmp a, b] then [op d, n]: the shift/rotate rewrites zf/sf and
+           keeps cf/ovf from the compare; six setcc results are packed
+           into rax, one bit each *)
+        let flags ~a ~b op v n =
+          let conds = [ Minst.Eq; Slt; Ult; Ov; Sgt; Uge ] in
+          let regs = [ 1; 3; 8; 9; 12; 13 ] in
+          run Target.x64 ~args:[||]
+            ([
+               Minst.Mov_ri (14, a);
+               Minst.Cmp_ri (14, b);
+               Minst.Mov_ri (15, v);
+               Minst.Alu_ri (op, 15, Int64.of_int n);
+             ]
+            @ List.map2 (fun c r -> Minst.Setcc (c, r)) conds regs
+            @ [ Minst.Mov_ri (0, 0L) ]
+            @ List.concat
+                (List.mapi
+                   (fun k r ->
+                     [
+                       Minst.Alu_ri (Minst.Shl, r, Int64.of_int k);
+                       Minst.Alu_rr (Minst.Or, 0, r);
+                     ])
+                   regs)
+            @ [ Minst.Ret ])
+        in
+        let bits eq slt ult ov sgt uge =
+          List.fold_left
+            (fun (acc, k) b -> ((if b then acc lor (1 lsl k) else acc), k + 1))
+            (0, 0) [ eq; slt; ult; ov; sgt; uge ]
+          |> fst |> Int64.of_int
+        in
+        (* 1 - 2 borrows (cf) without signed overflow; shl to zero sets zf *)
+        check Alcotest.int64 "shl to zero"
+          (bits true false true false false false)
+          (flags ~a:1L ~b:2L Minst.Shl Int64.min_int 1);
+        (* ror into the sign bit: sf set, zf clear, cf kept *)
+        check Alcotest.int64 "ror negative"
+          (bits false true true false false false)
+          (flags ~a:1L ~b:2L Minst.Ror 1L 1);
+        (* min_int - 1 overflows (ovf) without a borrow; shr leaves a
+           positive non-zero value *)
+        check Alcotest.int64 "shr positive, overflow kept"
+          (bits false true false true false true)
+          (flags ~a:Int64.min_int ~b:1L Minst.Shr (-1L) 4);
+        (* sar keeps the sign; ror by 0 leaves the value (and sets zf/sf) *)
+        check Alcotest.int64 "sar negative"
+          (bits false true false false false true)
+          (flags ~a:5L ~b:3L Minst.Sar (-64L) 3);
+        check Alcotest.int64 "ror by zero"
+          (bits false false false false true true)
+          (flags ~a:5L ~b:3L Minst.Ror 9L 0));
+    Alcotest.test_case "wide and overflow-checked multiplies match I128" `Quick
+      (fun () ->
+        let module I = Qcomp_support.I128 in
+        let edge =
+          [ 0L; 1L; -1L; 2L; -2L; 3L; Int64.max_int; Int64.min_int; 0xFFFF_FFFFL;
+            0x1_0000_0000L; -0x1_0000_0000L; 0x7FFF_FFFFL; 0x9E37_79B9_7F4A_7C15L ]
+        in
+        let rng = Random.State.make [| 13 |] in
+        let rand = List.init 40 (fun _ -> Random.State.bits64 rng) in
+        let vals = edge @ rand in
+        let hi p = I.to_int64 (I.shift_right_logical p 64) in
+        let mulhi target signed a b =
+          match target.Target.arch with
+          | Target.X64 ->
+              run target ~args:[| a; b |]
+                [
+                  Minst.Mov_rr (0, x64_args.(0));
+                  Minst.Mul_wide { signed; src = x64_args.(1) };
+                  Minst.Mov_rr (0, 2);
+                  Minst.Ret;
+                ]
+          | Target.A64 ->
+              run target ~args:[| a; b |]
+                [ Minst.Mul_hi { signed; dst = 0; a = 0; b = 1 }; Minst.Ret ]
+        in
+        let mul_ov a b =
+          run Target.x64 ~args:[| a; b |]
+            [
+              Minst.Alu_rr (Minst.Mul, x64_args.(0), x64_args.(1));
+              Minst.Setcc (Minst.Ov, 0);
+              Minst.Ret;
+            ]
+        in
+        List.iter
+          (fun a ->
+            List.iter
+              (fun b ->
+                let s = I.smul64_wide a b and u = I.umul64_wide a b in
+                let name = Printf.sprintf "%Ld * %Ld" a b in
+                List.iter
+                  (fun target ->
+                    check Alcotest.int64 ("signed hi " ^ name) (hi s) (mulhi target true a b);
+                    check Alcotest.int64 ("unsigned hi " ^ name) (hi u)
+                      (mulhi target false a b))
+                  [ Target.x64; Target.a64 ];
+                let ov = hi s <> Int64.shift_right (I.to_int64 s) 63 in
+                check Alcotest.int64 ("overflow " ^ name)
+                  (if ov then 1L else 0L) (mul_ov a b))
+              vals)
+          vals);
+    Alcotest.test_case "crc32 instruction matches Hashes.crc32c" `Quick
+      (fun () ->
+        let rng = Random.State.make [| 29 |] in
+        for _ = 1 to 200 do
+          let acc = Random.State.bits64 rng and x = Random.State.bits64 rng in
+          check Alcotest.int64 "x64"
+            (Qcomp_support.Hashes.crc32c acc x)
+            (run Target.x64 ~args:[| acc; x |]
+               [
+                 Minst.Mov_rr (0, x64_args.(0));
+                 Minst.Crc32_rr (0, x64_args.(1));
+                 Minst.Ret;
+               ]);
+          check Alcotest.int64 "a64"
+            (Qcomp_support.Hashes.crc32c acc x)
+            (run Target.a64 ~args:[| acc; x |] [ Minst.Crc32_rrr (0, 0, 1); Minst.Ret ])
+        done);
+    Alcotest.test_case "the execute loop allocates nothing per instruction"
+      `Quick (fun () ->
+        (* a loop over loads, stores, indexed lea, ALU ops with flags,
+           multiplies, crc32, float ops, setcc/csel, a local call and
+           branches; two runs of different lengths must allocate the same
+           number of words (only the per-call argument and result boxes) *)
+        let emu = Emu.create ~mem_size:(1 lsl 20) Target.x64 in
+        let buf = Memory.alloc (Emu.memory emu) 64 in
+        let a = Asm.create Target.x64 in
+        let head = Asm.new_label a and exit = Asm.new_label a in
+        let fn = Asm.new_label a in
+        let n = x64_args.(0) and p = x64_args.(1) in
+        List.iter (Asm.emit a) [ Minst.Mov_ri (3, 0L) ];
+        Asm.bind a head;
+        Asm.emit a (Minst.Cmp_ri (n, 0L));
+        Asm.jcc a Minst.Sle exit;
+        List.iter (Asm.emit a)
+          [
+            Minst.St { src = n; base = p; off = 8; size = 8 };
+            Minst.Ld { dst = 1; base = p; off = 8; size = 4; sext = true };
+            Minst.Lea { dst = 8; base = p; index = 1; scale = 1; off = 0 };
+            Minst.Alu_rr (Minst.Add, 3, 1);
+            Minst.Alu_ri (Minst.Mul, 8, 0x9E37L);
+            Minst.Alu_rr (Minst.Xor, 3, 8);
+            Minst.Crc32_rr (3, 8);
+            Minst.Mov_rr (0, 3);
+            Minst.Mul_wide { signed = false; src = 8 };
+            Minst.Ext { dst = 9; src = 0; bits = 16; signed = true };
+            Minst.Cvt_si2f (12, 9);
+            Minst.Falu_rr (Minst.Fmul, 12, 12);
+            Minst.Fcmp_rr (12, 12);
+            Minst.Setcc (Minst.Eq, 13);
+            Minst.Csel { cond = Minst.Ne; dst = 13; a = 13; b = 9 };
+          ];
+        Asm.call_label a fn;
+        Asm.emit a (Minst.Alu_ri (Minst.Sub, n, 1L));
+        Asm.jmp a head;
+        Asm.bind a exit;
+        List.iter (Asm.emit a) [ Minst.Mov_rr (0, 3); Minst.Ret ];
+        Asm.bind a fn;
+        List.iter (Asm.emit a) [ Minst.Alu_ri (Minst.Ror, 3, 7L); Minst.Ret ];
+        let base = Code_region.base (Emu.register_code emu (Asm.finish a)) in
+        let words iters =
+          let args = [| Int64.of_int iters; Int64.of_int buf |] in
+          let w0 = Gc.minor_words () in
+          ignore (Emu.call emu ~addr:base ~args);
+          Gc.minor_words () -. w0
+        in
+        ignore (words 10);
+        let short = words 10 in
+        let i0 = Emu.instructions_executed emu in
+        let long = words 10_000 in
+        check Alcotest.bool "the long run executes many instructions" true
+          (Emu.instructions_executed emu - i0 > 200_000);
+        check (Alcotest.float 0.) "words allocated do not grow with the run" short long);
+    Alcotest.test_case "release_context frees the stack once" `Quick (fun () ->
+        let emu = Emu.create ~mem_size:(1 lsl 22) Target.x64 in
+        let a = Asm.create Target.x64 in
+        List.iter (Asm.emit a) [ Minst.Mov_ri (0, 3L); Minst.Ret ];
+        let base = Code_region.base (Emu.register_code emu (Asm.finish a)) in
+        let mem = Emu.memory emu in
+        let live0 = Memory.live_data_bytes mem in
+        let ctx = Emu.context emu in
+        check Alcotest.bool "stack carved" true (Memory.live_data_bytes mem > live0);
+        check Alcotest.int64 "runs" 3L (fst (Emu.call ctx ~addr:base ~args:[||]));
+        Emu.release_context ctx;
+        check Alcotest.int "stack freed" live0 (Memory.live_data_bytes mem);
+        let rejects what f =
+          match f () with
+          | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+          | exception Invalid_argument _ -> ()
+        in
+        rejects "double release" (fun () -> Emu.release_context ctx);
+        rejects "run after release" (fun () -> Emu.call ctx ~addr:base ~args:[||]);
+        rejects "primary context" (fun () -> Emu.release_context emu);
+        (* a recycled stack serves the next context *)
+        let ctx2 = Emu.context emu in
+        check Alcotest.int64 "next context runs" 3L (fst (Emu.call ctx2 ~addr:base ~args:[||]));
+        Emu.release_context ctx2;
+        check Alcotest.int "freed again" live0 (Memory.live_data_bytes mem));
   ]

@@ -34,4 +34,5 @@ let () =
       ("param", Test_param.suite);
       ("load", Test_load.suite);
       ("morsel", Test_morsel.suite);
+      ("cycle-model", Test_cycle_model.suite);
     ]

@@ -249,6 +249,38 @@ let pool_intra_case =
         Alcotest.(list (triple string int int64))
         "pool = event driver" (multiset sreport) (multiset preport))
 
+(* Each run's lane contexts (and, on the pool, each worker's domain view)
+   give their VM stacks back when the run ends: with a warm shared cache,
+   a repeated run leaves live data exactly where the previous one did. *)
+let lane_release_case =
+  Alcotest.test_case "repeated runs at intra > 1 keep live data flat" `Quick
+    (fun () ->
+      let stream =
+        List.filter (fun (n, _) -> List.mem n [ "q01"; "q03"; "q18" ]) tpch_queries
+      in
+      let cfg =
+        {
+          Server.default_config with
+          Server.mode = Server.Static Engine.stencil;
+          workers = 2;
+          intra = 4;
+          mean_gap_s = 0.0;
+        }
+      in
+      List.iter
+        (fun (driver, run) ->
+          let db = Experiments.make_db Qcomp_vm.Target.x64 Experiments.Tpch ~sf:1 in
+          let cache = Code_cache.create ~capacity:cfg.Server.cache_capacity in
+          let live () = Memory.live_data_bytes (Engine.memory db) in
+          ignore (run ~cache db cfg stream);
+          let after_first = live () in
+          ignore (run ~cache db cfg stream);
+          check Alcotest.int (driver ^ ": live data after a repeat") after_first (live ()))
+        [
+          ("event driver", fun ~cache db cfg s -> Server.run ~cache db cfg s);
+          ("domain pool", fun ~cache db cfg s -> Pool.run ~cache db ~domains:2 cfg s);
+        ])
+
 (* ---------------- two-phase build machinery ---------------- *)
 
 let exact_capacity_case =
@@ -315,6 +347,6 @@ let suite =
   api_cases
   @ [
       lanes_differential_case; speedup_case; backend_matrix_case;
-      server_intra_case; pool_intra_case; exact_capacity_case;
+      server_intra_case; pool_intra_case; lane_release_case; exact_capacity_case;
       concurrent_build_merge_case;
     ]
