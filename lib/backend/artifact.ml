@@ -291,11 +291,21 @@ let deserialize (s : string) : t =
 
 (* ---------------- parameter descriptors ---------------- *)
 
+(* the opcode column directly: every back-end pays this scan per query,
+   and a [Func.op] call per instruction would dominate it *)
+let has_param (f : Qcomp_ir.Func.t) =
+  let ops = f.Qcomp_ir.Func.ops and n = Qcomp_ir.Func.num_insts f in
+  let rec go i = i < n && (Array.unsafe_get ops i == Qcomp_ir.Op.Param || go (i + 1)) in
+  go 0
+
 (** Slot descriptor of an IR module's [Op.Param] holes: entry [i] is the
     kind of parameter [i]. A pointer-typed hole is a string (the slot is
     patched with an SSO struct address); anything else is an int. Raises
     [Invalid_argument] when two holes disagree about one slot's kind. *)
 let scan_params_of_module (m : Qcomp_ir.Func.modul) : param_kind array =
+  (* most modules have no hole: one pass over the opcodes answers them *)
+  if not (Qcomp_support.Vec.exists has_param m.Qcomp_ir.Func.funcs) then [||]
+  else
   let tbl = Hashtbl.create 8 in
   let n = ref 0 in
   Qcomp_support.Vec.iter

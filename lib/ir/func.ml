@@ -209,6 +209,64 @@ let iter_operands f i k =
         k (Vec.get f.extra (f.xs.(i) + j))
       done
 
+(** [count_uses f cnt] sets [cnt.(v + 1)] to the number of times value [v]
+    is an operand in [f], counting every operand {!iter_operands} visits,
+    in every instruction (dead ones included), and returns whether [f] has
+    a phi. [cnt] needs [num_insts f + 1] cells.
+
+    Only [Br], [Condbr], [Const128], [Phi] and [Call] keep anything but
+    operands in their x/y/z fields, and a field an opcode does not use
+    holds -1 (as [add_inst] leaves it), so every other instruction counts
+    all three fields: a -1 lands in the scratch cell 0. That keeps the
+    loop free of a dispatch on the opcode, which mispredicts every few
+    instructions. A field left holding something else is counted too:
+    an overcount, never an undercount. No closure, so back-ends can
+    afford it on their per-query path. *)
+let count_uses f cnt =
+  let n = f.n_insts in
+  if Array.length cnt <= n then invalid_arg "Func.count_uses";
+  for v = 0 to n do
+    Array.unsafe_set cnt v 0
+  done;
+  let ops = f.ops and xs = f.xs and ys = f.ys and zs = f.zs in
+  (* phi and call operands live in [extra]: a second pass, so that this
+     loop makes no call and keeps its columns in registers *)
+  let pooled = ref false in
+  for i = 0 to n - 1 do
+    let op = Array.unsafe_get ops i in
+    if op == Op.Br || op == Op.Const128 then ()
+    else if op == Op.Condbr then begin
+      let x = Array.unsafe_get xs i + 1 in
+      cnt.(x) <- cnt.(x) + 1
+    end
+    else if op == Op.Phi || op == Op.Call then pooled := true
+    else begin
+      let x = Array.unsafe_get xs i + 1 in
+      cnt.(x) <- cnt.(x) + 1;
+      let y = Array.unsafe_get ys i + 1 in
+      cnt.(y) <- cnt.(y) + 1;
+      let z = Array.unsafe_get zs i + 1 in
+      cnt.(z) <- cnt.(z) + 1
+    end
+  done;
+  let has_phi = ref false in
+  if !pooled then begin
+    let extra = Vec.unsafe_data f.extra in
+    for i = 0 to n - 1 do
+      let op = Array.unsafe_get ops i in
+      if op == Op.Phi || op == Op.Call then begin
+        let phi = op == Op.Phi in
+        if phi then has_phi := true;
+        let base = Array.unsafe_get xs i in
+        for j = 0 to Array.unsafe_get f.ns i - 1 do
+          let v = 1 + extra.(if phi then base + (2 * j) + 1 else base + j) in
+          cnt.(v) <- cnt.(v) + 1
+        done
+      end
+    done
+  end;
+  !has_phi
+
 (** Rewrite every value operand with [g] (including phi inputs and call
     arguments). *)
 let map_operands f i g =
@@ -257,6 +315,20 @@ let phi_incoming f i =
       go (j - 1) ((b, v) :: acc)
   in
   go (f.ns.(i) - 1) []
+
+(** [phi_incoming_from f i pred] is the value phi [i] takes on the edge
+    from block [pred] (its first entry for [pred]), or -1 if it has none.
+    Unlike [phi_incoming], allocates nothing. *)
+let phi_incoming_from f i pred =
+  assert (f.ops.(i) = Op.Phi);
+  let base = f.xs.(i) and n = f.ns.(i) in
+  let rec go j =
+    if j >= n then -1
+    else if Vec.get f.extra (base + (2 * j)) = pred then
+      Vec.get f.extra (base + (2 * j) + 1)
+    else go (j + 1)
+  in
+  go 0
 
 (** [call_args f i] is the argument list of a call. *)
 let call_args f i =

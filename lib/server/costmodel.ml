@@ -84,8 +84,10 @@ let clock_hz = 2.0e9
     leaving its ratio where it was. *)
 let exec_rate = function
   | "interpreter" -> 1.0
-  (* stencil code is slot-machine style — every operand round-trips the
-     stack — so it beats the interpreter but not regalloc'd DirectEmit *)
+  (* stencil code keeps only rax across stencils, so it beats the
+     interpreter but not regalloc'd DirectEmit. Register forwarding took
+     it to about 2.6x (EXPERIMENTS.md); the rate stays at the always-spill
+     1.8 until the tier policy is reworked, as it steers reopt choices. *)
   | "stencil" -> 1.8
   | "directemit" -> 3.15
   | "cranelift" -> 3.4

@@ -14,11 +14,16 @@
     slot at a fixed 32-byte stride (value at [32*v], phi staging at
     [32*v + 16]), so the frame size is a shift of the instruction count,
     every slot address is a shift of the value id, and no slot-assignment
-    prescan runs at all. Stencils are self-contained:
-    they load their operands from slots into a fixed set of caller-saved
-    registers, compute, and store the result back — registers never
-    survive a stencil boundary, which is exactly what makes every fragment
-    position- and context-independent.
+    prescan runs at all. Stencils load their operands from slots into a
+    fixed set of caller-saved registers, compute, and leave a scalar
+    result in rax. One accumulator register survives a stencil boundary:
+    the blitter tracks which value rax holds and, when the next stencil
+    reads that value, picks a variant that takes the operand in rax
+    instead of reloading its slot. When that read is the value's only
+    use, the defining stencil's "no-store" variant skips the slot store
+    altogether. The tracked value is forgotten at every bound label,
+    after runtime calls and i128 stencils, so every fragment is still
+    position-independent and only ever relies on straight-line state.
 
     Runtime addresses are never baked: calls go through [Abs64]
     relocations resolved at {!Qcomp_backend.Backend.link_artifact} time,
@@ -39,7 +44,7 @@ let name = "stencil"
     layout or hole protocol changes: it is folded into the snapshot key
     ({!Qcomp_server.Fingerprint.key_v}) so a code cache written against an
     older library is rejected at load instead of mis-patched. *)
-let library_version = 1
+let library_version = 2
 
 exception Unsupported of string
 
@@ -52,7 +57,7 @@ let unsupported fmt = Format.kasprintf (fun s -> raise (Unsupported s)) fmt
     value that fills it at instantiation time. *)
 type hole =
   | H32 of int * int  (** 4-byte LE int at [off], from the ints array *)
-  | H64 of int * int  (** 8-byte LE int at [off], from the i64s array *)
+  | H64 of int * int  (** 8-byte LE int at [off], from the i64 arguments *)
   | Htgt of int * int  (** rel32 branch field at [off], label index *)
   | Hsym of int * int  (** abs64 runtime address at [off], symbol index *)
 
@@ -112,6 +117,9 @@ type key =
   | Kcondbr  (** ld cond; cmp 0; jcc eq -> else target *)
   | Kcondbr2  (** the phi-free fast path: jcc eq -> else; jmp -> then *)
   | Kcondbrnz  (** inverted: jcc ne -> then target, else falls through *)
+  | Kcmpbr of Minst.cond * int
+      (** integer compare fused with the branch on its result; the shape
+          is that of [Kcondbr] (0), [Kcondbrnz] (1) or [Kcondbr2] (2) *)
   | Kprologue_args of int
       (** prologue fused with the spill of [n] scalar register arguments;
           arg slots are deterministically 0, 8, ..., so the stores need no
@@ -200,8 +208,20 @@ let key_code : key -> int = function
   | Kshift128 (op, amt) -> 394 + (128 * (alu_idx op - 8)) + amt
   | Kcondbrnz -> 394 + (128 * 3)
   | Kprologue_args n -> 394 + (128 * 3) + n  (* n in 1..8 *)
+  | Kcmpbr (c, shape) -> 394 + (128 * 3) + 9 + (3 * cond_idx c) + shape
 
-let ncodes = 394 + (128 * 3) + 9
+let nkeys = 394 + (128 * 3) + 9 + (3 * 12)
+
+(* Register-forwarding variants: every key exists in [nvariants] versions,
+   at the variant codes [key_code k lsl 3 + v], so the variants of one
+   key sit side by side in every code-indexed table. Bits 0-1 of [v]
+   hold 1 + the slot hole whose operand arrives in rax instead of being
+   loaded (0 = none); bit 2 marks the no-store variant, which leaves its
+   result in rax only. Variant 0 is the plain stencil. *)
+let nvariants = 8
+let ncodes = nkeys * nvariants
+let vcode k = key_code k lsl 3
+let[@inline] variant fwd nostore = fwd + 1 + if nostore then 4 else 0
 
 let all_alus =
   Minst.[| Add; Sub; Adc; Sbb; And; Or; Xor; Mul; Shl; Shr; Sar; Ror |]
@@ -212,134 +232,141 @@ let all_conds =
 let all_bits = [| 0; 1; 8; 16; 32 |]
 let all_sizes = [| 1; 2; 4; 8 |]
 
-(* The per-query walk deals in key codes only: the tables below map each
-   parametric family straight to its code (one small-array probe instead
-   of a [key] allocation plus the [key_code] match per emission), and the
-   [kc_*] constants cover the non-parametric shapes. [key_of_code] is the
-   inverse, consulted only on the cold library-miss path. Everything is
-   derived through [key_code], so the numbering lives in one place. *)
+(* The per-query walk deals in variant codes only: the tables below map
+   each parametric family straight to its plain variant's code (one
+   small-array probe instead of a [key] allocation plus the [key_code]
+   match per emission), and the [kc_*] constants cover the non-parametric
+   shapes. [key_of_code] is the inverse, consulted only on the cold
+   library-miss path. Everything is derived through [key_code], so the
+   numbering lives in one place. *)
 
 let kalu_tbl =
-  Array.init 60 (fun c -> key_code (Kalu (all_alus.(c / 5), all_bits.(c mod 5))))
+  Array.init 60 (fun c -> vcode (Kalu (all_alus.(c / 5), all_bits.(c mod 5))))
 
 let kalu a b = Array.unsafe_get kalu_tbl ((alu_idx a * 5) + bits_idx b)
-let kalu128_tbl = Array.init 12 (fun c -> key_code (Kalu128 all_alus.(c)))
+let kalu128_tbl = Array.init 12 (fun c -> vcode (Kalu128 all_alus.(c)))
 let kalu128 a = Array.unsafe_get kalu128_tbl (alu_idx a)
 
 let kcmp_tbl =
-  Array.init 24 (fun c -> key_code (Kcmp (all_conds.(c / 2), c land 1 = 1)))
+  Array.init 24 (fun c -> vcode (Kcmp (all_conds.(c / 2), c land 1 = 1)))
 
 let kcmp c fl = Array.unsafe_get kcmp_tbl ((cond_idx c * 2) + bit fl)
 
 let kcmp128ord_tbl =
   Array.init 144 (fun c ->
-      key_code (Kcmp128ord (all_conds.(c / 12), all_conds.(c mod 12))))
+      vcode (Kcmp128ord (all_conds.(c / 12), all_conds.(c mod 12))))
 
 let kcmp128ord u hi = Array.unsafe_get kcmp128ord_tbl ((cond_idx u * 12) + cond_idx hi)
-let kcmp128eq_tbl = [| key_code (Kcmp128eq false); key_code (Kcmp128eq true) |]
+let kcmp128eq_tbl = [| vcode (Kcmp128eq false); vcode (Kcmp128eq true) |]
 let kcmp128eq ne = Array.unsafe_get kcmp128eq_tbl (bit ne)
 
 let kzext_tbl =
-  Array.init 10 (fun c -> key_code (Kzext (all_bits.(c mod 5), c >= 5)))
+  Array.init 10 (fun c -> vcode (Kzext (all_bits.(c mod 5), c >= 5)))
 
 let kzext bits to128 = Array.unsafe_get kzext_tbl ((5 * bit to128) + bits_idx bits)
 
 let ktrunc_tbl =
-  Array.init 6 (fun c -> key_code (Ktrunc (if c = 0 then -1 else all_bits.(c - 1))))
+  Array.init 6 (fun c -> vcode (Ktrunc (if c = 0 then -1 else all_bits.(c - 1))))
 
 let ktrunc k = Array.unsafe_get ktrunc_tbl (if k = -1 then 0 else 1 + bits_idx k)
 
 let kload_tbl =
   Array.init 16 (fun c ->
-      key_code (Kload (all_sizes.(c / 4), c land 2 = 2, c land 1 = 1)))
+      vcode (Kload (all_sizes.(c / 4), c land 2 = 2, c land 1 = 1)))
 
 let kload size sext i128 =
   Array.unsafe_get kload_tbl ((4 * size_idx size) + (2 * bit sext) + bit i128)
 
 let kstore_tbl =
-  Array.init 8 (fun c -> key_code (Kstore (all_sizes.(c / 2), c land 1 = 1)))
+  Array.init 8 (fun c -> vcode (Kstore (all_sizes.(c / 2), c land 1 = 1)))
 
 let kstore size i128 = Array.unsafe_get kstore_tbl ((2 * size_idx size) + bit i128)
-let kgep_tbl = Array.init 4 (fun c -> key_code (Kgep all_sizes.(c)))
+let kgep_tbl = Array.init 4 (fun c -> vcode (Kgep all_sizes.(c)))
 let kgep scale = Array.unsafe_get kgep_tbl (size_idx scale)
 
 let kdiv_tbl =
   Array.init 20 (fun c ->
-      key_code (Kdiv (c >= 10, c / 5 land 1 = 1, all_bits.(c mod 5))))
+      vcode (Kdiv (c >= 10, c / 5 land 1 = 1, all_bits.(c mod 5))))
 
 let kdiv signed rem bits =
   Array.unsafe_get kdiv_tbl ((10 * bit signed) + (5 * bit rem) + bits_idx bits)
 
 let kastrap_tbl =
-  Array.init 10 (fun c -> key_code (Kastrap (c >= 5, all_bits.(c mod 5))))
+  Array.init 10 (fun c -> vcode (Kastrap (c >= 5, all_bits.(c mod 5))))
 
 let kastrap sub bits = Array.unsafe_get kastrap_tbl ((5 * bit sub) + bits_idx bits)
-let kmultrap_tbl = Array.init 5 (fun c -> key_code (Kmultrap all_bits.(c)))
+let kmultrap_tbl = Array.init 5 (fun c -> vcode (Kmultrap all_bits.(c)))
 let kmultrap bits = Array.unsafe_get kmultrap_tbl (bits_idx bits)
-let kldarg_tbl = Array.init 16 (fun k -> key_code (Kldarg k))
+let kldarg_tbl = Array.init 16 (fun k -> vcode (Kldarg k))
 let kldarg k = Array.unsafe_get kldarg_tbl k
-let kstarg_tbl = Array.init 16 (fun k -> key_code (Kstarg k))
+let kstarg_tbl = Array.init 16 (fun k -> vcode (Kstarg k))
 let kstarg k = Array.unsafe_get kstarg_tbl k
 
 let kfalu_tbl =
-  Minst.[| key_code (Kfalu Fadd); key_code (Kfalu Fsub);
-           key_code (Kfalu Fmul); key_code (Kfalu Fdiv) |]
+  Minst.[| vcode (Kfalu Fadd); vcode (Kfalu Fsub);
+           vcode (Kfalu Fmul); vcode (Kfalu Fdiv) |]
 
 let kfalu op = Array.unsafe_get kfalu_tbl (falu_idx op)
-let kastrap128_tbl = [| key_code (Kastrap128 false); key_code (Kastrap128 true) |]
+let kastrap128_tbl = [| vcode (Kastrap128 false); vcode (Kastrap128 true) |]
 let kastrap128 sub = Array.unsafe_get kastrap128_tbl (bit sub)
-let katomic_tbl = Array.init 4 (fun c -> key_code (Katomic all_sizes.(c)))
+let katomic_tbl = Array.init 4 (fun c -> vcode (Katomic all_sizes.(c)))
 let katomic size = Array.unsafe_get katomic_tbl (size_idx size)
 
 let kshift128_tbl =
   Array.init 384 (fun c ->
-      key_code (Kshift128 (all_alus.(8 + (c / 128)), c mod 128)))
+      vcode (Kshift128 (all_alus.(8 + (c / 128)), c mod 128)))
 
 let kshift128 op amt = Array.unsafe_get kshift128_tbl ((128 * (alu_idx op - 8)) + amt)
 
 let kprologue_args_tbl =
-  Array.init 8 (fun i -> key_code (Kprologue_args (i + 1)))
+  Array.init 8 (fun i -> vcode (Kprologue_args (i + 1)))
 
 let kprologue_args n = Array.unsafe_get kprologue_args_tbl (n - 1)
-let kc_prologue = key_code Kprologue
-let kc_epilogue = key_code Kepilogue
-let kc_trap = key_code Ktrap
-let kc_const = key_code (Kconst false)
-let kc_const128 = key_code (Kconst true)
-let kc_isnull = key_code (Kisnull false)
-let kc_isnotnull = key_code (Kisnull true)
-let kc_mul128 = key_code Kmul128
-let kc_multrap128 = key_code Kmultrap128
-let kc_sext = key_code (Ksext false)
-let kc_sext128 = key_code (Ksext true)
-let kc_select = key_code (Kselect false)
-let kc_select128 = key_code (Kselect true)
-let kc_copy = key_code (Kcopy false)
-let kc_copy128 = key_code (Kcopy true)
-let kc_cvt_f2i = key_code (Kcvt false)
-let kc_cvt_i2f = key_code (Kcvt true)
-let kc_load128 = key_code (Kload (8, false, true))
-let kc_store128 = key_code (Kstore (8, true))
-let kc_gep_base = key_code Kgep_base
-let kc_gep_mul = key_code Kgep_mul
-let kc_crc32 = key_code Kcrc32
-let kc_lmf = key_code Klmf
-let kc_call = key_code Kcall
-let kc_stret0 = key_code (Kstret 0)
-let kc_stret1 = key_code (Kstret 1)
-let kc_jmp = key_code Kjmp
-let kc_condbr = key_code Kcondbr
-let kc_condbrnz = key_code Kcondbrnz
-let kc_condbr2 = key_code Kcondbr2
-let kc_ret0 = key_code (Kret 0)
-let kc_ret1 = key_code (Kret 1)
-let kc_ret2 = key_code (Kret 2)
-let kc_unreachable = key_code Kunreachable
 
-(* code -> key, for the library-miss path (and for enumerating the full
-   shape population). Every code is covered: the numbering is dense. *)
+let kcmpbr_tbl =
+  Array.init 36 (fun c -> vcode (Kcmpbr (all_conds.(c / 3), c mod 3)))
+
+let kcmpbr c shape = Array.unsafe_get kcmpbr_tbl ((3 * cond_idx c) + shape)
+let kc_prologue = vcode Kprologue
+let kc_epilogue = vcode Kepilogue
+let kc_trap = vcode Ktrap
+let kc_const = vcode (Kconst false)
+let kc_const128 = vcode (Kconst true)
+let kc_isnull = vcode (Kisnull false)
+let kc_isnotnull = vcode (Kisnull true)
+let kc_mul128 = vcode Kmul128
+let kc_multrap128 = vcode Kmultrap128
+let kc_sext = vcode (Ksext false)
+let kc_sext128 = vcode (Ksext true)
+let kc_select = vcode (Kselect false)
+let kc_select128 = vcode (Kselect true)
+let kc_copy = vcode (Kcopy false)
+let kc_copy128 = vcode (Kcopy true)
+let kc_cvt_f2i = vcode (Kcvt false)
+let kc_cvt_i2f = vcode (Kcvt true)
+let kc_load128 = vcode (Kload (8, false, true))
+let kc_store128 = vcode (Kstore (8, true))
+let kc_gep_base = vcode Kgep_base
+let kc_gep_mul = vcode Kgep_mul
+let kc_crc32 = vcode Kcrc32
+let kc_lmf = vcode Klmf
+let kc_call = vcode Kcall
+let kc_stret0 = vcode (Kstret 0)
+let kc_stret1 = vcode (Kstret 1)
+let kc_jmp = vcode Kjmp
+let kc_condbr = vcode Kcondbr
+let kc_condbrnz = vcode Kcondbrnz
+let kc_condbr2 = vcode Kcondbr2
+let kc_ret0 = vcode (Kret 0)
+let kc_ret1 = vcode (Kret 1)
+let kc_ret2 = vcode (Kret 2)
+let kc_unreachable = vcode Kunreachable
+
+(* base code -> key, for the library-miss path (and for enumerating the
+   full shape population). Every base code is covered: the numbering is
+   dense. *)
 let key_of_code : key array =
-  let a = Array.make ncodes Kprologue in
+  let a = Array.make nkeys Kprologue in
   let put k = a.(key_code k) <- k in
   List.iter put
     [ Kprologue; Kepilogue; Ktrap; Kmul128; Kgep_base; Kgep_mul; Kcrc32;
@@ -404,6 +431,7 @@ let key_of_code : key array =
     (fun op -> for amt = 0 to 127 do put (Kshift128 (op, amt)) done)
     Minst.[ Shl; Shr; Sar ];
   for n = 1 to 8 do put (Kprologue_args n) done;
+  Array.iter (fun c -> for shape = 0 to 2 do put (Kcmpbr (c, shape)) done) all_conds;
   a
 
 (* ------------------------------------------------------------------ *)
@@ -417,7 +445,57 @@ type builder = { asm : Asm.t; mutable holes : hole list }
 let wide32 = 0x7FFF_FFFFL
 let wide64 = 0x7FFF_FFFF_FFFF_FFFFL
 
-let build (target : Target.t) key : stencil =
+(* The slot holes a variant may take in rax instead (see [variant]), and
+   whether the key leaves a scalar result in rax that a no-store variant
+   may keep there. These are exactly the shapes the emitter asks for; the
+   builder rejects any other combination. *)
+let fwd_holes = function
+  | Kisnull _ | Kzext _ | Ksext _ | Ktrunc _ | Kload _ | Kgep_base | Kcondbr
+  | Kcondbr2 | Kcondbrnz | Kcvt _ | Kret 1 | Kstore (_, true) | Kldarg _
+  | Kcopy false ->
+      [ 0 ]
+  | Kalu ((Minst.Add | Minst.Mul | Minst.And | Minst.Or | Minst.Xor), _)
+  | Kastrap (false, _) | Kmultrap _ | Klmf | Kcmp (_, false) | Kcmpbr _ ->
+      (* commutative (compares: mirrored), so the emitter swaps a
+         right-hand rax operand onto hole 0 *)
+      [ 0 ]
+  | Kalu _ | Kastrap (true, _) | Kdiv _ | Kcmp (_, true) | Kgep _ | Kgep_mul
+  | Kcrc32 | Katomic _ | Kfalu _ | Kstore (_, false) ->
+      [ 0; 1 ]
+  | Kselect false -> [ 0; 1; 2 ]
+  | Kselect true -> [ 2 ]
+  | _ -> []
+
+let result_in_rax = function
+  | Kconst false | Kisnull _ | Kalu _ | Kdiv _ | Kcmp _ | Kcmp128eq _
+  | Kcmp128ord _ | Kzext (_, false) | Ksext false | Ktrunc _ | Kselect false
+  | Kload (_, _, false) | Kgep_base | Kgep _ | Kgep_mul | Kcrc32 | Klmf
+  | Katomic _ | Kastrap _ | Kmultrap _ | Kfalu _ | Kcvt _ ->
+      true
+  | _ -> false
+
+let valid_variant key v =
+  let fwd = (v land 3) - 1 and nostore = v land 4 <> 0 in
+  (fwd < 0 || List.mem fwd (fwd_holes key)) && ((not nostore) || result_in_rax key)
+
+let negate : Minst.cond -> Minst.cond = function
+  | Minst.Eq -> Minst.Ne
+  | Minst.Ne -> Minst.Eq
+  | Minst.Slt -> Minst.Sge
+  | Minst.Sge -> Minst.Slt
+  | Minst.Sle -> Minst.Sgt
+  | Minst.Sgt -> Minst.Sle
+  | Minst.Ult -> Minst.Uge
+  | Minst.Uge -> Minst.Ult
+  | Minst.Ule -> Minst.Ugt
+  | Minst.Ugt -> Minst.Ule
+  | Minst.Ov -> Minst.Noov
+  | Minst.Noov -> Minst.Ov
+
+let build (target : Target.t) key v : stencil =
+  if not (valid_variant key v) then
+    invalid_arg (Printf.sprintf "stencil: no variant %d of key %d" v (key_code key));
+  let fwd = (v land 3) - 1 and nostore = v land 4 <> 0 in
   let b = { asm = Asm.create target; holes = [] } in
   let e i = Asm.emit b.asm i in
   let h x = b.holes <- x :: b.holes in
@@ -426,16 +504,30 @@ let build (target : Target.t) key : stencil =
   let args = target.Target.arg_regs in
   let rets = target.Target.ret_regs in
   (* slot load/store: Ld/St always carry a 4-byte displacement at +2 *)
-  let ld reg a =
+  let ld_slot reg a =
     let o = off () in
     e (Minst.Ld { dst = reg; base = sp; off = 0; size = 8; sext = false });
     h (H32 (o + 2, a))
+  in
+  (* the leading operand loads of a stencil; the forwarded operand is
+     already in rax, so it is moved to its register first (before any
+     other load can overwrite rax) or, if that register is rax, skipped *)
+  let lds regs =
+    List.iteri (fun a reg -> if a = fwd && reg <> ra then e (Minst.Mov_rr (reg, ra))) regs;
+    List.iteri (fun a reg -> if a <> fwd then ld_slot reg a) regs
+  in
+  let ld reg a =
+    if a = fwd then invalid_arg "stencil: forwarded operand outside the leading loads";
+    ld_slot reg a
   in
   let st reg a =
     let o = off () in
     e (Minst.St { src = reg; base = sp; off = 0; size = 8 });
     h (H32 (o + 2, a))
   in
+  (* the stencil's scalar result, always computed into rax: the no-store
+     variant keeps it there for the next stencil *)
+  let st_res a = if not nostore then st ra a in
   (* memory access through a pointer register, displacement hole *)
   let ldm reg base ~size ~sext a =
     let o = off () in
@@ -495,30 +587,26 @@ let build (target : Target.t) key : stencil =
       e (Minst.Brk 1)
   | Kconst false ->
       imm64 ra 0;
-      st ra 0
+      st_res 0
   | Kconst true ->
       imm64 ra 0;
       imm64 rc 1;
       st ra 0;
       st rc 1
   | Kisnull ne ->
-      ld ra 0;
+      lds [ ra ];
       e (Minst.Cmp_ri (ra, 0L));
       e (Minst.Setcc ((if ne then Minst.Ne else Minst.Eq), ra));
-      st ra 1
+      st_res 1
   | Kalu (op, bits) ->
       (* also covers shifts: the register ALU form shares alu_eval with the
          immediate form, so constant amounts just come from their slot *)
-      ld ra 0;
-      ld rc 1;
+      lds [ ra; rc ];
       e (Minst.Alu_rr (op, ra, rc));
       canon ra bits;
-      st ra 2
+      st_res 2
   | Kalu128 op ->
-      ld ra 0;
-      ld rc 1;
-      ld r8 2;
-      ld r9 3;
+      lds [ ra; rc; r8; r9 ];
       (match op with
       | Minst.Add ->
           (* lo then hi back-to-back: the carry flag must survive *)
@@ -535,10 +623,7 @@ let build (target : Target.t) key : stencil =
   | Kmul128 ->
       (* truncated 128x128 multiply, exactly DirectEmit's sequence:
          rdx:rax = xlo *u ylo; rdx += xhi*ylo + xlo*yhi *)
-      ld ra 0;
-      ld rc 1;
-      ld r8 2;
-      ld r9 3;
+      lds [ ra; rc; r8; r9 ];
       e (Minst.Mov_rr (r11, ra));
       e (Minst.Mul_wide { signed = false; src = rc });
       e (Minst.Mov_rr (r10, r8));
@@ -552,8 +637,7 @@ let build (target : Target.t) key : stencil =
   | Kshift128 (op, amt) ->
       (* holes: 0 = x.lo, 1 = x.hi, 2 = d.lo, 3 = d.hi *)
       if amt = 0 then begin
-        ld ra 0;
-        ld rc 1;
+        lds [ ra; rc ];
         st ra 2;
         st rc 3
       end
@@ -582,8 +666,7 @@ let build (target : Target.t) key : stencil =
       else begin
         match op with
         | Minst.Shr | Minst.Sar ->
-            ld ra 0;
-            ld rc 1;
+            lds [ ra; rc ];
             e (Minst.Alu_ri (Minst.Shr, ra, shift_i amt));
             e (Minst.Mov_rr (r10, rc));
             e (Minst.Alu_ri (Minst.Shl, r10, shift_i (64 - amt)));
@@ -593,8 +676,7 @@ let build (target : Target.t) key : stencil =
             st ra 2;
             st rd 3
         | Minst.Shl ->
-            ld ra 0;
-            ld rc 1;
+            lds [ ra; rc ];
             e (Minst.Mov_rr (rd, rc));
             e (Minst.Alu_ri (Minst.Shl, rd, shift_i amt));
             e (Minst.Mov_rr (r10, ra));
@@ -606,176 +688,160 @@ let build (target : Target.t) key : stencil =
         | _ -> unsupported "i128 rotate"
       end
   | Kdiv (signed, rem, bits) ->
-      ld ra 0;
-      ld rc 1;
+      lds [ ra; rc ];
       (if signed then begin
          e (Minst.Mov_rr (rd, ra));
          e (Minst.Alu_ri (Minst.Sar, rd, 63L))
        end
        else e (Minst.Mov_ri (rd, 0L)));
       e (Minst.Div { signed; src = rc });
-      let res = if rem then rd else ra in
-      canon res bits;
-      st res 2
+      (* the remainder comes back in rdx; canonicalization moves it *)
+      if rem then
+        e (if bits <> 0 then Minst.Ext { dst = ra; src = rd; bits; signed = true }
+           else Minst.Mov_rr (ra, rd))
+      else canon ra bits;
+      st_res 2
   | Kcmp (cond, fl) ->
-      ld ra 0;
-      ld rc 1;
+      lds [ ra; rc ];
       e (if fl then Minst.Fcmp_rr (ra, rc) else Minst.Cmp_rr (ra, rc));
       e (Minst.Setcc (cond, ra));
-      st ra 2
+      st_res 2
   | Kcmp128eq ne ->
-      ld ra 0;
-      ld rc 1;
-      ld r8 2;
-      ld r9 3;
+      lds [ ra; rc; r8; r9 ];
       e (Minst.Cmp_rr (ra, rc));
       e (Minst.Setcc (Minst.Eq, r10));
       e (Minst.Cmp_rr (r8, r9));
       e (Minst.Setcc (Minst.Eq, ra));
       e (Minst.Alu_rr (Minst.And, ra, r10));
       if ne then e (Minst.Alu_ri (Minst.Xor, ra, 1L));
-      st ra 4
+      st_res 4
   | Kcmp128ord (u, hi) ->
       (* the hi words decide unless equal; the lo words compare unsigned *)
-      ld ra 0;
-      ld rc 1;
-      ld r8 2;
-      ld r9 3;
+      lds [ ra; rc; r8; r9 ];
       e (Minst.Cmp_rr (ra, rc));
       e (Minst.Setcc (u, r10));
       e (Minst.Cmp_rr (r8, r9));
       e (Minst.Setcc (hi, ra));
       e (Minst.Csel { cond = Minst.Ne; dst = ra; a = ra; b = r10 });
-      st ra 4
+      st_res 4
   | Kzext (bits, to128) ->
-      ld ra 0;
+      lds [ ra ];
       if bits <> 0 then e (Minst.Ext { dst = ra; src = ra; bits; signed = false });
-      st ra 1;
       if to128 then begin
+        st ra 1;
         e (Minst.Mov_ri (rc, 0L));
         st rc 2
       end
+      else st_res 1
   | Ksext to128 ->
       (* sources are canonical (sign-extended): the low lane is a copy *)
-      ld ra 0;
-      st ra 1;
+      lds [ ra ];
       if to128 then begin
+        st ra 1;
         e (Minst.Mov_rr (rc, ra));
         e (Minst.Alu_ri (Minst.Sar, rc, 63L));
         st rc 2
       end
+      else st_res 1
   | Ktrunc k ->
-      ld ra 0;
+      lds [ ra ];
       (match k with
       | -1 -> e (Minst.Alu_ri (Minst.And, ra, 1L))
       | 0 -> ()
       | bits -> canon ra bits);
-      st ra 1
+      st_res 1
   | Kselect false ->
       (* holes: 0 = then-value, 1 = else-value, 2 = condition, 3 = dst *)
-      ld ra 0;
-      ld rc 1;
-      ld rd 2;
+      lds [ ra; rc; rd ];
       e (Minst.Cmp_ri (rd, 0L));
       e (Minst.Csel { cond = Minst.Ne; dst = ra; a = ra; b = rc });
-      st ra 3
+      st_res 3
   | Kselect true ->
       (* cmov does not write flags, so one compare serves both lanes *)
-      ld ra 0;
-      ld rc 1;
-      ld rd 2;
-      ld r8 3;
-      ld r9 4;
+      lds [ ra; rc; rd; r8; r9 ];
       e (Minst.Cmp_ri (rd, 0L));
       e (Minst.Csel { cond = Minst.Ne; dst = ra; a = ra; b = rc });
       e (Minst.Csel { cond = Minst.Ne; dst = r8; a = r8; b = r9 });
       st ra 5;
       st r8 6
   | Kload (size, sext, false) ->
-      ld ra 0;
-      ldm rc ra ~size ~sext 1;
-      st rc 2
+      lds [ ra ];
+      ldm ra ra ~size ~sext 1;
+      st_res 2
   | Kload (_, _, true) ->
-      ld ra 0;
+      lds [ ra ];
       ldm rc ra ~size:8 ~sext:false 1;
       ldm rd ra ~size:8 ~sext:false 2;
       st rc 3;
       st rd 4
   | Kstore (size, false) ->
-      ld ra 0;
-      ld rc 1;
+      (* rax still holds the address afterwards *)
+      lds [ ra; rc ];
       stm rc ra ~size 2
   | Kstore (_, true) ->
-      ld ra 0;
-      ld rc 1;
+      lds [ ra; rc ];
       stm rc ra ~size:8 2;
       ld rd 3;
       stm rd ra ~size:8 4
   | Kgep_base ->
-      ld ra 0;
+      lds [ ra ];
       let o = off () in
-      e (Minst.Lea { dst = rc; base = ra; index = -1; scale = 1; off = 0 });
+      e (Minst.Lea { dst = ra; base = ra; index = -1; scale = 1; off = 0 });
       h (H32 (o + 4, 1));
-      st rc 2
+      st_res 2
   | Kgep scale ->
-      ld ra 0;
-      ld rc 1;
+      lds [ ra; rc ];
       let o = off () in
-      e (Minst.Lea { dst = rd; base = ra; index = rc; scale; off = 0 });
+      e (Minst.Lea { dst = ra; base = ra; index = rc; scale; off = 0 });
       h (H32 (o + 4, 2));
-      st rd 3
+      st_res 3
   | Kgep_mul ->
-      ld ra 0;
-      ld rc 1;
+      lds [ ra; rc ];
       alu32 Minst.Mul rc 2;
-      e (Minst.Alu_rr (Minst.Add, rc, ra));
-      alu32 Minst.Add rc 3;
-      st rc 4
+      e (Minst.Alu_rr (Minst.Add, ra, rc));
+      alu32 Minst.Add ra 3;
+      st_res 4
   | Kcrc32 ->
-      ld ra 0;
-      ld rc 1;
+      lds [ ra; rc ];
       e (Minst.Crc32_rr (ra, rc));
-      st ra 2
+      st_res 2
   | Klmf ->
-      ld ra 0;
-      ld rc 1;
+      lds [ ra; rc ];
       e (Minst.Mul_wide { signed = false; src = rc });
       e (Minst.Alu_rr (Minst.Xor, ra, rd));
-      st ra 2
+      st_res 2
   | Katomic size ->
-      ld ra 0;
-      ld rc 1;
-      e (Minst.Ld { dst = rd; base = ra; off = 0; size; sext = size < 8 });
-      e (Minst.Mov_rr (r10, rd));
-      e (Minst.Alu_rr (Minst.Add, r10, rc));
-      e (Minst.St { src = r10; base = ra; off = 0; size });
-      st rd 2
-  | Kldarg k -> ld args.(k) 0
+      (* holes: 0 = address, 1 = addend; the old value is the result *)
+      lds [ ra; rc ];
+      e (Minst.Ld { dst = r10; base = ra; off = 0; size; sext = size < 8 });
+      e (Minst.Alu_rr (Minst.Add, rc, r10));
+      e (Minst.St { src = rc; base = ra; off = 0; size });
+      e (Minst.Mov_rr (ra, r10));
+      st_res 2
+  | Kldarg k ->
+      (* rax is not an argument register: loading arguments keeps it *)
+      lds [ args.(k) ]
   | Kstarg k -> st args.(k) 0
   | Kcall ->
       sym64 r11 0;
       e (Minst.Call_ind r11)
   | Kstret lane -> st rets.(lane) 0
   | Kastrap (sub, 0) ->
-      ld ra 0;
-      ld rc 1;
+      lds [ ra; rc ];
       e (Minst.Alu_rr ((if sub then Minst.Sub else Minst.Add), ra, rc));
       jcc_t Minst.Ov 0;
-      st ra 2
+      st_res 2
   | Kastrap (sub, bits) ->
-      (* narrow: the result must equal its own sign-extension *)
-      ld ra 0;
-      ld rc 1;
+      (* narrow: the result must equal its own sign-extension, so past
+         the check rax already holds the canonical value *)
+      lds [ ra; rc ];
       e (Minst.Alu_rr ((if sub then Minst.Sub else Minst.Add), ra, rc));
       e (Minst.Ext { dst = r10; src = ra; bits; signed = true });
       e (Minst.Cmp_rr (r10, ra));
       jcc_t Minst.Ne 0;
-      st r10 2
+      st_res 2
   | Kastrap128 sub ->
-      ld ra 0;
-      ld rc 1;
-      ld r8 2;
-      ld r9 3;
+      lds [ ra; rc; r8; r9 ];
       (if sub then begin
          e (Minst.Alu_rr (Minst.Sub, ra, rc));
          e (Minst.Alu_rr (Minst.Sbb, r8, r9))
@@ -788,67 +854,74 @@ let build (target : Target.t) key : stencil =
       st ra 4;
       st r8 5
   | Kmultrap 0 ->
-      ld ra 0;
-      ld rc 1;
+      lds [ ra; rc ];
       e (Minst.Alu_rr (Minst.Mul, ra, rc));
       jcc_t Minst.Ov 0;
-      st ra 2
+      st_res 2
   | Kmultrap bits ->
-      ld ra 0;
-      ld rc 1;
+      lds [ ra; rc ];
       e (Minst.Alu_rr (Minst.Mul, ra, rc));
       e (Minst.Ext { dst = r10; src = ra; bits; signed = true });
       e (Minst.Cmp_rr (r10, ra));
       jcc_t Minst.Ne 0;
-      st r10 2
+      st_res 2
   | Kmultrap128 ->
       (* the runtime helper computes the full product and raises the same
          overflow trap DirectEmit's slow path relies on, so going through
          it unconditionally is result- and trap-equivalent *)
-      ld args.(0) 0;
-      ld args.(1) 1;
-      ld args.(2) 2;
-      ld args.(3) 3;
+      lds [ args.(0); args.(1); args.(2); args.(3) ];
       sym64 r11 0;
       e (Minst.Call_ind r11);
       st rets.(0) 4;
       st rets.(1) 5
   | Kjmp -> jmp_t 0
   | Kcondbr ->
-      ld ra 0;
+      lds [ ra ];
       e (Minst.Cmp_ri (ra, 0L));
       jcc_t Minst.Eq 0
   | Kcondbrnz ->
-      ld ra 0;
+      lds [ ra ];
       e (Minst.Cmp_ri (ra, 0L));
       jcc_t Minst.Ne 0
   | Kcondbr2 ->
       (* targets: 0 = else, 1 = then *)
-      ld ra 0;
+      lds [ ra ];
       e (Minst.Cmp_ri (ra, 0L));
       jcc_t Minst.Eq 0;
       jmp_t 1
+  | Kcmpbr (cond, shape) ->
+      (* targets as for the unfused shapes; integer predicates negate
+         exactly *)
+      lds [ ra; rc ];
+      e (Minst.Cmp_rr (ra, rc));
+      if shape = 1 then jcc_t cond 0
+      else begin
+        jcc_t (negate cond) 0;
+        if shape = 2 then jmp_t 1
+      end
   | Kret 0 -> jmp_t 0
   | Kret 1 ->
-      ld rets.(0) 0;
+      lds [ rets.(0) ];
       jmp_t 0
   | Kret _ ->
-      ld rets.(0) 0;
-      ld rets.(1) 1;
+      lds [ rets.(0); rets.(1) ];
       jmp_t 0
   | Kunreachable -> e (Minst.Brk 0)
   | Kfalu op ->
-      ld ra 0;
-      ld rc 1;
+      lds [ ra; rc ];
       e (Minst.Falu_rr (op, ra, rc));
-      st ra 2
+      st_res 2
   | Kcvt si2f ->
-      ld ra 0;
-      e (if si2f then Minst.Cvt_si2f (rc, ra) else Minst.Cvt_f2si (rc, ra));
-      st rc 1
+      lds [ ra ];
+      e (if si2f then Minst.Cvt_si2f (ra, ra) else Minst.Cvt_f2si (ra, ra));
+      st_res 1
   | Kcopy false ->
-      ld r11 0;
-      st r11 1
+      (* phi edge copies keep rax intact for the copies that follow *)
+      if fwd = 0 then st ra 1
+      else begin
+        ld r11 0;
+        st r11 1
+      end
   | Kcopy true ->
       ld r11 0;
       st r11 1;
@@ -866,19 +939,20 @@ let build (target : Target.t) key : stencil =
   { s_code = padded; s_len = n; s_h32 = Array.of_list h32; s_rest = Array.of_list rest }
 
 (* ------------------------------------------------------------------ *)
-(* The library: a process-wide memoized table. Parallel serving workers
-   (--domains) compile concurrently, hence the mutex. *)
+(* The library: a process-wide memoized table, keyed by variant code.
+   Parallel serving workers (--domains) compile concurrently, hence the
+   mutex. *)
 
-let table : (key, stencil) Hashtbl.t = Hashtbl.create 256
+let table : (int, stencil) Hashtbl.t = Hashtbl.create 1024
 let table_mu = Mutex.create ()
 
-let stencil_of target key =
+let stencil_of target code =
   Mutex.protect table_mu (fun () ->
-      match Hashtbl.find_opt table key with
+      match Hashtbl.find_opt table code with
       | Some s -> s
       | None ->
-          let s = build target key in
-          Hashtbl.add table key s;
+          let s = build target key_of_code.(code lsr 3) (code land 7) in
+          Hashtbl.add table code s;
           s)
 
 let library_size () = Mutex.protect table_mu (fun () -> Hashtbl.length table)
@@ -892,26 +966,51 @@ let dummy_stencil =
 let dense_x64 = Array.make ncodes dummy_stencil
 
 (* The flat library: every prewarmed stencil packed into one contiguous
-   code pool with one metadata int per key code. The per-stencil records
-   above are ~220 scattered heap objects (record, code bytes, hole
-   array); at one stencil instantiation every ~35 ns that working set
-   misses L1 constantly. The flat form is ~20 kB of contiguous data, so
-   the steady-state emit path reads from cache-hot memory only.
+   code pool with one metadata int per variant code. The per-stencil
+   records above are several hundred scattered heap objects (record, code
+   bytes, hole array); at one stencil instantiation every few dozen ns
+   that working set misses L1 constantly. The flat form is contiguous
+   and densely packed (about 17 kB of code), so the steady-state emit
+   path reads only packed arrays.
 
    Metadata packing (bit 0 set = present):
      bits 1-3   H32 hole count (max arity is 7)
-     bit 4      has non-H32 holes (consult [fl_rest])
-     bits 5-15  start index into [fl_h32]
-     bits 16-25 true code length in bytes
-     bits 26-.. byte offset into [fl_pool]
-   Any stencil that does not fit this packing keeps a zero word and goes
+     bit 4      has other holes (consult [fl_rest])
+     bits 5-20  start index into [fl_h32] (the prewarmed library holds
+                over a thousand H32 holes; 16 bits leave ample room)
+     bits 21-30 true code length in bytes
+     bit 31     has one H64 hole, filled from i64 argument 0 (the
+                scalar constant stencils: a quarter of all emissions)
+     bits 32-36 that H64 hole's byte offset, or the Htgt hole's
+     bit 37     has one Htgt hole, to target argument 0 (jumps, returns,
+                overflow checks: a sixth of all emissions)
+     bits 38-.. byte offset into [fl_pool]
+   A stencil that does not fit this packing keeps a zero word and goes
    through the slow record path instead. *)
 type flat = {
   fl_pool : Bytes.t;  (** concatenated padded stencil code *)
-  fl_meta : int array;  (** key_code -> packed word, 0 = not present *)
+  fl_meta : int array;  (** variant code -> packed word, 0 = not present *)
   fl_h32 : int array;  (** packed H32 holes, [off lsl 3 lor arg] *)
-  fl_rest : hole array array;  (** key_code -> non-H32 holes *)
+  fl_rest : hole array array;  (** variant code -> non-H32 holes *)
 }
+
+let[@inline] fl_count w = (w lsr 1) land 7
+let[@inline] fl_has_rest w = w land 16 <> 0
+let[@inline] fl_h0 w = (w lsr 5) land 0xFFFF
+let[@inline] fl_len w = (w lsr 21) land 0x3FF
+let[@inline] fl_h64 w = if w land (1 lsl 31) <> 0 then (w lsr 32) land 31 else -1
+let[@inline] fl_tgt w = if w land (1 lsl 37) <> 0 then (w lsr 32) land 31 else -1
+let[@inline] fl_off w = w lsr 38
+
+let fl_fits ~count ~h0 ~len = count <= 7 && h0 <= 0xFFFF && len <= 0x3FF
+
+(* [h64] and [tgt] are the offsets of the single argument-0 H64 or Htgt
+   hole, or -1; at most one of them is set *)
+let fl_pack ~count ~rest ~h0 ~len ~h64 ~tgt ~off =
+  1 lor (count lsl 1) lor (if rest then 16 else 0) lor (h0 lsl 5) lor (len lsl 21)
+  lor (if h64 >= 0 then (1 lsl 31) lor (h64 lsl 32) else 0)
+  lor (if tgt >= 0 then (1 lsl 37) lor (tgt lsl 32) else 0)
+  lor (off lsl 38)
 
 let empty_flat =
   { fl_pool = Bytes.create 64; fl_meta = Array.make ncodes 0;
@@ -921,31 +1020,32 @@ let empty_flat =
    spawn provides the needed happens-before edge); read-only after. *)
 let flat_x64 = ref empty_flat
 
-let flat_of_table () =
-  let entries =
-    Mutex.protect table_mu (fun () ->
-        Hashtbl.fold (fun k s acc -> (key_code k, s) :: acc) table [])
-  in
-  let pool_len =
-    List.fold_left (fun a (_, s) -> a + Bytes.length s.s_code) 0 entries
-  in
-  let pool = Bytes.create (pool_len + 64) in
+(* Pool entries are packed at 8-byte granularity, not padded: [inst]
+   copies whole 32- or 64-byte windows, and the bytes it picks up past a
+   stencil's end (the next entries, or the 64 bytes of slack at the end
+   of the pool) are overwritten or ignored like any tail garbage. *)
+let pool_stride s = (s.s_len + 7) land -8
+
+let flat_of codes =
+  let entries = List.map (fun c -> (c, dense_x64.(c))) codes in
+  let pool_len = List.fold_left (fun a (_, s) -> a + pool_stride s) 0 entries in
+  let pool = Bytes.make (pool_len + 64) '\000' in
   let meta = Array.make ncodes 0 in
   let rest = Array.make ncodes [||] in
   let h32s = ref [] and nh32 = ref 0 in
   let off = ref 0 in
   List.iter
     (fun (c, s) ->
-      let hc = Array.length s.s_h32 and h0 = !nh32 in
-      if s.s_len < 1024 && hc <= 7 && h0 < 2048 then begin
-        Bytes.blit s.s_code 0 pool !off (Bytes.length s.s_code);
+      let count = Array.length s.s_h32 and h0 = !nh32 in
+      if fl_fits ~count ~h0 ~len:s.s_len then begin
+        Bytes.blit s.s_code 0 pool !off s.s_len;
         Array.iter (fun p -> h32s := p :: !h32s; incr nh32) s.s_h32;
-        let has_rest = if Array.length s.s_rest > 0 then 16 else 0 in
-        rest.(c) <- s.s_rest;
-        meta.(c) <-
-          1 lor (hc lsl 1) lor has_rest lor (h0 lsl 5) lor (s.s_len lsl 16)
-          lor (!off lsl 26);
-        off := !off + Bytes.length s.s_code
+        let h64 = match s.s_rest with [| H64 (o, 0) |] when o < 32 -> o | _ -> -1 in
+        let tgt = match s.s_rest with [| Htgt (o, 0) |] when o < 32 -> o | _ -> -1 in
+        let has_rest = h64 < 0 && tgt < 0 && Array.length s.s_rest > 0 in
+        if has_rest then rest.(c) <- s.s_rest;
+        meta.(c) <- fl_pack ~count ~rest:has_rest ~h0 ~len:s.s_len ~h64 ~tgt ~off:!off;
+        off := !off + pool_stride s
       end)
     entries;
   {
@@ -955,12 +1055,12 @@ let flat_of_table () =
     fl_rest = rest;
   }
 
-(** Pre-build the non-parametric population so the first query does not
-    pay for library construction. Idempotent and cheap (each stencil is a
-    few dozen bytes through the encoder). *)
-let prewarm () =
-  let t = Target.x64 in
-  let get k = dense_x64.(key_code k) <- stencil_of t k in
+(* The prewarmed population: the shapes the TPC-H/TPC-DS-like workloads
+   use, each with every register-forwarding variant the emitter can ask
+   for (see [fwd_holes] and [result_in_rax]). *)
+let prewarm_codes : int list =
+  let keys = ref [] in
+  let get k = keys := k :: !keys in
   List.iter get [ Kprologue; Kepilogue; Ktrap; Kconst false; Kconst true ];
   List.iter get [ Kisnull false; Kisnull true ];
   let bits = [ 0; 8; 16; 32 ] in
@@ -1024,7 +1124,29 @@ let prewarm () =
   for n = 1 to min 8 (Array.length Target.x64.Target.arg_regs) do
     get (Kprologue_args n)
   done;
-  flat_x64 := flat_of_table ()
+  List.iter
+    (fun c -> for shape = 0 to 2 do get (Kcmpbr (c, shape)) done)
+    Minst.[ Eq; Ne; Slt; Sle; Sgt; Sge; Ult; Ule; Ugt; Uge ];
+  List.concat_map
+    (fun k ->
+      List.filter_map
+        (fun v -> if valid_variant k v then Some (vcode k + v) else None)
+        (List.init nvariants Fun.id))
+    (List.rev !keys)
+
+let prewarm_mu = Mutex.create ()
+let prewarmed = ref false
+
+(** Build the prewarmed population into [dense_x64] and pack the flat
+    library, once per process, so no query pays for library construction
+    and later engine starts cost nothing. *)
+let prewarm () =
+  Mutex.protect prewarm_mu (fun () ->
+      if not !prewarmed then begin
+        List.iter (fun c -> dense_x64.(c) <- stencil_of Target.x64 c) prewarm_codes;
+        flat_x64 := flat_of prewarm_codes;
+        prewarmed := true
+      end)
 
 (* ------------------------------------------------------------------ *)
 (* Per-query compilation: blit and patch.                              *)
@@ -1033,18 +1155,14 @@ type cbuf = { mutable bytes : Bytes.t; mutable len : int }
 
 let cb_create () = { bytes = Bytes.create 4096; len = 0 }
 
-let cb_reserve cb n =
-  let cap = Bytes.length cb.bytes in
-  if cb.len + n > cap then begin
-    let b = Bytes.create (max (cb.len + n) (2 * cap)) in
-    Bytes.blit cb.bytes 0 b 0 cb.len;
-    cb.bytes <- b
-  end
+let cb_grow cb n =
+  let b = Bytes.create (max (cb.len + n) (2 * Bytes.length cb.bytes)) in
+  Bytes.blit cb.bytes 0 b 0 cb.len;
+  cb.bytes <- b
 
-let cb_u8 cb v =
-  cb_reserve cb 1;
-  Bytes.unsafe_set cb.bytes cb.len (Char.unsafe_chr (v land 0xFF));
-  cb.len <- cb.len + 1
+(* inline, so the per-stencil path makes no call (and spills nothing)
+   unless the buffer really has to grow *)
+let[@inline] cb_reserve cb n = if cb.len + n > Bytes.length cb.bytes then cb_grow cb n
 
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
@@ -1082,14 +1200,15 @@ let cb_blit cb (s : stencil) =
 
 (* all patch positions come from recorded hole offsets inside bytes the
    buffer just grew by, so the unchecked writes stay in bounds *)
-let[@inline] patch32 cb pos v =
-  let b = cb.bytes in
-  Bytes.unsafe_set b pos (Char.unsafe_chr (v land 0xFF));
-  Bytes.unsafe_set b (pos + 1) (Char.unsafe_chr ((v asr 8) land 0xFF));
-  Bytes.unsafe_set b (pos + 2) (Char.unsafe_chr ((v asr 16) land 0xFF));
-  Bytes.unsafe_set b (pos + 3) (Char.unsafe_chr ((v asr 24) land 0xFF))
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 
-let[@inline] patch64 cb pos v = Bytes.set_int64_le cb.bytes pos v
+let[@inline] patch32 cb pos v =
+  if Sys.big_endian then Bytes.set_int32_le cb.bytes pos (Int32.of_int v)
+  else set32u cb.bytes pos (Int32.of_int v)
+
+let[@inline] patch64 cb pos v =
+  if Sys.big_endian then Bytes.set_int64_le cb.bytes pos v
+  else set64u cb.bytes pos v
 
 type st = {
   cb : cbuf;
@@ -1098,12 +1217,31 @@ type st = {
   flat : flat;  (** the packed prewarmed library, [empty_flat] if none *)
   mutable relocs : Qcomp_backend.Artifact.reloc list;
   mutable stencils_used : int;
+  mutable acc : int;
+      (** the value rax holds between stencils, -1 = none; only ever a
+          scalar, and only within one straight-line run of a block *)
+  mutable fused : int;
+      (** a compare left for the branch right after it to emit, -1 = none *)
+  m : Func.modul;
+  (* the function being compiled *)
+  mutable fn : Func.t;
+  mutable uses : int array;
+      (** value [v]'s use count at [v + 1], see {!Func.count_uses} *)
+  mutable has_phi : bool;
+  mutable moves : int array;  (** edge-copy scratch, see [edge_copies] *)
+  mutable blk_phis : int array array;
+      (** block -> its phis, only gathered when [has_phi] *)
+  mutable epilogue : int;  (** label *)
+  mutable trap : int;  (** label of the shared overflow trap *)
+  mutable trap_used : bool;
   (* shared argument scratch: [inst] patches every hole before returning,
      so one buffer per argument class serves all emissions without a
      fresh array per stencil *)
   ai : int array;
   at : int array;
-  a64 : int64 array;
+  a64 : Bytes.t;
+      (** i64 arguments, 8 bytes each: unboxed, so storing a constant
+          costs no write barrier *)
 }
 
 (* x64 compilations share [dense_x64] directly: entries are only ever
@@ -1117,19 +1255,19 @@ let cache_for (target : Target.t) =
 let flat_for (target : Target.t) =
   if target == Target.x64 then !flat_x64 else empty_flat
 
-(* Library access on the per-query path: a flat array probe; only shapes
-   missing from the prewarmed set touch the shared table. *)
+(* Library access on the per-query path: a flat array probe; only
+   variants missing from the prewarmed set touch the shared table. *)
 let[@inline] fetch st code =
   let s = Array.unsafe_get st.cache code in
   if s != dummy_stencil then s
   else begin
-    let s = stencil_of st.target (Array.unsafe_get key_of_code code) in
+    let s = stencil_of st.target code in
     Array.unsafe_set st.cache code s;
     s
   end
 
 let no_ints = [||]
-let no_i64s = [||]
+let no_i64s = Bytes.empty
 let no_tgts = [||]
 let no_syms = [||]
 
@@ -1138,7 +1276,9 @@ let no_syms = [||]
 type labels = {
   mutable offs : int array;  (** label -> buffer offset, -1 unbound *)
   mutable n : int;
-  mutable fixups : (int * int) list;  (** rel32 field position, label *)
+  mutable fix : int array;
+      (** branch fixups as pairs: rel32 field position, label *)
+  mutable nfix : int;  (** pairs in use *)
 }
 
 let new_label ls =
@@ -1151,14 +1291,25 @@ let new_label ls =
   ls.n <- l + 1;
   l
 
+let add_fixup ls pos l =
+  let k = 2 * ls.nfix in
+  if k + 2 > Array.length ls.fix then begin
+    let a = Array.make (2 * (k + 2)) 0 in
+    Array.blit ls.fix 0 a 0 k;
+    ls.fix <- a
+  end;
+  Array.unsafe_set ls.fix k pos;
+  Array.unsafe_set ls.fix (k + 1) l;
+  ls.nfix <- ls.nfix + 1
+
 (* Non-H32 holes and library misses are rare; handling them out of line
    keeps the hot instantiation path small. *)
 let patch_rest st ls rest base i64s tgts syms =
   for hi = 0 to Array.length rest - 1 do
     match Array.unsafe_get rest hi with
     | H32 _ -> assert false
-    | H64 (o, a) -> patch64 st.cb (base + o) (Array.unsafe_get i64s a)
-    | Htgt (o, a) -> ls.fixups <- (base + o, Array.unsafe_get tgts a) :: ls.fixups
+    | H64 (o, a) -> patch64 st.cb (base + o) (Bytes.get_int64_ne i64s (8 * a))
+    | Htgt (o, a) -> add_fixup ls (base + o) (Array.unsafe_get tgts a)
     | Hsym (o, a) ->
         st.relocs <-
           {
@@ -1185,19 +1336,29 @@ let inst_slow st ls code ints i64s tgts syms =
    and force a generic apply; this is the hottest function in the
    back-end (once per emitted stencil). Reads only the flat library in
    the common case; every access below stays in ~20 kB of contiguous,
-   read-only data. *)
-let inst st ls code ints i64s tgts syms =
+   read-only data. Every call it makes is a tail call (the library miss,
+   the buffer growth, the rare holes), so the common path keeps its
+   arguments in registers instead of saving them on entry. *)
+let rec inst st ls code ints i64s tgts syms =
   let fl = st.flat in
   let w = Array.unsafe_get fl.fl_meta code in
+  let cb = st.cb in
+  let n = fl_len w in
   if w = 0 then inst_slow st ls code ints i64s tgts syms
+  else if cb.len + n + 64 > Bytes.length cb.bytes then
+    inst_grow st ls code ints i64s tgts syms
   else begin
-    let n = (w lsr 16) land 0x3FF in
-    let off = w lsr 26 in
-    let cb = st.cb in
-    cb_reserve cb (n + 64);
+    let off = fl_off w in
     let src = fl.fl_pool in
     let dst = cb.bytes and base = cb.len in
-    if n <= 64 then begin
+    if n <= 32 then begin
+      (* most forwarding variants are a few instructions long *)
+      set64u dst base (get64u src off);
+      set64u dst (base + 8) (get64u src (off + 8));
+      set64u dst (base + 16) (get64u src (off + 16));
+      set64u dst (base + 24) (get64u src (off + 24))
+    end
+    else if n <= 64 then begin
       set64u dst base (get64u src off);
       set64u dst (base + 8) (get64u src (off + 8));
       set64u dst (base + 16) (get64u src (off + 16));
@@ -1216,19 +1377,27 @@ let inst st ls code ints i64s tgts syms =
       done
     end;
     cb.len <- base + n;
-    let hc = (w lsr 1) land 7 in
+    st.stencils_used <- st.stencils_used + 1;
+    let hc = fl_count w in
     if hc <> 0 then begin
       let hp = fl.fl_h32 in
-      let h0 = (w lsr 5) land 0x7FF in
+      let h0 = fl_h0 w in
       for hi = h0 to h0 + hc - 1 do
         let p = Array.unsafe_get hp hi in
         patch32 cb (base + (p lsr 3)) (Array.unsafe_get ints (p land 7))
       done
     end;
-    if w land 16 <> 0 then
-      patch_rest st ls (Array.unsafe_get fl.fl_rest code) base i64s tgts syms;
-    st.stencils_used <- st.stencils_used + 1
+    if w land (1 lsl 31) <> 0 then
+      patch64 cb (base + ((w lsr 32) land 31)) (Bytes.get_int64_ne i64s 0)
+    else if w land (1 lsl 37) <> 0 then
+      add_fixup ls (base + ((w lsr 32) land 31)) (Array.unsafe_get tgts 0)
+    else if fl_has_rest w then
+      patch_rest st ls (Array.unsafe_get fl.fl_rest code) base i64s tgts syms
   end
+
+and inst_grow st ls code ints i64s tgts syms =
+  cb_grow st.cb 64;
+  inst st ls code ints i64s tgts syms
 
 (* Parameter holes ride the const stencils: instantiate with a zeroed
    value, then record a [Param]/[Param_hi] relocation at each H64 hole so
@@ -1345,15 +1514,15 @@ let[@inline] emiti7 st ls key p0 p1 p2 p3 p4 p5 p6 =
 let[@inline] emitc1 st ls key p0 v0 =
   let ai = st.ai and a64 = st.a64 in
   Array.unsafe_set ai 0 p0;
-  Array.unsafe_set a64 0 v0;
+  Bytes.set_int64_ne a64 0 v0;
   inst st ls key ai a64 no_tgts no_syms
 
 let[@inline] emitc2 st ls key p0 p1 v0 v1 =
   let ai = st.ai and a64 = st.a64 in
   Array.unsafe_set ai 0 p0;
   Array.unsafe_set ai 1 p1;
-  Array.unsafe_set a64 0 v0;
-  Array.unsafe_set a64 1 v1;
+  Bytes.set_int64_ne a64 0 v0;
+  Bytes.set_int64_ne a64 8 v1;
   inst st ls key ai a64 no_tgts no_syms
 
 let[@inline] emitt1 st ls key t0 =
@@ -1381,6 +1550,14 @@ let[@inline] emit2t1 st ls key p0 p1 t0 =
   Array.unsafe_set at 0 t0;
   inst st ls key ai no_i64s at no_syms
 
+let[@inline] emit2t2 st ls key p0 p1 t0 t1 =
+  let ai = st.ai and at = st.at in
+  Array.unsafe_set ai 0 p0;
+  Array.unsafe_set ai 1 p1;
+  Array.unsafe_set at 0 t0;
+  Array.unsafe_set at 1 t1;
+  inst st ls key ai no_i64s at no_syms
+
 let[@inline] emit3t1 st ls key p0 p1 p2 t0 =
   let ai = st.ai and at = st.at in
   Array.unsafe_set ai 0 p0;
@@ -1400,18 +1577,14 @@ let[@inline] emit6t1 st ls key p0 p1 p2 p3 p4 p5 t0 =
   Array.unsafe_set at 0 t0;
   inst st ls key ai no_i64s at no_syms
 
-let cmp_to_cond (c : Op.cmp) : Minst.cond =
-  match c with
-  | Op.Eq -> Minst.Eq
-  | Op.Ne -> Minst.Ne
-  | Op.Slt -> Minst.Slt
-  | Op.Sle -> Minst.Sle
-  | Op.Sgt -> Minst.Sgt
-  | Op.Sge -> Minst.Sge
-  | Op.Ult -> Minst.Ult
-  | Op.Ule -> Minst.Ule
-  | Op.Ugt -> Minst.Ugt
-  | Op.Uge -> Minst.Uge
+(* compare predicate ordinal ([Func.n] of a Cmp, see {!Op.cmp_of_int}) ->
+   machine condition, one array probe *)
+let cond_tbl = Minst.[| Eq; Ne; Slt; Sle; Sgt; Sge; Ult; Ule; Ugt; Uge |]
+let[@inline] cond_of_pred p = cond_tbl.(p)
+
+(* [Stdlib.max] is polymorphic: on the per-instruction path it would be a
+   C call *)
+let[@inline] int_max (a : int) b = if a >= b then a else b
 
 let canon_bits (ty : Ty.t) =
   match ty with Ty.I8 -> 8 | Ty.I16 -> 16 | Ty.I32 -> 32 | _ -> 0
@@ -1439,72 +1612,510 @@ let const_of f v =
       | _ -> None)
   | _ -> None
 
+(* [x < y] iff [y > x]: integer compares take a right-hand rax operand by
+   swapping their operands and mirroring the predicate *)
+let mirror : Minst.cond -> Minst.cond = function
+  | Minst.Slt -> Minst.Sgt
+  | Minst.Sgt -> Minst.Slt
+  | Minst.Sle -> Minst.Sge
+  | Minst.Sge -> Minst.Sle
+  | Minst.Ult -> Minst.Ugt
+  | Minst.Ugt -> Minst.Ult
+  | Minst.Ule -> Minst.Uge
+  | Minst.Uge -> Minst.Ule
+  | c -> c
+
+(** [rax_hole f i v] is the slot hole through which instruction [i]'s
+    stencil reads operand [v] when [v] is the value in rax, or -1 if [i]
+    never takes [v] in rax. Commutative ops and integer compares take a
+    right-hand operand through hole 0 by swapping. The emitter picks its
+    variant from this, and store elision asks it about the next
+    instruction, so a store is only ever dropped when the consumer really
+    forwards. *)
+let[@inline] rax_hole (f : Func.t) i v =
+  let x = Array.unsafe_get f.Func.xs i and y = Array.unsafe_get f.Func.ys i in
+  let tys = f.Func.tys in
+  let scalar = Array.unsafe_get tys i != Ty.I128 in
+  match Array.unsafe_get f.Func.ops i with
+  | Op.Isnull | Op.Isnotnull | Op.Zext | Op.Sext | Op.Trunc | Op.Load | Op.Condbr
+  | Op.Sitofp | Op.Fptosi | Op.Ret ->
+      if x = v then 0 else -1
+  | Op.Add | Op.Mul | Op.And | Op.Or | Op.Xor | Op.Saddtrap | Op.Smultrap
+  | Op.Longmulfold ->
+      if scalar && (x = v || y = v) then 0 else -1
+  | Op.Sub | Op.Shl | Op.Lshr | Op.Ashr | Op.Rotr | Op.Ssubtrap | Op.Sdiv
+  | Op.Udiv | Op.Srem | Op.Urem | Op.Crc32 | Op.Atomicadd | Op.Gep | Op.Fadd
+  | Op.Fsub | Op.Fmul | Op.Fdiv | Op.Fcmp ->
+      if not scalar then -1 else if x = v then 0 else if y = v then 1 else -1
+  | Op.Cmp ->
+      let xt = Array.unsafe_get tys x in
+      if xt == Ty.I128 then -1
+      else if x = v then 0
+      else if y = v then if xt == Ty.F64 then 1 else 0
+      else -1
+  | Op.Select ->
+      (* holes: 0 = then-value (y), 1 = else-value (z), 2 = condition (x) *)
+      if scalar && y = v then 0
+      else if scalar && Array.unsafe_get f.Func.zs i = v then 1
+      else if x = v then 2
+      else -1
+  | Op.Store ->
+      (* holes: 0 = address (y), 1 = value (x) *)
+      if y = v then 0 else if x = v && Array.unsafe_get tys x != Ty.I128 then 1 else -1
+  | _ -> -1
+
+(* Use counts ({!Func.count_uses}) go into a domain-local scratch array:
+   [Func.scratch] belongs to DirectEmit's analysis, and one memoized
+   module may be compiled by two back-ends on two domains at once. *)
+let scratch_uses = Domain.DLS.new_key (fun () -> ref (Array.make 256 0))
+
 let ls_reset ls need =
   if Array.length ls.offs < need + 8 then ls.offs <- Array.make (need + 8) (-1)
-  else Array.fill ls.offs 0 ls.n (-1);
+  else
+    (* a few dozen labels: a loop beats the C call of [Array.fill] *)
+    for l = 0 to ls.n - 1 do
+      Array.unsafe_set ls.offs l (-1)
+    done;
   ls.n <- 0;
-  ls.fixups <- []
+  ls.nfix <- 0
 
-let compile_func st ls (m : Func.modul) (f : Func.t) =
-  let target = st.target in
-  (* 16-byte function alignment, as DirectEmit does *)
-  while st.cb.len land 15 <> 0 do
-    cb_u8 st.cb 0x00 (* nop *)
+(* fixed-stride frame layout: value [v] lives at [32*v], its phi staging
+   slot (parallel edge copies) at [32*v + 16]. Wasting the stride on void
+   values trades a little scratch stack (modules peak well under the VM's
+   256 KiB context stack) for skipping the slot-assignment prescan
+   entirely: the frame is a shift of the instruction count, and a slot is
+   a shift of the value id *)
+let[@inline] s v = v lsl 5
+let[@inline] stage v = (v lsl 5) + 16
+
+(* The emitters below are toplevel functions over the per-function state
+   in [st], so compiling a function allocates no closures: a dozen of
+   them per function were a measurable share of the per-query compile. *)
+
+let trap_l st =
+  st.trap_used <- true;
+  st.trap
+
+(* a label may be reached from elsewhere: rax is unknown there *)
+let bind st ls l =
+  ls.offs.(l) <- st.cb.len;
+  st.acc <- -1
+
+(* a scalar copy whose source is the value in rax stores it directly;
+   copies never write rax, so [acc] holds for every copy of the edge *)
+let copy_from st src = if src = st.acc then kc_copy + variant 0 false else kc_copy
+
+(* the copies for the edge from [pred] into a block with [phis], as
+   (destination, source) pairs in [st.moves]: no lists, no closures *)
+let edge_copies st ls pred phis =
+  let f = st.fn in
+  let tys = f.Func.tys in
+  if Array.length st.moves < 2 * Array.length phis then
+    st.moves <- Array.make (4 * Array.length phis) 0;
+  let mv = st.moves in
+  let m = ref 0 in
+  for p = 0 to Array.length phis - 1 do
+    let i = phis.(p) in
+    let v = Func.phi_incoming_from f i pred in
+    (* a phi fed by itself is a no-op on this edge *)
+    if v >= 0 && v <> i then begin
+      mv.(2 * !m) <- i;
+      mv.((2 * !m) + 1) <- v;
+      incr m
+    end
   done;
-  let start = st.cb.len in
-  let nv = Func.num_insts f in
-  let nb = Func.num_blocks f in
+  let m = !m in
+  (* staging slots are only needed when a phi target is also a phi
+     source on the same edge (a parallel-move cycle or overlap); the
+     common single-phi edge copies directly *)
+  let overlaps = ref false in
+  for a = 0 to m - 1 do
+    for b = 0 to m - 1 do
+      if mv.((2 * b) + 1) = mv.(2 * a) then overlaps := true
+    done
+  done;
+  if not !overlaps then
+    for k = 0 to m - 1 do
+      let dst = mv.(2 * k) and src = mv.((2 * k) + 1) in
+      if Array.unsafe_get tys src == Ty.I128 then
+        emiti4 st ls kc_copy128 (s src) (s dst) (s src + 8) (s dst + 8)
+      else emiti2 st ls (copy_from st src) (s src) (s dst)
+    done
+  else begin
+    for k = 0 to m - 1 do
+      let dst = mv.(2 * k) and src = mv.((2 * k) + 1) in
+      if Array.unsafe_get tys src == Ty.I128 then
+        emiti4 st ls kc_copy128 (s src) (stage dst) (s src + 8) (stage dst + 8)
+      else emiti2 st ls (copy_from st src) (s src) (stage dst)
+    done;
+    for k = 0 to m - 1 do
+      let dst = mv.(2 * k) in
+      if Array.unsafe_get tys dst == Ty.I128 then
+        emiti4 st ls kc_copy128 (stage dst) (s dst) (stage dst + 8) (s dst + 8)
+      else emiti2 st ls kc_copy (stage dst) (s dst)
+    done
+  end;
+  (* the phi slots now hold the successor's values *)
+  st.acc <- -1
+
+let edge_moves st ls pred target_blk =
+  let phis = st.blk_phis.(target_blk) in
+  (* most edges reach a block without phis: nothing to move *)
+  if Array.length phis > 0 then edge_copies st ls pred phis
+
+(* compare-and-branch fusion: an integer compare whose only use is the
+   branch right after it is emitted by that branch, as one cmp + jcc *)
+let fusable st i next =
+  let f = st.fn in
+  let ops = f.Func.ops and xs = f.Func.xs and tys = f.Func.tys in
+  next >= 0
+  && Array.unsafe_get ops next == Op.Condbr
+  && Array.unsafe_get xs next = i
+  && Array.unsafe_get st.uses (i + 1) = 1
+  &&
+  let t = Array.unsafe_get tys (Array.unsafe_get xs i) in
+  t != Ty.I128 && t != Ty.F64
+
+(* a conditional branch of [shape] (see [Kcmpbr]) on [c]: targets [t0]
+   and, for shape 2, [t1]; [vo] is the variant offset for [c] in rax.
+   Leaves the value it loaded into rax as [acc]. *)
+let cond_branch st ls shape c vo t0 t1 =
+  let f = st.fn in
+  let xs = f.Func.xs and ys = f.Func.ys and nsa = f.Func.ns in
+  if st.fused = c then begin
+    st.fused <- -1;
+    let a = Array.unsafe_get xs c and b = Array.unsafe_get ys c in
+    let acc = st.acc in
+    let fw = if acc < 0 then -1 else rax_hole f c acc in
+    let swap = fw = 0 && a <> acc in
+    let cond = cond_of_pred (Array.unsafe_get nsa c) in
+    let key = kcmpbr (if swap then mirror cond else cond) shape + variant fw false in
+    let l = if swap then b else a and r = if swap then a else b in
+    if shape = 2 then emit2t2 st ls key (s l) (s r) t0 t1
+    else emit2t1 st ls key (s l) (s r) t0;
+    st.acc <- l
+  end
+  else begin
+    let key = (if shape = 0 then kc_condbr else if shape = 1 then kc_condbrnz else kc_condbr2) + vo in
+    if shape = 2 then emit1t2 st ls key (s c) t0 t1 else emit1t1 st ls key (s c) t0;
+    st.acc <- c
+  end
+
+(* argument loads of a call, from register [k] on; a loop rather than a
+   [List.iter] closure per call *)
+let rec call_args st ls nregs k = function
+  | [] -> ()
+  | a :: rest ->
+      if k >= nregs then unsupported "call with too many register arguments";
+      let fa = if a = st.acc then variant 0 false else 0 in
+      emiti1 st ls (kldarg k + fa) (s a);
+      if Array.unsafe_get st.fn.Func.tys a == Ty.I128 then begin
+        if k + 1 >= nregs then unsupported "call with too many register arguments";
+        emiti1 st ls (kldarg (k + 1)) (s a + 8);
+        call_args st ls nregs (k + 2) rest
+      end
+      else call_args st ls nregs (k + 1) rest
+
+(* The variant of instruction [i]'s stencil (see [variant]), plus 8 when
+   a commutative op takes its right-hand operand in rax by swapping.
+   Inlined, with [rax_hole]: a call per instruction measured slower. *)
+let[@inline] forwarding st i next =
+  let f = st.fn in
+  let xs = f.Func.xs and ys = f.Func.ys and ops = f.Func.ops in
+  let x = Array.unsafe_get xs i and y = Array.unsafe_get ys i in
+  let op = Array.unsafe_get ops i in
+  (* operand forwarding: which hole, if any, reads the value in rax *)
+  let acc = st.acc in
+  let fw =
+    if acc >= 0 && (x = acc || y = acc || (op == Op.Select && Array.unsafe_get f.Func.zs i = acc))
+    then rax_hole f i acc
+    else -1
+  in
+  (* store elision: a scalar whose only use is the next stencil, taking
+     it in rax, never needs its slot (phi incomings, call arguments and
+     return values are never taken in rax, or are excluded here) *)
+  let ty = Array.unsafe_get f.Func.tys i in
+  let nostore =
+    next >= 0
+    && Array.unsafe_get st.uses (i + 1) = 1
+    && ty != Ty.Void && ty != Ty.I128
+    && Array.unsafe_get ops next != Op.Ret
+    && rax_hole f next i >= 0
+  in
+  variant fw nostore + if fw = 0 && x <> acc then 8 else 0
+
+let emit_inst st ls cur_block i next =
+  let fv = forwarding st i next in
+  (* [vo] >= 4: the no-store form *)
+  let vo = fv land 7 and swap = fv >= 8 in
   (* hoisted IR columns: every index below is an instruction id < nv, so
      the unchecked reads stay inside these arrays *)
+  let f = st.fn in
   let ops = f.Func.ops and tys = f.Func.tys in
   let xs = f.Func.xs and ys = f.Func.ys and zs = f.Func.zs in
   let nsa = f.Func.ns and imms = f.Func.imms in
-  (* fixed-stride frame layout: value [v] lives at [32*v], its phi staging
-     slot (parallel edge copies) at [32*v + 16].  Wasting the stride on void
-     values trades a little scratch stack (modules peak well under the VM's
-     256 KiB context stack) for skipping the slot-assignment prescan
-     entirely: the frame is a shift of [nv], and [s] is a shift of [v] *)
-  let s v = v lsl 5 in
-  let stage v = (v lsl 5) + 16 in
-  let frame = nv lsl 5 in
-  (* phi presence gates the per-block phi gather below; straight-line
-     expression code (the common case) stops at the first compare *)
-  let has_phi = ref false in
-  let v = ref 0 in
-  while (not !has_phi) && !v < nv do
-    if Array.unsafe_get ops !v == Op.Phi then has_phi := true;
-    incr v
+  let blk_phis = st.blk_phis in
+  let ty = Array.unsafe_get tys i in
+  let x = Array.unsafe_get xs i and y = Array.unsafe_get ys i in
+  let op = Array.unsafe_get ops i in
+  (match op with
+  | Op.Nop | Op.Arg | Op.Phi -> ()
+  | Op.Const ->
+      let imm = Array.unsafe_get imms i in
+      if ty == Ty.I128 then
+        emitc2 st ls kc_const128 (s i) (s i + 8) imm (Int64.shift_right imm 63)
+      else emitc1 st ls (kc_const + vo) (s i) imm
+  | Op.Const128 ->
+      let hi, lo = Func.const128_value f i in
+      emitc2 st ls kc_const128 (s i) (s i + 8) lo hi
+  | Op.Param ->
+      let idx = Int64.to_int (Array.unsafe_get imms i) in
+      if ty == Ty.I128 then emitp2 st kc_const128 (s i) (s i + 8) idx
+      else emitp1 st (kc_const + vo) (s i) idx
+  | Op.Isnull -> emiti2 st ls (kc_isnull + vo) (s x) (s i)
+  | Op.Isnotnull -> emiti2 st ls (kc_isnotnull + vo) (s x) (s i)
+  | Op.Add | Op.Sub | Op.Mul | Op.And | Op.Or | Op.Xor ->
+      if ty == Ty.I128 then
+        let key = if op == Op.Mul then kc_mul128 else kalu128 (alu_of_op op) in
+        emiti6 st ls key (s x) (s y) (s x + 8) (s y + 8) (s i) (s i + 8)
+      else
+        let key = kalu (alu_of_op op) (canon_bits ty) + vo in
+        if swap then emiti3 st ls key (s y) (s x) (s i)
+        else emiti3 st ls key (s x) (s y) (s i)
+  | Op.Shl | Op.Lshr | Op.Ashr | Op.Rotr ->
+      if ty == Ty.I128 then begin
+        let amt =
+          match const_of f y with
+          | Some a -> Int64.to_int a land 127
+          | None -> unsupported "dynamic 128-bit shift"
+        in
+        if op == Op.Rotr then unsupported "i128 rotate";
+        emiti4 st ls (kshift128 (alu_of_op op) amt) (s x) (s x + 8) (s i) (s i + 8)
+      end
+      else
+        emiti3 st ls (kalu (alu_of_op op) (canon_bits ty) + vo) (s x) (s y) (s i)
+  | Op.Saddtrap | Op.Ssubtrap ->
+      let sub = op == Op.Ssubtrap in
+      if ty == Ty.I128 then
+        emit6t1 st ls
+          (kastrap128 sub)
+          (s x) (s y) (s x + 8) (s y + 8) (s i)
+          (s i + 8) (trap_l st)
+      else
+        let key = kastrap sub (canon_bits ty) + vo in
+        if swap then emit3t1 st ls key (s y) (s x) (s i) (trap_l st)
+        else emit3t1 st ls key (s x) (s y) (s i) (trap_l st)
+  | Op.Smultrap ->
+      if ty == Ty.I128 then
+        emitis st ls kc_multrap128 [| s x; s x + 8; s y; s y + 8; s i; s i + 8 |] [| "umbra_i128MulFull" |]
+      else
+        let key = kmultrap (canon_bits ty) + vo in
+        if swap then emit3t1 st ls key (s y) (s x) (s i) (trap_l st)
+        else emit3t1 st ls key (s x) (s y) (s i) (trap_l st)
+  | Op.Sdiv | Op.Udiv | Op.Srem | Op.Urem ->
+      if ty == Ty.I128 then
+        unsupported "i128 division must go through the runtime";
+      let signed = op == Op.Sdiv || op == Op.Srem in
+      let rem = op == Op.Srem || op == Op.Urem in
+      emiti3 st ls (kdiv signed rem (canon_bits ty) + vo) (s x) (s y) (s i)
+  | Op.Cmp when fusable st i next -> st.fused <- i
+  | Op.Cmp -> (
+      let p = Array.unsafe_get nsa i in
+      match Array.unsafe_get tys x with
+      | Ty.I128 -> (
+          let pred = Op.cmp_of_int p in
+          match pred with
+          | Op.Eq | Op.Ne ->
+              emiti5 st ls (kcmp128eq (pred == Op.Ne) + vo) (s x) (s y) (s x + 8)
+                (s y + 8) (s i)
+          | _ ->
+              let u =
+                match pred with
+                | Op.Slt | Op.Ult -> Minst.Ult
+                | Op.Sle | Op.Ule -> Minst.Ule
+                | Op.Sgt | Op.Ugt -> Minst.Ugt
+                | _ -> Minst.Uge
+              in
+              let hi =
+                match pred with
+                | Op.Slt | Op.Sle -> Minst.Slt
+                | Op.Sgt | Op.Sge -> Minst.Sgt
+                | Op.Ult | Op.Ule -> Minst.Ult
+                | _ -> Minst.Ugt
+              in
+              emiti5 st ls (kcmp128ord u hi + vo) (s x) (s y) (s x + 8) (s y + 8) (s i))
+      | Ty.F64 -> emiti3 st ls (kcmp (cond_of_pred p) true + vo) (s x) (s y) (s i)
+      | _ ->
+          if swap then
+            emiti3 st ls (kcmp (mirror (cond_of_pred p)) false + vo) (s y) (s x) (s i)
+          else emiti3 st ls (kcmp (cond_of_pred p) false + vo) (s x) (s y) (s i))
+  | Op.Fcmp ->
+      emiti3 st ls (kcmp (cond_of_pred (Array.unsafe_get nsa i)) true + vo) (s x) (s y) (s i)
+  | Op.Zext ->
+      let bits =
+        match Array.unsafe_get tys x with
+        | Ty.I1 -> 1
+        | Ty.I8 -> 8
+        | Ty.I16 -> 16
+        | Ty.I32 -> 32
+        | _ -> 0
+      in
+      if ty == Ty.I128 then emiti3 st ls (kzext bits true + vo) (s x) (s i) (s i + 8)
+      else emiti2 st ls (kzext bits false + vo) (s x) (s i)
+  | Op.Sext ->
+      if ty == Ty.I128 then emiti3 st ls (kc_sext128 + vo) (s x) (s i) (s i + 8)
+      else emiti2 st ls (kc_sext + vo) (s x) (s i)
+  | Op.Trunc ->
+      let k = if ty == Ty.I1 then -1 else canon_bits ty in
+      emiti2 st ls (ktrunc k + vo) (s x) (s i)
+  | Op.Select ->
+      let c = x and a = y and b = Array.unsafe_get zs i in
+      if ty == Ty.I128 then
+        emiti7 st ls (kc_select128 + vo) (s a) (s b) (s c) (s a + 8) (s b + 8) (s i)
+          (s i + 8)
+      else emiti4 st ls (kc_select + vo) (s a) (s b) (s c) (s i)
+  | Op.Load ->
+      let off = Int64.to_int (Array.unsafe_get imms i) in
+      if ty == Ty.I128 then
+        emiti5 st ls (kc_load128 + vo) (s x) off (off + 8) (s i) (s i + 8)
+      else begin
+        let size = int_max 1 (Ty.size_bytes ty) in
+        let sext = ty != Ty.I1 && size < 8 in
+        emiti3 st ls (kload size sext false + vo) (s x) off (s i)
+      end
+  | Op.Store ->
+      let vty = Array.unsafe_get tys x in
+      let off = Int64.to_int (Array.unsafe_get imms i) in
+      if vty == Ty.I128 then
+        emiti5 st ls (kc_store128 + vo) (s y) (s x) off (s x + 8) (off + 8)
+      else begin
+        let size = int_max 1 (Ty.size_bytes vty) in
+        emiti3 st ls (kstore size false + vo) (s y) (s x) off
+      end
+  | Op.Gep ->
+      let off = Int64.to_int (Array.unsafe_get imms i) in
+      if y >= 0 then begin
+        let scale = Array.unsafe_get nsa i in
+        if scale = 1 || scale = 2 || scale = 4 || scale = 8 then
+          emiti4 st ls (kgep scale + vo) (s x) (s y) off (s i)
+        else emiti5 st ls (kc_gep_mul + vo) (s x) (s y) scale off (s i)
+      end
+      else emiti3 st ls (kc_gep_base + vo) (s x) off (s i)
+  | Op.Crc32 -> emiti3 st ls (kc_crc32 + vo) (s x) (s y) (s i)
+  | Op.Longmulfold ->
+      if swap then emiti3 st ls (kc_lmf + vo) (s y) (s x) (s i)
+      else emiti3 st ls (kc_lmf + vo) (s x) (s y) (s i)
+  | Op.Atomicadd ->
+      let size = int_max 1 (Ty.size_bytes ty) in
+      emiti3 st ls (katomic size + vo) (s x) (s y) (s i)
+  | Op.Call ->
+      call_args st ls (Array.length st.target.Target.arg_regs) 0 (Func.call_args f i);
+      let ext = Func.extern st.m (Array.unsafe_get zs i) in
+      emits st ls kc_call [| ext.Func.ext_name |];
+      (* the result arrives in rax: the no-store form is no stencil *)
+      if ty != Ty.Void && vo < 4 then begin
+        emiti1 st ls kc_stret0 (s i);
+        if ty == Ty.I128 then emiti1 st ls kc_stret1 (s i + 8)
+      end
+  | Op.Br ->
+      (* a branch to the lexically next block falls through: blocks are
+         emitted in order and [Br] is always the terminator *)
+      if st.has_phi then edge_moves st ls cur_block x;
+      if x <> cur_block + 1 then emitt1 st ls kc_jmp x
+  | Op.Condbr ->
+      let c = x and tb = y and eb = Array.unsafe_get zs i in
+      if (not st.has_phi)
+         || (Array.length blk_phis.(tb) = 0 && Array.length blk_phis.(eb) = 0)
+      then begin
+        if tb = cur_block + 1 then cond_branch st ls 0 c vo eb (-1)
+        else if eb = cur_block + 1 then cond_branch st ls 1 c vo tb (-1)
+        else cond_branch st ls 2 c vo eb tb
+      end
+      else begin
+        let else_stub = new_label ls in
+        cond_branch st ls 0 c vo else_stub (-1);
+        edge_moves st ls cur_block tb;
+        emitt1 st ls kc_jmp tb;
+        bind st ls else_stub;
+        edge_moves st ls cur_block eb;
+        if eb <> cur_block + 1 then emitt1 st ls kc_jmp eb
+      end
+  | Op.Ret ->
+      if x < 0 then emitt1 st ls kc_ret0 st.epilogue
+      else if Array.unsafe_get tys x == Ty.I128 then
+        emit2t1 st ls kc_ret2 (s x) (s x + 8) st.epilogue
+      else emit1t1 st ls (kc_ret1 + vo) (s x) st.epilogue
+  | Op.Unreachable -> emit0 st ls kc_unreachable
+  | Op.Fadd | Op.Fsub | Op.Fmul | Op.Fdiv ->
+      let fop =
+        match op with
+        | Op.Fadd -> Minst.Fadd
+        | Op.Fsub -> Minst.Fsub
+        | Op.Fmul -> Minst.Fmul
+        | _ -> Minst.Fdiv
+      in
+      emiti3 st ls (kfalu fop + vo) (s x) (s y) (s i)
+  | Op.Sitofp -> emiti2 st ls (kc_cvt_i2f + vo) (s x) (s i)
+  | Op.Fptosi -> emiti2 st ls (kc_cvt_f2i + vo) (s x) (s i));
+  (* what rax holds now: every scalar result is computed into rax, a
+     store leaves its address there, i128 stencils and everything else
+     leave nothing usable; instructions that emitted nothing leave it *)
+  if op != Op.Nop && op != Op.Arg && op != Op.Phi && st.fused <> i then
+    st.acc <-
+      (if op == Op.Store then y else if ty == Ty.Void || ty == Ty.I128 then -1 else i)
+
+let compile_func st ls us (f : Func.t) =
+  (* 16-byte function alignment with nops, as DirectEmit does *)
+  let pad = -st.cb.len land 15 in
+  cb_reserve st.cb pad;
+  for k = st.cb.len to st.cb.len + pad - 1 do
+    Bytes.unsafe_set st.cb.bytes k '\000'
   done;
+  st.cb.len <- st.cb.len + pad;
+  let start = st.cb.len in
+  let nv = Func.num_insts f in
+  let nb = Func.num_blocks f in
+  (* the first [nb] cells are the blocks: unchecked reads below stay in *)
+  let blocks = Vec.unsafe_data f.Func.blocks in
+  let ops = f.Func.ops and tys = f.Func.tys in
+  let frame = nv lsl 5 in
+  (* use counts gate store elision; phi presence gates the per-block phi
+     gather below *)
+  if Array.length !us <= nv then us := Array.make (2 * (nv + 1)) 0;
+  let has_phi = Func.count_uses f !us in
+  st.fn <- f;
+  st.uses <- !us;
+  st.has_phi <- has_phi;
   (* per-block phi lists, gathered once: edge moves consult these instead
      of rescanning the successor block at every incoming edge *)
-  let blk_phis = Array.make nb [||] in
-  if !has_phi then
+  if has_phi then begin
+    let blk_phis = Array.make nb [||] in
+    st.blk_phis <- blk_phis;
     for b = 0 to nb - 1 do
+      let insts = (Array.unsafe_get blocks b).Func.insts in
+      let data = Vec.unsafe_data insts in
       let phis = ref [] in
-      Vec.iter
-        (fun i -> if Array.unsafe_get ops i == Op.Phi then phis := i :: !phis)
-        (Func.block_insts f b);
-      if !phis <> [] then blk_phis.(b) <- Array.of_list (List.rev !phis)
-    done;
+      for k = Vec.length insts - 1 downto 0 do
+        let i = Array.unsafe_get data k in
+        if Array.unsafe_get ops i == Op.Phi then phis := i :: !phis
+      done;
+      if !phis <> [] then blk_phis.(b) <- Array.of_list !phis
+    done
+  end;
+  (* labels: block b is label b, then the epilogue and the trap *)
   ls_reset ls (nb + 2);
-  for _ = 0 to nb - 1 do
-    ignore (new_label ls)
-  done;
-  let epilogue = new_label ls in
-  let trap = new_label ls in
-  let trap_used = ref false in
-  let trap_l () =
-    trap_used := true;
-    trap
-  in
-  let bind l = ls.offs.(l) <- st.cb.len in
+  ls.n <- nb + 2;
+  let epilogue = nb in
+  st.epilogue <- epilogue;
+  st.trap <- nb + 1;
+  st.trap_used <- false;
   (* prologue + incoming argument spill: arguments arrive in registers and
      are parked in their slots once, so stencils can treat them like any
      other value *)
   let nargs = Func.n_args f in
   let args_fuse =
     nargs >= 1 && nargs <= 8
-    && nargs <= Array.length target.Target.arg_regs
+    && nargs <= Array.length st.target.Target.arg_regs
     &&
     let ok = ref true in
     for a = 0 to nargs - 1 do
@@ -1527,273 +2138,36 @@ let compile_func st ls (m : Func.modul) (f : Func.t) =
     done
   end;
   let after_prologue = st.cb.len - start in
-  let edge_moves pred target_blk =
-    let moves = ref [] in
-    Array.iter
-      (fun i ->
-        List.iter
-          (fun (blk, v) ->
-            (* a phi fed by itself is a no-op on this edge *)
-            if blk = pred && v <> i then moves := (i, v) :: !moves)
-          (Func.phi_incoming f i))
-      blk_phis.(target_blk);
-    let moves = List.rev !moves in
-    (* staging slots are only needed when a phi target is also a phi
-       source on the same edge (a parallel-move cycle or overlap); the
-       common single-phi edge copies directly *)
-    let overlaps =
-      List.exists
-        (fun (dst, _) -> List.exists (fun (_, src) -> src = dst) moves)
-        moves
-    in
-    if not overlaps then
-      List.iter
-        (fun (dst, src) ->
-          if Array.unsafe_get tys src == Ty.I128 then
-            emiti4 st ls kc_copy128 (s src) (s dst) (s src + 8) (s dst + 8)
-          else emiti2 st ls kc_copy (s src) (s dst))
-        moves
-    else begin
-      List.iter
-        (fun (dst, src) ->
-          if Array.unsafe_get tys src == Ty.I128 then
-            emiti4 st ls kc_copy128 (s src) (stage dst) (s src + 8) (stage dst + 8)
-          else emiti2 st ls kc_copy (s src) (stage dst))
-        moves;
-      List.iter
-        (fun (dst, _) ->
-          if Array.unsafe_get tys dst == Ty.I128 then
-            emiti4 st ls kc_copy128 (stage dst) (s dst) (stage dst + 8) (s dst + 8)
-          else emiti2 st ls kc_copy (stage dst) (s dst))
-        moves
-    end
-  in
-  let emit_inst cur_block i =
-    let ty = Array.unsafe_get tys i in
-    let x = Array.unsafe_get xs i and y = Array.unsafe_get ys i in
-    match Array.unsafe_get ops i with
-    | Op.Nop | Op.Arg | Op.Phi -> ()
-    | Op.Const ->
-        let imm = Array.unsafe_get imms i in
-        if ty == Ty.I128 then
-          emitc2 st ls kc_const128 (s i) (s i + 8) imm (Int64.shift_right imm 63)
-        else emitc1 st ls kc_const (s i) imm
-    | Op.Const128 ->
-        let hi, lo = Func.const128_value f i in
-        emitc2 st ls kc_const128 (s i) (s i + 8) lo hi
-    | Op.Param ->
-        let idx = Int64.to_int (Array.unsafe_get imms i) in
-        if ty == Ty.I128 then emitp2 st kc_const128 (s i) (s i + 8) idx
-        else emitp1 st kc_const (s i) idx
-    | Op.Isnull -> emiti2 st ls kc_isnull (s x) (s i)
-    | Op.Isnotnull -> emiti2 st ls kc_isnotnull (s x) (s i)
-    | (Op.Add | Op.Sub | Op.Mul | Op.And | Op.Or | Op.Xor) as op ->
-        if ty == Ty.I128 then
-          let key = if op == Op.Mul then kc_mul128 else kalu128 (alu_of_op op) in
-          emiti6 st ls key (s x) (s y) (s x + 8) (s y + 8) (s i) (s i + 8)
-        else
-          emiti3 st ls (kalu (alu_of_op op) (canon_bits ty)) (s x) (s y) (s i)
-    | (Op.Shl | Op.Lshr | Op.Ashr | Op.Rotr) as op ->
-        if ty == Ty.I128 then begin
-          let amt =
-            match const_of f y with
-            | Some a -> Int64.to_int a land 127
-            | None -> unsupported "dynamic 128-bit shift"
-          in
-          if op == Op.Rotr then unsupported "i128 rotate";
-          emiti4 st ls (kshift128 (alu_of_op op) amt) (s x) (s x + 8) (s i) (s i + 8)
-        end
-        else
-          emiti3 st ls (kalu (alu_of_op op) (canon_bits ty)) (s x) (s y) (s i)
-    | (Op.Saddtrap | Op.Ssubtrap) as op ->
-        let sub = op == Op.Ssubtrap in
-        if ty == Ty.I128 then
-          emit6t1 st ls
-            (kastrap128 sub)
-            (s x) (s y) (s x + 8) (s y + 8) (s i)
-            (s i + 8) (trap_l ())
-        else
-          emit3t1 st ls (kastrap sub (canon_bits ty)) (s x) (s y) (s i) (trap_l ())
-    | Op.Smultrap ->
-        if ty == Ty.I128 then
-          emitis st ls kc_multrap128 [| s x; s x + 8; s y; s y + 8; s i; s i + 8 |] [| "umbra_i128MulFull" |]
-        else
-          emit3t1 st ls (kmultrap (canon_bits ty)) (s x) (s y) (s i) (trap_l ())
-    | (Op.Sdiv | Op.Udiv | Op.Srem | Op.Urem) as op ->
-        if ty == Ty.I128 then
-          unsupported "i128 division must go through the runtime";
-        let signed = op == Op.Sdiv || op == Op.Srem in
-        let rem = op == Op.Srem || op == Op.Urem in
-        emiti3 st ls (kdiv signed rem (canon_bits ty)) (s x) (s y) (s i)
-    | Op.Cmp -> (
-        let pred = Op.cmp_of_int (Array.unsafe_get nsa i) in
-        match Array.unsafe_get tys x with
-        | Ty.I128 -> (
-            match pred with
-            | Op.Eq | Op.Ne ->
-                emiti5 st ls (kcmp128eq (pred == Op.Ne)) (s x) (s y) (s x + 8)
-                  (s y + 8) (s i)
-            | _ ->
-                let u =
-                  match pred with
-                  | Op.Slt | Op.Ult -> Minst.Ult
-                  | Op.Sle | Op.Ule -> Minst.Ule
-                  | Op.Sgt | Op.Ugt -> Minst.Ugt
-                  | _ -> Minst.Uge
-                in
-                let hi =
-                  match pred with
-                  | Op.Slt | Op.Sle -> Minst.Slt
-                  | Op.Sgt | Op.Sge -> Minst.Sgt
-                  | Op.Ult | Op.Ule -> Minst.Ult
-                  | _ -> Minst.Ugt
-                in
-                emiti5 st ls (kcmp128ord u hi) (s x) (s y) (s x + 8) (s y + 8) (s i))
-        | Ty.F64 -> emiti3 st ls (kcmp (cmp_to_cond pred) true) (s x) (s y) (s i)
-        | _ -> emiti3 st ls (kcmp (cmp_to_cond pred) false) (s x) (s y) (s i))
-    | Op.Fcmp ->
-        let pred = Op.cmp_of_int (Array.unsafe_get nsa i) in
-        emiti3 st ls (kcmp (cmp_to_cond pred) true) (s x) (s y) (s i)
-    | Op.Zext ->
-        let bits =
-          match Array.unsafe_get tys x with
-          | Ty.I1 -> 1
-          | Ty.I8 -> 8
-          | Ty.I16 -> 16
-          | Ty.I32 -> 32
-          | _ -> 0
-        in
-        if ty == Ty.I128 then emiti3 st ls (kzext bits true) (s x) (s i) (s i + 8)
-        else emiti2 st ls (kzext bits false) (s x) (s i)
-    | Op.Sext ->
-        if ty == Ty.I128 then emiti3 st ls kc_sext128 (s x) (s i) (s i + 8)
-        else emiti2 st ls kc_sext (s x) (s i)
-    | Op.Trunc ->
-        let k = if ty == Ty.I1 then -1 else canon_bits ty in
-        emiti2 st ls (ktrunc k) (s x) (s i)
-    | Op.Select ->
-        let c = x and a = y and b = Array.unsafe_get zs i in
-        if ty == Ty.I128 then
-          emiti7 st ls kc_select128 (s a) (s b) (s c) (s a + 8) (s b + 8) (s i)
-            (s i + 8)
-        else emiti4 st ls kc_select (s a) (s b) (s c) (s i)
-    | Op.Load ->
-        let off = Int64.to_int (Array.unsafe_get imms i) in
-        if ty == Ty.I128 then
-          emiti5 st ls kc_load128 (s x) off (off + 8) (s i) (s i + 8)
-        else begin
-          let size = max 1 (Ty.size_bytes ty) in
-          let sext = ty != Ty.I1 && size < 8 in
-          emiti3 st ls (kload size sext false) (s x) off (s i)
-        end
-    | Op.Store ->
-        let vty = Array.unsafe_get tys x in
-        let off = Int64.to_int (Array.unsafe_get imms i) in
-        if vty == Ty.I128 then
-          emiti5 st ls kc_store128 (s y) (s x) off (s x + 8) (off + 8)
-        else begin
-          let size = max 1 (Ty.size_bytes vty) in
-          emiti3 st ls (kstore size false) (s y) (s x) off
-        end
-    | Op.Gep ->
-        let off = Int64.to_int (Array.unsafe_get imms i) in
-        if y >= 0 then begin
-          let scale = Array.unsafe_get nsa i in
-          if scale = 1 || scale = 2 || scale = 4 || scale = 8 then
-            emiti4 st ls (kgep scale) (s x) (s y) off (s i)
-          else emiti5 st ls kc_gep_mul (s x) (s y) scale off (s i)
-        end
-        else emiti3 st ls kc_gep_base (s x) off (s i)
-    | Op.Crc32 -> emiti3 st ls kc_crc32 (s x) (s y) (s i)
-    | Op.Longmulfold -> emiti3 st ls kc_lmf (s x) (s y) (s i)
-    | Op.Atomicadd ->
-        let size = max 1 (Ty.size_bytes ty) in
-        emiti3 st ls (katomic size) (s x) (s y) (s i)
-    | Op.Call ->
-        let cargs = Func.call_args f i in
-        let arg_regs = target.Target.arg_regs in
-        let k = ref 0 in
-        List.iter
-          (fun a ->
-            if !k >= Array.length arg_regs then
-              unsupported "call with too many register arguments";
-            emiti1 st ls (kldarg !k) (s a);
-            incr k;
-            if Array.unsafe_get tys a == Ty.I128 then begin
-              if !k >= Array.length arg_regs then
-                unsupported "call with too many register arguments";
-              emiti1 st ls (kldarg !k) (s a + 8);
-              incr k
-            end)
-          cargs;
-        let ext = Func.extern m (Array.unsafe_get zs i) in
-        emits st ls kc_call [| ext.Func.ext_name |];
-        if ty != Ty.Void then begin
-          emiti1 st ls kc_stret0 (s i);
-          if ty == Ty.I128 then emiti1 st ls kc_stret1 (s i + 8)
-        end
-    | Op.Br ->
-        (* a branch to the lexically next block falls through: blocks are
-           emitted in order and [Br] is always the terminator *)
-        edge_moves cur_block x;
-        if x <> cur_block + 1 then emitt1 st ls kc_jmp x
-    | Op.Condbr ->
-        let c = x and tb = y and eb = Array.unsafe_get zs i in
-        if Array.length blk_phis.(tb) = 0 && Array.length blk_phis.(eb) = 0
-        then begin
-          if tb = cur_block + 1 then emit1t1 st ls kc_condbr (s c) eb
-          else if eb = cur_block + 1 then emit1t1 st ls kc_condbrnz (s c) tb
-          else emit1t2 st ls kc_condbr2 (s c) eb tb
-        end
-        else begin
-          let else_stub = new_label ls in
-          emit1t1 st ls kc_condbr (s c) else_stub;
-          edge_moves cur_block tb;
-          emitt1 st ls kc_jmp tb;
-          bind else_stub;
-          edge_moves cur_block eb;
-          if eb <> cur_block + 1 then emitt1 st ls kc_jmp eb
-        end
-    | Op.Ret ->
-        if x < 0 then emitt1 st ls kc_ret0 epilogue
-        else if Array.unsafe_get tys x == Ty.I128 then
-          emit2t1 st ls kc_ret2 (s x) (s x + 8) epilogue
-        else emit1t1 st ls kc_ret1 (s x) epilogue
-    | Op.Unreachable -> emit0 st ls kc_unreachable
-    | (Op.Fadd | Op.Fsub | Op.Fmul | Op.Fdiv) as op ->
-        let fop =
-          match op with
-          | Op.Fadd -> Minst.Fadd
-          | Op.Fsub -> Minst.Fsub
-          | Op.Fmul -> Minst.Fmul
-          | _ -> Minst.Fdiv
-        in
-        emiti3 st ls (kfalu fop) (s x) (s y) (s i)
-    | Op.Sitofp -> emiti2 st ls kc_cvt_i2f (s x) (s i)
-    | Op.Fptosi -> emiti2 st ls kc_cvt_f2i (s x) (s i)
-  in
   (* body: natural block order — every block ends in an explicit branch,
      and entry (block 0) follows the argument spill directly *)
   for b = 0 to nb - 1 do
-    bind b;
-    let insts = Func.block_insts f b in
-    for k = 0 to Vec.length insts - 1 do
-      emit_inst b (Vec.get insts k)
+    bind st ls b;
+    (* the block's backing array, read directly: a cross-module [Vec.get]
+       per instruction would cost a generic call each (this library is
+       built without cross-module inlining) *)
+    let insts = (Array.unsafe_get blocks b).Func.insts in
+    let data = Vec.unsafe_data insts in
+    let n = Vec.length insts in
+    (* each instruction is emitted knowing the one after it (a [Nop] there
+       emits nothing but also takes nothing in rax: no elision across it) *)
+    for k = 0 to n - 1 do
+      let next = if k + 1 < n then Array.unsafe_get data (k + 1) else -1 in
+      emit_inst st ls b (Array.unsafe_get data k) next
     done
   done;
-  bind epilogue;
+  bind st ls epilogue;
   emiti1 st ls kc_epilogue frame;
-  if !trap_used then begin
-    bind trap;
+  if st.trap_used then begin
+    bind st ls st.trap;
     emits st ls kc_trap [| "umbra_throwOverflow" |]
   end;
   (* resolve intra-function branches *)
-  List.iter
-    (fun (pos, l) ->
-      let target_off = ls.offs.(l) in
-      if target_off < 0 then unsupported "unbound stencil label %d" l;
-      patch32 st.cb pos (target_off - (pos + 4)))
-    ls.fixups;
+  for k = 0 to ls.nfix - 1 do
+    let pos = ls.fix.(2 * k) and l = ls.fix.((2 * k) + 1) in
+    let target_off = ls.offs.(l) in
+    if target_off < 0 then unsupported "unbound stencil label %d" l;
+    patch32 st.cb pos (target_off - (pos + 4))
+  done;
   let size = st.cb.len - start in
   let rows =
     [
@@ -1809,7 +2183,8 @@ let compile_func st ls (m : Func.modul) (f : Func.t) =
 let scratch_cb = Domain.DLS.new_key cb_create
 
 let scratch_ls =
-  Domain.DLS.new_key (fun () -> { offs = Array.make 64 (-1); n = 0; fixups = [] })
+  Domain.DLS.new_key (fun () ->
+      { offs = Array.make 64 (-1); n = 0; fix = Array.make 64 0; nfix = 0 })
 
 let compile_artifact ~timing ~(target : Target.t) ~registry:_ (m : Func.modul)
     : Qcomp_backend.Artifact.t =
@@ -1821,15 +2196,18 @@ let compile_artifact ~timing ~(target : Target.t) ~registry:_ (m : Func.modul)
   cb.len <- 0;
   let st =
     { cb; target; cache = cache_for target; flat = flat_for target;
-      relocs = []; stencils_used = 0; ai = Array.make 8 0;
-      at = Array.make 2 0; a64 = Array.make 2 0L }
+      relocs = []; stencils_used = 0; acc = -1; fused = -1; m; fn = Func.dummy_func;
+      uses = [||]; has_phi = false; moves = Array.make 16 0; blk_phis = [||]; epilogue = -1; trap = -1; trap_used = false;
+      ai = Array.make 8 0;
+      at = Array.make 2 0; a64 = Bytes.create 16 }
   in
   let ls = Domain.DLS.get scratch_ls in
+  let us = Domain.DLS.get scratch_uses in
   let fns = ref [] in
   Timing.scope timing "CodeGen" (fun () ->
       Vec.iter
         (fun f ->
-          let start, size, rows = compile_func st ls m f in
+          let start, size, rows = compile_func st ls us f in
           fns := (f.Func.name, start, size, rows) :: !fns)
         m.Func.funcs);
   let code =

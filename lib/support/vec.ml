@@ -79,6 +79,7 @@ let to_list v =
   go (v.len - 1) []
 
 let to_array v = Array.sub v.data 0 v.len
+let unsafe_data v = v.data
 
 let of_list ~dummy xs =
   let v = create ~dummy () in

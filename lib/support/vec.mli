@@ -38,6 +38,13 @@ val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val exists : ('a -> bool) -> 'a t -> bool
 val to_list : 'a t -> 'a list
 val to_array : 'a t -> 'a array
+
+(** [unsafe_data v] is [v]'s backing array, shared, not copied: its first
+    [length v] cells are the elements, the rest is filler. It goes stale
+    when [v] grows. For per-element loops in modules built without
+    cross-module inlining, where a [get] call per element would dominate. *)
+val unsafe_data : 'a t -> 'a array
+
 val of_list : dummy:'a -> 'a list -> 'a t
 val copy : 'a t -> 'a t
 

@@ -242,8 +242,89 @@ let mk_test ?target ?(suffix = "") (bname, backend) =
              (match got with Rows (c, n) -> Printf.sprintf "rows(%Lx,%d)" c n | Error e -> "err:" ^ e)
          else true))
 
+(* ---- use counts ---- *)
+
+(* [Func.count_uses] against counts derived from [Func.iter_operands], for
+   every function of a lowered plan. The stencil back-end drops the slot
+   store of a value it counts as used once, so an undercount would read a
+   slot that was never written. Returns a description of the first
+   disagreement. *)
+let use_count_mismatch (m : Qcomp_ir.Func.modul) =
+  let module F = Qcomp_ir.Func in
+  let bad = ref None in
+  Qcomp_support.Vec.iter
+    (fun f ->
+      let n = F.num_insts f in
+      let expect = Array.make n 0 in
+      let phi = ref false in
+      for i = 0 to n - 1 do
+        if F.op f i = Qcomp_ir.Op.Phi then phi := true;
+        F.iter_operands f i (fun v -> expect.(v) <- expect.(v) + 1)
+      done;
+      (* stale counts from a previous function must not leak through *)
+      let cnt = Array.make (n + 1) 9 in
+      let has_phi = F.count_uses f cnt in
+      if has_phi <> !phi && !bad = None then
+        bad := Some (Printf.sprintf "%s: has_phi %b" f.F.name has_phi);
+      for v = 0 to n - 1 do
+        if cnt.(v + 1) <> expect.(v) && !bad = None then
+          bad :=
+            Some
+              (Printf.sprintf "%s: value %d counted %d, has %d uses" f.F.name v
+                 cnt.(v + 1) expect.(v))
+      done)
+    m.F.funcs;
+  !bad
+
+let use_count_fuzz_test =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:120 ~print:plan_str
+       ~name:"random plans: Func.count_uses = iter_operands counts" gen_plan
+       (fun plan ->
+         match
+           Engine.plan_to_ir (make_db ()) ~name:"fuzz" plan
+         with
+         | exception Expr.Type_error _ -> true
+         | cq -> (
+             match use_count_mismatch cq.Qcomp_codegen.Codegen.modul with
+             | None -> true
+             | Some e -> QCheck2.Test.fail_reportf "%s" e)))
+
+let use_count_workloads_test =
+  Alcotest.test_case
+    "TPC-H, TPC-DS and literal-hole plans: Func.count_uses = iter_operands counts"
+    `Quick (fun () ->
+      let check_plans db plans =
+        List.iter
+          (fun (name, plan) ->
+            let cq = Engine.plan_to_ir db ~name plan in
+            match use_count_mismatch cq.Qcomp_codegen.Codegen.modul with
+            | None -> ()
+            | Some e -> Alcotest.failf "%s: %s" name e)
+          plans
+      in
+      List.iter
+        (fun wl ->
+          let db =
+            Experiments.make_db ~mem_size:(1 lsl 26) Qcomp_vm.Target.x64 wl ~sf:1
+          in
+          let queries = Experiments.queries_of wl in
+          check_plans db
+            (List.map
+               (fun (q : Qcomp_workloads.Spec.query) ->
+                 (q.Qcomp_workloads.Spec.q_name, q.Qcomp_workloads.Spec.q_plan))
+               queries);
+          if wl = Experiments.Tpch then
+            (* normalized shapes lower their literals to [Param] holes *)
+            check_plans db
+              (List.map
+                 (fun (tname, mk) -> (tname, fst (Paramize.normalize (mk 3))))
+                 (Array.to_list Qcomp_workloads.Paramgen.templates)))
+        [ Experiments.Tpch; Experiments.Tpcds ])
+
 let suite =
-  List.map (fun b -> mk_test b) backends
+  use_count_fuzz_test :: use_count_workloads_test
+  :: List.map (fun b -> mk_test b) backends
   @ List.map
       (fun b -> mk_test ~target:Qcomp_vm.Target.a64 ~suffix:" (a64)" b)
       (List.filter (fun (n, _) -> n <> "directemit" && n <> "stencil") backends)
