@@ -765,7 +765,9 @@ let serve_scaling () =
       let db =
         Experiments.make_db Target.x64 Experiments.Tpcds ~sf:sf_tpch_small
       in
-      let r = Server.run ~parallel:domains db cfg stream in
+      let r =
+        Server.run ~parallel:true db { cfg with Server.workers = domains } stream
+      in
       Printf.printf "%-10d %12.3f %14.1f\n" domains r.Report.r_makespan
         r.Report.r_throughput;
       match !baseline with
@@ -1085,7 +1087,7 @@ let serve_load () =
       { qps = 50_000.0; burst = 16; idle_s = 1e-4 }
   in
   let cap = 4 in
-  let run ?parallel ~cap:admission_cap reqs =
+  let run ?(domains = 0) ~cap:admission_cap reqs =
     let db = Experiments.make_db Target.x64 Experiments.Tpch ~sf:sf_tpch_small in
     let cfg =
       {
@@ -1096,7 +1098,9 @@ let serve_load () =
         Server.cache_shards = 2;
       }
     in
-    Server.run_requests ?parallel db cfg reqs
+    if domains > 0 then
+      Server.run_requests ~parallel:true db { cfg with Server.workers = domains } reqs
+    else Server.run_requests db cfg reqs
   in
   let steady_reqs = requests steady_arrival in
   let burst_reqs = requests burst_arrival in
@@ -1105,7 +1109,7 @@ let serve_load () =
   let overload2 = run ~cap:(Some cap) burst_reqs in
   let uncapped = run ~cap:None burst_reqs in
   (* wall-clock flavor: over-provisioned pool must admit everything *)
-  let pool = run ~parallel:2 ~cap:(Some (n + 1)) steady_reqs in
+  let pool = run ~domains:2 ~cap:(Some (n + 1)) steady_reqs in
   let show name (r : Server.report) =
     Printf.printf "%s:\n" name;
     Format.printf "%a@." (Server.pp_report ~per_query:false) r

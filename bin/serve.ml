@@ -16,8 +16,9 @@
                         of the one-shot pre-execution estimate
        --queries N      stream length (default 50)
        --workers W      execution workers (default 4)
-       --domains N      serve on N real worker domains instead of the
-                        discrete-event scheduler (timings become wall-clock)
+       --domains N      serve on N real worker domains (workers = N)
+                        instead of the discrete-event scheduler (timings
+                        become wall-clock)
        --slots C        background compile slots (default 2)
        --morsel M       rows per execution quantum (default 512)
        --intra N        intra-query lanes: parallelizable pipeline bodies
@@ -105,7 +106,7 @@ let () =
   let sf = ref 2 in
   let per_query = ref false in
   let validate = ref false in
-  let domains = ref 0 in
+  let parallel = ref false in
   let save_cache = ref None in
   let load_cache = ref None in
   let arrival_kind = ref None in
@@ -148,7 +149,8 @@ let () =
         cfg := { !cfg with Server.workers = pos_arg "--workers" v };
         parse rest
     | "--domains" :: v :: rest ->
-        domains := pos_arg "--domains" v;
+        parallel := true;
+        cfg := { !cfg with Server.workers = pos_arg "--domains" v };
         parse rest
     | "--reopt" :: rest ->
         cfg := { !cfg with Server.reopt = true };
@@ -287,10 +289,7 @@ let () =
     | Some reqs -> Server.run_requests ~cache:scache ?parallel sdb !cfg reqs
     | None -> Server.run ~cache:scache ?parallel sdb !cfg stream
   in
-  let report =
-    if !domains > 0 then serve ~parallel:!domains db cache
-    else serve db cache
-  in
+  let report = serve ~parallel:!parallel db cache in
   Format.printf "%a" (Server.pp_report ~per_query:!per_query) report;
   (match !save_cache with
   | Some f ->
@@ -323,7 +322,7 @@ let () =
       (List.length report.Report.r_queries)
       (List.length multi)
   end;
-  if !domains > 0 && !validate then begin
+  if !parallel && !validate then begin
     (* the parallel run must be indistinguishable from the sequential one
        in everything that is not wall-clock: the multiset of
        (name, rows, checksum), the final live code bytes, and a fully
@@ -389,7 +388,7 @@ let () =
       Printf.printf
         "validate: parallel run (%d domains) matches sequential: %d results, \
          live code %d bytes, 0 pins\n"
-        !domains
+        (!cfg).Server.workers
         (List.length report.Report.r_queries)
         report.Report.r_live_code_bytes
   end;

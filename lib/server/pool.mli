@@ -2,9 +2,10 @@
     database, code cache and emulated machine.
 
     The production-shaped counterpart of the discrete-event scheduler in
-    {!Server} (the deterministic test double). An open-loop feeder domain
-    releases requests at their arrival stamps into a bounded multi-tenant
-    {!Admission} queue (arrivals beyond the cap are shed and counted);
+    {!Server} (the deterministic test double); both drive the same
+    per-query {!Lifecycle}. An open-loop feeder domain releases requests at
+    their arrival stamps into a bounded multi-tenant {!Admission} queue
+    (arrivals beyond the cap are shed and counted); [config.workers]
     worker domains block on a condition variable while the queue is empty
     and execute queries concurrently, each through its own
     {!Qcomp_engine.Engine.domain_view}; compiled code, the module cache and
@@ -12,115 +13,22 @@
     and checksums are deterministic (independent of interleaving); timing
     metrics — and shed decisions under a cap — are wall-clock. *)
 
-type mode =
-  | Static of Qcomp_backend.Backend.t
-  | Cached
-  | Tiered
-
-val mode_name : mode -> string
-
-type config = {
-  workers : int;  (** execution workers *)
-  compile_slots : int;  (** background compile pool size (Tiered) *)
-  morsel : int;  (** rows per execution quantum *)
-  cache_capacity : int;  (** module-cache entries *)
-  mode : mode;
-  reopt : bool;
-      (** Tiered only: pick upgrades from observed cycles-per-row at
-          morsel boundaries (including second upgrades) instead of the
-          one-shot pre-execution estimate *)
-  paramize : bool;
-      (** normalize incoming plans into (shape, literal vector) so the code
-          cache is keyed per shape rather than per query; [Static] mode
-          always serves exact plans regardless *)
-  mean_gap_s : float;  (** mean inter-arrival gap; 0 = all arrive at t=0 *)
-  seed : int64;  (** drives the arrival process *)
-  admission_cap : int option;
-      (** bound on admission-queue occupancy; arrivals beyond it are shed
-          (rejected, counted, reported). [None] = unbounded *)
-  tenants : int;  (** tenant FIFOs in the admission queue (fair dequeue) *)
-  cache_shards : int;
-      (** hash shards of the code cache (when the driver creates it);
-          1 = the deterministic single-lock layout *)
-  intra : int;
-      (** intra-query lanes per worker: parallelizable pipeline bodies fan
-          each quantum's morsels out over this many execution lanes
-          ({!Morsel_sched}); 1 = serial bodies, the classic behavior *)
-}
-
-(** Tiered (static estimate), 4 workers, 2 compile slots, 512-row morsels,
-    unbounded admission, 1 tenant, 1 cache shard. *)
-val default_config : config
-
-(** Raise [Invalid_argument] unless [workers], [compile_slots], [morsel],
-    [cache_capacity], [tenants], [cache_shards] and (when given)
-    [admission_cap] are all positive; [driver] prefixes the message. Both
-    serving drivers validate with this, so misconfiguration fails the same
-    way everywhere instead of being silently clamped. *)
-val validate_config : driver:string -> config -> unit
-
-(** Split an incoming plan into its shape (eligible literals replaced by
-    {!Qcomp_plan.Expr.Param} holes) and the extracted literal vector in the
-    back-ends' binding representation. [Static] mode and
-    [paramize = false] keep the plan exact ([([||])] vector); a plan with
-    nothing eligible is its own shape with an empty vector. Shared by both
-    serving drivers so normalization can never drift between them. *)
-val normalize_query :
-  config ->
-  Qcomp_plan.Algebra.t ->
-  Qcomp_plan.Algebra.t * Qcomp_backend.Artifact.param_value array
-
-(** Alias of the one canonical metric record, {!Report.query_metrics};
-    read the fields through {!Report}. *)
-type query_metrics = Report.query_metrics
-
-val qm_latency : query_metrics -> float
-
-(** One timed request of an open-loop workload: release
-    [rq_name]/[rq_plan] at [rq_arrival] seconds after run start, tagged
-    with the submitting tenant. Both drivers consume the same request
-    list, so a traffic trace generated once replays identically against
-    the deterministic scheduler and the wall-clock pool. *)
-type request = {
-  rq_name : string;
-  rq_plan : Qcomp_plan.Algebra.t;
-  rq_arrival : float;  (** seconds after run start *)
-  rq_tenant : int;
-}
-
-(** The legacy closed-list arrival process as a request list: exponential
-    gaps with mean [config.mean_gap_s] drawn from [config.seed] (all at
-    t=0 when the gap is zero), single tenant — exactly the draws
-    {!Server.run} has always made on a plain stream. *)
-val requests_of_stream :
-  config -> (string * Qcomp_plan.Algebra.t) list -> request list
-
-(** [run_requests ?cache db ~domains config requests] serves the timed
-    [requests] open-loop on [domains] worker domains (plus
+(** [run_requests ?cache db config requests] serves the timed [requests]
+    open-loop on [config.workers] worker domains (plus
     [config.compile_slots] background compile domains in Tiered mode): a
     feeder domain admits (or sheds, at [config.admission_cap]) each
     request at its arrival stamp, idle workers block until work arrives.
-    Returns the full report — per-query metrics in completion order,
-    sheds in arrival order, queue peak, tail latencies — assembled by the
-    same {!Report.assemble} the discrete-event driver uses (timing
-    metrics here are wall-clock). The first exception raised by any query
-    is re-raised after all domains join; completed queries keep their
-    metrics and every pin and claim is released either way. *)
+    Raises [Invalid_argument] on a bad config
+    ({!Lifecycle.Config.validate_config}). Returns the full report —
+    per-query metrics in completion order, sheds in arrival order, queue
+    peak, tail latencies — assembled by the same {!Report.assemble} the
+    discrete-event driver uses (timing metrics here are wall-clock). The
+    first exception raised by any query is re-raised after all domains
+    join; completed queries keep their metrics and every pin and claim is
+    released either way. *)
 val run_requests :
   ?cache:Code_cache.t ->
   Qcomp_engine.Engine.db ->
-  domains:int ->
-  config ->
-  request list ->
-  Report.t
-
-(** [run ?cache db ~domains config stream] is
-    [run_requests ?cache db ~domains config
-     (requests_of_stream config stream)]. *)
-val run :
-  ?cache:Code_cache.t ->
-  Qcomp_engine.Engine.db ->
-  domains:int ->
-  config ->
-  (string * Qcomp_plan.Algebra.t) list ->
+  Lifecycle.Config.config ->
+  Lifecycle.Config.request list ->
   Report.t

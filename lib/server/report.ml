@@ -2,7 +2,7 @@
 
     The one place report shape and assembly live. Both serving drivers —
     the deterministic discrete-event scheduler ({!Server.run}) and the
-    domain-parallel pool ({!Pool.run}) — produce their per-query
+    domain-parallel pool ({!Pool.run_requests}) — produce their per-query
     {!query_metrics} in completion order and fold them through
     {!assemble}, so the two drivers can never drift apart in what they
     measure or how latency percentiles, throughput, cache and memory

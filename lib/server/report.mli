@@ -1,9 +1,10 @@
 (** Serving-run reports: per-query metrics and the aggregated summary.
 
     Both serving drivers — the deterministic discrete-event scheduler
-    ({!Server.run}) and the domain-parallel pool ({!Pool.run}) — fold
-    their completion-order metrics through {!assemble}, so the two can
-    never drift apart in what they measure or how latency percentiles,
+    ({!Server.run}) and the domain-parallel pool
+    ({!Pool.run_requests}) — fold their completion-order metrics, built
+    by the shared {!Lifecycle}, through {!assemble}, so the two can never
+    drift apart in what they measure or how latency percentiles,
     throughput, cache and memory accounting are computed. *)
 
 type query_metrics = {

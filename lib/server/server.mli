@@ -9,48 +9,15 @@
     fronted by the fingerprint-keyed code cache), [Tiered] (start on
     interpreter bytecode, hot-swap to the adaptively-chosen back-end
     compiled on a background pool). All durations are deterministic, so
-    same-seed runs produce byte-identical reports, shed sets included. *)
+    same-seed runs produce byte-identical reports, shed sets included.
 
-type mode = Pool.mode =
-  | Static of Qcomp_backend.Backend.t
-  | Cached
-  | Tiered
+    The per-query lifecycle is {!Lifecycle}'s; this module is its
+    discrete-event driver and the entry point to both drivers. *)
 
-val mode_name : mode -> string
-
-type config = Pool.config = {
-  workers : int;  (** execution workers *)
-  compile_slots : int;  (** background compile pool size (Tiered) *)
-  morsel : int;  (** rows per execution quantum *)
-  cache_capacity : int;  (** module-cache entries *)
-  mode : mode;
-  reopt : bool;
-      (** Tiered only: pick upgrades from observed cycles-per-row at
-          morsel boundaries (including second upgrades) instead of the
-          one-shot pre-execution estimate *)
-  paramize : bool;
-      (** normalize incoming plans into (shape, literal vector) so the code
-          cache is keyed per shape rather than per query; [Static] mode
-          always serves exact plans regardless *)
-  mean_gap_s : float;  (** mean inter-arrival gap; 0 = all arrive at t=0 *)
-  seed : int64;  (** drives the arrival process *)
-  admission_cap : int option;
-      (** bound on admission-queue occupancy; arrivals beyond it are shed
-          (rejected, counted, reported). [None] = unbounded *)
-  tenants : int;  (** tenant FIFOs in the admission queue (fair dequeue) *)
-  cache_shards : int;
-      (** hash shards of the code cache (when the driver creates it);
-          1 = the deterministic single-lock layout *)
-  intra : int;
-      (** intra-query lanes: parallelizable pipeline bodies fan each
-          quantum's morsels out over this many execution lanes. The
-          discrete-event driver models them deterministically (virtual
-          time advances by the max over lanes); 1 = serial bodies *)
-}
-
-(** Tiered, 4 workers, 2 compile slots, 512-row morsels, unbounded
-    admission, 1 tenant, 1 cache shard, serial bodies (intra 1). *)
-val default_config : config
+(** The serving configuration and request types ({!Lifecycle.Config}). *)
+include module type of struct
+  include Lifecycle.Config
+end
 
 (** Alias of the one canonical metric record, {!Report.query_metrics};
     read the fields through {!Report}. *)
@@ -58,48 +25,39 @@ type query_metrics = Report.query_metrics
 
 val qm_latency : query_metrics -> float
 
-(** One timed request of an open-loop workload (see {!Pool.request}). *)
-type request = Pool.request = {
-  rq_name : string;
-  rq_plan : Qcomp_plan.Algebra.t;
-  rq_arrival : float;  (** seconds after run start *)
-  rq_tenant : int;
-}
-
 (** Alias of the one canonical summary record, {!Report.t}. *)
 type report = Report.t
-
-(** Serve [stream] (name, plan pairs in arrival order) against [db].
-    [cache] persists across calls when supplied (a warm serving process);
-    otherwise each run starts cold with [config.cache_capacity] entries.
-
-    By default this is the deterministic discrete-event run (virtual
-    clock, byte-identical reports per seed). [~parallel:domains] serves on
-    that many real worker domains instead ({!Pool.run}): per-query rows
-    and checksums are identical to the sequential run, but every timing
-    metric is wall-clock and scheduling-dependent. *)
-val run :
-  ?cache:Code_cache.t ->
-  ?parallel:int ->
-  Qcomp_engine.Engine.db ->
-  config ->
-  (string * Qcomp_plan.Algebra.t) list ->
-  report
 
 (** Serve a timed open-loop request trace (e.g. from
     {!Qcomp_workloads.Trafficgen}): each request is offered to the
     admission queue at its arrival stamp, shed at the cap, dequeued
-    tenant-fair. Without [parallel], deterministic discrete-event serving
-    — same trace, same config, byte-identical report including the shed
-    set. With [~parallel:domains], open-loop wall-clock serving
-    ({!Pool.run_requests}): a feeder domain releases requests at their
-    stamps, idle workers block on a condition variable. *)
+    tenant-fair. [cache] persists across calls when supplied (a warm
+    serving process); otherwise each run starts cold with
+    [config.cache_capacity] entries.
+
+    By default this is deterministic discrete-event serving — same trace,
+    same config, byte-identical report including the shed set. With
+    [~parallel:true], open-loop wall-clock serving on [config.workers]
+    domains ({!Pool.run_requests}): per-query rows and checksums are
+    identical to the sequential run, but every timing metric is
+    wall-clock and scheduling-dependent. *)
 val run_requests :
   ?cache:Code_cache.t ->
-  ?parallel:int ->
+  ?parallel:bool ->
   Qcomp_engine.Engine.db ->
   config ->
   request list ->
+  report
+
+(** [run ?cache ?parallel db config stream] serves the (name, plan)
+    [stream] in arrival order: {!run_requests} over
+    [requests_of_stream config stream]. *)
+val run :
+  ?cache:Code_cache.t ->
+  ?parallel:bool ->
+  Qcomp_engine.Engine.db ->
+  config ->
+  (string * Qcomp_plan.Algebra.t) list ->
   report
 
 val pp_query : Format.formatter -> query_metrics -> unit

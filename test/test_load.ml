@@ -272,7 +272,10 @@ let idle_pool_cpu_test =
             rq_tenant = 0 } ]
       in
       let cpu0 = Sys.time () and wall0 = Unix.gettimeofday () in
-      let r = Server.run_requests ~parallel:2 db (load_cfg None) reqs in
+      let r =
+        Server.run_requests ~parallel:true db
+          { (load_cfg None) with Server.workers = 2 } reqs
+      in
       let cpu = Sys.time () -. cpu0 and wall = Unix.gettimeofday () -. wall0 in
       check Alcotest.int "query served" 1 (List.length r.Report.r_queries);
       check Alcotest.bool "waited for the arrival" true (wall >= 0.28);
@@ -397,8 +400,8 @@ let overload_pool_test =
       (* over-provisioned: everything must be admitted, results must match
          the deterministic driver bit-for-bit *)
       let roomy =
-        Server.run_requests ~parallel:2 (make_db ~rows:1024 ())
-          (load_cfg (Some 1000)) overload_requests
+        Server.run_requests ~parallel:true (make_db ~rows:1024 ())
+          { (load_cfg (Some 1000)) with Server.workers = 2 } overload_requests
       in
       check Alcotest.(list string) "roomy cap sheds none" []
         (List.map (fun s -> s.Report.sh_name) roomy.Report.r_sheds);
@@ -410,8 +413,8 @@ let overload_pool_test =
       (* tight cap: sheds are wall-clock here, but accounting must close
          and every admitted result must still be bit-exact *)
       let tight =
-        Server.run_requests ~parallel:2 (make_db ~rows:1024 ())
-          (load_cfg (Some 2)) overload_requests
+        Server.run_requests ~parallel:true (make_db ~rows:1024 ())
+          { (load_cfg (Some 2)) with Server.workers = 2 } overload_requests
       in
       check Alcotest.int "completed + shed = offered" 60
         (List.length tight.Report.r_queries + List.length tight.Report.r_sheds);

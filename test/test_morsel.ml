@@ -236,7 +236,7 @@ let pool_intra_case =
         }
       in
       let db = Experiments.make_db Qcomp_vm.Target.x64 Experiments.Tpch ~sf:1 in
-      let preport = Pool.run db ~domains:2 cfg stream in
+      let preport = Server.run ~parallel:true db cfg stream in
       let sdb = Experiments.make_db Qcomp_vm.Target.x64 Experiments.Tpch ~sf:1 in
       let sreport = Server.run sdb cfg stream in
       let key (q : Report.query_metrics) =
@@ -278,7 +278,7 @@ let lane_release_case =
           check Alcotest.int (driver ^ ": live data after a repeat") after_first (live ()))
         [
           ("event driver", fun ~cache db cfg s -> Server.run ~cache db cfg s);
-          ("domain pool", fun ~cache db cfg s -> Pool.run ~cache db ~domains:2 cfg s);
+          ("domain pool", fun ~cache db cfg s -> Server.run ~cache ~parallel:true db cfg s);
         ])
 
 (* ---------------- two-phase build machinery ---------------- *)

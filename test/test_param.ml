@@ -293,8 +293,8 @@ let serving_differential_test =
       check Alcotest.int "whole-plan run never binds" 0 off.Report.r_binds;
       (* the domain-parallel driver serves the same stream identically *)
       let par =
-        Server.run ~parallel:2 (mkdb ())
-          { cfg with Server.paramize = true }
+        Server.run ~parallel:true (mkdb ())
+          { cfg with Server.paramize = true; workers = 2 }
           stream
       in
       check

@@ -257,24 +257,79 @@ let switchover_test =
       check Alcotest.bool "ran both tiers" true
         (q.Report.qm_quanta_tier0 > 0 && q.Report.qm_quanta_tier1 > 0))
 
-(* repeated stream: cache hits and byte-identical reports *)
+let fixed_stream = Server.make_stream ~seed:7L ~n:12 fixed_plans
+
+let report_text r = Format.asprintf "%a" (Server.pp_report ~per_query:true) r
+
+(* Poisson traffic over Zipf literal variants from two tenants, fast
+   enough that a 2-slot admission queue sheds; paramized, so it binds *)
+let golden_trace () =
+  let pool =
+    List.map
+      (fun (q : Qcomp_workloads.Spec.query) ->
+        (q.Qcomp_workloads.Spec.q_name, q.Qcomp_workloads.Spec.q_plan))
+      (Qcomp_workloads.Paramgen.stream ~seed:11L ~n:24)
+  in
+  let reqs =
+    List.map
+      (fun (name, plan, at, tenant) ->
+        { Server.rq_name = name; rq_plan = plan; rq_arrival = at; rq_tenant = tenant })
+      (Qcomp_workloads.Trafficgen.stream
+         ~arrival:(Qcomp_workloads.Trafficgen.Poisson { qps = 100_000.0 })
+         ~seed:5L ~n:40 ~tenants:2 pool)
+  in
+  Server.run_requests
+    (Experiments.make_db Qcomp_vm.Target.x64 Experiments.Tpch ~sf:1)
+    {
+      Server.default_config with
+      Server.mode = Server.Tiered;
+      admission_cap = Some 2;
+      tenants = 2;
+    }
+    reqs
+
+(* Golden event-driver reports: the MD5 of each per-query report, pinned
+   to the bytes a reference build produced, so any lifecycle change that
+   moves a virtual timestamp, a tier path, a cache counter or a shed
+   decision fails here. *)
+let golden_cases =
+  List.concat_map
+    (fun (label, mode, reopt, digests) ->
+      List.map2
+        (fun intra digest ->
+          ( Printf.sprintf "%s intra=%d" label intra,
+            (fun () ->
+              Server.run (make_db ~rows:1024 ())
+                { Server.default_config with Server.mode; reopt; morsel = 64; intra }
+                fixed_stream),
+            digest ))
+        [ 1; 4 ] digests)
+    [
+      ( "static:cranelift", Server.Static Engine.cranelift, false,
+        [ "2e29af98e906f55dd02f4fb61c2fb018"; "dda3e91dc0150b07db9afb5617e9dd70" ] );
+      ( "cached", Server.Cached, false,
+        [ "d6150aaafc0f932530ec3d10a8d73f6d"; "d9af2aced0365d310bbd62222dfc56be" ] );
+      ( "tiered", Server.Tiered, false,
+        [ "b4ac3a59d151798f15ec8aa6f8d60292"; "fd5533fe80e76e86bfa81bc5fd4ae105" ] );
+      ( "tiered+reopt", Server.Tiered, true,
+        [ "8c77a66631fc7c5a10bf3b0ad9182682"; "e7d67e227dc331de17f3ff2ab5c9f803" ] );
+    ]
+  @ [ ("poisson trace", golden_trace, "4e0cb553a652dfbda50ebec271f2ca26") ]
+
+(* repeated stream: cache hits, byte-identical and golden reports *)
 let determinism_test =
   Alcotest.test_case "same seed => byte-identical report; repeats hit cache" `Quick
     (fun () ->
-      let stream =
-        Server.make_stream ~seed:7L ~n:12
-          (List.map (fun (n, p) -> (n, p)) fixed_plans)
-      in
-      let run () =
-        let db = make_db ~rows:1024 () in
-        let r = Server.run db { Server.default_config with Server.morsel = 64 } stream in
-        Format.asprintf "%a" (Server.pp_report ~per_query:true) r
-      in
-      let a = run () and b = run () in
+      let cfg = { Server.default_config with Server.morsel = 64 } in
+      let run () = Server.run (make_db ~rows:1024 ()) cfg fixed_stream in
+      let a = report_text (run ()) and b = report_text (run ()) in
       check Alcotest.string "byte-identical" a b;
-      let db = make_db ~rows:1024 () in
-      let r = Server.run db { Server.default_config with Server.morsel = 64 } stream in
-      check Alcotest.bool "cache hits" true (r.Report.r_cache.Lru.hits > 0))
+      check Alcotest.bool "cache hits" true ((run ()).Report.r_cache.Lru.hits > 0);
+      List.iter
+        (fun (label, run, digest) ->
+          check Alcotest.string label digest
+            (Digest.to_hex (Digest.string (report_text (run ())))))
+        golden_cases)
 
 (* code cache: eviction pressure still serves correct results *)
 let eviction_test =
@@ -473,9 +528,15 @@ let parallel_differential_test =
                 }
               in
               let seq = Server.run (make_db ~rows:1024 ()) cfg stream in
+              let cache = Code_cache.create ~capacity:cfg.Server.cache_capacity in
               let par =
-                Server.run ~parallel:3 (make_db ~rows:1024 ()) cfg stream
+                Server.run ~cache ~parallel:true (make_db ~rows:1024 ())
+                  { cfg with Server.workers = 3 } stream
               in
+              check Alcotest.int
+                (Printf.sprintf "%s seed %Ld: no live pins"
+                   (Server.mode_name mode) seed)
+                0 (Code_cache.live_pins cache);
               check
                 Alcotest.(list (triple string int int64))
                 (Printf.sprintf "%s seed %Ld" (Server.mode_name mode) seed)
@@ -502,6 +563,7 @@ let parallel_eviction_test =
       let cfg =
         {
           Server.default_config with
+          Server.workers = 4;
           Server.cache_capacity = 2;
           Server.morsel = 32;
           Server.mode = Server.Tiered;
@@ -509,7 +571,7 @@ let parallel_eviction_test =
       in
       let cache = Code_cache.create ~capacity:cfg.Server.cache_capacity in
       let stream = Server.make_stream ~seed:13L ~n:24 fixed_plans in
-      let r = Server.run ~cache ~parallel:4 db cfg stream in
+      let r = Server.run ~cache ~parallel:true db cfg stream in
       check Alcotest.int "all queries served" 24
         (List.length r.Report.r_queries);
       List.iter
@@ -551,7 +613,14 @@ let reopt_differential_test =
           let rcfg = { cfg with Server.reopt = true } in
           let base = Server.run (make_db ~rows:1024 ()) cfg stream in
           let seq = Server.run (make_db ~rows:1024 ()) rcfg stream in
-          let par = Server.run ~parallel:3 (make_db ~rows:1024 ()) rcfg stream in
+          let cache = Code_cache.create ~capacity:rcfg.Server.cache_capacity in
+          let par =
+            Server.run ~cache ~parallel:true (make_db ~rows:1024 ())
+              { rcfg with Server.workers = 3 } stream
+          in
+          check Alcotest.int
+            (Printf.sprintf "seed %Ld: no live pins" seed)
+            0 (Code_cache.live_pins cache);
           check
             Alcotest.(list (triple string int int64))
             (Printf.sprintf "seed %Ld: reopt sequential" seed)
@@ -723,37 +792,41 @@ let costmodel_coverage_test =
       check Alcotest.bool "unknown back-end: exec rate fails loud" true
         (raises (fun () -> Costmodel.exec_rate "no-such")))
 
-(* both drivers reject non-positive sizing fields identically (no silent
-   max-1 clamps) *)
+(* both drivers reject every non-positive sizing field identically (no
+   silent max-1 clamps), naming the field in the message *)
 let config_validation_test =
   Alcotest.test_case "config validation: both drivers, every field" `Quick
     (fun () ->
-      let break field =
-        let c = { Server.default_config with Server.mode = Server.Tiered } in
-        match field with
-        | "workers" -> { c with Server.workers = 0 }
-        | "compile_slots" -> { c with Server.compile_slots = 0 }
-        | "morsel" -> { c with Server.morsel = 0 }
-        | _ -> { c with Server.cache_capacity = 0 }
+      let c = { Server.default_config with Server.mode = Server.Tiered } in
+      let contains s sub =
+        let n = String.length sub in
+        let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+        go 0
       in
       List.iter
-        (fun field ->
-          let cfg = break field in
+        (fun (field, cfg) ->
           let raises driver f =
             match f () with
             | (_ : Server.report) ->
-                Alcotest.failf "%s accepted %s = 0" driver field
+                Alcotest.failf "%s accepted a non-positive %s" driver field
             | exception Invalid_argument msg ->
                 check Alcotest.bool
                   (Printf.sprintf "%s names the field (%s)" driver msg)
-                  true
-                  (String.length msg > 0)
+                  true (contains msg field)
           in
-          raises "Server.run" (fun () ->
-              Server.run (make_db ()) cfg [ ("q", scan) ]);
-          raises "Pool.run" (fun () ->
-              Server.run ~parallel:1 (make_db ()) cfg [ ("q", scan) ]))
-        [ "workers"; "compile_slots"; "morsel"; "cache_capacity" ])
+          raises "event driver" (fun () -> Server.run (make_db ()) cfg [ ("q", scan) ]);
+          raises "domain pool" (fun () ->
+              Server.run ~parallel:true (make_db ()) cfg [ ("q", scan) ]))
+        [
+          ("workers", { c with Server.workers = 0 });
+          ("compile_slots", { c with Server.compile_slots = 0 });
+          ("morsel", { c with Server.morsel = 0 });
+          ("cache_capacity", { c with Server.cache_capacity = 0 });
+          ("tenants", { c with Server.tenants = 0 });
+          ("cache_shards", { c with Server.cache_shards = 0 });
+          ("intra", { c with Server.intra = 0 });
+          ("admission_cap", { c with Server.admission_cap = Some 0 });
+        ])
 
 (* Static mode has no cache semantics (the full modelled compile is
    charged every time), so its lookups must not pollute the hit/miss

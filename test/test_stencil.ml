@@ -532,10 +532,11 @@ let parallel_test =
           plans
       in
       let r =
-        Server.run ~parallel:2 (make_db ())
+        Server.run ~parallel:true (make_db ())
           {
             Server.default_config with
             Server.mode = Server.Static Engine.stencil;
+            Server.workers = 2;
             Server.morsel = 32;
           }
           plans
