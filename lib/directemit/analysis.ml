@@ -1,9 +1,11 @@
 (** DirectEmit's single analysis pass (Sec. VII of the paper).
 
     One traversal computes: block order (reverse postorder), the dominator
-    tree and natural loops (for the spill heuristic), and block-granularity
-    liveness used to decide which values need stack homes. Linear ids are
-    stored in the free [scratch] slot of the IR — no hash tables. *)
+    tree and natural loops (for the spill heuristic), and which values need
+    stack homes: every value used outside its defining block, live across
+    a clobber point, or feeding a phi. That covers every value live out of
+    a block, so no dataflow liveness runs. Linear ids are stored in the
+    free [scratch] slot of the IR — no hash tables. *)
 
 open Qcomp_support
 open Qcomp_ir
@@ -23,7 +25,6 @@ let compute (f : Func.t) : t =
   let order = Graph.Func_analysis.rpo f in
   let dt = Graph.Func_analysis.dominators f in
   let loops = Graph.Func_analysis.natural_loops f dt in
-  let live = Liveness.compute f in
   let needs_slot = Array.make nv false in
   let last_use = Array.make nv (-1) in
   let def_pos = Array.make nv (-1) in
@@ -60,9 +61,7 @@ let compute (f : Func.t) : t =
                  clobber points *)
               last_call := pos
           | _ -> ())
-        (Func.block_insts f b);
-      (* values live out of the block need homes *)
-      Bitset.iter (fun v -> needs_slot.(v) <- true) live.Liveness.live_out.(b))
+        (Func.block_insts f b))
     order;
   (* phi inputs are used at predecessor terminators *)
   Array.iter

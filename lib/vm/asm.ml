@@ -1,5 +1,5 @@
 (** Assembler buffer: encodes {!Minst} values to bytes, with labels and
-    fixups, and decodes bytes back for execution.
+    fixups. {!Emu.register_code} decodes the bytes back for execution.
 
     X64 uses a variable-length encoding (1–10 bytes, immediates and
     displacements grow instructions); A64 uses fixed 4-byte words, so the
@@ -630,223 +630,7 @@ let finish t =
   Bytes.sub t.bytes 0 t.len
 
 (* ------------------------------------------------------------------ *)
-(* Decoders                                                            *)
+(* Decoding lives in {!Emu}'s loader, which turns these bytes straight
+   into its instruction table; it raises this on a malformed blob. *)
 
 exception Decode_error of string
-
-let dec_fail fmt = Format.kasprintf (fun s -> raise (Decode_error s)) fmt
-
-let rd_u8 b pos = Char.code (Bytes.get b pos)
-
-let rd_i8 b pos =
-  let v = rd_u8 b pos in
-  if v >= 128 then v - 256 else v
-
-let rd_u16 b pos = rd_u8 b pos lor (rd_u8 b (pos + 1) lsl 8)
-
-let rd_i16 b pos =
-  let v = rd_u16 b pos in
-  if v >= 0x8000 then v - 0x10000 else v
-
-let rd_i24 b pos =
-  let v = rd_u16 b pos lor (rd_u8 b (pos + 2) lsl 16) in
-  if v >= 0x800000 then v - 0x1000000 else v
-
-let rd_i32 b pos =
-  let v = rd_u16 b pos lor (rd_u16 b (pos + 2) lsl 16) in
-  if v >= 0x80000000 then v - 0x100000000 else v
-
-let rd_i64 b pos =
-  Int64.logor
-    (Int64.of_int (rd_u16 b pos lor (rd_u16 b (pos + 2) lsl 16)))
-    (Int64.shift_left
-       (Int64.logor
-          (Int64.of_int (rd_u16 b (pos + 4)))
-          (Int64.shift_left (Int64.of_int (rd_u16 b (pos + 6))) 16))
-       32)
-
-let decode_x64 b pos : Minst.t * int =
-  let op = rd_u8 b pos in
-  let pair p = (rd_u8 b p lsr 4, rd_u8 b p land 0xF) in
-  if op = xop_nop then (Nop, pos + 1)
-  else if op = xop_mov_rr then
-    let d, s = pair (pos + 1) in
-    (Mov_rr (d, s), pos + 2)
-  else if op = xop_mov_ri32 then
-    (Mov_ri (rd_u8 b (pos + 1), Int64.of_int (rd_i32 b (pos + 2))), pos + 6)
-  else if op = xop_mov_ri64 then
-    (Mov_ri (rd_u8 b (pos + 1), rd_i64 b (pos + 2)), pos + 10)
-  else if op = xop_cmp_rr then
-    let a, b' = pair (pos + 1) in
-    (Cmp_rr (a, b'), pos + 2)
-  else if op = xop_cmp_ri then
-    (Cmp_ri (rd_u8 b (pos + 1), Int64.of_int (rd_i32 b (pos + 2))), pos + 6)
-  else if op = xop_lea then
-    let d, base = pair (pos + 1) in
-    let idx = rd_i8 b (pos + 2) in
-    let sc = rd_u8 b (pos + 3) in
-    ( Lea
-        {
-          dst = d;
-          base;
-          index = idx;
-          scale = (if idx >= 0 then 1 lsl sc else 1);
-          off = rd_i32 b (pos + 4);
-        },
-      pos + 8 )
-  else if op = xop_ext then
-    let d, s = pair (pos + 1) in
-    let m = rd_u8 b (pos + 2) in
-    (Ext { dst = d; src = s; bits = m land 0x7F; signed = m land 0x80 <> 0 }, pos + 3)
-  else if op = xop_mulw_u || op = xop_mulw_s then
-    (Mul_wide { signed = op = xop_mulw_s; src = rd_u8 b (pos + 1) }, pos + 2)
-  else if op = xop_div_u || op = xop_div_s then
-    (Div { signed = op = xop_div_s; src = rd_u8 b (pos + 1) }, pos + 2)
-  else if op = xop_crc32 then
-    let d, s = pair (pos + 1) in
-    (Crc32_rr (d, s), pos + 2)
-  else if op >= xop_alu_rr && op < xop_alu_rr + 12 then
-    let d, s = pair (pos + 1) in
-    (Alu_rr (alu_of_code (op - xop_alu_rr), d, s), pos + 2)
-  else if op >= xop_alu_ri8 && op < xop_alu_ri8 + 12 then
-    ( Alu_ri
-        (alu_of_code (op - xop_alu_ri8), rd_u8 b (pos + 1),
-         Int64.of_int (rd_i8 b (pos + 2))),
-      pos + 3 )
-  else if op >= xop_alu_ri32 && op < xop_alu_ri32 + 12 then
-    ( Alu_ri
-        (alu_of_code (op - xop_alu_ri32), rd_u8 b (pos + 1),
-         Int64.of_int (rd_i32 b (pos + 2))),
-      pos + 6 )
-  else if op >= xop_ld && op < xop_ld + 8 then
-    let d, base = pair (pos + 1) in
-    let k = op - xop_ld in
-    ( Ld
-        {
-          dst = d;
-          base;
-          off = rd_i32 b (pos + 2);
-          size = 1 lsl (k land 3);
-          sext = k land 4 <> 0;
-        },
-      pos + 6 )
-  else if op >= xop_st && op < xop_st + 4 then
-    let s, base = pair (pos + 1) in
-    ( St { src = s; base; off = rd_i32 b (pos + 2); size = 1 lsl (op - xop_st) },
-      pos + 6 )
-  else if op >= xop_setcc && op < xop_setcc + 12 then
-    (Setcc (cond_of_code (op - xop_setcc), rd_u8 b (pos + 1)), pos + 2)
-  else if op >= xop_csel && op < xop_csel + 12 then
-    let d, b' = pair (pos + 1) in
-    (Csel { cond = cond_of_code (op - xop_csel); dst = d; a = d; b = b' }, pos + 2)
-  else if op = xop_jmp then (Jmp (pos + 5 + rd_i32 b (pos + 1)), pos + 5)
-  else if op >= xop_jcc && op < xop_jcc + 12 then
-    (Jcc (cond_of_code (op - xop_jcc), pos + 5 + rd_i32 b (pos + 1)), pos + 5)
-  else if op = xop_jmp_ind then (Jmp_ind (rd_u8 b (pos + 1)), pos + 2)
-  else if op = xop_jmp_mem then
-    (Jmp_mem (Int64.of_int (rd_i32 b (pos + 1))), pos + 5)
-  else if op = xop_call_rel then (Call_rel (pos + 5 + rd_i32 b (pos + 1)), pos + 5)
-  else if op = xop_call_ind then (Call_ind (rd_u8 b (pos + 1)), pos + 2)
-  else if op = xop_ret then (Ret, pos + 1)
-  else if op >= xop_falu && op < xop_falu + 4 then
-    let d, s = pair (pos + 1) in
-    (Falu_rr (falu_of_code (op - xop_falu), d, s), pos + 2)
-  else if op = xop_fcmp then
-    let a, b' = pair (pos + 1) in
-    (Fcmp_rr (a, b'), pos + 2)
-  else if op = xop_cvt_si2f then
-    let d, s = pair (pos + 1) in
-    (Cvt_si2f (d, s), pos + 2)
-  else if op = xop_cvt_f2si then
-    let d, s = pair (pos + 1) in
-    (Cvt_f2si (d, s), pos + 2)
-  else if op = xop_brk then (Brk (rd_u8 b (pos + 1)), pos + 2)
-  else dec_fail "x64: bad opcode 0x%02x at %d" op pos
-
-let decode_a64 b pos : Minst.t * int =
-  let op = rd_u8 b pos in
-  let b1 = rd_u8 b (pos + 1) in
-  let b2 = rd_u8 b (pos + 2) in
-  let b3 = rd_u8 b (pos + 3) in
-  let next = pos + 4 in
-  let inst : Minst.t =
-    if op = aop_nop then Nop
-    else if op = aop_mov_rr then Mov_rr (b1, b2)
-    else if op >= aop_movz && op < aop_movz + 4 then
-      Movz (b1, b2 lor (b3 lsl 8), op - aop_movz)
-    else if op >= aop_movk && op < aop_movk + 4 then
-      Movk (b1, b2 lor (b3 lsl 8), op - aop_movk)
-    else if op >= aop_alu_rrr && op < aop_alu_rrr + 12 then
-      Alu_rrr (alu_of_code (op - aop_alu_rrr), b1, b2, b3)
-    else if op >= aop_alu_rri && op < aop_alu_rri + 12 then
-      let d = b1 land 0x1F in
-      let a = (b1 lsr 5) lor ((b2 land 0x3) lsl 3) in
-      let imm = (b2 lsr 2) lor (b3 lsl 6) in
-      Alu_rri (alu_of_code (op - aop_alu_rri), d, a, Int64.of_int imm)
-    else if op = aop_cmp_rr then Cmp_rr (b1, b2)
-    else if op = aop_cmp_ri then Cmp_ri (b1, Int64.of_int (b2 lor (b3 lsl 8)))
-    else if op = aop_lea then
-      Lea { dst = b1; base = b2; index = b3 land 0x1F; scale = 1 lsl (b3 lsr 5); off = 0 }
-    else if op = aop_ext then
-      Ext { dst = b1; src = b2; bits = b3 land 0x7F; signed = b3 land 0x80 <> 0 }
-    else if op = aop_mulh_u || op = aop_mulh_s then
-      Mul_hi { signed = op = aop_mulh_s; dst = b1; a = b2; b = b3 }
-    else if op = aop_div_u || op = aop_div_s then
-      Div_rrr { signed = op = aop_div_s; dst = b1; a = b2; b = b3 }
-    else if op = aop_msub then Msub { dst = b1; a = b2; b = b3; c = b1 }
-    else if op = aop_crc32 then Crc32_rrr (b1, b2, b3)
-    else if op >= aop_ld && op < aop_ld + 8 then
-      let k = op - aop_ld in
-      let size = 1 lsl (k land 3) in
-      Ld { dst = b1; base = b2; off = b3 * size; size; sext = k land 4 <> 0 }
-    else if op >= aop_st && op < aop_st + 4 then
-      let size = 1 lsl (op - aop_st) in
-      St { src = b1; base = b2; off = b3 * size; size }
-    else if op >= aop_setcc && op < aop_setcc + 12 then
-      Setcc (cond_of_code (op - aop_setcc), b1)
-    else if op >= aop_csel && op < aop_csel + 12 then
-      Csel { cond = cond_of_code (op - aop_csel); dst = b1; a = b2; b = b3 }
-    else if op >= aop_jcc && op < aop_jcc + 12 then
-      Jcc (cond_of_code (op - aop_jcc), pos + 4 * rd_i16 b (pos + 2))
-    else if op = aop_jmp then Jmp (pos + 4 * rd_i24 b (pos + 1))
-    else if op = aop_jmp_ind then Jmp_ind b1
-    else if op = aop_call_rel then Call_rel (pos + 4 * rd_i24 b (pos + 1))
-    else if op = aop_call_ind then Call_ind b1
-    else if op = aop_ret then Ret
-    else if op >= aop_falu && op < aop_falu + 4 then
-      Falu_rrr (falu_of_code (op - aop_falu), b1, b2, b3)
-    else if op = aop_fcmp then Fcmp_rr (b1, b2)
-    else if op = aop_cvt_si2f then Cvt_si2f (b1, b2)
-    else if op = aop_cvt_f2si then Cvt_f2si (b1, b2)
-    else if op = aop_brk then Brk b1
-    else dec_fail "a64: bad opcode 0x%02x at %d" op pos
-  in
-  (inst, next)
-
-let decode (target : Target.t) b pos =
-  match target.Target.arch with
-  | Target.X64 -> decode_x64 b pos
-  | Target.A64 -> decode_a64 b pos
-
-(** Decode a whole blob into an instruction array plus an offset->index
-    map (array of length [Bytes.length b + 1], -1 where no instruction
-    starts). *)
-let decode_all target b =
-  let len = Bytes.length b in
-  let insts = ref [] in
-  let off2idx = Array.make (len + 1) (-1) in
-  let idx = ref 0 in
-  let pos = ref 0 in
-  while !pos < len do
-    let inst, next = decode target b !pos in
-    off2idx.(!pos) <- !idx;
-    insts := inst :: !insts;
-    incr idx;
-    pos := next
-  done;
-  (* the list holds the instructions last-first: fill the array from the
-     back instead of reversing it *)
-  let n = !idx in
-  let arr = Array.make n Minst.Nop in
-  List.iteri (fun k inst -> arr.(n - 1 - k) <- inst) !insts;
-  (arr, off2idx)

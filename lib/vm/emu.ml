@@ -16,35 +16,21 @@ let code_base = 0x100_0000_0000
 let runtime_base = 0x7F00_0000_0000
 let sentinel = 0x7FFF_0000_0000
 
-(** A registered code blob, decoded once at registration. Besides the
-    instructions, registration precomputes everything the execute loop
-    would otherwise redo per executed instruction: each instruction's
-    cycle cost, the byte offset just past it (return addresses) and, for
-    [Jmp]/[Jcc]/[Call_rel], the index of the instruction it lands on. *)
+(** A registered code blob, decoded once at registration into a flat
+    instruction table (see "the instruction table" below). *)
 type code_mod = {
   cm_base : int;
   cm_size : int;
-  cm_insts : Minst.t array;
-  cm_off2idx : int array;  (** byte offset -> instruction index, or -1 *)
-  cm_cost : int array;  (** simulated cycles of each instruction *)
-  cm_next : int array;  (** byte offset just past each instruction *)
-  cm_target : int array;
-      (** resolved branch target index; -1 when the instruction is not a
-          direct branch, or its target is not an instruction start of this
-          blob (the branch then resolves — and traps — only when taken) *)
+  cm_table : Bytes.t;
+      (** one 16-byte record per instruction, in address order, then an
+          [End] record *)
+  cm_map : Bytes.t;
+      (** byte offset -> instruction index, a native-endian int32 per code
+          byte; -1 where no instruction starts *)
 }
 
 (* Matches no address: the initial [last_mod] of every context. *)
-let no_mod =
-  {
-    cm_base = 0;
-    cm_size = 0;
-    cm_insts = [||];
-    cm_off2idx = [||];
-    cm_cost = [||];
-    cm_next = [||];
-    cm_target = [||];
-  }
+let no_mod = { cm_base = 0; cm_size = 0; cm_table = Bytes.empty; cm_map = Bytes.empty }
 
 (** Code + runtime registries shared by every execution context of one
     virtual machine. All mutation happens under [reg_mu]; the hot read
@@ -255,39 +241,634 @@ let remove_runtime t (addr : int64) =
       s.runtime_names <- names;
       s.free_runtime <- idx :: s.free_runtime)
 
-(* ---------------- cost model ---------------- *)
+(* ---------------- the instruction table ----------------
 
-let cost (i : Minst.t) =
-  match i with
-  | Nop -> 0
-  | Mov_rr _ | Mov_ri _ | Movz _ | Movk _ -> 1
-  | Alu_rr (a, _, _) | Alu_ri (a, _, _) | Alu_rrr (a, _, _, _) | Alu_rri (a, _, _, _)
-    -> (
-      match a with Mul -> 3 | _ -> 1)
-  | Cmp_rr _ | Cmp_ri _ -> 1
-  | Ld _ -> 2
-  | St _ -> 2
-  | Lea _ -> 1
-  | Ext _ -> 1
-  | Mul_wide _ | Mul_hi _ -> 4
-  | Div _ | Div_rrr _ -> 20
-  | Msub _ -> 3
-  | Crc32_rr _ | Crc32_rrr _ -> 1
-  | Setcc _ | Csel _ -> 1
-  | Jmp _ -> 1
-  | Jcc _ -> 1
-  | Jmp_ind _ -> 2
-  | Jmp_mem _ -> 3
-  | Call_rel _ -> 2
-  | Call_ind _ -> 3
-  | Ret -> 2
-  | Falu_rr (f, _, _) | Falu_rrr (f, _, _, _) -> (
-      match f with Fdiv -> 15 | Fmul -> 4 | _ -> 3)
-  | Fcmp_rr _ -> 2
-  | Cvt_si2f _ | Cvt_f2si _ -> 4
-  | Brk _ -> 0
+   [register_code] decodes a blob once into a flat [Bytes] table of
+   16-byte records, one per instruction in address order, followed by an
+   [End] record. Nothing in it is boxed: building it allocates the table
+   (doubled when an x64 blob holds more instructions than guessed) and an
+   offset map per blob, and the execute loop reads every field straight
+   out of the bytes.
+
+   byte  0      op      specialised opcode ({!op}): the ALU operation,
+                        operand kind, access size and sign are part of it
+   byte  1      cost    simulated cycles
+   bytes 2-5    r0-r3   register fields, validated below {!num_regs} at
+                        load; a condition ({!Minst.cond}) sits in r3, a
+                        shift count in r1 (Movz/Movk) or r3 (Lea_x)
+   byte  6      aux     the raw operand byte [decode_all] lifts back:
+                        Ext's width/sign mode, Lea's absent index
+   bytes 8-15   imm     int64: immediate, displacement, jmp_mem slot or
+                        brk code
+   Direct branches replace imm with two int32s: bytes 8-11 hold the index
+   of the target instruction, bytes 12-15 the target's byte offset from
+   the blob start. Calls keep the byte offset just past themselves (the
+   return address) in bytes 4-7.
+
+   Field use per opcode (d = destination, a/b = sources):
+     Mov_r d s | Mov_i d imm | Movz/Movk d shift imm (pre-shifted)
+     <alu>_r d a b | <alu>_i d a imm (x64's two-address forms have a = d)
+     Cmp_r a b | Cmp_i a imm | Ld* d base disp | St* src base disp
+     Lea_x d base index shift disp | Lea d base disp
+     Ext* d s | Mulw*/Div* s | Mulh*/Udiv/Sdiv/Msub/Crc/F<op> d a b
+     Setcc d cond | Csel d a b cond | Jcc cond | Fcmp a b | Cvt* d s
+     Jmp_ind/Call_ind r | Jmp_mem slot | Brk code *)
+
+type op =
+  | End  (** past the last instruction: "fell off end of code" *)
+  | Nop
+  | Mov_r
+  | Mov_i
+  | Movz
+  | Movk
+  | Add_r
+  | Sub_r
+  | Adc_r
+  | Sbb_r
+  | And_r
+  | Or_r
+  | Xor_r
+  | Mul_r
+  | Shl_r
+  | Shr_r
+  | Sar_r
+  | Ror_r
+  | Add_i
+  | Sub_i
+  | Adc_i
+  | Sbb_i
+  | And_i
+  | Or_i
+  | Xor_i
+  | Mul_i
+  | Shl_i
+  | Shr_i
+  | Sar_i
+  | Ror_i
+  | Cmp_r
+  | Cmp_i
+  | Ld1
+  | Ld1s
+  | Ld2
+  | Ld2s
+  | Ld4
+  | Ld4s
+  | Ld8
+  | Ld8s
+  | St1
+  | St2
+  | St4
+  | St8
+  | Lea_x  (** with an index register *)
+  | Lea
+  | Ext1
+  | Ext1s
+  | Ext8
+  | Ext8s
+  | Ext16
+  | Ext16s
+  | Ext32
+  | Ext32s
+  | Ext_bad  (** any other width: traps when executed *)
+  | Mulw
+  | Mulw_s
+  | Mulh
+  | Mulh_s
+  | Div
+  | Div_s
+  | Udiv
+  | Sdiv
+  | Msub
+  | Crc
+  | Setcc
+  | Csel
+  | Jmp
+  | Jcc
+  | Call
+  | Jmp_far  (** direct branches whose target is no instruction start of *)
+  | Jcc_far  (** their own blob: resolved through the address space, *)
+  | Call_far  (** and trapped there, only when taken *)
+  | Jmp_ind
+  | Jmp_mem
+  | Call_ind
+  | Ret
+  | Fadd
+  | Fsub
+  | Fmul
+  | Fdiv
+  | Fcmp
+  | Cvt_si2f
+  | Cvt_f2si
+  | Brk
+
+(* [op] and {!Minst.cond} have constant constructors only, so their values
+   are small immediates: a record byte holds one as is. Only the loader
+   writes those bytes, always from a value of the right type. *)
+external op_of_char : char -> op = "%identity"
+external char_of_op : op -> char = "%identity"
+external cond_of_char : char -> Minst.cond = "%identity"
+external char_of_cond : Minst.cond -> char = "%identity"
+
+let cost_of = function
+  | End | Nop | Brk -> 0
+  | Mov_r | Mov_i | Movz | Movk -> 1
+  | Mul_r | Mul_i -> 3
+  | Add_r | Sub_r | Adc_r | Sbb_r | And_r | Or_r | Xor_r | Shl_r | Shr_r | Sar_r
+  | Ror_r | Add_i | Sub_i | Adc_i | Sbb_i | And_i | Or_i | Xor_i | Shl_i | Shr_i
+  | Sar_i | Ror_i ->
+      1
+  | Cmp_r | Cmp_i -> 1
+  | Ld1 | Ld1s | Ld2 | Ld2s | Ld4 | Ld4s | Ld8 | Ld8s | St1 | St2 | St4 | St8 -> 2
+  | Lea_x | Lea -> 1
+  | Ext1 | Ext1s | Ext8 | Ext8s | Ext16 | Ext16s | Ext32 | Ext32s | Ext_bad -> 1
+  | Mulw | Mulw_s | Mulh | Mulh_s -> 4
+  | Div | Div_s | Udiv | Sdiv -> 20
+  | Msub -> 3
+  | Crc | Setcc | Csel -> 1
+  | Jmp | Jcc | Jmp_far | Jcc_far -> 1
+  | Jmp_ind -> 2
+  | Jmp_mem -> 3
+  | Call | Call_far | Ret -> 2
+  | Call_ind -> 3
+  | Fadd | Fsub -> 3
+  | Fmul -> 4
+  | Fdiv -> 15
+  | Fcmp -> 2
+  | Cvt_si2f | Cvt_f2si -> 4
 
 let runtime_dispatch_cost = 12
+
+let alu_r : Minst.alu -> op = function
+  | Add -> Add_r
+  | Sub -> Sub_r
+  | Adc -> Adc_r
+  | Sbb -> Sbb_r
+  | And -> And_r
+  | Or -> Or_r
+  | Xor -> Xor_r
+  | Mul -> Mul_r
+  | Shl -> Shl_r
+  | Shr -> Shr_r
+  | Sar -> Sar_r
+  | Ror -> Ror_r
+
+let alu_i : Minst.alu -> op = function
+  | Add -> Add_i
+  | Sub -> Sub_i
+  | Adc -> Adc_i
+  | Sbb -> Sbb_i
+  | And -> And_i
+  | Or -> Or_i
+  | Xor -> Xor_i
+  | Mul -> Mul_i
+  | Shl -> Shl_i
+  | Shr -> Shr_i
+  | Sar -> Sar_i
+  | Ror -> Ror_i
+
+let falu_op : Minst.falu -> op = function
+  | Fadd -> Fadd
+  | Fsub -> Fsub
+  | Fmul -> Fmul
+  | Fdiv -> Fdiv
+
+let ext_op mode =
+  match (mode land 0x7F, mode land 0x80 <> 0) with
+  | 1, false -> Ext1
+  | 1, true -> Ext1s
+  | 8, false -> Ext8
+  | 8, true -> Ext8s
+  | 16, false -> Ext16
+  | 16, true -> Ext16s
+  | 32, false -> Ext32
+  | 32, true -> Ext32s
+  | _ -> Ext_bad
+
+(* ---------------- loading ---------------- *)
+
+(* One blob being loaded. Each [register_code] makes its own, so compile
+   domains can load concurrently. *)
+type loader = {
+  ld_arch : string;  (** error-message prefix *)
+  ld_code : Bytes.t;
+  mutable ld_table : Bytes.t;
+  mutable ld_n : int;  (** records written *)
+  ld_map : Bytes.t;
+}
+
+let[@inline never] malformed fmt =
+  Printf.ksprintf (fun s -> raise (Asm.Decode_error s)) fmt
+
+let[@inline never] bad_register ld at r0 r1 r2 r3 =
+  let r = List.find (fun r -> r >= num_regs) [ r0; r1; r2; r3 ] in
+  malformed "%s: register %d out of range at %d" ld.ld_arch r at
+
+let[@inline never] grow ld =
+  ld.ld_table <- Bytes.extend ld.ld_table 0 (Bytes.length ld.ld_table)
+
+(* Append the record of the instruction at byte offset [at]. *)
+let[@inline] put ld at op r0 r1 r2 r3 ~aux (imm : int64) =
+  if r0 >= num_regs || r1 >= num_regs || r2 >= num_regs || r3 >= num_regs then
+    bad_register ld at r0 r1 r2 r3;
+  let k = ld.ld_n in
+  (* keep room for the [End] record *)
+  if (k + 2) lsl 4 > Bytes.length ld.ld_table then grow ld;
+  let tb = ld.ld_table and p = k lsl 4 in
+  (* bytes 0-7 in one store *)
+  Bytes.set_int64_le tb p
+    (Int64.of_int
+       (Char.code (char_of_op op)
+       lor (cost_of op lsl 8)
+       lor (r0 lsl 16) lor (r1 lsl 24) lor (r2 lsl 32) lor (r3 lsl 40) lor (aux lsl 48)));
+  Bytes.set_int64_ne tb (p + 8) imm;
+  Bytes.set_int32_ne ld.ld_map (at lsl 2) (Int32.of_int k);
+  ld.ld_n <- k + 1
+
+(* A direct branch to byte offset [target]; [load] resolves it. *)
+let[@inline] put_branch ld at op ~cond target =
+  put ld at op 0 0 0 cond ~aux:0 0L;
+  Bytes.set_int32_ne ld.ld_table (((ld.ld_n - 1) lsl 4) + 12) (Int32.of_int target)
+
+(* The return address of the call just put, as a byte offset. *)
+let[@inline] put_ret ld ret =
+  Bytes.set_int32_ne ld.ld_table (((ld.ld_n - 1) lsl 4) + 4) (Int32.of_int ret)
+
+let[@inline] u8 b pos = Bytes.get_uint8 b pos
+let[@inline] i8 b pos = Bytes.get_int8 b pos
+let[@inline] i32 b pos = Int32.to_int (Bytes.get_int32_le b pos)
+(* the high and low nibble of the register-pair byte after an x64 opcode *)
+let[@inline] hi b at = u8 b (at + 1) lsr 4
+let[@inline] lo b at = u8 b (at + 1) land 0xF
+
+let[@inline] need ld pos len =
+  if pos + len > Bytes.length ld.ld_code then
+    malformed "%s: truncated instruction at %d" ld.ld_arch pos
+
+(* Each target's opcode map read backwards: encoded opcode byte -> the
+   record opcode it loads as, [End] for a byte that starts no
+   instruction. The record opcode then fixes the operand layout, except
+   for the widths and conditions that the opcode byte itself carries.
+   [Ext_bad] stands for every extension: its mode byte picks the record
+   opcode. *)
+let opcode_map entries =
+  let t = Bytes.make 256 (char_of_op End) in
+  List.iter (fun (code, op) -> Bytes.set t code (char_of_op op)) entries;
+  t
+
+let alus base f = List.init 12 (fun c -> (base + c, f (Asm.alu_of_code c)))
+let conds base op = List.init 12 (fun c -> (base + c, op))
+let falus base = List.init 4 (fun c -> (base + c, falu_op (Asm.falu_of_code c)))
+(* Both targets' load opcodes add k to their base: 1 lsl (k land 3)
+   bytes, sign-extended when [k land 4]; stores add log2 of the size. *)
+let loads base =
+  List.mapi (fun k op -> (base + k, op)) [ Ld1; Ld2; Ld4; Ld8; Ld1s; Ld2s; Ld4s; Ld8s ]
+
+let stores base = List.mapi (fun k op -> (base + k, op)) [ St1; St2; St4; St8 ]
+
+let x64_ops =
+  opcode_map
+    (Asm.
+       [
+         (xop_nop, Nop); (xop_mov_rr, Mov_r); (xop_mov_ri32, Mov_i); (xop_mov_ri64, Mov_i);
+         (xop_cmp_rr, Cmp_r); (xop_cmp_ri, Cmp_i); (xop_lea, Lea_x); (xop_ext, Ext_bad);
+         (xop_mulw_u, Mulw); (xop_mulw_s, Mulw_s); (xop_div_u, Div); (xop_div_s, Div_s);
+         (xop_crc32, Crc); (xop_jmp, Jmp); (xop_jmp_ind, Jmp_ind); (xop_jmp_mem, Jmp_mem);
+         (xop_call_rel, Call); (xop_call_ind, Call_ind); (xop_ret, Ret); (xop_fcmp, Fcmp);
+         (xop_cvt_si2f, Cvt_si2f); (xop_cvt_f2si, Cvt_f2si); (xop_brk, Brk);
+       ]
+    @ alus Asm.xop_alu_rr alu_r @ alus Asm.xop_alu_ri8 alu_i @ alus Asm.xop_alu_ri32 alu_i
+    @ loads Asm.xop_ld @ stores Asm.xop_st @ conds Asm.xop_setcc Setcc
+    @ conds Asm.xop_csel Csel @ conds Asm.xop_jcc Jcc @ falus Asm.xop_falu)
+
+let a64_ops =
+  opcode_map
+    (Asm.
+       [
+         (aop_nop, Nop); (aop_mov_rr, Mov_r); (aop_cmp_rr, Cmp_r); (aop_cmp_ri, Cmp_i);
+         (aop_lea, Lea_x); (aop_ext, Ext_bad); (aop_mulh_u, Mulh); (aop_mulh_s, Mulh_s);
+         (aop_div_u, Udiv); (aop_div_s, Sdiv); (aop_msub, Msub); (aop_crc32, Crc);
+         (aop_jmp, Jmp); (aop_jmp_ind, Jmp_ind); (aop_call_rel, Call); (aop_call_ind, Call_ind);
+         (aop_ret, Ret); (aop_fcmp, Fcmp); (aop_cvt_si2f, Cvt_si2f); (aop_cvt_f2si, Cvt_f2si);
+         (aop_brk, Brk);
+       ]
+    @ List.init 4 (fun sh -> (Asm.aop_movz + sh, Movz))
+    @ List.init 4 (fun sh -> (Asm.aop_movk + sh, Movk))
+    @ alus Asm.aop_alu_rrr alu_r @ alus Asm.aop_alu_rri alu_i @ loads Asm.aop_ld
+    @ stores Asm.aop_st @ conds Asm.aop_setcc Setcc @ conds Asm.aop_csel Csel
+    @ conds Asm.aop_jcc Jcc @ falus Asm.aop_falu)
+
+(* The condition of the opcode byte [code] in a block of twelve at [base],
+   as the record stores it. *)
+let[@inline] cond_field code base = Char.code (char_of_cond (Asm.cond_of_code (code - base)))
+
+let[@inline never] bad_opcode ld code at =
+  malformed "%s: bad opcode 0x%02x at %d" ld.ld_arch code at
+
+let load_x64 ld =
+  let b = ld.ld_code in
+  let size = Bytes.length b in
+  let pos = ref 0 in
+  while !pos < size do
+    let at = !pos in
+    let code = u8 b at in
+    let op = op_of_char (Bytes.unsafe_get x64_ops code) in
+    let len =
+      match op with
+      | Nop | Ret ->
+          put ld at op 0 0 0 0 ~aux:0 0L;
+          1
+      | Mov_r | Cmp_r | Fcmp | Cvt_si2f | Cvt_f2si ->
+          need ld at 2;
+          put ld at op (hi b at) (lo b at) 0 0 ~aux:0 0L;
+          2
+      | Add_r | Sub_r | Adc_r | Sbb_r | And_r | Or_r | Xor_r | Mul_r | Shl_r | Shr_r
+      | Sar_r | Ror_r | Crc | Fadd | Fsub | Fmul | Fdiv ->
+          (* two-address: d = d op s *)
+          need ld at 2;
+          let d = hi b at in
+          put ld at op d d (lo b at) 0 ~aux:0 0L;
+          2
+      | Mov_i when code = Asm.xop_mov_ri64 ->
+          need ld at 10;
+          put ld at op (u8 b (at + 1)) 0 0 0 ~aux:0 (Bytes.get_int64_le b (at + 2));
+          10
+      | Mov_i | Cmp_i ->
+          need ld at 6;
+          put ld at op (u8 b (at + 1)) 0 0 0 ~aux:0 (Int64.of_int (i32 b (at + 2)));
+          6
+      | Add_i | Sub_i | Adc_i | Sbb_i | And_i | Or_i | Xor_i | Mul_i | Shl_i | Shr_i
+      | Sar_i | Ror_i ->
+          let d = u8 b (at + 1) in
+          if code < Asm.xop_alu_ri32 then begin
+            need ld at 3;
+            put ld at op d d 0 0 ~aux:0 (Int64.of_int (i8 b (at + 2)));
+            3
+          end
+          else begin
+            need ld at 6;
+            put ld at op d d 0 0 ~aux:0 (Int64.of_int (i32 b (at + 2)));
+            6
+          end
+      | Ld1 | Ld1s | Ld2 | Ld2s | Ld4 | Ld4s | Ld8 | Ld8s | St1 | St2 | St4 | St8 ->
+          need ld at 6;
+          put ld at op (hi b at) (lo b at) 0 0 ~aux:0 (Int64.of_int (i32 b (at + 2)));
+          6
+      | Lea_x ->
+          need ld at 8;
+          let idx = i8 b (at + 2) and sc = u8 b (at + 3) in
+          let off = Int64.of_int (i32 b (at + 4)) in
+          if idx < 0 then put ld at Lea (hi b at) (lo b at) 0 0 ~aux:(idx land 0xFF) off
+          else begin
+            if sc > 3 then malformed "x64: bad lea scale %d at %d" sc at;
+            put ld at Lea_x (hi b at) (lo b at) idx sc ~aux:0 off
+          end;
+          8
+      | Ext1 | Ext1s | Ext8 | Ext8s | Ext16 | Ext16s | Ext32 | Ext32s | Ext_bad ->
+          need ld at 3;
+          let mode = u8 b (at + 2) in
+          put ld at (ext_op mode) (hi b at) (lo b at) 0 0 ~aux:mode 0L;
+          3
+      | Mulw | Mulw_s | Div | Div_s | Jmp_ind ->
+          need ld at 2;
+          put ld at op (u8 b (at + 1)) 0 0 0 ~aux:0 0L;
+          2
+      | Call_ind ->
+          need ld at 2;
+          put ld at op (u8 b (at + 1)) 0 0 0 ~aux:0 0L;
+          put_ret ld (at + 2);
+          2
+      | Setcc ->
+          need ld at 2;
+          put ld at op (u8 b (at + 1)) 0 0 (cond_field code Asm.xop_setcc) ~aux:0 0L;
+          2
+      | Csel ->
+          need ld at 2;
+          let d = hi b at in
+          put ld at op d d (lo b at) (cond_field code Asm.xop_csel) ~aux:0 0L;
+          2
+      | Jmp | Call ->
+          need ld at 5;
+          put_branch ld at op ~cond:0 (at + 5 + i32 b (at + 1));
+          if op == Call then put_ret ld (at + 5);
+          5
+      | Jcc ->
+          need ld at 5;
+          put_branch ld at op ~cond:(cond_field code Asm.xop_jcc) (at + 5 + i32 b (at + 1));
+          5
+      | Jmp_mem ->
+          need ld at 5;
+          put ld at op 0 0 0 0 ~aux:0 (Int64.of_int (i32 b (at + 1)));
+          5
+      | Brk ->
+          need ld at 2;
+          put ld at op 0 0 0 0 ~aux:0 (Int64.of_int (u8 b (at + 1)));
+          2
+      (* [End] and the records no x64 opcode maps to *)
+      | End | Movz | Movk | Lea | Mulh | Mulh_s | Udiv | Sdiv | Msub | Jmp_far | Jcc_far
+      | Call_far ->
+          bad_opcode ld code at
+    in
+    pos := at + len
+  done
+
+let load_a64 ld =
+  let b = ld.ld_code in
+  let size = Bytes.length b in
+  let pos = ref 0 in
+  while !pos < size do
+    let at = !pos in
+    need ld at 4;
+    let code = u8 b at and b1 = u8 b (at + 1) and b2 = u8 b (at + 2) in
+    let b3 = u8 b (at + 3) in
+    let op = op_of_char (Bytes.unsafe_get a64_ops code) in
+    (match op with
+    | Nop | Ret -> put ld at op 0 0 0 0 ~aux:0 0L
+    | Mov_r | Cmp_r | Fcmp | Cvt_si2f | Cvt_f2si -> put ld at op b1 b2 0 0 ~aux:0 0L
+    | Movz | Movk ->
+        let sh = code - if op == Movz then Asm.aop_movz else Asm.aop_movk in
+        put ld at op b1 sh 0 0 ~aux:0
+          (Int64.shift_left (Int64.of_int (b2 lor (b3 lsl 8))) (16 * sh))
+    | Add_r | Sub_r | Adc_r | Sbb_r | And_r | Or_r | Xor_r | Mul_r | Shl_r | Shr_r | Sar_r
+    | Ror_r | Mulh | Mulh_s | Udiv | Sdiv | Msub | Crc | Fadd | Fsub | Fmul | Fdiv ->
+        put ld at op b1 b2 b3 0 ~aux:0 0L
+    | Add_i | Sub_i | Adc_i | Sbb_i | And_i | Or_i | Xor_i | Mul_i | Shl_i | Shr_i | Sar_i
+    | Ror_i ->
+        (* d in 5 bits, a in the next 5, imm12 in the remaining 14 *)
+        put ld at op (b1 land 0x1F)
+          ((b1 lsr 5) lor ((b2 land 0x3) lsl 3))
+          0 0 ~aux:0
+          (Int64.of_int ((b2 lsr 2) lor (b3 lsl 6)))
+    | Cmp_i -> put ld at op b1 0 0 0 ~aux:0 (Int64.of_int (b2 lor (b3 lsl 8)))
+    | Lea_x -> put ld at op b1 b2 (b3 land 0x1F) (b3 lsr 5) ~aux:0 0L
+    | Ext1 | Ext1s | Ext8 | Ext8s | Ext16 | Ext16s | Ext32 | Ext32s | Ext_bad ->
+        put ld at (ext_op b3) b1 b2 0 0 ~aux:b3 0L
+    | Ld1 | Ld1s | Ld2 | Ld2s | Ld4 | Ld4s | Ld8 | Ld8s ->
+        (* the offset byte counts access-size units *)
+        put ld at op b1 b2 0 0 ~aux:0 (Int64.of_int (b3 lsl ((code - Asm.aop_ld) land 3)))
+    | St1 | St2 | St4 | St8 ->
+        put ld at op b1 b2 0 0 ~aux:0 (Int64.of_int (b3 lsl (code - Asm.aop_st)))
+    | Setcc -> put ld at op b1 0 0 (cond_field code Asm.aop_setcc) ~aux:0 0L
+    | Csel -> put ld at op b1 b2 b3 (cond_field code Asm.aop_csel) ~aux:0 0L
+    | Jcc ->
+        (* branch displacements count words from the instruction start *)
+        put_branch ld at op ~cond:(cond_field code Asm.aop_jcc)
+          (at + (4 * Bytes.get_int16_le b (at + 2)))
+    | Jmp | Call ->
+        let rel24 = ((b1 lor (b2 lsl 8) lor (b3 lsl 16)) lxor 0x800000) - 0x800000 in
+        put_branch ld at op ~cond:0 (at + (4 * rel24));
+        if op == Call then put_ret ld (at + 4)
+    | Jmp_ind -> put ld at op b1 0 0 0 ~aux:0 0L
+    | Call_ind ->
+        put ld at op b1 0 0 0 ~aux:0 0L;
+        put_ret ld (at + 4)
+    | Brk -> put ld at op 0 0 0 0 ~aux:0 (Int64.of_int b1)
+    (* [End] and the records no a64 opcode maps to *)
+    | End | Mov_i | Lea | Mulw | Mulw_s | Div | Div_s | Jmp_mem | Jmp_far | Jcc_far
+    | Call_far ->
+        bad_opcode ld code at);
+    pos := at + 4
+  done
+
+(* Decode [code] into a table; returns it with the offset map and the
+   instruction count. Raises {!Asm.Decode_error} on a malformed blob. *)
+let load (target : Target.t) code =
+  let size = Bytes.length code in
+  let arch, load_insts, insts_guess =
+    match target.Target.arch with
+    | Target.X64 -> ("x64", load_x64, (size / 3) + 1)
+    | Target.A64 -> ("a64", load_a64, size / 4)
+  in
+  let ld =
+    {
+      ld_arch = arch;
+      ld_code = code;
+      ld_table = Bytes.create ((insts_guess + 1) lsl 4);
+      ld_n = 0;
+      ld_map = Bytes.make (4 * size) '\xff';
+    }
+  in
+  load_insts ld;
+  (* resolve direct branches now that every instruction start is known *)
+  let tb = ld.ld_table in
+  for k = 0 to ld.ld_n - 1 do
+    let p = k lsl 4 in
+    match op_of_char (Bytes.get tb p) with
+    | (Jmp | Jcc | Call) as op ->
+        let off = Int32.to_int (Bytes.get_int32_ne tb (p + 12)) in
+        let j =
+          if off >= 0 && off < size then Int32.to_int (Bytes.get_int32_ne ld.ld_map (off lsl 2))
+          else -1
+        in
+        if j >= 0 then Bytes.set_int32_ne tb (p + 8) (Int32.of_int j)
+        else
+          Bytes.set tb p
+            (char_of_op (match op with Jmp -> Jmp_far | Jcc -> Jcc_far | _ -> Call_far))
+    | _ -> ()
+  done;
+  Bytes.set tb (ld.ld_n lsl 4) (char_of_op End);
+  (tb, ld.ld_map, ld.ld_n)
+
+(* The {!Minst.t} a record was decoded from. x64's two-address forms are
+   the three-address records with a = d. *)
+let lift (arch : Target.arch) tb k : Minst.t =
+  let p = k lsl 4 in
+  let op = op_of_char (Bytes.get tb p) in
+  let r n = Char.code (Bytes.get tb (p + 2 + n)) in
+  let imm = Bytes.get_int64_ne tb (p + 8) in
+  let aux = Char.code (Bytes.get tb (p + 6)) in
+  let target () = Int32.to_int (Bytes.get_int32_ne tb (p + 12)) in
+  let cond () = cond_of_char (Bytes.get tb (p + 5)) in
+  let x64 = arch = Target.X64 in
+  let alu (a : Minst.alu) : Minst.t =
+    if op = alu_r a then if x64 then Alu_rr (a, r 0, r 2) else Alu_rrr (a, r 0, r 1, r 2)
+    else if x64 then Alu_ri (a, r 0, imm)
+    else Alu_rri (a, r 0, r 1, imm)
+  in
+  let falu (f : Minst.falu) : Minst.t =
+    if x64 then Falu_rr (f, r 0, r 2) else Falu_rrr (f, r 0, r 1, r 2)
+  in
+  let ld size sext : Minst.t =
+    Ld { dst = r 0; base = r 1; off = Int64.to_int imm; size; sext }
+  in
+  let st size : Minst.t = St { src = r 0; base = r 1; off = Int64.to_int imm; size } in
+  match op with
+  | End -> invalid_arg "Emu.lift: end of table"
+  | Nop -> Nop
+  | Mov_r -> Mov_rr (r 0, r 1)
+  | Mov_i -> Mov_ri (r 0, imm)
+  | Movz -> Movz (r 0, Int64.to_int (Int64.shift_right_logical imm (16 * r 1)), r 1)
+  | Movk -> Movk (r 0, Int64.to_int (Int64.shift_right_logical imm (16 * r 1)), r 1)
+  | Add_r | Add_i -> alu Add
+  | Sub_r | Sub_i -> alu Sub
+  | Adc_r | Adc_i -> alu Adc
+  | Sbb_r | Sbb_i -> alu Sbb
+  | And_r | And_i -> alu And
+  | Or_r | Or_i -> alu Or
+  | Xor_r | Xor_i -> alu Xor
+  | Mul_r | Mul_i -> alu Mul
+  | Shl_r | Shl_i -> alu Shl
+  | Shr_r | Shr_i -> alu Shr
+  | Sar_r | Sar_i -> alu Sar
+  | Ror_r | Ror_i -> alu Ror
+  | Cmp_r -> Cmp_rr (r 0, r 1)
+  | Cmp_i -> Cmp_ri (r 0, imm)
+  | Ld1 -> ld 1 false
+  | Ld1s -> ld 1 true
+  | Ld2 -> ld 2 false
+  | Ld2s -> ld 2 true
+  | Ld4 -> ld 4 false
+  | Ld4s -> ld 4 true
+  | Ld8 -> ld 8 false
+  | Ld8s -> ld 8 true
+  | St1 -> st 1
+  | St2 -> st 2
+  | St4 -> st 4
+  | St8 -> st 8
+  | Lea_x ->
+      Lea { dst = r 0; base = r 1; index = r 2; scale = 1 lsl r 3; off = Int64.to_int imm }
+  | Lea ->
+      (* the absent index as encoded: a negative byte *)
+      Lea { dst = r 0; base = r 1; index = aux - 256; scale = 1; off = Int64.to_int imm }
+  | Ext1 | Ext1s | Ext8 | Ext8s | Ext16 | Ext16s | Ext32 | Ext32s | Ext_bad ->
+      Ext { dst = r 0; src = r 1; bits = aux land 0x7F; signed = aux land 0x80 <> 0 }
+  | Mulw -> Mul_wide { signed = false; src = r 0 }
+  | Mulw_s -> Mul_wide { signed = true; src = r 0 }
+  | Mulh -> Mul_hi { signed = false; dst = r 0; a = r 1; b = r 2 }
+  | Mulh_s -> Mul_hi { signed = true; dst = r 0; a = r 1; b = r 2 }
+  | Div -> Div { signed = false; src = r 0 }
+  | Div_s -> Div { signed = true; src = r 0 }
+  | Udiv -> Div_rrr { signed = false; dst = r 0; a = r 1; b = r 2 }
+  | Sdiv -> Div_rrr { signed = true; dst = r 0; a = r 1; b = r 2 }
+  | Msub -> Msub { dst = r 0; a = r 1; b = r 2; c = r 0 }
+  | Crc -> if x64 then Crc32_rr (r 0, r 2) else Crc32_rrr (r 0, r 1, r 2)
+  | Setcc -> Setcc (cond (), r 0)
+  | Csel -> Csel { cond = cond (); dst = r 0; a = r 1; b = r 2 }
+  | Jmp | Jmp_far -> Jmp (target ())
+  | Jcc | Jcc_far -> Jcc (cond (), target ())
+  | Call | Call_far -> Call_rel (target ())
+  | Jmp_ind -> Jmp_ind (r 0)
+  | Jmp_mem -> Jmp_mem imm
+  | Call_ind -> Call_ind (r 0)
+  | Ret -> Ret
+  | Fadd -> falu Fadd
+  | Fsub -> falu Fsub
+  | Fmul -> falu Fmul
+  | Fdiv -> falu Fdiv
+  | Fcmp -> Fcmp_rr (r 0, r 1)
+  | Cvt_si2f -> Cvt_si2f (r 0, r 1)
+  | Cvt_f2si -> Cvt_f2si (r 0, r 1)
+  | Brk -> Brk (Int64.to_int imm)
+
+(** Decode a whole blob into {!Minst} instructions plus an offset -> index
+    map (length [Bytes.length code + 1], -1 where no instruction starts):
+    the loader's table lifted back, for tests and debugging. Raises
+    {!Asm.Decode_error} on a malformed blob. *)
+let decode_all (target : Target.t) code =
+  let tb, map, n = load target code in
+  let size = Bytes.length code in
+  ( Array.init n (lift target.Target.arch tb),
+    Array.init (size + 1) (fun off ->
+        if off < size then Int32.to_int (Bytes.get_int32_ne map (off lsl 2)) else -1) )
 
 (** Round [n] up to the 4 KiB page granule of the code allocator. Both
     fresh allocation and free-list recycling reserve whole pages, so two
@@ -322,24 +903,11 @@ let next_code_addr t ~size =
 (** Register a code blob; returns a {!Code_region.t} ownership handle whose
     [base] is the blob's first address. The address range comes from the
     size-class free lists when a released span of the same class exists,
-    otherwise from the bump pointer. *)
+    otherwise from the bump pointer. A malformed blob raises
+    {!Asm.Decode_error} and leaves the machine as it was. *)
 let register_code t (code : bytes) =
-  let insts, off2idx = Asm.decode_all t.target code in
+  let table, map, _ = load t.target code in
   let size = Bytes.length code in
-  let n = Array.length insts in
-  let next = Array.make n size in
-  for off = 1 to size - 1 do
-    let idx = off2idx.(off) in
-    if idx > 0 then next.(idx - 1) <- off
-  done;
-  let costs = Array.make n 0 and target = Array.make n (-1) in
-  for i = 0 to n - 1 do
-    costs.(i) <- cost insts.(i);
-    match insts.(i) with
-    | Minst.Jmp off | Jcc (_, off) | Call_rel off ->
-        if off >= 0 && off < size then target.(i) <- off2idx.(off)
-    | _ -> ()
-  done;
   let span = page_align size in
   let s = t.shared in
   Mutex.protect s.reg_mu (fun () ->
@@ -351,17 +919,7 @@ let register_code t (code : bytes) =
             s.next_code_base <- base + span;
             base
       in
-      let m =
-        {
-          cm_base = base;
-          cm_size = size;
-          cm_insts = insts;
-          cm_off2idx = off2idx;
-          cm_cost = costs;
-          cm_next = next;
-          cm_target = target;
-        }
-      in
+      let m = { cm_base = base; cm_size = size; cm_table = table; cm_map = map } in
       s.mods <- m :: s.mods;
       s.live_code <- s.live_code + size;
       if s.live_code > s.peak_code then s.peak_code <- s.live_code;
@@ -426,7 +984,7 @@ let find_mod t addr =
   end
 
 let idx_of (m : code_mod) addr =
-  let i = m.cm_off2idx.(addr - m.cm_base) in
+  let i = Int32.to_int (Bytes.get_int32_ne m.cm_map ((addr - m.cm_base) lsl 2)) in
   if i < 0 then
     raise (Trap (Printf.sprintf "jump into middle of instruction at 0x%x" addr));
   i
@@ -444,6 +1002,33 @@ let idx_of (m : code_mod) addr =
 let[@inline] reg t r = Bytes.get_int64_ne t.regs (r lsl 3)
 let[@inline] set_reg t r v = Bytes.set_int64_ne t.regs (r lsl 3) v
 
+(* Unchecked: the loop's register numbers come from the table, whose
+   loader rejected every one outside the register file. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+
+let[@inline] ureg t r = get64u t.regs (r lsl 3)
+let[@inline] uset t r v = set64u t.regs (r lsl 3) v
+
+(* Fields of the record at byte [p] of a table (see the layout above). *)
+let[@inline] op_at tb p = op_of_char (Bytes.unsafe_get tb p)
+let[@inline] cost_at tb p = Char.code (Bytes.unsafe_get tb (p + 1))
+let[@inline] r0 tb p = Char.code (Bytes.unsafe_get tb (p + 2))
+let[@inline] r1 tb p = Char.code (Bytes.unsafe_get tb (p + 3))
+let[@inline] r2 tb p = Char.code (Bytes.unsafe_get tb (p + 4))
+let[@inline] r3 tb p = Char.code (Bytes.unsafe_get tb (p + 5))
+let[@inline] cond_at tb p = cond_of_char (Bytes.unsafe_get tb (p + 5))
+let[@inline] ret_at tb p = Int32.to_int (get32u tb (p + 4))
+let[@inline] imm tb p = get64u tb (p + 8)
+let[@inline] tgt_at tb p = Int32.to_int (get32u tb (p + 8))
+let[@inline] off_at tb p = Int32.to_int (get32u tb (p + 12))
+
+(* the values of a record's register fields *)
+let[@inline] v0 t tb p = ureg t (r0 tb p)
+let[@inline] v1 t tb p = ureg t (r1 tb p)
+let[@inline] v2 t tb p = ureg t (r2 tb p)
+
 let[@inline never] access_fault n addr =
   raise (Memory.Fault (Printf.sprintf "access of %d bytes at 0x%x" n addr))
 
@@ -458,29 +1043,40 @@ let[@inline] store64 (mem : Memory.t) addr v =
   check_access mem addr 8;
   Bytes.set_int64_le mem.Memory.data addr v
 
-let[@inline] load (mem : Memory.t) addr size sext =
-  check_access mem addr size;
-  let d = mem.Memory.data in
-  match (size, sext) with
-  | 8, _ -> Bytes.get_int64_le d addr
-  | 4, false ->
-      Int64.logand (Int64.of_int32 (Bytes.get_int32_le d addr)) 0xFFFFFFFFL
-  | 4, true -> Int64.of_int32 (Bytes.get_int32_le d addr)
-  | 2, false -> Int64.of_int (Bytes.get_uint16_le d addr)
-  | 2, true -> Int64.of_int (Bytes.get_int16_le d addr)
-  | 1, false -> Int64.of_int (Bytes.get_uint8 d addr)
-  | 1, true -> Int64.of_int (Bytes.get_int8 d addr)
-  | _ -> raise (Memory.Fault "bad access size")
+let[@inline] load32 (mem : Memory.t) addr =
+  check_access mem addr 4;
+  Bytes.get_int32_le mem.Memory.data addr
 
-let[@inline] store (mem : Memory.t) addr size v =
-  check_access mem addr size;
-  let d = mem.Memory.data in
-  match size with
-  | 8 -> Bytes.set_int64_le d addr v
-  | 4 -> Bytes.set_int32_le d addr (Int64.to_int32 v)
-  | 2 -> Bytes.set_uint16_le d addr (Int64.to_int v land 0xFFFF)
-  | 1 -> Bytes.set_uint8 d addr (Int64.to_int v land 0xFF)
-  | _ -> raise (Memory.Fault "bad access size")
+let[@inline] load16u (mem : Memory.t) addr =
+  check_access mem addr 2;
+  Bytes.get_uint16_le mem.Memory.data addr
+
+let[@inline] load16s (mem : Memory.t) addr =
+  check_access mem addr 2;
+  Bytes.get_int16_le mem.Memory.data addr
+
+let[@inline] load8u (mem : Memory.t) addr =
+  check_access mem addr 1;
+  Bytes.get_uint8 mem.Memory.data addr
+
+let[@inline] load8s (mem : Memory.t) addr =
+  check_access mem addr 1;
+  Bytes.get_int8 mem.Memory.data addr
+
+let[@inline] store32 (mem : Memory.t) addr v =
+  check_access mem addr 4;
+  Bytes.set_int32_le mem.Memory.data addr (Int64.to_int32 v)
+
+let[@inline] store16 (mem : Memory.t) addr v =
+  check_access mem addr 2;
+  Bytes.set_uint16_le mem.Memory.data addr (Int64.to_int v land 0xFFFF)
+
+let[@inline] store8 (mem : Memory.t) addr v =
+  check_access mem addr 1;
+  Bytes.set_uint8 mem.Memory.data addr (Int64.to_int v land 0xFF)
+
+(* the address of a load or store: base register plus displacement *)
+let[@inline] ea t tb p = Int64.to_int (v1 t tb p) + Int64.to_int (imm tb p)
 
 (* unsigned a < b *)
 let[@inline] ult (a : int64) b = Int64.sub a Int64.min_int < Int64.sub b Int64.min_int
@@ -553,92 +1149,66 @@ let[@inline] cond_true t (c : Minst.cond) =
 
 (* ---------------- execution ---------------- *)
 
-(* [d <- a op b], setting the flags [op] defines. *)
-let[@inline] alu t (op : Minst.alu) d a b =
-  match op with
-  | Add ->
-      let r = Int64.add a b in
-      flags_add t a b r;
-      set_reg t d r
-  | Sub ->
-      let r = Int64.sub a b in
-      flags_sub t a b r;
-      set_reg t d r
-  | Adc ->
-      let cin = if t.cf then 1L else 0L in
-      let ab = Int64.add a b in
-      let r = Int64.add ab cin in
-      set_zs t r;
-      t.cf <- ult ab a || ult r ab;
-      (* signed overflow (valid with carry-in): operands agree, result differs *)
-      t.ovf <- Int64.logand (Int64.logxor a r) (Int64.logxor b r) < 0L;
-      set_reg t d r
-  | Sbb ->
-      let cin = if t.cf then 1L else 0L in
-      let r = Int64.sub (Int64.sub a b) cin in
-      let borrow =
-        ult a b || (a = b && cin = 1L) || ult (Int64.sub a b) cin
-      in
-      set_zs t r;
-      t.cf <- borrow;
-      t.ovf <- Int64.logand (Int64.logxor a b) (Int64.logxor a r) < 0L;
-      set_reg t d r
-  | And ->
-      let r = Int64.logand a b in
-      flags_logic t r;
-      set_reg t d r
-  | Or ->
-      let r = Int64.logor a b in
-      flags_logic t r;
-      set_reg t d r
-  | Xor ->
-      let r = Int64.logxor a b in
-      flags_logic t r;
-      set_reg t d r
-  | Mul ->
-      let r = Int64.mul a b in
-      set_zs t r;
-      let ovf = smulh a b <> Int64.shift_right r 63 in
-      t.cf <- ovf;
-      t.ovf <- ovf;
-      set_reg t d r
-  | Shl ->
-      let r = Int64.shift_left a (Int64.to_int b land 63) in
-      set_zs t r;
-      set_reg t d r
-  | Shr ->
-      let r = Int64.shift_right_logical a (Int64.to_int b land 63) in
-      set_zs t r;
-      set_reg t d r
-  | Sar ->
-      let r = Int64.shift_right a (Int64.to_int b land 63) in
-      set_zs t r;
-      set_reg t d r
-  | Ror ->
-      let n = Int64.to_int b land 63 in
-      let r =
-        if n = 0 then a
-        else Int64.logor (Int64.shift_right_logical a n) (Int64.shift_left a (64 - n))
-      in
-      set_zs t r;
-      set_reg t d r
+(* [d <- a op b] for each ALU operation, setting the flags it defines. *)
+let[@inline] add t d a b =
+  let r = Int64.add a b in
+  flags_add t a b r;
+  uset t d r
 
-let[@inline] ext v ~bits ~signed =
-  match (bits, signed) with
-  | 8, false -> Int64.logand v 0xFFL
-  | 8, true -> Int64.shift_right (Int64.shift_left v 56) 56
-  | 16, false -> Int64.logand v 0xFFFFL
-  | 16, true -> Int64.shift_right (Int64.shift_left v 48) 48
-  | 32, false -> Int64.logand v 0xFFFFFFFFL
-  | 32, true -> Int64.shift_right (Int64.shift_left v 32) 32
-  | 1, false -> Int64.logand v 1L
-  | 1, true -> Int64.shift_right (Int64.shift_left v 63) 63
-  | _ -> raise (Trap "bad extension width")
+let[@inline] sub t d a b =
+  let r = Int64.sub a b in
+  flags_sub t a b r;
+  uset t d r
 
-let[@inline] falu (op : Minst.falu) a b =
-  let a = Int64.float_of_bits a and b = Int64.float_of_bits b in
-  Int64.bits_of_float
-    (match op with Fadd -> a +. b | Fsub -> a -. b | Fmul -> a *. b | Fdiv -> a /. b)
+let[@inline] adc t d a b =
+  let cin = if t.cf then 1L else 0L in
+  let ab = Int64.add a b in
+  let r = Int64.add ab cin in
+  set_zs t r;
+  t.cf <- ult ab a || ult r ab;
+  (* signed overflow (valid with carry-in): operands agree, result differs *)
+  t.ovf <- Int64.logand (Int64.logxor a r) (Int64.logxor b r) < 0L;
+  uset t d r
+
+let[@inline] sbb t d a b =
+  let cin = if t.cf then 1L else 0L in
+  let r = Int64.sub (Int64.sub a b) cin in
+  let borrow = ult a b || (a = b && cin = 1L) || ult (Int64.sub a b) cin in
+  set_zs t r;
+  t.cf <- borrow;
+  t.ovf <- Int64.logand (Int64.logxor a b) (Int64.logxor a r) < 0L;
+  uset t d r
+
+(* and / or / xor *)
+let[@inline] logic t d r =
+  flags_logic t r;
+  uset t d r
+
+let[@inline] mul t d a b =
+  let r = Int64.mul a b in
+  set_zs t r;
+  let ovf = smulh a b <> Int64.shift_right r 63 in
+  t.cf <- ovf;
+  t.ovf <- ovf;
+  uset t d r
+
+(* shifts and rotates set only zf/sf *)
+let[@inline] shifted t d r =
+  set_zs t r;
+  uset t d r
+
+let[@inline] count b = Int64.to_int b land 63
+
+let[@inline] ror a b =
+  let n = count b in
+  if n = 0 then a
+  else Int64.logor (Int64.shift_right_logical a n) (Int64.shift_left a (64 - n))
+
+(* float operations on the bit patterns the registers hold *)
+let[@inline] fadd a b = Int64.bits_of_float (Int64.float_of_bits a +. Int64.float_of_bits b)
+let[@inline] fsub a b = Int64.bits_of_float (Int64.float_of_bits a -. Int64.float_of_bits b)
+let[@inline] fmul a b = Int64.bits_of_float (Int64.float_of_bits a *. Int64.float_of_bits b)
+let[@inline] fdiv a b = Int64.bits_of_float (Int64.float_of_bits a /. Int64.float_of_bits b)
 
 (* x64 return addresses live on the stack, A64 ones in the link register *)
 let[@inline] pop_ret t =
@@ -674,126 +1244,172 @@ let rec goto t (a : int) =
 
 (** Run starting at [addr] until control returns to the sentinel.
     Reentrant: runtime functions may use {!call_generated}. Each executed
-    instruction reads its cost and branch target from the module's
-    registration-time tables and allocates nothing. *)
+    instruction reads its opcode, operands, cost and branch target from
+    its record in the module's table and allocates nothing. *)
 and run_at t addr =
   let m = ref (find_mod t addr) in
   let ip = ref (idx_of !m addr) in
   while !ip >= 0 do
     let cm = !m in
+    let tb = cm.cm_table in
     let i = !ip in
-    if i >= Array.length cm.cm_insts then raise (Trap "fell off end of code");
-    t.cycles <- t.cycles + Array.unsafe_get cm.cm_cost i;
+    let p = i lsl 4 in
+    let op = op_at tb p in
+    if op == End then raise (Trap "fell off end of code");
+    t.cycles <- t.cycles + cost_at tb p;
     t.icount <- t.icount + 1;
     if t.fuel >= 0 && t.icount > t.fuel then raise (Trap "fuel exhausted");
     ip := i + 1;
-    match Array.unsafe_get cm.cm_insts i with
-    | Nop -> ()
-    | Mov_rr (d, s) -> set_reg t d (reg t s)
-    | Mov_ri (d, v) -> set_reg t d v
-    | Movz (d, imm, sh) -> set_reg t d (Int64.shift_left (Int64.of_int imm) (16 * sh))
-    | Movk (d, imm, sh) ->
-        let mask = Int64.shift_left 0xFFFFL (16 * sh) in
-        set_reg t d
-          (Int64.logor
-             (Int64.logand (reg t d) (Int64.lognot mask))
-             (Int64.shift_left (Int64.of_int imm) (16 * sh)))
-    | Alu_rr (op, d, s) -> alu t op d (reg t d) (reg t s)
-    | Alu_ri (op, d, v) -> alu t op d (reg t d) v
-    | Alu_rrr (op, d, a, b) -> alu t op d (reg t a) (reg t b)
-    | Alu_rri (op, d, a, v) -> alu t op d (reg t a) v
-    | Cmp_rr (a, b) ->
-        let a = reg t a and b = reg t b in
+    match op with
+    | End | Nop -> ()
+    | Mov_r -> uset t (r0 tb p) (v1 t tb p)
+    | Mov_i | Movz -> uset t (r0 tb p) (imm tb p)
+    | Movk ->
+        let d = r0 tb p in
+        let mask = Int64.shift_left 0xFFFFL (16 * r1 tb p) in
+        uset t d (Int64.logor (Int64.logand (ureg t d) (Int64.lognot mask)) (imm tb p))
+    | Add_r -> add t (r0 tb p) (v1 t tb p) (v2 t tb p)
+    | Add_i -> add t (r0 tb p) (v1 t tb p) (imm tb p)
+    | Sub_r -> sub t (r0 tb p) (v1 t tb p) (v2 t tb p)
+    | Sub_i -> sub t (r0 tb p) (v1 t tb p) (imm tb p)
+    | Adc_r -> adc t (r0 tb p) (v1 t tb p) (v2 t tb p)
+    | Adc_i -> adc t (r0 tb p) (v1 t tb p) (imm tb p)
+    | Sbb_r -> sbb t (r0 tb p) (v1 t tb p) (v2 t tb p)
+    | Sbb_i -> sbb t (r0 tb p) (v1 t tb p) (imm tb p)
+    | And_r -> logic t (r0 tb p) (Int64.logand (v1 t tb p) (v2 t tb p))
+    | And_i -> logic t (r0 tb p) (Int64.logand (v1 t tb p) (imm tb p))
+    | Or_r -> logic t (r0 tb p) (Int64.logor (v1 t tb p) (v2 t tb p))
+    | Or_i -> logic t (r0 tb p) (Int64.logor (v1 t tb p) (imm tb p))
+    | Xor_r -> logic t (r0 tb p) (Int64.logxor (v1 t tb p) (v2 t tb p))
+    | Xor_i -> logic t (r0 tb p) (Int64.logxor (v1 t tb p) (imm tb p))
+    | Mul_r -> mul t (r0 tb p) (v1 t tb p) (v2 t tb p)
+    | Mul_i -> mul t (r0 tb p) (v1 t tb p) (imm tb p)
+    | Shl_r -> shifted t (r0 tb p) (Int64.shift_left (v1 t tb p) (count (v2 t tb p)))
+    | Shl_i -> shifted t (r0 tb p) (Int64.shift_left (v1 t tb p) (count (imm tb p)))
+    | Shr_r ->
+        shifted t (r0 tb p) (Int64.shift_right_logical (v1 t tb p) (count (v2 t tb p)))
+    | Shr_i ->
+        shifted t (r0 tb p) (Int64.shift_right_logical (v1 t tb p) (count (imm tb p)))
+    | Sar_r -> shifted t (r0 tb p) (Int64.shift_right (v1 t tb p) (count (v2 t tb p)))
+    | Sar_i -> shifted t (r0 tb p) (Int64.shift_right (v1 t tb p) (count (imm tb p)))
+    | Ror_r -> shifted t (r0 tb p) (ror (v1 t tb p) (v2 t tb p))
+    | Ror_i -> shifted t (r0 tb p) (ror (v1 t tb p) (imm tb p))
+    | Cmp_r ->
+        let a = v0 t tb p and b = v1 t tb p in
         flags_sub t a b (Int64.sub a b)
-    | Cmp_ri (a, v) ->
-        let a = reg t a in
-        flags_sub t a v (Int64.sub a v)
-    | Ld { dst; base; off; size; sext } ->
-        set_reg t dst (load t.mem (Int64.to_int (reg t base) + off) size sext)
-    | St { src; base; off; size } ->
-        store t.mem (Int64.to_int (reg t base) + off) size (reg t src)
-    | Lea { dst; base; index; scale; off } ->
-        let v = Int64.add (reg t base) (Int64.of_int off) in
-        set_reg t dst
-          (if index >= 0 then Int64.add v (Int64.mul (reg t index) (Int64.of_int scale))
-           else v)
-    | Ext { dst; src; bits; signed } -> set_reg t dst (ext (reg t src) ~bits ~signed)
-    | Mul_wide { signed; src } ->
-        let a = reg t 0 and b = reg t src in
-        set_reg t 0 (Int64.mul a b);
-        set_reg t 2 (if signed then smulh a b else umulh a b)
-    | Mul_hi { signed; dst; a; b } ->
-        let a = reg t a and b = reg t b in
-        set_reg t dst (if signed then smulh a b else umulh a b)
-    | Div { signed; src } ->
-        let d = reg t src in
+    | Cmp_i ->
+        let a = v0 t tb p and b = imm tb p in
+        flags_sub t a b (Int64.sub a b)
+    | Ld1 -> uset t (r0 tb p) (Int64.of_int (load8u t.mem (ea t tb p)))
+    | Ld1s -> uset t (r0 tb p) (Int64.of_int (load8s t.mem (ea t tb p)))
+    | Ld2 -> uset t (r0 tb p) (Int64.of_int (load16u t.mem (ea t tb p)))
+    | Ld2s -> uset t (r0 tb p) (Int64.of_int (load16s t.mem (ea t tb p)))
+    | Ld4 ->
+        uset t (r0 tb p)
+          (Int64.logand (Int64.of_int32 (load32 t.mem (ea t tb p))) 0xFFFFFFFFL)
+    | Ld4s -> uset t (r0 tb p) (Int64.of_int32 (load32 t.mem (ea t tb p)))
+    | Ld8 | Ld8s -> uset t (r0 tb p) (load64 t.mem (ea t tb p))
+    | St1 -> store8 t.mem (ea t tb p) (v0 t tb p)
+    | St2 -> store16 t.mem (ea t tb p) (v0 t tb p)
+    | St4 -> store32 t.mem (ea t tb p) (v0 t tb p)
+    | St8 -> store64 t.mem (ea t tb p) (v0 t tb p)
+    | Lea_x ->
+        uset t (r0 tb p)
+          (Int64.add
+             (Int64.add (v1 t tb p) (imm tb p))
+             (Int64.shift_left (v2 t tb p) (r3 tb p)))
+    | Lea -> uset t (r0 tb p) (Int64.add (v1 t tb p) (imm tb p))
+    | Ext1 -> uset t (r0 tb p) (Int64.logand (v1 t tb p) 1L)
+    | Ext1s -> uset t (r0 tb p) (Int64.shift_right (Int64.shift_left (v1 t tb p) 63) 63)
+    | Ext8 -> uset t (r0 tb p) (Int64.logand (v1 t tb p) 0xFFL)
+    | Ext8s -> uset t (r0 tb p) (Int64.shift_right (Int64.shift_left (v1 t tb p) 56) 56)
+    | Ext16 -> uset t (r0 tb p) (Int64.logand (v1 t tb p) 0xFFFFL)
+    | Ext16s -> uset t (r0 tb p) (Int64.shift_right (Int64.shift_left (v1 t tb p) 48) 48)
+    | Ext32 -> uset t (r0 tb p) (Int64.logand (v1 t tb p) 0xFFFFFFFFL)
+    | Ext32s -> uset t (r0 tb p) (Int64.shift_right (Int64.shift_left (v1 t tb p) 32) 32)
+    | Ext_bad -> raise (Trap "bad extension width")
+    | Mulw ->
+        let a = ureg t 0 and b = v0 t tb p in
+        uset t 0 (Int64.mul a b);
+        uset t 2 (umulh a b)
+    | Mulw_s ->
+        let a = ureg t 0 and b = v0 t tb p in
+        uset t 0 (Int64.mul a b);
+        uset t 2 (smulh a b)
+    | Mulh -> uset t (r0 tb p) (umulh (v1 t tb p) (v2 t tb p))
+    | Mulh_s -> uset t (r0 tb p) (smulh (v1 t tb p) (v2 t tb p))
+    | Div | Div_s ->
+        let d = v0 t tb p in
         if d = 0L then raise (Trap "integer division by zero");
-        let a = reg t 0 in
-        if signed then begin
+        let a = ureg t 0 in
+        if op == Div_s then begin
           if a = Int64.min_int && d = -1L then raise (Trap "integer division overflow");
-          set_reg t 0 (Int64.div a d);
-          set_reg t 2 (Int64.rem a d)
+          uset t 0 (Int64.div a d);
+          uset t 2 (Int64.rem a d)
         end
         else begin
-          set_reg t 0 (Int64.unsigned_div a d);
-          set_reg t 2 (Int64.unsigned_rem a d)
+          uset t 0 (Int64.unsigned_div a d);
+          uset t 2 (Int64.unsigned_rem a d)
         end
-    | Div_rrr { signed; dst; a; b } ->
-        (* AArch64 semantics: division by zero yields zero. *)
-        let bv = reg t b in
-        let av = reg t a in
-        set_reg t dst
-          (if bv = 0L then 0L
-           else if signed then
-             if av = Int64.min_int && bv = -1L then Int64.min_int else Int64.div av bv
-           else Int64.unsigned_div av bv)
-    | Msub { dst; a; b; c } ->
-        set_reg t dst (Int64.sub (reg t c) (Int64.mul (reg t a) (reg t b)))
-    | Crc32_rr (d, s) -> set_reg t d (crc32c (reg t d) (reg t s))
-    | Crc32_rrr (d, a, b) -> set_reg t d (crc32c (reg t a) (reg t b))
-    | Setcc (c, d) -> set_reg t d (if cond_true t c then 1L else 0L)
-    | Csel { cond; dst; a; b } ->
-        set_reg t dst (if cond_true t cond then reg t a else reg t b)
-    | Jmp off ->
-        let j = Array.unsafe_get cm.cm_target i in
-        ip := if j >= 0 then j else idx_of cm (cm.cm_base + off)
-    | Jcc (c, off) ->
-        if cond_true t c then begin
-          let j = Array.unsafe_get cm.cm_target i in
-          ip := if j >= 0 then j else idx_of cm (cm.cm_base + off)
-        end
-    | Jmp_ind r ->
-        ip := goto t (Int64.to_int (reg t r));
+    (* AArch64 semantics: division by zero yields zero *)
+    | Udiv ->
+        let b = v2 t tb p in
+        uset t (r0 tb p) (if b = 0L then 0L else Int64.unsigned_div (v1 t tb p) b)
+    | Sdiv ->
+        let a = v1 t tb p and b = v2 t tb p in
+        uset t (r0 tb p)
+          (if b = 0L then 0L
+           else if a = Int64.min_int && b = -1L then Int64.min_int
+           else Int64.div a b)
+    | Msub ->
+        uset t (r0 tb p) (Int64.sub (v0 t tb p) (Int64.mul (v1 t tb p) (v2 t tb p)))
+    | Crc -> uset t (r0 tb p) (crc32c (v1 t tb p) (v2 t tb p))
+    | Setcc -> uset t (r0 tb p) (if cond_true t (cond_at tb p) then 1L else 0L)
+    | Csel ->
+        uset t (r0 tb p) (if cond_true t (cond_at tb p) then v1 t tb p else v2 t tb p)
+    | Jmp -> ip := tgt_at tb p
+    | Jcc -> if cond_true t (cond_at tb p) then ip := tgt_at tb p
+    | Call ->
+        push_ret t (Int64.of_int (cm.cm_base + ret_at tb p));
+        ip := tgt_at tb p
+    | Jmp_far ->
+        ip := goto t (cm.cm_base + off_at tb p);
         m := t.last_mod
-    | Jmp_mem slot ->
-        ip := goto t (Int64.to_int (load64 t.mem (Int64.to_int slot)));
-        m := t.last_mod
-    | Call_rel off ->
-        push_ret t (Int64.of_int (cm.cm_base + Array.unsafe_get cm.cm_next i));
-        let j = Array.unsafe_get cm.cm_target i in
-        if j >= 0 then ip := j
-        else begin
-          ip := goto t (cm.cm_base + off);
+    | Jcc_far ->
+        if cond_true t (cond_at tb p) then begin
+          ip := goto t (cm.cm_base + off_at tb p);
           m := t.last_mod
         end
-    | Call_ind r ->
-        push_ret t (Int64.of_int (cm.cm_base + Array.unsafe_get cm.cm_next i));
-        ip := goto t (Int64.to_int (reg t r));
+    | Call_far ->
+        push_ret t (Int64.of_int (cm.cm_base + ret_at tb p));
+        ip := goto t (cm.cm_base + off_at tb p);
+        m := t.last_mod
+    | Jmp_ind ->
+        ip := goto t (Int64.to_int (v0 t tb p));
+        m := t.last_mod
+    | Jmp_mem ->
+        ip := goto t (Int64.to_int (load64 t.mem (Int64.to_int (imm tb p))));
+        m := t.last_mod
+    | Call_ind ->
+        push_ret t (Int64.of_int (cm.cm_base + ret_at tb p));
+        ip := goto t (Int64.to_int (v0 t tb p));
         m := t.last_mod
     | Ret ->
         ip := goto t (Int64.to_int (pop_ret t));
         m := t.last_mod
-    | Falu_rr (op, d, s) -> set_reg t d (falu op (reg t d) (reg t s))
-    | Falu_rrr (op, d, x, y) -> set_reg t d (falu op (reg t x) (reg t y))
-    | Fcmp_rr (x, y) ->
-        let a = Int64.float_of_bits (reg t x) and b = Int64.float_of_bits (reg t y) in
+    | Fadd -> uset t (r0 tb p) (fadd (v1 t tb p) (v2 t tb p))
+    | Fsub -> uset t (r0 tb p) (fsub (v1 t tb p) (v2 t tb p))
+    | Fmul -> uset t (r0 tb p) (fmul (v1 t tb p) (v2 t tb p))
+    | Fdiv -> uset t (r0 tb p) (fdiv (v1 t tb p) (v2 t tb p))
+    | Fcmp ->
+        let a = Int64.float_of_bits (v0 t tb p) and b = Int64.float_of_bits (v1 t tb p) in
         t.zf <- a = b;
         t.sf <- a < b;
         t.ovf <- false;
         t.cf <- a < b
-    | Cvt_si2f (d, s) -> set_reg t d (Int64.bits_of_float (Int64.to_float (reg t s)))
-    | Cvt_f2si (d, s) -> set_reg t d (Int64.of_float (Int64.float_of_bits (reg t s)))
-    | Brk code -> raise (Trap (Printf.sprintf "brk #%d" code))
+    | Cvt_si2f -> uset t (r0 tb p) (Int64.bits_of_float (Int64.to_float (v1 t tb p)))
+    | Cvt_f2si -> uset t (r0 tb p) (Int64.of_float (Int64.float_of_bits (v1 t tb p)))
+    | Brk -> raise (Trap (Printf.sprintf "brk #%d" (Int64.to_int (imm tb p))))
   done
 
 and dispatch_runtime t addr =
@@ -832,8 +1448,3 @@ let arg_reg t k = t.target.Target.arg_regs.(k)
 (* the public accessors, out of line: host callers see plain functions *)
 let reg t r = reg t r
 let set_reg t r v = set_reg t r v
-
-(** Decoded instructions of the module containing [addr] (debugging aid). *)
-let decoded_at t addr =
-  let m = find_mod t addr in
-  (m.cm_base, m.cm_insts)

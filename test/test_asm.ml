@@ -12,7 +12,7 @@ let roundtrip target insts =
   let a = Asm.create target in
   List.iter (Asm.emit a) insts;
   let blob = Asm.finish a in
-  let decoded, _ = Asm.decode_all target blob in
+  let decoded, _ = Emu.decode_all target blob in
   Array.to_list decoded
 
 (* encode one instruction and decode it back; pseudo-expanding targets may
@@ -155,7 +155,7 @@ let unit_cases =
         Asm.bind a l;
         Asm.emit a Minst.Ret;
         let blob = Asm.finish a in
-        let insts, _ = Asm.decode_all Target.x64 blob in
+        let insts, _ = Emu.decode_all Target.x64 blob in
         (match insts.(0) with
         | Minst.Jmp tgt ->
             check Alcotest.int "targets ret" (Asm.label_offset a l) tgt
@@ -169,7 +169,7 @@ let unit_cases =
         Asm.emit a Minst.Nop;
         Asm.jcc a Minst.Slt l;
         let blob = Asm.finish a in
-        let insts, _ = Asm.decode_all Target.a64 blob in
+        let insts, _ = Emu.decode_all Target.a64 blob in
         match insts.(1) with
         | Minst.Jcc (Minst.Slt, 0) -> ()
         | i -> Alcotest.failf "unexpected %s" (Format.asprintf "%a" (Minst.pp Target.a64) i));
@@ -182,13 +182,13 @@ let unit_cases =
         let pos = Bytes.length blob0 - 4 in
         Asm.patch_imm32 a pos 4096;
         let blob = Asm.finish a in
-        let insts, _ = Asm.decode_all Target.x64 blob in
+        let insts, _ = Emu.decode_all Target.x64 blob in
         match insts.(0) with
         | Minst.Alu_ri (Minst.Sub, 4, v) -> check Alcotest.int64 "imm" 4096L v
         | _ -> Alcotest.fail "decode");
     Alcotest.test_case "decode error on garbage" `Quick (fun () ->
         let b = Bytes.make 1 '\xFF' in
-        match Asm.decode_all Target.x64 b with
+        match Emu.decode_all Target.x64 b with
         | exception Asm.Decode_error _ -> ()
         | _ -> Alcotest.fail "expected decode error");
   ]

@@ -752,4 +752,105 @@ let suite =
         check Alcotest.int64 "next context runs" 3L (fst (Emu.call ctx2 ~addr:base ~args:[||]));
         Emu.release_context ctx2;
         check Alcotest.int "freed again" live0 (Memory.live_data_bytes mem));
+    Alcotest.test_case "taken direct branches out of their blob trap as unmapped"
+      `Quick (fun () ->
+        (* the target lies outside the blob: the branch resolves through the
+           address space when taken, like an indirect one *)
+        List.iter
+          (fun (target : Target.t) ->
+            List.iter
+              (fun (what, branch, off) ->
+                let emu = Emu.create ~mem_size:(1 lsl 20) target in
+                let a = Asm.create target in
+                List.iter (Asm.emit a)
+                  [
+                    Minst.Mov_ri (0, 7L);
+                    Minst.Cmp_ri (target.Target.arg_regs.(0), 0L);
+                    branch;
+                    Minst.Ret;
+                  ];
+                let base = Code_region.base (Emu.register_code emu (Asm.finish a)) in
+                let want = Printf.sprintf "jump to unmapped address 0x%x" (base + off) in
+                let name = target.Target.name ^ " " ^ what in
+                match Emu.call emu ~addr:base ~args:[| 1L |] with
+                | exception Emu.Trap msg -> check Alcotest.string name want msg
+                | _ -> Alcotest.failf "%s: expected a trap" name)
+              [
+                ("jmp +100000", Minst.Jmp 100_000, 100_000);
+                ("jmp -8", Minst.Jmp (-8), -8);
+                ("taken jcc +4000", Minst.Jcc (Minst.Ne, 4000), 4000);
+              ])
+          [ Target.x64; Target.a64 ]);
+    Alcotest.test_case "malformed blobs fail at registration" `Quick (fun () ->
+        let blob target insts =
+          let a = Asm.create target in
+          List.iter (Asm.emit a) insts;
+          Asm.finish a
+        in
+        let truncated b = Bytes.sub b 0 (Bytes.length b - 1) in
+        List.iter
+          (fun (what, (target : Target.t), code) ->
+            let emu = Emu.create ~mem_size:(1 lsl 20) target in
+            ignore (Emu.register_code emu (blob target [ Minst.Ret ]));
+            let live = Emu.live_code_bytes emu in
+            let next = Emu.next_code_addr emu ~size:(Bytes.length code) in
+            (match Emu.register_code emu code with
+            | exception Asm.Decode_error _ -> ()
+            | _ -> Alcotest.failf "%s: expected Decode_error" what);
+            check Alcotest.int (what ^ ": live code") live (Emu.live_code_bytes emu);
+            check Alcotest.int (what ^ ": next address") next
+              (Emu.next_code_addr emu ~size:(Bytes.length code)))
+          [
+            ( "x64 truncated final instruction",
+              Target.x64,
+              truncated (blob Target.x64 [ Minst.Nop; Minst.Mov_ri (0, Int64.max_int) ]) );
+            ( "a64 truncated word",
+              Target.a64,
+              truncated (blob Target.a64 [ Minst.Nop; Minst.Ret ]) );
+            ("x64 mov to register 200", Target.x64, blob Target.x64 [ Minst.Mov_ri (200, 5L) ]);
+            ("a64 mov to register 200", Target.a64, blob Target.a64 [ Minst.Mov_rr (200, 1) ]);
+            ( "x64 lea index 100",
+              Target.x64,
+              blob Target.x64
+                [ Minst.Lea { dst = 0; base = 1; index = 100; scale = 1; off = 0 } ] );
+          ]);
+    Alcotest.test_case "registration allocates nothing per instruction" `Quick
+      (fun () ->
+        (* the loader's two buffers are big enough for the major heap at
+           both sizes; what is left on the minor heap is per blob *)
+        List.iter
+          (fun (target : Target.t) ->
+            let emu = Emu.create ~mem_size:(1 lsl 20) target in
+            let blob n =
+              let a = Asm.create target in
+              for k = 1 to n do
+                Asm.emit a
+                  (if k mod 3 = 0 then Minst.Nop
+                   else Minst.Alu_ri (Minst.Add, 0, Int64.of_int k))
+              done;
+              Asm.emit a Minst.Ret;
+              Asm.finish a
+            in
+            let words code =
+              let w0 = Gc.minor_words () in
+              Emu.release_code emu (Emu.register_code emu code);
+              Gc.minor_words () -. w0
+            in
+            let small = blob 1_000 and large = blob 10_000 in
+            ignore (words small);
+            ignore (words large);
+            check (Alcotest.float 0.)
+              (target.Target.name ^ ": words do not grow with the blob")
+              (words small) (words large))
+          [ Target.x64; Target.a64 ]);
+    Alcotest.test_case "the public register accessors stay checked" `Quick
+      (fun () ->
+        let emu = Emu.create ~mem_size:(1 lsl 20) Target.x64 in
+        let rejects what f =
+          match f () with
+          | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+          | exception Invalid_argument _ -> ()
+        in
+        rejects "reg" (fun () -> Emu.reg emu Emu.num_regs);
+        rejects "set_reg" (fun () -> Emu.set_reg emu Emu.num_regs 1L));
   ]

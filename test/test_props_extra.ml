@@ -63,7 +63,7 @@ let label_cases =
           per_seg;
         Asm.emit a Minst.Ret;
         let blob = Asm.finish a in
-        let insts, off2idx = Asm.decode_all target blob in
+        let insts, off2idx = Emu.decode_all target blob in
         (* every Jmp target must be a label offset, and that offset must
            decode to an instruction boundary *)
         Array.for_all
