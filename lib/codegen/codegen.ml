@@ -45,10 +45,6 @@ type step = {
   sinks : sink list;
 }
 
-(** A pipeline: serial prologue steps (prepare/sort/cleanup/...) followed by
-    an optional morsel-parallel body over a table's row range. *)
-type pipeline = { p_prologue : step list; p_body : step option }
-
 type compiled = {
   modul : Func.modul;
   steps : step list;
@@ -1359,20 +1355,3 @@ let compile_query ~mem ~catalog ~tables ~name (plan : Algebra.t) : compiled =
 
 (** Layout of output rows (for host-side result reading). *)
 let output_layout (c : compiled) = Layout.of_tys (Array.to_list c.output_tys)
-
-(** Group a compiled query's flat step list into pipelines: each [`Table]
-    step closes a pipeline as its morsel-parallel body; trailing [`Whole]
-    steps form a final body-less pipeline. *)
-let pipelines (c : compiled) : pipeline list =
-  let rec go acc pre = function
-    | [] -> (
-        match pre with
-        | [] -> List.rev acc
-        | _ -> List.rev ({ p_prologue = List.rev pre; p_body = None } :: acc))
-    | (s : step) :: rest -> (
-        match s.range with
-        | `Table _ ->
-            go ({ p_prologue = List.rev pre; p_body = Some s } :: acc) [] rest
-        | `Whole -> go acc (s :: pre) rest)
-  in
-  go [] [] c.steps

@@ -19,10 +19,9 @@ type db = {
   mutable tables : (string * Table.t) list;
 }
 
-let create_db ?(mem_size = 256 * 1024 * 1024) ?(ht_profile = Htable.Tagged)
-    target =
+let create_db ?(mem_size = 256 * 1024 * 1024) target =
   let emu = Emu.create ~mem_size target in
-  let registry = Registry.create ~ht_profile target in
+  let registry = Registry.create target in
   Registry.install registry emu;
   (* Build the copy-and-patch stencil library at engine start so the first
      stencil-compiled query pays only for blit + patch. *)
@@ -164,93 +163,11 @@ let read_output db (cq : Qcomp_codegen.Codegen.compiled) ~state : cell array lis
   done;
   !rows
 
-(* ---------------- morsels and pipelines ---------------- *)
-
-(** A half-open row range [\[lo, hi)] of a morsel-driven pipeline body —
-    the unit of work the intra-query scheduler hands to an execution lane.
-    Replaces the old [?from]/[?upto] optional arguments. *)
-module Morsel = struct
-  type t = { lo : int; hi : int }
-
-  let make ~lo ~hi =
-    if lo < 0 || hi < lo then invalid_arg "Engine.Morsel.make";
-    { lo; hi }
-
-  (** Every row of whatever table the body scans (clamped per table). *)
-  let whole = { lo = 0; hi = max_int }
-
-  (** Restrict to a table's actual row count. *)
-  let clamp t ~rows = { lo = min t.lo rows; hi = min t.hi rows }
-
-  let rows t = max 0 (t.hi - t.lo)
-
-  (** [parts] contiguous sub-ranges covering [t] (the last ones may be
-      empty when [t] is small). *)
-  let split t ~parts =
-    if parts <= 0 then invalid_arg "Engine.Morsel.split";
-    let n = rows t in
-    let per = (n + parts - 1) / parts in
-    List.init parts (fun i ->
-        let lo = min (t.lo + (i * per)) t.hi in
-        { lo; hi = min (lo + per) t.hi })
-
-  (** Sub-ranges of at most [size] rows, in order. *)
-  let chunks t ~size =
-    if size <= 0 then invalid_arg "Engine.Morsel.chunks";
-    let rec go lo acc =
-      if lo >= t.hi then List.rev acc
-      else go (lo + size) ({ lo; hi = min (lo + size) t.hi } :: acc)
-    in
-    go t.lo []
-end
-
-(** A compiled query as an ordered list of pipelines, split at the
-    pipeline breakers (hash-join build, group-by, sort): serial prologue
-    steps followed by an optional morsel-parallel body. *)
-module Pipeline = struct
-  type sink = Qcomp_codegen.Codegen.sink =
-    | Sink_ht of { ht_slot : int; ht_payload : int; ht_merge : string option }
-    | Sink_buf of { buf_slot : int; buf_row : int }
-
-  type step = Qcomp_codegen.Codegen.step = {
-    fn_name : string;
-    range : [ `Table of string | `Whole ];
-    par_safe : bool;
-    sinks : sink list;
-  }
-
-  type t = Qcomp_codegen.Codegen.pipeline = {
-    p_prologue : step list;
-    p_body : step option;
-  }
-
-  let of_compiled = Qcomp_codegen.Codegen.pipelines
-
-  (** Whether the body may run on several lanes over disjoint morsels. *)
-  let parallelizable (p : t) =
-    match p.p_body with
-    | Some s -> s.par_safe && s.sinks <> []
-    | None -> false
-end
-
-(** Run one compiled step over a morsel: [`Table] bodies get the range
-    (clamped to the table), whole-object steps get [(0, 0)]. *)
-let run_step db cm ~state (step : Pipeline.step) (m : Morsel.t) =
-  let addr = Int64.to_int (Qcomp_backend.Backend.find_fn cm step.fn_name) in
-  let lo, hi =
-    match step.range with
-    | `Table t ->
-        let m = Morsel.clamp m ~rows:(Table.rows (table db t)) in
-        (Int64.of_int m.Morsel.lo, Int64.of_int m.Morsel.hi)
-    | `Whole -> (0L, 0L)
-  in
-  ignore (Emu.call db.emu ~addr ~args:[| Int64.of_int state; lo; hi |])
-
-(** Execute an already-back-end-compiled query, restricting every pipeline
-    body to morsel [m] (prologue/barrier steps always run whole). The
-    common case is {!execute}, which runs every row. *)
-let execute_morsel db (cq : Qcomp_codegen.Codegen.compiled)
-    (cm : Qcomp_backend.Backend.compiled_module) (m : Morsel.t) : result =
+(** Execute an already-back-end-compiled query over every row: each step
+    in order, [`Table] steps over the whole table [(0, rows)], whole-object
+    steps with [(0, 0)]. *)
+let execute db (cq : Qcomp_codegen.Codegen.compiled)
+    (cm : Qcomp_backend.Backend.compiled_module) : result =
   let mem = memory db in
   (* every per-execution allocation (state block, tuple buffers, hash-table
      arenas, string bodies) lands in one scope and is recycled once the
@@ -272,21 +189,23 @@ let execute_morsel db (cq : Qcomp_codegen.Codegen.compiled)
             cq.Qcomp_codegen.Codegen.fn_ptr_fixups;
           Emu.reset_counters db.emu;
           List.iter
-            (fun (p : Pipeline.t) ->
-              List.iter
-                (fun s -> run_step db cm ~state s Morsel.whole)
-                p.Pipeline.p_prologue;
-              match p.Pipeline.p_body with
-              | Some body -> run_step db cm ~state body m
-              | None -> ())
-            (Pipeline.of_compiled cq);
+            (fun (step : Qcomp_codegen.Codegen.step) ->
+              let addr =
+                Int64.to_int (Qcomp_backend.Backend.find_fn cm step.fn_name)
+              in
+              let hi =
+                match step.range with
+                | `Table t -> Table.rows (table db t)
+                | `Whole -> 0
+              in
+              ignore
+                (Emu.call db.emu ~addr
+                   ~args:[| Int64.of_int state; 0L; Int64.of_int hi |]))
+            cq.Qcomp_codegen.Codegen.steps;
           let exec_cycles = Emu.cycles db.emu in
           let exec_instructions = Emu.instructions_executed db.emu in
           let rows = read_output db cq ~state in
           { rows; exec_cycles; exec_instructions; output_count = List.length rows }))
-
-(** Execute an already-back-end-compiled query over every row. *)
-let execute db cq cm : result = execute_morsel db cq cm Morsel.whole
 
 (** Compile a plan to IR. *)
 let plan_to_ir db ~name plan =

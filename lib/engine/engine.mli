@@ -23,13 +23,10 @@ type db = {
   mutable tables : (string * Table.t) list;
 }
 
-(** [create_db ?mem_size ?ht_profile target] is a fresh database instance:
-    an emulated machine of [mem_size] bytes (default 256 MiB) with the
-    query runtime registered. [ht_profile] selects the hash-table layout
-    family new tables are created under (default [Tagged]); it is fixed
-    per instance — there is no process-wide toggle. *)
-val create_db :
-  ?mem_size:int -> ?ht_profile:Htable.profile -> Target.t -> db
+(** [create_db ?mem_size target] is a fresh database instance: an
+    emulated machine of [mem_size] bytes (default 256 MiB) with the query
+    runtime registered. *)
+val create_db : ?mem_size:int -> Target.t -> db
 
 (** The instance's linear memory (tables, hash tables and generated-code
     working set all live here). *)
@@ -84,81 +81,8 @@ val checksum : cell array list -> int64
 (** Read the materialized output rows of an executed query. *)
 val read_output : db -> Qcomp_codegen.Codegen.compiled -> state:int -> cell array list
 
-(** {1 Morsels and pipelines}
-
-    The intra-query execution API: a compiled query is an ordered list of
-    {!Pipeline.t}s (split at pipeline breakers — hash-join build, group-by,
-    sort); each pipeline's body is independently invocable over a
-    {!Morsel.t} row range, which is what the morsel scheduler parallelizes
-    across lanes. *)
-
-(** A half-open row range [\[lo, hi)] of a pipeline body. *)
-module Morsel : sig
-  type t = { lo : int; hi : int }
-
-  (** Raises [Invalid_argument] when [lo < 0] or [hi < lo]. *)
-  val make : lo:int -> hi:int -> t
-
-  (** Every row (clamped per table at execution time). *)
-  val whole : t
-
-  (** Restrict to a table's actual row count. *)
-  val clamp : t -> rows:int -> t
-
-  val rows : t -> int
-
-  (** [parts] contiguous sub-ranges covering the range, in order. *)
-  val split : t -> parts:int -> t list
-
-  (** Sub-ranges of at most [size] rows, in order. *)
-  val chunks : t -> size:int -> t list
-end
-
-module Pipeline : sig
-  type sink = Qcomp_codegen.Codegen.sink =
-    | Sink_ht of { ht_slot : int; ht_payload : int; ht_merge : string option }
-    | Sink_buf of { buf_slot : int; buf_row : int }
-
-  type step = Qcomp_codegen.Codegen.step = {
-    fn_name : string;
-    range : [ `Table of string | `Whole ];
-    par_safe : bool;
-    sinks : sink list;
-  }
-
-  type t = Qcomp_codegen.Codegen.pipeline = {
-    p_prologue : step list;  (** serial prepare/sort/cleanup steps *)
-    p_body : step option;  (** morsel-driven body over a table range *)
-  }
-
-  (** Group a compiled query's steps into pipelines. *)
-  val of_compiled : Qcomp_codegen.Codegen.compiled -> t list
-
-  (** Whether the body may run on several lanes over disjoint morsels
-      (it has mergeable sinks and no cross-lane state like LIMIT). *)
-  val parallelizable : t -> bool
-end
-
-(** Run one compiled step over a morsel against an existing state block:
-    [`Table] bodies get the clamped range, whole-object steps [(0, 0)]. *)
-val run_step :
-  db ->
-  Qcomp_backend.Backend.compiled_module ->
-  state:int ->
-  Pipeline.step ->
-  Morsel.t ->
-  unit
-
-(** Execute an already-back-end-compiled query, restricting every pipeline
-    body to the given morsel (prologue/barrier steps always run whole). *)
-val execute_morsel :
-  db ->
-  Qcomp_codegen.Codegen.compiled ->
-  Qcomp_backend.Backend.compiled_module ->
-  Morsel.t ->
-  result
-
-(** Execute an already-back-end-compiled query over every row. *)
+(** Execute an already-back-end-compiled query over every row: the
+    compiled steps run in order, table scans over [(0, rows)]. *)
 val execute :
   db ->
   Qcomp_codegen.Codegen.compiled ->

@@ -23,8 +23,8 @@ let queries_of workload =
   | Tpcds -> Qcomp_workloads.Tpcds.queries
 
 (** Build and load a database instance for a workload at scale factor [sf]. *)
-let make_db ?(mem_size = 512 * 1024 * 1024) ?ht_profile target workload ~sf =
-  let db = Engine.create_db ~mem_size ?ht_profile target in
+let make_db ?(mem_size = 512 * 1024 * 1024) target workload ~sf =
+  let db = Engine.create_db ~mem_size target in
   List.iter
     (fun (spec : Spec.table_spec) ->
       ignore

@@ -19,7 +19,6 @@ val queries_of : workload -> Qcomp_workloads.Spec.query list
 (** Build and load a database instance for a workload at scale factor [sf]. *)
 val make_db :
   ?mem_size:int ->
-  ?ht_profile:Qcomp_runtime.Htable.profile ->
   Qcomp_vm.Target.t ->
   workload ->
   sf:int ->

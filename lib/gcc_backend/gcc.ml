@@ -62,14 +62,13 @@ let compile_artifact ~timing ~(target : Target.t) ~registry (m : Func.modul) :
         Timing.scope timing "Gimplify" (fun () -> Cbuild.build ast lmod))
   in
   (* 3. optimize hard (-O3-like: two rounds) *)
-  (if Sys.getenv_opt "GCC_NOOPT" = None then
-     Timing.scope timing "Optimize" (fun () ->
-         List.iter
-           (fun f ->
-             let cache = Llvm.Lpasses.fresh_cache () in
-             Llvm.Lpasses.run_passes timing cache Llvm.Lpasses.o2_pipeline f;
-             Llvm.Lpasses.run_passes timing cache Llvm.Lpasses.o2_pipeline f)
-           funcs));
+  Timing.scope timing "Optimize" (fun () ->
+      List.iter
+        (fun f ->
+          let cache = Llvm.Lpasses.fresh_cache () in
+          Llvm.Lpasses.run_passes timing cache Llvm.Lpasses.o2_pipeline f;
+          Llvm.Lpasses.run_passes timing cache Llvm.Lpasses.o2_pipeline f)
+        funcs);
   (* 4. code generation: optimizing selector + greedy allocator, then
         textual assembly output *)
   (* absolute runtime addresses baked as immediates are recorded so a
@@ -93,44 +92,16 @@ let compile_artifact ~timing ~(target : Target.t) ~registry (m : Func.modul) :
           in
           Llvm.Lisel.lower_function fl ~mode:Llvm.Lisel.Dag;
           let mir = fl.Llvm.Flow.mir in
-          let dump tag =
-            if Sys.getenv_opt "GCC_DUMP_MIR" = Some lf.Lir.lname then begin
-              Printf.eprintf "=== %s %s ===\n" tag lf.Lir.lname;
-              Array.iteri
-                (fun bi blk ->
-                  Printf.eprintf "bb%d: (succs %s)\n" bi
-                    (String.concat "," (List.map string_of_int blk.Llvm.Mir.succs));
-                  Qcomp_support.Vec.iter
-                    (fun mi ->
-                      match mi with
-                      | Llvm.Mir.M inst -> Format.eprintf "  %a@." (Minst.pp target) inst
-                      | Llvm.Mir.Mphi { dst; incoming } ->
-                          Printf.eprintf "  phi v%d <- %s\n" dst
-                            (String.concat ", "
-                               (Array.to_list
-                                  (Array.map (fun (b, v) -> Printf.sprintf "bb%d:v%d" b v) incoming)))
-                      | Llvm.Mir.Mcall { sym } -> Printf.eprintf "  call %s\n" sym
-                      | Llvm.Mir.Mframe_ld { dst; slot; _ } -> Printf.eprintf "  frameld v%d s%d\n" dst slot
-                      | Llvm.Mir.Mframe_st { src; slot; _ } -> Printf.eprintf "  framest v%d s%d\n" src slot)
-                    blk.Llvm.Mir.insts)
-                mir.Llvm.Mir.blocks
-            end
-          in
-          dump "post-isel";
           Llvm.Mpasses.phi_elim mir;
           Llvm.Mpasses.two_address mir;
-          (if Sys.getenv_opt "GCC_FASTRA" <> None then Llvm.Mpasses.regalloc_fast mir
-           else begin
-             let live = Llvm.Mpasses.compute_liveness mir in
-             let freq = Llvm.Mpasses.block_freq mir in
-             ignore (Llvm.Mpasses.regalloc_greedy mir live freq)
-           end);
+          let live = Llvm.Mpasses.compute_liveness mir in
+          let freq = Llvm.Mpasses.block_freq mir in
+          ignore (Llvm.Mpasses.regalloc_greedy mir live freq);
           Llvm.Mpasses.remove_identity_moves mir;
           let frame = Llvm.Mpasses.prologue_epilogue mir in
           Gasm.print_function target ~name:lf.Lir.lname mir asm_text;
           fn_frames := (lf.Lir.lname, frame) :: !fn_frames)
         funcs);
-  (if Sys.getenv_opt "GCC_DUMP" <> None then prerr_string (Buffer.contents asm_text));
   (* 5. assembler: separate tool, reads the .s file *)
   let obj =
     Timing.scope timing "Assembler" (fun () ->

@@ -119,26 +119,6 @@ let compile_artifact_with (cfg : config) ~backend ~timing ~(target : Target.t)
           | Isel_fast -> Lisel.lower_function fl ~mode:Lisel.Fast
           | Isel_dag -> Lisel.lower_function fl ~mode:Lisel.Dag
           | Isel_gisel -> Globalisel.run timing fl);
-      (match Sys.getenv_opt "LLVM_DUMP" with
-      | Some pat when pat <> "" && (try ignore (Str.search_forward (Str.regexp pat) f.Func.name 0); true with Not_found -> false) ->
-          Printf.eprintf "=== MIR %s ===\n" f.Func.name;
-          Array.iteri
-            (fun bi blk ->
-              Printf.eprintf "bb%d:\n" bi;
-              Qcomp_support.Vec.iter
-                (fun mi ->
-                  match mi with
-                  | Mir.M inst ->
-                      Format.eprintf "  %a@." (Minst.pp target) inst
-                  | Mir.Mphi { dst; incoming } ->
-                      Printf.eprintf "  phi v%d <- %s\n" dst
-                        (String.concat ", " (Array.to_list (Array.map (fun (b, v) -> Printf.sprintf "bb%d:v%d" b v) incoming)))
-                  | Mir.Mcall { sym } -> Printf.eprintf "  call %s\n" sym
-                  | Mir.Mframe_ld { dst; slot; _ } -> Printf.eprintf "  frameld v%d s%d\n" dst slot
-                  | Mir.Mframe_st { src; slot; _ } -> Printf.eprintf "  framest v%d s%d\n" src slot)
-                blk.Mir.insts)
-            fl.Flow.mir.Mir.blocks
-      | _ -> ());
       stats.Flow.fb_intrinsic <- stats.Flow.fb_intrinsic + fl.Flow.stats.Flow.fb_intrinsic;
       stats.Flow.fb_i128 <- stats.Flow.fb_i128 + fl.Flow.stats.Flow.fb_i128;
       stats.Flow.fb_atomic <- stats.Flow.fb_atomic + fl.Flow.stats.Flow.fb_atomic;

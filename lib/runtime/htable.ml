@@ -1,18 +1,17 @@
 (** Hash table in VM memory, used for hash joins and group-by aggregation.
 
-    Three layouts share one handle format and one registry ABI
+    Two layouts share one handle format and one registry ABI
     ([create]/[insert]/[lookup]/[next]/[iter]), so every back-end —
     interpreter, stencil, directemit, cranelift, llvm, gcc — inherits the
-    fast paths with zero codegen edits:
+    fast paths with zero codegen edits. The runtime picks the layout from
+    the keys it sees; nothing selects it from outside:
 
-    - [Legacy]: the pre-tag open-addressing table (4 simulated cycles per
-      probed slot, no tag filter). Kept bit-compatible as the baseline the
-      [bench join] gate measures against.
-    - [Tagged]: same entry arena, plus a separate packed array of 16-bit
-      hash tags (4 tags per 64-bit word, scanned word-at-a-time, HyPer /
-      Umbra-unchained style). No-match probes compare tags only and never
-      touch the entry arena; the full 64-bit hash is loaded only on a tag
-      hit, so a miss costs ~7 simulated cycles instead of ~12.
+    - [Tagged]: an open-addressing entry arena plus a separate packed
+      array of 16-bit hash tags (4 tags per 64-bit word, scanned
+      word-at-a-time, HyPer / Umbra-unchained style). No-match probes
+      compare tags only and never touch the entry arena; the full 64-bit
+      hash is loaded only on a tag hit, so a miss costs ~7 simulated
+      cycles.
     - [Direct]: a direct-address table for dense small-range integer keys
       (ClickHouse [FixedHashMap] style). The generated code only ever
       passes 64-bit hashes, but [Hashes.hash64] is affine over GF(2) and
@@ -22,19 +21,19 @@
 
     Header layout (64 bytes at the handle address; generated code reads
     offsets +0/+16/+24 directly in group-by scan loops, so those are ABI):
-    - +0  capacity  (entry-arena slot count; power of two in Legacy/Tagged)
+    - +0  capacity  (entry-arena slot count; power of two in Tagged)
     - +8  count
     - +16 entry size in bytes: 8-byte hash header + payload (8-aligned)
           + 8-byte trailer (Direct-mode chain link; unused otherwise)
     - +24 pointer to the entry arena
-    - +32 mode word: 0 = Legacy, 1 = Tagged, 2 = Direct
+    - +32 mode word: 1 = Tagged, 2 = Direct
     - +40 aux pointer: packed tag array (Tagged) / bucket array (Direct,
           0 until the first insert)
     - +48 Direct: key value of bucket 0 (the minimum key observed)
     - +56 Direct: bucket-array slot count (power of two)
 
     Entry layout: [hash:u64][payload...][chain:u64]; hash 0 marks an empty
-    slot, so stored hashes are forced non-zero. Legacy/Tagged use linear
+    slot, so stored hashes are forced non-zero. Tagged uses linear
     probing; duplicates of the same hash are chained by probe order (joins
     need them), and growth rehashes circularly starting after an empty
     slot so the relative order of equal-hash entries survives rehashing.
@@ -59,42 +58,29 @@ let min_capacity = 16
 let direct_max_span = 1 lsl 16
 let direct_min_buckets = 64
 
-let mode_legacy = 0L
 let mode_tagged = 1L
 let mode_direct = 2L
-
-type profile = Legacy | Tagged
-
-(* The profile selects the layout family for *newly created* tables:
-   [Tagged] (the default) starts tables as direct-address candidates and
-   falls back to the tag-filtered layout; [Legacy] reproduces the
-   pre-tag table and its exact cycle charges, kept so the join benchmark
-   can measure before/after in one process. It is a per-table creation
-   argument — there is deliberately no process-wide toggle, so concurrent
-   intra-query builds cannot race on it. *)
 
 (* ---------------- charged-cycle model ----------------
 
    All simulated costs live here (the registry charges whatever these
    functions return), so the calibration is in one place:
 
-   Legacy (unchanged from the pre-tag table):
-     create 200; lookup 8 + 4/slot; next 6 + 4/slot;
-     insert 10 + 4/slot + 6/moved entry on growth; zeroing free.
+   create 200 + arena zeroing.
 
    Tagged: a no-match probe is a tag-word scan that skips the entry
    arena entirely (Umbra's ~10-instruction no-match path):
      lookup 6 + 1/tag word + 3/tag hit; next 4 + 1/tag word + 3/tag hit;
-     insert 10 + 1/tag word + 2 for the tag+hash stores.
+     insert 10 + 1/tag word + 2 for the tag+hash stores
+     + 6/moved entry on growth.
 
    Direct: a bounds check plus one bucket load:
      lookup 3 on range miss, 4 on empty bucket, 5 on hit; next 3/link;
      insert 8 + 1/chain hop to the tail.
 
-   Arena zeroing is no longer free outside Legacy: creation, growth and
-   migration charge {!zero_cost} per zeroed byte (1 cycle per 32 bytes,
-   wide-store throughput), so large build sides stop looking artificially
-   cheap to the re-optimization cost model. *)
+   Creation, growth and migration charge {!zero_cost} per zeroed byte
+   (1 cycle per 32 bytes, wide-store throughput), so large build sides do
+   not look artificially cheap to the re-optimization cost model. *)
 
 let zero_cost bytes = bytes / 32
 
@@ -161,10 +147,7 @@ let direct_base mem ht = Memory.load64 mem (ht + 48)
 let direct_bcap mem ht = Int64.to_int (Memory.load64 mem (ht + 56))
 
 let mode mem ht =
-  match mode_word mem ht with
-  | w when Int64.equal w mode_legacy -> `Legacy
-  | w when Int64.equal w mode_tagged -> `Tagged
-  | _ -> `Direct
+  if Int64.equal (mode_word mem ht) mode_tagged then `Tagged else `Direct
 
 let slot_addr mem ht i = entries_ptr mem ht + (i * entry_size mem ht)
 let mask mem ht = capacity mem ht - 1
@@ -192,11 +175,10 @@ let alloc_zeroed mem bytes =
 
 (* ---------------- creation ---------------- *)
 
-(** Create a table; returns [(handle, cycles)]. The layout family follows
-    [profile]: under [Tagged] (the default) the table starts as a
+(** Create a table; returns [(handle, cycles)]. The table starts as a
     direct-address candidate (when {!Hashes.unhash64_opt} exists) and
     decides on first contact with the keys. *)
-let create mem ?(profile = Tagged) ~payload_size ~capacity_hint () =
+let create mem ~payload_size ~capacity_hint =
   let entry_size = 8 + ((payload_size + 7) land lnot 7) + 8 in
   let cap = pow2_at_least capacity_hint min_capacity in
   let ht = Memory.alloc mem ~align:16 header_size in
@@ -207,56 +189,19 @@ let create mem ?(profile = Tagged) ~payload_size ~capacity_hint () =
   Memory.store64 mem (ht + 24) (Int64.of_int entries);
   Memory.store64 mem (ht + 48) 0L;
   Memory.store64 mem (ht + 56) 0L;
-  let cost =
-    match profile with
-    | Legacy ->
-        Memory.store64 mem (ht + 32) mode_legacy;
+  let zeroed =
+    match Hashes.unhash64_opt with
+    | Some _ ->
+        Memory.store64 mem (ht + 32) mode_direct;
         Memory.store64 mem (ht + 40) 0L;
-        200
-    | Tagged ->
-        let zeroed = ref (cap * entry_size) in
-        (match Hashes.unhash64_opt with
-        | Some _ ->
-            Memory.store64 mem (ht + 32) mode_direct;
-            Memory.store64 mem (ht + 40) 0L
-        | None ->
-            let tags = alloc_zeroed mem (cap * 2) in
-            zeroed := !zeroed + (cap * 2);
-            Memory.store64 mem (ht + 32) mode_tagged;
-            Memory.store64 mem (ht + 40) (Int64.of_int tags));
-        200 + zero_cost !zeroed
+        cap * entry_size
+    | None ->
+        let tags = alloc_zeroed mem (cap * 2) in
+        Memory.store64 mem (ht + 32) mode_tagged;
+        Memory.store64 mem (ht + 40) (Int64.of_int tags);
+        (cap * entry_size) + (cap * 2)
   in
-  (ht, cost)
-
-(* ---------------- legacy probing (pre-tag layout) ---------------- *)
-
-let legacy_insert_no_grow mem ht h =
-  let cap_mask = mask mem ht in
-  let h = norm_hash h in
-  let rec probe i probes =
-    let addr = slot_addr mem ht i in
-    let slot_hash = Memory.load64 mem addr in
-    if Int64.equal slot_hash 0L then begin
-      Memory.store64 mem addr h;
-      (addr + 8, probes)
-    end
-    else probe ((i + 1) land cap_mask) (probes + 1)
-  in
-  let start = Int64.to_int (Int64.logand h (Int64.of_int cap_mask)) in
-  probe start 0
-
-let legacy_lookup mem ht h =
-  let cap_mask = mask mem ht in
-  let h = norm_hash h in
-  let rec probe i probes =
-    let addr = slot_addr mem ht i in
-    let slot_hash = Memory.load64 mem addr in
-    if Int64.equal slot_hash 0L then (0, probes)
-    else if Int64.equal slot_hash h then (addr, probes)
-    else probe ((i + 1) land cap_mask) (probes + 1)
-  in
-  let start = Int64.to_int (Int64.logand h (Int64.of_int cap_mask)) in
-  probe start 0
+  (ht, 200 + zero_cost zeroed)
 
 (* ---------------- tagged probing ---------------- *)
 
@@ -300,9 +245,10 @@ let tagged_probe_from mem ht h start =
   in
   probe start 1 (tag_word start) 0
 
-(* ---------------- growth (Legacy/Tagged) ----------------
+(* ---------------- growth (Tagged) ----------------
 
-   Doubles the arena and rehashes. The scan over the old arena starts
+   Doubles the arena and tag array and rehashes. Only Tagged tables
+   reach it: a Direct arena grows by appending (see {!direct_insert}). The scan over the old arena starts
    just past an empty slot and wraps, so no maximal occupied run is split
    by the array boundary — equal-hash chains keep their probe order
    across growth (insertion order, the invariant joins rely on). The old
@@ -315,17 +261,12 @@ let grow mem ht =
   let old_entries = entries_ptr mem ht in
   let old_tags = aux_ptr mem ht in
   let esz = entry_size mem ht in
-  let tagged = Int64.equal (mode_word mem ht) mode_tagged in
   let new_cap = old_cap * 2 in
   let entries = alloc_zeroed mem (new_cap * esz) in
-  let zeroed = ref (new_cap * esz) in
+  let tags = alloc_zeroed mem (new_cap * 2) in
   Memory.store64 mem ht (Int64.of_int new_cap);
   Memory.store64 mem (ht + 24) (Int64.of_int entries);
-  if tagged then begin
-    let tags = alloc_zeroed mem (new_cap * 2) in
-    zeroed := !zeroed + (new_cap * 2);
-    Memory.store64 mem (ht + 40) (Int64.of_int tags)
-  end;
+  Memory.store64 mem (ht + 40) (Int64.of_int tags);
   (* load <= 70% guarantees an empty slot exists *)
   let first_empty = ref 0 in
   while
@@ -340,19 +281,14 @@ let grow mem ht =
     let src = old_entries + (i * esz) in
     let h = Memory.load64 mem src in
     if not (Int64.equal h 0L) then begin
-      let dst_payload, _ =
-        if tagged then tagged_insert_no_grow mem ht h
-        else legacy_insert_no_grow mem ht h
-      in
+      let dst_payload, _ = tagged_insert_no_grow mem ht h in
       Memory.blit mem ~src:(src + 8) ~dst:dst_payload ~len:(esz - 16);
       incr moved
     end
   done;
   Memory.free mem ~addr:old_entries ~size:(old_cap * esz) ~align:16;
-  if tagged && old_tags <> 0 then
-    Memory.free mem ~addr:old_tags ~size:(old_cap * 2) ~align:16;
-  let zero_cycles = if tagged then zero_cost !zeroed else 0 in
-  (6 * !moved) + zero_cycles
+  Memory.free mem ~addr:old_tags ~size:(old_cap * 2) ~align:16;
+  (6 * !moved) + zero_cost ((new_cap * esz) + (new_cap * 2))
 
 (* ---------------- direct-address layout ---------------- *)
 
@@ -535,15 +471,9 @@ let insert mem ht h =
     let cnt = count mem ht in
     let grow_cost = if 10 * (cnt + 1) > 7 * cap then grow mem ht else 0 in
     Memory.store64 mem (ht + 8) (Int64.of_int (cnt + 1));
-    if Int64.equal (mode_word mem ht) mode_tagged then begin
-      let payload, words = tagged_insert_no_grow mem ht h in
-      bump stat_tag_words words;
-      (payload, 10 + words + 2 + grow_cost)
-    end
-    else begin
-      let payload, probes = legacy_insert_no_grow mem ht h in
-      (payload, (4 * probes) + 10 + grow_cost)
-    end
+    let payload, words = tagged_insert_no_grow mem ht h in
+    bump stat_tag_words words;
+    (payload, 10 + words + 2 + grow_cost)
   end
 
 (** First entry whose hash equals [h]; 0 when absent. Returns the *entry*
@@ -551,18 +481,15 @@ let insert mem ht h =
     and the charged cycles. *)
 let lookup mem ht h =
   let entry, cost =
-    match mode_word mem ht with
-    | w when Int64.equal w mode_direct -> direct_lookup mem ht h
-    | w when Int64.equal w mode_tagged ->
-        let h = norm_hash h in
-        let start = Int64.to_int (Int64.logand h (Int64.of_int (mask mem ht))) in
-        let entry, words, hits = tagged_probe_from mem ht h start in
-        bump stat_tag_words words;
-        bump stat_tag_hits hits;
-        (entry, 6 + words + (3 * hits))
-    | _ ->
-        let entry, probes = legacy_lookup mem ht h in
-        (entry, 8 + (4 * probes))
+    if Int64.equal (mode_word mem ht) mode_direct then direct_lookup mem ht h
+    else begin
+      let h = norm_hash h in
+      let start = Int64.to_int (Int64.logand h (Int64.of_int (mask mem ht))) in
+      let entry, words, hits = tagged_probe_from mem ht h start in
+      bump stat_tag_words words;
+      bump stat_tag_hits hits;
+      (entry, 6 + words + (3 * hits))
+    end
   in
   count_probe cost;
   (entry, cost)
@@ -587,43 +514,29 @@ let check_entry_addr mem ht addr op =
 let next mem ht addr h =
   check_entry_addr mem ht addr "Htable.next";
   let entry, cost =
-    match mode_word mem ht with
-    | w when Int64.equal w mode_direct ->
-        bump stat_direct_probes 1;
-        let link = Memory.load64 mem (chain_word mem ht addr) in
-        if Int64.equal link 0L then (0, 3)
-        else (entry_of_index mem ht (Int64.to_int link), 3)
-    | w when Int64.equal w mode_tagged ->
-        let h = norm_hash h in
-        let esz = entry_size mem ht in
-        let i = (addr - entries_ptr mem ht) / esz in
-        let entry, words, hits =
-          tagged_probe_from mem ht h ((i + 1) land mask mem ht)
-        in
-        bump stat_tag_words words;
-        bump stat_tag_hits hits;
-        (entry, 4 + words + (3 * hits))
-    | _ ->
-        let cap_mask = mask mem ht in
-        let h = norm_hash h in
-        let esz = entry_size mem ht in
-        let base = entries_ptr mem ht in
-        let i = (addr - base) / esz in
-        let rec probe i probes =
-          let a = slot_addr mem ht i in
-          let slot_hash = Memory.load64 mem a in
-          if Int64.equal slot_hash 0L then (0, probes)
-          else if Int64.equal slot_hash h then (a, probes)
-          else probe ((i + 1) land cap_mask) (probes + 1)
-        in
-        let entry, probes = probe ((i + 1) land cap_mask) 0 in
-        (entry, 6 + (4 * probes))
+    if Int64.equal (mode_word mem ht) mode_direct then begin
+      bump stat_direct_probes 1;
+      let link = Memory.load64 mem (chain_word mem ht addr) in
+      if Int64.equal link 0L then (0, 3)
+      else (entry_of_index mem ht (Int64.to_int link), 3)
+    end
+    else begin
+      let h = norm_hash h in
+      let esz = entry_size mem ht in
+      let i = (addr - entries_ptr mem ht) / esz in
+      let entry, words, hits =
+        tagged_probe_from mem ht h ((i + 1) land mask mem ht)
+      in
+      bump stat_tag_words words;
+      bump stat_tag_hits hits;
+      (entry, 4 + words + (3 * hits))
+    end
   in
   count_probe cost;
   (entry, cost)
 
 (** Iterate payload addresses of all occupied entries (scan order: slot
-    order for Legacy/Tagged, insertion order for Direct). *)
+    order for Tagged, insertion order for Direct). *)
 let iter mem ht f =
   let cap = capacity mem ht in
   for i = 0 to cap - 1 do
@@ -632,11 +545,6 @@ let iter mem ht f =
   done
 
 (* ---------------- parallel-build support ---------------- *)
-
-(** The creation profile a table was built under, recovered from its mode
-    word — lane-local partitions mirror the global table's family. *)
-let profile_of mem ht =
-  if Int64.equal (mode_word mem ht) mode_legacy then Legacy else Tagged
 
 (** Capacity hint for an exact-size build from a known cardinality
     (Umbra-style): a table created with this hint absorbs [count] inserts

@@ -33,7 +33,7 @@ let i128_of lo hi =
 let split128 (v : I128.t) =
   (I128.to_int64 v, I128.to_int64 (I128.shift_right_logical v 64))
 
-let functions target ~ht_profile : (string * (Emu.t -> unit)) list =
+let functions target : (string * (Emu.t -> unit)) list =
   let ret, ret2 = make_ret target in
   [
     (* ---- traps ---- *)
@@ -54,8 +54,8 @@ let functions target ~ht_profile : (string * (Emu.t -> unit)) list =
         let payload = Int64.to_int (arg e 0) in
         let hint = Int64.to_int (arg e 1) in
         let ht, cost =
-          Htable.create (Emu.memory e) ~profile:ht_profile
-            ~payload_size:payload ~capacity_hint:hint ()
+          Htable.create (Emu.memory e) ~payload_size:payload
+            ~capacity_hint:hint
         in
         Emu.charge e cost;
         ret e (Int64.of_int ht) );
@@ -230,8 +230,8 @@ let functions target ~ht_profile : (string * (Emu.t -> unit)) list =
         ret e (Int64.bits_of_float (Int64.to_float (arg e 0))) );
   ]
 
-let create ?(ht_profile = Htable.Tagged) target =
-  let fl = functions target ~ht_profile in
+let create target =
+  let fl = functions target in
   let index = Hashtbl.create 64 in
   List.iteri (fun i (name, _) -> Hashtbl.add index name i) fl;
   {

@@ -182,9 +182,8 @@ let init_lanes t sched (s : Codegen.step) =
                       in
                       let hint = max 16 (Htable.capacity mem glob / n) in
                       let ht, c =
-                        Htable.create mem
-                          ~profile:(Htable.profile_of mem glob)
-                          ~payload_size:ht_payload ~capacity_hint:hint ()
+                        Htable.create mem ~payload_size:ht_payload
+                          ~capacity_hint:hint
                       in
                       Emu.charge t.db.Engine.emu c;
                       Memory.store64 mem (st + ht_slot) (Int64.of_int ht)
@@ -219,12 +218,9 @@ let merge_lanes t (s : Codegen.step) =
                     (Int64.to_int (Memory.load64 mem (l.l_state + ht_slot))))
               0 t.lanes
           in
-          let glob = Int64.to_int (Memory.load64 mem (t.state + ht_slot)) in
           let dst, c =
-            Htable.create mem
-              ~profile:(Htable.profile_of mem glob)
-              ~payload_size:ht_payload
-              ~capacity_hint:(Htable.exact_capacity total) ()
+            Htable.create mem ~payload_size:ht_payload
+              ~capacity_hint:(Htable.exact_capacity total)
           in
           Emu.charge emu c;
           Array.iter

@@ -10,13 +10,6 @@ module Hashes = Qcomp_support.Hashes
 let check = Alcotest.check
 let fresh_mem () = Memory.create (1 lsl 24)
 
-(* Creation takes the profile as an explicit argument now (no
-   process-wide toggle); [with_profile] hands the callback a [create]
-   preconfigured with it. *)
-let with_profile p f =
-  f (fun m ~payload_size ~capacity_hint ->
-      Htable.create m ~profile:p ~payload_size ~capacity_hint ())
-
 let unhash =
   match Hashes.unhash64_opt with
   | Some f -> f
@@ -40,7 +33,7 @@ let mode_cases =
     Alcotest.test_case "dense integer keys select direct addressing" `Quick
       (fun () ->
         let m = fresh_mem () in
-        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:16 () in
+        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:16 in
         for k = 0 to 999 do
           let p, _ = Htable.insert m ht (Hashes.hash64 (Int64.of_int k)) in
           Memory.store64 m p (Int64.of_int (k * 3))
@@ -60,7 +53,7 @@ let mode_cases =
     Alcotest.test_case "sparse keys fall back to tagged mid-build" `Quick
       (fun () ->
         let m = fresh_mem () in
-        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:16 () in
+        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:16 in
         let keys =
           List.init 100 (fun k -> Int64.of_int k) @ [ 10_000_000L ]
         in
@@ -79,100 +72,108 @@ let mode_cases =
               (Int64.of_int i)
               (Memory.load64 m (e + 8)))
           keys);
-    Alcotest.test_case "direct/tagged/legacy lookup equivalence" `Quick
-      (fun () ->
-        (* same inserts under all three layouts must expose the same
-           per-key payload multisets *)
+    Alcotest.test_case "direct/tagged lookup chains match the insertion model"
+      `Quick (fun () ->
+        (* the model: every key maps to its payloads in insertion order;
+           a lookup + next walk must return exactly that chain *)
         let keys =
           List.init 200 (fun k -> Int64.of_int (k mod 120))
           (* dups: 80 keys twice *)
         in
-        let collect profile extra =
-          with_profile profile (fun create ->
-              let m = fresh_mem () in
-              let ht, _ = create m ~payload_size:8 ~capacity_hint:4 in
-              List.iteri
-                (fun i k ->
-                  let p, _ = Htable.insert m ht (Hashes.hash64 k) in
-                  Memory.store64 m p (Int64.of_int i))
-                (keys @ extra);
-              List.map
-                (fun k ->
-                  let h = Hashes.hash64 k in
-                  let rec walk e acc =
-                    if e = 0 then List.rev acc
-                    else
-                      let v = Memory.load64 m (e + 8) in
-                      let e', _ = Htable.next m ht e h in
-                      walk e' (v :: acc)
-                  in
-                  let e, _ = Htable.lookup m ht h in
-                  (k, walk e []))
-                (List.sort_uniq compare (keys @ extra)))
+        let model inserted k =
+          List.concat
+            (List.mapi
+               (fun i k' -> if Int64.equal k k' then [ Int64.of_int i ] else [])
+               inserted)
         in
-        let direct = collect Htable.Tagged [] in
-        let fallback = collect Htable.Tagged [ 99_999_999L ] in
-        let legacy = collect Htable.Legacy [] in
-        List.iter2
-          (fun (k, a) (k', b) ->
-            check Alcotest.int64 "same key" k k';
-            check Alcotest.(list int64) "direct = legacy chains" a b)
-          direct legacy;
-        List.iter
-          (fun (k, chain) ->
-            if not (Int64.equal k 99_999_999L) then
-              check Alcotest.(list int64) "fallback chain matches"
-                (List.assoc k direct) chain)
-          fallback);
+        let check_against_model name ~expect_mode inserted =
+          let m = fresh_mem () in
+          let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 in
+          List.iteri
+            (fun i k ->
+              let p, _ = Htable.insert m ht (Hashes.hash64 k) in
+              Memory.store64 m p (Int64.of_int i))
+            inserted;
+          check Alcotest.bool (name ^ ": layout") true
+            (Htable.mode m ht = expect_mode);
+          List.iter
+            (fun k ->
+              let h = Hashes.hash64 k in
+              let rec walk e acc =
+                if e = 0 then List.rev acc
+                else
+                  let v = Memory.load64 m (e + 8) in
+                  let e', _ = Htable.next m ht e h in
+                  walk e' (v :: acc)
+              in
+              let e, _ = Htable.lookup m ht h in
+              check Alcotest.(list int64)
+                (Printf.sprintf "%s: chain of key %Ld" name k)
+                (model inserted k) (walk e []))
+            (List.sort_uniq compare inserted)
+        in
+        check_against_model "direct" ~expect_mode:`Direct keys;
+        (* forced tagged from the first inserts: two far-apart keys *)
+        check_against_model "tagged" ~expect_mode:`Tagged
+          ([ 7L; 777_777_777L ] @ keys);
+        (* mid-build fallback: the outlier arrives after the dense keys,
+           then more duplicates land in the migrated table *)
+        check_against_model "fallback" ~expect_mode:`Tagged
+          (keys @ [ 99_999_999L ] @ List.init 40 (fun k -> Int64.of_int k)));
   ]
 
 let chain_cases =
-  let dup_chain_test name profile keys =
+  let dup_chain_test ?expect_mode name keys =
     Alcotest.test_case name `Quick (fun () ->
-        with_profile profile (fun create ->
-            let m = fresh_mem () in
-            let ht, _ = create m ~payload_size:8 ~capacity_hint:4 in
-            (* three duplicates per key, interleaved so several grows land
-               mid-stream; payload encodes (key, dup ordinal) *)
-            List.iter
-              (fun d ->
-                List.iter
-                  (fun k ->
-                    let p, _ = Htable.insert m ht (Hashes.hash64 k) in
-                    Memory.store64 m p Int64.(add (mul k 10L) (of_int d)))
-                  keys)
-              [ 0; 1; 2 ];
-            check Alcotest.bool "grew" true
-              (Htable.capacity m ht > 16 || Htable.count m ht <= 11);
+        let m = fresh_mem () in
+        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 in
+        (* three duplicates per key, interleaved so several grows land
+           mid-stream; payload encodes (key, dup ordinal) *)
+        List.iter
+          (fun d ->
             List.iter
               (fun k ->
-                let h = Hashes.hash64 k in
-                let e1, _ = Htable.lookup m ht h in
-                let e2, _ = Htable.next m ht e1 h in
-                let e3, _ = Htable.next m ht e2 h in
-                let e4, _ = Htable.next m ht e3 h in
-                check Alcotest.int "chain exhausted" 0 e4;
-                check
-                  Alcotest.(list int64)
-                  "insertion order preserved across grow"
-                  Int64.[ mul k 10L; add (mul k 10L) 1L; add (mul k 10L) 2L ]
-                  (List.map (fun e -> Memory.load64 m (e + 8)) [ e1; e2; e3 ]))
-              keys))
+                let p, _ = Htable.insert m ht (Hashes.hash64 k) in
+                Memory.store64 m p Int64.(add (mul k 10L) (of_int d)))
+              keys)
+          [ 0; 1; 2 ];
+        check Alcotest.bool "grew" true
+          (Htable.capacity m ht > 16 || Htable.count m ht <= 11);
+        Option.iter
+          (fun mode -> check Alcotest.bool "layout" true (Htable.mode m ht = mode))
+          expect_mode;
+        List.iter
+          (fun k ->
+            let h = Hashes.hash64 k in
+            let e1, _ = Htable.lookup m ht h in
+            let e2, _ = Htable.next m ht e1 h in
+            let e3, _ = Htable.next m ht e2 h in
+            let e4, _ = Htable.next m ht e3 h in
+            check Alcotest.int "chain exhausted" 0 e4;
+            check
+              Alcotest.(list int64)
+              "insertion order preserved across grow"
+              Int64.[ mul k 10L; add (mul k 10L) 1L; add (mul k 10L) 2L ]
+              (List.map (fun e -> Memory.load64 m (e + 8)) [ e1; e2; e3 ]))
+          keys)
   in
   [
-    dup_chain_test "duplicate chain order across grow (tagged)" Htable.Tagged
+    dup_chain_test "duplicate chain order across grow (tagged)"
       (List.init 60 (fun i -> Int64.of_int ((i * 131071) + 7)));
-    dup_chain_test "duplicate chain order across grow (direct)" Htable.Tagged
+    dup_chain_test "duplicate chain order across grow (direct)"
       (List.init 60 (fun i -> Int64.of_int i));
-    dup_chain_test "duplicate chain order across grow (legacy)" Htable.Legacy
-      (List.init 60 (fun i -> Int64.of_int ((i * 131071) + 7)));
+    (* the outlier ends the first pass, so every chain starts in the
+       direct arena and continues in the migrated tagged one *)
+    dup_chain_test ~expect_mode:`Tagged
+      "duplicate chain order across grow (direct -> tagged fallback)"
+      (List.init 59 (fun i -> Int64.of_int i) @ [ 10_000_000L ]);
   ]
 
 let probe_cases =
   [
     Alcotest.test_case "tag false-positive rate is bounded" `Quick (fun () ->
         let m = fresh_mem () in
-        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:16 () in
+        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:16 in
         for i = 0 to 4095 do
           ignore (Htable.insert m ht (scrambled i))
         done;
@@ -205,33 +206,32 @@ let probe_cases =
           (cycles < 9 * misses));
     Alcotest.test_case "lookup/next probe cost monotone and calibrated"
       `Quick (fun () ->
-        let walk_costs ?(force_tagged = false) profile k dups =
-          with_profile profile (fun create ->
-              let m = fresh_mem () in
-              let ht, _ = create m ~payload_size:8 ~capacity_hint:64 in
-              (* a single repeated key keeps the direct window at span 0;
-                 two far-apart warm-up keys force the tagged fallback *)
-              if force_tagged then begin
-                ignore (Htable.insert m ht (Hashes.hash64 7L));
-                ignore (Htable.insert m ht (Hashes.hash64 777_777_777L));
-                check Alcotest.bool "fallback forced" true
-                  (Htable.mode m ht <> `Direct)
-              end;
-              let h = Hashes.hash64 k in
-              for _ = 1 to dups do
-                ignore (Htable.insert m ht h)
-              done;
-              let e0, c0 = Htable.lookup m ht h in
-              let rec walk e acc =
-                let e', c = Htable.next m ht e h in
-                if e' = 0 then List.rev (c :: acc) else walk e' (c :: acc)
-              in
-              (c0, walk e0 []))
+        let walk_costs ?(force_tagged = false) k dups =
+          let m = fresh_mem () in
+          let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:64 in
+          (* a single repeated key keeps the direct window at span 0;
+             two far-apart warm-up keys force the tagged fallback *)
+          if force_tagged then begin
+            ignore (Htable.insert m ht (Hashes.hash64 7L));
+            ignore (Htable.insert m ht (Hashes.hash64 777_777_777L));
+            check Alcotest.bool "fallback forced" true
+              (Htable.mode m ht <> `Direct)
+          end;
+          let h = Hashes.hash64 k in
+          for _ = 1 to dups do
+            ignore (Htable.insert m ht h)
+          done;
+          let e0, c0 = Htable.lookup m ht h in
+          let rec walk e acc =
+            let e', c = Htable.next m ht e h in
+            if e' = 0 then List.rev (c :: acc) else walk e' (c :: acc)
+          in
+          (c0, walk e0 [])
           (* per-step costs, last one is the exhausted probe *)
         in
         let dups = 12 in
         let c0, steps =
-          walk_costs ~force_tagged:true Htable.Tagged 987_654_321L dups
+          walk_costs ~force_tagged:true 987_654_321L dups
         in
         check Alcotest.int "chain length" dups (List.length steps);
         check Alcotest.bool "tagged lookup base" true (c0 >= 6 && c0 <= 14);
@@ -247,30 +247,44 @@ let probe_cases =
               acc')
             c0 steps
         in
-        let c0d, steps_d = walk_costs Htable.Tagged 5L dups in
+        let c0d, steps_d = walk_costs 5L dups in
         check Alcotest.bool "direct lookup flat" true (c0d <= 5);
         List.iter
           (fun c -> check Alcotest.int "direct step is 3" 3 c)
-          steps_d;
-        let c0l, steps_l = walk_costs Htable.Legacy 987_654_321L dups in
-        check Alcotest.int "legacy lookup base" 8 c0l;
-        (* legacy: consecutive dups sit in adjacent slots: 6 + 4*0 *)
-        List.iter
-          (fun c -> check Alcotest.bool "legacy step" true (c >= 6))
-          steps_l);
-    Alcotest.test_case "legacy profile preserves pre-tag charges" `Quick
+          steps_d);
+    Alcotest.test_case "direct and tagged charges are pinned" `Quick
       (fun () ->
-        with_profile Htable.Legacy (fun create ->
-            let m = fresh_mem () in
-            let ht, ccost = create m ~payload_size:8 ~capacity_hint:16 in
-            check Alcotest.int "create 200" 200 ccost;
-            let _, icost = Htable.insert m ht 0xABCL in
-            check Alcotest.int "insert 10" 10 icost;
-            let e, lcost = Htable.lookup m ht 0xABCL in
-            check Alcotest.bool "found" true (e <> 0);
-            check Alcotest.int "lookup 8" 8 lcost;
-            let _, ncost = Htable.next m ht e 0xABCL in
-            check Alcotest.int "next 6" 6 ncost));
+        (* exact per-call charges of a short fixed sequence in each layout:
+           [bench join]'s cycle totals and the committed BENCH_join.json
+           are sums of these *)
+        let charges warmup =
+          let m = fresh_mem () in
+          let ht, ccost = Htable.create m ~payload_size:8 ~capacity_hint:16 in
+          let ins k = snd (Htable.insert m ht (Hashes.hash64 k)) in
+          let warm = List.map ins warmup in
+          let inserts = List.map ins [ 5L; 6L; 5L ] in
+          let h5 = Hashes.hash64 5L in
+          let e1, l1 = Htable.lookup m ht h5 in
+          let e2, n1 = Htable.next m ht e1 h5 in
+          let e3, n2 = Htable.next m ht e2 h5 in
+          check Alcotest.int "chain of two" 0 e3;
+          let miss, l2 = Htable.lookup m ht (Hashes.hash64 9L) in
+          check Alcotest.int "miss" 0 miss;
+          (Htable.mode m ht, (ccost :: warm) @ inserts @ [ l1; n1; n2; l2 ])
+        in
+        let mode_d, direct = charges [] in
+        check Alcotest.bool "direct layout" true (mode_d = `Direct);
+        (* create 200 + zeroing 16 x 24 bytes; the first insert opens
+           the 64-bucket window (20 + zeroing); a dup appends at the
+           chain tail; hit 5, next 3, in-window miss 4 *)
+        check Alcotest.(list int) "direct charges"
+          [ 212; 36; 8; 8; 5; 3; 3; 4 ] direct;
+        let mode_t, tagged = charges [ 7L; 777_777_777L ] in
+        check Alcotest.bool "tagged layout" true (mode_t = `Tagged);
+        (* the second warm-up key migrates the table to tagged probing;
+           tagged charges then depend on the tag words each probe reads *)
+        check Alcotest.(list int) "tagged charges"
+          [ 212; 36; 52; 13; 13; 14; 10; 8; 5; 7 ] tagged);
   ]
 
 let accounting_cases =
@@ -278,7 +292,7 @@ let accounting_cases =
     Alcotest.test_case "create and growth charge for arena zeroing" `Quick
       (fun () ->
         let m = fresh_mem () in
-        let ht, cost = Htable.create m ~payload_size:8 ~capacity_hint:1024 () in
+        let ht, cost = Htable.create m ~payload_size:8 ~capacity_hint:1024 in
         let esz = Htable.entry_size m ht in
         check Alcotest.bool
           (Printf.sprintf "create charges zeroing (%d)" cost)
@@ -302,7 +316,7 @@ let accounting_cases =
         let m = fresh_mem () in
         let live0 = Memory.live_data_bytes m in
         let freed0 = Memory.freed_data_bytes m in
-        let ht, _ = Htable.create m ~payload_size:16 ~capacity_hint:16 () in
+        let ht, _ = Htable.create m ~payload_size:16 ~capacity_hint:16 in
         for i = 0 to 4999 do
           ignore (Htable.insert m ht (scrambled i))
         done;
@@ -326,7 +340,7 @@ let accounting_cases =
         for _round = 1 to 12 do
           let scope = Memory.new_scope () in
           Memory.with_scope scope (fun () ->
-              let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:16 () in
+              let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:16 in
               (* 3000 sparse keys drive 16 -> 8192: nine grows per round *)
               for i = 0 to 2999 do
                 ignore (Htable.insert m ht (scrambled i))
@@ -345,7 +359,7 @@ let guard_cases =
     Alcotest.test_case "stale entry address after grow is rejected" `Quick
       (fun () ->
         let m = fresh_mem () in
-        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:16 () in
+        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:16 in
         let h = scrambled 1 in
         ignore (Htable.insert m ht h);
         let e, _ = Htable.lookup m ht h in
@@ -367,23 +381,26 @@ let guard_cases =
         check Alcotest.bool "fresh lookup fine" true (e2 <> 0));
     Alcotest.test_case "zero hash is normalized in every layout" `Quick
       (fun () ->
+        (* Direct as created, and Tagged after two far-apart warm-up keys *)
         List.iter
-          (fun profile ->
-            with_profile profile (fun create ->
-                let m = fresh_mem () in
-                let ht, _ = create m ~payload_size:8 ~capacity_hint:4 in
-                let p, _ = Htable.insert m ht 0L in
-                Memory.store64 m p 9L;
-                let e, _ = Htable.lookup m ht 0L in
-                check Alcotest.bool "found" true (e <> 0);
-                check Alcotest.int64 "payload" 9L (Memory.load64 m (e + 8))))
-          [ Htable.Legacy; Htable.Tagged ]);
+          (fun warmup ->
+            let m = fresh_mem () in
+            let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 in
+            List.iter
+              (fun k -> ignore (Htable.insert m ht (Hashes.hash64 k)))
+              warmup;
+            let p, _ = Htable.insert m ht 0L in
+            Memory.store64 m p 9L;
+            let e, _ = Htable.lookup m ht 0L in
+            check Alcotest.bool "found" true (e <> 0);
+            check Alcotest.int64 "payload" 9L (Memory.load64 m (e + 8)))
+          [ []; [ 7L; 777_777_777L ] ]);
     Alcotest.test_case "iter visits every payload once (direct + tagged)"
       `Quick (fun () ->
         List.iter
           (fun mk ->
             let m = fresh_mem () in
-            let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 () in
+            let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 in
             for i = 1 to 40 do
               let p, _ = Htable.insert m ht (mk i) in
               Memory.store64 m p (Int64.of_int i)

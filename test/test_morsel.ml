@@ -1,8 +1,9 @@
-(* Intra-query morsel-driven parallelism: the pipeline/morsel API surface,
-   the morsel-partitioned differential (every TPC-H query at intra 1/2/4
-   must produce the sequential multiset, across back-ends and both serving
-   drivers), the wall-vs-total cycle accounting, and the two-phase build's
-   exact-size merge under genuinely concurrent lane-local builds. *)
+(* Intra-query morsel-driven parallelism: morsel claims and how [Exec]
+   slices steps into quanta, the morsel-partitioned differential (every
+   TPC-H query at intra 1/2/4 must produce the sequential multiset, across
+   back-ends and both serving drivers), the wall-vs-total cycle accounting,
+   and the two-phase build's exact-size merge under genuinely concurrent
+   lane-local builds. *)
 
 open Qcomp_vm
 open Qcomp_engine
@@ -37,71 +38,126 @@ let run_lanes ?sched db cq cm ~morsel =
     Exec.cycles ex,
     Exec.wall_cycles ex )
 
-(* ---------------- the Morsel/Pipeline API surface ---------------- *)
+(* ---------------- morsel slicing ---------------- *)
 
-let api_cases =
-  [
-    Alcotest.test_case "Morsel ranges: clamp, rows, split, chunks" `Quick
-      (fun () ->
-        let m = Engine.Morsel.make ~lo:10 ~hi:110 in
-        check Alcotest.int "rows" 100 (Engine.Morsel.rows m);
-        let c = Engine.Morsel.clamp Engine.Morsel.whole ~rows:42 in
-        check Alcotest.int "whole clamps" 42 (Engine.Morsel.rows c);
-        let parts = Engine.Morsel.split m ~parts:3 in
-        check Alcotest.int "split count" 3 (List.length parts);
-        check Alcotest.int "split covers" 100
-          (List.fold_left (fun a p -> a + Engine.Morsel.rows p) 0 parts);
-        (* contiguous and ordered *)
-        ignore
-          (List.fold_left
-             (fun lo (p : Engine.Morsel.t) ->
-               check Alcotest.int "contiguous" lo p.Engine.Morsel.lo;
-               p.Engine.Morsel.hi)
-             10 parts);
-        let chunks = Engine.Morsel.chunks m ~size:33 in
-        check Alcotest.int "chunk count" 4 (List.length chunks);
-        List.iter
-          (fun p ->
-            check Alcotest.bool "chunk size" true (Engine.Morsel.rows p <= 33))
-          chunks);
-    Alcotest.test_case
-      "pipelines split at breakers; only sinked table bodies parallelize"
-      `Quick (fun () ->
-        let db = Experiments.make_db Qcomp_vm.Target.x64 Experiments.Tpch ~sf:1 in
-        List.iter
-          (fun (name, plan) ->
-            let cq = Engine.plan_to_ir db ~name plan in
-            let pipes = Engine.Pipeline.of_compiled cq in
-            check Alcotest.bool (name ^ ": has pipelines") true (pipes <> []);
-            (* pipelines partition the step list in order *)
-            let steps =
-              List.concat_map
-                (fun (p : Engine.Pipeline.t) ->
-                  p.Engine.Pipeline.p_prologue
-                  @ match p.Engine.Pipeline.p_body with
-                    | Some s -> [ s ]
-                    | None -> [])
-                pipes
-            in
-            check Alcotest.int (name ^ ": steps partitioned")
-              (List.length cq.Qcomp_codegen.Codegen.steps)
-              (List.length steps);
-            List.iter
-              (fun (p : Engine.Pipeline.t) ->
-                match p.Engine.Pipeline.p_body with
-                | Some s ->
-                    check Alcotest.bool (name ^ ": body is table-ranged") true
-                      (match s.Engine.Pipeline.range with
-                      | `Table _ -> true
-                      | `Whole -> false);
-                    if Engine.Pipeline.parallelizable p then
-                      check Alcotest.bool (name ^ ": parallel body has sinks")
-                        true
-                        (s.Engine.Pipeline.sinks <> [])
-                | None -> ())
-              pipes)
-          tpch_queries);
-  ]
+(* The shared claim hands out contiguous, size-bounded, disjoint morsels
+   that cover the range exactly, also when two domains drain it at once. *)
+let claim_case =
+  Alcotest.test_case "Morsel_sched claims: contiguous, bounded, covering"
+    `Quick (fun () ->
+      let drain c =
+        let rec go acc =
+          match Morsel_sched.take c with
+          | None -> List.rev acc
+          | Some r -> go (r :: acc)
+        in
+        go []
+      in
+      check
+        Alcotest.(list (pair int int))
+        "chunks of 33 over [10, 110)"
+        [ (10, 43); (43, 76); (76, 109); (109, 110) ]
+        (drain (Morsel_sched.claim ~lo:10 ~hi:110 ~size:33));
+      let c = Morsel_sched.claim ~lo:60 ~hi:60 ~size:8 in
+      check Alcotest.bool "empty range" true (Morsel_sched.take c = None);
+      check Alcotest.bool "size 0 rejected" true
+        (try
+           ignore (Morsel_sched.claim ~lo:0 ~hi:10 ~size:0);
+           false
+         with Invalid_argument _ -> true);
+      let c = Morsel_sched.claim ~lo:0 ~hi:10_000 ~size:7 in
+      let other = Domain.spawn (fun () -> drain c) in
+      let mine = drain c in
+      let all = List.sort compare (mine @ Domain.join other) in
+      let upto =
+        List.fold_left
+          (fun lo (a, b) ->
+            check Alcotest.int "contiguous" lo a;
+            check Alcotest.bool "bounded" true (b > a && b - a <= 7);
+            b)
+          0 all
+      in
+      check Alcotest.int "covers" 10_000 upto)
+
+(* [Exec.step] runs a [`Whole] step as one quantum, a serial [`Table] step
+   [morsel] rows at a time, and only a par-safe table body with sinks
+   [lanes * morsel] rows at a time; the row observations always add up. *)
+let quanta_case =
+  Alcotest.test_case
+    "Exec slices serial scans by morsel, sinked bodies by lanes x morsel"
+    `Quick (fun () ->
+      let db = Experiments.make_db Qcomp_vm.Target.x64 Experiments.Tpch ~sf:1 in
+      let lanes = 4 and morsel = 128 in
+      let sched = Morsel_sched.create ~parallel:false db ~lanes in
+      let table_rows t = Qcomp_storage.Table.rows (Engine.table db t) in
+      let quanta_of size rows = max 1 ((rows + size - 1) / size) in
+      let seen_parallel = ref false and seen_serial = ref false in
+      List.iter
+        (fun (name, plan) ->
+          Engine.with_compiled db ~backend:Engine.stencil ~timing ~name plan
+            (fun cq cm _ ->
+              let steps = cq.Qcomp_codegen.Codegen.steps in
+              let parallel (s : Qcomp_codegen.Codegen.step) =
+                s.par_safe && s.sinks <> []
+              in
+              let scan_rows =
+                List.fold_left
+                  (fun a (s : Qcomp_codegen.Codegen.step) ->
+                    match s.range with
+                    | `Table t -> a + table_rows t
+                    | `Whole ->
+                        check Alcotest.bool (name ^ ": whole step is serial")
+                          false (s.par_safe || s.sinks <> []);
+                        a)
+                  0 steps
+              in
+              let expect ~lanes =
+                List.fold_left
+                  (fun a (s : Qcomp_codegen.Codegen.step) ->
+                    match s.range with
+                    | `Whole -> a + 1
+                    | `Table t when lanes > 1 && parallel s ->
+                        a + quanta_of (lanes * morsel) (table_rows t)
+                    | `Table t -> a + quanta_of morsel (table_rows t))
+                  0 steps
+              in
+              let fans_out =
+                List.exists
+                  (fun (s : Qcomp_codegen.Codegen.step) ->
+                    match s.range with
+                    | `Table t -> parallel s && table_rows t > morsel
+                    | `Whole -> false)
+                  steps
+              in
+              if fans_out then seen_parallel := true;
+              if List.exists (fun s -> not (parallel s)) steps then
+                seen_serial := true;
+              List.iter
+                (fun (lanes, sched) ->
+                  let label = Printf.sprintf "%s @%d lanes" name lanes in
+                  let ex = Exec.start ?sched db cq cm in
+                  Fun.protect ~finally:(fun () -> Exec.dispose ex) @@ fun () ->
+                  check Alcotest.int (label ^ ": rows before") scan_rows
+                    (Exec.rows_remaining ex);
+                  Exec.run_to_end ex ~morsel ~on_quantum:(fun _ ->
+                      check Alcotest.int (label ^ ": rows conserved") scan_rows
+                        (Exec.rows_done ex + Exec.rows_remaining ex));
+                  check Alcotest.int (label ^ ": quanta") (expect ~lanes)
+                    (Exec.quanta ex);
+                  check Alcotest.int (label ^ ": rows done") scan_rows
+                    (Exec.rows_done ex);
+                  check Alcotest.int (label ^ ": rows after") 0
+                    (Exec.rows_remaining ex);
+                  if lanes = 1 || not fans_out then
+                    check Alcotest.int (label ^ ": wall = total")
+                      (Exec.cycles ex) (Exec.wall_cycles ex)
+                  else
+                    check Alcotest.bool (label ^ ": wall < total") true
+                      (Exec.wall_cycles ex < Exec.cycles ex))
+                [ (1, None); (lanes, Some sched) ]))
+        tpch_queries;
+      check Alcotest.bool "some body fans out" true !seen_parallel;
+      check Alcotest.bool "some step stays serial" true !seen_serial)
 
 (* ---------------- morsel-partitioned differential ---------------- *)
 
@@ -290,7 +346,7 @@ let exact_capacity_case =
         (fun n ->
           let ht, _ =
             Htable.create m ~payload_size:8
-              ~capacity_hint:(Htable.exact_capacity n) ()
+              ~capacity_hint:(Htable.exact_capacity n)
           in
           let cap0 = Htable.capacity m ht in
           for i = 1 to n do
@@ -312,7 +368,7 @@ let concurrent_build_merge_case =
          — tiny capacity hint forces several grows mid-build on every lane
          while the others are also allocating *)
       let build lane () =
-        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 () in
+        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 in
         for i = 0 to per_lane - 1 do
           let key = Int64.of_int ((lane * per_lane) + i) in
           let p, _ = Htable.insert m ht (Hashes.hash64 key) in
@@ -325,7 +381,7 @@ let concurrent_build_merge_case =
       let total = lanes * per_lane in
       let dst, _ =
         Htable.create m ~payload_size:8
-          ~capacity_hint:(Htable.exact_capacity total) ()
+          ~capacity_hint:(Htable.exact_capacity total)
       in
       let cap0 = Htable.capacity m dst in
       Array.iter (fun src -> ignore (Htable.merge_into m ~dst ~src)) lane_tables;
@@ -344,9 +400,8 @@ let concurrent_build_merge_case =
       done)
 
 let suite =
-  api_cases
-  @ [
-      lanes_differential_case; speedup_case; backend_matrix_case;
-      server_intra_case; pool_intra_case; lane_release_case; exact_capacity_case;
-      concurrent_build_merge_case;
-    ]
+  [
+    claim_case; quanta_case; lanes_differential_case; speedup_case; backend_matrix_case;
+    server_intra_case; pool_intra_case; lane_release_case; exact_capacity_case;
+    concurrent_build_merge_case;
+  ]

@@ -126,7 +126,7 @@ let htable_cases =
   [
     Alcotest.test_case "insert then lookup" `Quick (fun () ->
         let m = fresh_mem () in
-        let ht, _ = Htable.create m ~payload_size:16 ~capacity_hint:4 () in
+        let ht, _ = Htable.create m ~payload_size:16 ~capacity_hint:4 in
         let p, _ = Htable.insert m ht 0xABCL in
         Memory.store64 m p 77L;
         let found, _ = Htable.lookup m ht 0xABCL in
@@ -134,12 +134,12 @@ let htable_cases =
         check Alcotest.int64 "payload" 77L (Memory.load64 m (found + 8)));
     Alcotest.test_case "lookup miss is 0" `Quick (fun () ->
         let m = fresh_mem () in
-        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 () in
+        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 in
         let found, _ = Htable.lookup m ht 0x123L in
         check Alcotest.int "miss" 0 found);
     Alcotest.test_case "duplicate hashes chained via next" `Quick (fun () ->
         let m = fresh_mem () in
-        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 () in
+        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 in
         let p1, _ = Htable.insert m ht 5L in
         let p2, _ = Htable.insert m ht 5L in
         Memory.store64 m p1 1L;
@@ -153,7 +153,7 @@ let htable_cases =
         check Alcotest.(list int64) "both payloads" [ 1L; 2L ] vals);
     Alcotest.test_case "growth preserves entries" `Quick (fun () ->
         let m = fresh_mem () in
-        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 () in
+        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 in
         let n = 500 in
         for i = 1 to n do
           let h = Qcomp_support.Hashes.hash64 (Int64.of_int i) in
@@ -169,14 +169,14 @@ let htable_cases =
         done);
     Alcotest.test_case "zero hash is normalized, still findable" `Quick (fun () ->
         let m = fresh_mem () in
-        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 () in
+        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 in
         let p, _ = Htable.insert m ht 0L in
         Memory.store64 m p 9L;
         let e, _ = Htable.lookup m ht 0L in
         check Alcotest.bool "found" true (e <> 0));
     Alcotest.test_case "iter visits every payload once" `Quick (fun () ->
         let m = fresh_mem () in
-        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 () in
+        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 in
         for i = 1 to 40 do
           let p, _ = Htable.insert m ht (Qcomp_support.Hashes.hash64 (Int64.of_int i)) in
           Memory.store64 m p (Int64.of_int i)

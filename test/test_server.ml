@@ -424,9 +424,11 @@ let eviction_pressure_test =
           (r.Report.r_cache.Lru.evictions > 0)
       done)
 
-(* morsel-range execute: partial scans compose to the full result *)
+(* morsel-wise execution: however the scan is sliced into quanta, the
+   count over 100 rows is 100 and the rows equal one whole [execute] *)
 let range_test =
-  Alcotest.test_case "Engine.execute_morsel partial scans" `Quick (fun () ->
+  Alcotest.test_case "Exec morsel sizes reproduce Engine.execute" `Quick
+    (fun () ->
       let db = make_db ~rows:100 () in
       let plan =
         Algebra.Group_by
@@ -439,32 +441,19 @@ let range_test =
           ~emu:db.Engine.emu ~registry:db.Engine.registry ~unwind:db.Engine.unwind
           cq.Qcomp_codegen.Codegen.modul
       in
-      let count r =
-        match r.Engine.rows with
-        | [ [| Engine.Int n |] ] -> Int64.to_int n
-        | [] -> 0 (* empty range: the group is never materialized *)
-        | _ -> Alcotest.fail "unexpected shape"
-      in
-      let over m = count (Engine.execute_morsel db cq cm m) in
-      check Alcotest.int "full scan" 100 (count (Engine.execute db cq cm));
-      check Alcotest.int "whole morsel" 100 (over Engine.Morsel.whole);
-      check Alcotest.int "first half" 50 (over (Engine.Morsel.make ~lo:0 ~hi:50));
-      check Alcotest.int "second half" 50
-        (over (Engine.Morsel.make ~lo:50 ~hi:max_int));
-      check Alcotest.int "empty range" 0
-        (over (Engine.Morsel.make ~lo:60 ~hi:60));
-      check Alcotest.int "clamped" 100 (over (Engine.Morsel.make ~lo:0 ~hi:1000));
-      (* split morsels compose: thirds of the scan sum to the whole *)
-      let parts =
-        Engine.Morsel.split (Engine.Morsel.make ~lo:0 ~hi:100) ~parts:3
-      in
-      check Alcotest.int "split covers" 100
-        (List.fold_left (fun acc m -> acc + over m) 0 parts);
-      check Alcotest.bool "make rejects hi < lo" true
-        (try
-           ignore (Engine.Morsel.make ~lo:60 ~hi:40);
-           false
-         with Invalid_argument _ -> true))
+      let whole = (Engine.execute db cq cm).Engine.rows in
+      check Alcotest.bool "execute counts 100" true
+        (whole = [ [| Engine.Int 100L |] ]);
+      List.iter
+        (fun morsel ->
+          let ex = Exec.start db cq cm in
+          Fun.protect ~finally:(fun () -> Exec.dispose ex) @@ fun () ->
+          Exec.run_to_end ex ~morsel;
+          check Alcotest.bool
+            (Printf.sprintf "morsel %d: same rows as execute" morsel)
+            true
+            (Exec.rows ex = whole))
+        [ 1; 7; 50; 1000 ])
 
 (* unpin-underflow regression: an unbalanced unpin used to drive ce_pins
    negative, which a later eviction could turn into a double dispose; it
