@@ -24,6 +24,8 @@ let compile_func ~asm ~target ~extern_addr ~rt_addr ~timing (f : Func.t) =
       let after_prologue = Asm.offset asm - start in
       (* incoming arguments *)
       let argk = ref 0 in
+      (* arguments are defined at position -1 of the entry block *)
+      st.Emit.cur_pos <- -1;
       for a = 0 to Func.n_args f - 1 do
         Emit.attach st target.Target.arg_regs.(!argk) a 0;
         incr argk;
@@ -31,16 +33,14 @@ let compile_func ~asm ~target ~extern_addr ~rt_addr ~timing (f : Func.t) =
           Emit.attach st target.Target.arg_regs.(!argk) a 1;
           incr argk
         end;
-        if an.Analysis.needs_slot.(a) then Emit.store_to_slot st a
+        Emit.finish_def st a
       done;
-      (* body, blocks in reverse postorder; the entry block keeps the
-         argument registers attached *)
-      let first = ref true in
-      Array.iter
-        (fun b ->
+      Emit.fix_entry st;
+      (* body, blocks in layout order, each entered in its entry map *)
+      Array.iteri
+        (fun k b ->
           Asm.bind asm st.Emit.block_labels.(b);
-          st.Emit.cur_block <- b;
-          if !first then first := false else Emit.clear_regs st;
+          Emit.enter_block st k b;
           Vec.iteri
             (fun pos i ->
               st.Emit.cur_pos <- pos;
@@ -52,6 +52,7 @@ let compile_func ~asm ~target ~extern_addr ~rt_addr ~timing (f : Func.t) =
       let epi_patch = Asm.offset asm + 2 in
       Asm.emit asm (Minst.Alu_ri (Minst.Add, target.Target.sp, 0x7FFFFFFFL));
       Asm.emit asm Minst.Ret;
+      Emit.emit_stubs st;
       (* shared overflow trap *)
       if st.Emit.trap_label >= 0 then begin
         Asm.bind asm st.Emit.trap_label;

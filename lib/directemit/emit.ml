@@ -1,15 +1,33 @@
-(** DirectEmit code generation: one pass over the blocks in reverse
-    postorder, translating each Umbra IR instruction directly to x86-64
+(** DirectEmit code generation: one pass over the blocks in the analysis
+    layout, translating each Umbra IR instruction directly to x86-64
     machine code with on-the-fly greedy register allocation (Sec. VII).
 
-    Location discipline: values whose live range leaves their defining
-    block (or crosses a clobber point) are stored to a stack slot at their
-    definition; registers never survive block boundaries or calls. Within
-    a block, registers are allocated greedily and freed after a value's
-    last local use; eviction prefers values that already have a stack home
-    and values defined outside the current loop (the loop-aware spill
-    heuristic the paper mentions). DWARF CFI is written in parallel,
-    synchronous-only. *)
+    Location discipline: a value lives in a register from its definition
+    to its last use, which the analysis' liveness intervals place, and its
+    stack home is written only when needed: when its register is taken
+    while it is still live (eviction, a fixed-register instruction, a
+    call, or an edge into a block that expects it at home), or once at the
+    definition for a value live across a call inside a loop that does not
+    define it, which would otherwise be written on every iteration. Every
+    live value is in a register or in its up-to-date home.
+
+    Registers survive block edges. The first edge emitted into a block
+    fixes the block's entry map: the live-in values (for a loop header,
+    those the loop reads) stay in the registers they occupy, and each phi
+    takes its incoming value's register or a free one. Every later edge,
+    loop back edges included, moves or reloads into that map with one
+    parallel move, which also writes the homes of phis and live-ins the
+    map keeps in memory. Eviction prefers dead values, then values whose
+    home is current, then values defined outside the current loop (the
+    loop-aware spill heuristic the paper mentions).
+
+    Control flow: an integer compare or null test whose only use is the
+    branch right after it sets the flags at its own position, where its
+    operands are live, and the branch jumps on them; the edge into
+    the block laid out next falls through; an edge whose moves cannot
+    fall through, and the runtime call of a 128-bit multiply that does
+    not fit its fast path, run in out-of-line stubs after the epilogue.
+    DWARF CFI is written in parallel, synchronous-only. *)
 
 open Qcomp_support
 open Qcomp_ir
@@ -18,6 +36,9 @@ open Qcomp_vm
 exception Unsupported of string
 
 let unsupported fmt = Format.kasprintf (fun s -> raise (Unsupported s)) fmt
+
+(** A move source or destination: a register, or a frame offset from sp. *)
+type loc = R of int | M of int
 
 type st = {
   asm : Asm.t;
@@ -32,14 +53,28 @@ type st = {
   reg_of : int array;  (** value -> reg holding lo lane, or -1 *)
   reg2_of : int array;  (** value -> reg holding hi lane, or -1 *)
   slot_of : int array;  (** value -> frame offset, or -1 *)
+  clean : bool array;
+      (** value -> its home holds the lanes it has in registers (lanes not
+          in a register are always in the home) *)
+  entry_map : (int * int * int * bool) list array;
+      (** block -> (value, lane, reg, clean) on entry, fixed by the first
+          edge emitted into the block *)
+  entry_set : bool array;
+  reg_loc : loc array;  (** reg -> [R reg] *)
+  taken : bool array;  (** scratch: registers of an entry map being fixed *)
+  mark : int array;  (** scratch: value -> stamp, see [new_stamp] *)
+  mutable stamp : int;
   mutable frame : int;
   mutable cur_block : int;
+  mutable cur_idx : int;  (** layout index of [cur_block] *)
   mutable cur_pos : int;
+  mutable fused : int;  (** compare whose flags feed the next branch, -1 *)
   block_labels : int array;
   mutable epilogue : int;  (** label *)
   mutable trap_label : int;  (** lazily created overflow-trap label, -1 *)
-  mutable frame_patch : int;  (** byte position of the prologue frame imm *)
-  mutable epilogue_patches : int list;
+  mutable save_area : int;  (** frame offset of one slot per register, -1 *)
+  mutable stubs : (int * Minst.t list * int) list;
+      (** out-of-line code: (label, instructions, label it jumps to) *)
   mutable param_holes : (int * int * bool) list;
       (** (imm byte offset, parameter index, is-high-lane): wide [Mov_ri]
           immediates left as holes, turned into [Param]/[Param_hi]
@@ -51,6 +86,7 @@ let rdx = 2
 
 let create asm f target an extern_addr rt_addr =
   let nv = Func.num_insts f in
+  let nb = Func.num_blocks f in
   {
     asm;
     f;
@@ -63,19 +99,29 @@ let create asm f target an extern_addr rt_addr =
     reg_of = Array.make nv (-1);
     reg2_of = Array.make nv (-1);
     slot_of = Array.make nv (-1);
+    clean = Array.make nv false;
+    entry_map = Array.make nb [];
+    entry_set = Array.make nb false;
+    reg_loc = Array.init target.Target.num_regs (fun r -> R r);
+    taken = Array.make target.Target.num_regs false;
+    mark = Array.make nv 0;
+    stamp = 0;
     frame = 0;
     cur_block = 0;
+    cur_idx = 0;
     cur_pos = 0;
-    block_labels = Array.init (Func.num_blocks f) (fun _ -> Asm.new_label asm);
+    fused = -1;
+    block_labels = Array.init nb (fun _ -> Asm.new_label asm);
     epilogue = Asm.new_label asm;
     trap_label = -1;
-    frame_patch = -1;
-    epilogue_patches = [];
+    save_area = -1;
+    stubs = [];
     param_holes = [];
   }
 
 let emit st i = Asm.emit st.asm i
 let sp st = st.target.Target.sp
+let lanes st v = if Func.ty st.f v = Ty.I128 then 2 else 1
 
 let slot st v =
   if st.slot_of.(v) >= 0 then st.slot_of.(v)
@@ -87,10 +133,31 @@ let slot st v =
     off
   end
 
-let fresh_slot st size =
-  let off = st.frame in
-  st.frame <- st.frame + size;
-  off
+let save_area st =
+  if st.save_area < 0 then begin
+    st.save_area <- st.frame;
+    st.frame <- st.frame + (8 * Array.length st.reg_owner)
+  end;
+  st.save_area
+
+(* ---------------- liveness ---------------- *)
+
+(* [v] is still read by the current instruction or a later one *)
+let live_at st v =
+  let h = st.an.Analysis.hi.(v) in
+  h > st.cur_idx || (h = st.cur_idx && st.an.Analysis.last_use.(v) >= st.cur_pos)
+
+(* [v] is read after the current instruction *)
+let live_after st v =
+  let h = st.an.Analysis.hi.(v) in
+  h > st.cur_idx || (h = st.cur_idx && st.an.Analysis.last_use.(v) > st.cur_pos)
+
+(* [v] is live into the block at layout index [k] (its phis excluded) *)
+let live_in st v k = st.an.Analysis.lo.(v) < k && k <= st.an.Analysis.hi.(v)
+
+let next_block st =
+  let k = st.cur_idx + 1 in
+  if k < Array.length st.an.Analysis.order then st.an.Analysis.order.(k) else -1
 
 (* ---------------- register file ---------------- *)
 
@@ -107,22 +174,38 @@ let attach st r v lane =
   st.reg_lane.(r) <- lane;
   if lane = 0 then st.reg_of.(v) <- r else st.reg2_of.(v) <- r
 
-(** Drop all register ownership (block boundaries, call clobbers). Values
-    that matter have stack homes by construction. *)
+(** Drop all register ownership (block entry, call clobbers); the caller
+    has written home every value still live. *)
 let clear_regs st =
-  Array.iteri (fun r v -> if v >= 0 then detach st r) (Array.copy st.reg_owner)
+  for r = 0 to Array.length st.reg_owner - 1 do
+    detach st r
+  done
 
-(* Store a value's register lanes to its slot. *)
-let store_to_slot st v =
-  let off = slot st v in
-  let lo = st.reg_of.(v) in
-  assert (lo >= 0);
-  emit st (Minst.St { src = lo; base = sp st; off; size = 8 });
-  if Func.ty st.f v = Ty.I128 then begin
-    let hi = st.reg2_of.(v) in
-    assert (hi >= 0);
-    emit st (Minst.St { src = hi; base = sp st; off = off + 8; size = 8 })
+let drop st v =
+  if st.reg_of.(v) >= 0 then detach st st.reg_of.(v);
+  if st.reg2_of.(v) >= 0 then detach st st.reg2_of.(v)
+
+(* Write [v]'s register lanes to its home unless the home holds them. *)
+let write_home st v =
+  if not st.clean.(v) then begin
+    let off = slot st v in
+    if st.reg_of.(v) >= 0 then
+      emit st (Minst.St { src = st.reg_of.(v); base = sp st; off; size = 8 });
+    if st.reg2_of.(v) >= 0 then
+      emit st (Minst.St { src = st.reg2_of.(v); base = sp st; off = off + 8; size = 8 });
+    st.clean.(v) <- true
   end
+
+(** Write [v] home before its register is taken, if it is still needed. *)
+let spill st v = if live_at st v then write_home st v
+
+(** Write home every register value read after the current instruction:
+    no register survives it. *)
+let spill_live_after st =
+  for r = 0 to Array.length st.reg_owner - 1 do
+    let v = st.reg_owner.(r) in
+    if v >= 0 && live_after st v then write_home st v
+  done
 
 (** Pick a register to allocate, evicting if necessary. [avoid] registers
     are never picked. *)
@@ -138,17 +221,24 @@ let alloc_reg ?(avoid = []) st =
   match free with
   | Some r -> r
   | None ->
-      (* Eviction: prefer an owner that already has a home; among those,
-         prefer values defined outside the current loop. *)
-      let cur_depth = st.an.Analysis.loops.Graph.Func_analysis.depth.(st.cur_block) in
+      (* Eviction: prefer a dead owner, then one whose home is current;
+         among those, values defined outside the current loop, then values
+         this block does not read again. *)
+      let cur_depth = st.an.Analysis.depth.(st.cur_block) in
       let score r =
         let v = st.reg_owner.(r) in
-        let has_home = st.slot_of.(v) >= 0 in
-        let def_depth =
-          let db = st.an.Analysis.def_block.(v) in
-          if db >= 0 then st.an.Analysis.loops.Graph.Func_analysis.depth.(db) else 0
-        in
-        ((if has_home then 0 else 1000) + if def_depth < cur_depth then 0 else 100)
+        if not (live_at st v) then -1
+        else
+          let def_depth =
+            let db = st.an.Analysis.order.(st.an.Analysis.lo.(v)) in
+            st.an.Analysis.depth.(db)
+          in
+          let reread =
+            st.an.Analysis.hi.(v) = st.cur_idx && st.an.Analysis.last_use.(v) < max_int
+          in
+          (if st.clean.(v) then 0 else 1000)
+          + (if def_depth < cur_depth then 0 else 100)
+          + if reread then 50 else 0
       in
       let best =
         Array.fold_left
@@ -161,27 +251,20 @@ let alloc_reg ?(avoid = []) st =
           None alloc
       in
       let r = match best with Some r -> r | None -> unsupported "register pressure" in
-      let v = st.reg_owner.(r) in
-      (* spill if the evicted lane has no home *)
-      if st.slot_of.(v) < 0 then begin
-        let off = slot st v in
-        let lane_off = if st.reg_lane.(r) = 1 then 8 else 0 in
-        (* make sure both lanes of an i128 get written *)
-        if Func.ty st.f v = Ty.I128 then begin
-          let other = if st.reg_lane.(r) = 0 then st.reg2_of.(v) else st.reg_of.(v) in
-          if other >= 0 then
-            emit st
-              (Minst.St { src = other; base = sp st; off = off + (8 - lane_off); size = 8 })
-        end;
-        emit st (Minst.St { src = r; base = sp st; off = off + lane_off; size = 8 })
-      end
-      else begin
-        (* value has a home; is it current? values with homes are stored at
-           definition, so the home is always up to date *)
-        ()
-      end;
+      spill st st.reg_owner.(r);
       detach st r;
       r
+
+(* Load lane [lane] of [v] from its home into [r]. *)
+let load_lane st v lane r =
+  let off = st.slot_of.(v) in
+  if off < 0 then
+    unsupported "value %%%d (lane %d) has no location at ^%d:%d" v lane st.cur_block
+      st.cur_pos;
+  (* with no lane in a register, the home holds all of [v] *)
+  if st.reg_of.(v) < 0 && st.reg2_of.(v) < 0 then st.clean.(v) <- true;
+  emit st (Minst.Ld { dst = r; base = sp st; off = off + (8 * lane); size = 8; sext = false });
+  attach st r v lane
 
 (** Bring lane [lane] of value [v] into a register. *)
 let use_lane ?(avoid = []) st v lane =
@@ -196,13 +279,8 @@ let use_lane ?(avoid = []) st v lane =
     r
   end
   else begin
-    let off = st.slot_of.(v) in
-    if off < 0 then
-      unsupported "value %%%d (lane %d) has no location at ^%d:%d" v lane
-        st.cur_block st.cur_pos;
     let r = alloc_reg ~avoid st in
-    emit st (Minst.Ld { dst = r; base = sp st; off = off + (8 * lane); size = 8; sext = false });
-    attach st r v lane;
+    load_lane st v lane r;
     r
   end
 
@@ -220,65 +298,257 @@ let def_hi ?(avoid = []) st v =
   attach st r v 1;
   r
 
-(** After computing a definition: persist it if it needs a stack home. *)
-let finish_def st v = if st.an.Analysis.needs_slot.(v) then store_to_slot st v
+(** After computing a definition: free it if nothing reads it, write its
+    home now if a call inside a loop would otherwise write it on every
+    iteration. *)
+let finish_def st v =
+  st.clean.(v) <- false;
+  if st.an.Analysis.uses.(v) = 0 then drop st v
+  else if st.an.Analysis.home_at_def.(v) then write_home st v
 
-(** Free registers of operands whose last local use has passed. *)
+(** Free registers of operands whose last use has passed. *)
 let kill_dead_operand st v =
   if
-    st.an.Analysis.def_block.(v) = st.cur_block
+    st.an.Analysis.hi.(v) = st.cur_idx
     && st.an.Analysis.last_use.(v) <= st.cur_pos
-  then begin
-    if st.reg_of.(v) >= 0 then detach st st.reg_of.(v);
-    if st.reg2_of.(v) >= 0 then detach st st.reg2_of.(v)
+  then drop st v
+
+(** Free a specific register. A still-needed owner moves to a free
+    register outside [avoid], or, when there is none, goes home. *)
+let evacuate ?(avoid = []) st r =
+  let v = st.reg_owner.(r) in
+  if v >= 0 then begin
+    let free r' = r' <> r && st.reg_owner.(r') < 0 && not (List.mem r' avoid) in
+    match Array.find_opt free st.target.Target.allocatable with
+    | Some r' when live_at st v ->
+        let lane = st.reg_lane.(r) in
+        emit st (Minst.Mov_rr (r', r));
+        detach st r;
+        attach st r' v lane
+    | _ ->
+        spill st v;
+        detach st r
   end
 
 (** Force [v]'s lane into the specific register [r]. *)
-(* Spill the owner of [r] to its home when the home may be stale: values
-   with analysis-assigned homes are written at definition, but a home
-   allocated on the fly here has only been written for the lane that forced
-   the allocation — so write every lane still in a register. *)
-let spill_owner st r =
-  let o = st.reg_owner.(r) in
-  if st.slot_of.(o) < 0 then begin
-    let off = slot st o in
-    let lane_off = if st.reg_lane.(r) = 1 then 8 else 0 in
-    if Func.ty st.f o = Ty.I128 then begin
-      let other = if st.reg_lane.(r) = 0 then st.reg2_of.(o) else st.reg_of.(o) in
-      if other >= 0 then
-        emit st
-          (Minst.St { src = other; base = sp st; off = off + (8 - lane_off); size = 8 })
-    end;
-    emit st (Minst.St { src = r; base = sp st; off = off + lane_off; size = 8 })
-  end
-
 let force_reg st v lane r =
   let cur = if lane = 0 then st.reg_of.(v) else st.reg2_of.(v) in
-  if cur = r then ()
-  else begin
-    (* evacuate r *)
-    (if st.reg_owner.(r) >= 0 then begin
-       spill_owner st r;
-       detach st r
-     end);
+  if cur <> r then begin
+    evacuate st r;
     if cur >= 0 then begin
       emit st (Minst.Mov_rr (r, cur));
-      detach st cur
+      detach st cur;
+      attach st r v lane
     end
-    else begin
-      let off = st.slot_of.(v) in
-      if off < 0 then unsupported "value %%%d has no location" v;
-      emit st (Minst.Ld { dst = r; base = sp st; off = off + (8 * lane); size = 8; sext = false })
-    end;
-    attach st r v lane
+    else load_lane st v lane r
   end
 
-(** Free a specific register (spilling its owner to its home). *)
-let evacuate st r =
-  if st.reg_owner.(r) >= 0 then begin
-    spill_owner st r;
-    detach st r
+(* ---------------- edges ---------------- *)
+
+(* Where lane [lane] of [v] is now: a register, its home, or [nowhere]. *)
+let nowhere = M (-1)
+
+let src_loc st v lane =
+  let r = if lane = 0 then st.reg_of.(v) else st.reg2_of.(v) in
+  if r >= 0 then st.reg_loc.(r)
+  else if st.slot_of.(v) >= 0 then M (st.slot_of.(v) + (8 * lane))
+  else nowhere
+
+(** Emit [moves] (source, destination) through [out] as if all at once;
+    destinations are distinct, and a move onto its own source is dropped.
+    A cycle is broken through the scratch register, a memory-to-memory
+    move goes through the secondary one. *)
+let parallel_move st out moves =
+  let sc = st.target.Target.scratch and sc2 = st.target.Target.scratch2 in
+  let sp = sp st in
+  let mv src dst =
+    match (src, dst) with
+    | R a, R b -> out (Minst.Mov_rr (b, a))
+    | M o, R b -> out (Minst.Ld { dst = b; base = sp; off = o; size = 8; sext = false })
+    | R a, M o -> out (Minst.St { src = a; base = sp; off = o; size = 8 })
+    | M a, M b ->
+        out (Minst.Ld { dst = sc2; base = sp; off = a; size = 8; sext = false });
+        out (Minst.St { src = sc2; base = sp; off = b; size = 8 })
+  in
+  match moves with
+  | [] -> ()
+  | [ (s, d) ] -> if s <> d then mv s d
+  | moves ->
+      let moves = List.filter (fun (s, d) -> s <> d) moves in
+      let pending = ref moves in
+      while !pending <> [] do
+        let blocked (_, d) = List.exists (fun (s, _) -> s = d) !pending in
+        match List.find_opt (fun m -> not (blocked m)) !pending with
+        | Some ((s, d) as m) ->
+            mv s d;
+            pending := List.filter (fun m' -> m' != m) !pending
+        | None ->
+            (* every destination is still a source: park one in scratch *)
+            let _, d = List.hd !pending in
+            mv d (R sc);
+            pending := List.map (fun (s, d') -> ((if s = d then R sc else s), d')) !pending
+      done
+
+(* A phi of the block at layout index [k]. *)
+let is_phi_of st k v = Func.op st.f v = Op.Phi && st.an.Analysis.lo.(v) = k
+
+(* A fresh stamp for [st.mark]. A value is marked with it when its cell
+   holds the stamp in all but the low three bits, which carry flags. *)
+let new_stamp st =
+  st.stamp <- st.stamp + 1;
+  st.stamp lsl 3
+
+let marked st v stamp = st.mark.(v) land lnot 7 = stamp
+
+(* Fix [b]'s entry map from the current state (the first edge into [b]):
+   live-in values stay in their registers, and each 64-bit phi takes its
+   incoming value's register when that is free, else a free one, else its
+   home. Into a loop header, only values the loop uses stay; when the loop
+   calls out, which clears every register, only those its header (and the
+   body block after it) read, since the back edge would reload the others
+   on every iteration. *)
+let fix_entry_map st b =
+  let an = st.an in
+  let k = an.Analysis.index.(b) in
+  let loop_end = an.Analysis.loop_end.(b) in
+  let calls = loop_end >= 0 && an.Analysis.loop_calls.(b) in
+  let reads = if calls then new_stamp st else 0 in
+  let mark_reads b =
+    Vec.iter
+      (fun i ->
+        if Func.op st.f i <> Op.Phi then Func.iter_operands st.f i (fun v -> st.mark.(v) <- reads))
+      (Func.block_insts st.f b)
+  in
+  if calls then begin
+    mark_reads b;
+    if k < loop_end && an.Analysis.preds.(an.Analysis.order.(k + 1)) = 1 then
+      mark_reads an.Analysis.order.(k + 1)
+  end;
+  let taken = st.taken in
+  Array.fill taken 0 (Array.length taken) false;
+  let map = ref [] in
+  let hold v lane r c =
+    taken.(r) <- true;
+    map := (v, lane, r, c) :: !map
+  in
+  for r = 0 to Array.length st.reg_owner - 1 do
+    let v = st.reg_owner.(r) in
+    if
+      v >= 0 && live_in st v k
+      && (loop_end < 0
+         || if calls then marked st v reads else an.Analysis.ext_end.(v) >= loop_end)
+    then hold v st.reg_lane.(r) r st.clean.(v)
+  done;
+  let live_phi p = an.Analysis.uses.(p) > 0 && Func.ty st.f p <> Ty.I128 in
+  (* phis whose incoming value's register is free take it; the rest a
+     free register if any *)
+  let rest =
+    List.filter
+      (fun p ->
+        live_phi p
+        &&
+        let w = Func.phi_incoming_from st.f p st.cur_block in
+        let r = if w >= 0 then st.reg_of.(w) else -1 in
+        if r >= 0 && not taken.(r) then (hold p 0 r false; false) else true)
+      an.Analysis.phis.(b)
+  in
+  List.iter
+    (fun p ->
+      match Array.find_opt (fun r -> not taken.(r)) st.target.Target.allocatable with
+      | Some r -> hold p 0 r false
+      | None -> ())
+    rest;
+  st.entry_map.(b) <- !map;
+  st.entry_set.(b) <- true
+
+(** The moves on the edge from the current block into [b]: write home
+    every dirty live-in lane that [b]'s map does not hold in a register
+    (or holds as clean), load or move every lane the map holds, and write
+    the homes of the phis it does not hold. *)
+let rec edge_moves st b =
+  if st.entry_set.(b) then conform st b
+  else begin
+    fix_entry_map st b;
+    (* outside loop headers the new map holds every live-in register as it
+       is, so only phis can need moves *)
+    if st.an.Analysis.loop_end.(b) < 0 && st.an.Analysis.phis.(b) = [] then []
+    else conform st b
   end
+
+and conform st b =
+  let k = st.an.Analysis.index.(b) in
+  let map = st.entry_map.(b) in
+  (* mark the map: a value's cell holds the stamp plus one bit per held
+     lane and one for "held clean" *)
+  let stamp = new_stamp st in
+  List.iter
+    (fun (v, lane, _, c) ->
+      let m = if marked st v stamp then st.mark.(v) else stamp in
+      st.mark.(v) <- m lor (1 lsl lane) lor if c then 4 else 0)
+    map;
+  let moves = ref [] in
+  let add src dst = if src != nowhere && src <> dst then moves := (src, dst) :: !moves in
+  let phi_src p lane =
+    let w = Func.phi_incoming_from st.f p st.cur_block in
+    if w < 0 then nowhere else src_loc st w lane
+  in
+  for r = 0 to Array.length st.reg_owner - 1 do
+    let v = st.reg_owner.(r) in
+    if v >= 0 && (not st.clean.(v)) && live_in st v k then begin
+      let lane = st.reg_lane.(r) in
+      let m = st.mark.(v) in
+      if (not (marked st v stamp)) || m land (1 lsl lane) = 0 || m land 4 <> 0 then
+        add st.reg_loc.(r) (M (slot st v + (8 * lane)))
+    end
+  done;
+  List.iter
+    (fun (v, lane, r, _) ->
+      add (if is_phi_of st k v then phi_src v lane else src_loc st v lane) st.reg_loc.(r))
+    map;
+  List.iter
+    (fun p ->
+      if st.an.Analysis.uses.(p) > 0 && not (marked st p stamp) then
+        for lane = 0 to lanes st p - 1 do
+          add (phi_src p lane) (M (slot st p + (8 * lane)))
+        done)
+    st.an.Analysis.phis.(b);
+  !moves
+
+(** Start block [b] at layout index [k] in its entry map. *)
+let enter_block st k b =
+  if not st.entry_set.(b) then unsupported "block ^%d laid out before its predecessors" b;
+  st.cur_block <- b;
+  st.cur_idx <- k;
+  clear_regs st;
+  List.iter
+    (fun (v, lane, r, c) ->
+      attach st r v lane;
+      st.clean.(v) <- c)
+    st.entry_map.(b)
+
+(** The entry block's map: the argument registers as they stand. *)
+let fix_entry st =
+  let map = ref [] in
+  Array.iteri
+    (fun r v -> if v >= 0 then map := (v, st.reg_lane.(r), r, st.clean.(v)) :: !map)
+    st.reg_owner;
+  st.entry_map.(Func.entry_block) <- !map;
+  st.entry_set.(Func.entry_block) <- true
+
+(* Emit [moves] into an instruction list for out-of-line code. *)
+let moves_code st moves =
+  let code = ref [] in
+  parallel_move st (fun i -> code := i :: !code) moves;
+  List.rev !code
+
+(** Out-of-line stubs, after the function's epilogue. *)
+let emit_stubs st =
+  List.iter
+    (fun (label, code, target) ->
+      Asm.bind st.asm label;
+      List.iter (emit st) code;
+      Asm.jmp st.asm target)
+    (List.rev st.stubs)
 
 (* ---------------- helpers ---------------- *)
 
@@ -320,6 +590,32 @@ let alu_of_op (op : Op.t) : Minst.alu =
   | Op.Ashr -> Minst.Sar
   | Op.Rotr -> Minst.Ror
   | _ -> unsupported "not an ALU op"
+
+(* A compare whose only use is the branch right after it: it sets the
+   flags at its own position, where its operands are still live, and
+   materialises nothing. *)
+let fusible st i =
+  st.an.Analysis.uses.(i) = 1
+  &&
+  let insts = Func.block_insts st.f st.cur_block in
+  st.cur_pos + 1 < Vec.length insts
+  &&
+  let j = Vec.get insts (st.cur_pos + 1) in
+  Func.op st.f j = Op.Condbr && Func.x st.f j = i
+
+let negate : Minst.cond -> Minst.cond = function
+  | Minst.Eq -> Minst.Ne
+  | Minst.Ne -> Minst.Eq
+  | Minst.Slt -> Minst.Sge
+  | Minst.Sge -> Minst.Slt
+  | Minst.Sle -> Minst.Sgt
+  | Minst.Sgt -> Minst.Sle
+  | Minst.Ult -> Minst.Uge
+  | Minst.Uge -> Minst.Ult
+  | Minst.Ule -> Minst.Ugt
+  | Minst.Ugt -> Minst.Ule
+  | Minst.Ov -> Minst.Noov
+  | Minst.Noov -> Minst.Ov
 
 (** Constant-value view of an operand (for shift immediates etc.). *)
 let const_of st v =
@@ -370,10 +666,13 @@ let rec emit_inst st i =
       let rx = use st x in
       kill_dead_operand st x;
       emit st (Minst.Cmp_ri (rx, 0L));
-      let d = def st i in
-      emit st
-        (Minst.Setcc ((if Func.op f i = Op.Isnull then Minst.Eq else Minst.Ne), d));
-      finish_def st i
+      if fusible st i then st.fused <- i
+      else begin
+        let d = def st i in
+        emit st
+          (Minst.Setcc ((if Func.op f i = Op.Isnull then Minst.Eq else Minst.Ne), d));
+        finish_def st i
+      end
   | Op.Add | Op.Sub | Op.Mul | Op.And | Op.Or | Op.Xor ->
       if ty = Ty.I128 then emit_i128_bin st i
       else begin
@@ -432,9 +731,12 @@ let rec emit_inst st i =
           kill_dead_operand st x;
           kill_dead_operand st y;
           emit st (Minst.Cmp_rr (rx, ry));
-          let d = def st i in
-          emit st (Minst.Setcc (cmp_to_cond pred, d));
-          finish_def st i)
+          if fusible st i then st.fused <- i
+          else begin
+            let d = def st i in
+            emit st (Minst.Setcc (cmp_to_cond pred, d));
+            finish_def st i
+          end)
   | Op.Fcmp ->
       let pred = Op.cmp_of_int (Func.n f i) in
       let rx = use st x in
@@ -549,13 +851,13 @@ let rec emit_inst st i =
       finish_def st i
   | Op.Longmulfold ->
       (* rdx:rax = x * y (unsigned); result = rax ^ rdx *)
-      evacuate st rax;
-      evacuate st rdx;
+      evacuate ~avoid:[ rax; rdx ] st rax;
+      evacuate ~avoid:[ rax; rdx ] st rdx;
       force_reg st x 0 rax;
       let ry = use ~avoid:[ rax; rdx ] st y in
       kill_dead_operand st x;
       kill_dead_operand st y;
-      detach st rax;
+      evacuate ~avoid:[ rax; rdx; ry ] st rax;
       emit st (Minst.Mul_wide { signed = false; src = ry });
       emit st (Minst.Alu_rr (Minst.Xor, rax, rdx));
       attach st rax i 0;
@@ -576,9 +878,8 @@ let rec emit_inst st i =
       finish_def st i
   | Op.Call -> emit_call st i
   | Op.Br ->
-      emit_edge_moves st st.cur_block x;
-      clear_regs st;
-      Asm.jmp st.asm st.block_labels.(x)
+      parallel_move st (emit st) (edge_moves st x);
+      if x <> next_block st then Asm.jmp st.asm st.block_labels.(x)
   | Op.Condbr -> emit_condbr st i
   | Op.Ret ->
       (if x >= 0 then begin
@@ -589,8 +890,8 @@ let rec emit_inst st i =
          end
          else force_reg st x 0 st.target.Target.ret_regs.(0)
        end);
-      clear_regs st;
-      Asm.jmp st.asm st.epilogue
+      (* the epilogue follows the last block *)
+      if next_block st >= 0 then Asm.jmp st.asm st.epilogue
   | Op.Unreachable -> emit st (Minst.Brk 0)
   | Op.Fadd | Op.Fsub | Op.Fmul | Op.Fdiv ->
       let rx = use st x in
@@ -661,8 +962,8 @@ and emit_i128_bin st i =
   | Op.Mul ->
       (* truncated 128x128 multiply:
          rdx:rax = xlo *u ylo; rdx += xhi*ylo + xlo*yhi *)
-      evacuate st rax;
-      evacuate st rdx;
+      evacuate ~avoid:[ rax; rdx ] st rax;
+      evacuate ~avoid:[ rax; rdx ] st rdx;
       force_reg st x 0 rax;
       let ylo = use ~avoid:[ rax; rdx ] st y in
       let t = st.target.Target.scratch2 in
@@ -834,23 +1135,6 @@ and emit_i128_shift st i =
     | _ -> unsupported "i128 rotate"
   end
 
-(* Make sure a value's stack home exists and holds its current bits. *)
-and ensure_home st v =
-  if st.slot_of.(v) < 0 then begin
-    if Func.ty st.f v = Ty.I128 then begin
-      let rlo = use st v in
-      let rhi = use_hi ~avoid:[ rlo ] st v in
-      let off = slot st v in
-      emit st (Minst.St { src = rlo; base = sp st; off; size = 8 });
-      emit st (Minst.St { src = rhi; base = sp st; off = off + 8; size = 8 })
-    end
-    else begin
-      let r = use st v in
-      let off = slot st v in
-      emit st (Minst.St { src = r; base = sp st; off; size = 8 })
-    end
-  end
-
 and emit_mul_trap st i =
   let f = st.f in
   let ty = Func.ty f i in
@@ -868,56 +1152,64 @@ and emit_mul_trap st i =
       finish_def st i
   | Ty.I128 ->
       (* Fast path when both operands fit in 64 bits (the optimization from
-         Sec. V-A1/VI-A1): one signed widening multiply; otherwise call the
-         hand-optimized runtime helper. *)
+         Sec. V-A1/VI-A1): one signed widening multiply into rdx:rax.
+         Otherwise an out-of-line stub calls the hand-optimized runtime
+         helper, saving and restoring the live registers around the call,
+         so both paths meet with the same register state. *)
       let asm = st.asm in
-      let slow = Asm.new_label asm in
-      let done_ = Asm.new_label asm in
-      ensure_home st x;
-      ensure_home st y;
+      let fixed = [ rax; rdx ] in
+      let xlo = use ~avoid:fixed st x in
+      let xhi = use_hi ~avoid:(xlo :: fixed) st x in
+      let ylo, yhi =
+        if y = x then (xlo, xhi)
+        else
+          let ylo = use ~avoid:(xlo :: xhi :: fixed) st y in
+          (ylo, use_hi ~avoid:(ylo :: xlo :: xhi :: fixed) st y)
+      in
+      let keep = xlo :: xhi :: ylo :: yhi :: fixed in
+      evacuate ~avoid:keep st rax;
+      evacuate ~avoid:keep st rdx;
+      let slow = Asm.new_label asm and done_ = Asm.new_label asm in
       let t = st.target.Target.scratch2 in
-      evacuate st t;
-      let xlo = use st x in
-      let xhi = use_hi ~avoid:[ xlo ] st x in
-      emit st (Minst.Mov_rr (t, xlo));
-      emit st (Minst.Alu_ri (Minst.Sar, t, 63L));
-      emit st (Minst.Cmp_rr (t, xhi));
-      Asm.jcc asm Minst.Ne slow;
-      let ylo = use ~avoid:[ xlo; xhi ] st y in
-      let yhi = use_hi ~avoid:[ xlo; xhi; ylo ] st y in
-      emit st (Minst.Mov_rr (t, ylo));
-      emit st (Minst.Alu_ri (Minst.Sar, t, 63L));
-      emit st (Minst.Cmp_rr (t, yhi));
-      Asm.jcc asm Minst.Ne slow;
-      (* fast: rdx:rax = xlo *s ylo — exact, cannot overflow 128 bits *)
-      evacuate st rax;
-      evacuate st rdx;
-      force_reg st x 0 rax;
-      let ylo2 = use ~avoid:[ rax; rdx ] st y in
-      emit st (Minst.Mul_wide { signed = true; src = ylo2 });
-      let dslot = slot st i in
-      emit st (Minst.St { src = rax; base = sp st; off = dslot; size = 8 });
-      emit st (Minst.St { src = rdx; base = sp st; off = dslot + 8; size = 8 });
-      Asm.jmp asm done_;
-      (* slow path: the hand-optimized runtime helper *)
-      Asm.bind asm slow;
-      clear_regs st;
+      let fits lo hi =
+        emit st (Minst.Mov_rr (t, lo));
+        emit st (Minst.Alu_ri (Minst.Sar, t, 63L));
+        emit st (Minst.Cmp_rr (t, hi));
+        Asm.jcc asm Minst.Ne slow
+      in
+      fits xlo xhi;
+      fits ylo yhi;
+      let code = ref [] in
+      let out i = code := i :: !code in
+      let save = save_area st in
+      let saved = ref [] in
+      Array.iteri
+        (fun r v ->
+          if v >= 0 && live_after st v then begin
+            saved := r :: !saved;
+            out (Minst.St { src = r; base = sp st; off = save + (8 * r); size = 8 })
+          end)
+        st.reg_owner;
       let args = st.target.Target.arg_regs in
-      emit st (Minst.Ld { dst = args.(0); base = sp st; off = st.slot_of.(x); size = 8; sext = false });
-      emit st (Minst.Ld { dst = args.(1); base = sp st; off = st.slot_of.(x) + 8; size = 8; sext = false });
-      emit st (Minst.Ld { dst = args.(2); base = sp st; off = st.slot_of.(y); size = 8; sext = false });
-      emit st (Minst.Ld { dst = args.(3); base = sp st; off = st.slot_of.(y) + 8; size = 8; sext = false });
-      let helper = st.rt_addr "umbra_i128MulFull" in
+      parallel_move st out
+        [ (R xlo, R args.(0)); (R xhi, R args.(1)); (R ylo, R args.(2)); (R yhi, R args.(3)) ];
       let sc = st.target.Target.scratch in
-      emit st (Minst.Mov_ri (sc, helper));
-      emit st (Minst.Call_ind sc);
-      emit st (Minst.St { src = st.target.Target.ret_regs.(0); base = sp st; off = dslot; size = 8 });
-      emit st (Minst.St { src = st.target.Target.ret_regs.(1); base = sp st; off = dslot + 8; size = 8 });
+      out (Minst.Mov_ri (sc, st.rt_addr "umbra_i128MulFull"));
+      out (Minst.Call_ind sc);
+      List.iter
+        (fun r ->
+          out (Minst.Ld { dst = r; base = sp st; off = save + (8 * r); size = 8; sext = false }))
+        !saved;
+      st.stubs <- (slow, List.rev !code, done_) :: st.stubs;
+      (* fast: exact, cannot overflow 128 bits *)
+      emit st (Minst.Mov_rr (rax, xlo));
+      emit st (Minst.Mul_wide { signed = true; src = ylo });
       Asm.bind asm done_;
-      clear_regs st;
       kill_dead_operand st x;
-      kill_dead_operand st y
-      (* the result lives in its slot on both paths *)
+      kill_dead_operand st y;
+      attach st rax i 0;
+      attach st rdx i 1;
+      finish_def st i
   | _ ->
       (* narrow: multiply in 64-bit, check canonical *)
       let rx = use st x in
@@ -942,13 +1234,13 @@ and emit_div st i =
   if ty = Ty.I128 then unsupported "i128 division must go through the runtime";
   let signed = Func.op f i = Op.Sdiv || Func.op f i = Op.Srem in
   let want_rem = Func.op f i = Op.Srem || Func.op f i = Op.Urem in
-  evacuate st rax;
-  evacuate st rdx;
+  evacuate ~avoid:[ rax; rdx ] st rax;
+  evacuate ~avoid:[ rax; rdx ] st rdx;
   force_reg st x 0 rax;
   let ry = use ~avoid:[ rax; rdx ] st y in
   kill_dead_operand st x;
   kill_dead_operand st y;
-  detach st rax;
+  evacuate ~avoid:[ rax; rdx; ry ] st rax;
   if signed then begin
     emit st (Minst.Mov_rr (rdx, rax));
     emit st (Minst.Alu_ri (Minst.Sar, rdx, 63L))
@@ -1056,120 +1348,70 @@ and emit_select st i =
 and emit_call st i =
   let f = st.f in
   let ty = Func.ty f i in
-  let args = Func.call_args f i in
-  (* make sure all arguments have stack homes, then load into arg regs *)
-  List.iter (fun a -> ensure_home st a) args;
-  clear_regs st;
+  (* no register survives the call: write home what is read after it, then
+     move every argument from where it is into its register at once *)
+  spill_live_after st;
   let arg_regs = st.target.Target.arg_regs in
   let k = ref 0 in
+  let moves = ref [] in
   List.iter
     (fun a ->
-      let off = st.slot_of.(a) in
-      emit st (Minst.Ld { dst = arg_regs.(!k); base = sp st; off; size = 8; sext = false });
-      incr k;
-      if Func.ty f a = Ty.I128 then begin
-        emit st
-          (Minst.Ld { dst = arg_regs.(!k); base = sp st; off = off + 8; size = 8; sext = false });
+      for lane = 0 to lanes st a - 1 do
+        let s = src_loc st a lane in
+        if s == nowhere then unsupported "call argument %%%d has no location" a;
+        moves := (s, st.reg_loc.(arg_regs.(!k))) :: !moves;
         incr k
-      end)
-    args;
+      done)
+    (Func.call_args f i);
+  parallel_move st (emit st) !moves;
+  clear_regs st;
   let addr = st.extern_addr (Func.z f i) in
   let sc = st.target.Target.scratch in
   emit st (Minst.Mov_ri (sc, addr));
   emit st (Minst.Call_ind sc);
-  kill_dead_list st args;
   if ty <> Ty.Void then begin
     attach st st.target.Target.ret_regs.(0) i 0;
     if ty = Ty.I128 then attach st st.target.Target.ret_regs.(1) i 1;
     finish_def st i
   end
 
-and kill_dead_list st vs = List.iter (fun v -> kill_dead_operand st v) vs
-
-(* Edge moves for phis in [target] when branching from [pred]. Sources all
-   have stack homes (the analysis forces them); copies go through the
-   scratch register and, when more than one phi, a staging area. *)
-and emit_edge_moves st pred target =
-  let f = st.f in
-  let moves = ref [] in
-  Vec.iter
-    (fun i ->
-      if Func.op f i = Op.Phi then
-        List.iter
-          (fun (blk, v) -> if blk = pred then moves := (i, v) :: !moves)
-          (Func.phi_incoming f i))
-    (Func.block_insts f target);
-  let moves = List.rev !moves in
-  match moves with
-  | [] -> ()
-  | [ (dst, src) ] -> copy_value st ~src ~dst_slot:(slot st dst)
-  | _ ->
-      (* stage all sources first *)
-      let staged =
-        List.map
-          (fun (dst, src) ->
-            let size = if Func.ty f src = Ty.I128 then 16 else 8 in
-            let tmp = fresh_slot st size in
-            copy_value st ~src ~dst_slot:tmp;
-            (dst, tmp, size))
-          moves
-      in
-      let sc = st.target.Target.scratch in
-      List.iter
-        (fun (dst, tmp, size) ->
-          let doff = slot st dst in
-          emit st (Minst.Ld { dst = sc; base = sp st; off = tmp; size = 8; sext = false });
-          emit st (Minst.St { src = sc; base = sp st; off = doff; size = 8 });
-          if size = 16 then begin
-            emit st (Minst.Ld { dst = sc; base = sp st; off = tmp + 8; size = 8; sext = false });
-            emit st (Minst.St { src = sc; base = sp st; off = doff + 8; size = 8 })
-          end)
-        staged
-
-and copy_value st ~src ~dst_slot =
-  let f = st.f in
-  let sc = st.target.Target.scratch in
-  let is128 = Func.ty f src = Ty.I128 in
-  if st.reg_of.(src) >= 0 then
-    emit st (Minst.St { src = st.reg_of.(src); base = sp st; off = dst_slot; size = 8 })
-  else begin
-    let off = st.slot_of.(src) in
-    emit st (Minst.Ld { dst = sc; base = sp st; off; size = 8; sext = false });
-    emit st (Minst.St { src = sc; base = sp st; off = dst_slot; size = 8 })
-  end;
-  if is128 then
-    if st.reg2_of.(src) >= 0 then
-      emit st (Minst.St { src = st.reg2_of.(src); base = sp st; off = dst_slot + 8; size = 8 })
-    else begin
-      let off = st.slot_of.(src) in
-      emit st (Minst.Ld { dst = sc; base = sp st; off = off + 8; size = 8; sext = false });
-      emit st (Minst.St { src = sc; base = sp st; off = dst_slot + 8; size = 8 })
-    end
-
+(* The branch jumps on the flags the fused compare left, or tests the
+   condition value. Nothing between the compare and the jump touches the
+   flags: edge moves are only mov, ld and st. The edge into the block
+   laid out next falls through; otherwise the edge without moves is the
+   one taken by the conditional jump. A taken edge with moves runs them
+   in an out-of-line stub. *)
 and emit_condbr st i =
   let f = st.f in
   let c = Func.x f i and tb = Func.y f i and eb = Func.z f i in
-  let rc = use st c in
-  kill_dead_operand st c;
-  emit st (Minst.Cmp_ri (rc, 0L));
-  (* the else edge gets a local stub when it needs phi moves *)
-  let then_moves = block_has_phi st tb and else_moves = block_has_phi st eb in
-  if not (then_moves || else_moves) then begin
-    clear_regs st;
-    Asm.jcc st.asm Minst.Eq st.block_labels.(eb);
-    Asm.jmp st.asm st.block_labels.(tb)
-  end
-  else begin
-    let else_stub = Asm.new_label st.asm in
-    Asm.jcc st.asm Minst.Eq else_stub;
-    emit_edge_moves st st.cur_block tb;
-    clear_regs st;
-    Asm.jmp st.asm st.block_labels.(tb);
-    Asm.bind st.asm else_stub;
-    emit_edge_moves st st.cur_block eb;
-    clear_regs st;
-    Asm.jmp st.asm st.block_labels.(eb)
-  end
-
-and block_has_phi st b =
-  Vec.exists (fun j -> Func.op st.f j = Op.Phi) (Func.block_insts st.f b)
+  let cond =
+    if st.fused = c then begin
+      st.fused <- -1;
+      match Func.op f c with
+      | Op.Cmp -> cmp_to_cond (Op.cmp_of_int (Func.n f c))
+      | Op.Isnull -> Minst.Eq
+      | _ -> Minst.Ne
+    end
+    else begin
+      let rc = use st c in
+      kill_dead_operand st c;
+      emit st (Minst.Cmp_ri (rc, 0L));
+      Minst.Ne
+    end
+  in
+  let to_then = edge_moves st tb in
+  let to_else = edge_moves st eb in
+  let next = next_block st in
+  let fall_else = eb = next || (tb <> next && to_then = [] && to_else <> []) in
+  let fall, fall_moves, jump, jump_moves, jcond =
+    if fall_else then (eb, to_else, tb, to_then, cond)
+    else (tb, to_then, eb, to_else, negate cond)
+  in
+  (if jump_moves = [] then Asm.jcc st.asm jcond st.block_labels.(jump)
+   else begin
+     let stub = Asm.new_label st.asm in
+     Asm.jcc st.asm jcond stub;
+     st.stubs <- (stub, moves_code st jump_moves, st.block_labels.(jump)) :: st.stubs
+   end);
+  parallel_move st (emit st) fall_moves;
+  if fall <> next then Asm.jmp st.asm st.block_labels.(fall)

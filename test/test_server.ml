@@ -308,13 +308,13 @@ let golden_cases =
       ( "static:cranelift", Server.Static Engine.cranelift, false,
         [ "2e29af98e906f55dd02f4fb61c2fb018"; "dda3e91dc0150b07db9afb5617e9dd70" ] );
       ( "cached", Server.Cached, false,
-        [ "d6150aaafc0f932530ec3d10a8d73f6d"; "d9af2aced0365d310bbd62222dfc56be" ] );
+        [ "aafe64fd60fc0060db36760ecbe3e045"; "b7d3807fcf20abdd3bb32b49cb099cac" ] );
       ( "tiered", Server.Tiered, false,
-        [ "b4ac3a59d151798f15ec8aa6f8d60292"; "fd5533fe80e76e86bfa81bc5fd4ae105" ] );
+        [ "727575fccfcee6783c276f435929503a"; "2f58f702afbf61dd2f8e185d87c1817d" ] );
       ( "tiered+reopt", Server.Tiered, true,
-        [ "8c77a66631fc7c5a10bf3b0ad9182682"; "e7d67e227dc331de17f3ff2ab5c9f803" ] );
+        [ "37f498573d4cf2f43af9d65a5f764fb7"; "53ac500519c929ec5e3769f384e10983" ] );
     ]
-  @ [ ("poisson trace", golden_trace, "4e0cb553a652dfbda50ebec271f2ca26") ]
+  @ [ ("poisson trace", golden_trace, "20743c189865a3cfcb8d3058a6608190") ]
 
 (* repeated stream: cache hits, byte-identical and golden reports *)
 let determinism_test =
