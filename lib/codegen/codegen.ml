@@ -15,7 +15,8 @@
       into materialized tuples,
     - all user-data arithmetic uses the overflow-trapping instructions,
     - hash values are computed inline with [crc32]/[rotr]/[longmulfold]
-      (Listing 2 of the paper); string hashing calls the runtime. *)
+      (Listing 2 of the paper); string hashing and equality call the
+      runtime, which DirectEmit inlines for short strings. *)
 
 open Qcomp_ir
 open Qcomp_plan
@@ -257,9 +258,12 @@ let rec compile_expr ctx (p : pipe) (env : value option array)
       let one = Builder.const b Ty.I1 1L in
       { vty = Sqlty.Bool; v = Builder.xor b Ty.I1 vx.v one }
   | Expr.Like (s, pat) ->
+      (* a pattern without wildcards matches only itself: string equality,
+         which is cheaper on every back-end and inline on DirectEmit *)
       let vs = recur s in
       let vp = Builder.const_ptr b (Int64.of_int (str_const ctx pat)) in
-      let r = rt_ptr2_i64 b "umbra_strLike" vs.v vp in
+      let wild = String.exists (fun c -> c = '%' || c = '_') pat in
+      let r = rt_ptr2_i64 b (if wild then "umbra_strLike" else "umbra_strEq") vs.v vp in
       let zero = Builder.const b Ty.I64 0L in
       { vty = Sqlty.Bool; v = Builder.cmp b Op.Ne r zero }
   | Expr.Between (v, lo, hi) ->

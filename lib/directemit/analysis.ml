@@ -13,13 +13,27 @@
     - use and predecessor counts, the phis of each block, and which values
       are live across a call inside a loop that does not define them (those
       are stored to their stack home at their definition; every other value
-      is written back only when its register is taken).
+      is written back only when its register is taken). A call to an
+      {!intrinsic} is not a call here: it clobbers no live register.
 
     Linear ids are stored in the free [scratch] slot of the IR — no hash
     tables. *)
 
 open Qcomp_support
 open Qcomp_ir
+
+(** Runtime calls DirectEmit inlines, with an out-of-line call for the
+    cases the inline code does not cover. *)
+type intrinsic = Str_eq | Str_hash
+
+(** The module's extern table mapped to the intrinsic each extern is, by
+    name. *)
+let intrinsics (m : Func.modul) =
+  Array.init (Func.num_externs m) (fun id ->
+      match (Func.extern m id).Func.ext_name with
+      | "umbra_strEq" -> Some Str_eq
+      | "umbra_strHash" -> Some Str_hash
+      | _ -> None)
 
 type t = {
   order : int array;  (** layout: the blocks in emission order *)
@@ -132,7 +146,7 @@ let layout rpo header_of parent nb =
   place (-1);
   out
 
-let compute (f : Func.t) : t =
+let compute ~intrinsics (f : Func.t) : t =
   let nv = Func.num_insts f in
   let nb = Func.num_blocks f in
   let rpo = Graph.Func_analysis.rpo f in
@@ -201,7 +215,8 @@ let compute (f : Func.t) : t =
             lo.(i) <- k;
             hi.(i) <- k
           end;
-          if Func.op f i = Op.Call then begin
+          (* an intrinsic's stub saves and restores every live register *)
+          if Func.op f i = Op.Call && intrinsics.(Func.z f i) = None then begin
             lc := pos;
             if first_call.(k) = max_int then first_call.(k) <- pos;
             last_call.(k) <- pos

@@ -9,15 +9,21 @@ open Qcomp_runtime
 
 let name = "directemit"
 
-let compile_func ~asm ~target ~extern_addr ~rt_addr ~timing (f : Func.t) =
-  let an = Timing.scope timing "Analysis" (fun () -> Analysis.compute f) in
+(** Generation of the code this back-end emits, folded into code-cache
+    snapshot keys. The code computes the runtime's short-string hash
+    ({!Qcomp_runtime.Sso.hash}) inline, so a snapshot written under
+    another hash must not be re-linked: bump this with that hash. *)
+let code_version = 1
+
+let compile_func ~asm ~target ~intrinsics ~extern_addr ~rt_addr ~timing (f : Func.t) =
+  let an = Timing.scope timing "Analysis" (fun () -> Analysis.compute ~intrinsics f) in
   Timing.scope timing "CodeGen" (fun () ->
       (* align function starts *)
       while Asm.offset asm land 15 <> 0 do
         Asm.emit asm Minst.Nop
       done;
       let start = Asm.offset asm in
-      let st = Emit.create asm f target an extern_addr rt_addr in
+      let st = Emit.create asm f target an ~intrinsics extern_addr rt_addr in
       (* prologue: frame allocation, patched once the frame size is known *)
       let frame_patch = Asm.offset asm + 2 in
       Asm.emit asm (Minst.Alu_ri (Minst.Sub, target.Target.sp, 0x7FFFFFFFL));
@@ -91,13 +97,14 @@ let compile_artifact ~timing ~(target : Target.t) ~registry (m : Func.modul) :
     record e.Func.ext_name
   in
   let rt_addr nm = record nm in
+  let intrinsics = Analysis.intrinsics m in
   let asm = Asm.create target in
   let fns = ref [] in
   let relocs = ref [] in
   Vec.iter
     (fun f ->
       let start, size, rows, holes =
-        compile_func ~asm ~target ~extern_addr ~rt_addr ~timing f
+        compile_func ~asm ~target ~intrinsics ~extern_addr ~rt_addr ~timing f
       in
       (* hole offsets are absolute in the shared [asm] buffer already *)
       List.iter

@@ -25,9 +25,18 @@
     branch right after it sets the flags at its own position, where its
     operands are live, and the branch jumps on them; the edge into
     the block laid out next falls through; an edge whose moves cannot
-    fall through, and the runtime call of a 128-bit multiply that does
-    not fit its fast path, run in out-of-line stubs after the epilogue.
-    DWARF CFI is written in parallel, synchronous-only. *)
+    fall through runs in an out-of-line stub after the epilogue.
+
+    Intrinsics: calls to [umbra_strEq] and [umbra_strHash], recognised by
+    extern name through the module's extern table, compile inline for
+    short strings from the two words of each SSO struct (see {!Sso});
+    the runtime call of a 128-bit multiply that does not fit its 64-bit
+    fast path is the third fast path of this kind. What a fast path does
+    not cover (long strings, wide products) calls the runtime from an
+    out-of-line stub that saves and restores every live register
+    ([runtime_stub]), so neither path clobbers a register and the
+    analysis does not count these calls as calls. DWARF CFI is written in
+    parallel, synchronous-only. *)
 
 open Qcomp_support
 open Qcomp_ir
@@ -45,6 +54,8 @@ type st = {
   f : Func.t;
   target : Target.t;
   an : Analysis.t;
+  intrinsics : Analysis.intrinsic option array;
+      (** extern id -> the intrinsic its calls compile to *)
   extern_addr : int -> int64;
   rt_addr : string -> int64;  (** runtime helpers referenced by name *)
   (* register file state *)
@@ -84,7 +95,7 @@ type st = {
 let rax = 0
 let rdx = 2
 
-let create asm f target an extern_addr rt_addr =
+let create asm f target an ~intrinsics extern_addr rt_addr =
   let nv = Func.num_insts f in
   let nb = Func.num_blocks f in
   {
@@ -92,6 +103,7 @@ let create asm f target an extern_addr rt_addr =
     f;
     target;
     an;
+    intrinsics;
     extern_addr;
     rt_addr;
     reg_owner = Array.make target.Target.num_regs (-1);
@@ -549,6 +561,35 @@ let emit_stubs st =
       List.iter (emit st) code;
       Asm.jmp st.asm target)
     (List.rev st.stubs)
+
+(** An out-of-line runtime call for what a fast path does not cover,
+    entered at [slow] and returning to [done_]: save every register whose
+    value is read after the current instruction, except the [results] the
+    call defines; move the [args] registers into the argument registers;
+    call [name]; move the return registers into [results]; restore. Both
+    paths meet with the same register state. *)
+let runtime_stub st ~slow ~done_ ~args ~results name =
+  let code = ref [] in
+  let out i = code := i :: !code in
+  let save = save_area st in
+  let saved = ref [] in
+  Array.iteri
+    (fun r v ->
+      if v >= 0 && live_after st v && not (List.mem r results) then begin
+        saved := r :: !saved;
+        out (Minst.St { src = r; base = sp st; off = save + (8 * r); size = 8 })
+      end)
+    st.reg_owner;
+  let target = st.target in
+  parallel_move st out (List.mapi (fun k r -> (R r, R target.Target.arg_regs.(k))) args);
+  let sc = target.Target.scratch in
+  out (Minst.Mov_ri (sc, st.rt_addr name));
+  out (Minst.Call_ind sc);
+  parallel_move st out (List.mapi (fun k r -> (R target.Target.ret_regs.(k), R r)) results);
+  List.iter
+    (fun r -> out (Minst.Ld { dst = r; base = sp st; off = save + (8 * r); size = 8; sext = false }))
+    !saved;
+  st.stubs <- (slow, List.rev !code, done_) :: st.stubs
 
 (* ---------------- helpers ---------------- *)
 
@@ -1179,28 +1220,8 @@ and emit_mul_trap st i =
       in
       fits xlo xhi;
       fits ylo yhi;
-      let code = ref [] in
-      let out i = code := i :: !code in
-      let save = save_area st in
-      let saved = ref [] in
-      Array.iteri
-        (fun r v ->
-          if v >= 0 && live_after st v then begin
-            saved := r :: !saved;
-            out (Minst.St { src = r; base = sp st; off = save + (8 * r); size = 8 })
-          end)
-        st.reg_owner;
-      let args = st.target.Target.arg_regs in
-      parallel_move st out
-        [ (R xlo, R args.(0)); (R xhi, R args.(1)); (R ylo, R args.(2)); (R yhi, R args.(3)) ];
-      let sc = st.target.Target.scratch in
-      out (Minst.Mov_ri (sc, st.rt_addr "umbra_i128MulFull"));
-      out (Minst.Call_ind sc);
-      List.iter
-        (fun r ->
-          out (Minst.Ld { dst = r; base = sp st; off = save + (8 * r); size = 8; sext = false }))
-        !saved;
-      st.stubs <- (slow, List.rev !code, done_) :: st.stubs;
+      runtime_stub st ~slow ~done_ ~args:[ xlo; xhi; ylo; yhi ] ~results:fixed
+        "umbra_i128MulFull";
       (* fast: exact, cannot overflow 128 bits *)
       emit st (Minst.Mov_rr (rax, xlo));
       emit st (Minst.Mul_wide { signed = true; src = ylo });
@@ -1346,6 +1367,12 @@ and emit_select st i =
   end
 
 and emit_call st i =
+  match st.intrinsics.(Func.z st.f i) with
+  | Some Analysis.Str_eq -> emit_str_eq st i
+  | Some Analysis.Str_hash -> emit_str_hash st i
+  | None -> emit_runtime_call st i
+
+and emit_runtime_call st i =
   let f = st.f in
   let ty = Func.ty f i in
   (* no register survives the call: write home what is read after it, then
@@ -1374,6 +1401,73 @@ and emit_call st i =
     if ty = Ty.I128 then attach st st.target.Target.ret_regs.(1) i 1;
     finish_def st i
   end
+
+(* Short-string equality from the two words of each struct (see {!Sso}):
+   different length words mean different strings, equal second words the
+   same inline bytes or the same body, and two short strings that differ
+   in their second word differ. Only long strings that share length and
+   prefix but not a body reach the runtime, in a stub. *)
+and emit_str_eq st i =
+  let a, b =
+    match Func.call_args st.f i with
+    | [ a; b ] -> (a, b)
+    | _ -> unsupported "umbra_strEq takes two strings"
+  in
+  let ra = use st a in
+  let rb = if b = a then ra else use ~avoid:[ ra ] st b in
+  kill_dead_operand st a;
+  kill_dead_operand st b;
+  let d = def ~avoid:[ ra; rb ] st i in
+  let t = st.target.Target.scratch2 in
+  let asm = st.asm in
+  let slow = Asm.new_label asm and done_ = Asm.new_label asm in
+  let ld dst base off size = emit st (Minst.Ld { dst; base; off; size; sext = false }) in
+  (* mov leaves the flags alone: each test sets the result, then jumps *)
+  let decide off result cond =
+    ld d ra off 8;
+    ld t rb off 8;
+    emit st (Minst.Cmp_rr (d, t));
+    emit st (Minst.Mov_ri (d, result));
+    Asm.jcc asm cond done_
+  in
+  decide 0 0L Minst.Ne;
+  decide 8 1L Minst.Eq;
+  ld d ra 0 4;
+  emit st (Minst.Cmp_ri (d, Int64.of_int Qcomp_runtime.Sso.inline_max));
+  emit st (Minst.Mov_ri (d, 0L));
+  Asm.jcc asm Minst.Ugt slow;
+  Asm.bind asm done_;
+  runtime_stub st ~slow ~done_ ~args:[ ra; rb ] ~results:[ d ] "umbra_strEq";
+  finish_def st i
+
+(* The short-string hash of {!Sso.hash} from the struct's two words, the
+   multiply in rdx:rax; a long string's stub calls the runtime. *)
+and emit_str_hash st i =
+  let s =
+    match Func.call_args st.f i with [ s ] -> s | _ -> unsupported "umbra_strHash takes one string"
+  in
+  evacuate ~avoid:[ rax; rdx ] st rax;
+  evacuate ~avoid:[ rax; rdx ] st rdx;
+  let rs = use ~avoid:[ rax; rdx ] st s in
+  kill_dead_operand st s;
+  let t = st.target.Target.scratch2 in
+  let asm = st.asm in
+  let slow = Asm.new_label asm and done_ = Asm.new_label asm in
+  emit st (Minst.Ld { dst = rdx; base = rs; off = 0; size = 8; sext = false });
+  emit st (Minst.Ext { dst = rax; src = rdx; bits = 32; signed = false });
+  emit st (Minst.Cmp_ri (rax, Int64.of_int Qcomp_runtime.Sso.inline_max));
+  Asm.jcc asm Minst.Ugt slow;
+  emit st (Minst.Mov_ri (rax, Qcomp_runtime.Sso.hash_seed));
+  emit st (Minst.Crc32_rr (rax, rdx));
+  emit st (Minst.Ld { dst = rdx; base = rs; off = 8; size = 8; sext = false });
+  emit st (Minst.Crc32_rr (rax, rdx));
+  emit st (Minst.Mov_ri (t, Qcomp_runtime.Sso.golden));
+  emit st (Minst.Mul_wide { signed = false; src = t });
+  emit st (Minst.Alu_rr (Minst.Xor, rax, rdx));
+  Asm.bind asm done_;
+  runtime_stub st ~slow ~done_ ~args:[ rs ] ~results:[ rax ] "umbra_strHash";
+  attach st rax i 0;
+  finish_def st i
 
 (* The branch jumps on the flags the fused compare left, or tests the
    condition value. Nothing between the compare and the jump touches the

@@ -151,7 +151,9 @@ let functions target : (string * (Emu.t -> unit)) list =
       fun e ->
         let mem = Emu.memory e in
         let s = Int64.to_int (arg e 0) in
-        Emu.charge e (8 + (2 * Sso.length mem s));
+        (* a short string hashes its two words; a long one, byte by byte *)
+        let n = Sso.length mem s in
+        Emu.charge e (if n <= Sso.inline_max then 8 else 8 + (2 * n));
         ret e (Sso.hash mem s) );
     (* ---- 128-bit helpers (hand-optimized in Umbra) ---- *)
     ( "umbra_i128MulFull",

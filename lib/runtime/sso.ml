@@ -7,7 +7,12 @@
       bytes 8–15 a pointer to the full contents.
 
     The prefix makes most inequality comparisons resolvable from the struct
-    alone, which is why Umbra passes these by value so frequently. *)
+    alone, which is why Umbra passes these by value so frequently.
+
+    A short string's bytes [4 + length, 16) are zero ({!write} clears
+    them), so two short strings are equal exactly when both 8-byte words
+    of their structs are, and {!hash} and DirectEmit's inline equality and
+    hash read those two words without looking at the length. *)
 
 open Qcomp_vm
 
@@ -50,9 +55,16 @@ let prefix mem addr =
   let n = min (length mem addr) 4 in
   Memory.load_bytes mem (addr + 4) n
 
+(* The length word (length and prefix) first, then the second word:
+   equal second words mean the same inline bytes or the same body. Only
+   long strings that share length and prefix but not a body compare
+   their contents. *)
 let equal mem a b =
-  (* Length and prefix words first — the fast path the layout exists for. *)
-  length mem a = length mem b && String.equal (read mem a) (read mem b)
+  let w0 = Memory.load64 mem a in
+  Int64.equal w0 (Memory.load64 mem b)
+  && (Int64.equal (Memory.load64 mem (a + 8)) (Memory.load64 mem (b + 8))
+     || Int64.to_int w0 land 0xFFFF_FFFF > inline_max
+        && String.equal (read mem a) (read mem b))
 
 let compare_str mem a b = String.compare (read mem a) (read mem b)
 
@@ -79,10 +91,23 @@ let like mem ~str ~pat =
   in
   go 0 0
 
+let hash_seed = 0xCBF29CE484222325L
+let golden = 0x9E3779B97F4A7C15L
+
+(** A short string hashes its two words, [long_mul_fold (crc32c (crc32c
+    hash_seed w0) w1) golden], the function DirectEmit computes inline; a
+    long one hashes its contents. *)
 let hash mem addr =
-  let s = read mem addr in
-  let h = ref 0xCBF29CE484222325L in
-  String.iter (fun c -> h := Qcomp_support.Hashes.crc32c_byte !h (Char.code c)) s;
-  Qcomp_support.Hashes.long_mul_fold
-    (Int64.logxor !h (Int64.of_int (String.length s)))
-    0x9E3779B97F4A7C15L
+  let w0 = Memory.load64 mem addr in
+  let n = Int64.to_int w0 land 0xFFFF_FFFF in
+  if n <= inline_max then
+    Qcomp_support.Hashes.long_mul_fold
+      (Qcomp_support.Hashes.crc32c
+         (Qcomp_support.Hashes.crc32c hash_seed w0)
+         (Memory.load64 mem (addr + 8)))
+      golden
+  else begin
+    let h = ref hash_seed in
+    String.iter (fun c -> h := Qcomp_support.Hashes.crc32c_byte !h (Char.code c)) (read mem addr);
+    Qcomp_support.Hashes.long_mul_fold (Int64.logxor !h (Int64.of_int n)) golden
+  end

@@ -705,10 +705,14 @@ let snap_magic = "QCSS"
 (* Back-end code-layout generation folded into each record's key. The
    stencil back-end's output is a function of its stencil library, so a
    library bump must invalidate old snapshots (a record patched from set N
-   must never be re-linked by a process with set N+1); other back-ends are
-   self-contained and stay at 0, leaving their keys unchanged. *)
+   must never be re-linked by a process with set N+1); DirectEmit's code
+   computes the runtime's short-string hash inline, so a snapshot written
+   under another hash must not be re-linked either. Other back-ends call
+   the runtime for it, are self-contained and stay at 0, leaving their
+   keys unchanged. *)
 let backend_code_version = function
   | "stencil" -> Qcomp_stencil.Stencil.library_version
+  | "directemit" -> Qcomp_directemit.Directemit.code_version
   | _ -> 0
 
 let crc_string s =

@@ -7,7 +7,13 @@
    lazily written stack homes around calls. Each runs over a set of
    arguments against the interpreter and must execute fewer instructions
    than the emitter that dropped every register at every block edge and
-   call (pinned below). *)
+   call (pinned below).
+
+   The string intrinsics (inline short-string equality and hash) run the
+   same way over SSO structs, against the runtime's own functions and the
+   interpreter, and must take fewer cycles than the runtime call they
+   replace: the runtime's work executes no emulated instruction, so only
+   cycles, which it is charged in, compare the two. *)
 
 open Qcomp_engine
 module Func = Qcomp_ir.Func
@@ -17,6 +23,8 @@ module Op = Qcomp_ir.Op
 module Liveness = Qcomp_ir.Liveness
 module Analysis = Qcomp_directemit.Analysis
 module Spec = Qcomp_workloads.Spec
+module Sso = Qcomp_runtime.Sso
+module Memory = Qcomp_vm.Memory
 
 let i64 = Ty.I64
 
@@ -295,7 +303,8 @@ let cases =
     ("values live across calls", case_live_across_call, small_sets, 1790);
     ("fused compare under full register pressure", case_pressure_compare, small_sets, 1064) ]
 
-(* run [f] over [args] on [backend]: results and executed instructions *)
+(* run [f] over [args] on [backend]: results, executed instructions and
+   cycles *)
 let run_case db backend mk args =
   let m = mk () in
   let timing = Qcomp_support.Timing.create ~enabled:false () in
@@ -306,18 +315,21 @@ let run_case db backend mk args =
   in
   let addr = Int64.to_int (Qcomp_backend.Backend.find_fn cm "f") in
   Qcomp_vm.Emu.reset_counters emu;
+  (* a broken loop fails instead of hanging *)
+  emu.Qcomp_vm.Emu.fuel <- 10_000_000;
   let results = List.map (fun a -> fst (Qcomp_vm.Emu.call emu ~addr ~args:a)) args in
   let insts = Qcomp_vm.Emu.instructions_executed emu in
+  let cycles = Qcomp_vm.Emu.cycles emu in
   Engine.dispose_module db cm;
-  (results, insts)
+  (results, insts, cycles)
 
 let rule_tests =
   List.map
     (fun (name, mk, args, parent_insts) ->
       Alcotest.test_case ("rule: " ^ name) `Quick (fun () ->
           let db = Engine.create_db ~mem_size:(1 lsl 22) Qcomp_vm.Target.x64 in
-          let expect, _ = run_case db Engine.interpreter mk args in
-          let got, insts = run_case db Engine.directemit mk args in
+          let expect, _, _ = run_case db Engine.interpreter mk args in
+          let got, insts, _ = run_case db Engine.directemit mk args in
           Alcotest.(check (list int64)) "results = interpreter" expect got;
           if insts >= parent_insts then
             Alcotest.failf "%d instructions executed, the block-local emitter took %d" insts
@@ -328,7 +340,9 @@ let rule_tests =
 let layout_shape_test =
   Alcotest.test_case "layout: then-next, else-next and neither-next occur" `Quick (fun () ->
       let m, (entry, t, e, join, t2, head, latch, out2) = layouts () in
-      let an = Analysis.compute (Qcomp_support.Vec.get m.Func.funcs 0) in
+      let an =
+        Analysis.compute ~intrinsics:(Analysis.intrinsics m) (Qcomp_support.Vec.get m.Func.funcs 0)
+      in
       let next blk =
         let k = an.Analysis.index.(blk) + 1 in
         if k < Array.length an.Analysis.order then an.Analysis.order.(k) else -1
@@ -344,8 +358,8 @@ let layout_shape_test =
    block's layout index, and stays live to the block's end there; every
    value live into a block (its phis excluded) has an interval that
    starts before the block and reaches it. *)
-let check_intervals (f : Func.t) =
-  let an = Analysis.compute f in
+let check_intervals m (f : Func.t) =
+  let an = Analysis.compute ~intrinsics:(Analysis.intrinsics m) f in
   let lv = Liveness.compute f in
   Array.iteri
     (fun k blk ->
@@ -377,16 +391,278 @@ let oracle_test wl label =
       List.iter
         (fun (q : Spec.query) ->
           let cq = Engine.plan_to_ir db ~name:q.Spec.q_name q.Spec.q_plan in
+          let m = cq.Qcomp_codegen.Codegen.modul in
           Qcomp_support.Vec.iter
             (fun f ->
               incr nf;
-              check_intervals f)
-            cq.Qcomp_codegen.Codegen.modul.Func.funcs)
+              check_intervals m f)
+            m.Func.funcs)
         (Experiments.queries_of wl);
       Alcotest.(check bool) "functions checked" true (!nf > 0))
 
+(* ---------------- string intrinsics ---------------- *)
+
+let str_eq b x y = Builder.call b ~name:"umbra_strEq" ~args_ty:[| Ty.Ptr; Ty.Ptr |] ~ret:i64 [ x; y ]
+let str_hash b x _ = Builder.call b ~name:"umbra_strHash" ~args_ty:[| Ty.Ptr |] ~ret:i64 [ x ]
+
+(* f(a, b) = op(a, b) *)
+let intrinsic_alone op () =
+  let m, b = new_fn () in
+  Builder.ret b (op b (Builder.arg b 0) (Builder.arg b 1));
+  m
+
+(* fourteen values derived from the arguments are live across the
+   intrinsic, and so are the arguments, which it takes swapped: every
+   allocatable register holds a live value there, and the slow path's
+   stub, whose argument moves overwrite both argument registers and whose
+   call returns in rax, must save and restore each one *)
+let intrinsic_pressure op () =
+  let m, b = new_fn () in
+  let a0 = Builder.arg b 0 and a1 = Builder.arg b 1 in
+  let ws =
+    List.init 14 (fun k ->
+        Builder.xor b i64 (if k land 1 = 0 then a0 else a1) (Builder.const_i64 b (Int64.of_int (k + 1))))
+  in
+  let r = op b a1 a0 in
+  let sum = List.fold_left (fun acc w -> Builder.add b i64 acc w) r ws in
+  Builder.ret b (Builder.sub b i64 (Builder.add b i64 sum a0) a1);
+  m
+
+(* three loop iterations, each calling the intrinsic with the counter and
+   accumulator phis live across it *)
+let intrinsic_loop op () =
+  let m, b = new_fn () in
+  let a0 = Builder.arg b 0 and a1 = Builder.arg b 1 in
+  let entry = Builder.current_block b in
+  let zero = Builder.const_i64 b 0L in
+  let head = Builder.new_block b and body = Builder.new_block b and exit = Builder.new_block b in
+  Builder.br b head;
+  Builder.switch_to b head;
+  let i = Builder.phi_placeholder b i64 ~max_incoming:2 in
+  let acc = Builder.phi_placeholder b i64 ~max_incoming:2 in
+  Builder.condbr b (Builder.cmp b Op.Slt i (Builder.const_i64 b 3L)) ~then_:body ~else_:exit;
+  Builder.switch_to b body;
+  let r = op b a0 a1 in
+  let acc' =
+    Builder.add b i64 (Builder.mul b i64 acc (Builder.const_i64 b 31L)) (Builder.add b i64 r i)
+  in
+  let i' = Builder.add b i64 i (Builder.const_i64 b 1L) in
+  Builder.br b head;
+  Builder.add_phi_incoming b i ~block:entry ~value:zero;
+  Builder.add_phi_incoming b i ~block:body ~value:i';
+  Builder.add_phi_incoming b acc ~block:entry ~value:a0;
+  Builder.add_phi_incoming b acc ~block:body ~value:acc';
+  Builder.switch_to b exit;
+  Builder.ret b (Builder.xor b i64 acc a1);
+  m
+
+let digits = "abcdefghijklmnopqrstuvwxyz0123456789ABCD"
+let str_lengths = [ 0; 1; 4; 5; 11; 12; 13; 16; 40 ]
+
+(* (a, b) pairs: for every length, the same string at another address,
+   one that differs in its last byte (for long strings, the same prefix
+   and a different tail) and in its first, one a NUL byte longer (equal
+   padded words, different length), and the next longer prefix. *)
+let string_pairs =
+  let set s k c = String.mapi (fun j x -> if j = k then c else x) s in
+  List.concat_map
+    (fun n ->
+      let s = String.sub digits 0 n in
+      [ (s, s); (s, s ^ "\000"); (s ^ "\000", s) ]
+      @ (if n > 0 then [ (s, set s (n - 1) '!'); (set s 0 '!', s) ] else [])
+      @ if n < String.length digits then [ (s, String.sub digits 0 (n + 1)) ] else [])
+    str_lengths
+
+let runtime_eq mem a b = if Sso.equal mem a b then 1L else 0L
+let runtime_hash mem a _ = Sso.hash mem a
+
+(* (name, function, the runtime's own answer when the function returns
+   it as is, cycles the runtime call took over [string_pairs] plus one
+   long string passed as both arguments) *)
+let intrinsic_cases =
+  List.concat_map
+    (fun (opname, op, runtime, (alone, pressure, loop)) ->
+      [ (opname ^ " alone", intrinsic_alone op, Some runtime, alone);
+        (opname ^ " under full register pressure", intrinsic_pressure op, None, pressure);
+        (opname ^ " in a loop", intrinsic_loop op, None, loop) ])
+    [ ("strEq", str_eq, runtime_eq, (1620, 9004, 9696));
+      ("strHash", str_hash, runtime_hash, (2316, 9626, 11628)) ]
+
+let intrinsic_tests =
+  List.map
+    (fun (name, mk, runtime, call_cycles) ->
+      Alcotest.test_case ("intrinsic: " ^ name) `Quick (fun () ->
+          let db = Engine.create_db ~mem_size:(1 lsl 22) Qcomp_vm.Target.x64 in
+          let mem = Qcomp_vm.Emu.memory db.Engine.emu in
+          let alloc s = Memory.unscoped (fun () -> Sso.alloc mem s) in
+          let long = alloc digits in
+          let addrs = (long, long) :: List.map (fun (a, b) -> (alloc a, alloc b)) string_pairs in
+          let args = List.map (fun (a, b) -> [| Int64.of_int a; Int64.of_int b |]) addrs in
+          let expect, _, _ = run_case db Engine.interpreter mk args in
+          let got, _, cycles = run_case db Engine.directemit mk args in
+          Alcotest.(check (list int64)) "results = interpreter" expect got;
+          Option.iter
+            (fun rt ->
+              Alcotest.(check (list int64)) "results = runtime" (List.map (fun (a, b) -> rt mem a b) addrs) got)
+            runtime;
+          if cycles >= call_cycles then
+            Alcotest.failf "%d cycles, the runtime call took %d" cycles call_cycles))
+    intrinsic_cases
+
+(* ---------------- the zero padding both rely on ---------------- *)
+
+(* bytes [4 + length, 16) of a short string's struct are zero *)
+let check_padding mem what addr =
+  let n = Sso.length mem addr in
+  if n <= Sso.inline_max then
+    for k = 4 + n to Sso.struct_size - 1 do
+      if Memory.load mem ~addr:(addr + k) ~size:1 ~sext:false <> 0L then
+        Alcotest.failf "%s: byte %d of the struct of %S is not zero" what k (Sso.read mem addr)
+    done
+
+let padding_test wl label =
+  Alcotest.test_case ("short strings are zero-padded: " ^ label ^ " columns and constants") `Quick
+    (fun () ->
+      let db = Experiments.make_db Qcomp_vm.Target.x64 wl ~sf:1 in
+      let mem = Qcomp_vm.Emu.memory db.Engine.emu in
+      let strings = ref 0 in
+      List.iter
+        (fun (name, t) ->
+          let schema = Qcomp_storage.Table.schema t in
+          Array.iteri
+            (fun col (c : Qcomp_storage.Schema.column) ->
+              if c.Qcomp_storage.Schema.col_ty = Qcomp_storage.Schema.Str then
+                for row = 0 to Qcomp_storage.Table.rows t - 1 do
+                  incr strings;
+                  check_padding mem (name ^ "." ^ c.Qcomp_storage.Schema.col_name)
+                    (Qcomp_storage.Table.cell_addr t col row)
+                done)
+            schema.Qcomp_storage.Schema.cols)
+        db.Engine.tables;
+      List.iter
+        (fun (q : Spec.query) ->
+          let cq = Engine.plan_to_ir db ~name:q.Spec.q_name q.Spec.q_plan in
+          List.iter
+            (fun (_, addr) ->
+              incr strings;
+              check_padding mem (q.Spec.q_name ^ " constant") addr)
+            cq.Qcomp_codegen.Codegen.const_strs)
+        (Experiments.queries_of wl);
+      Alcotest.(check bool) "strings checked" true (!strings > 0))
+
+(* every string parameter a Paramgen literal binds, in the struct the
+   linker allocates for it *)
+let param_padding_test =
+  Alcotest.test_case "short strings are zero-padded: bound string parameters" `Quick (fun () ->
+      let db = Experiments.make_db Qcomp_vm.Target.x64 Experiments.Tpch ~sf:1 in
+      let mem = Qcomp_vm.Emu.memory db.Engine.emu in
+      let bound = ref 0 in
+      List.iter
+        (fun (q : Spec.query) ->
+          let shape, vals = Qcomp_plan.Paramize.normalize q.Spec.q_plan in
+          let params =
+            Array.map
+              (function
+                | Qcomp_plan.Paramize.V_int (_, v) -> Qcomp_backend.Artifact.Pv_int v
+                | Qcomp_plan.Paramize.V_str s -> Qcomp_backend.Artifact.Pv_str s)
+              vals
+          in
+          let strs =
+            Array.fold_left
+              (fun n v -> match v with Qcomp_backend.Artifact.Pv_str _ -> n + 1 | _ -> n)
+              0 params
+          in
+          if strs > 0 then begin
+            let cq = Engine.plan_to_ir db ~name:q.Spec.q_name shape in
+            let cm =
+              Qcomp_backend.Backend.compile_module Engine.directemit ~params
+                ~timing:(Qcomp_support.Timing.create ~enabled:false ())
+                ~emu:db.Engine.emu ~registry:db.Engine.registry ~unwind:db.Engine.unwind
+                cq.Qcomp_codegen.Codegen.modul
+            in
+            (* the parameter structs are the module's 16-byte-aligned
+               data blocks; the GOT is 8-byte aligned *)
+            let blocks =
+              List.filter (fun (_, _, align) -> align = 16) cm.Qcomp_backend.Backend.cm_data_blocks
+            in
+            Alcotest.(check int) (q.Spec.q_name ^ ": one struct per string") strs (List.length blocks);
+            List.iter
+              (fun (addr, _, _) ->
+                incr bound;
+                check_padding mem (q.Spec.q_name ^ " parameter") addr)
+              blocks;
+            Engine.dispose_module db cm
+          end)
+        Qcomp_workloads.Paramgen.queries;
+      Alcotest.(check bool) "parameters checked" true (!bound > 0))
+
+(* ---------------- snapshot versioning ---------------- *)
+
+(* DirectEmit code computes the short-string hash inline, so its code
+   version is folded into every snapshot record's key: a record written by
+   a build whose code version differs is refused at load. The test
+   rewrites the first record's key to the one such a build would have
+   written, and fixes the payload CRC so only the key check can object. *)
+let snapshot_version_test =
+  Alcotest.test_case "snapshot: a record keyed under another code version fails loud" `Quick
+    (fun () ->
+      let module Code_cache = Qcomp_server.Code_cache in
+      let make_db () = Experiments.make_db Qcomp_vm.Target.x64 Experiments.Tpch ~sf:1 in
+      let q =
+        List.find
+          (fun (q : Spec.query) -> q.Spec.q_name = "q12")
+          (Experiments.queries_of Experiments.Tpch)
+      in
+      let key v =
+        Qcomp_server.Fingerprint.key_v ~backend_version:v
+          ~param_version:Qcomp_plan.Paramize.format_version
+          ~version:Qcomp_backend.Artifact.format_version ~backend:"directemit"
+          ~target:"x86-64" q.Spec.q_plan
+      in
+      let version = Qcomp_directemit.Directemit.code_version in
+      let file = Filename.temp_file "qcomp_test_directemit" ".qcss" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove file)
+        (fun () ->
+          let db = make_db () in
+          let cache = Code_cache.create ~capacity:4 in
+          let e, _ =
+            Code_cache.get_or_compile cache db ~backend:Engine.directemit ~name:"q12" q.Spec.q_plan
+          in
+          ignore (Code_cache.force cache db e);
+          Code_cache.save cache file;
+          ignore (Code_cache.load ~capacity:4 ~db:(make_db ()) file);
+          let b =
+            let ic = open_in_bin file in
+            let s = really_input_string ic (in_channel_length ic) in
+            close_in ic;
+            Bytes.of_string s
+          in
+          (* header: magic(4) version(4) target(4+len) count(4) paylen(4);
+             the first record leads with its i64 key_v *)
+          let key_off = 20 + Int32.to_int (Bytes.get_int32_le b 8) in
+          Alcotest.(check int64) "the key folds in the code version" (key version)
+            (Bytes.get_int64_le b key_off);
+          Bytes.set_int64_le b key_off (key (version + 1));
+          let crc = ref 0xC5_C5_C5L in
+          for i = key_off to Bytes.length b - 9 do
+            crc := Qcomp_support.Hashes.crc32c_byte !crc (Char.code (Bytes.get b i))
+          done;
+          Bytes.set_int64_le b (Bytes.length b - 8) !crc;
+          let oc = open_out_bin file in
+          output_bytes oc b;
+          close_out oc;
+          match Code_cache.load ~capacity:4 ~db:(make_db ()) file with
+          | _ -> Alcotest.fail "a record keyed under another code version was accepted"
+          | exception Invalid_argument _ -> ()))
+
 let suite =
   rule_tests
-  @ [ layout_shape_test;
+  @ intrinsic_tests
+  @ [ padding_test Experiments.Tpch "TPC-H";
+      padding_test Experiments.Tpcds "TPC-DS-like";
+      param_padding_test;
+      snapshot_version_test;
+      layout_shape_test;
       oracle_test Experiments.Tpch "TPC-H";
       oracle_test Experiments.Tpcds "TPC-DS-like" ]

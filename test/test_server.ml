@@ -314,7 +314,7 @@ let golden_cases =
       ( "tiered+reopt", Server.Tiered, true,
         [ "37f498573d4cf2f43af9d65a5f764fb7"; "53ac500519c929ec5e3769f384e10983" ] );
     ]
-  @ [ ("poisson trace", golden_trace, "20743c189865a3cfcb8d3058a6608190") ]
+  @ [ ("poisson trace", golden_trace, "5d295fcf547fc9f28a6c81da158992db") ]
 
 (* repeated stream: cache hits, byte-identical and golden reports *)
 let determinism_test =
