@@ -91,6 +91,11 @@ let llvm_breakdown target name backend =
     r.Experiments.wr_stats;
   r
 
+(* LLVM with a non-default pipeline configuration, under the name of the
+   instance it varies *)
+let llvm_cheap_with cfg = Orc.backend ~name:"llvm-cheap" cfg
+let llvm_opt_with cfg = Orc.backend ~name:"llvm-opt" cfg
+
 let fig2 () =
   header "Fig. 2: compile-time breakdown of LLVM on x86-64 (cheap vs optimized)";
   ignore (llvm_breakdown Target.x64 "LLVM-cheap (-O0, FastISel)" Engine.llvm_cheap);
@@ -102,16 +107,12 @@ let fig2 () =
 let fig3 () =
   header "Fig. 3: LLVM instruction selectors on AArch64 (cheap and optimized)";
   let with_cheap name cfg =
-    Orc.cheap_override := Some cfg;
-    let r = llvm_breakdown Target.a64 name Engine.llvm_cheap in
-    Orc.cheap_override := None;
+    let r = llvm_breakdown Target.a64 name (llvm_cheap_with cfg) in
     print_newline ();
     r
   in
   let with_opt name cfg =
-    Orc.opt_override := Some cfg;
-    let r = llvm_breakdown Target.a64 name Engine.llvm_opt in
-    Orc.opt_override := None;
+    let r = llvm_breakdown Target.a64 name (llvm_opt_with cfg) in
     print_newline ();
     r
   in
@@ -144,12 +145,10 @@ let table2 () =
   header
     "Table II: execution speedup of the custom CIR instructions (TPC-DS-like, x86-64)";
   let exec_with features =
-    Qcomp_clif.Clif.default_features := features;
     let r =
       Experiments.measure ~execute:true ~timing_enabled:false Target.x64
-        Experiments.Tpcds ~sf:sf_exec Engine.cranelift
+        Experiments.Tpcds ~sf:sf_exec (Qcomp_clif.Clif.backend features)
     in
-    Qcomp_clif.Clif.default_features := Qcomp_clif.Frontend.all_features;
     List.map
       (fun q -> (q.Experiments.qr_name, q.Experiments.qr_exec_cycles))
       r.Experiments.wr_queries
@@ -323,12 +322,10 @@ let warmup_cheap () =
        Experiments.Tpcds ~sf:sf_compile Engine.llvm_cheap)
 
 let compile_cheap_with name cfg =
-  Orc.cheap_override := Some cfg;
   let r =
     Experiments.measure ~execute:false ~timing_enabled:false Target.x64
-      Experiments.Tpcds ~sf:sf_compile Engine.llvm_cheap
+      Experiments.Tpcds ~sf:sf_compile (llvm_cheap_with cfg)
   in
-  Orc.cheap_override := None;
   Printf.printf "%-34s compile %8.3f s  fallbacks %6d\n" name
     r.Experiments.wr_compile_s
     (total_fallbacks r.Experiments.wr_stats);
@@ -341,12 +338,11 @@ let ablation_struct () =
   ignore
     (compile_cheap_with "pairs as struct"
        { Orc.cheap_config with Orc.pairs_as_struct = true });
-  Orc.opt_override := Some { Orc.opt_config with Orc.pairs_as_struct = true };
   let r1 =
     Experiments.measure ~execute:false ~timing_enabled:false Target.x64
-      Experiments.Tpcds ~sf:sf_compile Engine.llvm_opt
+      Experiments.Tpcds ~sf:sf_compile
+      (llvm_opt_with { Orc.opt_config with Orc.pairs_as_struct = true })
   in
-  Orc.opt_override := None;
   let r0 =
     Experiments.measure ~execute:false ~timing_enabled:false Target.x64
       Experiments.Tpcds ~sf:sf_compile Engine.llvm_opt
@@ -364,16 +360,14 @@ let ablation_codemodel () =
     (compile_cheap_with "Large code model"
        { Orc.cheap_config with Orc.code_model_large = true });
   let exec cfg =
-    Orc.cheap_override := cfg;
     let r =
       Experiments.measure ~execute:true ~timing_enabled:false Target.x64
-        Experiments.Tpcds ~sf:sf_exec Engine.llvm_cheap
+        Experiments.Tpcds ~sf:sf_exec (llvm_cheap_with cfg)
     in
-    Orc.cheap_override := None;
     r.Experiments.wr_exec_cycles
   in
-  let small = exec None in
-  let large = exec (Some { Orc.cheap_config with Orc.code_model_large = true }) in
+  let small = exec Orc.cheap_config in
+  let large = exec { Orc.cheap_config with Orc.code_model_large = true } in
   Printf.printf "execution cycles: small-pic %d, large %d (%.2f%% difference)\n" small
     large
     (100.0 *. (float_of_int large -. float_of_int small) /. float_of_int small)
@@ -401,12 +395,11 @@ let fallbacks () =
   in
   Printf.printf "with FastISel CRC32 support (default):\n";
   show r;
-  Orc.cheap_override := Some { Orc.cheap_config with Orc.fastisel_crc32 = false };
   let r2 =
     Experiments.measure ~execute:false ~timing_enabled:false Target.x64
-      Experiments.Tpcds ~sf:sf_compile Engine.llvm_cheap
+      Experiments.Tpcds ~sf:sf_compile
+      (llvm_cheap_with { Orc.cheap_config with Orc.fastisel_crc32 = false })
   in
-  Orc.cheap_override := None;
   Printf.printf "without FastISel CRC32 support (pre-upstream):\n";
   show r2
 

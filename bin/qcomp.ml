@@ -13,20 +13,6 @@ open Cmdliner
 open Qcomp_engine
 module Spec = Qcomp_workloads.Spec
 
-let backend_of_name = function
-  | "interpreter" -> Some Engine.interpreter
-  | "stencil" -> Some Engine.stencil
-  | "directemit" -> Some Engine.directemit
-  | "cranelift" -> Some Engine.cranelift
-  | "llvm-cheap" -> Some Engine.llvm_cheap
-  | "llvm-opt" -> Some Engine.llvm_opt
-  | "gcc" -> Some Engine.gcc
-  | _ -> None
-
-let all_backend_names =
-  [ "interpreter"; "stencil"; "directemit"; "cranelift"; "llvm-cheap";
-    "llvm-opt"; "gcc" ]
-
 let workload_of_name = function
   | "tpch" -> Some Experiments.Tpch
   | "tpcds" -> Some Experiments.Tpcds
@@ -57,6 +43,15 @@ let resolve_common wl target =
   let target = match target_of_name target with Some t -> t | None -> fail "unknown target %s" target in
   (wl, target)
 
+(* the back-ends a --backend value names: one, or with "all" every one the
+   target has *)
+let backends_of_arg target bname =
+  if bname = "all" then Engine.all_backends target
+  else
+    match Engine.backend_of_name target bname with
+    | Some b -> [ b ]
+    | None -> fail "unknown back-end %s for %s" bname target.Qcomp_vm.Target.name
+
 (* ---- run ---- *)
 
 let run_cmd =
@@ -66,25 +61,27 @@ let run_cmd =
   let max_rows_arg =
     Arg.(value & opt int 20 & info [ "max-rows" ] ~docv:"N" ~doc:"Print at most N result rows.")
   in
-  let run wl sf target bname qname max_rows =
-    let wl, target = resolve_common wl target in
+  (* one row per back-end, each on a fresh database so no back-end's
+     compilations shift another's addresses or cycles *)
+  let run_all wl sf target (q : Spec.query) =
+    List.iter
+      (fun b ->
+        let db = Experiments.make_db target wl ~sf in
+        let timing = Qcomp_support.Timing.create ~enabled:false () in
+        Engine.with_compiled db ~backend:b ~timing ~name:q.Spec.q_name q.Spec.q_plan
+          (fun cq cm _ ->
+            let r = Engine.execute db cq cm in
+            Printf.printf "%-12s cycles=%10d insts=%10d code=%7d rows=%d\n%!"
+              (Qcomp_backend.Backend.name b) r.Engine.exec_cycles r.Engine.exec_instructions
+              cm.Qcomp_backend.Backend.cm_code_size r.Engine.output_count))
+      (Engine.all_backends target)
+  in
+  let run_one wl sf target bname (q : Spec.query) max_rows =
     let db = Experiments.make_db target wl ~sf in
-    let queries = Experiments.queries_of wl in
-    let q =
-      if qname = "" then List.hd queries
-      else
-        match List.find_opt (fun (q : Spec.query) -> q.Spec.q_name = qname) queries with
-        | Some q -> q
-        | None -> fail "no query %s (have %s...)" qname (String.concat " " (List.filteri (fun i _ -> i < 6) (List.map (fun (q : Spec.query) -> q.Spec.q_name) queries))
-      )
-    in
     let timing = Qcomp_support.Timing.create () in
     let bname, backend =
       if bname = "adaptive" then Engine.adaptive_backend db q.Spec.q_plan
-      else
-        match backend_of_name bname with
-        | Some b -> (bname, b)
-        | None -> fail "unknown back-end %s" bname
+      else (bname, List.hd (backends_of_arg target bname))
     in
     (* with_compiled reclaims the query's code region when we are done *)
     Engine.with_compiled db ~backend ~timing ~name:q.Spec.q_name q.Spec.q_plan
@@ -109,6 +106,19 @@ let run_cmd =
           Printf.printf "... (%d more rows)\n" (result.Engine.output_count - max_rows));
     Format.printf "%a" Qcomp_support.Timing.pp_report timing
   in
+  let run wl sf target bname qname max_rows =
+    let wl, target = resolve_common wl target in
+    let queries = Experiments.queries_of wl in
+    let q =
+      if qname = "" then List.hd queries
+      else
+        match List.find_opt (fun (q : Spec.query) -> q.Spec.q_name = qname) queries with
+        | Some q -> q
+        | None -> fail "no query %s (have %s...)" qname (String.concat " " (List.filteri (fun i _ -> i < 6) (List.map (fun (q : Spec.query) -> q.Spec.q_name) queries))
+      )
+    in
+    if bname = "all" then run_all wl sf target q else run_one wl sf target bname q max_rows
+  in
   Cmd.v (Cmd.info "run" ~doc:"Compile and execute one query.")
     Term.(const run $ workload_arg $ sf_arg $ target_arg $ backend_arg $ query_arg $ max_rows_arg)
 
@@ -117,30 +127,20 @@ let run_cmd =
 let bench_cmd =
   let bench wl sf target bname =
     let wl, target = resolve_common wl target in
-    let names =
-      if bname = "all" then
-        List.filter
-          (fun n ->
-            (n <> "directemit" && n <> "stencil")
-            || target.Qcomp_vm.Target.arch = Qcomp_vm.Target.X64)
-          all_backend_names
-      else [ bname ]
-    in
+    let backends = backends_of_arg target bname in
     Printf.printf "%-12s %12s %12s %10s %10s\n" "back-end" "compile [s]" "exec [s]" "functions" "code [kB]";
     List.iter
-      (fun n ->
-        match backend_of_name n with
-        | None -> fail "unknown back-end %s" n
-        | Some b ->
-            let r = Experiments.measure ~execute:true ~timing_enabled:false target wl ~sf b in
-            let code =
-              List.fold_left (fun a q -> a + q.Experiments.qr_code_size) 0 r.Experiments.wr_queries
-            in
-            Printf.printf "%-12s %12.3f %12.3f %10d %10.1f\n%!" n r.Experiments.wr_compile_s
-              (Engine.cycles_to_seconds r.Experiments.wr_exec_cycles)
-              r.Experiments.wr_functions
-              (float_of_int code /. 1024.0))
-      names
+      (fun b ->
+        let r = Experiments.measure ~execute:true ~timing_enabled:false target wl ~sf b in
+        let code =
+          List.fold_left (fun a q -> a + q.Experiments.qr_code_size) 0 r.Experiments.wr_queries
+        in
+        Printf.printf "%-12s %12.3f %12.3f %10d %10.1f\n%!" (Qcomp_backend.Backend.name b)
+          r.Experiments.wr_compile_s
+          (Engine.cycles_to_seconds r.Experiments.wr_exec_cycles)
+          r.Experiments.wr_functions
+          (float_of_int code /. 1024.0))
+      backends
   in
   Cmd.v (Cmd.info "bench" ~doc:"Compile and execute a whole workload per back-end.")
     Term.(const bench $ workload_arg $ sf_arg $ target_arg $ backend_arg)
@@ -150,20 +150,10 @@ let bench_cmd =
 let validate_cmd =
   let validate wl sf target =
     let wl, target = resolve_common wl target in
-    let db = Experiments.make_db target wl ~sf in
     let backends =
-      List.filter_map
-        (fun n ->
-          if n = "interpreter" then None
-          else if
-            (n = "directemit" || n = "stencil")
-            && target.Qcomp_vm.Target.arch <> Qcomp_vm.Target.X64
-          then None
-          else Option.map (fun b -> (n, b)) (backend_of_name n))
-        all_backend_names
+      List.filter (fun b -> b != Engine.interpreter) (Engine.all_backends target)
     in
-    ignore db;
-    let bad = Experiments.validate target wl ~sf (List.map snd backends) in
+    let bad = Experiments.validate target wl ~sf backends in
     if bad = [] then print_endline "all back-ends match the interpreter"
     else begin
       List.iter (fun q -> Printf.printf "MISMATCH %s\n" q) bad;

@@ -86,15 +86,13 @@ let pos_arg name v =
   end;
   n
 
-let backend_of_name = function
-  | "interpreter" -> Engine.interpreter
-  | "stencil" -> Engine.stencil
-  | "directemit" -> Engine.directemit
-  | "cranelift" -> Engine.cranelift
-  | "llvm-cheap" -> Engine.llvm_cheap
-  | "llvm-opt" -> Engine.llvm_opt
-  | "gcc" -> Engine.gcc
-  | b ->
+(* every server runs on x86-64 *)
+let target = Qcomp_vm.Target.x64
+
+let backend_of_name b =
+  match Engine.backend_of_name target b with
+  | Some b -> b
+  | None ->
       Printf.eprintf "unknown back-end %s\n" b;
       exit 1
 
@@ -219,7 +217,6 @@ let () =
         usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let target = Qcomp_vm.Target.x64 in
   let db = Experiments.make_db target !workload ~sf:!sf in
   let pairs qs =
     List.map

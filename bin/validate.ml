@@ -28,7 +28,8 @@ let () =
   let refr = Experiments.measure target wl ~sf Engine.interpreter in
   let refsums = List.map (fun q -> (q.Experiments.qr_name, q.Experiments.qr_checksum)) refr.Experiments.wr_queries in
   List.iter
-    (fun (bname, b) ->
+    (fun b ->
+      let bname = Qcomp_backend.Backend.name b in
       List.iter
         (fun (q : Spec.query) ->
           let db = Experiments.make_db target wl ~sf in
@@ -41,8 +42,7 @@ let () =
           with e -> fail "%s %s EXN %s\n%!" bname q.Spec.q_name (Printexc.to_string e))
         queries;
       Printf.printf "%s done\n%!" bname)
-    [ ("stencil", Engine.stencil); ("directemit", Engine.directemit); ("cranelift", Engine.cranelift);
-      ("llvm-cheap", Engine.llvm_cheap); ("llvm-opt", Engine.llvm_opt); ("gcc", Engine.gcc) ];
+    (List.filter (fun b -> b != Engine.interpreter) (Engine.all_backends target));
   (* serving paths: replay every query (twice, so the second pass exercises
      cache hits) through the deterministic scheduler and compare each served
      checksum against the interpreter reference *)

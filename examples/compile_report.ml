@@ -67,20 +67,9 @@ let plan =
 let () =
   let target = target () in
   Printf.printf "target: %s\n" target.Qcomp_vm.Target.name;
-  let backends =
-    [
-      ("interpreter", Engine.interpreter);
-      ("cranelift", Engine.cranelift);
-      ("llvm-cheap", Engine.llvm_cheap);
-      ("llvm-opt", Engine.llvm_opt);
-      ("gcc", Engine.gcc);
-    ]
-    @ (if target.Qcomp_vm.Target.arch = Qcomp_vm.Target.X64 then
-         [ ("directemit", Engine.directemit) ]
-       else [])
-  in
   List.iter
-    (fun (name, backend) ->
+    (fun backend ->
+      let name = Qcomp_backend.Backend.name backend in
       let db = make_db target in
       let cq = Engine.plan_to_ir db ~name:"report" plan in
       let timing = Qcomp_support.Timing.create () in
@@ -96,4 +85,4 @@ let () =
       List.iter
         (fun (k, v) -> Printf.printf "counter %-30s %d\n" k v)
         cm.Qcomp_backend.Backend.cm_stats)
-    backends
+    (Engine.all_backends target)

@@ -14,18 +14,13 @@ open Qcomp_storage
 let () =
   let backend_name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "llvm-opt" in
   let backend =
-    match backend_name with
-    | "interpreter" -> Engine.interpreter
-    | "stencil" -> Engine.stencil
-    | "directemit" -> Engine.directemit
-    | "cranelift" -> Engine.cranelift
-    | "llvm-cheap" -> Engine.llvm_cheap
-    | "llvm-opt" -> Engine.llvm_opt
-    | "gcc" -> Engine.gcc
-    | other ->
-        Printf.eprintf
-          "unknown back-end %s (interpreter|stencil|directemit|cranelift|llvm-cheap|llvm-opt|gcc)\n"
-          other;
+    match Engine.backend_of_name Qcomp_vm.Target.x64 backend_name with
+    | Some b -> b
+    | None ->
+        Printf.eprintf "unknown back-end %s (%s)\n" backend_name
+          (String.concat "|"
+             (List.map Qcomp_backend.Backend.name
+                (Engine.all_backends Qcomp_vm.Target.x64)));
         exit 1
   in
 

@@ -58,6 +58,20 @@ let dispose ~emu ~unwind cm =
 
 (* ---------------- the shared link step ---------------- *)
 
+(** How {!link_artifact} attributes its time in the back-end's phase
+    breakdown, so every back-end's Timing report keeps the shape of the
+    paper's figures although they all share one linker. *)
+type link_timing =
+  | Dlopen  (** gcc: the whole link is "Dlopen"; unwind registration is
+                "UnwindInfo" *)
+  | Jitlink  (** LLVM: the link is "Link" plus its four
+                 "Link/Phase1-Alloc".."Link/Phase4-Lookup" phases
+                 (Sec. V-B7); unwind registration is "UnwindInfo" *)
+  | Link  (** Cranelift: copying the code and registering its CFI are both
+              "Link" (Fig. 4) *)
+  | Unscoped  (** DirectEmit, stencil: only "UnwindInfo" is a phase
+                  (Fig. 5) *)
+
 let patch_rel32 text off value = Bytes.set_int32_le text off (Int32.of_int value)
 
 let patch_rel24_words text off value_bytes =
@@ -81,9 +95,8 @@ let patch_rel24_words text off value_bytes =
     installed, or baked an absolute runtime address that differs from the
     live registry — a snapshot can never be mis-linked into a trap.
 
-    [scope]/[phases]/[unwind_scope] control timing attribution so each
-    back-end's phase breakdown looks exactly as it did when linking was
-    private to it.
+    [link] says how the link's time shows up in the back-end's phase
+    breakdown (see {!link_timing}); it has no effect on the linked code.
 
     [params] binds the artifact's parameter holes: one value per slot of
     [Artifact.a_params], in order. Int values are patched verbatim into
@@ -94,9 +107,15 @@ let patch_rel24_words text off value_bytes =
     its shape. Refuses when the vector length or a value's kind does not
     match the artifact's descriptor, or when the artifact has holes and no
     vector is supplied. *)
-let link_artifact ?(scope = Some "Link") ?(phases = false)
-    ?(unwind_scope = "UnwindInfo") ?(params = ([||] : Artifact.param_value array))
+let link_artifact ?(link = Link) ?(params = ([||] : Artifact.param_value array))
     ~timing ~emu ~registry ~unwind (art : Artifact.t) : compiled_module =
+  let scope, phases, unwind_scope =
+    match link with
+    | Dlopen -> (Some "Dlopen", false, "UnwindInfo")
+    | Jitlink -> (Some "Link", true, "UnwindInfo")
+    | Link -> (Some "Link", false, "Link")
+    | Unscoped -> (None, false, "UnwindInfo")
+  in
   let target = Emu.target_of emu in
   if not (String.equal art.Artifact.a_target target.Target.name) then
     invalid_arg
@@ -299,54 +318,63 @@ let link_artifact ?(scope = Some "Link") ?(phases = false)
     cm_disposed = false;
   }
 
-module type S = sig
-  val name : string
+(* ---------------- back-ends ---------------- *)
 
-  val supports_params : bool
-  (** Whether this back-end compiles {!Qcomp_ir.Op.Param} holes (emitting
-      patchable immediates / baked per-bind constants). Back-ends that
-      don't are given fully-baked whole plans by the serving layer. *)
+(** A back-end that translates straight into host dispatch slots. *)
+type host =
+  params:Artifact.param_value array ->
+  timing:Timing.t ->
+  emu:Emu.t ->
+  registry:Registry.t ->
+  Qcomp_ir.Func.modul ->
+  compiled_module
 
-  val compile_module :
-    ?params:Artifact.param_value array ->
-    timing:Timing.t ->
-    emu:Emu.t ->
-    registry:Registry.t ->
-    unwind:Unwind.t ->
-    Qcomp_ir.Func.modul ->
-    compiled_module
-  (** [params] binds the module's parameter holes (required when the IR
-      contains [Op.Param]); back-ends with [supports_params = false]
-      refuse a non-empty vector. *)
+(** What a back-end does with an IR module. *)
+type compile =
+  | Native of {
+      artifact :
+        timing:Timing.t ->
+        target:Target.t ->
+        registry:Registry.t ->
+        Qcomp_ir.Func.modul ->
+        Artifact.t;
+          (** Relocatable compilation: an {!Artifact.t} that
+              {!link_artifact} (this process or a later one) turns into a
+              live module. Parameter holes in the IR become
+              [Param]/[Param_hi] relocations bound at link time. *)
+      link : link_timing;
+    }
+      (** Machine code, compiled once and linked by the shared
+          {!link_artifact}. *)
+  | Host of host
+      (** Host dispatch slots that die with the process (the interpreter):
+          nothing relocatable to snapshot. *)
 
-  val compile_artifact :
-    (timing:Timing.t ->
-    target:Target.t ->
-    registry:Registry.t ->
-    Qcomp_ir.Func.modul ->
-    Artifact.t)
-    option
-  (** Relocatable compilation: produce an {!Artifact.t} that
-      {!link_artifact} (this process or a later one) turns into a live
-      module. [None] for back-ends whose output cannot outlive the
-      process (the interpreter's host dispatch slots). Parameter holes in
-      the IR become [Param]/[Param_hi] relocations bound at link time. *)
-end
+type t = {
+  name : string;
+  supports_params : bool;
+      (** Whether this back-end compiles {!Qcomp_ir.Op.Param} holes
+          (emitting patchable immediates / baked per-bind constants).
+          Back-ends that don't are given fully-baked whole plans by the
+          serving layer. *)
+  compile : compile;
+}
 
-type t = (module S)
+let name b = b.name
+let supports_params b = b.supports_params
 
-let name (b : t) =
-  let module B = (val b) in
-  B.name
+(** [None] for back-ends whose output cannot outlive the process. *)
+let compile_artifact b =
+  match b.compile with Native n -> Some n.artifact | Host _ -> None
 
-let supports_params (b : t) =
-  let module B = (val b) in
-  B.supports_params
-
-let compile_module (b : t) ?params ~timing ~emu ~registry ~unwind m =
-  let module B = (val b) in
-  B.compile_module ?params ~timing ~emu ~registry ~unwind m
-
-let compile_artifact (b : t) =
-  let module B = (val b) in
-  B.compile_artifact
+(** Compile and link in one step. [params] binds the module's parameter
+    holes (required when the IR contains [Op.Param]); back-ends with
+    [supports_params = false] refuse a non-empty vector. *)
+let compile_module b ?(params = [||]) ~timing ~emu ~registry ~unwind m =
+  if Array.length params > 0 && not b.supports_params then
+    invalid_arg (b.name ^ ": parameterized modules are not supported");
+  match b.compile with
+  | Native { artifact; link } ->
+      let art = artifact ~timing ~target:(Emu.target_of emu) ~registry m in
+      link_artifact ~link ~params ~timing ~emu ~registry ~unwind art
+  | Host compile -> compile ~params ~timing ~emu ~registry m

@@ -11,10 +11,7 @@ open Qcomp_runtime
 
 let name = "cranelift"
 
-(* Table II feature control (mutable default, overridable per module). *)
-let default_features = ref Frontend.all_features
-
-let compile_artifact_with ~features ~timing ~(target : Target.t) ~registry
+let compile_artifact ~features ~timing ~(target : Target.t) ~registry
     (m : Func.modul) : Qcomp_backend.Artifact.t =
   (* Cranelift emits no relocations: every runtime/extern address is an
      absolute immediate. Record each one so a re-link in another process
@@ -101,30 +98,14 @@ let compile_artifact_with ~features ~timing ~(target : Target.t) ~registry
     a_code_size = Bytes.length code;
   }
 
-let compile_module_with ~features ~timing ~emu ~registry ~unwind
-    (m : Func.modul) : Qcomp_backend.Backend.compiled_module =
-  let art =
-    compile_artifact_with ~features ~timing ~target:(Emu.target_of emu)
-      ~registry m
-  in
-  (* Link: copy to executable memory (under the layout lock: a concurrent
-     JIT linker may be mid predict-link-register) and register the manually
-     generated CFI — both attributed to Link, as in Fig. 4 *)
-  Qcomp_backend.Backend.link_artifact ~unwind_scope:"Link" ~timing ~emu
-    ~registry ~unwind art
-
-(* Cranelift compiles whole plans only: parameterized shapes fall back to
-   a param-capable tier (or whole-plan compilation) in the serving layer. *)
-let supports_params = false
-
-let compile_module ?(params = [||]) ~timing ~emu ~registry ~unwind m =
-  if Array.length params > 0 then
-    invalid_arg "cranelift: parameterized modules are not supported";
-  compile_module_with ~features:!default_features ~timing ~emu ~registry
-    ~unwind m
-
-let compile_artifact =
-  Some
-    (fun ~timing ~target ~registry m ->
-      compile_artifact_with ~features:!default_features ~timing ~target
-        ~registry m)
+(** The back-end with the custom CIR instructions of Table II switched by
+    [features]. Cranelift compiles whole plans only: parameterized shapes
+    fall back to a param-capable tier (or whole-plan compilation) in the
+    serving layer. Copying the code to executable memory and registering
+    the manually generated CFI are both attributed to Link, as in Fig. 4. *)
+let backend features =
+  {
+    Qcomp_backend.Backend.name;
+    supports_params = false;
+    compile = Native { artifact = compile_artifact ~features; link = Link };
+  }

@@ -154,15 +154,11 @@ let compile_artifact ~timing ~(target : Target.t) ~registry (m : Func.modul) :
     a_code_size = Bytes.length code;
   }
 
-let supports_params = true
-
-let compile_module ?params ~timing ~emu ~registry ~unwind (m : Func.modul) :
-    Qcomp_backend.Backend.compiled_module =
-  let art = compile_artifact ~timing ~target:(Emu.target_of emu) ~registry m in
-  (* registration holds the layout lock inside the shared linker (a
-     concurrent JIT linker may be mid predict-link-register); no timing
-     scope, as before: only Finalize and UnwindInfo are Fig. 5 phases *)
-  Qcomp_backend.Backend.link_artifact ~scope:None ?params ~timing ~emu
-    ~registry ~unwind art
-
-let compile_artifact = Some compile_artifact
+(* only Finalize and UnwindInfo are Fig. 5 phases: the link itself gets
+   no timing scope *)
+let backend =
+  {
+    Qcomp_backend.Backend.name;
+    supports_params = true;
+    compile = Native { artifact = compile_artifact; link = Unscoped };
+  }

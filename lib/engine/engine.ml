@@ -250,18 +250,22 @@ let with_compiled db ~(backend : Qcomp_backend.Backend.t) ~timing ~name plan f =
 (** Simulated seconds at the nominal clock (2 GHz, as the paper's Xeon). *)
 let cycles_to_seconds c = float_of_int c /. 2.0e9
 
-let interpreter : Qcomp_backend.Backend.t = (module Qcomp_interp.Interp)
-let stencil : Qcomp_backend.Backend.t = (module Qcomp_stencil.Stencil)
-let directemit : Qcomp_backend.Backend.t = (module Qcomp_directemit.Directemit)
-let cranelift : Qcomp_backend.Backend.t = (module Qcomp_clif.Clif)
-let llvm_cheap : Qcomp_backend.Backend.t = (module Qcomp_llvm.Orc.Cheap)
-let llvm_opt : Qcomp_backend.Backend.t = (module Qcomp_llvm.Orc.Opt)
-let gcc : Qcomp_backend.Backend.t = (module Qcomp_gcc.Gcc)
+let interpreter = Qcomp_interp.Interp.backend
+let stencil = Qcomp_stencil.Stencil.backend
+let directemit = Qcomp_directemit.Directemit.backend
+let cranelift = Qcomp_clif.Clif.backend Qcomp_clif.Frontend.all_features
+let llvm_cheap = Qcomp_llvm.Orc.backend ~name:"llvm-cheap" Qcomp_llvm.Orc.cheap_config
+let llvm_opt = Qcomp_llvm.Orc.backend ~name:"llvm-opt" Qcomp_llvm.Orc.opt_config
+let gcc = Qcomp_gcc.Gcc.backend
 
-let all_backends db =
+let all_backends (target : Target.t) =
   [ interpreter; cranelift; llvm_cheap; llvm_opt; gcc ]
-  @ (if db.target.Target.arch = Target.X64 then [ stencil; directemit ]
-     else [])
+  @ (if target.Target.arch = Target.X64 then [ stencil; directemit ] else [])
+
+let backend_of_name target name =
+  List.find_opt
+    (fun b -> String.equal (Qcomp_backend.Backend.name b) name)
+    (all_backends target)
 
 (* ---------------- adaptive back-end selection ---------------- *)
 
@@ -289,11 +293,13 @@ let rec estimated_work db (p : Algebra.t) =
 let adaptive_backend db plan : string * Qcomp_backend.Backend.t =
   let work = estimated_work db plan in
   let x64 = db.target.Target.arch = Target.X64 in
-  if work < 500 then ("interpreter", interpreter)
-  else if work < 100_000 then
-    if x64 then ("directemit", directemit) else ("cranelift", cranelift)
-  else if work < 1_000_000 then ("cranelift", cranelift)
-  else ("llvm-opt", llvm_opt)
+  let b =
+    if work < 500 then interpreter
+    else if work < 100_000 then if x64 then directemit else cranelift
+    else if work < 1_000_000 then cranelift
+    else llvm_opt
+  in
+  (Qcomp_backend.Backend.name b, b)
 
 (** The tiered-serving upgrade ladder, weakest to strongest: each rung
     costs more to compile and executes no slower than the one before
@@ -302,11 +308,12 @@ let adaptive_backend db plan : string * Qcomp_backend.Backend.t =
     ladder: the first is far too slow to compile for mid-query upgrades,
     the second is dominated by [cranelift] on both axes. *)
 let tier_ladder db : (string * Qcomp_backend.Backend.t) list =
-  [ ("interpreter", interpreter) ]
-  @ (if db.target.Target.arch = Target.X64 then
-       [ ("stencil", stencil); ("directemit", directemit) ]
-     else [])
-  @ [ ("cranelift", cranelift); ("llvm-opt", llvm_opt) ]
+  List.map
+    (fun b -> (Qcomp_backend.Backend.name b, b))
+    ([ interpreter ]
+    @ (if db.target.Target.arch = Target.X64 then [ stencil; directemit ]
+       else [])
+    @ [ cranelift; llvm_opt ])
 
 (** Strongest parameter-capable rung at or below [name] on the tier
     ladder, for routing parameterized shapes: a back-end without parameter
@@ -323,7 +330,7 @@ let clamp_param_capable db name =
         in
         if String.equal n name then best else go best rest
   in
-  go ("interpreter", interpreter) (tier_ladder db)
+  go (Qcomp_backend.Backend.name interpreter, interpreter) (tier_ladder db)
 
 (** Rungs strictly stronger than [name], weakest first; empty when [name]
     is the top of the ladder or not on it (e.g. [gcc]). *)

@@ -150,8 +150,13 @@ val llvm_opt : Qcomp_backend.Backend.t
 
 val gcc : Qcomp_backend.Backend.t
 
-(** All back-ends applicable to the instance's target. *)
-val all_backends : db -> Qcomp_backend.Backend.t list
+(** All back-ends applicable to a target. *)
+val all_backends : Target.t -> Qcomp_backend.Backend.t list
+
+(** [backend_of_name target name] is the back-end called [name] (its
+    {!Qcomp_backend.Backend.name}) among [all_backends target]; [None] for
+    an unknown name or one the target lacks. *)
+val backend_of_name : Target.t -> string -> Qcomp_backend.Backend.t option
 
 (** {1 Adaptive back-end selection} *)
 

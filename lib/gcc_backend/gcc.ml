@@ -158,16 +158,11 @@ let compile_artifact ~timing ~(target : Target.t) ~registry (m : Func.modul) :
   }
 
 (* gcc compiles whole plans only: parameterized shapes fall back to a
-   param-capable tier (or whole-plan compilation) in the serving layer. *)
-let supports_params = false
-
-let compile_module ?(params = [||]) ~timing ~emu ~registry ~unwind
-    (m : Func.modul) : Qcomp_backend.Backend.compiled_module =
-  if Array.length params > 0 then
-    invalid_arg "gcc: parameterized modules are not supported";
-  let art = compile_artifact ~timing ~target:(Emu.target_of emu) ~registry m in
-  (* 7. dlopen/dlsym *)
-  Qcomp_backend.Backend.link_artifact ~scope:(Some "Dlopen") ~timing ~emu
-    ~registry ~unwind art
-
-let compile_artifact = Some compile_artifact
+   param-capable tier (or whole-plan compilation) in the serving layer.
+   Linking is step 7, dlopen/dlsym. *)
+let backend =
+  {
+    Qcomp_backend.Backend.name;
+    supports_params = false;
+    compile = Native { artifact = compile_artifact; link = Dlopen };
+  }

@@ -310,19 +310,13 @@ let run (emu : Emu.t) (fn : Bytecode.fn) (args : int64 array) : int64 * int64 =
 
 (* ---------------- back-end interface ---------------- *)
 
-let name = "interpreter"
-
 (* The interpreter binds parameters at translation time: each [Op.Param]
    becomes an ordinary bytecode constant, so execution is exactly as fast
    as for a whole-plan translation. Integer parameters are inlined
    verbatim; string parameters get a fresh inline SSO struct whose address
    is the constant (recorded in [cm_data_blocks] so dispose frees it). *)
-let supports_params = true
-
-let compile_module ?(params = ([||] : Qcomp_backend.Artifact.param_value array))
-    ~timing ~emu ~registry ~unwind (m : Func.modul) :
+let translate ~params ~timing ~emu ~registry (m : Func.modul) :
     Qcomp_backend.Backend.compiled_module =
-  ignore (unwind : Unwind.t);
   let extern_addr sym =
     let e = Func.extern m sym in
     Registry.addr registry e.Func.ext_name
@@ -378,4 +372,9 @@ let compile_module ?(params = ([||] : Qcomp_backend.Artifact.param_value array))
 
 (* Bytecode dispatch closures live in host memory and die with the
    process: there is nothing relocatable to snapshot. *)
-let compile_artifact = None
+let backend =
+  {
+    Qcomp_backend.Backend.name = "interpreter";
+    supports_params = true;
+    compile = Host translate;
+  }

@@ -94,12 +94,15 @@ let emit_minst ctx (i : Minst.t) =
 
 (** Emit a call to external symbol [sym] according to the code model.
     Small-PIC: near call to the symbol's PLT stub (relocated later).
-    Large: absolute immediate (relocated) + indirect call. *)
+    Large: absolute immediate (relocated) + indirect call. The immediate
+    needs one contiguous 64-bit field, which only x86-64's movabs has:
+    on AArch64 the large model fails here, at compile time. *)
 let emit_call ctx sym =
   if ctx.code_model_large then begin
     (* 64-bit absolute immediate, patched by the linker *)
-    let imm_field_off = Asm.offset ctx.asm + 2 in
-    Asm.emit ctx.asm (Minst.Mov_ri (ctx.target.Target.scratch, 0x7FFF_EEEE_DDDD_0000L));
+    let imm_field_off =
+      Asm.emit_mov_ri64 ctx.asm ctx.target.Target.scratch 0x7FFF_EEEE_DDDD_0000L
+    in
     ctx.relocs <- { Elf.r_off = imm_field_off; r_sym = sym; r_kind = Elf.Abs64 } :: ctx.relocs;
     emit_minst ctx (Minst.Call_ind ctx.target.Target.scratch)
   end

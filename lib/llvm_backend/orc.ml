@@ -75,7 +75,7 @@ let get_target_machine ~cache timing target =
 
 (* ---------------- per-module compilation ---------------- *)
 
-let compile_artifact_with (cfg : config) ~backend ~timing ~(target : Target.t)
+let compile_artifact (cfg : config) ~backend ~timing ~(target : Target.t)
     ~registry (m : Func.modul) : Qcomp_backend.Artifact.t =
   let _tm = get_target_machine ~cache:cfg.cache_target_machine timing target in
   let externs = Qcomp_support.Vec.to_array m.Func.externs in
@@ -201,54 +201,16 @@ let compile_artifact_with (cfg : config) ~backend ~timing ~(target : Target.t)
     a_code_size = Bytes.length image;
   }
 
-let compile_module_with (cfg : config) ~backend ~timing ~emu ~registry ~unwind
-    (m : Func.modul) : Qcomp_backend.Backend.compiled_module =
-  let art =
-    compile_artifact_with cfg ~backend ~timing ~target:(Emu.target_of emu)
-      ~registry m
-  in
-  (* JIT linking (the four phases of Sec. V-B7) *)
-  Qcomp_backend.Backend.link_artifact ~phases:true ~timing ~emu ~registry
-    ~unwind art
-
 (* ---------------- Backend instances ---------------- *)
 
-let cheap_override : config option ref = ref None
-let opt_override : config option ref = ref None
-
-module Cheap = struct
-  let name = "llvm-cheap"
-
-  (* LLVM compiles whole plans only: parameterized shapes fall back to a
-     param-capable tier (or whole-plan compilation) in the serving layer. *)
-  let supports_params = false
-
-  let compile_module ?(params = [||]) ~timing ~emu ~registry ~unwind m =
-    if Array.length params > 0 then
-      invalid_arg "llvm: parameterized modules are not supported";
-    let cfg = Option.value ~default:cheap_config !cheap_override in
-    compile_module_with cfg ~backend:name ~timing ~emu ~registry ~unwind m
-
-  let compile_artifact =
-    Some
-      (fun ~timing ~target ~registry m ->
-        let cfg = Option.value ~default:cheap_config !cheap_override in
-        compile_artifact_with cfg ~backend:name ~timing ~target ~registry m)
-end
-
-module Opt = struct
-  let name = "llvm-opt"
-  let supports_params = false
-
-  let compile_module ?(params = [||]) ~timing ~emu ~registry ~unwind m =
-    if Array.length params > 0 then
-      invalid_arg "llvm: parameterized modules are not supported";
-    let cfg = Option.value ~default:opt_config !opt_override in
-    compile_module_with cfg ~backend:name ~timing ~emu ~registry ~unwind m
-
-  let compile_artifact =
-    Some
-      (fun ~timing ~target ~registry m ->
-        let cfg = Option.value ~default:opt_config !opt_override in
-        compile_artifact_with cfg ~backend:name ~timing ~target ~registry m)
-end
+(** The back-end named [name] that compiles with [cfg]. LLVM compiles
+    whole plans only: parameterized shapes fall back to a param-capable
+    tier (or whole-plan compilation) in the serving layer. Linking is the
+    four JITLink phases of Sec. V-B7. *)
+let backend ~name cfg =
+  {
+    Qcomp_backend.Backend.name;
+    supports_params = false;
+    compile =
+      Native { artifact = compile_artifact cfg ~backend:name; link = Jitlink };
+  }

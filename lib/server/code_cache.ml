@@ -91,6 +91,15 @@ type bound = {
   mutable b_refs : int;
 }
 
+(** What a cache entry instantiates its bound modules from. *)
+type code =
+  | Relocatable of Qcomp_backend.Artifact.t
+      (** the back-end's artifact, parameter holes unbound: every instance
+          is a link, and the entry can be snapshot *)
+  | Host of Qcomp_backend.Backend.host
+      (** an artifact-less back-end (interpreter): every instance
+          re-translates for its parameter vector; never snapshot *)
+
 type entry = {
   ce_name : string;  (** query name (for re-codegen after a {!load}) *)
   ce_key : key;  (** the entry's home key — locates its shard *)
@@ -98,14 +107,7 @@ type entry = {
       (** the {e shape}: for parameterized queries, eligible literals have
           been replaced by [Expr.Param] holes ({!Qcomp_plan.Paramize}) *)
   ce_fp : int64;  (** canonical shape fingerprint (= key's [ck_fp]) *)
-  ce_art : Qcomp_backend.Artifact.t option;
-      (** relocatable artifact (parameter holes unbound); [None] only for
-          back-ends that cannot produce one (interpreter) — those entries
-          are never snapshot *)
-  ce_backend : Qcomp_backend.Backend.t option;
-      (** the compiling back-end, kept so an artifact-less (interpreter)
-          entry can re-translate for a fresh parameter vector; [None] for
-          snapshot-loaded entries, which always carry an artifact *)
+  ce_code : code;
   ce_consts : (string * int * int) list;
       (** (string, SSO struct address, body address or 0) literals the
           code generator baked into the artifact as immediates; {!load}
@@ -338,8 +340,8 @@ let force t db ?(params = ([||] : Qcomp_backend.Artifact.param_value array))
      bind, and linking it is the pre-parameterization lazy link, not a
      parameter-cache event. *)
   let params =
-    match e.ce_art with
-    | Some art
+    match e.ce_code with
+    | Relocatable art
       when Array.length art.Qcomp_backend.Artifact.a_params = 0
            && Array.length params > 0 ->
         [||]
@@ -369,22 +371,14 @@ let force t db ?(params = ([||] : Qcomp_backend.Artifact.param_value array))
           let timing = Timing.create ~enabled:false () in
           let t0 = Timing.now () in
           let cm =
-            match e.ce_art with
-            | Some art ->
+            match e.ce_code with
+            | Relocatable art ->
                 Qcomp_backend.Backend.link_artifact ~params ~timing
                   ~emu:db.Engine.emu ~registry:db.Engine.registry
                   ~unwind:db.Engine.unwind art
-            | None -> (
-                match e.ce_backend with
-                | Some backend ->
-                    Qcomp_backend.Backend.compile_module backend ~params
-                      ~timing ~emu:db.Engine.emu ~registry:db.Engine.registry
-                      ~unwind:db.Engine.unwind
-                      cq.Qcomp_codegen.Codegen.modul
-                | None ->
-                    invalid_arg
-                      "Code_cache.force: entry has neither artifact nor \
-                       back-end")
+            | Host translate ->
+                translate ~params ~timing ~emu:db.Engine.emu
+                  ~registry:db.Engine.registry cq.Qcomp_codegen.Codegen.modul
           in
           e.ce_bound <-
             {
@@ -469,22 +463,21 @@ let compile_uncached t db ~backend
   let cq = plan_ir t db ~fp:k.ck_fp ~name plan in
   let modul = cq.Qcomp_codegen.Codegen.modul in
   let timing = Timing.create ~enabled:false () in
-  let art, cm =
-    match Qcomp_backend.Backend.compile_artifact backend with
-    | Some compile ->
+  let code, cm =
+    match backend.Qcomp_backend.Backend.compile with
+    | Native { artifact; link } ->
         let art =
-          compile ~timing ~target:db.Engine.target ~registry:db.Engine.registry
-            modul
+          artifact ~timing ~target:db.Engine.target
+            ~registry:db.Engine.registry modul
         in
-        ( Some art,
-          Qcomp_backend.Backend.link_artifact ~params ~timing
+        ( Relocatable art,
+          Qcomp_backend.Backend.link_artifact ~link ~params ~timing
             ~emu:db.Engine.emu ~registry:db.Engine.registry
             ~unwind:db.Engine.unwind art )
-    | None ->
-        ( None,
-          Qcomp_backend.Backend.compile_module backend ~params ~timing
-            ~emu:db.Engine.emu ~registry:db.Engine.registry
-            ~unwind:db.Engine.unwind modul )
+    | Host translate ->
+        ( Host translate,
+          translate ~params ~timing ~emu:db.Engine.emu
+            ~registry:db.Engine.registry modul )
   in
   let bytes = cm.Qcomp_backend.Backend.cm_code_size in
   let sh = shard_of t k in
@@ -497,8 +490,7 @@ let compile_uncached t db ~backend
     ce_key = k;
     ce_plan = plan;
     ce_fp = k.ck_fp;
-    ce_art = art;
-    ce_backend = Some backend;
+    ce_code = code;
     ce_consts = capture_consts db cq;
     ce_db_fp = Engine.layout_fingerprint db;
     ce_cq = Some cq;
@@ -738,7 +730,7 @@ let save t file =
               (List.filter_map
                  (fun k ->
                    match Lru.peek sh.sh_modules k with
-                   | Some e when e.ce_art <> None -> Some (k, e)
+                   | Some ({ ce_code = Relocatable art; _ } as e) -> Some (k, e, art)
                    | _ -> None)
                  (Lru.keys_mru sh.sh_modules))))
       (Array.to_list t.shards)
@@ -746,9 +738,8 @@ let save t file =
   let payload = Buffer.create 65536 in
   let target = ref "" in
   List.iter
-    (fun (k, e) ->
+    (fun (k, e, art) ->
       target := k.ck_target;
-      let art = Option.get e.ce_art in
       Buffer.add_int64_le payload
         (Fingerprint.key_v
            ~backend_version:(backend_code_version k.ck_backend)
@@ -966,8 +957,7 @@ let load ~capacity ?(shards = 1) ~db file =
         ce_key = k;
         ce_plan = plan;
         ce_fp = fp;
-        ce_art = Some art;
-        ce_backend = None;
+        ce_code = Relocatable art;
         ce_consts = consts;
         ce_db_fp = rec_db_fp;
         ce_cq = None;

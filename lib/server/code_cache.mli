@@ -65,6 +65,15 @@ type bound = {
   mutable b_refs : int;
 }
 
+(** What a cache entry instantiates its bound modules from. *)
+type code =
+  | Relocatable of Qcomp_backend.Artifact.t
+      (** the back-end's artifact, parameter holes unbound: every instance
+          is a link, and the entry can be snapshot *)
+  | Host of Qcomp_backend.Backend.host
+      (** an artifact-less back-end (interpreter): every instance
+          re-translates for its parameter vector; never snapshot *)
+
 type entry = {
   ce_name : string;  (** query name (for re-codegen after a {!load}) *)
   ce_key : key;  (** the entry's home key — locates its shard *)
@@ -72,14 +81,7 @@ type entry = {
       (** the {e shape}: for parameterized queries, eligible literals have
           been replaced by [Expr.Param] holes ({!Qcomp_plan.Paramize}) *)
   ce_fp : int64;  (** canonical shape fingerprint (= key's [ck_fp]) *)
-  ce_art : Qcomp_backend.Artifact.t option;
-      (** relocatable artifact (parameter holes unbound); [None] only for
-          back-ends that cannot produce one (interpreter) — those entries
-          are never snapshot *)
-  ce_backend : Qcomp_backend.Backend.t option;
-      (** the compiling back-end, kept so an artifact-less (interpreter)
-          entry can re-translate for a fresh parameter vector; [None] for
-          snapshot-loaded entries, which always carry an artifact *)
+  ce_code : code;
   ce_consts : (string * int * int) list;
       (** (string, SSO struct address, body address or 0) literals baked
           into the artifact as immediates *)

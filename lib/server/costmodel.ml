@@ -68,8 +68,8 @@ let clock_hz = 2.0e9
 (** Relative execution throughput of code from the named back-end,
     normalized to the interpreter = 1.0: executing the same rows on a tier
     with rate [r] is modelled to cost [1/r] of the interpreter's cycles.
-    Anchored on this repo's measured execution totals (bin/query_cycles
-    over the TPC-H queries, recorded in EXPERIMENTS.md: compiled tiers run
+    Anchored on this repo's measured execution totals ([qcomp run
+    --backend all --sf 2] over the TPC-H queries, recorded in EXPERIMENTS.md: compiled tiers run
     the bundled workloads ~2-3.7x faster than the bytecode interpreter),
     with the ladder tiers kept strictly monotone — each stronger rung is
     modelled slightly faster, as on the paper's Fig. 7 frontier — so the

@@ -2246,14 +2246,9 @@ let compile_artifact ~timing ~(target : Target.t) ~registry:_ (m : Func.modul)
     a_code_size = Bytes.length code;
   }
 
-let supports_params = true
-
-let compile_module ?params ~timing ~emu ~registry ~unwind (m : Func.modul) :
-    Qcomp_backend.Backend.compiled_module =
-  let art =
-    compile_artifact ~timing ~target:(Qcomp_vm.Emu.target_of emu) ~registry m
-  in
-  Qcomp_backend.Backend.link_artifact ~scope:None ?params ~timing ~emu
-    ~registry ~unwind art
-
-let compile_artifact = Some compile_artifact
+let backend =
+  {
+    Qcomp_backend.Backend.name;
+    supports_params = true;
+    compile = Native { artifact = compile_artifact; link = Unscoped };
+  }

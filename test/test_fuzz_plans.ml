@@ -217,16 +217,6 @@ let run_outcome ?target backend plan =
   | exception Qcomp_runtime.Rt_error.Query_error e -> Error e
   | exception Expr.Type_error e -> Error ("type: " ^ e)
 
-let backends =
-  [
-    ("stencil", Engine.stencil);
-    ("directemit", Engine.directemit);
-    ("cranelift", Engine.cranelift);
-    ("llvm-cheap", Engine.llvm_cheap);
-    ("llvm-opt", Engine.llvm_opt);
-    ("gcc", Engine.gcc);
-  ]
-
 let mk_test ?target ?(suffix = "") (bname, backend) =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:120 ~print:plan_str
@@ -324,7 +314,7 @@ let use_count_workloads_test =
 
 let suite =
   use_count_fuzz_test :: use_count_workloads_test
-  :: List.map (fun b -> mk_test b) backends
+  :: List.map (fun b -> mk_test b) Test_backends.backends_x64
   @ List.map
       (fun b -> mk_test ~target:Qcomp_vm.Target.a64 ~suffix:" (a64)" b)
-      (List.filter (fun (n, _) -> n <> "directemit" && n <> "stencil") backends)
+      Test_backends.backends_a64

@@ -248,7 +248,7 @@ let backend_matrix_case =
                       check Alcotest.int
                         (Printf.sprintf "%s/%s: cross-backend rows" name bname)
                         rn n4))
-            (Engine.all_backends db))
+            (Engine.all_backends db.Engine.target))
         subset)
 
 (* ---------------- both serving drivers ---------------- *)

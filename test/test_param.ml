@@ -172,7 +172,7 @@ let backend_differential_test =
       let timing = Timing.create ~enabled:false () in
       let param_backends =
         List.filter Qcomp_backend.Backend.supports_params
-          (Engine.all_backends db)
+          (Engine.all_backends db.Engine.target)
       in
       if List.length param_backends < 3 then
         Alcotest.fail "expected >= 3 param-capable back-ends on x86-64";
@@ -208,7 +208,7 @@ let non_param_backend_refusal_test =
       let holdouts =
         List.filter
           (fun b -> not (Qcomp_backend.Backend.supports_params b))
-          (Engine.all_backends db)
+          (Engine.all_backends db.Engine.target)
       in
       if holdouts = [] then Alcotest.fail "expected some non-param back-end";
       List.iter

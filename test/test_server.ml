@@ -770,7 +770,7 @@ let costmodel_coverage_test =
             (nm ^ " has a positive execution rate")
             true
             (Costmodel.exec_rate nm > 0.0))
-        (Engine.all_backends db);
+        (Engine.all_backends db.Engine.target);
       let raises f =
         match f () with
         | _ -> false
@@ -943,7 +943,7 @@ let artifact_roundtrip_test =
                 (Engine.checksum r2.Engine.rows);
               Engine.dispose_module db cm2;
               Engine.dispose_module db cm_direct)
-        (Engine.all_backends db))
+        (Engine.all_backends db.Engine.target))
 
 (* the plan wire codec: strict round-trip on every fixed plan, loud
    failure on truncation and trailing garbage *)
@@ -1135,7 +1135,6 @@ let snapshot_corruption_test =
    just cranelift: each one's warm module reproduces its cold checksum *)
 let snapshot_all_backends_test =
   Alcotest.test_case "snapshot round-trip for every back-end" `Quick (fun () ->
-      let db_probe = make_db () in
       List.iter
         (fun b ->
           if Qcomp_backend.Backend.compile_artifact b <> None then
@@ -1158,7 +1157,7 @@ let snapshot_all_backends_test =
                 check Alcotest.int (nm ^ " rows") rows r.Engine.output_count;
                 check Alcotest.int64 (nm ^ " checksum") sum
                   (Engine.checksum r.Engine.rows)))
-        (Engine.all_backends db_probe))
+        (Engine.all_backends Qcomp_vm.Target.x64))
 
 let suite =
   lru_tests @ fingerprint_tests @ sim_tests @ differential_tests
