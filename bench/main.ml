@@ -4,9 +4,14 @@
    for recorded paper-vs-measured results.
 
    Usage:  bench/main.exe [table1|fig2|fig3|table2|fig4|fig5|table3|fig6|
-                           fig7|serve|serve-reopt|serve-persist|serve-param|
-                           serve-scaling|fallbacks|ablation-struct|
-                           ablation-codemodel|ablation-tm|bechamel|all]
+                           fig7|stencil|serve|serve-reopt|serve-persist|
+                           serve-param|serve-scaling|serve-load|join|morsel|
+                           fallbacks|ablation-struct|ablation-codemodel|
+                           ablation-tm|all]
+
+   Every gated target ends in [emit]: it prints each gate's verdict,
+   writes the target's records to BENCH_<bench>.json where the target
+   keeps one, and exits 1 when a gate fails.
 
    Scale factors are chosen so the full suite completes in minutes; the
    mapping to the paper's SF10/SF100 is documented in EXPERIMENTS.md. *)
@@ -29,10 +34,6 @@ let header title =
   line ()
 
 let pct part total = if total > 0.0 then 100.0 *. part /. total else 0.0
-
-(* A gate's verdict as printed; every target whose summary prints a
-   VIOLATION also exits 1. *)
-let gate ok = if ok then "OK" else "VIOLATION"
 
 let print_breakdown (timing : Timing.t) =
   (* top-level phases with nested sub-phases indented (-ftime-report style) *)
@@ -403,7 +404,134 @@ let fallbacks () =
   Printf.printf "without FastISel CRC32 support (pre-upstream):\n";
   show r2
 
+(* ---------------- records, gates and BENCH files ---------------- *)
+
+(* Where a recorded value comes from: deterministic emulator cycles (or a
+   ratio of them), a count, modelled seconds (deterministic, like every
+   duration of the event-driven serving driver), host wall-clock seconds,
+   or a check that holds or not. *)
+type kind = Cycles | Count | Modelled_s | Wall_s | Check
+
+let kind_name = function
+  | Cycles -> "cycles"
+  | Count -> "count"
+  | Modelled_s -> "modelled_s"
+  | Wall_s -> "wall_s"
+  | Check -> "check"
+
+type cmp = Eq | Ge | Gt | Le
+
+(* One value a bench target measured. [baseline] is what the value is
+   compared against: a committed pre-change figure, or the same run's
+   reference configuration. [gate] is the condition the value must meet.
+   A check's value is 1 when it holds and 0 when it does not. *)
+type record = {
+  bench : string;
+  metric : string;
+  unit : string;
+  kind : kind;
+  value : float;
+  baseline : float option;
+  gate : (cmp * float) option;
+}
+
+let record bench ?(unit = "") ?baseline ?gate kind metric value =
+  { bench; metric; unit; kind; value; baseline; gate }
+
+let check bench ?(gated = true) metric ok =
+  record bench Check metric
+    (if ok then 1.0 else 0.0)
+    ?gate:(if gated then Some (Eq, 1.0) else None)
+
+let holds (cmp, bound) v =
+  match cmp with
+  | Eq -> v = bound
+  | Ge -> v >= bound
+  | Gt -> v > bound
+  | Le -> v <= bound
+
+(* Integers print exactly and everything else to seven significant
+   digits, so a rerun of a deterministic target rewrites its file byte
+   for byte. *)
+let show kind v =
+  if kind = Check then string_of_bool (v <> 0.0)
+  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.7g" v
+
+let show_gate r (cmp, bound) =
+  let op =
+    match cmp with Eq -> "=" | Ge -> ">=" | Gt -> ">" | Le -> "<="
+  in
+  op ^ " " ^ show r.kind bound
+
+let to_json r =
+  let opt f = function None -> "null" | Some x -> f x in
+  Printf.sprintf
+    "{\"bench\": %S, \"metric\": %S, \"unit\": %S, \"kind\": %S, \"value\": %s, \
+     \"baseline\": %s, \"gate\": %s}"
+    r.bench r.metric r.unit (kind_name r.kind) (show r.kind r.value)
+    (opt (show r.kind) r.baseline)
+    (opt (fun g -> Printf.sprintf "%S" (show_gate r g)) r.gate)
+
+(* The end of every gated target: prints each gated record's verdict,
+   writes the records to BENCH_<bench>.json when [write], and exits 1
+   when any gate fails. *)
+let emit ?(write = false) records =
+  let ok =
+    List.fold_left
+      (fun ok r ->
+        match r.gate with
+        | None -> ok
+        | Some g ->
+            let pass = holds g r.value in
+            Printf.printf "%s: %s%s%s -> %s\n" r.metric (show r.kind r.value)
+              (if r.unit = "" then "" else " " ^ r.unit)
+              (if r.kind = Check then "" else " (" ^ show_gate r g ^ ")")
+              (if pass then "OK" else "VIOLATION");
+            ok && pass)
+      true records
+  in
+  (match records with
+  | r :: _ when write ->
+      let file = "BENCH_" ^ r.bench ^ ".json" in
+      let oc = open_out file in
+      output_string oc
+        ("[\n  " ^ String.concat ",\n  " (List.map to_json records) ^ "\n]\n");
+      close_out oc;
+      Printf.printf "wrote %s\n" file
+  | _ -> ());
+  if not ok then exit 1
+
 (* ---------------- serving (lib/server) ---------------- *)
+
+module Report = Qcomp_server.Report
+
+let named_plans queries =
+  List.map
+    (fun (q : Qcomp_workloads.Spec.query) ->
+      (q.Qcomp_workloads.Spec.q_name, q.Qcomp_workloads.Spec.q_plan))
+    queries
+
+(* A serving run's results as a sorted (name, rows, checksum) multiset:
+   what two runs of one stream must agree on, whatever their schedule. *)
+let result_multiset (r : Report.t) =
+  List.sort compare
+    (List.map
+       (fun (q : Report.query_metrics) ->
+         (q.Report.qm_name, q.Report.qm_rows, q.Report.qm_checksum))
+       r.Report.r_queries)
+
+(* Checksum of the sorted result rows: execution lanes and Direct hash
+   tables emit rows in another order, so runs agree on the multiset, not
+   necessarily on row order. *)
+let multiset_checksum rows = Engine.checksum (List.sort compare rows)
+
+let hit_rate (r : Report.t) =
+  let s = r.Report.r_cache in
+  let lookups = s.Qcomp_server.Lru.hits + s.Qcomp_server.Lru.misses in
+  if lookups > 0 then
+    100.0 *. float s.Qcomp_server.Lru.hits /. float lookups
+  else 0.0
 
 (* Replay a repeated-query stream through every serving policy: each static
    back-end (the paper's Table III tradeoff as a serving discipline), the
@@ -415,13 +543,10 @@ let serve () =
   header "Serving: static back-ends vs compiled-code cache vs tiered execution";
   let open Qcomp_server in
   let n = 60 in
-  let queries =
-    List.map
-      (fun (q : Qcomp_workloads.Spec.query) ->
-        (q.Qcomp_workloads.Spec.q_name, q.Qcomp_workloads.Spec.q_plan))
-      (Experiments.queries_of Experiments.Tpch)
+  let stream =
+    Server.make_stream ~seed:42L ~n
+      (named_plans (Experiments.queries_of Experiments.Tpch))
   in
-  let stream = Server.make_stream ~seed:42L ~n queries in
   Printf.printf "TPC-H-like, sf=%d, %d-query stream (%d distinct plans), 4 workers\n\n"
     sf_tpch_small n
     (List.length (List.sort_uniq compare (List.map fst stream)));
@@ -450,19 +575,15 @@ let serve () =
   in
   match best_static with
   | Some b ->
-      let hit_rate =
-        let s = tiered.Report.r_cache in
-        if s.Lru.hits + s.Lru.misses > 0 then
-          100.0 *. float_of_int s.Lru.hits /. float_of_int (s.Lru.hits + s.Lru.misses)
-        else 0.0
-      in
-      let beats_static = tiered.Report.r_total_latency <= b.Report.r_total_latency in
-      let hits = tiered.Report.r_cache.Lru.hits > 0 in
-      Printf.printf
-        "summary: tiered total latency %.6fs vs best static (%s) %.6fs -> %s; cache hit rate %.1f%% -> %s\n"
-        tiered.Report.r_total_latency b.Report.r_mode b.Report.r_total_latency
-        (gate beats_static) hit_rate (gate hits);
-      if not (beats_static && hits) then exit 1
+      Printf.printf "best static back-end: %s\n" b.Report.r_mode;
+      let r = record "serve" in
+      emit
+        [
+          r Modelled_s "tiered_total_latency" ~unit:"s"
+            tiered.Report.r_total_latency ~baseline:b.Report.r_total_latency
+            ~gate:(Le, b.Report.r_total_latency);
+          r Count "tiered_hit_rate" ~unit:"%" (hit_rate tiered) ~gate:(Gt, 0.0);
+        ]
   | None -> ()
 
 (* Static-estimate Tiered vs the observation-driven tier controller
@@ -481,9 +602,7 @@ let serve_reopt () =
      threshold — the under-prediction the controller exists to correct *)
   let sf = 1 in
   let queries =
-    List.map
-      (fun (q : Qcomp_workloads.Spec.query) ->
-        (q.Qcomp_workloads.Spec.q_name, q.Qcomp_workloads.Spec.q_plan))
+    named_plans
       (Qcomp_workloads.Tpch.deceptive :: Experiments.queries_of Experiments.Tpch)
   in
   let stream = Server.make_stream ~seed:42L ~n queries in
@@ -539,24 +658,16 @@ let serve_reopt () =
         "  %-8s static estimate picked %s; observed cycles drove it to %s\n" nm
         static_pick final)
     past_static;
-  let multiset (r : Server.report) =
-    List.sort compare
-      (List.map
-         (fun (q : Server.query_metrics) ->
-           (q.Report.qm_name, q.Report.qm_rows, q.Report.qm_checksum))
-         r.Report.r_queries)
-  in
-  if multiset static_r <> multiset reopt_r then begin
-    Printf.printf "VIOLATION: reopt rows/checksums differ from static Tiered\n";
-    exit 1
-  end;
-  let st, rt = (total static_r, total reopt_r) in
-  Printf.printf
-    "summary: total compile+execute %.6fs (reopt) vs %.6fs (static estimate) \
-     -> %s; %d queries upgraded past their static pick -> %s; results \
-     identical -> OK\n"
-    rt st (gate (rt <= st)) (List.length past_static) (gate (past_static <> []));
-  if rt > st || past_static = [] then exit 1
+  let st = total static_r in
+  emit
+    [
+      record "serve-reopt" Modelled_s "total_compile_execute" ~unit:"s"
+        (total reopt_r) ~baseline:st ~gate:(Le, st);
+      record "serve-reopt" Count "upgraded_past_static_pick" ~unit:"queries"
+        (float (List.length past_static)) ~gate:(Ge, 1.0);
+      check "serve-reopt" "results_identical"
+        (result_multiset static_r = result_multiset reopt_r);
+    ]
 
 (* Warm-start serving from a persistent code-cache snapshot: the same
    Cached-mode stream served twice on fresh databases, first cold (every
@@ -568,33 +679,12 @@ let serve_persist () =
   header "Serving: cold start vs code-cache snapshot warm start";
   let open Qcomp_server in
   let n = 60 in
-  let queries =
-    List.map
-      (fun (q : Qcomp_workloads.Spec.query) ->
-        (q.Qcomp_workloads.Spec.q_name, q.Qcomp_workloads.Spec.q_plan))
-      (Experiments.queries_of Experiments.Tpch)
+  let stream =
+    Server.make_stream ~seed:42L ~n
+      (named_plans (Experiments.queries_of Experiments.Tpch))
   in
-  let stream = Server.make_stream ~seed:42L ~n queries in
   let config = { Server.default_config with Server.mode = Server.Cached } in
   let snap = Filename.temp_file "qcomp_snapshot" ".qcss" in
-  let fg_compile (r : Server.report) =
-    List.fold_left
-      (fun a (q : Server.query_metrics) -> a +. q.Report.qm_compile_s)
-      0.0 r.Report.r_queries
-  in
-  let hit_rate (r : Server.report) =
-    let s = r.Report.r_cache in
-    if s.Lru.hits + s.Lru.misses > 0 then
-      100.0 *. float_of_int s.Lru.hits /. float_of_int (s.Lru.hits + s.Lru.misses)
-    else 0.0
-  in
-  let multiset (r : Server.report) =
-    List.sort compare
-      (List.map
-         (fun (q : Server.query_metrics) ->
-           (q.Report.qm_name, q.Report.qm_rows, q.Report.qm_checksum))
-         r.Report.r_queries)
-  in
   let db = Experiments.make_db Target.x64 Experiments.Tpch ~sf:sf_tpch_small in
   let cache = Code_cache.create ~capacity:config.Server.cache_capacity in
   let cold = Server.run ~cache db config stream in
@@ -610,26 +700,24 @@ let serve_persist () =
     (Unix.stat snap).Unix.st_size;
   Format.printf "%a@." (Server.pp_report ~per_query:false) warm;
   Sys.remove snap;
-  if multiset cold <> multiset warm then begin
-    Printf.printf "VIOLATION: warm rows/checksums differ from cold run\n";
-    exit 1
-  end;
-  let cs, ws = (fg_compile cold, fg_compile warm) in
   (* a query's foreground compile includes the parameter binds it paid:
      the gate is on back-end compile alone. Both sums add the same bind
      charges in different orders, so they are compared in whole
      nanoseconds. *)
   let ns s = Float.to_int (Float.round (s *. 1e9)) in
-  let warm_compile_ns = ns ws - ns warm.Report.r_bind_s in
-  Printf.printf
-    "summary: foreground compile %.6fs cold vs %.6fs warm (%.6fs saved; warm \
-     binds %.6fs, warm compile without binds %d ns) -> %s; warm hit rate \
-     %.1f%% (cold %.1f%%) -> %s; results identical -> OK\n"
-    cs ws (cs -. ws) warm.Report.r_bind_s warm_compile_ns
-    (gate (warm_compile_ns = 0 && cs > 0.0))
-    (hit_rate warm) (hit_rate cold)
-    (gate (hit_rate warm >= 99.9));
-  if warm_compile_ns <> 0 || cs <= 0.0 || hit_rate warm < 99.9 then exit 1
+  let r = record "serve-persist" in
+  emit
+    [
+      r Modelled_s "cold_compile" ~unit:"s" cold.Report.r_compile_stall_s
+        ~gate:(Gt, 0.0);
+      r Modelled_s "warm_compile_without_binds" ~unit:"ns"
+        (float (ns warm.Report.r_compile_stall_s - ns warm.Report.r_bind_s))
+        ~gate:(Eq, 0.0);
+      r Count "warm_hit_rate" ~unit:"%" (hit_rate warm)
+        ~baseline:(hit_rate cold) ~gate:(Ge, 99.9);
+      check "serve-persist" "results_identical"
+        (result_multiset cold = result_multiset warm);
+    ]
 
 (* Parameterized-plan specialization on the Zipf-literal workload: the
    same stream served twice in Cached mode on fresh databases — first
@@ -641,20 +729,14 @@ let serve_persist () =
    foreground compile time the shape key eliminates; the gates are the
    >=5x compile-time reduction, zero recompiles after the first compile
    of each shape, and byte-identical results. Recorded as
-   BENCH_param.json. *)
+   BENCH_param.json, with the paramize-off run as the baseline. *)
 let serve_param () =
   header
     "Serving: shape-keyed parameterized cache vs per-query baseline (Zipf \
      literals)";
   let open Qcomp_server in
   let n = 120 in
-  let stream =
-    List.map
-      (fun (q : Qcomp_workloads.Spec.query) ->
-        (q.Qcomp_workloads.Spec.q_name, q.Qcomp_workloads.Spec.q_plan))
-      (Qcomp_workloads.Paramgen.stream ~seed:42L ~n)
-  in
-  let distinct = List.length (List.sort_uniq compare (List.map fst stream)) in
+  let stream = named_plans (Qcomp_workloads.Paramgen.stream ~seed:42L ~n) in
   let run ~paramize =
     let db = Experiments.make_db Target.x64 Experiments.Tpch ~sf:4 in
     let config =
@@ -666,71 +748,39 @@ let serve_param () =
     in
     Server.run db config stream
   in
-  let fg_compile (r : Server.report) =
-    List.fold_left
-      (fun a (q : Server.query_metrics) -> a +. q.Report.qm_compile_s)
-      0.0 r.Report.r_queries
-  in
-  let hit_rate (r : Server.report) =
-    let s = r.Report.r_cache in
-    if s.Lru.hits + s.Lru.misses > 0 then
-      100.0 *. float_of_int s.Lru.hits
-      /. float_of_int (s.Lru.hits + s.Lru.misses)
-    else 0.0
-  in
-  let multiset (r : Server.report) =
-    List.sort compare
-      (List.map
-         (fun (q : Server.query_metrics) ->
-           (q.Report.qm_name, q.Report.qm_rows, q.Report.qm_checksum))
-         r.Report.r_queries)
-  in
   let base = run ~paramize:false in
   let param = run ~paramize:true in
   Printf.printf "per-query-keyed baseline (paramize off):\n";
   Format.printf "%a@." (Server.pp_report ~per_query:false) base;
   Printf.printf "shape-keyed (paramize on):\n";
   Format.printf "%a@." (Server.pp_report ~per_query:false) param;
-  let bs, ps = (fg_compile base, fg_compile param) in
-  let reduction = if ps > 0.0 then bs /. ps else infinity in
-  let identical = multiset base = multiset param in
+  let bs, ps = (base.Report.r_compile_stall_s, param.Report.r_compile_stall_s) in
   let shapes = Qcomp_workloads.Paramgen.shape_count in
-  (* in Cached mode every miss is a foreground back-end compile; with the
-     shape key there must be at most one per shape *)
-  let no_recompiles = param.Report.r_cache.Lru.misses <= shapes in
-  Printf.printf
-    "summary: %d queries (%d distinct plans, %d shapes)\n\
-    \  foreground compile %.6fs per-query-keyed vs %.6fs shape-keyed \
-     (%.1fx reduction) -> %s\n\
-    \  shape-keyed compiles %d (<= %d shapes) -> %s; shape-hits %d  \
-     exact-hits %d  binds %d\n\
-    \  results identical -> %s\n"
-    n distinct shapes bs ps reduction
-    (if reduction >= 5.0 then "OK" else "VIOLATION")
-    param.Report.r_cache.Lru.misses shapes
-    (if no_recompiles then "OK" else "VIOLATION")
-    param.Report.r_shape_hits param.Report.r_exact_hits param.Report.r_binds
-    (if identical then "OK" else "VIOLATION");
-  let oc = open_out "BENCH_param.json" in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"queries\": %d,\n" n;
-  Printf.fprintf oc "  \"distinct_plans\": %d,\n" distinct;
-  Printf.fprintf oc "  \"shapes\": %d,\n" shapes;
-  Printf.fprintf oc "  \"compile_s_per_query_keyed\": %.6f,\n" bs;
-  Printf.fprintf oc "  \"compile_s_shape_keyed\": %.6f,\n" ps;
-  Printf.fprintf oc "  \"compile_reduction_x\": %.2f,\n" reduction;
-  Printf.fprintf oc "  \"hit_rate_per_query_keyed\": %.1f,\n" (hit_rate base);
-  Printf.fprintf oc "  \"hit_rate_shape_keyed\": %.1f,\n" (hit_rate param);
-  Printf.fprintf oc "  \"shape_keyed_compiles\": %d,\n"
-    param.Report.r_cache.Lru.misses;
-  Printf.fprintf oc "  \"shape_hits\": %d,\n" param.Report.r_shape_hits;
-  Printf.fprintf oc "  \"exact_hits\": %d,\n" param.Report.r_exact_hits;
-  Printf.fprintf oc "  \"binds\": %d,\n" param.Report.r_binds;
-  Printf.fprintf oc "  \"bind_s\": %.6f,\n" param.Report.r_bind_s;
-  Printf.fprintf oc "  \"results_identical\": %b\n}\n" identical;
-  close_out oc;
-  Printf.printf "wrote BENCH_param.json\n";
-  if reduction < 5.0 || (not identical) || not no_recompiles then exit 1
+  let r = record "param" in
+  emit ~write:true
+    [
+      r Count "queries" (float n);
+      r Count "distinct_plans"
+        (float (List.length (List.sort_uniq compare (List.map fst stream))));
+      r Count "shapes" (float shapes);
+      r Modelled_s "compile_s_shape_keyed" ~unit:"s" ps ~baseline:bs;
+      r Modelled_s "compile_reduction_x" ~unit:"x"
+        (if ps > 0.0 then bs /. ps else infinity)
+        ~gate:(Ge, 5.0);
+      r Count "hit_rate_shape_keyed" ~unit:"%" (hit_rate param)
+        ~baseline:(hit_rate base);
+      (* in Cached mode every miss is a foreground back-end compile; with
+         the shape key there must be at most one per shape *)
+      r Count "shape_keyed_compiles"
+        (float param.Report.r_cache.Lru.misses)
+        ~gate:(Le, float shapes);
+      r Count "shape_hits" (float param.Report.r_shape_hits);
+      r Count "exact_hits" (float param.Report.r_exact_hits);
+      r Count "binds" (float param.Report.r_binds);
+      r Modelled_s "bind_s" ~unit:"s" param.Report.r_bind_s;
+      check "param" "results_identical"
+        (result_multiset base = result_multiset param);
+    ]
 
 (* Throughput scaling of the real Domain-based worker pool: the same
    tiered stream served on 1, 2 and 4 OS-thread domains. Unlike every
@@ -741,13 +791,10 @@ let serve_scaling () =
   header "Serving: Domain-pool throughput scaling (1/2/4 domains, wall-clock)";
   let open Qcomp_server in
   let n = 60 in
-  let queries =
-    List.map
-      (fun (q : Qcomp_workloads.Spec.query) ->
-        (q.Qcomp_workloads.Spec.q_name, q.Qcomp_workloads.Spec.q_plan))
-      (Experiments.queries_of Experiments.Tpcds)
+  let stream =
+    Server.make_stream ~seed:42L ~n
+      (named_plans (Experiments.queries_of Experiments.Tpcds))
   in
-  let stream = Server.make_stream ~seed:42L ~n queries in
   let cfg = { Server.default_config with Server.mode = Server.Tiered } in
   Printf.printf "TPC-DS-like, sf=%d, %d-query tiered stream\n" sf_tpch_small n;
   Printf.printf
@@ -755,34 +802,25 @@ let serve_scaling () =
      single-core host extra domains measure pure overhead)\n\n"
     (Domain.recommended_domain_count ());
   Printf.printf "%-10s %12s %14s\n" "domains" "makespan [s]" "queries/s";
-  let multiset r =
-    List.sort compare
-      (List.map
-         (fun (q : Server.query_metrics) ->
-           (q.Report.qm_name, q.Report.qm_rows, q.Report.qm_checksum))
-         r.Report.r_queries)
+  let results =
+    List.map
+      (fun domains ->
+        let db =
+          Experiments.make_db Target.x64 Experiments.Tpcds ~sf:sf_tpch_small
+        in
+        let r =
+          Server.run ~parallel:true db { cfg with Server.workers = domains } stream
+        in
+        Printf.printf "%-10d %12.3f %14.1f\n" domains r.Report.r_makespan
+          r.Report.r_throughput;
+        result_multiset r)
+      [ 1; 2; 4 ]
   in
-  let baseline = ref None in
-  List.iter
-    (fun domains ->
-      let db =
-        Experiments.make_db Target.x64 Experiments.Tpcds ~sf:sf_tpch_small
-      in
-      let r =
-        Server.run ~parallel:true db { cfg with Server.workers = domains } stream
-      in
-      Printf.printf "%-10d %12.3f %14.1f\n" domains r.Report.r_makespan
-        r.Report.r_throughput;
-      match !baseline with
-      | None -> baseline := Some (multiset r)
-      | Some b ->
-          if b <> multiset r then begin
-            Printf.printf
-              "VIOLATION: %d-domain results differ from 1-domain run\n" domains;
-            exit 1
-          end)
-    [ 1; 2; 4 ];
-  print_endline "results identical across domain counts -> OK"
+  emit
+    [
+      check "serve-scaling" "results_identical_across_domains"
+        (List.for_all (( = ) (List.hd results)) results);
+    ]
 
 (* ---------------- copy-and-patch stencil rung ---------------- *)
 
@@ -790,7 +828,7 @@ let serve_scaling () =
    order of magnitude under DirectEmit's encode loop, at execution speed
    between the interpreter and DirectEmit. This experiment measures
    exactly that on the TPC-H-like workload and records the result as
-   BENCH_stencil.json, next to the baseline below:
+   BENCH_stencil.json, against the baselines below:
 
    - artifact generation time per back-end (the back-end's own work —
      blit + patch for stencil, ISel + encode for the others), best of
@@ -812,20 +850,16 @@ let stencil_cpr_gate = 62_000.0
    reloaded by each consumer) that register forwarding replaced, measured
    with this same experiment: cycles are deterministic; generation times
    are the run with the median ratio out of ten, on a shared 2-core
-   x86-64 host, dune dev profile. *)
-let stencil_baseline =
-  [
-    ("artifact_generation_s",
-      [ ("stencil", "0.000545"); ("directemit", "0.006286"); ("cranelift", "0.023482") ]);
-    ("exec_cycles",
-      [ ("interpreter", "45731637"); ("stencil", "24498844"); ("directemit", "14530619");
-        ("cranelift", "14108206") ]);
-    ("cycles_per_row",
-      [ ("interpreter", "156080.7"); ("stencil", "83613.8"); ("directemit", "49592.6");
-        ("cranelift", "48150.9") ]);
-  ]
+   x86-64 host, dune dev profile. The per-row baselines divide by this
+   run's row count, which the checksums pin. *)
+let always_spill_generation_s =
+  [ ("stencil", 0.000545); ("directemit", 0.006286); ("cranelift", 0.023482) ]
 
-let stencil_baseline_ratio = 11.53
+let always_spill_exec_cycles =
+  [ ("interpreter", 45_731_637); ("stencil", 24_498_844);
+    ("directemit", 14_530_619); ("cranelift", 14_108_206) ]
+
+let always_spill_ratio = 11.53
 
 let bench_stencil () =
   header "Stencil: copy-and-patch vs DirectEmit/Cranelift (TPC-H-like, x86-64)";
@@ -883,7 +917,6 @@ let bench_stencil () =
   done;
   let artifact_s = List.map (fun (name, _, best) -> (name, !best)) sweeps in
   let gen_of n = List.assoc n artifact_s in
-  let ratio = gen_of "directemit" /. gen_of "stencil" in
   (* end-to-end runs: compile+execute, checksums against the interpreter *)
   let runs =
     List.map
@@ -914,9 +947,7 @@ let bench_stencil () =
   let rows_of (r : Experiments.workload_result) =
     List.fold_left (fun a q -> a + q.Experiments.qr_rows) 0 r.Experiments.wr_queries
   in
-  let cpr (r : Experiments.workload_result) =
-    float_of_int r.Experiments.wr_exec_cycles /. float_of_int (max 1 (rows_of r))
-  in
+  let per_row cycles r = float cycles /. float (max 1 (rows_of r)) in
   (* what the serving drivers will do with the new rung *)
   let ladder = List.map fst (Engine.tier_ladder db) in
   let first_native = match ladder with _ :: n :: _ -> n | _ -> "" in
@@ -935,123 +966,51 @@ let bench_stencil () =
   Printf.printf "%-12s %16s %12s %14s\n" "back-end" "artifact gen [s]"
     "exec [s]" "cycles/row";
   List.iter
-    (fun (name, r) ->
+    (fun (name, (r : Experiments.workload_result)) ->
       Printf.printf "%-12s %16.6f %12.3f %14.1f\n" name
         (try gen_of name with Not_found -> 0.0)
         (Experiments.cycles_to_seconds r.Experiments.wr_exec_cycles)
-        (cpr r))
+        (per_row r.Experiments.wr_exec_cycles r))
     runs;
-  Printf.printf
-    "\nstencil artifact generation: %.1fx faster than directemit -> %s\n" ratio
-    (if ratio >= 10.0 then "OK" else "VIOLATION");
-  let stencil_cpr = cpr (List.assoc "stencil" runs) in
-  Printf.printf "stencil cycles/row: %.1f (gate %.0f) -> %s\n" stencil_cpr
-    stencil_cpr_gate
-    (if stencil_cpr <= stencil_cpr_gate then "OK" else "VIOLATION");
-  Printf.printf "checksums vs interpreter: %s\n"
-    (if mismatches = [] then "all match -> OK"
-     else "MISMATCH " ^ String.concat " " mismatches);
-  Printf.printf "tier ladder: %s (first native rung %s -> %s)\n"
-    (String.concat " -> " ladder) first_native
-    (if first_native = "stencil" then "OK" else "VIOLATION");
-  Printf.printf "cost model prices every rung -> %s\n"
-    (if priced then "OK" else "VIOLATION");
-  let exec_interp = float_of_int interp.Experiments.wr_exec_cycles in
-  let exec_stencil =
-    float_of_int (List.assoc "stencil" runs).Experiments.wr_exec_cycles
-  in
-  Printf.printf "stencil executes %.2fx faster than the interpreter -> %s\n"
-    (exec_interp /. exec_stencil)
-    (if exec_stencil < exec_interp then "OK" else "VIOLATION");
-  let oc = open_out "BENCH_stencil.json" in
-  let obj indent fields =
-    String.concat ",\n"
-      (List.map (fun (n, v) -> Printf.sprintf "%s%S: %s" indent n v) fields)
-  in
-  Printf.fprintf oc "{\n  \"workload\": \"tpch\",\n  \"sf\": %d,\n" sf_tpch_small;
-  Printf.fprintf oc "  \"queries\": %d,\n" (List.length modules);
-  Printf.fprintf oc "  \"artifact_generation_s\": {\n%s\n  },\n"
-    (obj "    " (List.map (fun (n, s) -> (n, Printf.sprintf "%.6f" s)) artifact_s));
-  Printf.fprintf oc "  \"exec_cycles\": {\n%s\n  },\n"
-    (obj "    "
-       (List.map
-          (fun (n, (r : Experiments.workload_result)) ->
-            (n, string_of_int r.Experiments.wr_exec_cycles))
-          runs));
-  Printf.fprintf oc "  \"cycles_per_row\": {\n%s\n  },\n"
-    (obj "    " (List.map (fun (n, r) -> (n, Printf.sprintf "%.1f" (cpr r))) runs));
-  Printf.fprintf oc "  \"stencil_vs_directemit_compile\": %.2f,\n" ratio;
-  Printf.fprintf oc "  \"stencil_cycles_per_row_gate\": %.0f,\n" stencil_cpr_gate;
-  Printf.fprintf oc "  \"checksums_match_interpreter\": %b,\n" (mismatches = []);
-  Printf.fprintf oc "  \"first_native_tier\": %S,\n" first_native;
-  Printf.fprintf oc "  \"ladder_fully_priced\": %b,\n" priced;
-  Printf.fprintf oc "  \"baseline_always_spill\": {\n%s,\n    \"stencil_vs_directemit_compile\": %.2f\n  }\n}\n"
-    (obj "    "
-       (List.map
-          (fun (n, fields) -> (n, "{\n" ^ obj "      " fields ^ "\n    }"))
-          stencil_baseline))
-    stencil_baseline_ratio;
-  close_out oc;
-  Printf.printf "wrote BENCH_stencil.json\n";
-  if
-    ratio < 10.0 || mismatches <> [] || first_native <> "stencil"
-    || not priced
-    || exec_stencil >= exec_interp
-    || stencil_cpr > stencil_cpr_gate
-  then exit 1
-
-(* ---------------- Bechamel micro-suite ---------------- *)
-
-(* One Test.make per table/figure: each benchmark runs the compile-time
-   kernel behind the corresponding result on a 3-query sample. *)
-let bechamel_suite () =
-  header "Bechamel micro-benchmarks (one per table/figure)";
-  let open Bechamel in
-  let queries =
-    List.filteri (fun i _ -> i < 3) (Experiments.queries_of Experiments.Tpcds)
-  in
-  (* one database per target, built outside the measured closure so the
-     benchmark isolates compilation *)
-  let db_x64 =
-    Experiments.make_db ~mem_size:(64 * 1024 * 1024) Target.x64 Experiments.Tpcds ~sf:1
-  in
-  let db_a64 =
-    Experiments.make_db ~mem_size:(64 * 1024 * 1024) Target.a64 Experiments.Tpcds ~sf:1
-  in
-  let kernel target backend () =
-    let db = if target.Target.arch = Target.X64 then db_x64 else db_a64 in
-    ignore
-      (Experiments.run_workload ~execute:false ~timing_enabled:false db backend queries)
-  in
-  let tests =
-    [
-      Test.make ~name:"table1_gcc" (Staged.stage (kernel Target.x64 Engine.gcc));
-      Test.make ~name:"fig2_llvm_cheap" (Staged.stage (kernel Target.x64 Engine.llvm_cheap));
-      Test.make ~name:"fig2_llvm_opt" (Staged.stage (kernel Target.x64 Engine.llvm_opt));
-      Test.make ~name:"fig3_llvm_cheap_a64" (Staged.stage (kernel Target.a64 Engine.llvm_cheap));
-      Test.make ~name:"table2_fig4_cranelift" (Staged.stage (kernel Target.x64 Engine.cranelift));
-      Test.make ~name:"fig5_directemit" (Staged.stage (kernel Target.x64 Engine.directemit));
-      Test.make ~name:"table3_fig6_interpreter" (Staged.stage (kernel Target.x64 Engine.interpreter));
-      Test.make ~name:"fig7_tpch_llvm_opt" (Staged.stage (kernel Target.x64 Engine.llvm_opt));
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:12 ~quota:(Time.second 1.5) () in
-  let raw =
-    Benchmark.all cfg [ instance ]
-      (Test.make_grouped ~name:"qcomp" ~fmt:"%s %s" tests)
-  in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  Printf.printf "  %-34s %14s\n" "benchmark" "time/run";
-  Hashtbl.iter
-    (fun name v ->
-      match Analyze.OLS.estimates v with
-      | Some (e :: _) -> Printf.printf "  %-34s %11.3f ms\n" name (e /. 1e6)
-      | _ -> Printf.printf "  %-34s %14s\n" name "n/a")
-    results
+  Printf.printf "\ntier ladder: %s\n" (String.concat " -> " ladder);
+  if mismatches <> [] then
+    Printf.printf "checksum mismatches: %s\n" (String.concat " " mismatches);
+  let exec_cycles name = (List.assoc name runs).Experiments.wr_exec_cycles in
+  let r = record "stencil" in
+  emit ~write:true
+    ([
+       r Count "scale_factor" (float sf_tpch_small);
+       r Count "queries" (float (List.length modules));
+       r Wall_s "stencil_vs_directemit_compile" ~unit:"x"
+         (gen_of "directemit" /. gen_of "stencil")
+         ~baseline:always_spill_ratio ~gate:(Ge, 10.0);
+     ]
+    @ List.map
+        (fun (name, s) ->
+          r Wall_s ("artifact_generation_s." ^ name) ~unit:"s" s
+            ~baseline:(List.assoc name always_spill_generation_s))
+        artifact_s
+    @ List.concat_map
+        (fun (name, (w : Experiments.workload_result)) ->
+          let base = List.assoc name always_spill_exec_cycles in
+          [
+            r Cycles ("exec_cycles." ^ name) ~unit:"cycles"
+              (float w.Experiments.wr_exec_cycles)
+              ~baseline:(float base);
+            r Cycles ("cycles_per_row." ^ name) ~unit:"cycles/row"
+              (per_row w.Experiments.wr_exec_cycles w)
+              ~baseline:(per_row base w)
+              ?gate:(if name = "stencil" then Some (Le, stencil_cpr_gate) else None);
+          ])
+        runs
+    @ [
+        check "stencil" "checksums_match_interpreter" (mismatches = []);
+        check "stencil" "first_native_tier_is_stencil" (first_native = "stencil");
+        check "stencil" "ladder_fully_priced" priced;
+        r Cycles "stencil_exec_speedup_vs_interpreter" ~unit:"x"
+          (float (exec_cycles "interpreter") /. float (exec_cycles "stencil"))
+          ~gate:(Gt, 1.0);
+      ])
 
 (* Serving under load: the same open-loop traffic trace served three ways
    on the deterministic discrete-event driver — steady (Poisson arrivals,
@@ -1063,19 +1022,15 @@ let bechamel_suite () =
    zero; overload sheds > 0 with queue-peak <= cap; p99 >= p95 >= p50 on
    every run; capped-vs-uncapped admitted results identical; the capped
    run repeated from the same seed is byte-identical, shed set included.
-   Recorded as BENCH_load.json. *)
+   Recorded as BENCH_load.json; the pool run's latencies are wall-clock,
+   so unlike the other files it does not rewrite byte for byte. *)
 let serve_load () =
   header
     "Serving under load: open-loop traffic, admission control, tail latency";
   let open Qcomp_server in
   let n = 120 in
   let tenants = 3 in
-  let queries =
-    List.map
-      (fun (q : Qcomp_workloads.Spec.query) ->
-        (q.Qcomp_workloads.Spec.q_name, q.Qcomp_workloads.Spec.q_plan))
-      (Experiments.queries_of Experiments.Tpch)
-  in
+  let queries = named_plans (Experiments.queries_of Experiments.Tpch) in
   let requests arrival =
     List.map
       (fun (name, plan, at, tenant) ->
@@ -1113,119 +1068,69 @@ let serve_load () =
   let uncapped = run ~cap:None burst_reqs in
   (* wall-clock flavor: over-provisioned pool must admit everything *)
   let pool = run ~domains:2 ~cap:(Some (n + 1)) steady_reqs in
-  let show name (r : Server.report) =
+  let print_report name (r : Server.report) =
     Printf.printf "%s:\n" name;
     Format.printf "%a@." (Server.pp_report ~per_query:false) r
   in
-  show
+  print_report
     (Printf.sprintf "steady  %s, cap 256, %d tenants"
        (Qcomp_workloads.Trafficgen.arrival_name steady_arrival) tenants)
     steady;
-  show
+  print_report
     (Printf.sprintf "overload  %s, cap %d"
        (Qcomp_workloads.Trafficgen.arrival_name burst_arrival) cap)
     overload;
-  show "overload uncapped (differential baseline)" uncapped;
-  show "steady on 2-domain pool (wall-clock), cap n+1" pool;
+  print_report "overload uncapped (differential baseline)" uncapped;
+  print_report "steady on 2-domain pool (wall-clock), cap n+1" pool;
   let ordered (r : Server.report) =
-    if r.Report.r_p99_latency >= r.Report.r_p95_latency
-       && r.Report.r_p95_latency >= r.Report.r_p50_latency
-       && r.Report.r_p99_first_row >= r.Report.r_p95_first_row
-       && r.Report.r_p95_first_row >= r.Report.r_p50_first_row
-    then true
-    else false
+    r.Report.r_p99_latency >= r.Report.r_p95_latency
+    && r.Report.r_p95_latency >= r.Report.r_p50_latency
+    && r.Report.r_p99_first_row >= r.Report.r_p95_first_row
+    && r.Report.r_p95_first_row >= r.Report.r_p50_first_row
   in
-  let percentiles_ok =
-    List.for_all ordered [ steady; overload; uncapped; pool ]
+  let r = record "load" in
+  let scenario ?shed ?peak ?(kind = Modelled_s) name (rep : Server.report) =
+    let seconds metric v = r kind (name ^ "." ^ metric) ~unit:"s" v in
+    [
+      r Count (name ^ ".completed") (float (List.length rep.Report.r_queries));
+      r Count (name ^ ".shed") (float (List.length rep.Report.r_sheds)) ?gate:shed;
+      r Count (name ^ ".queue_peak") (float rep.Report.r_queue_peak) ?gate:peak;
+      seconds "p50_s" rep.Report.r_p50_latency;
+      seconds "p95_s" rep.Report.r_p95_latency;
+      seconds "p99_s" rep.Report.r_p99_latency;
+      seconds "max_s" rep.Report.r_max_latency;
+      seconds "mean_s" rep.Report.r_mean_latency;
+      seconds "p50_first_row_s" rep.Report.r_p50_first_row;
+      seconds "p95_first_row_s" rep.Report.r_p95_first_row;
+      seconds "p99_first_row_s" rep.Report.r_p99_first_row;
+      (* compile charges are modelled on both drivers *)
+      r Modelled_s (name ^ ".compile_stall_s") ~unit:"s"
+        rep.Report.r_compile_stall_s;
+    ]
   in
   (* every query the capped run admitted must be bit-identical uncapped *)
-  let by_name (r : Server.report) =
-    List.sort compare
-      (List.map
-         (fun (q : Server.query_metrics) ->
-           (q.Report.qm_name, q.Report.qm_rows, q.Report.qm_checksum))
-         r.Report.r_queries)
-  in
-  let uncapped_set = by_name uncapped in
-  let admitted_identical =
-    List.for_all (fun k -> List.mem k uncapped_set) (by_name overload)
-  in
-  (* same seed, same cap -> byte-identical report, shed set included *)
-  let repeat_identical =
-    by_name overload = by_name overload2
-    && overload.Report.r_sheds = overload2.Report.r_sheds
-    && overload.Report.r_queue_peak = overload2.Report.r_queue_peak
-    && overload.Report.r_makespan = overload2.Report.r_makespan
-  in
-  let sheds r = List.length r.Report.r_sheds in
-  Printf.printf
-    "summary: %d requests, %d tenants\n\
-    \  steady sheds %d (= 0) -> %s; pool sheds %d (= 0) -> %s\n\
-    \  overload sheds %d (> 0) -> %s; queue-peak %d (<= cap %d) -> %s\n\
-    \  uncapped sheds %d (= 0) -> %s; admitted results identical uncapped \
-     -> %s\n\
-    \  p99 >= p95 >= p50 on all runs -> %s; same-seed repeat identical -> \
-     %s\n"
-    n tenants (sheds steady)
-    (gate (sheds steady = 0))
-    (sheds pool)
-    (gate (sheds pool = 0))
-    (sheds overload)
-    (gate (sheds overload > 0))
-    overload.Report.r_queue_peak cap
-    (gate (overload.Report.r_queue_peak <= cap))
-    (sheds uncapped)
-    (gate (sheds uncapped = 0))
-    (gate admitted_identical) (gate percentiles_ok) (gate repeat_identical);
-  let scenario oc name (r : Server.report) =
-    Printf.fprintf oc "  \"%s\": {\n" name;
-    Printf.fprintf oc "    \"completed\": %d,\n"
-      (List.length r.Report.r_queries);
-    Printf.fprintf oc "    \"shed\": %d,\n" (sheds r);
-    Printf.fprintf oc "    \"queue_peak\": %d,\n" r.Report.r_queue_peak;
-    Printf.fprintf oc "    \"p50_s\": %.6f,\n" r.Report.r_p50_latency;
-    Printf.fprintf oc "    \"p95_s\": %.6f,\n" r.Report.r_p95_latency;
-    Printf.fprintf oc "    \"p99_s\": %.6f,\n" r.Report.r_p99_latency;
-    Printf.fprintf oc "    \"max_s\": %.6f,\n" r.Report.r_max_latency;
-    Printf.fprintf oc "    \"mean_s\": %.6f,\n" r.Report.r_mean_latency;
-    Printf.fprintf oc "    \"p50_first_row_s\": %.6f,\n"
-      r.Report.r_p50_first_row;
-    Printf.fprintf oc "    \"p95_first_row_s\": %.6f,\n"
-      r.Report.r_p95_first_row;
-    Printf.fprintf oc "    \"p99_first_row_s\": %.6f,\n"
-      r.Report.r_p99_first_row;
-    Printf.fprintf oc "    \"compile_stall_s\": %.6f,\n"
-      r.Report.r_compile_stall_s;
-    Printf.fprintf oc "    \"hist_samples\": %d\n"
-      (Hist.count r.Report.r_lat_hist);
-    Printf.fprintf oc "  }"
-  in
-  let oc = open_out "BENCH_load.json" in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"requests\": %d,\n" n;
-  Printf.fprintf oc "  \"tenants\": %d,\n" tenants;
-  Printf.fprintf oc "  \"cap\": %d,\n" cap;
-  scenario oc "steady" steady;
-  Printf.fprintf oc ",\n";
-  scenario oc "overload" overload;
-  Printf.fprintf oc ",\n";
-  scenario oc "uncapped" uncapped;
-  Printf.fprintf oc ",\n";
-  scenario oc "pool_steady" pool;
-  Printf.fprintf oc ",\n";
-  Printf.fprintf oc "  \"admitted_identical\": %b,\n" admitted_identical;
-  Printf.fprintf oc "  \"repeat_identical\": %b,\n" repeat_identical;
-  Printf.fprintf oc "  \"percentiles_ordered\": %b\n}\n" percentiles_ok;
-  close_out oc;
-  Printf.printf "wrote BENCH_load.json\n";
-  if
-    sheds steady <> 0 || sheds pool <> 0 || sheds overload = 0
-    || overload.Report.r_queue_peak > cap
-    || sheds uncapped <> 0
-    || (not admitted_identical)
-    || (not percentiles_ok)
-    || not repeat_identical
-  then exit 1
+  let uncapped_set = result_multiset uncapped in
+  emit ~write:true
+    ([ r Count "requests" (float n); r Count "tenants" (float tenants);
+       r Count "cap" (float cap) ]
+    @ scenario "steady" steady ~shed:(Eq, 0.0)
+    @ scenario "overload" overload ~shed:(Gt, 0.0) ~peak:(Le, float cap)
+    @ scenario "uncapped" uncapped ~shed:(Eq, 0.0)
+    @ scenario "pool_steady" pool ~kind:Wall_s ~shed:(Eq, 0.0)
+    @ [
+        check "load" "admitted_identical"
+          (List.for_all
+             (fun k -> List.mem k uncapped_set)
+             (result_multiset overload));
+        check "load" "percentiles_ordered"
+          (List.for_all ordered [ steady; overload; uncapped; pool ]);
+        (* same seed, same cap -> byte-identical report, shed set included *)
+        check "load" "repeat_identical"
+          (result_multiset overload = result_multiset overload2
+          && overload.Report.r_sheds = overload2.Report.r_sheds
+          && overload.Report.r_queue_peak = overload2.Report.r_queue_peak
+          && overload.Report.r_makespan = overload2.Report.r_makespan);
+      ])
 
 (* Tagged-probe hash table: cycles per probe on three TPC-H joins —
    match-heavy (spread keys, every probe finds its order), miss-heavy
@@ -1294,10 +1199,6 @@ let bench_join () =
   let other_backends =
     [ Engine.directemit; Engine.cranelift; Engine.llvm_opt; Engine.gcc ]
   in
-  (* sorted-multiset checksum: Direct tables emit rows in insertion order
-     rather than slot order, so back-ends agree on the multiset, not
-     necessarily on row order *)
-  let multiset_checksum rows = Engine.checksum (List.sort compare rows) in
   let measure backend name plan =
     let db = Experiments.make_db Target.x64 Experiments.Tpch ~sf in
     let timing = Timing.create ~enabled:false () in
@@ -1311,6 +1212,7 @@ let bench_join () =
       s1.Ht.probe_cycles - s0.Ht.probe_cycles,
       s1.Ht.direct_probes - s0.Ht.direct_probes )
   in
+  let r = record "join" in
   let results =
     List.map
       (fun (jname, plan) ->
@@ -1326,66 +1228,50 @@ let bench_join () =
                  o = reference)
                other_backends
         in
-        let cpp_base = float_of_int bc /. float_of_int bp in
-        let cpp_tagged = float_of_int tc /. float_of_int (max 1 tp) in
+        let cpp_base = float bc /. float bp in
+        let cpp_tagged = float tc /. float (max 1 tp) in
         Printf.printf
           "%-12s baseline %.2f cyc/probe (%d probes)  tagged %.2f cyc/probe \
            (%d probes, %d direct)  %+.1f%%  identical across back-ends: %b\n"
           jname cpp_base bp cpp_tagged tp dp
           (100.0 *. ((cpp_tagged /. cpp_base) -. 1.0))
           identical;
-        (jname, cpp_base, cpp_tagged, bp, tp, dp, ec, identical))
+        let metric m = jname ^ "." ^ m in
+        ( jname,
+          1.0 -. (cpp_tagged /. cpp_base),
+          identical,
+          [
+            r Cycles (metric "cycles_per_probe") ~unit:"cycles/probe" cpp_tagged
+              ~baseline:cpp_base;
+            r Count (metric "probes") ~unit:"probes" (float tp) ~baseline:(float bp);
+            (* the dense-key join must be served by direct addressing *)
+            r Count (metric "direct_probes") ~unit:"probes" (float dp)
+              ?gate:
+                (if jname = "dense_key" then Some (Ge, float (tp / 2)) else None);
+            r Cycles (metric "exec_cycles") ~unit:"cycles" (float ec);
+            check "join" ~gated:false (metric "identical_across_backends")
+              identical;
+          ] ))
       joins
   in
-  let find name =
-    List.find (fun (n, _, _, _, _, _, _, _) -> n = name) results
+  let _, miss_improvement, _, _ =
+    List.find (fun (n, _, _, _) -> n = "miss_heavy") results
   in
-  let _, miss_l, miss_t, _, _, _, _, _ = find "miss_heavy" in
-  let _, _, _, _, dense_probes, dense_direct, _, _ = find "dense_key" in
-  let improvement = 1.0 -. (miss_t /. miss_l) in
-  let all_identical =
-    List.for_all (fun (_, _, _, _, _, _, _, ok) -> ok) results
-  in
-  let direct_served = dense_direct >= dense_probes / 2 in
-  Printf.printf
-    "summary: miss-heavy improvement %.1f%% (>= 25%%) -> %s\n\
-    \  dense-key probes served direct: %d/%d -> %s\n\
-    \  result multisets identical (all joins, all back-ends) -> %s\n"
-    (100.0 *. improvement)
-    (if improvement >= 0.25 then "OK" else "VIOLATION")
-    dense_direct dense_probes
-    (if direct_served then "OK" else "VIOLATION")
-    (if all_identical then "OK" else "VIOLATION");
-  let oc = open_out "BENCH_join.json" in
-  Printf.fprintf oc "{\n  \"workload\": \"tpch\",\n  \"sf\": %d,\n" sf;
-  Printf.fprintf oc "  \"joins\": {\n";
-  List.iteri
-    (fun i (jname, cl, ct, lp, tp, dp, ec, ok) ->
-      Printf.fprintf oc
-        "    \"%s\": {\n\
-        \      \"legacy_cycles_per_probe\": %.3f,\n\
-        \      \"tagged_cycles_per_probe\": %.3f,\n\
-        \      \"legacy_probes\": %d,\n\
-        \      \"tagged_probes\": %d,\n\
-        \      \"direct_probes\": %d,\n\
-        \      \"exec_cycles_tagged\": %d,\n\
-        \      \"identical_across_backends\": %b\n    }%s\n"
-        jname cl ct lp tp dp ec ok
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  Printf.fprintf oc "  },\n";
-  Printf.fprintf oc "  \"miss_heavy_improvement\": %.4f,\n" improvement;
-  Printf.fprintf oc "  \"all_identical\": %b\n}\n" all_identical;
-  close_out oc;
-  Printf.printf "wrote BENCH_join.json\n";
-  if improvement < 0.25 || (not direct_served) || not all_identical then
-    exit 1
+  emit ~write:true
+    ((r Count "scale_factor" (float sf)
+     :: List.concat_map (fun (_, _, _, records) -> records) results)
+    @ [
+        r Cycles "miss_heavy_improvement" ~unit:"fraction" miss_improvement
+          ~gate:(Ge, 0.25);
+        check "join" "all_identical"
+          (List.for_all (fun (_, _, ok, _) -> ok) results);
+      ])
 
 (* Intra-query morsel-driven parallelism: simulated wall-clock cycles of
-   heavy TPC-H queries at 1/2/4 lanes on one compiled module. Gate: the
-   scan-dominated aggregate (q01) must clear a 1.5x wall-cycle speedup at
-   4 lanes, and every lane count must reproduce the serial multiset.
-   Recorded as BENCH_morsel.json. *)
+   heavy TPC-H queries at 1/2/4 lanes on one compiled module (stencil
+   tier). Gate: the scan-dominated aggregate (q01) must clear a 1.5x
+   wall-cycle speedup at 4 lanes, and every lane count must reproduce
+   the serial multiset. Recorded as BENCH_morsel.json. *)
 let bench_morsel () =
   let open Qcomp_server in
   header "Morsel-driven intra-query parallelism: wall cycles vs lanes";
@@ -1408,7 +1294,7 @@ let bench_morsel () =
           else None ))
       lane_counts
   in
-  let multiset_checksum rows = Engine.checksum (List.sort compare rows) in
+  let r = record "morsel" in
   let results =
     List.map
       (fun (q : Qcomp_workloads.Spec.query) ->
@@ -1420,64 +1306,40 @@ let bench_morsel () =
                 (fun (lanes, sched) ->
                   let ex = Exec.start ?sched db cq cm in
                   Exec.run_to_end ex ~morsel:512;
-                  let r = Exec.result ex in
+                  let res = Exec.result ex in
                   let wall = Exec.wall_cycles ex in
                   Exec.dispose ex;
-                  (lanes, wall, multiset_checksum r.Engine.rows,
-                   r.Engine.output_count))
+                  (lanes, wall, multiset_checksum res.Engine.rows))
                 scheds
             in
-            let _, w1, sum1, _ = List.hd runs in
+            let _, w1, sum1 = List.hd runs in
             let identical =
-              List.for_all (fun (_, _, s, _) -> Int64.equal s sum1) runs
+              List.for_all (fun (_, _, s) -> Int64.equal s sum1) runs
             in
-            let _, w4, _, _ = List.nth runs (List.length runs - 1) in
-            let speedup = float_of_int w1 /. float_of_int (max 1 w4) in
+            let _, w4, _ = List.nth runs (List.length runs - 1) in
+            let speedup = float w1 /. float (max 1 w4) in
             Printf.printf "%-4s  wall cycles" name;
-            List.iter
-              (fun (lanes, w, _, _) -> Printf.printf "  @%d: %9d" lanes w)
-              runs;
+            List.iter (fun (lanes, w, _) -> Printf.printf "  @%d: %9d" lanes w) runs;
             Printf.printf "  speedup@4: %.2fx  multisets %s\n" speedup
               (if identical then "identical" else "DIVERGED");
-            (name, runs, speedup, identical)))
+            ( identical,
+              List.map
+                (fun (lanes, w, _) ->
+                  r Cycles (Printf.sprintf "%s.wall_cycles_at_%d" name lanes)
+                    ~unit:"cycles" (float w))
+                runs
+              @ [
+                  (* the scan-dominated aggregate carries the gate *)
+                  r Cycles (name ^ ".speedup_at_4") ~unit:"x" speedup
+                    ?gate:(if name = "q01" then Some (Ge, 1.5) else None);
+                  check "morsel" ~gated:false (name ^ ".identical") identical;
+                ] )))
       queries
   in
-  let heavy_speedup =
-    match List.find_opt (fun (n, _, _, _) -> n = "q01") results with
-    | Some (_, _, s, _) -> s
-    | None -> 0.0
-  in
-  let all_identical = List.for_all (fun (_, _, _, ok) -> ok) results in
   line ();
-  Printf.printf
-    "heavy query (q01) wall-cycle speedup at 4 lanes: %.2fx (gate 1.50x) -> \
-     %s\nresult multisets identical at every lane count -> %s\n"
-    heavy_speedup
-    (if heavy_speedup >= 1.5 then "OK" else "VIOLATION")
-    (if all_identical then "OK" else "VIOLATION");
-  let oc = open_out "BENCH_morsel.json" in
-  Printf.fprintf oc "{\n  \"workload\": \"tpch\",\n  \"sf\": %d,\n" sf;
-  Printf.fprintf oc "  \"backend\": \"stencil\",\n  \"queries\": {\n";
-  List.iteri
-    (fun i (name, runs, speedup, identical) ->
-      Printf.fprintf oc "    \"%s\": {\n      \"wall_cycles\": {" name;
-      List.iteri
-        (fun j (lanes, w, _, _) ->
-          Printf.fprintf oc "%s\"%d\": %d"
-            (if j = 0 then "" else ", ")
-            lanes w)
-        runs;
-      Printf.fprintf oc
-        "},\n      \"speedup_at_4\": %.4f,\n      \"identical\": %b\n    }%s\n"
-        speedup identical
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  Printf.fprintf oc "  },\n";
-  Printf.fprintf oc "  \"heavy_speedup_at_4\": %.4f,\n" heavy_speedup;
-  Printf.fprintf oc "  \"all_identical\": %b\n}\n" all_identical;
-  close_out oc;
-  Printf.printf "wrote BENCH_morsel.json\n";
-  if heavy_speedup < 1.5 || not all_identical then exit 1
+  emit ~write:true
+    ((r Count "scale_factor" (float sf) :: List.concat_map snd results)
+    @ [ check "morsel" "all_identical" (List.for_all fst results) ])
 
 (* ---------------- driver ---------------- *)
 
@@ -1505,7 +1367,6 @@ let experiments =
     ("ablation-struct", ablation_struct);
     ("ablation-codemodel", ablation_codemodel);
     ("ablation-tm", ablation_tm);
-    ("bechamel", bechamel_suite);
   ]
 
 let () =

@@ -60,17 +60,22 @@ let construct_target_machine (target : Target.t) =
   done;
   { tm_arch = target.Target.arch; tm_cost_table = cost; tm_sched_table = sched }
 
+(* one per architecture, shared by every domain that compiles: the lock
+   makes the find-or-build atomic, so concurrent first compiles neither
+   corrupt the table nor build a machine twice *)
 let tm_cache : (Target.arch, target_machine) Hashtbl.t = Hashtbl.create 2
+let tm_lock = Mutex.create ()
 
 let get_target_machine ~cache timing target =
   Timing.scope timing "TargetMachine" (fun () ->
       if cache then
-        match Hashtbl.find_opt tm_cache target.Target.arch with
-        | Some tm -> tm
-        | None ->
-            let tm = construct_target_machine target in
-            Hashtbl.add tm_cache target.Target.arch tm;
-            tm
+        Mutex.protect tm_lock (fun () ->
+            match Hashtbl.find_opt tm_cache target.Target.arch with
+            | Some tm -> tm
+            | None ->
+                let tm = construct_target_machine target in
+                Hashtbl.add tm_cache target.Target.arch tm;
+                tm)
       else construct_target_machine target)
 
 (* ---------------- per-module compilation ---------------- *)

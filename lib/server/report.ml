@@ -61,8 +61,6 @@ type t = {
   r_switchovers : int;
   r_sheds : shed list;  (** rejected at the admission cap, arrival order *)
   r_queue_peak : int;  (** admission-queue occupancy high-water mark *)
-  r_lat_hist : Hist.t;  (** end-to-end latency histogram *)
-  r_first_hist : Hist.t;  (** first-row latency histogram *)
   r_cache : Lru.stats;
   r_bytes_freed : int;  (** code bytes returned to the region allocator *)
   r_live_code_bytes : int;  (** resident generated code at end of run *)
@@ -97,10 +95,6 @@ let assemble db cache ~mode ~makespan ?(sheds = []) ?(queue_peak = 0) queries =
   Array.sort compare firsts;
   let n = List.length queries in
   let total_latency = Array.fold_left ( +. ) 0.0 lats in
-  let lat_hist = Hist.create () in
-  Array.iter (Hist.add lat_hist) lats;
-  let first_hist = Hist.create () in
-  Array.iter (Hist.add first_hist) firsts;
   {
     r_mode = mode;
     r_queries = queries;
@@ -122,8 +116,6 @@ let assemble db cache ~mode ~makespan ?(sheds = []) ?(queue_peak = 0) queries =
       List.length (List.filter (fun q -> q.qm_switch_s <> None) queries);
     r_sheds = sheds;
     r_queue_peak = queue_peak;
-    r_lat_hist = lat_hist;
-    r_first_hist = first_hist;
     r_cache = Code_cache.stats cache;
     r_bytes_freed = (Code_cache.mem_stats cache).Code_cache.ms_bytes_freed;
     r_live_code_bytes = Qcomp_vm.Emu.live_code_bytes db.Engine.emu;

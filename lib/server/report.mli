@@ -56,8 +56,6 @@ type t = {
   r_switchovers : int;
   r_sheds : shed list;  (** rejected at the admission cap, arrival order *)
   r_queue_peak : int;  (** admission-queue occupancy high-water mark *)
-  r_lat_hist : Hist.t;  (** end-to-end latency histogram *)
-  r_first_hist : Hist.t;  (** first-row latency histogram *)
   r_cache : Lru.stats;
   r_bytes_freed : int;  (** code bytes returned to the region allocator *)
   r_live_code_bytes : int;  (** resident generated code at end of run *)

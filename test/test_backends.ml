@@ -89,7 +89,9 @@ let differential target backends =
       let expect = run target Engine.interpreter plan in
       List.map
         (fun (bname, backend) ->
-          Alcotest.test_case (Printf.sprintf "%s/%s" bname pname) `Slow (fun () ->
+          Alcotest.test_case
+            (Printf.sprintf "%s/%s/%s" target.Qcomp_vm.Target.name bname pname)
+            `Slow (fun () ->
               let got = run target backend plan in
               check
                 Alcotest.(pair int64 int)
@@ -142,6 +144,52 @@ let unit_cases =
           (List.exists
              (fun (k, v) -> k = "btree_ops" && v > 0)
              cm.Qcomp_backend.Backend.cm_stats));
+    (* the serving pool's compile domains share LLVM's TargetMachine
+       cache; a race there shows as a corrupted table or a crash, which
+       no schedule can be forced to produce, so this exercises the
+       concurrent path and pins that it yields the serial artifact *)
+    Alcotest.test_case "llvm-opt compiles one module identically on several domains"
+      `Quick (fun () ->
+        let db = make_db Qcomp_vm.Target.x64 in
+        let cq = Engine.plan_to_ir db ~name:"q" (List.assoc "join" plans) in
+        let gen = Option.get (Qcomp_backend.Backend.compile_artifact Engine.llvm_opt) in
+        let compile () =
+          gen ~timing:(Qcomp_support.Timing.create ~enabled:false ())
+            ~target:Qcomp_vm.Target.x64 ~registry:db.Engine.registry
+            cq.Qcomp_codegen.Codegen.modul
+        in
+        let serial = compile () in
+        let domains = List.init 3 (fun _ -> Domain.spawn compile) in
+        List.iteri
+          (fun i d ->
+            check Alcotest.bool (Printf.sprintf "domain %d artifact" i) true
+              (Domain.join d = serial))
+          domains);
+    (* the cache is keyed by architecture: first compiles for x86-64 and
+       AArch64 run side by side before any serial compile, so whichever
+       key is still missing is built under concurrency *)
+    Alcotest.test_case "llvm-opt compiles for both targets at once on several domains"
+      `Quick (fun () ->
+        let gen = Option.get (Qcomp_backend.Backend.compile_artifact Engine.llvm_opt) in
+        let job target =
+          let db = make_db target in
+          let cq = Engine.plan_to_ir db ~name:"q" (List.assoc "agg" plans) in
+          fun () ->
+            gen ~timing:(Qcomp_support.Timing.create ~enabled:false ())
+              ~target ~registry:db.Engine.registry cq.Qcomp_codegen.Codegen.modul
+        in
+        let jobs =
+          List.map (fun t -> (t, job t))
+            Qcomp_vm.Target.[ x64; a64; x64; a64 ]
+        in
+        let domains = List.map (fun (t, f) -> (t, f, Domain.spawn f)) jobs in
+        List.iteri
+          (fun i (t, f, d) ->
+            let got = Domain.join d in
+            check Alcotest.bool
+              (Printf.sprintf "domain %d %s artifact" i t.Qcomp_vm.Target.name)
+              true (got = f ()))
+          domains);
   ]
 
 (* ---- LLVM pipeline variants on micro plans ---- *)

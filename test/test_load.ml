@@ -1,5 +1,6 @@
 (* Serving under load: the admission queue (cap, sheds, tenant-fair
-   dequeue), the latency histogram, the open-loop traffic generator, and
+   dequeue), the report's latency percentiles, the open-loop traffic
+   generator, and
    the load-path properties that matter — an idle Domain pool burning no
    host CPU, concurrent cache misses deduplicating to one back-end
    compile, the bound-instance MRU cap disposing overflow (claims
@@ -69,55 +70,6 @@ let admission_tests =
         assert (Admission.offer q ~tenant:5 7);
         check Alcotest.(option int) "tenant wraps to slot 1" (Some 7)
           (Admission.take q));
-  ]
-
-(* ---------------- latency histogram ---------------- *)
-
-let hist_tests =
-  [
-    Alcotest.test_case "count, mean, max; empty percentile is zero" `Quick
-      (fun () ->
-        let h = Hist.create () in
-        check (Alcotest.float 0.0) "empty percentile" 0.0 (Hist.percentile h 0.99);
-        check Alcotest.int "empty count" 0 (Hist.count h);
-        List.iter (Hist.add h) [ 0.001; 0.002; 0.003 ];
-        check Alcotest.int "count" 3 (Hist.count h);
-        check (Alcotest.float 1e-12) "mean exact" 0.002 (Hist.mean h);
-        check (Alcotest.float 1e-12) "max exact" 0.003 (Hist.max_value h));
-    Alcotest.test_case "percentiles are monotone and bracket the data" `Quick
-      (fun () ->
-        let h = Hist.create () in
-        for i = 1 to 100 do
-          Hist.add h (0.001 *. float_of_int i)
-        done;
-        let p50 = Hist.percentile h 0.5
-        and p95 = Hist.percentile h 0.95
-        and p99 = Hist.percentile h 0.99 in
-        check Alcotest.bool "p50 <= p95" true (p50 <= p95);
-        check Alcotest.bool "p95 <= p99" true (p95 <= p99);
-        (* log buckets overestimate by at most one bucket width (< 19%) and
-           never undershoot the true rank value *)
-        check Alcotest.bool "p50 bracket" true (p50 >= 0.050 && p50 <= 0.0595);
-        check Alcotest.bool "p99 bracket" true (p99 >= 0.099 && p99 <= 0.118);
-        check Alcotest.bool "p100 within max bucket" true
-          (Hist.percentile h 1.0 <= 0.1 *. 1.19));
-    Alcotest.test_case "merge adds counts and preserves moments" `Quick
-      (fun () ->
-        let a = Hist.create () and b = Hist.create () in
-        for _ = 1 to 100 do Hist.add a 0.001 done;
-        for _ = 1 to 50 do Hist.add b 0.016 done;
-        let m = Hist.merge a b in
-        check Alcotest.int "count adds" 150 (Hist.count m);
-        check (Alcotest.float 1e-12) "max is joint max" 0.016 (Hist.max_value m);
-        check (Alcotest.float 1e-9) "mean is weighted" 0.006 (Hist.mean m);
-        (* 100 of 150 samples at 1ms: p50 in the low bucket, p99 high *)
-        check Alcotest.bool "p50 low" true (Hist.percentile m 0.5 <= 0.00125);
-        check Alcotest.bool "p99 high" true (Hist.percentile m 0.99 >= 0.016);
-        (* bucket totals survive the merge *)
-        let total h =
-          List.fold_left (fun a (_, _, c) -> a + c) 0 (Hist.buckets h)
-        in
-        check Alcotest.int "bucket mass" 150 (total m));
   ]
 
 (* ---------------- traffic generator ---------------- *)
@@ -206,6 +158,51 @@ let make_db ?(rows = 64) () =
   db
 
 let scan = Algebra.Scan { table = "t"; filter = None }
+
+(* ---------------- report percentiles ---------------- *)
+
+(* Report.assemble's percentiles are nearest-rank values of the sorted
+   latencies: with latencies of 1..100 ms the p-th percentile is exactly
+   p ms, whatever the completion order. *)
+let percentile_test =
+  Alcotest.test_case "assemble reports nearest-rank percentiles" `Quick
+    (fun () ->
+      let metric i =
+        let ms = float_of_int (((i * 37) mod 100) + 1) *. 0.001 in
+        { Report.qm_name = "q"; qm_fp = 0L; qm_backend = "interpreter";
+          qm_arrival = 1.0; qm_start = 1.0; qm_finish = 1.0 +. ms;
+          qm_compile_s = 0.0; qm_cache_hit = false; qm_switch_s = None;
+          qm_quanta_tier0 = 0; qm_quanta_tier1 = 0; qm_tiers = [];
+          qm_exec_cycles = 0; qm_rows = 0; qm_checksum = 0L; qm_tenant = 0;
+          qm_first_s = ms /. 2.0 }
+      in
+      let r =
+        Report.assemble (make_db ()) (Code_cache.create ~capacity:4)
+          ~mode:"fixed" ~makespan:2.0 (List.init 100 metric)
+      in
+      let near what expect got = check (Alcotest.float 1e-9) what expect got in
+      near "p50" 0.050 r.Report.r_p50_latency;
+      near "p95" 0.095 r.Report.r_p95_latency;
+      near "p99" 0.099 r.Report.r_p99_latency;
+      near "max" 0.100 r.Report.r_max_latency;
+      near "mean" 0.0505 r.Report.r_mean_latency;
+      near "first-row p50" 0.025 r.Report.r_p50_first_row;
+      near "first-row p95" 0.0475 r.Report.r_p95_first_row;
+      near "first-row p99" 0.0495 r.Report.r_p99_first_row)
+
+let empty_report_test =
+  Alcotest.test_case "assemble on no queries reports zero latencies" `Quick
+    (fun () ->
+      let r =
+        Report.assemble (make_db ()) (Code_cache.create ~capacity:4)
+          ~mode:"empty" ~makespan:0.0 []
+      in
+      let zero what got = check (Alcotest.float 0.0) what 0.0 got in
+      zero "p50" r.Report.r_p50_latency;
+      zero "p99" r.Report.r_p99_latency;
+      zero "max" r.Report.r_max_latency;
+      zero "mean" r.Report.r_mean_latency;
+      zero "first-row p99" r.Report.r_p99_first_row)
 
 let fixed_plans =
   [
@@ -467,8 +464,10 @@ let sharded_cache_test =
             "warm results identical" (multiset one) (multiset rewarm)))
 
 let suite =
-  admission_tests @ hist_tests @ trafficgen_tests
+  admission_tests @ trafficgen_tests
   @ [
+      percentile_test;
+      empty_report_test;
       idle_pool_cpu_test;
       dedup_compile_test;
       mru_overflow_test;
