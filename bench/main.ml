@@ -268,40 +268,55 @@ let fig7_at sf label =
           Experiments.measure ~execute:true ~timing_enabled:false Target.x64
             Experiments.Tpch ~sf b
         in
-        (name, r))
+        (name, Qcomp_backend.Backend.name b, r))
       (List.filter (fun (n, _) -> n <> "Interpreter") (backends_for Target.x64))
+  in
+  (* what Engine.adaptive_backend would pick for each query, priced before
+     it runs *)
+  let picks =
+    let db = Experiments.make_db Target.x64 Experiments.Tpch ~sf in
+    List.map
+      (fun { Qcomp_workloads.Spec.q_name; q_plan; _ } ->
+        let cq = Engine.plan_to_ir db ~name:q_name q_plan in
+        (q_name, fst (Engine.adaptive_backend db q_plan cq.Qcomp_codegen.Codegen.modul)))
+      (Experiments.queries_of Experiments.Tpch)
   in
   let queries =
     match results with
-    | (_, r) :: _ -> List.map (fun q -> q.Experiments.qr_name) r.Experiments.wr_queries
+    | (_, _, r) :: _ -> List.map (fun q -> q.Experiments.qr_name) r.Experiments.wr_queries
     | [] -> []
   in
   let wins = Hashtbl.create 8 in
+  let agree = ref 0 in
   List.iteri
     (fun i qname ->
       let best =
         List.fold_left
-          (fun acc (name, r) ->
+          (fun acc (name, bname, r) ->
             let q = List.nth r.Experiments.wr_queries i in
             let total =
               q.Experiments.qr_compile_s
               +. Experiments.cycles_to_seconds q.Experiments.qr_exec_cycles
             in
             match acc with
-            | Some (_, t) when t <= total -> acc
-            | _ -> Some (name, total))
+            | Some (_, _, t) when t <= total -> acc
+            | _ -> Some (name, bname, total))
           None results
       in
       match best with
-      | Some (name, total) ->
+      | Some (name, bname, total) ->
           Hashtbl.replace wins name
             (1 + Option.value ~default:0 (Hashtbl.find_opt wins name));
-          Printf.printf "  %-5s -> %-12s (%.6f s)\n" qname name total
+          let pick = List.assoc qname picks in
+          if String.equal pick bname then incr agree;
+          Printf.printf "  %-5s -> %-12s (%.6f s)  adaptive pick %s\n" qname name total pick
       | None -> ())
     queries;
   print_string "wins:";
   Hashtbl.iter (fun k v -> Printf.printf " %s=%d" k v) wins;
-  print_newline ()
+  print_newline ();
+  Printf.printf "adaptive_backend's pick is the measured best on %d of %d queries\n"
+    !agree (List.length queries)
 
 let fig7 () =
   header "Fig. 7: back-end selection minimizing compile+execution time";
@@ -586,20 +601,20 @@ let serve () =
         ]
   | None -> ()
 
-(* Static-estimate Tiered vs the observation-driven tier controller
-   (--reopt) on the same stream. At sf=1 several TPC-H-like queries scan so
-   few rows that the pre-execution estimate picks the interpreter and never
-   tiers up — but their join pipelines make the observed cycles-per-row
-   high, so the controller upgrades them mid-flight (and caches the strong
-   module for every later stream occurrence). The comparison metric is
-   total machine seconds (compile charged + execution cycles), which is
+(* Tiered without reopt (the prior's pick only) vs the observation-driven
+   tier controller (--reopt) on the same stream. At sf=1 the fan-out query
+   scans so few rows that the prior picks a weak rung — but its join
+   pipelines make the observed cycles-per-row high, so the controller
+   re-prices and upgrades it mid-flight (and caches the stronger module for
+   every later stream occurrence). The comparison metric is total machine
+   seconds (compile charged + execution cycles), which is
    schedule-independent; rows/checksums must be bit-identical. *)
 let serve_reopt () =
-  header "Serving: static-estimate Tiered vs observation-driven reopt";
+  header "Serving: the prior's pick vs observation-driven reopt";
   let open Qcomp_server in
   let n = 60 in
-  (* sf=1 keeps the fan-out query below adaptive_backend's interpreter
-     threshold — the under-prediction the controller exists to correct *)
+  (* sf=1 keeps the fan-out query's estimated work small — the
+     under-prediction the controller exists to correct *)
   let sf = 1 in
   let queries =
     named_plans
@@ -636,14 +651,19 @@ let serve_reopt () =
         +. Engine.cycles_to_seconds q.Report.qm_exec_cycles)
       0.0 r.Report.r_queries
   in
-  (* queries the controller carried past what the static estimate would
-     have picked: the under-prediction cases the reopt mode exists for *)
+  (* queries the controller carried past the prior's pick: the
+     under-prediction cases the reopt mode exists for *)
+  let prior_pick plan =
+    fst
+      (Engine.adaptive_backend rdb plan
+         (Engine.plan_to_ir rdb ~name:"prior" plan).Qcomp_codegen.Codegen.modul)
+  in
   let past_static =
     List.sort_uniq compare
       (List.filter_map
          (fun (q : Server.query_metrics) ->
            let plan = List.assoc q.Report.qm_name queries in
-           let static_pick, _ = Engine.adaptive_backend rdb plan in
+           let static_pick = prior_pick plan in
            let stronger = List.map fst (Engine.stronger_than rdb static_pick) in
            if
              List.length q.Report.qm_tiers > 1
@@ -655,7 +675,7 @@ let serve_reopt () =
   List.iter
     (fun (nm, static_pick, final) ->
       Printf.printf
-        "  %-8s static estimate picked %s; observed cycles drove it to %s\n" nm
+        "  %-8s the prior picked %s; observed cycles drove it to %s\n" nm
         static_pick final)
     past_static;
   let st = total static_r in
@@ -956,8 +976,8 @@ let bench_stencil () =
       (fun name ->
         match
           let m = snd (List.hd modules) in
-          ( Qcomp_server.Costmodel.compile_seconds ~backend:name m,
-            Qcomp_server.Costmodel.exec_rate name )
+          ( Costmodel.compile_seconds ~backend:name m,
+            Costmodel.exec_rate db.Engine.target name )
         with
         | _ -> true
         | exception Invalid_argument _ -> false)

@@ -79,14 +79,18 @@ let run_cmd =
   let run_one wl sf target bname (q : Spec.query) max_rows =
     let db = Experiments.make_db target wl ~sf in
     let timing = Qcomp_support.Timing.create () in
-    let bname, backend =
-      if bname = "adaptive" then Engine.adaptive_backend db q.Spec.q_plan
-      else (bname, List.hd (backends_of_arg target bname))
+    let result, compile_s, cm, bname =
+      if bname = "adaptive" then
+        Engine.run_plan_adaptive db ~timing ~name:q.Spec.q_name q.Spec.q_plan
+      else
+        let backend = List.hd (backends_of_arg target bname) in
+        let r, s, cm = Engine.run_plan db ~backend ~timing ~name:q.Spec.q_name q.Spec.q_plan in
+        (r, s, cm, bname)
     in
-    (* with_compiled reclaims the query's code region when we are done *)
-    Engine.with_compiled db ~backend ~timing ~name:q.Spec.q_name q.Spec.q_plan
-      (fun cq cm compile_s ->
-        let result = Engine.execute db cq cm in
+    (* reclaim the query's code region when we are done *)
+    Fun.protect
+      ~finally:(fun () -> Engine.dispose_module db cm)
+      (fun () ->
         Printf.printf "%s via %s: compiled %d fns (%d B) in %.3f ms; executed in %.3f ms (%d simulated cycles)\n"
           q.Spec.q_name bname
           (List.length cm.Qcomp_backend.Backend.cm_functions)

@@ -11,9 +11,9 @@
        --no-paramize    disable plan normalization (cache per whole plan,
                         as before parameterized-plan specialization)
        --reopt          tiered only: observation-driven tier controller —
-                        upgrades (possibly more than once) are picked from
-                        observed cycles-per-row at morsel boundaries instead
-                        of the one-shot pre-execution estimate
+                        at every morsel boundary the ladder is re-priced
+                        from observed cycles-per-row, so a query can
+                        upgrade past the prior's pick (more than once)
        --queries N      stream length (default 50)
        --workers W      execution workers (default 4)
        --domains N      serve on N real worker domains (workers = N)

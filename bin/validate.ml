@@ -1,10 +1,10 @@
 (* Differential validation tool: every back-end must reproduce the
    interpreter's (order-sensitive) result checksum on every query of a
-   workload — and so must the serving layer's cached and tiered execution
-   paths (lib/server), which reuse compiled modules and hot-swap back-ends
-   mid-query.  Usage: validate (tpch|tpcds).  Prints one WRONG or EXN line
-   per failing (back-end or serving mode, query) pair and exits 1 when
-   there is any, 2 on a usage error. *)
+   workload — and so must the serving layer's cached, tiered and
+   tiered+reopt execution paths (lib/server), which reuse compiled modules
+   and hot-swap back-ends mid-query.  Usage: validate (tpch|tpcds).
+   Prints one WRONG or EXN line per failing (back-end or serving mode,
+   query) pair and exits 1 when there is any, 2 on a usage error. *)
 open Qcomp_engine
 open Qcomp_server
 module Spec = Qcomp_workloads.Spec
@@ -52,20 +52,20 @@ let () =
       queries
   in
   List.iter
-    (fun mode ->
+    (fun (mode, reopt) ->
+      let label = Server.mode_name mode ^ if reopt then "+reopt" else "" in
       let db = Experiments.make_db target wl ~sf in
-      match Server.run db { Server.default_config with Server.mode } stream with
+      match Server.run db { Server.default_config with Server.mode; reopt } stream with
       | report ->
           List.iter
             (fun (qm : Server.query_metrics) ->
               let expect = List.assoc qm.Report.qm_name refsums in
               if not (Int64.equal qm.Report.qm_checksum expect) then
-                fail "%s %s WRONG\n%!" (Server.mode_name mode) qm.Report.qm_name)
+                fail "%s %s WRONG\n%!" label qm.Report.qm_name)
             report.Report.r_queries;
-          Printf.printf "%s done (cache hits %d)\n%!" (Server.mode_name mode)
-            report.Report.r_cache.Lru.hits
-      | exception e -> fail "%s EXN %s\n%!" (Server.mode_name mode) (Printexc.to_string e))
-    [ Server.Cached; Server.Tiered ];
+          Printf.printf "%s done (cache hits %d)\n%!" label report.Report.r_cache.Lru.hits
+      | exception e -> fail "%s EXN %s\n%!" label (Printexc.to_string e))
+    [ (Server.Cached, false); (Server.Tiered, false); (Server.Tiered, true) ];
   if !failures > 0 then begin
     Printf.printf "%d failures\n%!" !failures;
     exit 1

@@ -212,18 +212,22 @@ let plan_to_ir db ~name plan =
   Qcomp_codegen.Codegen.compile_query ~mem:(memory db) ~catalog:db.catalog
     ~tables:db.tables ~name plan
 
-(** Full path: plan -> IR -> back-end -> execute. Returns the result, the
-    compile wall-time in seconds, and the back-end module. *)
-let run_plan db ~(backend : Qcomp_backend.Backend.t) ~timing ~name plan =
-  let cq = plan_to_ir db ~name plan in
+(* Back-end compile of a codegen result, with its wall-time in seconds. *)
+let compile db ~(backend : Qcomp_backend.Backend.t) ~timing
+    (cq : Qcomp_codegen.Codegen.compiled) =
   let t0 = Timing.now () in
   let cm =
     Qcomp_backend.Backend.compile_module backend ~timing ~emu:db.emu
       ~registry:db.registry ~unwind:db.unwind cq.Qcomp_codegen.Codegen.modul
   in
-  let compile_seconds = Timing.now () -. t0 in
-  let result = execute db cq cm in
-  (result, compile_seconds, cm)
+  (cm, Timing.now () -. t0)
+
+(** Full path: plan -> IR -> back-end -> execute. Returns the result, the
+    compile wall-time in seconds, and the back-end module. *)
+let run_plan db ~(backend : Qcomp_backend.Backend.t) ~timing ~name plan =
+  let cq = plan_to_ir db ~name plan in
+  let cm, compile_seconds = compile db ~backend ~timing cq in
+  (execute db cq cm, compile_seconds, cm)
 
 (** Release the code regions, unwind entries and host dispatch slots owned
     by [cm]. Safe to call twice (second call is a no-op). After this, any
@@ -237,12 +241,7 @@ let dispose_module db cm =
     leak one code region per query. *)
 let with_compiled db ~(backend : Qcomp_backend.Backend.t) ~timing ~name plan f =
   let cq = plan_to_ir db ~name plan in
-  let t0 = Timing.now () in
-  let cm =
-    Qcomp_backend.Backend.compile_module backend ~timing ~emu:db.emu
-      ~registry:db.registry ~unwind:db.unwind cq.Qcomp_codegen.Codegen.modul
-  in
-  let compile_seconds = Timing.now () -. t0 in
+  let cm, compile_seconds = compile db ~backend ~timing cq in
   Fun.protect
     ~finally:(fun () -> dispose_module db cm)
     (fun () -> f cq cm compile_seconds)
@@ -287,50 +286,51 @@ let rec estimated_work db (p : Algebra.t) =
   | Algebra.Hash_join { build; probe; _ } ->
       estimated_work db build + estimated_work db probe
 
-(** Umbra-style adaptive choice: start cheap when the query touches little
-    data, spend compile time when execution will dominate (Sec. II and
-    Fig. 7 of the paper). Thresholds calibrated on the bundled workloads. *)
-let adaptive_backend db plan : string * Qcomp_backend.Backend.t =
-  let work = estimated_work db plan in
-  let x64 = db.target.Target.arch = Target.X64 in
-  let b =
-    if work < 500 then interpreter
-    else if work < 100_000 then if x64 then directemit else cranelift
-    else if work < 1_000_000 then cranelift
-    else llvm_opt
-  in
-  (Qcomp_backend.Backend.name b, b)
-
-(** The tiered-serving upgrade ladder, weakest to strongest: each rung
-    costs more to compile and executes no slower than the one before
-    (Fig. 7's compile-vs-execute frontier, restricted to the back-ends a
-    serving tier can hot-swap between). [gcc] and [llvm-cheap] are off the
-    ladder: the first is far too slow to compile for mid-query upgrades,
-    the second is dominated by [cranelift] on both axes. *)
+(** The tiered-serving ladder: every back-end a serving tier can start on
+    or hot-swap to, ordered by {!Costmodel.exec_rate}, weakest first.
+    [gcc] and [llvm-cheap] are off it: the first is far too slow to
+    compile for mid-query upgrades, the second compiles slower and runs
+    slower than [cranelift]. *)
 let tier_ladder db : (string * Qcomp_backend.Backend.t) list =
-  List.map
-    (fun b -> (Qcomp_backend.Backend.name b, b))
-    ([ interpreter ]
-    @ (if db.target.Target.arch = Target.X64 then [ stencil; directemit ]
-       else [])
-    @ [ cranelift; llvm_opt ])
+  let rate (nm, _) = Costmodel.exec_rate db.target nm in
+  List.stable_sort
+    (fun a b -> Float.compare (rate a) (rate b))
+    (List.map
+       (fun b -> (Qcomp_backend.Backend.name b, b))
+       ([ interpreter ]
+       @ (if db.target.Target.arch = Target.X64 then [ stencil; directemit ] else [])
+       @ [ cranelift; llvm_opt ]))
 
-(** Strongest parameter-capable rung at or below [name] on the tier
-    ladder, for routing parameterized shapes: a back-end without parameter
-    holes would have to compile every literal variant from scratch, which
-    defeats shape-keyed caching. Falls back to the interpreter (always
-    capable); a [name] off the ladder clamps to the strongest capable rung
-    overall. *)
-let clamp_param_capable db name =
-  let rec go best = function
-    | [] -> best
-    | (n, b) :: rest ->
-        let best =
-          if Qcomp_backend.Backend.supports_params b then (n, b) else best
-        in
-        if String.equal n name then best else go best rest
+(** The one tier decision: the ladder rung minimizing [compile_s] plus
+    [interp_s] of interpreter-equivalent execution divided by its rate;
+    [cur] counts with zero compile seconds and wins ties. *)
+let cheapest_rung ?cur db ~interp_s ~compile_s =
+  let price (nm, b) =
+    (if Some nm = cur then 0.0 else compile_s nm b)
+    +. (interp_s /. Costmodel.exec_rate db.target nm)
   in
-  go (Qcomp_backend.Backend.name interpreter, interpreter) (tier_ladder db)
+  let ladder = tier_ladder db in
+  (* the running rung seeds the scan and only a strictly cheaper one
+     replaces it; other ties go to the weaker rung *)
+  let seed =
+    match List.find_opt (fun (nm, _) -> Some nm = cur) ladder with
+    | Some r -> r
+    | None -> List.hd ladder
+  in
+  fst
+    (List.fold_left
+       (fun ((_, best) as acc) r ->
+         let p = price r in
+         if p < best then (r, p) else acc)
+       (seed, price seed) ladder)
+
+(** Umbra-style adaptive choice (Sec. II and Fig. 7 of the paper): the
+    rung whose modelled compile of [m] plus predicted execution is least,
+    execution predicted from the plan's estimated work alone. *)
+let adaptive_backend db plan m =
+  cheapest_rung db
+    ~interp_s:(Costmodel.prior_seconds ~work:(estimated_work db plan))
+    ~compile_s:(fun nm _ -> Costmodel.compile_seconds ~backend:nm m)
 
 (** Rungs strictly stronger than [name], weakest first; empty when [name]
     is the top of the ladder or not on it (e.g. [gcc]). *)
@@ -341,9 +341,10 @@ let stronger_than db name =
   in
   drop (tier_ladder db)
 
-(** [run_plan] with the back-end chosen adaptively; also returns the name of
-    the back-end that ran. *)
+(** [run_plan] with the back-end chosen by {!adaptive_backend}; also
+    returns the name of the back-end that ran. *)
 let run_plan_adaptive db ~timing ~name plan =
-  let bname, backend = adaptive_backend db plan in
-  let result, compile_s, cm = run_plan db ~backend ~timing ~name plan in
-  (result, compile_s, cm, bname)
+  let cq = plan_to_ir db ~name plan in
+  let bname, backend = adaptive_backend db plan cq.Qcomp_codegen.Codegen.modul in
+  let cm, compile_s = compile db ~backend ~timing cq in
+  (execute db cq cm, compile_s, cm, bname)

@@ -158,34 +158,46 @@ val all_backends : Target.t -> Qcomp_backend.Backend.t list
     an unknown name or one the target lacks. *)
 val backend_of_name : Target.t -> string -> Qcomp_backend.Backend.t option
 
-(** {1 Adaptive back-end selection} *)
+(** {1 Adaptive back-end selection}
+
+    Every tier choice is one argmin over {!tier_ladder} ({!cheapest_rung}):
+    a rung's modelled compile seconds plus the predicted
+    interpreter-equivalent seconds divided by its {!Costmodel.exec_rate}. *)
 
 (** Rows each pipeline of the plan will scan — the driver of execution
     time, and hence of how much compile time is worth spending. *)
 val estimated_work : db -> Algebra.t -> int
 
-(** Umbra-style adaptive choice: start cheap when the query touches little
-    data, spend compile time when execution will dominate (Sec. II and
-    Fig. 7 of the paper). Returns the chosen back-end and its name. *)
-val adaptive_backend : db -> Algebra.t -> string * Qcomp_backend.Backend.t
-
-(** The tiered-serving upgrade ladder for the instance's target, weakest
-    to strongest; every rung compiles slower and executes no slower than
-    the previous. *)
+(** The tiered-serving ladder for the instance's target: every back-end a
+    serving tier can start on or hot-swap to, weakest to strongest by
+    {!Costmodel.exec_rate}. *)
 val tier_ladder : db -> (string * Qcomp_backend.Backend.t) list
 
-(** Rungs strictly stronger than the named one, weakest first; empty for
-    the top rung or a back-end off the ladder. *)
+(** [cheapest_rung ?cur db ~interp_s ~compile_s] is the ladder rung
+    minimizing [compile_s name backend + interp_s / rate]; [cur], the rung
+    already running, counts with zero compile seconds and wins ties, other
+    ties go to the weaker rung. *)
+val cheapest_rung :
+  ?cur:string ->
+  db ->
+  interp_s:float ->
+  compile_s:(string -> Qcomp_backend.Backend.t -> float) ->
+  string * Qcomp_backend.Backend.t
+
+(** Umbra-style adaptive choice (Sec. II and Fig. 7 of the paper):
+    {!cheapest_rung} with each rung's modelled compile of the plan's IR
+    module [m], and execution predicted from {!estimated_work} through
+    {!Costmodel.prior_seconds}. Returns the chosen back-end and its name. *)
+val adaptive_backend :
+  db -> Algebra.t -> Qcomp_ir.Func.modul -> string * Qcomp_backend.Backend.t
+
+(** Rungs strictly stronger (higher rate) than the named one, weakest
+    first; empty for the top rung or a back-end off the ladder. *)
 val stronger_than : db -> string -> (string * Qcomp_backend.Backend.t) list
 
-(** Strongest parameter-capable rung at or below the named one on the tier
-    ladder (the interpreter when nothing stronger qualifies) — parameterized
-    shapes must only be compiled by back-ends that can emit parameter
-    holes, or shape-keyed caching degenerates to per-query compilation. *)
-val clamp_param_capable : db -> string -> string * Qcomp_backend.Backend.t
-
-(** [run_plan] with the back-end chosen adaptively; also returns the name
-    of the back-end that ran. *)
+(** [run_plan] with the back-end chosen by {!adaptive_backend} (one
+    codegen serves the pricing and the compile); also returns the name of
+    the back-end that ran. *)
 val run_plan_adaptive :
   db ->
   timing:Timing.t ->

@@ -319,8 +319,8 @@ let plan_ir t db ~fp ~name plan =
       hit} — zero work, the caller charges nothing).
     - Otherwise the shape's artifact is re-linked with [params] patched
       into its holes (a {e shape hit} — the caller charges
-      {!Costmodel.bind_seconds}, not the back-end compile), or, for
-      artifact-less interpreter entries, the bytecode is re-translated with
+      {!Qcomp_engine.Costmodel.bind_seconds}, not the back-end compile), or,
+      for artifact-less interpreter entries, the bytecode is re-translated with
       the constants inlined (same order of cost).
     - For entries {!load}ed from a snapshot the first call additionally
       re-runs codegen through the shared plan memo — never the back-end
@@ -648,25 +648,6 @@ let mem_stats t =
         ms_backend_compiles = acc.ms_backend_compiles + sh.sh_compiles;
         ms_dedup_waits = acc.ms_dedup_waits + sh.sh_dedup_waits;
       })
-
-let pp_stats fmt t =
-  let s = stats t in
-  let ms = mem_stats t in
-  Format.fprintf fmt
-    "hits %d  misses %d  hit-rate %.1f%%  entries %d  evictions %d  bytes %d  bytes-freed %d"
-    s.Lru.hits s.Lru.misses
-    (if s.Lru.hits + s.Lru.misses > 0 then
-       100.0 *. float_of_int s.Lru.hits /. float_of_int (s.Lru.hits + s.Lru.misses)
-     else 0.0)
-    s.Lru.entries s.Lru.evictions s.Lru.bytes ms.ms_bytes_freed;
-  if shard_count t > 1 || ms.ms_dedup_waits > 0 then
-    Format.fprintf fmt "  shards %d  compiles %d  dedup-waits %d"
-      (shard_count t) ms.ms_backend_compiles ms.ms_dedup_waits;
-  let p = param_stats t in
-  if p.ps_binds + p.ps_shape_hits + p.ps_exact_hits > 0 then
-    Format.fprintf fmt
-      "  param: shape-hits %d  exact-hits %d  binds %d  bind-time %.6fs"
-      p.ps_shape_hits p.ps_exact_hits p.ps_binds p.ps_bind_host_s
 
 (* ---------------- persistent snapshots ---------------- *)
 

@@ -142,8 +142,8 @@ val find_nostat : t -> key -> entry option
 
 (** The live (codegen result, module) pair for an entry bound to [params],
     plus whether this call created the instance (a {e fresh} bind the
-    caller should charge {!Costmodel.bind_seconds} for). A matching bound
-    instance is reused and MRU-promoted; otherwise the artifact is
+    caller should charge {!Qcomp_engine.Costmodel.bind_seconds} for). A
+    matching bound instance is reused and MRU-promoted; otherwise the artifact is
     re-linked (or the back-end re-translates, for interpreter entries)
     with [params] in its holes. Entries created by {!compile_uncached}
     are born with their submitter's instance; {!load}ed entries pay a
@@ -241,7 +241,6 @@ type mem_stats = {
 }
 
 val mem_stats : t -> mem_stats
-val pp_stats : Format.formatter -> t -> unit
 
 (** {1 Persistent snapshots}
 

@@ -1,15 +1,16 @@
 (** The per-query serving lifecycle, shared by both drivers.
 
     A query's life is the same whichever driver serves it: the mode picks
-    its first tier (Static, Cached, Tiered from the static estimate,
-    Tiered from observation), foreground lookups pin the entries it runs,
-    a morsel boundary applies a parked swap and consults the tier
-    controller before the next {!Exec.step}, and finishing releases its
-    claims and pins and folds the {!Report.query_metrics}. What differs
-    between the discrete-event scheduler ({!Server}) and the domain pool
-    ({!Pool}) is only the clock, how a delay is waited out, the locking
-    and where a background compile runs; a driver passes those in as a
-    {!driver} record. *)
+    its first tier (Static's fixed back-end; for Cached and Tiered the
+    strongest resident rung, else the prior's pick priced by
+    {!Qcomp_engine.Engine.cheapest_rung}), foreground lookups pin the
+    entries it runs, a morsel boundary applies a parked swap and (with
+    [reopt]) re-prices the ladder from observed cycles before the next
+    {!Exec.step}, and finishing releases its claims and pins and folds the
+    {!Report.query_metrics}. What differs between the discrete-event
+    scheduler ({!Server}) and the domain pool ({!Pool}) is only the clock,
+    how a delay is waited out, the locking and where a background compile
+    runs; a driver passes those in as a {!driver} record. *)
 
 open Qcomp_support
 open Qcomp_engine
@@ -32,9 +33,9 @@ module Config = struct
     cache_capacity : int;  (** module-cache entries *)
     mode : mode;
     reopt : bool;
-        (** Tiered only: pick upgrades from observed cycles-per-row at
-            morsel boundaries (including second upgrades) instead of the
-            one-shot pre-execution estimate *)
+        (** Tiered only: re-price the ladder from observed cycles-per-row
+            at every morsel boundary (including second upgrades); without
+            it a query keeps the prior's pick *)
     paramize : bool;
         (** Cached/Tiered: normalize incoming plans into (shape, parameter
             vector) so every literal variant of a template shares one cache
@@ -325,6 +326,14 @@ let serve t ~db ?sched ?(on_done = ignore) q =
   (* a rung that cannot bind parameter holes compiles the exact whole plan
      (keyed per query) instead of the shape *)
   let exact_for b = parameterized && not (Qcomp_backend.Backend.supports_params b) in
+  let target_of b = if exact_for b then (q.q_exact, [||]) else (q.q_plan, q.q_params) in
+  (* one fingerprint per plan per query, however often the ladder is priced *)
+  let shape_key = lazy (Code_cache.key db ~backend:Engine.interpreter q.q_plan)
+  and exact_key = lazy (Code_cache.key db ~backend:Engine.interpreter q.q_exact) in
+  let key_of b =
+    { (Lazy.force (if exact_for b then exact_key else shape_key)) with
+      Code_cache.ck_backend = Qcomp_backend.Backend.name b }
+  in
   let enter ?(tier0 = false) nm =
     q.q_cur_tier <- nm;
     q.q_tiers <- [ nm ];
@@ -333,35 +342,33 @@ let serve t ~db ?sched ?(on_done = ignore) q =
   (* foreground lookup-or-compile, pinned atomically with the lookup;
      [stats:false] keeps Static's "no cache" lookups out of the hit rate *)
   let fetch ?(stats = true) backend =
+    let plan, params = target_of backend in
     let e, hit =
-      Code_cache.get_or_compile cache db ~backend ~params:q.q_params ~stats ~pin:true
-        ~name:q.q_name q.q_plan
+      Code_cache.get_or_compile cache db ~backend ~params ~stats ~pin:true
+        ~name:q.q_name plan
     in
     d.locked (fun () -> q.q_pinned <- e :: q.q_pinned);
     (e, hit)
   in
-  (* an already-resident entry, pinned for this query *)
-  let resident ?(stats = true) k =
-    d.locked (fun () ->
-        match (if stats then Code_cache.find else Code_cache.find_nostat) cache k with
-        | Some e ->
-            pin_locked t q e;
-            Some e
-        | None -> None)
-  in
-  (* the adaptive choice; parameterized shapes route to the strongest rung
-     that can bind holes, others would recompile per literal vector *)
-  let strong () =
-    let bname, backend = Engine.adaptive_backend db q.q_plan in
-    if parameterized then Engine.clamp_param_capable db bname else (bname, backend)
-  in
-  (* tier-0 start on interpreter bytecode; returns the entry and its
-     foreground translate charge *)
-  let start_tier0 () =
-    let ie, ihit = fetch Engine.interpreter in
-    enter ~tier0:true "interpreter";
-    q.q_compile_s <- (if ihit then 0.0 else ie.Code_cache.ce_compile_s);
-    (ie, q.q_compile_s)
+  (* The rung a query starts from: the strongest resident compiled rung,
+     else the prior's pick. The probe is stat-free and comes first, so only
+     a query with nothing resident codegens its shape for pricing (a
+     snapshot-loaded entry re-derives its codegen under its own name on
+     first force). The caller's lookup of the chosen rung is what counts
+     as the hit or miss. *)
+  let first_rung () =
+    let resident (nm, b) =
+      (not (String.equal nm "interpreter"))
+      && Option.is_some (Code_cache.find_nostat cache (key_of b))
+    in
+    match List.find_opt resident (List.rev (Engine.tier_ladder db)) with
+    | Some r -> r
+    | None ->
+        let cq =
+          Code_cache.plan_ir cache db ~fp:(Lazy.force shape_key).Code_cache.ck_fp
+            ~name:q.q_name q.q_plan
+        in
+        Engine.adaptive_backend db q.q_plan cq.Qcomp_codegen.Codegen.modul
   in
   (* start on [e], after its foreground compile unless it was a hit *)
   let rec charged e hit =
@@ -382,51 +389,43 @@ let serve t ~db ?sched ?(on_done = ignore) q =
       d.after Costmodel.bind_seconds (fun () -> quantum ex)
     end
     else quantum ex
-  (* The observation-driven tier controller, consulted at each morsel
-     boundary in reopt mode (the swap, if any, was applied just before, so
-     a fresh tier starts with no observation and sits out one quantum).
-     One upgrade in flight at a time; an already-resident stronger module
-     is priced at zero compile seconds and parks immediately. *)
+  (* compile rung [nm] on the background pool and park it for the next
+     boundary; the caller holds the driver lock and has set [q_upgrading]
+     (one upgrade in flight at a time) *)
+  and compile_behind nm b =
+    let plan, params = target_of b in
+    submit_locked t ~backend:b ~params ~name:q.q_name plan (key_of b) (park_locked t q nm)
+  (* The reopt controller, consulted at each morsel boundary: re-price the
+     ladder from the cycles observed on the current rung (the swap, if any,
+     was applied just before, so a fresh rung sits out one quantum). A
+     resident rung is priced at zero compile seconds. *)
   and consider_upgrade ex =
     if (not q.q_upgrading) && not (Exec.finished ex) then
       match Exec.observed_cpr ex with
       | None -> ()
-      | Some cpr -> (
+      | Some cpr ->
           let rows_remaining = Exec.rows_remaining ex in
-          if rows_remaining > 0 then
-            let cands =
-              List.map
-                (fun (nm, b) ->
-                  (* observed work justified spending real compile time, so
-                     the strong non-param back-ends stay reachable *)
-                  let plan, params =
-                    if exact_for b then (q.q_exact, [||]) else (q.q_plan, q.q_params)
-                  in
-                  let k = Code_cache.key db ~backend:b plan in
-                  let compile_s =
-                    match Code_cache.find_nostat cache k with
-                    | Some _ -> 0.0
-                    | None -> Costmodel.compile_seconds ~backend:nm (Exec.ir_module ex)
-                  in
-                  (nm, b, k, plan, params, compile_s))
-                (Engine.stronger_than db q.q_cur_tier)
+          if rows_remaining > 0 then begin
+            let cur = q.q_cur_tier in
+            let m = Exec.ir_module ex in
+            let nm, b =
+              Engine.cheapest_rung ~cur db
+                ~interp_s:
+                  (float_of_int rows_remaining *. cpr /. Costmodel.clock_hz
+                  *. Costmodel.exec_rate db.Engine.target cur)
+                ~compile_s:(fun nm b ->
+                  match Code_cache.find_nostat cache (key_of b) with
+                  | Some _ -> 0.0
+                  | None -> Costmodel.compile_seconds ~backend:nm m)
             in
-            match
-              Costmodel.best_upgrade ~cur:q.q_cur_tier ~cpr ~rows_remaining
-                (List.map (fun (nm, _, _, _, _, c) -> (nm, c)) cands)
-            with
-            | None -> ()
-            | Some (nm, _) ->
-                let _, backend, k, plan, params, _ =
-                  List.find (fun (n, _, _, _, _, _) -> String.equal n nm) cands
-                in
-                q.q_upgrading <- true;
-                d.locked (fun () ->
-                    match Code_cache.find cache k with
-                    | Some e -> park_locked t q nm e
-                    | None ->
-                        submit_locked t ~backend ~params ~name:q.q_name plan k
-                          (park_locked t q nm)))
+            if not (String.equal nm cur) then begin
+              q.q_upgrading <- true;
+              d.locked (fun () ->
+                  match Code_cache.find cache (key_of b) with
+                  | Some e -> park_locked t q nm e
+                  | None -> compile_behind nm b)
+            end
+          end
   (* one morsel boundary: apply the parked swap, consult the controller,
      run the next quantum *)
   and quantum ex =
@@ -463,56 +462,42 @@ let serve t ~db ?sched ?(on_done = ignore) q =
       enter (Qcomp_backend.Backend.name backend);
       charged e false
   | Cached ->
-      let bname, backend = strong () in
-      enter bname;
-      let e, hit = fetch backend in
+      let nm, b = first_rung () in
+      enter nm;
+      let e, hit = fetch b in
       q.q_cache_hit <- hit;
       charged e hit
-  | Tiered when c.reopt -> (
-      (* observation-driven: no pre-execution estimate. Start on the
-         strongest already-resident rung (free), else on interpreter
-         bytecode; the controller upgrades from observed cycles. The ladder
-         probe is stat-free — scanning every rung per query would otherwise
-         drown the hit rate in bookkeeping misses. *)
-      let probe (nm, b) =
-        if String.equal nm "interpreter" then None
-        else
-          let plan = if exact_for b then q.q_exact else q.q_plan in
-          Option.map (fun e -> (nm, e))
-            (resident ~stats:false (Code_cache.key db ~backend:b plan))
-      in
-      match List.find_map probe (List.rev (Engine.tier_ladder db)) with
-      | Some (nm, e) ->
-          q.q_cache_hit <- true;
-          enter nm;
-          begin_exec e
-      | None ->
-          let ie, icost = start_tier0 () in
-          d.after icost (fun () -> begin_exec ie))
   | Tiered -> (
-      let bname, backend = strong () in
-      if bname = "interpreter" then begin
+      let nm, b = first_rung () in
+      if String.equal nm "interpreter" then begin
         (* nothing stronger to tier to: serve straight from bytecode *)
-        let e, hit = fetch Engine.interpreter in
+        let e, hit = fetch b in
         q.q_cache_hit <- hit;
-        enter ~tier0:true "interpreter";
+        enter ~tier0:true nm;
         charged e hit
       end
       else
-        let k = Code_cache.key db ~backend q.q_plan in
-        match resident k with
+        let resident =
+          d.locked (fun () ->
+              match Code_cache.find cache (key_of b) with
+              | Some e ->
+                  pin_locked t q e;
+                  Some e
+              | None -> None)
+        in
+        match resident with
         | Some e ->
-            (* strong code already cached: start on it outright *)
             q.q_cache_hit <- true;
-            enter bname;
+            enter nm;
             begin_exec e
         | None ->
-            (* tier 0 now, strong tier on the background compile pool *)
-            let ie, icost = start_tier0 () in
-            d.locked (fun () ->
-                submit_locked t ~backend ~params:q.q_params ~name:q.q_name q.q_plan k
-                  (park_locked t q k.Code_cache.ck_backend));
-            d.after icost (fun () -> begin_exec ie))
+            (* tier 0 now, the pick on the background compile pool *)
+            let ie, ihit = fetch Engine.interpreter in
+            enter ~tier0:true "interpreter";
+            q.q_compile_s <- (if ihit then 0.0 else ie.Code_cache.ce_compile_s);
+            q.q_upgrading <- true;
+            d.locked (fun () -> compile_behind nm b);
+            d.after q.q_compile_s (fun () -> begin_exec ie))
 
 let report ?makespan t ~queue_peak =
   let queries = List.rev t.completed in

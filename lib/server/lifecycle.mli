@@ -1,12 +1,13 @@
 (** The per-query serving lifecycle, shared by both drivers.
 
     One definition of what happens to a query between admission and its
-    metrics: the mode dispatch ([Static], [Cached], [Tiered] from the
-    static estimate, [Tiered] with [reopt]), pinned foreground lookups,
-    the resident-rung probe, background strong-tier compiles deduplicated
-    per key, the morsel boundary (apply the parked swap, consult the tier
-    controller, run the next quantum), bind charging, the release of
-    claims and pins, and the {!Report.query_metrics} record. The
+    metrics: the mode dispatch ([Static], [Cached], [Tiered]), pinned
+    foreground lookups, the resident-rung probe, the prior's pick priced
+    by {!Qcomp_engine.Engine.cheapest_rung} and compiled in the background
+    (deduplicated per key), the morsel boundary (apply the parked swap,
+    re-price the ladder when [reopt] is set, run the next quantum), bind
+    charging, the release of claims and pins, and the
+    {!Report.query_metrics} record. The
     discrete-event scheduler ({!Server}) and the domain pool ({!Pool})
     differ only in the clock, the locking and where compiles run, which
     they pass in as a {!driver}. *)
@@ -30,9 +31,9 @@ module Config : sig
     cache_capacity : int;  (** module-cache entries *)
     mode : mode;
     reopt : bool;
-        (** Tiered only: pick upgrades from observed cycles-per-row at
-            morsel boundaries (including second upgrades) instead of the
-            one-shot pre-execution estimate *)
+        (** Tiered only: re-price the ladder from observed cycles-per-row
+            at every morsel boundary (including second upgrades); without
+            it a query keeps the prior's pick *)
     paramize : bool;
         (** normalize incoming plans into (shape, literal vector) so the code
             cache is keyed per shape rather than per query; [Static] mode
@@ -53,7 +54,7 @@ module Config : sig
             advances by the max over lanes); 1 = serial bodies *)
   }
 
-  (** Tiered (static estimate), 4 workers, 2 compile slots, 512-row
+  (** Tiered without reopt, 4 workers, 2 compile slots, 512-row
       morsels, unbounded admission, 1 tenant, 1 cache shard, serial
       bodies (intra 1). *)
   val default_config : config

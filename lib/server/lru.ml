@@ -89,9 +89,6 @@ let find t k =
       t.misses <- t.misses + 1;
       None
 
-(** Peek without touching recency or hit/miss counters. *)
-let mem t k = Hashtbl.mem t.tbl k
-
 (** Value peek without touching recency or the hit/miss counters. *)
 let peek t k = Option.map (fun n -> n.value) (Hashtbl.find_opt t.tbl k)
 

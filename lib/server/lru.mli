@@ -31,9 +31,6 @@ val length : ('k, 'v) t -> int
     keys count a miss. *)
 val find : ('k, 'v) t -> 'k -> 'v option
 
-(** Presence test that touches neither recency nor the hit/miss counters. *)
-val mem : ('k, 'v) t -> 'k -> bool
-
 (** Value peek that touches neither recency nor the hit/miss counters. *)
 val peek : ('k, 'v) t -> 'k -> 'v option
 

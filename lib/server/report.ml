@@ -77,7 +77,7 @@ type t = {
       (** parameterized lookups that found an already-bound instance for the
           exact literal vector *)
   r_binds : int;  (** parameter-vector bind (re-link) operations *)
-  r_bind_s : float;  (** modelled seconds spent binding parameter vectors ([r_binds] x {!Costmodel.bind_seconds}, deterministic like every other report duration) *)
+  r_bind_s : float;  (** modelled seconds spent binding parameter vectors ([r_binds] x {!Qcomp_engine.Costmodel.bind_seconds}, deterministic like every other report duration) *)
 }
 
 (* Nearest-rank percentile over an ascending array. *)

@@ -12,23 +12,27 @@
       (modelled) compile time on its worker, then executes. This is the
       paper's per-back-end compile+execute tradeoff (Table III) replayed as
       a serving policy.
-    - {b Cached}: the back-end chosen by {!Qcomp_engine.Engine.adaptive_backend},
-      fronted by the fingerprint-keyed {!Code_cache} — a cache hit skips
-      the compile charge entirely.
-    - {b Tiered}: queries start executing immediately on interpreter
-      bytecode while the adaptive ("strong") back-end compiles in the
-      background on a bounded compile pool; at the next morsel boundary
-      after the (simulated) compile completes, the execution hot-swaps to
-      the compiled code. A cache hit on the strong module starts on it
-      outright. This is the Umbra/Ma-et-al. hybrid: interpreter latency to
-      first result, compiled-code throughput for the bulk.
+    - {b Cached}: the back-end chosen by
+      {!Qcomp_engine.Engine.adaptive_backend} (the tier ladder priced by
+      modelled compile seconds plus the predicted execution), fronted by
+      the fingerprint-keyed {!Code_cache} — a cache hit skips the compile
+      charge entirely.
+    - {b Tiered}: a query starts on the strongest rung already resident in
+      the cache; otherwise it starts executing immediately on interpreter
+      bytecode while the same priced pick compiles in the background on a
+      bounded compile pool, and at the next morsel boundary after the
+      (simulated) compile completes the execution hot-swaps to the
+      compiled code. With [reopt] the ladder is re-priced from observed
+      cycles at every boundary. This is the Umbra/Ma-et-al. hybrid:
+      interpreter latency to first result, compiled-code throughput for
+      the bulk.
 
     The per-query lifecycle is {!Lifecycle}'s, shared with the domain pool;
     this driver supplies the virtual clock, the worker and compile-slot
     accounting and the admission cascade. All durations are deterministic —
-    modelled compile seconds ({!Costmodel}) and emulated execution cycles —
-    so two runs with the same seed produce byte-identical reports, shed
-    sets included. Host wall-clock never enters the virtual timeline. *)
+    modelled compile seconds ({!Qcomp_engine.Costmodel}) and emulated
+    execution cycles — so two runs with the same seed produce
+    byte-identical reports, shed sets included. Host wall-clock never enters the virtual timeline. *)
 
 open Qcomp_support
 include Lifecycle.Config
@@ -36,8 +40,6 @@ include Lifecycle.Config
 (* The metric and report records have exactly one declaration, in
    {!Report}; both drivers alias it so the shapes can never drift. *)
 type query_metrics = Report.query_metrics
-
-let qm_latency = Report.qm_latency
 
 type report = Report.t
 
@@ -132,7 +134,6 @@ let run ?cache ?parallel db config stream =
 
 (* ---------------- reporting (shared shape lives in {!Report}) ------- *)
 
-let pp_query = Report.pp_query
 let pp_report = Report.pp
 
 (** Deterministic repeated-query stream: [n] draws over [queries] with a

@@ -5,10 +5,11 @@
     arrivals beyond the cap are shed, deterministically, since occupancy
     is a pure function of the virtual-time event history — wait for an
     execution worker, and run morsel-by-morsel. Policies: [Static] (fixed
-    back-end, full compile charge per query), [Cached] (adaptive back-end
-    fronted by the fingerprint-keyed code cache), [Tiered] (start on
-    interpreter bytecode, hot-swap to the adaptively-chosen back-end
-    compiled on a background pool). All durations are deterministic, so
+    back-end, full compile charge per query), [Cached] (the priced
+    back-end fronted by the fingerprint-keyed code cache), [Tiered] (start
+    on the strongest resident rung, else on interpreter bytecode while the
+    priced back-end compiles on a background pool, then hot-swap; with
+    [reopt], re-price from observed cycles at every morsel boundary). All durations are deterministic, so
     same-seed runs produce byte-identical reports, shed sets included.
 
     The per-query lifecycle is {!Lifecycle}'s; this module is its
@@ -22,8 +23,6 @@ end
 (** Alias of the one canonical metric record, {!Report.query_metrics};
     read the fields through {!Report}. *)
 type query_metrics = Report.query_metrics
-
-val qm_latency : query_metrics -> float
 
 (** Alias of the one canonical summary record, {!Report.t}. *)
 type report = Report.t
@@ -60,7 +59,6 @@ val run :
   (string * Qcomp_plan.Algebra.t) list ->
   report
 
-val pp_query : Format.formatter -> query_metrics -> unit
 val pp_report : ?per_query:bool -> Format.formatter -> report -> unit
 
 (** Deterministic repeated-query stream: [n] seeded draws over [queries],

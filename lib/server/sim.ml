@@ -2,9 +2,9 @@
 
     The serving layer never spawns Domains or Threads: "background"
     compilation and multi-worker execution are modelled as events on a
-    virtual clock. Durations come only from deterministic sources (the
-    {!Costmodel} and the emulator's simulated cycles), events at equal
-    timestamps fire in scheduling order, and event handlers may schedule
+    virtual clock. Durations come only from deterministic sources
+    ({!Qcomp_engine.Costmodel} and the emulator's simulated cycles), events
+    at equal timestamps fire in scheduling order, and event handlers may schedule
     further events — so a whole serving run is a single reproducible event
     cascade. *)
 
@@ -35,8 +35,6 @@ let at t time f =
 
 (** Schedule [f] [delay] virtual seconds from now. *)
 let after t delay f = at t (t.now +. delay) f
-
-let pending t = Q.cardinal t.queue
 
 (** Run events in timestamp order until the queue drains. *)
 let run t =

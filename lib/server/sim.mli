@@ -16,8 +16,6 @@ val at : t -> float -> (unit -> unit) -> unit
 (** Schedule [delay] virtual seconds from now. *)
 val after : t -> float -> (unit -> unit) -> unit
 
-val pending : t -> int
-
 (** Fire events in timestamp order (handlers may schedule more) until the
     queue drains. *)
 val run : t -> unit

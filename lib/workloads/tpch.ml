@@ -1019,14 +1019,15 @@ let queries : query list =
     };
   ]
 
-(* The row-count heuristic's blind spot, kept as a named query for the
-   serving experiments and tests: every scan is tiny (70 + 280 + 10 rows at
-   sf=1, under [Engine.adaptive_backend]'s interpreter threshold), but the
-   bucketed join keys give each probe row ~1/8 of the part table as build
-   matches, and each of those ~half the suppliers — the join output is
-   orders of magnitude larger than any input. A pre-execution estimate
-   parks this on the interpreter forever; observed cycles-per-row send it
-   up the tier ladder within a few morsels. Not part of [queries]: the
+(* The work estimate's blind spot, kept as a named query for the serving
+   experiments and tests: every scan is tiny (70 + 280 + 10 rows at sf=1,
+   so [Engine.adaptive_backend]'s prior prices it as 360 rows of work and
+   picks a weak rung), but the bucketed join keys give each probe row ~1/8
+   of the part table as build matches, and each of those ~half the
+   suppliers — the join output is orders of magnitude larger than any
+   input. Without reopt it stays on the prior's pick; observed
+   cycles-per-row send it further up the tier ladder within a few
+   morsels. Not part of [queries]: the
    paper-replication experiments stay untouched. *)
 let deceptive : query =
   let bucket e k = e -% (e /% int64 k *% int64 k) in

@@ -1,5 +1,5 @@
 (* Engine-level behaviour: catalog handling, result materialization,
-   checksums, and the adaptive back-end chooser. *)
+   checksums, and the priced adaptive back-end choice. *)
 
 open Qcomp_engine
 open Qcomp_plan
@@ -7,8 +7,8 @@ open Qcomp_storage
 
 let check = Alcotest.check
 
-let db_with rows =
-  let db = Engine.create_db ~mem_size:(max (1 lsl 24) (rows * 128)) Qcomp_vm.Target.x64 in
+let db_with ?(target = Qcomp_vm.Target.x64) rows =
+  let db = Engine.create_db ~mem_size:(max (1 lsl 24) (rows * 128)) target in
   let t = Schema.make "t" [ ("id", Schema.Int64); ("g", Schema.Int32) ] in
   let _ =
     Engine.add_table db t ~rows ~seed:5L
@@ -21,6 +21,12 @@ let scan = Algebra.Scan { table = "t"; filter = None }
 let agg =
   Algebra.Group_by
     { input = scan; keys = [ Expr.col 1 ]; aggs = [ Algebra.Count_star ] }
+
+(* the rung adaptive_backend prices cheapest for [plan] on [db] *)
+let pick db plan =
+  fst
+    (Engine.adaptive_backend db plan
+       (Engine.plan_to_ir db ~name:"q" plan).Qcomp_codegen.Codegen.modul)
 
 let suite =
   [
@@ -40,26 +46,22 @@ let suite =
               probe_keys = [ Expr.col 1 ] }
         in
         check Alcotest.int "join sums" 2000 (Engine.estimated_work db join));
-    Alcotest.test_case "adaptive picks interpreter for tiny data" `Quick (fun () ->
-        let db = db_with 50 in
-        check Alcotest.string "tiny" "interpreter"
-          (fst (Engine.adaptive_backend db scan)));
+    (* a 50-row scan is worth a microsecond stencil copy on x64; on AArch64
+       the cheapest compiled rung costs more than the interpreter's run *)
+    Alcotest.test_case "priced pick for tiny data: stencil on x64, interpreter on a64"
+      `Quick (fun () ->
+        check Alcotest.string "x64" "stencil" (pick (db_with 50) scan);
+        check Alcotest.string "a64" "interpreter"
+          (pick (db_with ~target:Qcomp_vm.Target.a64 50) scan));
     Alcotest.test_case "adaptive picks directemit for small data on x64" `Quick
-      (fun () ->
-        let db = db_with 10_000 in
-        check Alcotest.string "small" "directemit"
-          (fst (Engine.adaptive_backend db scan)));
+      (fun () -> check Alcotest.string "small" "directemit" (pick (db_with 10_000) scan));
     Alcotest.test_case "adaptive avoids directemit on a64" `Quick (fun () ->
-        let db = Engine.create_db ~mem_size:(1 lsl 24) Qcomp_vm.Target.a64 in
-        let t = Schema.make "t" [ ("id", Schema.Int64) ] in
-        let _ = Engine.add_table db t ~rows:10_000 ~seed:1L [| Datagen.Serial 0 |] in
         check Alcotest.string "a64" "cranelift"
-          (fst (Engine.adaptive_backend db (Algebra.Scan { table = "t"; filter = None }))));
-    Alcotest.test_case "adaptive picks optimizing back-end for big data" `Quick
-      (fun () ->
-        let db = db_with 2_000_000 in
-        check Alcotest.string "big" "llvm-opt"
-          (fst (Engine.adaptive_backend db scan)));
+          (pick (db_with ~target:Qcomp_vm.Target.a64 10_000) scan));
+    (* DirectEmit has the highest pinned rate on x64 and compiles cheapest
+       of the compiled rungs, so more data never buys a slower compile *)
+    Alcotest.test_case "priced pick for big data stays on directemit" `Quick
+      (fun () -> check Alcotest.string "big" "directemit" (pick (db_with 2_000_000) scan));
     Alcotest.test_case "run_plan_adaptive matches interpreter results" `Slow
       (fun () ->
         let timing = Qcomp_support.Timing.create ~enabled:false () in

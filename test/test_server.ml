@@ -312,7 +312,7 @@ let golden_cases =
       ( "tiered", Server.Tiered, false,
         [ "727575fccfcee6783c276f435929503a"; "2f58f702afbf61dd2f8e185d87c1817d" ] );
       ( "tiered+reopt", Server.Tiered, true,
-        [ "37f498573d4cf2f43af9d65a5f764fb7"; "53ac500519c929ec5e3769f384e10983" ] );
+        [ "727575fccfcee6783c276f435929503a"; "2f58f702afbf61dd2f8e185d87c1817d" ] );
     ]
   @ [ ("poisson trace", golden_trace, "5d295fcf547fc9f28a6c81da158992db") ]
 
@@ -620,10 +620,26 @@ let reopt_differential_test =
             (result_multiset base) (result_multiset par))
         [ 5L; 17L ])
 
+(* every step of a tier path goes to a rung with a higher pinned rate *)
+let rising db tiers =
+  let rate = Costmodel.exec_rate db.Engine.target in
+  let rec go = function
+    | a :: (b :: _ as rest) -> rate a < rate b && go rest
+    | _ -> true
+  in
+  go tiers
+
+(* the prior's pick for [plan]: what a Tiered query submits at once *)
+let prior_pick db plan =
+  fst
+    (Engine.adaptive_backend db plan
+       (Engine.plan_to_ir db ~name:"prior" plan).Qcomp_codegen.Codegen.modul)
+
 (* the misfire the controller exists to correct: every scan of the fan-out
-   query is tiny, so the pre-execution estimate parks it on the
-   interpreter; its join output is ~3 orders of magnitude larger than any
-   input, and the observed cycles-per-row send it up the ladder *)
+   query is tiny, so the prior prices it as a few hundred rows of work and
+   picks a weak rung; its join output is ~3 orders of magnitude larger
+   than any input, and the observed cycles-per-row send it further up the
+   ladder *)
 let deceptive_upgrade_test =
   Alcotest.test_case
     "deceptive fan-out query: upgraded mid-flight past its static pick"
@@ -638,9 +654,11 @@ let deceptive_upgrade_test =
           plan
       in
       let db = Experiments.make_db Qcomp_vm.Target.x64 Experiments.Tpch ~sf:1 in
-      let static_pick, _ = Engine.adaptive_backend db plan in
-      check Alcotest.string "static estimate under-predicts: interpreter pick"
-        "interpreter" static_pick;
+      let static_pick = prior_pick db plan in
+      check Alcotest.bool
+        (Printf.sprintf "the prior under-predicts: %s is below the top rung" static_pick)
+        true
+        (Engine.stronger_than db static_pick <> []);
       let r =
         Server.run db
           {
@@ -660,46 +678,99 @@ let deceptive_upgrade_test =
         (List.hd m.Report.qm_tiers);
       check Alcotest.bool "upgraded mid-flight" true
         (List.length m.Report.qm_tiers > 1);
-      check Alcotest.bool "finishes stronger than the static pick" true
+      check Alcotest.bool
+        (Printf.sprintf "finishes stronger than the prior's %s (tier path: %s)"
+           static_pick (String.concat "->" m.Report.qm_tiers))
+        true
         (List.mem m.Report.qm_backend
            (List.map fst (Engine.stronger_than db static_pick))))
 
 (* at a larger scale factor the same query keeps looking worse as it runs:
-   the first decision (taken on cheap build-pipeline morsels) buys the
-   cheap rung, the post-swap observations on the probe pipeline justify a
-   second, stronger one *)
+   the prior buys the cheap rung, the observations on the probe pipeline
+   justify a second, stronger one. Every step must go to a rung with a
+   higher rate, at sf 2 and at sf 4 alike. *)
 let second_upgrade_test =
   Alcotest.test_case "observed work keeps growing => second upgrade" `Quick
     (fun () ->
       let q = Qcomp_workloads.Tpch.deceptive in
       let name = q.Qcomp_workloads.Spec.q_name
       and plan = q.Qcomp_workloads.Spec.q_plan in
-      let expect =
-        runplan_checksum
-          (Experiments.make_db Qcomp_vm.Target.x64 Experiments.Tpch ~sf:4)
-          plan
+      List.iter
+        (fun sf ->
+          let expect =
+            runplan_checksum
+              (Experiments.make_db Qcomp_vm.Target.x64 Experiments.Tpch ~sf)
+              plan
+          in
+          let db = Experiments.make_db Qcomp_vm.Target.x64 Experiments.Tpch ~sf in
+          let r =
+            Server.run db
+              {
+                Server.default_config with
+                Server.mode = Server.Tiered;
+                Server.reopt = true;
+                Server.morsel = 64;
+              }
+              [ (name, plan) ]
+          in
+          let m = List.hd r.Report.r_queries in
+          let path = String.concat "->" m.Report.qm_tiers in
+          check
+            Alcotest.(pair int64 int)
+            (Printf.sprintf "sf %d: checksum matches run_plan" sf)
+            expect
+            (m.Report.qm_checksum, m.Report.qm_rows);
+          if sf = 2 then
+            check Alcotest.bool
+              (Printf.sprintf "sf 2: two upgrades (tier path: %s)" path)
+              true
+              (List.length m.Report.qm_tiers >= 3);
+          check Alcotest.bool
+            (Printf.sprintf "sf %d: every step raises the rate (tier path: %s)" sf path)
+            true (rising db m.Report.qm_tiers))
+        [ 2; 4 ])
+
+(* a resident hit at the Tiered start is a real LRU hit: it refreshes the
+   entry's recency, so under capacity pressure a hot plan's compiled code
+   outlives the colder plans' entries instead of going in insertion order *)
+let recency_test =
+  Alcotest.test_case "reopt: resident hits keep a hot plan's code cached" `Quick
+    (fun () ->
+      let hot = ("agg", List.assoc "agg" fixed_plans) in
+      let cold = List.filter (fun (n, _) -> n <> "agg") fixed_plans in
+      (* hot, cold, hot, cold, ..., hot: spaced so every query and its
+         background compile finish before the next arrival *)
+      let stream = List.concat_map (fun c -> [ hot; c ]) cold @ [ hot ] in
+      let reqs =
+        List.mapi
+          (fun i (name, plan) ->
+            { Server.rq_name = name; rq_plan = plan; rq_arrival = 0.01 *. float_of_int i;
+              rq_tenant = 0 })
+          stream
       in
-      let db = Experiments.make_db Qcomp_vm.Target.x64 Experiments.Tpch ~sf:4 in
       let r =
-        Server.run db
+        Server.run_requests (make_db ~rows:1024 ())
           {
             Server.default_config with
             Server.mode = Server.Tiered;
-            Server.reopt = true;
-            Server.morsel = 64;
+            reopt = true;
+            workers = 1;
+            cache_capacity = 4;
+            morsel = 64;
           }
-          [ (name, plan) ]
+          reqs
       in
-      let m = List.hd r.Report.r_queries in
-      check
-        Alcotest.(pair int64 int)
-        "checksum matches run_plan" expect
-        (m.Report.qm_checksum, m.Report.qm_rows);
-      check Alcotest.bool
-        (Printf.sprintf "two upgrades (tier path: %s)"
-           (String.concat "->" m.Report.qm_tiers))
-        true
-        (List.length m.Report.qm_tiers >= 3))
+      check Alcotest.bool "the cache evicted" true (r.Report.r_cache.Lru.evictions > 0);
+      List.iteri
+        (fun i (q : Server.query_metrics) ->
+          if i > 0 then
+            check Alcotest.bool
+              (Printf.sprintf "repeat %d of the hot plan starts compiled (tier path %s)" i
+                 (String.concat "->" q.Report.qm_tiers))
+              true
+              (q.Report.qm_cache_hit && List.hd q.Report.qm_tiers <> "interpreter"))
+        (List.filter (fun (q : Server.query_metrics) -> q.Report.qm_name = "agg")
+           r.Report.r_queries))
 
 (* ---------------- serving-memory accounting ---------------- *)
 
@@ -769,7 +840,7 @@ let costmodel_coverage_test =
           check Alcotest.bool
             (nm ^ " has a positive execution rate")
             true
-            (Costmodel.exec_rate nm > 0.0))
+            (Costmodel.exec_rate db.Engine.target nm > 0.0))
         (Engine.all_backends db.Engine.target);
       let raises f =
         match f () with
@@ -779,7 +850,9 @@ let costmodel_coverage_test =
       check Alcotest.bool "unknown back-end: compile cost fails loud" true
         (raises (fun () -> Costmodel.compile_seconds ~backend:"no-such" m));
       check Alcotest.bool "unknown back-end: exec rate fails loud" true
-        (raises (fun () -> Costmodel.exec_rate "no-such")))
+        (raises (fun () -> Costmodel.exec_rate db.Engine.target "no-such"));
+      check Alcotest.bool "back-end the target lacks: exec rate fails loud" true
+        (raises (fun () -> Costmodel.exec_rate Qcomp_vm.Target.a64 "directemit")))
 
 (* both drivers reject every non-positive sizing field identically (no
    silent max-1 clamps), naming the field in the message *)
@@ -1165,7 +1238,7 @@ let suite =
       switchover_test; determinism_test; eviction_test;
       eviction_pressure_test; range_test; unpin_underflow_test;
       parallel_differential_test; parallel_eviction_test;
-      reopt_differential_test; deceptive_upgrade_test; second_upgrade_test;
+      reopt_differential_test; deceptive_upgrade_test; second_upgrade_test; recency_test;
       soak_test; costmodel_coverage_test; config_validation_test;
       static_stat_bypass_test; fuzz_test;
       artifact_roundtrip_test; wire_roundtrip_test; key_v_test;

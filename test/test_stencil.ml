@@ -276,9 +276,11 @@ let costmodel_test =
       check Alcotest.bool "stencil compiles cheaper than directemit" true
         (sec "stencil" < sec "directemit");
       check Alcotest.bool "stencil executes faster than the interpreter" true
-        (Costmodel.exec_rate "stencil" > Costmodel.exec_rate "interpreter");
+        (Costmodel.exec_rate db.Engine.target "stencil"
+        > Costmodel.exec_rate db.Engine.target "interpreter");
       check Alcotest.bool "stencil executes slower than directemit" true
-        (Costmodel.exec_rate "stencil" < Costmodel.exec_rate "directemit"))
+        (Costmodel.exec_rate db.Engine.target "stencil"
+        < Costmodel.exec_rate db.Engine.target "directemit"))
 
 (* ---------------- snapshot versioning ---------------- *)
 
