@@ -259,11 +259,19 @@ let rec compile_expr ctx (p : pipe) (env : value option array)
       { vty = Sqlty.Bool; v = Builder.xor b Ty.I1 vx.v one }
   | Expr.Like (s, pat) ->
       (* a pattern without wildcards matches only itself: string equality,
-         which is cheaper on every back-end and inline on DirectEmit *)
+         which is cheaper on every back-end and inline on DirectEmit; one
+         whose only wildcard is a trailing [%] is a prefix test *)
       let vs = recur s in
-      let vp = Builder.const_ptr b (Int64.of_int (str_const ctx pat)) in
-      let wild = String.exists (fun c -> c = '%' || c = '_') pat in
-      let r = rt_ptr2_i64 b (if wild then "umbra_strLike" else "umbra_strEq") vs.v vp in
+      let wild c = c = '%' || c = '_' in
+      let n = String.length pat in
+      let fn, lit =
+        if not (String.exists wild pat) then ("umbra_strEq", pat)
+        else if n > 0 && pat.[n - 1] = '%' && not (String.exists wild (String.sub pat 0 (n - 1)))
+        then ("umbra_strPrefix", String.sub pat 0 (n - 1))
+        else ("umbra_strLike", pat)
+      in
+      let vp = Builder.const_ptr b (Int64.of_int (str_const ctx lit)) in
+      let r = rt_ptr2_i64 b fn vs.v vp in
       let zero = Builder.const b Ty.I64 0L in
       { vty = Sqlty.Bool; v = Builder.cmp b Op.Ne r zero }
   | Expr.Between (v, lo, hi) ->

@@ -10,10 +10,13 @@
       that holds a use but not the definition. On this layout the interval
       covers every block the value is live out of, so no dataflow liveness
       runs ([Liveness] stays the tests' oracle);
-    - use and predecessor counts, the phis of each block, and which values
-      are live across a call inside a loop that does not define them (those
-      are stored to their stack home at their definition; every other value
-      is written back only when its register is taken). A call to an
+    - use and predecessor counts, the phis of each block, which values
+      are live across a call (the emitter keeps those in callee-saved
+      registers when it can), and which of them are live across a call
+      inside a loop that does not define them (those that do not get a
+      callee-saved register are stored to their stack home at their
+      definition; every other value is written back only when its
+      register is taken). A call to an
       {!intrinsic} is not a call here: it clobbers no live register.
 
     Linear ids are stored in the free [scratch] slot of the IR — no hash
@@ -54,6 +57,9 @@ type t = {
       (** value -> last block of the outermost loop that uses it but does
           not define it, -1 when there is none *)
   uses : int array;  (** value -> number of operand uses *)
+  crosses_call : bool array;
+      (** value is live across a call: the emitter gives it a callee-saved
+          register when one is free *)
   home_at_def : bool array;
       (** value is live across a call and through a loop that does not
           define it: its home is written once, at the definition, not at
@@ -166,7 +172,8 @@ let compute ~intrinsics (f : Func.t) : t =
   let last_use = Array.make nv (-1) in
   let ext_end = Array.make nv (-1) in
   let uses = Array.make nv 0 in
-  (* live across a call, then narrowed to [home_at_def] *)
+  (* live across a call within its defining block, then across any call *)
+  let crosses_call = Array.make nv false in
   let home_at_def = Array.make nv false in
   let def_pos = Array.make nv (-1) in
   (* per layout index: first and last call position, and how many blocks
@@ -209,7 +216,7 @@ let compute ~intrinsics (f : Func.t) : t =
           | _ ->
               Func.iter_operands f i (fun v ->
                   use v b k pos;
-                  if lo.(v) = k && def_pos.(v) < !lc then home_at_def.(v) <- true));
+                  if lo.(v) = k && def_pos.(v) < !lc then crosses_call.(v) <- true));
           if Func.ty f i <> Ty.Void then begin
             def_pos.(i) <- pos;
             lo.(i) <- k;
@@ -256,7 +263,7 @@ let compute ~intrinsics (f : Func.t) : t =
          inputs read at the end of their own block *)
       let l = lo.(v) and h = hi.(v) in
       let crosses =
-        home_at_def.(v)
+        crosses_call.(v)
         ||
         if h > l then
           last_call.(l) > def_pos.(v)
@@ -264,6 +271,7 @@ let compute ~intrinsics (f : Func.t) : t =
           || first_call.(h) < last_use.(v)
         else last_call.(l) > def_pos.(v) && last_use.(v) > last_call.(l)
       in
+      crosses_call.(v) <- crosses;
       home_at_def.(v) <- crosses && ext_end.(v) >= 0
     end
   done;
@@ -280,5 +288,6 @@ let compute ~intrinsics (f : Func.t) : t =
     last_use;
     ext_end;
     uses;
+    crosses_call;
     home_at_def;
   }

@@ -12,8 +12,10 @@ let name = "directemit"
 (** Generation of the code this back-end emits, folded into code-cache
     snapshot keys. The code computes the runtime's short-string hash
     ({!Qcomp_runtime.Sso.hash}) inline, so a snapshot written under
-    another hash must not be re-linked: bump this with that hash. *)
-let code_version = 1
+    another hash must not be re-linked: bump this with that hash, and with
+    any change to the code the emitter writes (2: register reuse,
+    immediates and callee-saved registers). *)
+let code_version = 2
 
 let compile_func ~asm ~target ~intrinsics ~extern_addr ~rt_addr ~timing (f : Func.t) =
   let an = Timing.scope timing "Analysis" (fun () -> Analysis.compute ~intrinsics f) in
@@ -22,12 +24,19 @@ let compile_func ~asm ~target ~intrinsics ~extern_addr ~rt_addr ~timing (f : Fun
       while Asm.offset asm land 15 <> 0 do
         Asm.emit asm Minst.Nop
       done;
-      let start = Asm.offset asm in
       let st = Emit.create asm f target an ~intrinsics extern_addr rt_addr in
-      (* prologue: frame allocation, patched once the frame size is known *)
-      let frame_patch = Asm.offset asm + 2 in
-      Asm.emit asm (Minst.Alu_ri (Minst.Sub, target.Target.sp, 0x7FFFFFFFL));
-      let after_prologue = Asm.offset asm - start in
+      (* room for the prologue, which is written once the frame size and
+         the callee-saved registers the body uses are known: a frame
+         allocation and one store per register, 6 bytes each at most. It
+         ends where the body starts and the function starts where it
+         does; the unused front of the room is never executed. *)
+      let room =
+        6 * (1 + Array.fold_left (fun n s -> if s then n + 1 else n) 0 st.Emit.callee_saved)
+      in
+      for _ = 1 to room do
+        Asm.emit asm Minst.Nop
+      done;
+      let body = Asm.offset asm in
       (* incoming arguments *)
       let argk = ref 0 in
       (* arguments are defined at position -1 of the entry block *)
@@ -53,10 +62,20 @@ let compile_func ~asm ~target ~intrinsics ~extern_addr ~rt_addr ~timing (f : Fun
               Emit.emit_inst st i)
             (Func.block_insts f b))
         an.Analysis.order;
+      (* the callee-saved registers the body wrote, saved above its slots *)
+      let saved =
+        List.filter (fun r -> st.Emit.used_saved.(r)) (Array.to_list target.Target.callee_saved)
+      in
+      let save_off k = st.Emit.frame + (8 * k) in
+      let frame = (save_off (List.length saved) + 15) land lnot 15 in
+      let sp = target.Target.sp in
       (* epilogue *)
       Asm.bind asm st.Emit.epilogue;
-      let epi_patch = Asm.offset asm + 2 in
-      Asm.emit asm (Minst.Alu_ri (Minst.Add, target.Target.sp, 0x7FFFFFFFL));
+      List.iteri
+        (fun k r ->
+          Asm.emit asm (Minst.Ld { dst = r; base = sp; off = save_off k; size = 8; sext = false }))
+        saved;
+      if frame > 0 then Asm.emit asm (Minst.Alu_ri (Minst.Add, sp, Int64.of_int frame));
       Asm.emit asm Minst.Ret;
       Emit.emit_stubs st;
       (* shared overflow trap *)
@@ -66,16 +85,31 @@ let compile_func ~asm ~target ~intrinsics ~extern_addr ~rt_addr ~timing (f : Fun
         Asm.emit asm (Minst.Call_ind target.Target.scratch);
         Asm.emit asm (Minst.Brk 1)
       end;
-      let frame = (st.Emit.frame + 15) land lnot 15 in
-      Asm.patch_imm32 asm frame_patch frame;
-      Asm.patch_imm32 asm epi_patch frame;
+      (* prologue *)
+      let pro = Asm.create target in
+      if frame > 0 then Asm.emit pro (Minst.Alu_ri (Minst.Sub, sp, Int64.of_int frame));
+      List.iteri
+        (fun k r -> Asm.emit pro (Minst.St { src = r; base = sp; off = save_off k; size = 8 }))
+        saved;
+      let pro = Asm.finish pro in
+      let after_prologue = Bytes.length pro in
+      let start = body - after_prologue in
+      Bytes.iteri (fun k c -> Asm.patch_u8 asm (start + k) (Char.code c)) pro;
       let size = Asm.offset asm - start in
-      (* synchronous-only CFI rows *)
+      (* synchronous-only CFI rows; a saved register's offset is its
+         slot's distance below the CFA *)
       let rows =
-        [
-          (0, { Unwind.cfa_offset = 8; saved_regs = [] });
-          (after_prologue, { Unwind.cfa_offset = 8 + frame; saved_regs = [] });
-        ]
+        (0, { Unwind.cfa_offset = 8; saved_regs = [] })
+        ::
+        (if after_prologue = 0 then []
+         else
+           [
+             ( after_prologue,
+               {
+                 Unwind.cfa_offset = 8 + frame;
+                 saved_regs = List.mapi (fun k r -> (r, 8 + frame - save_off k)) saved;
+               } );
+           ])
       in
       (start, size, rows, st.Emit.param_holes))
 

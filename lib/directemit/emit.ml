@@ -1,6 +1,8 @@
 (** DirectEmit code generation: one pass over the blocks in the analysis
     layout, translating each Umbra IR instruction directly to x86-64
     machine code with on-the-fly greedy register allocation (Sec. VII).
+    The allocator is the register-assignment half of TPDE (Schwarz et al.)
+    over {!Analysis}' liveness intervals.
 
     Location discipline: a value lives in a register from its definition
     to its last use, which the analysis' liveness intervals place, and its
@@ -8,8 +10,26 @@
     while it is still live (eviction, a fixed-register instruction, a
     call, or an edge into a block that expects it at home), or once at the
     definition for a value live across a call inside a loop that does not
-    define it, which would otherwise be written on every iteration. Every
-    live value is in a register or in its up-to-date home.
+    define it and that did not get a callee-saved register. Every live
+    value is in a register or in its up-to-date home.
+
+    Register reuse: a two-address instruction whose left operand dies at
+    it defines its result in that operand's register, with no copy (a
+    commutative one also takes a dying right operand's); extensions,
+    truncations and conversions do the same.
+
+    Constants are immediates: a 64-bit [Const] right operand of an ALU op
+    or compare that fits a sign-extended imm32 is encoded in the
+    instruction, and a constant is materialised only where a use needs it
+    in a register. A constant has no stack home: when its register is
+    taken it is simply dropped and materialised again at its next use or
+    edge.
+
+    Calls: a value read after a runtime call stays in rbx or r12-r15,
+    which survive the call; one in a caller-saved register moves to a free
+    callee-saved one or, when none is free, to its home. The prologue
+    saves the callee-saved registers the function uses and the epilogue
+    restores them.
 
     Registers survive block edges. The first edge emitted into a block
     fixes the block's entry map: the live-in values (for a loop header,
@@ -33,8 +53,8 @@
     the runtime call of a 128-bit multiply that does not fit its 64-bit
     fast path is the third fast path of this kind. What a fast path does
     not cover (long strings, wide products) calls the runtime from an
-    out-of-line stub that saves and restores every live register
-    ([runtime_stub]), so neither path clobbers a register and the
+    out-of-line stub that saves and restores every live caller-saved
+    register ([runtime_stub]), so neither path clobbers a register and the
     analysis does not count these calls as calls. DWARF CFI is written in
     parallel, synchronous-only. *)
 
@@ -46,8 +66,9 @@ exception Unsupported of string
 
 let unsupported fmt = Format.kasprintf (fun s -> raise (Unsupported s)) fmt
 
-(** A move source or destination: a register, or a frame offset from sp. *)
-type loc = R of int | M of int
+(** A move source or destination: a register, a frame offset from sp, or
+    (a source only) a constant. *)
+type loc = R of int | M of int | I of int64
 
 type st = {
   asm : Asm.t;
@@ -80,6 +101,9 @@ type st = {
   mutable cur_idx : int;  (** layout index of [cur_block] *)
   mutable cur_pos : int;
   mutable fused : int;  (** compare whose flags feed the next branch, -1 *)
+  mutable fused_cond : Minst.cond;  (** the condition [fused] leaves in the flags *)
+  callee_saved : bool array;  (** reg -> allocatable and preserved across calls *)
+  used_saved : bool array;  (** reg -> callee-saved and written by the function *)
   block_labels : int array;
   mutable epilogue : int;  (** label *)
   mutable trap_label : int;  (** lazily created overflow-trap label, -1 *)
@@ -123,6 +147,11 @@ let create asm f target an ~intrinsics extern_addr rt_addr =
     cur_idx = 0;
     cur_pos = 0;
     fused = -1;
+    fused_cond = Minst.Ne;
+    callee_saved =
+      Array.init target.Target.num_regs (fun r ->
+          Target.is_callee_saved target r && Array.mem r target.Target.allocatable);
+    used_saved = Array.make target.Target.num_regs false;
     block_labels = Array.init nb (fun _ -> Asm.new_label asm);
     epilogue = Asm.new_label asm;
     trap_label = -1;
@@ -182,6 +211,7 @@ let detach st r =
 
 let attach st r v lane =
   detach st r;
+  if st.callee_saved.(r) then st.used_saved.(r) <- true;
   st.reg_owner.(r) <- v;
   st.reg_lane.(r) <- lane;
   if lane = 0 then st.reg_of.(v) <- r else st.reg2_of.(v) <- r
@@ -197,6 +227,28 @@ let drop st v =
   if st.reg_of.(v) >= 0 then detach st st.reg_of.(v);
   if st.reg2_of.(v) >= 0 then detach st st.reg2_of.(v)
 
+(** The constant lane [lane] of [v] holds, when [v] is a constant: it is
+    materialised where needed and never written home. *)
+let remat st v lane =
+  match Func.op st.f v with
+  | Op.Const ->
+      let c = Func.imm st.f v in
+      Some (if lane = 0 then c else Int64.shift_right c 63)
+  | Op.Const128 ->
+      let hi, lo = Func.const128_value st.f v in
+      Some (if lane = 0 then lo else hi)
+  | _ -> None
+
+let is_const st v = match Func.op st.f v with Op.Const | Op.Const128 -> true | _ -> false
+
+(** [v] as a sign-extended 32-bit immediate operand of a 64-bit
+    instruction, when it is a constant that fits one. *)
+let imm32 st v =
+  if Func.op st.f v = Op.Const && Func.ty st.f v <> Ty.I128 then
+    let c = Func.imm st.f v in
+    if Asm.fits_i32 c then Some c else None
+  else None
+
 (* Write [v]'s register lanes to its home unless the home holds them. *)
 let write_home st v =
   if not st.clean.(v) then begin
@@ -211,24 +263,25 @@ let write_home st v =
 (** Write [v] home before its register is taken, if it is still needed. *)
 let spill st v = if live_at st v then write_home st v
 
-(** Write home every register value read after the current instruction:
-    no register survives it. *)
-let spill_live_after st =
-  for r = 0 to Array.length st.reg_owner - 1 do
-    let v = st.reg_owner.(r) in
-    if v >= 0 && live_after st v then write_home st v
-  done
-
 (** Pick a register to allocate, evicting if necessary. [avoid] registers
-    are never picked. *)
-let alloc_reg ?(avoid = []) st =
+    are never picked. A free callee-saved register comes first when
+    [saved] holds. *)
+let alloc_reg ?(avoid = []) ?(saved = false) st =
   let ok r = not (List.mem r avoid) in
   let alloc = st.target.Target.allocatable in
   (* free register first *)
-  let free =
+  let free_in want =
     Array.fold_left
-      (fun acc r -> match acc with Some _ -> acc | None -> if ok r && st.reg_owner.(r) < 0 then Some r else None)
+      (fun acc r ->
+        match acc with
+        | Some _ -> acc
+        | None -> if ok r && st.reg_owner.(r) < 0 && want r then Some r else None)
       None alloc
+  in
+  let free =
+    match if saved then free_in (fun r -> st.callee_saved.(r)) else None with
+    | Some _ as r -> r
+    | None -> free_in (fun _ -> true)
   in
   match free with
   | Some r -> r
@@ -248,7 +301,7 @@ let alloc_reg ?(avoid = []) st =
           let reread =
             st.an.Analysis.hi.(v) = st.cur_idx && st.an.Analysis.last_use.(v) < max_int
           in
-          (if st.clean.(v) then 0 else 1000)
+          (if is_const st v then 0 else if st.clean.(v) then 10 else 1000)
           + (if def_depth < cur_depth then 0 else 100)
           + if reread then 50 else 0
       in
@@ -267,16 +320,22 @@ let alloc_reg ?(avoid = []) st =
       detach st r;
       r
 
-(* Load lane [lane] of [v] from its home into [r]. *)
+(* Load lane [lane] of [v] from its home into [r], or materialise it
+   there when [v] is a constant. *)
 let load_lane st v lane r =
-  let off = st.slot_of.(v) in
-  if off < 0 then
-    unsupported "value %%%d (lane %d) has no location at ^%d:%d" v lane st.cur_block
-      st.cur_pos;
-  (* with no lane in a register, the home holds all of [v] *)
-  if st.reg_of.(v) < 0 && st.reg2_of.(v) < 0 then st.clean.(v) <- true;
-  emit st (Minst.Ld { dst = r; base = sp st; off = off + (8 * lane); size = 8; sext = false });
-  attach st r v lane
+  match remat st v lane with
+  | Some c ->
+      emit st (Minst.Mov_ri (r, c));
+      attach st r v lane
+  | None ->
+      let off = st.slot_of.(v) in
+      if off < 0 then
+        unsupported "value %%%d (lane %d) has no location at ^%d:%d" v lane st.cur_block
+          st.cur_pos;
+      (* with no lane in a register, the home holds all of [v] *)
+      if st.reg_of.(v) < 0 && st.reg2_of.(v) < 0 then st.clean.(v) <- true;
+      emit st (Minst.Ld { dst = r; base = sp st; off = off + (8 * lane); size = 8; sext = false });
+      attach st r v lane
 
 (** Bring lane [lane] of value [v] into a register. *)
 let use_lane ?(avoid = []) st v lane =
@@ -299,24 +358,29 @@ let use_lane ?(avoid = []) st v lane =
 let use ?avoid st v = use_lane ?avoid st v 0
 let use_hi ?avoid st v = use_lane ?avoid st v 1
 
-(** Allocate result register(s) for value [v]. *)
-let def ?(avoid = []) st v =
-  let r = alloc_reg ~avoid st in
-  attach st r v 0;
+(* every register lane of [v] is callee-saved *)
+let survives_calls st v =
+  let ok r = r < 0 || st.callee_saved.(r) in
+  ok st.reg_of.(v) && ok st.reg2_of.(v)
+
+(** Allocate result register(s) for value [v]; one live across a call
+    takes a callee-saved register when one is free. *)
+let def_lane ?(avoid = []) st v lane =
+  let r = alloc_reg ~avoid ~saved:st.an.Analysis.crosses_call.(v) st in
+  attach st r v lane;
   r
 
-let def_hi ?(avoid = []) st v =
-  let r = alloc_reg ~avoid st in
-  attach st r v 1;
-  r
+let def ?avoid st v = def_lane ?avoid st v 0
+let def_hi ?avoid st v = def_lane ?avoid st v 1
 
 (** After computing a definition: free it if nothing reads it, write its
     home now if a call inside a loop would otherwise write it on every
-    iteration. *)
+    iteration, unless it sits in a callee-saved register, which the call
+    leaves alone. *)
 let finish_def st v =
   st.clean.(v) <- false;
   if st.an.Analysis.uses.(v) = 0 then drop st v
-  else if st.an.Analysis.home_at_def.(v) then write_home st v
+  else if st.an.Analysis.home_at_def.(v) && not (survives_calls st v) then write_home st v
 
 (** Free registers of operands whose last use has passed. *)
 let kill_dead_operand st v =
@@ -324,6 +388,34 @@ let kill_dead_operand st v =
     st.an.Analysis.hi.(v) = st.cur_idx
     && st.an.Analysis.last_use.(v) <= st.cur_pos
   then drop st v
+
+(** The register for lane [lane] of [i], computed from register [rx]
+    holding an operand: [rx] itself when that operand died here (its
+    register is free), else a fresh register outside [avoid]. A result
+    that would be written home at its definition (live across a call in
+    a loop) passes over a caller-saved [rx] for a free callee-saved
+    register. *)
+let def_over ?(avoid = []) st i lane rx =
+  let wants_saved () =
+    st.an.Analysis.home_at_def.(i)
+    && (not st.callee_saved.(rx))
+    && Array.exists
+         (fun r -> st.callee_saved.(r) && st.reg_owner.(r) < 0 && not (List.mem r avoid))
+         st.target.Target.allocatable
+  in
+  if st.reg_owner.(rx) < 0 && not (wants_saved ()) then begin
+    attach st rx i lane;
+    rx
+  end
+  else def_lane ~avoid:(rx :: avoid) st i lane
+
+(** Lane [lane] of [i] as a copy of register [rx], to be updated in place
+    by a two-address instruction: [rx] itself when its operand died here,
+    else a fresh register and a move. *)
+let def_copy ?avoid st i lane rx =
+  let d = def_over ?avoid st i lane rx in
+  if d <> rx then emit st (Minst.Mov_rr (d, rx));
+  d
 
 (** Free a specific register. A still-needed owner moves to a free
     register outside [avoid], or, when there is none, goes home. *)
@@ -342,11 +434,12 @@ let evacuate ?(avoid = []) st r =
         detach st r
   end
 
-(** Force [v]'s lane into the specific register [r]. *)
-let force_reg st v lane r =
+(** Force [v]'s lane into the specific register [r]; [r]'s owner moves
+    out, to a register outside [avoid]. *)
+let force_reg ?avoid st v lane r =
   let cur = if lane = 0 then st.reg_of.(v) else st.reg2_of.(v) in
   if cur <> r then begin
-    evacuate st r;
+    evacuate ?avoid st r;
     if cur >= 0 then begin
       emit st (Minst.Mov_rr (r, cur));
       detach st cur;
@@ -357,19 +450,22 @@ let force_reg st v lane r =
 
 (* ---------------- edges ---------------- *)
 
-(* Where lane [lane] of [v] is now: a register, its home, or [nowhere]. *)
+(* Where lane [lane] of [v] is now: a register, its home, its constant,
+   or [nowhere]. *)
 let nowhere = M (-1)
 
 let src_loc st v lane =
   let r = if lane = 0 then st.reg_of.(v) else st.reg2_of.(v) in
   if r >= 0 then st.reg_loc.(r)
-  else if st.slot_of.(v) >= 0 then M (st.slot_of.(v) + (8 * lane))
-  else nowhere
+  else
+    match remat st v lane with
+    | Some c -> I c
+    | None -> if st.slot_of.(v) >= 0 then M (st.slot_of.(v) + (8 * lane)) else nowhere
 
 (** Emit [moves] (source, destination) through [out] as if all at once;
     destinations are distinct, and a move onto its own source is dropped.
     A cycle is broken through the scratch register, a memory-to-memory
-    move goes through the secondary one. *)
+    move or a constant stored to memory goes through the secondary one. *)
 let parallel_move st out moves =
   let sc = st.target.Target.scratch and sc2 = st.target.Target.scratch2 in
   let sp = sp st in
@@ -381,6 +477,11 @@ let parallel_move st out moves =
     | M a, M b ->
         out (Minst.Ld { dst = sc2; base = sp; off = a; size = 8; sext = false });
         out (Minst.St { src = sc2; base = sp; off = b; size = 8 })
+    | I c, R b -> out (Minst.Mov_ri (b, c))
+    | I c, M o ->
+        out (Minst.Mov_ri (sc2, c));
+        out (Minst.St { src = sc2; base = sp; off = o; size = 8 })
+    | _, I _ -> invalid_arg "parallel_move: a constant is not a destination"
   in
   match moves with
   | [] -> ()
@@ -416,9 +517,10 @@ let marked st v stamp = st.mark.(v) land lnot 7 = stamp
    live-in values stay in their registers, and each 64-bit phi takes its
    incoming value's register when that is free, else a free one, else its
    home. Into a loop header, only values the loop uses stay; when the loop
-   calls out, which clears every register, only those its header (and the
-   body block after it) read, since the back edge would reload the others
-   on every iteration. *)
+   calls out, which clears every caller-saved register, only those in
+   callee-saved registers and those its header (and the body block after
+   it) read, since the back edge would reload the others on every
+   iteration. *)
 let fix_entry_map st b =
   let an = st.an in
   let k = an.Analysis.index.(b) in
@@ -448,7 +550,8 @@ let fix_entry_map st b =
     if
       v >= 0 && live_in st v k
       && (loop_end < 0
-         || if calls then marked st v reads else an.Analysis.ext_end.(v) >= loop_end)
+         || (calls && marked st v reads)
+         || ((st.callee_saved.(r) || not calls) && an.Analysis.ext_end.(v) >= loop_end))
     then hold v st.reg_lane.(r) r st.clean.(v)
   done;
   let live_phi p = an.Analysis.uses.(p) > 0 && Func.ty st.f p <> Ty.I128 in
@@ -464,9 +567,16 @@ let fix_entry_map st b =
         if r >= 0 && not taken.(r) then (hold p 0 r false; false) else true)
       an.Analysis.phis.(b)
   in
+  let free_reg want =
+    Array.find_opt (fun r -> (not taken.(r)) && want r) st.target.Target.allocatable
+  in
   List.iter
     (fun p ->
-      match Array.find_opt (fun r -> not taken.(r)) st.target.Target.allocatable with
+      (* a phi live across a call prefers a callee-saved register *)
+      let saved =
+        if an.Analysis.crosses_call.(p) then free_reg (fun r -> st.callee_saved.(r)) else None
+      in
+      match if saved = None then free_reg (fun _ -> true) else saved with
       | Some r -> hold p 0 r false
       | None -> ())
     rest;
@@ -563,11 +673,11 @@ let emit_stubs st =
     (List.rev st.stubs)
 
 (** An out-of-line runtime call for what a fast path does not cover,
-    entered at [slow] and returning to [done_]: save every register whose
-    value is read after the current instruction, except the [results] the
-    call defines; move the [args] registers into the argument registers;
-    call [name]; move the return registers into [results]; restore. Both
-    paths meet with the same register state. *)
+    entered at [slow] and returning to [done_]: save every caller-saved
+    register whose value is read after the current instruction, except
+    the [results] the call defines; move the [args] registers into the
+    argument registers; call [name]; move the return registers into
+    [results]; restore. Both paths meet with the same register state. *)
 let runtime_stub st ~slow ~done_ ~args ~results name =
   let code = ref [] in
   let out i = code := i :: !code in
@@ -575,7 +685,8 @@ let runtime_stub st ~slow ~done_ ~args ~results name =
   let saved = ref [] in
   Array.iteri
     (fun r v ->
-      if v >= 0 && live_after st v && not (List.mem r results) then begin
+      if v >= 0 && live_after st v && (not st.callee_saved.(r)) && not (List.mem r results)
+      then begin
         saved := r :: !saved;
         out (Minst.St { src = r; base = sp st; off = save + (8 * r); size = 8 })
       end)
@@ -670,27 +781,117 @@ let const_of st v =
 
 (* ---------------- instruction emission ---------------- *)
 
+(* the predicate with its operands swapped *)
+let swap_cmp : Op.cmp -> Op.cmp = function
+  | Op.Slt -> Op.Sgt
+  | Op.Sgt -> Op.Slt
+  | Op.Sle -> Op.Sge
+  | Op.Sge -> Op.Sle
+  | Op.Ult -> Op.Ugt
+  | Op.Ugt -> Op.Ult
+  | Op.Ule -> Op.Uge
+  | Op.Uge -> Op.Ule
+  | (Op.Eq | Op.Ne) as c -> c
+
+let commutes : Op.t -> bool = function
+  | Op.Add | Op.Mul | Op.And | Op.Or | Op.Xor | Op.Saddtrap | Op.Smultrap | Op.Fadd | Op.Fmul ->
+      true
+  | _ -> false
+
+(** [i] = [x] op [y] in one two-address instruction: [rr d s] is
+    [d = d op s] and [imm d], when given, the same with [y] as an
+    immediate. The result takes [x]'s register when [x] dies here, or
+    [y]'s when only [y] dies and the op [commutes]; otherwise a copy of
+    [x] in a fresh register. Returns the result register. *)
+let two_address st i ~commutes ?imm rr x y =
+  let rx = use st x in
+  match imm with
+  | Some ri ->
+      kill_dead_operand st x;
+      kill_dead_operand st y;
+      let d = def_copy st i 0 rx in
+      emit st (ri d);
+      d
+  | None ->
+      let ry = if y = x then rx else use ~avoid:[ rx ] st y in
+      kill_dead_operand st x;
+      kill_dead_operand st y;
+      if commutes && st.reg_owner.(rx) >= 0 && st.reg_owner.(ry) < 0 then begin
+        attach st ry i 0;
+        emit st (rr ry rx);
+        ry
+      end
+      else begin
+        let d = def_copy ~avoid:[ ry ] st i 0 rx in
+        emit st (rr d ry);
+        d
+      end
+
+(** A 64-bit ALU op of [i] on its operands, a constant right one (the
+    left one, for a commutative op) as an imm32. *)
+let emit_alu st i op =
+  let f = st.f in
+  let x = Func.x f i and y = Func.y f i in
+  let c = commutes (Func.op f i) in
+  let x, y = if c && imm32 st x <> None && imm32 st y = None then (y, x) else (x, y) in
+  two_address st i ~commutes:c
+    ?imm:(Option.map (fun k d -> Minst.Alu_ri (op, d, k)) (imm32 st y))
+    (fun d s -> Minst.Alu_rr (op, d, s))
+    x y
+
+(* [v]'s two lanes as imm32 immediates, when it is such a constant *)
+let imm32_pair st v =
+  match (remat st v 0, remat st v 1) with
+  | Some lo, Some hi when Asm.fits_i32 lo && Asm.fits_i32 hi -> Some (lo, hi)
+  | _ -> None
+
+(** [i] = [x] op [y] on 128-bit values: [lo] on the low lanes, then [hi]
+    on the high ones, back to back, so add/adc and sub/sbb carry through
+    the flags. Register reuse and immediates as in [two_address]. *)
+let emit_i128_lanes st i ~commutes lo hi =
+  let f = st.f in
+  let x = Func.x f i and y = Func.y f i in
+  let x, y =
+    if commutes && imm32_pair st x <> None && imm32_pair st y = None then (y, x) else (x, y)
+  in
+  let xlo = use st x in
+  let xhi = use_hi ~avoid:[ xlo ] st x in
+  match imm32_pair st y with
+  | Some (clo, chi) ->
+      kill_dead_operand st x;
+      kill_dead_operand st y;
+      let dlo = def_copy ~avoid:[ xhi ] st i 0 xlo in
+      let dhi = def_copy ~avoid:[ dlo ] st i 1 xhi in
+      emit st (Minst.Alu_ri (lo, dlo, clo));
+      emit st (Minst.Alu_ri (hi, dhi, chi))
+  | None ->
+      let ylo = if y = x then xlo else use ~avoid:[ xlo; xhi ] st y in
+      let yhi = if y = x then xhi else use_hi ~avoid:[ xlo; xhi; ylo ] st y in
+      kill_dead_operand st x;
+      kill_dead_operand st y;
+      let dlo, dhi, slo, shi =
+        if commutes && st.reg_owner.(xlo) >= 0 && st.reg_owner.(ylo) < 0 then begin
+          attach st ylo i 0;
+          attach st yhi i 1;
+          (ylo, yhi, xlo, xhi)
+        end
+        else
+          let dlo = def_copy ~avoid:[ xhi; ylo; yhi ] st i 0 xlo in
+          let dhi = def_copy ~avoid:[ dlo; ylo; yhi ] st i 1 xhi in
+          (dlo, dhi, ylo, yhi)
+      in
+      emit st (Minst.Alu_rr (lo, dlo, slo));
+      emit st (Minst.Alu_rr (hi, dhi, shi))
+
 let rec emit_inst st i =
   let f = st.f in
   let ty = Func.ty f i in
   let x = Func.x f i and y = Func.y f i in
   match Func.op f i with
   | Op.Nop | Op.Arg | Op.Phi -> ()
-  | Op.Const ->
-      let d = def st i in
-      emit st (Minst.Mov_ri (d, Func.imm f i));
-      if ty = Ty.I128 then begin
-        let dhi = def_hi ~avoid:[ d ] st i in
-        emit st (Minst.Mov_ri (dhi, Int64.shift_right (Func.imm f i) 63))
-      end;
-      finish_def st i
-  | Op.Const128 ->
-      let hi, lo = Func.const128_value f i in
-      let dlo = def st i in
-      emit st (Minst.Mov_ri (dlo, lo));
-      let dhi = def_hi ~avoid:[ dlo ] st i in
-      emit st (Minst.Mov_ri (dhi, hi));
-      finish_def st i
+  | Op.Const | Op.Const128 ->
+      (* materialised by the uses that need it in a register *)
+      st.clean.(i) <- true
   | Op.Param ->
       (* like Const, but the immediate stays a forced-wide hole the linker
          patches per bind; zero keeps unbound text deterministic *)
@@ -707,23 +908,11 @@ let rec emit_inst st i =
       let rx = use st x in
       kill_dead_operand st x;
       emit st (Minst.Cmp_ri (rx, 0L));
-      if fusible st i then st.fused <- i
-      else begin
-        let d = def st i in
-        emit st
-          (Minst.Setcc ((if Func.op f i = Op.Isnull then Minst.Eq else Minst.Ne), d));
-        finish_def st i
-      end
+      set_cond st i (if Func.op f i = Op.Isnull then Minst.Eq else Minst.Ne)
   | Op.Add | Op.Sub | Op.Mul | Op.And | Op.Or | Op.Xor ->
       if ty = Ty.I128 then emit_i128_bin st i
       else begin
-        let rx = use st x in
-        let ry = use ~avoid:[ rx ] st y in
-        kill_dead_operand st x;
-        kill_dead_operand st y;
-        let d = def ~avoid:[ rx; ry ] st i in
-        emit st (Minst.Mov_rr (d, rx));
-        emit st (Minst.Alu_rr (alu_of_op (Func.op f i), d, ry));
+        let d = emit_alu st i (alu_of_op (Func.op f i)) in
         canonicalize st ty d;
         finish_def st i
       end
@@ -732,22 +921,12 @@ let rec emit_inst st i =
   | Op.Shl | Op.Lshr | Op.Ashr | Op.Rotr ->
       if ty = Ty.I128 then emit_i128_shift st i
       else begin
-        let rx = use st x in
-        kill_dead_operand st x;
+        let op = alu_of_op (Func.op f i) in
         let d =
-          match const_of st y with
-          | Some amt ->
-              let d = def ~avoid:[ rx ] st i in
-              emit st (Minst.Mov_rr (d, rx));
-              emit st (Minst.Alu_ri (alu_of_op (Func.op f i), d, amt));
-              d
-          | None ->
-              let ry = use ~avoid:[ rx ] st y in
-              kill_dead_operand st y;
-              let d = def ~avoid:[ rx; ry ] st i in
-              emit st (Minst.Mov_rr (d, rx));
-              emit st (Minst.Alu_rr (alu_of_op (Func.op f i), d, ry));
-              d
+          two_address st i ~commutes:false
+            ?imm:(Option.map (fun k d -> Minst.Alu_ri (op, d, k)) (const_of st y))
+            (fun d s -> Minst.Alu_rr (op, d, s))
+            x y
         in
         canonicalize st ty d;
         finish_def st i
@@ -757,45 +936,37 @@ let rec emit_inst st i =
       let pred = Op.cmp_of_int (Func.n f i) in
       match Func.ty f x with
       | Ty.I128 -> emit_i128_cmp st i pred
-      | Ty.F64 ->
-          let rx = use st x in
-          let ry = use ~avoid:[ rx ] st y in
-          kill_dead_operand st x;
-          kill_dead_operand st y;
-          emit st (Minst.Fcmp_rr (rx, ry));
-          let d = def st i in
-          emit st (Minst.Setcc (cmp_to_cond pred, d));
-          finish_def st i
+      | Ty.F64 -> emit_fcmp st i pred
       | _ ->
+          let x, y, pred =
+            if imm32 st x <> None && imm32 st y = None then (y, x, swap_cmp pred) else (x, y, pred)
+          in
           let rx = use st x in
-          let ry = use ~avoid:[ rx ] st y in
-          kill_dead_operand st x;
-          kill_dead_operand st y;
-          emit st (Minst.Cmp_rr (rx, ry));
-          if fusible st i then st.fused <- i
-          else begin
-            let d = def st i in
-            emit st (Minst.Setcc (cmp_to_cond pred, d));
-            finish_def st i
-          end)
-  | Op.Fcmp ->
-      let pred = Op.cmp_of_int (Func.n f i) in
-      let rx = use st x in
-      let ry = use ~avoid:[ rx ] st y in
-      kill_dead_operand st x;
-      kill_dead_operand st y;
-      emit st (Minst.Fcmp_rr (rx, ry));
-      let d = def st i in
-      emit st (Minst.Setcc (cmp_to_cond pred, d));
-      finish_def st i
+          (match imm32 st y with
+          | Some c ->
+              kill_dead_operand st x;
+              kill_dead_operand st y;
+              emit st (Minst.Cmp_ri (rx, c))
+          | None ->
+              let ry = if y = x then rx else use ~avoid:[ rx ] st y in
+              kill_dead_operand st x;
+              kill_dead_operand st y;
+              emit st (Minst.Cmp_rr (rx, ry)));
+          set_cond st i (cmp_to_cond pred))
+  | Op.Fcmp -> emit_fcmp st i (Op.cmp_of_int (Func.n f i))
   | Op.Zext ->
       let src_ty = Func.ty f x in
       let rx = use st x in
       kill_dead_operand st x;
-      let d = def ~avoid:[ rx ] st i in
       let bits = match src_ty with Ty.I1 -> 1 | Ty.I8 -> 8 | Ty.I16 -> 16 | Ty.I32 -> 32 | _ -> 0 in
-      if bits = 0 then emit st (Minst.Mov_rr (d, rx))
-      else emit st (Minst.Ext { dst = d; src = rx; bits; signed = false });
+      let d =
+        if bits = 0 then def_copy st i 0 rx
+        else begin
+          let d = def_over st i 0 rx in
+          emit st (Minst.Ext { dst = d; src = rx; bits; signed = false });
+          d
+        end
+      in
       if ty = Ty.I128 then begin
         let dhi = def_hi ~avoid:[ d ] st i in
         emit st (Minst.Mov_ri (dhi, 0L))
@@ -804,9 +975,8 @@ let rec emit_inst st i =
   | Op.Sext ->
       let rx = use st x in
       kill_dead_operand st x;
-      let d = def ~avoid:[ rx ] st i in
       (* sources are canonical (sign-extended), so the low lane is a move *)
-      emit st (Minst.Mov_rr (d, rx));
+      let d = def_copy st i 0 rx in
       if ty = Ty.I128 then begin
         let dhi = def_hi ~avoid:[ d ] st i in
         emit st (Minst.Mov_rr (dhi, d));
@@ -816,8 +986,7 @@ let rec emit_inst st i =
   | Op.Trunc ->
       let rx = use st x in
       kill_dead_operand st x;
-      let d = def ~avoid:[ rx ] st i in
-      emit st (Minst.Mov_rr (d, rx));
+      let d = def_copy st i 0 rx in
       (match ty with
       | Ty.I1 -> emit st (Minst.Alu_ri (Minst.And, d, 1L))
       | _ -> canonicalize st ty d);
@@ -834,7 +1003,7 @@ let rec emit_inst st i =
         emit st (Minst.Ld { dst = dhi; base; off = off + 8; size = 8; sext = false })
       end
       else begin
-        let d = def ~avoid:[ base ] st i in
+        let d = def_over st i 0 base in
         let size = max 1 (Ty.size_bytes ty) in
         let sext = ty <> Ty.I1 && size < 8 in
         emit st (Minst.Ld { dst = d; base; off; size; sext })
@@ -851,50 +1020,20 @@ let rec emit_inst st i =
         emit st (Minst.St { src = hi; base; off = off + 8; size = 8 })
       end
       else begin
-        let v = use ~avoid:[ base ] st x in
+        let v = if x = y then base else use ~avoid:[ base ] st x in
         let size = max 1 (Ty.size_bytes vty) in
         emit st (Minst.St { src = v; base; off; size })
       end;
       kill_dead_operand st x;
       kill_dead_operand st y
-  | Op.Gep ->
-      let base = use st x in
-      let off = Int64.to_int (Func.imm f i) in
-      if y >= 0 then begin
-        let idx = use ~avoid:[ base ] st y in
-        kill_dead_operand st x;
-        kill_dead_operand st y;
-        let scale = Func.n f i in
-        let d = def ~avoid:[ base; idx ] st i in
-        if scale = 1 || scale = 2 || scale = 4 || scale = 8 then
-          emit st (Minst.Lea { dst = d; base; index = idx; scale; off })
-        else begin
-          emit st (Minst.Mov_rr (d, idx));
-          emit st (Minst.Alu_ri (Minst.Mul, d, Int64.of_int scale));
-          emit st (Minst.Alu_rr (Minst.Add, d, base));
-          if off <> 0 then emit st (Minst.Alu_ri (Minst.Add, d, Int64.of_int off))
-        end
-      end
-      else begin
-        kill_dead_operand st x;
-        let d = def ~avoid:[ base ] st i in
-        emit st (Minst.Lea { dst = d; base; index = -1; scale = 1; off })
-      end;
-      finish_def st i
+  | Op.Gep -> emit_gep st i
   | Op.Crc32 ->
-      let racc = use st x in
-      let rv = use ~avoid:[ racc ] st y in
-      kill_dead_operand st x;
-      kill_dead_operand st y;
-      let d = def ~avoid:[ racc; rv ] st i in
-      emit st (Minst.Mov_rr (d, racc));
-      emit st (Minst.Crc32_rr (d, rv));
+      ignore (two_address st i ~commutes:false (fun d s -> Minst.Crc32_rr (d, s)) x y);
       finish_def st i
   | Op.Longmulfold ->
       (* rdx:rax = x * y (unsigned); result = rax ^ rdx *)
-      evacuate ~avoid:[ rax; rdx ] st rax;
+      force_reg ~avoid:[ rax; rdx ] st x 0 rax;
       evacuate ~avoid:[ rax; rdx ] st rdx;
-      force_reg st x 0 rax;
       let ry = use ~avoid:[ rax; rdx ] st y in
       kill_dead_operand st x;
       kill_dead_operand st y;
@@ -935,12 +1074,6 @@ let rec emit_inst st i =
       if next_block st >= 0 then Asm.jmp st.asm st.epilogue
   | Op.Unreachable -> emit st (Minst.Brk 0)
   | Op.Fadd | Op.Fsub | Op.Fmul | Op.Fdiv ->
-      let rx = use st x in
-      let ry = use ~avoid:[ rx ] st y in
-      kill_dead_operand st x;
-      kill_dead_operand st y;
-      let d = def ~avoid:[ rx; ry ] st i in
-      emit st (Minst.Mov_rr (d, rx));
       let fop =
         match Func.op f i with
         | Op.Fadd -> Minst.Fadd
@@ -948,64 +1081,107 @@ let rec emit_inst st i =
         | Op.Fmul -> Minst.Fmul
         | _ -> Minst.Fdiv
       in
-      emit st (Minst.Falu_rr (fop, d, ry));
+      ignore
+        (two_address st i ~commutes:(commutes (Func.op f i))
+           (fun d s -> Minst.Falu_rr (fop, d, s))
+           x y);
       finish_def st i
   | Op.Sitofp ->
       let rx = use st x in
       kill_dead_operand st x;
-      let d = def ~avoid:[ rx ] st i in
+      let d = def_over st i 0 rx in
       emit st (Minst.Cvt_si2f (d, rx));
       finish_def st i
   | Op.Fptosi ->
       let rx = use st x in
       kill_dead_operand st x;
-      let d = def ~avoid:[ rx ] st i in
+      let d = def_over st i 0 rx in
       emit st (Minst.Cvt_f2si (d, rx));
       finish_def st i
+
+(* The flags hold [i]'s condition [cond]: the branch right after [i] jumps
+   on them, or [i] is materialised. *)
+and set_cond st i cond =
+  if fusible st i then begin
+    st.fused <- i;
+    st.fused_cond <- cond
+  end
+  else begin
+    let d = def st i in
+    emit st (Minst.Setcc (cond, d));
+    finish_def st i
+  end
+
+and emit_fcmp st i pred =
+  let x = Func.x st.f i and y = Func.y st.f i in
+  let rx = use st x in
+  let ry = if y = x then rx else use ~avoid:[ rx ] st y in
+  kill_dead_operand st x;
+  kill_dead_operand st y;
+  emit st (Minst.Fcmp_rr (rx, ry));
+  set_cond st i (cmp_to_cond pred)
+
+(* base + index * scale + offset: one lea for scales 1, 2, 4 and 8, a
+   shift for other powers of two, a multiply otherwise; a constant base
+   that fits folds into the add *)
+and emit_gep st i =
+  let f = st.f in
+  let x = Func.x f i and y = Func.y f i in
+  let off = Int64.to_int (Func.imm f i) in
+  let scale = Func.n f i in
+  if y < 0 then begin
+    let base = use st x in
+    kill_dead_operand st x;
+    let d = def_over st i 0 base in
+    if d <> base || off <> 0 then
+      emit st (Minst.Lea { dst = d; base; index = -1; scale = 1; off })
+  end
+  else if scale = 1 || scale = 2 || scale = 4 || scale = 8 then begin
+    let base = use st x in
+    let idx = if y = x then base else use ~avoid:[ base ] st y in
+    kill_dead_operand st x;
+    kill_dead_operand st y;
+    let d = def_over st i 0 base in
+    emit st (Minst.Lea { dst = d; base; index = idx; scale; off })
+  end
+  else begin
+    let base_imm =
+      match imm32 st x with
+      | Some c when Asm.fits_i32 (Int64.add c (Int64.of_int off)) ->
+          Some (Int64.add c (Int64.of_int off))
+      | _ -> None
+    in
+    let idx = use st y in
+    let rbase = if base_imm = None then use ~avoid:[ idx ] st x else -1 in
+    kill_dead_operand st x;
+    kill_dead_operand st y;
+    let d = def_copy ~avoid:[ rbase ] st i 0 idx in
+    (if scale land (scale - 1) = 0 then
+       let rec log2 n = if n = 1 then 0 else 1 + log2 (n lsr 1) in
+       emit st (Minst.Alu_ri (Minst.Shl, d, Int64.of_int (log2 scale)))
+     else emit st (Minst.Alu_ri (Minst.Mul, d, Int64.of_int scale)));
+    match base_imm with
+    | Some c -> if c <> 0L then emit st (Minst.Alu_ri (Minst.Add, d, c))
+    | None ->
+        emit st (Minst.Alu_rr (Minst.Add, d, rbase));
+        if off <> 0 then emit st (Minst.Alu_ri (Minst.Add, d, Int64.of_int off))
+  end;
+  finish_def st i
 
 and emit_i128_bin st i =
   let f = st.f in
   let x = Func.x f i and y = Func.y f i in
   match Func.op f i with
-  | Op.Add | Op.Sub ->
-      let alu_lo, alu_hi =
-        if Func.op f i = Op.Add then (Minst.Add, Minst.Adc) else (Minst.Sub, Minst.Sbb)
-      in
-      let xlo = use st x in
-      let ylo = use ~avoid:[ xlo ] st y in
-      let dlo = def ~avoid:[ xlo; ylo ] st i in
-      emit st (Minst.Mov_rr (dlo, xlo));
-      let xhi = use_hi ~avoid:[ dlo; ylo ] st x in
-      let yhi = use_hi ~avoid:[ dlo; ylo; xhi ] st y in
-      kill_dead_operand st x;
-      kill_dead_operand st y;
-      let dhi = def_hi ~avoid:[ dlo; ylo; xhi; yhi ] st i in
-      (* flags: add lo sets CF for the adc *)
-      emit st (Minst.Mov_rr (dhi, xhi));
-      emit st (Minst.Alu_rr (alu_lo, dlo, ylo));
-      emit st (Minst.Alu_rr (alu_hi, dhi, yhi));
-      finish_def st i
+  | Op.Add | Op.Sub -> emit_i128_addsub st i (Func.op f i)
   | Op.And | Op.Or | Op.Xor ->
       let alu = alu_of_op (Func.op f i) in
-      let xlo = use st x in
-      let ylo = use ~avoid:[ xlo ] st y in
-      let dlo = def ~avoid:[ xlo; ylo ] st i in
-      emit st (Minst.Mov_rr (dlo, xlo));
-      emit st (Minst.Alu_rr (alu, dlo, ylo));
-      let xhi = use_hi ~avoid:[ dlo ] st x in
-      let yhi = use_hi ~avoid:[ dlo; xhi ] st y in
-      kill_dead_operand st x;
-      kill_dead_operand st y;
-      let dhi = def_hi ~avoid:[ dlo; xhi; yhi ] st i in
-      emit st (Minst.Mov_rr (dhi, xhi));
-      emit st (Minst.Alu_rr (alu, dhi, yhi));
+      emit_i128_lanes st i ~commutes:true alu alu;
       finish_def st i
   | Op.Mul ->
       (* truncated 128x128 multiply:
          rdx:rax = xlo *u ylo; rdx += xhi*ylo + xlo*yhi *)
-      evacuate ~avoid:[ rax; rdx ] st rax;
+      force_reg ~avoid:[ rax; rdx ] st x 0 rax;
       evacuate ~avoid:[ rax; rdx ] st rdx;
-      force_reg st x 0 rax;
       let ylo = use ~avoid:[ rax; rdx ] st y in
       let t = st.target.Target.scratch2 in
       evacuate st t;
@@ -1034,57 +1210,37 @@ and emit_i128_bin st i =
       finish_def st i
   | _ -> unsupported "i128 op %s" (Op.name (Func.op f i))
 
+(* 128-bit add/adc or sub/sbb; the flags keep the high half's overflow *)
+and emit_i128_addsub st i op =
+  if op = Op.Add then emit_i128_lanes st i ~commutes:true Minst.Add Minst.Adc
+  else emit_i128_lanes st i ~commutes:false Minst.Sub Minst.Sbb;
+  finish_def st i
+
 and emit_addsub_trap st i =
   let f = st.f in
   let ty = Func.ty f i in
-  let x = Func.x f i and y = Func.y f i in
+  let op = if Func.op f i = Op.Saddtrap then Op.Add else Op.Sub in
   if ty = Ty.I128 then begin
-    (* add/adc, overflow flag from the high half *)
-    emit_i128_bin_as st i (if Func.op f i = Op.Saddtrap then Op.Add else Op.Sub);
+    emit_i128_addsub st i op;
     Asm.jcc st.asm Minst.Ov (trap st)
   end
   else begin
-    let alu = alu_of_op (Func.op f i) in
-    let rx = use st x in
-    let ry = use ~avoid:[ rx ] st y in
-    kill_dead_operand st x;
-    kill_dead_operand st y;
-    let d = def ~avoid:[ rx; ry ] st i in
-    emit st (Minst.Mov_rr (d, rx));
-    emit st (Minst.Alu_rr (alu, d, ry));
-    (match ty with
-    | Ty.I64 -> Asm.jcc st.asm Minst.Ov (trap st)
-    | _ ->
-        (* narrow: result must equal its own sign-extension *)
-        let t = st.target.Target.scratch2 in
-        evacuate st t;
-        emit st (Minst.Ext { dst = t; src = d; bits = canon_bits ty; signed = true });
-        emit st (Minst.Cmp_rr (t, d));
-        Asm.jcc st.asm Minst.Ne (trap st);
-        emit st (Minst.Mov_rr (d, t)));
+    let d = emit_alu st i (alu_of_op op) in
+    trap_unless_fits st ty d;
     finish_def st i
   end
 
-and emit_i128_bin_as st i op =
-  (* like emit_i128_bin Add/Sub but with the result attached to [i] *)
-  let f = st.f in
-  let x = Func.x f i and y = Func.y f i in
-  let alu_lo, alu_hi =
-    if op = Op.Add then (Minst.Add, Minst.Adc) else (Minst.Sub, Minst.Sbb)
-  in
-  let xlo = use st x in
-  let ylo = use ~avoid:[ xlo ] st y in
-  let dlo = def ~avoid:[ xlo; ylo ] st i in
-  emit st (Minst.Mov_rr (dlo, xlo));
-  let xhi = use_hi ~avoid:[ dlo; ylo ] st x in
-  let yhi = use_hi ~avoid:[ dlo; ylo; xhi ] st y in
-  kill_dead_operand st x;
-  kill_dead_operand st y;
-  let dhi = def_hi ~avoid:[ dlo; ylo; xhi; yhi ] st i in
-  emit st (Minst.Mov_rr (dhi, xhi));
-  emit st (Minst.Alu_rr (alu_lo, dlo, ylo));
-  emit st (Minst.Alu_rr (alu_hi, dhi, yhi));
-  finish_def st i
+(* after a 64-bit op into [d] that overflows [ty]: trap on overflow, which
+   for a narrow [ty] means the result differs from its own sign-extension *)
+and trap_unless_fits st ty d =
+  match ty with
+  | Ty.I64 -> Asm.jcc st.asm Minst.Ov (trap st)
+  | _ ->
+      let t = st.target.Target.scratch2 in
+      evacuate st t;
+      emit st (Minst.Ext { dst = t; src = d; bits = canon_bits ty; signed = true });
+      emit st (Minst.Cmp_rr (t, d));
+      Asm.jcc st.asm Minst.Ne (trap st)
 
 and emit_i128_shift st i =
   (* Only constant shift amounts occur in generated code (hash extraction
@@ -1181,16 +1337,6 @@ and emit_mul_trap st i =
   let ty = Func.ty f i in
   let x = Func.x f i and y = Func.y f i in
   match ty with
-  | Ty.I64 ->
-      let rx = use st x in
-      let ry = use ~avoid:[ rx ] st y in
-      kill_dead_operand st x;
-      kill_dead_operand st y;
-      let d = def ~avoid:[ rx; ry ] st i in
-      emit st (Minst.Mov_rr (d, rx));
-      emit st (Minst.Alu_rr (Minst.Mul, d, ry));
-      Asm.jcc st.asm Minst.Ov (trap st);
-      finish_def st i
   | Ty.I128 ->
       (* Fast path when both operands fit in 64 bits (the optimization from
          Sec. V-A1/VI-A1): one signed widening multiply into rdx:rax.
@@ -1199,17 +1345,24 @@ and emit_mul_trap st i =
          so both paths meet with the same register state. *)
       let asm = st.asm in
       let fixed = [ rax; rdx ] in
-      let xlo = use ~avoid:fixed st x in
-      let xhi = use_hi ~avoid:(xlo :: fixed) st x in
+      (* an operand that dies here may already sit in rax/rdx: the checks
+         only read it, and the multiply consumes it *)
+      let dies v = st.an.Analysis.hi.(v) = st.cur_idx && st.an.Analysis.last_use.(v) <= st.cur_pos in
+      let fixed_for v = if dies v then [] else fixed in
+      let xlo = use ~avoid:(fixed_for x) st x in
+      let xhi = use_hi ~avoid:(xlo :: fixed_for x) st x in
       let ylo, yhi =
         if y = x then (xlo, xhi)
         else
-          let ylo = use ~avoid:(xlo :: xhi :: fixed) st y in
-          (ylo, use_hi ~avoid:(ylo :: xlo :: xhi :: fixed) st y)
+          let ylo = use ~avoid:(xlo :: xhi :: fixed_for y) st y in
+          (ylo, use_hi ~avoid:(ylo :: xlo :: xhi :: fixed_for y) st y)
       in
       let keep = xlo :: xhi :: ylo :: yhi :: fixed in
-      evacuate ~avoid:keep st rax;
-      evacuate ~avoid:keep st rdx;
+      List.iter
+        (fun r ->
+          let v = st.reg_owner.(r) in
+          if not (v >= 0 && (v = x || v = y) && dies v) then evacuate ~avoid:keep st r)
+        fixed;
       let slow = Asm.new_label asm and done_ = Asm.new_label asm in
       let t = st.target.Target.scratch2 in
       let fits lo hi =
@@ -1222,9 +1375,11 @@ and emit_mul_trap st i =
       fits ylo yhi;
       runtime_stub st ~slow ~done_ ~args:[ xlo; xhi; ylo; yhi ] ~results:fixed
         "umbra_i128MulFull";
-      (* fast: exact, cannot overflow 128 bits *)
-      emit st (Minst.Mov_rr (rax, xlo));
-      emit st (Minst.Mul_wide { signed = true; src = ylo });
+      (* fast: exact, cannot overflow 128 bits; the product commutes, so
+         the factor already in rax stays there *)
+      let a, b = if ylo = rax then (ylo, xlo) else (xlo, ylo) in
+      if a <> rax then emit st (Minst.Mov_rr (rax, a));
+      emit st (Minst.Mul_wide { signed = true; src = b });
       Asm.bind asm done_;
       kill_dead_operand st x;
       kill_dead_operand st y;
@@ -1232,20 +1387,8 @@ and emit_mul_trap st i =
       attach st rdx i 1;
       finish_def st i
   | _ ->
-      (* narrow: multiply in 64-bit, check canonical *)
-      let rx = use st x in
-      let ry = use ~avoid:[ rx ] st y in
-      kill_dead_operand st x;
-      kill_dead_operand st y;
-      let d = def ~avoid:[ rx; ry ] st i in
-      emit st (Minst.Mov_rr (d, rx));
-      emit st (Minst.Alu_rr (Minst.Mul, d, ry));
-      let t = st.target.Target.scratch2 in
-      evacuate st t;
-      emit st (Minst.Ext { dst = t; src = d; bits = canon_bits ty; signed = true });
-      emit st (Minst.Cmp_rr (t, d));
-      Asm.jcc st.asm Minst.Ne (trap st);
-      emit st (Minst.Mov_rr (d, t));
+      let d = emit_alu st i Minst.Mul in
+      trap_unless_fits st ty d;
       finish_def st i
 
 and emit_div st i =
@@ -1255,9 +1398,8 @@ and emit_div st i =
   if ty = Ty.I128 then unsupported "i128 division must go through the runtime";
   let signed = Func.op f i = Op.Sdiv || Func.op f i = Op.Srem in
   let want_rem = Func.op f i = Op.Srem || Func.op f i = Op.Urem in
-  evacuate ~avoid:[ rax; rdx ] st rax;
+  force_reg ~avoid:[ rax; rdx ] st x 0 rax;
   evacuate ~avoid:[ rax; rdx ] st rdx;
-  force_reg st x 0 rax;
   let ry = use ~avoid:[ rax; rdx ] st y in
   kill_dead_operand st x;
   kill_dead_operand st y;
@@ -1276,20 +1418,28 @@ and emit_div st i =
 and emit_i128_cmp st i pred =
   let f = st.f in
   let x = Func.x f i and y = Func.y f i in
+  (* a constant [y] whose lanes fit compares as immediates *)
+  let imm = imm32_pair st y in
+  let cmp r lane yr =
+    match imm with
+    | Some (lo, hi) -> Minst.Cmp_ri (r, if lane = 0 then lo else hi)
+    | None -> Minst.Cmp_rr (r, yr)
+  in
   let xlo = use st x in
-  let ylo = use ~avoid:[ xlo ] st y in
+  let ylo = if imm <> None then -1 else use ~avoid:[ xlo ] st y in
   let t = st.target.Target.scratch2 in
   evacuate st t;
+  let use_yhi avoid = if imm <> None then -1 else use_hi ~avoid st y in
   match pred with
   | Op.Eq | Op.Ne ->
-      emit st (Minst.Cmp_rr (xlo, ylo));
+      emit st (cmp xlo 0 ylo);
       emit st (Minst.Setcc (Minst.Eq, t));
       let xhi = use_hi ~avoid:[ xlo; ylo; t ] st x in
-      let yhi = use_hi ~avoid:[ xlo; ylo; t; xhi ] st y in
+      let yhi = use_yhi [ xlo; ylo; t; xhi ] in
       kill_dead_operand st x;
       kill_dead_operand st y;
       let d = def ~avoid:[ t; xhi; yhi ] st i in
-      emit st (Minst.Cmp_rr (xhi, yhi));
+      emit st (cmp xhi 1 yhi);
       emit st (Minst.Setcc (Minst.Eq, d));
       emit st (Minst.Alu_rr (Minst.And, d, t));
       if pred = Op.Ne then emit st (Minst.Alu_ri (Minst.Xor, d, 1L));
@@ -1316,14 +1466,14 @@ and emit_i128_cmp st i pred =
         | Op.Uge -> Minst.Ugt
         | _ -> assert false
       in
-      emit st (Minst.Cmp_rr (xlo, ylo));
+      emit st (cmp xlo 0 ylo);
       emit st (Minst.Setcc (unsigned_pred, t));
       let xhi = use_hi ~avoid:[ xlo; ylo; t ] st x in
-      let yhi = use_hi ~avoid:[ xlo; ylo; t; xhi ] st y in
+      let yhi = use_yhi [ xlo; ylo; t; xhi ] in
       kill_dead_operand st x;
       kill_dead_operand st y;
       let d = def ~avoid:[ t; xhi; yhi ] st i in
-      emit st (Minst.Cmp_rr (xhi, yhi));
+      emit st (cmp xhi 1 yhi);
       (* d = strict hi comparison; when the hi words are equal the unsigned
          lo comparison (already in t) decides *)
       emit st (Minst.Setcc (hi_pred, d));
@@ -1332,39 +1482,42 @@ and emit_i128_cmp st i pred =
 
 and emit_select st i =
   let f = st.f in
-  let ty = Func.ty f i in
   let c = Func.x f i and a = Func.y f i and b = Func.z f i in
-  if ty = Ty.I128 then begin
+  if Func.ty f i = Ty.I128 then begin
     let ra = use st a in
-    let rb = use ~avoid:[ ra ] st b in
-    let rc = use ~avoid:[ ra; rb ] st c in
-    let d = def ~avoid:[ ra; rb; rc ] st i in
-    emit st (Minst.Mov_rr (d, ra));
-    emit st (Minst.Cmp_ri (rc, 0L));
-    emit st (Minst.Csel { cond = Minst.Ne; dst = d; a = d; b = rb });
-    let rahi = use_hi ~avoid:[ d; rb; rc ] st a in
-    let rbhi = use_hi ~avoid:[ d; rb; rc; rahi ] st b in
+    let rahi = use_hi ~avoid:[ ra ] st a in
+    let rb = use ~avoid:[ ra; rahi ] st b in
+    let rbhi = use_hi ~avoid:[ ra; rahi; rb ] st b in
+    let rc = use ~avoid:[ ra; rahi; rb; rbhi ] st c in
     kill_dead_operand st a;
     kill_dead_operand st b;
     kill_dead_operand st c;
-    let dhi = def_hi ~avoid:[ d; rahi; rbhi; rc ] st i in
-    emit st (Minst.Mov_rr (dhi, rahi));
-    emit st (Minst.Csel { cond = Minst.Ne; dst = dhi; a = dhi; b = rbhi });
-    finish_def st i
+    let d = def_copy ~avoid:[ rahi; rb; rbhi; rc ] st i 0 ra in
+    let dhi = def_copy ~avoid:[ d; rb; rbhi; rc ] st i 1 rahi in
+    emit st (Minst.Cmp_ri (rc, 0L));
+    emit st (Minst.Csel { cond = Minst.Ne; dst = d; a = d; b = rb });
+    emit st (Minst.Csel { cond = Minst.Ne; dst = dhi; a = dhi; b = rbhi })
   end
   else begin
     let ra = use st a in
-    let rb = use ~avoid:[ ra ] st b in
+    let rb = if b = a then ra else use ~avoid:[ ra ] st b in
     let rc = use ~avoid:[ ra; rb ] st c in
     kill_dead_operand st a;
     kill_dead_operand st b;
     kill_dead_operand st c;
-    let d = def ~avoid:[ ra; rb; rc ] st i in
-    emit st (Minst.Mov_rr (d, ra));
-    emit st (Minst.Cmp_ri (rc, 0L));
-    emit st (Minst.Csel { cond = Minst.Ne; dst = d; a = d; b = rb });
-    finish_def st i
-  end
+    if st.reg_owner.(ra) >= 0 && st.reg_owner.(rb) < 0 then begin
+      (* [b] dies, [a] lives on: the result keeps [b] unless [c] is set *)
+      attach st rb i 0;
+      emit st (Minst.Cmp_ri (rc, 0L));
+      emit st (Minst.Csel { cond = Minst.Eq; dst = rb; a = rb; b = ra })
+    end
+    else begin
+      let d = def_copy ~avoid:[ rb; rc ] st i 0 ra in
+      emit st (Minst.Cmp_ri (rc, 0L));
+      emit st (Minst.Csel { cond = Minst.Ne; dst = d; a = d; b = rb })
+    end
+  end;
+  finish_def st i
 
 and emit_call st i =
   match st.intrinsics.(Func.z st.f i) with
@@ -1375,9 +1528,9 @@ and emit_call st i =
 and emit_runtime_call st i =
   let f = st.f in
   let ty = Func.ty f i in
-  (* no register survives the call: write home what is read after it, then
-     move every argument from where it is into its register at once *)
-  spill_live_after st;
+  let args = Func.call_args f i in
+  keep_across_call st args;
+  (* move every argument from where it is into its register at once *)
   let arg_regs = st.target.Target.arg_regs in
   let k = ref 0 in
   let moves = ref [] in
@@ -1389,9 +1542,13 @@ and emit_runtime_call st i =
         moves := (s, st.reg_loc.(arg_regs.(!k))) :: !moves;
         incr k
       done)
-    (Func.call_args f i);
+    args;
   parallel_move st (emit st) !moves;
-  clear_regs st;
+  (* the call clobbers every caller-saved register *)
+  for r = 0 to Array.length st.reg_owner - 1 do
+    let v = st.reg_owner.(r) in
+    if v >= 0 && not (st.callee_saved.(r) && live_after st v) then detach st r
+  done;
   let addr = st.extern_addr (Func.z f i) in
   let sc = st.target.Target.scratch in
   emit st (Minst.Mov_ri (sc, addr));
@@ -1401,6 +1558,53 @@ and emit_runtime_call st i =
     if ty = Ty.I128 then attach st st.target.Target.ret_regs.(1) i 1;
     finish_def st i
   end
+
+(* Before a runtime call with arguments [args]: a value read after it that
+   sits in caller-saved registers moves to free callee-saved ones, dirty
+   values first, or else is written home; a constant is left to be
+   materialised again. A callee-saved register whose value dies at the call
+   and is no argument of it counts as free. *)
+and keep_across_call st args =
+  let free r =
+    st.callee_saved.(r)
+    &&
+    let v = st.reg_owner.(r) in
+    v < 0 || ((not (live_after st v)) && not (List.mem v args))
+  in
+  let move r c =
+    let v = st.reg_owner.(r) and lane = st.reg_lane.(r) in
+    detach st c;
+    emit st (Minst.Mov_rr (c, r));
+    detach st r;
+    attach st c v lane
+  in
+  let allocatable = Array.to_list st.target.Target.allocatable in
+  let keep ~dirty =
+    List.iter
+      (fun r ->
+        let v = st.reg_owner.(r) in
+        if
+          v >= 0
+          && (not st.callee_saved.(r))
+          && st.clean.(v) <> dirty
+          && live_after st v
+          && not (is_const st v)
+        then begin
+          let exposed =
+            List.filter
+              (fun r -> r >= 0 && not st.callee_saved.(r))
+              [ st.reg_of.(v); st.reg2_of.(v) ]
+          in
+          let targets =
+            List.filteri (fun k _ -> k < List.length exposed) (List.filter free allocatable)
+          in
+          if List.compare_lengths targets exposed = 0 then List.iter2 move exposed targets
+          else write_home st v
+        end)
+      allocatable
+  in
+  keep ~dirty:true;
+  keep ~dirty:false
 
 (* Short-string equality from the two words of each struct (see {!Sso}):
    different length words mean different strings, equal second words the
@@ -1481,10 +1685,7 @@ and emit_condbr st i =
   let cond =
     if st.fused = c then begin
       st.fused <- -1;
-      match Func.op f c with
-      | Op.Cmp -> cmp_to_cond (Op.cmp_of_int (Func.n f c))
-      | Op.Isnull -> Minst.Eq
-      | _ -> Minst.Ne
+      st.fused_cond
     end
     else begin
       let rc = use st c in

@@ -81,21 +81,21 @@ let pinned_cycles (target : Qcomp_vm.Target.t) =
   match target.Qcomp_vm.Target.arch with
   | Qcomp_vm.Target.X64 ->
       [
-        ("interpreter", 22_861_670);
-        ("stencil", 8_666_442);
-        ("directemit", 5_240_847);
-        ("cranelift", 6_836_478);
-        ("llvm-opt", 7_025_039);
-        ("llvm-cheap", 11_227_687);
-        ("gcc", 10_117_852);
+        ("interpreter", 22_856_241);
+        ("stencil", 8_661_013);
+        ("directemit", 4_286_030);
+        ("cranelift", 6_831_049);
+        ("llvm-opt", 7_019_610);
+        ("llvm-cheap", 11_222_258);
+        ("gcc", 10_112_423);
       ]
   | Qcomp_vm.Target.A64 ->
       [
-        ("interpreter", 22_861_670);
-        ("cranelift", 5_634_024);
-        ("llvm-opt", 6_429_018);
-        ("llvm-cheap", 9_081_919);
-        ("gcc", 8_661_382);
+        ("interpreter", 22_856_241);
+        ("cranelift", 5_628_595);
+        ("llvm-opt", 6_423_589);
+        ("llvm-cheap", 9_076_490);
+        ("gcc", 8_655_953);
       ]
 
 (** Summed {!Qcomp_engine.Engine.estimated_work} of the same 22 plans at

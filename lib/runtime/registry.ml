@@ -147,6 +147,12 @@ let functions target : (string * (Emu.t -> unit)) list =
         let s = Int64.to_int (arg e 0) and p = Int64.to_int (arg e 1) in
         Emu.charge e (20 + (3 * Sso.length mem s));
         ret e (if Sso.like mem ~str:s ~pat:p then 1L else 0L) );
+    ( "umbra_strPrefix",
+      fun e ->
+        let mem = Emu.memory e in
+        let s = Int64.to_int (arg e 0) and p = Int64.to_int (arg e 1) in
+        Emu.charge e (10 + (Sso.length mem p / 8));
+        ret e (if Sso.has_prefix mem ~str:s ~prefix:p then 1L else 0L) );
     ( "umbra_strHash",
       fun e ->
         let mem = Emu.memory e in

@@ -68,28 +68,52 @@ let equal mem a b =
 
 let compare_str mem a b = String.compare (read mem a) (read mem b)
 
+(* The address of the [n] bytes of the string at [addr]: inline in its
+   struct, or its body; checked once, so the matchers below read bytes
+   straight from memory and allocate nothing. *)
+let contents mem addr n =
+  let a = if n <= inline_max then addr + 4 else Int64.to_int (Memory.load64 mem (addr + 8)) in
+  if n > 0 then Memory.check mem a n;
+  a
+
+let byte mem a = Bytes.get_uint8 mem.Memory.data a
+
+(* bytes [i, k) at [a] and at [b] are equal *)
+let rec same_bytes mem a b i k =
+  i = k || (byte mem (a + i) = byte mem (b + i) && same_bytes mem a b (i + 1) k)
+
+(** [str] starts with [prefix]. *)
+let has_prefix mem ~str ~prefix =
+  let ns = length mem str and k = length mem prefix in
+  k <= ns && same_bytes mem (contents mem str ns) (contents mem prefix k) 0 k
+
+let percent = Char.code '%'
+let underscore = Char.code '_'
+
+(* pattern bytes [j, np) at [p] are all [%] *)
+let rec only_percent mem p np j =
+  j = np || (byte mem (p + j) = percent && only_percent mem p np (j + 1))
+
+(* [s.[i..]] matches [p.[j..]], two pointers with backtracking: [star] is
+   the position of the last [%] seen (-1 for none) and [mark] the first
+   string position it has not absorbed yet. On a mismatch that [%] takes
+   one more byte and matching resumes after it. *)
+let rec like_from mem s ns p np i j star mark =
+  if i < ns then begin
+    let c = if j < np then byte mem (p + j) else -1 in
+    if c = percent then like_from mem s ns p np i (j + 1) j i
+    else if c >= 0 && (c = underscore || c = byte mem (s + i)) then
+      like_from mem s ns p np (i + 1) (j + 1) star mark
+    else if star >= 0 then like_from mem s ns p np (mark + 1) (star + 1) star (mark + 1)
+    else false
+  end
+  else (* the string is used up: only [%]s may be left *)
+    only_percent mem p np j
+
 (** SQL LIKE with [%] and [_]. *)
 let like mem ~str ~pat =
-  let s = read mem str and p = read mem pat in
-  let ns = String.length s and np = String.length p in
-  (* Memoized recursive matcher. *)
-  let memo = Hashtbl.create 16 in
-  let rec go i j =
-    match Hashtbl.find_opt memo (i, j) with
-    | Some r -> r
-    | None ->
-        let r =
-          if j = np then i = ns
-          else
-            match p.[j] with
-            | '%' -> go i (j + 1) || (i < ns && go (i + 1) j)
-            | '_' -> i < ns && go (i + 1) (j + 1)
-            | c -> i < ns && s.[i] = c && go (i + 1) (j + 1)
-        in
-        Hashtbl.add memo (i, j) r;
-        r
-  in
-  go 0 0
+  let ns = length mem str and np = length mem pat in
+  like_from mem (contents mem str ns) ns (contents mem pat np) np 0 0 (-1) 0
 
 let hash_seed = 0xCBF29CE484222325L
 let golden = 0x9E3779B97F4A7C15L

@@ -277,6 +277,137 @@ let case_pressure_compare () =
   mix (fun acc w -> Builder.xor b i64 acc w);
   m
 
+(* x + x on one register: once while x stays live, once as x dies, in
+   64 and 128 bits (both lanes of the 128-bit sum are read) *)
+let case_double () =
+  let m, b = new_fn () in
+  let a0 = Builder.arg b 0 and a1 = Builder.arg b 1 in
+  let t = Builder.add b i64 a0 a0 in
+  let u = Builder.add b i64 t t in
+  let w = Builder.sext b Ty.I128 a1 in
+  let w2 = Builder.add b Ty.I128 w w in
+  let w3 = Builder.add b Ty.I128 w2 w2 in
+  let w4 = Builder.xor b Ty.I128 w3 w in
+  let hi = Builder.trunc b i64 (Builder.ashr b Ty.I128 w4 (Builder.const b Ty.I128 64L)) in
+  let lo = Builder.trunc b i64 w4 in
+  Builder.ret b (Builder.add b i64 (Builder.xor b i64 u a0) (Builder.sub b i64 hi lo));
+  m
+
+(* operands that outlive the op reading them keep their registers: [i]
+   is read again by its increment, [v] after the loop, [acc] by the
+   subtraction after the xor; the result must not take their registers *)
+let case_live_operands () =
+  let m, b = new_fn () in
+  let n = Builder.arg b 0 and k = Builder.arg b 1 in
+  let entry = Builder.current_block b in
+  let v = Builder.sub b i64 n k in
+  let zero = Builder.const_i64 b 0L in
+  let head = Builder.new_block b and body = Builder.new_block b and exit = Builder.new_block b in
+  Builder.br b head;
+  Builder.switch_to b head;
+  let i = Builder.phi_placeholder b i64 ~max_incoming:2 in
+  let acc = Builder.phi_placeholder b i64 ~max_incoming:2 in
+  Builder.condbr b (Builder.cmp b Op.Slt i (Builder.and_ b i64 n (Builder.const_i64 b 31L)))
+    ~then_:body ~else_:exit;
+  Builder.switch_to b body;
+  let t = Builder.add b i64 i v in
+  let x = Builder.xor b i64 acc t in
+  let acc' = Builder.sub b i64 x acc in
+  let i' = Builder.add b i64 i (Builder.const_i64 b 1L) in
+  Builder.br b head;
+  Builder.add_phi_incoming b i ~block:entry ~value:zero;
+  Builder.add_phi_incoming b i ~block:body ~value:i';
+  Builder.add_phi_incoming b acc ~block:entry ~value:k;
+  Builder.add_phi_incoming b acc ~block:body ~value:acc';
+  Builder.switch_to b exit;
+  Builder.ret b (Builder.add b i64 (Builder.xor b i64 acc i) v);
+  m
+
+(* the imm32 bounds: 0x7fffffff and -0x80000000 fold into the ALU op
+   and the compare, 0x80000000 and 1 lsl 40 are materialised *)
+let fold_bounds = [ 0x7FFFFFFFL; -0x80000000L ]
+let wide_bounds = [ 0x80000000L; Int64.shift_left 1L 40 ]
+
+let case_imm_bounds () =
+  let m, b = new_fn () in
+  let a0 = Builder.arg b 0 and a1 = Builder.arg b 1 in
+  let c k = Builder.const_i64 b k in
+  let s1 = Builder.add b i64 a0 (c 0x7FFFFFFFL) in
+  let s2 = Builder.xor b i64 a1 (c (-0x80000000L)) in
+  let s3 = Builder.and_ b i64 a0 (c 0x80000000L) in
+  let s4 = Builder.or_ b i64 a1 (c (Int64.shift_left 1L 40)) in
+  let lt = Builder.cmp b Op.Slt a0 (c 0x7FFFFFFFL) in
+  let ge = Builder.cmp b Op.Sge (c (-0x80000000L)) a1 in
+  let flags =
+    Builder.add b i64 (Builder.sext b i64 lt) (Builder.shl b i64 (Builder.sext b i64 ge) (c 1L))
+  in
+  let sum = Builder.add b i64 (Builder.sub b i64 s3 s4) flags in
+  Builder.ret b (Builder.add b i64 (Builder.xor b i64 s1 s2) sum);
+  m
+
+(* 8-, 16- and 32-bit results of immediate ops wrap and stay
+   sign-extended: each feeds a 64-bit sum through a sign extension *)
+let case_narrow_imm () =
+  let m, b = new_fn () in
+  let a0 = Builder.arg b 0 and a1 = Builder.arg b 1 in
+  let narrow ty x = Builder.trunc b ty x in
+  let x8 = narrow Ty.I8 a0 and x16 = narrow Ty.I16 a1 and x32 = narrow Ty.I32 a0 in
+  let k ty v = Builder.const b ty v in
+  let r8 = Builder.mul b Ty.I8 (Builder.add b Ty.I8 x8 (k Ty.I8 100L)) (k Ty.I8 3L) in
+  let r16 = Builder.sub b Ty.I16 (Builder.xor b Ty.I16 x16 (k Ty.I16 (-21846L))) (k Ty.I16 30000L) in
+  let r32 = Builder.shl b Ty.I32 (Builder.add b Ty.I32 x32 (k Ty.I32 0x7FFFFFFFL)) (k Ty.I32 3L) in
+  let wide x = Builder.sext b i64 x in
+  let sum = Builder.add b i64 (wide r8) (wide r16) in
+  Builder.ret b (Builder.add b i64 sum (Builder.mul b i64 (wide r32) (k i64 7L)));
+  m
+
+(* [v], defined before a loop that calls out on every iteration, is read
+   after each call and after the loop, and the counter after each call *)
+let case_call_loop () =
+  let m, b = new_fn () in
+  let a0 = Builder.arg b 0 and a1 = Builder.arg b 1 in
+  let entry = Builder.current_block b in
+  let v = Builder.sub b i64 a0 a1 in
+  let zero = Builder.const_i64 b 0L in
+  let head = Builder.new_block b and body = Builder.new_block b and exit = Builder.new_block b in
+  Builder.br b head;
+  Builder.switch_to b head;
+  let i = Builder.phi_placeholder b i64 ~max_incoming:2 in
+  let acc = Builder.phi_placeholder b i64 ~max_incoming:2 in
+  Builder.condbr b (Builder.cmp b Op.Slt i (Builder.const_i64 b 6L)) ~then_:body ~else_:exit;
+  Builder.switch_to b body;
+  let h = Builder.call b ~name:"umbra_crc32" ~args_ty:[| i64; i64 |] ~ret:i64 [ acc; i ] in
+  let acc' = Builder.add b i64 h (Builder.xor b i64 v i) in
+  let i' = Builder.add b i64 i (Builder.const_i64 b 1L) in
+  Builder.br b head;
+  Builder.add_phi_incoming b i ~block:entry ~value:zero;
+  Builder.add_phi_incoming b i ~block:body ~value:i';
+  Builder.add_phi_incoming b acc ~block:entry ~value:a1;
+  Builder.add_phi_incoming b acc ~block:body ~value:acc';
+  Builder.switch_to b exit;
+  Builder.ret b (Builder.xor b i64 acc v);
+  m
+
+(* a comparator over two rows of eight words with every word live at
+   once: more values than caller-saved registers, as a sort comparator
+   under pressure *)
+let comparator () =
+  let m = Func.create_module "m" in
+  let b = Builder.create m ~name:"f" ~ret:i64 ~args:[| Ty.Ptr; Ty.Ptr |] in
+  let pa = Builder.arg b 0 and pb = Builder.arg b 1 in
+  let words p = List.init 8 (fun k -> Builder.load b i64 p ~offset:(8 * k)) in
+  let xs = words pa and ys = words pb in
+  let d =
+    List.fold_left2
+      (fun acc x y ->
+        Builder.add b i64 (Builder.mul b i64 acc (Builder.const_i64 b 3L)) (Builder.sub b i64 x y))
+      (Builder.const_i64 b 0L) xs ys
+  in
+  let neg = Builder.sext b i64 (Builder.cmp b Op.Slt d (Builder.const_i64 b 0L)) in
+  let pos = Builder.sext b i64 (Builder.cmp b Op.Sgt d (Builder.const_i64 b 0L)) in
+  Builder.ret b (Builder.sub b i64 pos neg);
+  m
+
 (* signed and unsigned boundaries of both widths, and ordinary values *)
 let arg_sets =
   let vals =
@@ -290,8 +421,11 @@ let small_sets =
   [ [| 0L; 0L |]; [| 5L; 7L |]; [| 7L; 5L |]; [| -3L; 11L |]; [| 1000L; -1000L |];
     [| 300L; 2L |]; [| 12L; 12L |]; [| 0xABCDEFL; 0x1234L |] ]
 
-(* (name, function, argument sets, instructions the emitter that dropped
-   every register at block edges and calls executed over them) *)
+(* (name, function, argument sets, instruction ceiling). The ceiling of
+   the first nine cases is what the emitter that dropped every register at
+   block edges and calls executed over them; that of the later ones is
+   what the emitter that copied every two-address operand, materialised
+   every constant and spilled every live value at a call executed. *)
 let cases =
   [ ("integer predicates", case_predicates, arg_sets, 35136);
     ("isnull / isnotnull", case_null_tests, arg_sets, 2233);
@@ -301,7 +435,12 @@ let cases =
     ("merge reached with different registers", case_merge_states, small_sets, 284);
     ("call arguments in a register cycle", case_arg_cycle, small_sets, 136);
     ("values live across calls", case_live_across_call, small_sets, 1790);
-    ("fused compare under full register pressure", case_pressure_compare, small_sets, 1064) ]
+    ("fused compare under full register pressure", case_pressure_compare, small_sets, 1064);
+    ("x + x in 64 and 128 bits", case_double, arg_sets, 5904);
+    ("live operands keep their registers", case_live_operands, small_sets, 1624);
+    ("imm32 bounds fold, wider constants do not", case_imm_bounds, arg_sets, 5328);
+    ("narrow results stay canonical after immediate ops", case_narrow_imm, arg_sets, 6336);
+    ("a value live across calls in a loop", case_call_loop, small_sets, 1160) ]
 
 (* run [f] over [args] on [backend]: results, executed instructions and
    cycles *)
@@ -335,6 +474,119 @@ let rule_tests =
             Alcotest.failf "%d instructions executed, the block-local emitter took %d" insts
               parent_insts))
     cases
+
+(* the module's DirectEmit code, decoded *)
+let decoded db m =
+  let a =
+    Qcomp_directemit.Directemit.compile_artifact
+      ~timing:(Qcomp_support.Timing.create ~enabled:false ())
+      ~target:Qcomp_vm.Target.x64 ~registry:db.Engine.registry m
+  in
+  fst (Qcomp_vm.Emu.decode_all Qcomp_vm.Target.x64 a.Qcomp_backend.Artifact.a_text)
+
+let x64 = Qcomp_vm.Target.x64
+let callee_saved r = Qcomp_vm.Target.is_callee_saved x64 r
+
+let imm_bounds_test =
+  Alcotest.test_case "immediates: imm32 bounds fold, wider constants are materialised" `Quick
+    (fun () ->
+      let db = Engine.create_db ~mem_size:(1 lsl 22) x64 in
+      let code = decoded db (case_imm_bounds ()) in
+      let folded c =
+        Array.exists
+          (function Qcomp_vm.Minst.Alu_ri (_, _, k) | Cmp_ri (_, k) -> k = c | _ -> false)
+          code
+      in
+      (* the assembler's own wide-immediate expansion goes through the
+         scratch register; a materialised constant takes an allocatable one *)
+      let materialised c =
+        Array.exists
+          (function Qcomp_vm.Minst.Mov_ri (r, k) -> k = c && r <> x64.scratch | _ -> false)
+          code
+      in
+      List.iter
+        (fun c ->
+          Alcotest.(check bool) (Printf.sprintf "%Ld is an immediate" c) true (folded c);
+          Alcotest.(check bool) (Printf.sprintf "%Ld is not materialised" c) false (materialised c))
+        fold_bounds;
+      List.iter
+        (fun c ->
+          Alcotest.(check bool) (Printf.sprintf "%Ld is materialised" c) true (materialised c);
+          Alcotest.(check bool) (Printf.sprintf "%Ld is no immediate" c) false (folded c))
+        wide_bounds)
+
+(* the only stack stores are the prologue's saves, one per callee-saved
+   register: neither [v] nor the counter is ever written home *)
+let call_loop_test =
+  Alcotest.test_case "calls: values live across a call in a loop are never stored" `Quick
+    (fun () ->
+      let db = Engine.create_db ~mem_size:(1 lsl 22) x64 in
+      let stored =
+        Array.fold_left
+          (fun acc i ->
+            match i with
+            | Qcomp_vm.Minst.St { src; base; _ } when base = x64.sp -> src :: acc
+            | _ -> acc)
+          [] (decoded db (case_call_loop ()))
+      in
+      List.iter
+        (fun r ->
+          if not (callee_saved r) then
+            Alcotest.failf "%s, a caller-saved register, is stored to the stack"
+              (Qcomp_vm.Target.reg_name x64 r))
+        stored;
+      Alcotest.(check int) "one save per register" (List.length (List.sort_uniq compare stored))
+        (List.length stored))
+
+(* the host calls the comparator as umbra_sort does, with a sentinel in
+   every callee-saved register: each must hold it again on return *)
+let comparator_test =
+  Alcotest.test_case "calls: a sort comparator leaves callee-saved registers intact" `Quick
+    (fun () ->
+      let db = Engine.create_db ~mem_size:(1 lsl 22) x64 in
+      let uses_saved =
+        Array.exists
+          (function
+            | Qcomp_vm.Minst.St { src; base; _ } -> base = x64.sp && callee_saved src
+            | _ -> false)
+          (decoded db (comparator ()))
+      in
+      Alcotest.(check bool) "the comparator saves a callee-saved register" true uses_saved;
+      let mem = Qcomp_vm.Emu.memory db.Engine.emu in
+      let row words =
+        let a = Memory.unscoped (fun () -> Memory.alloc mem ~align:8 64) in
+        List.iteri (fun k w -> Memory.store64 mem (a + (8 * k)) w) words;
+        Int64.of_int a
+      in
+      let r1 = row [ 1L; 2L; 3L; 4L; 5L; 6L; 7L; 8L ]
+      and r2 = row [ 1L; 2L; 3L; 4L; 5L; 6L; 7L; 9L ]
+      and r3 = row [ 1L; -2L; 3L; 4L; 5L; 6L; 7L; 8L ] in
+      let rows = [ r1; r2; r3 ] in
+      let args = List.concat_map (fun a -> List.map (fun b -> [| a; b |]) rows) rows in
+      let expect, _, _ = run_case db Engine.interpreter comparator args in
+      let timing = Qcomp_support.Timing.create ~enabled:false () in
+      let emu = db.Engine.emu in
+      let cm =
+        Qcomp_backend.Backend.compile_module Engine.directemit ~timing ~emu
+          ~registry:db.Engine.registry ~unwind:db.Engine.unwind (comparator ())
+      in
+      let addr = Int64.to_int (Qcomp_backend.Backend.find_fn cm "f") in
+      let sentinel r = Int64.of_int (0x5A5A0000 + r) in
+      let got =
+        List.map
+          (fun a ->
+            Array.iter (fun r -> Qcomp_vm.Emu.set_reg emu r (sentinel r)) x64.callee_saved;
+            let res = fst (Qcomp_vm.Emu.call emu ~addr ~args:a) in
+            Array.iter
+              (fun r ->
+                Alcotest.(check int64) (Qcomp_vm.Target.reg_name x64 r ^ " intact") (sentinel r)
+                  (Qcomp_vm.Emu.reg emu r))
+              x64.callee_saved;
+            res)
+          args
+      in
+      Engine.dispose_module db cm;
+      Alcotest.(check (list int64)) "results = interpreter" expect got)
 
 (* the layout case really lays out all three shapes *)
 let layout_shape_test =
@@ -659,7 +911,10 @@ let snapshot_version_test =
 let suite =
   rule_tests
   @ intrinsic_tests
-  @ [ padding_test Experiments.Tpch "TPC-H";
+  @ [ imm_bounds_test;
+      call_loop_test;
+      comparator_test;
+      padding_test Experiments.Tpch "TPC-H";
       padding_test Experiments.Tpcds "TPC-DS-like";
       param_padding_test;
       snapshot_version_test;

@@ -120,6 +120,33 @@ let sso_props =
         let m = fresh_mem () in
         compare (Sso.compare_str m (Sso.alloc m a) (Sso.alloc m b)) 0
         = compare (String.compare a b) 0);
+    (* short alphabets make matches and near-misses common; strings reach
+       past the 12-byte inline limit *)
+    prop "sso like agrees with a naive matcher"
+      QCheck2.Gen.(
+        pair
+          (string_size ~gen:(oneofl [ 'a'; 'b' ]) (int_bound 16))
+          (string_size ~gen:(oneofl [ 'a'; 'b'; '%'; '_' ]) (int_bound 8)))
+      (fun (s, p) ->
+        let rec naive i j =
+          if j = String.length p then i = String.length s
+          else
+            match p.[j] with
+            | '%' -> naive i (j + 1) || (i < String.length s && naive (i + 1) j)
+            | '_' -> i < String.length s && naive (i + 1) (j + 1)
+            | c -> i < String.length s && s.[i] = c && naive (i + 1) (j + 1)
+        in
+        let m = fresh_mem () in
+        Sso.like m ~str:(Sso.alloc m s) ~pat:(Sso.alloc m p) = naive 0 0);
+    prop "sso has_prefix is String.starts_with"
+      QCheck2.Gen.(
+        pair
+          (string_size ~gen:(oneofl [ 'a'; 'b' ]) (int_bound 16))
+          (string_size ~gen:(oneofl [ 'a'; 'b' ]) (int_bound 14)))
+      (fun (s, p) ->
+        let m = fresh_mem () in
+        Sso.has_prefix m ~str:(Sso.alloc m s) ~prefix:(Sso.alloc m p)
+        = String.starts_with ~prefix:p s);
   ]
 
 let htable_cases =

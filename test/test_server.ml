@@ -308,13 +308,13 @@ let golden_cases =
       ( "static:cranelift", Server.Static Engine.cranelift, false,
         [ "2e29af98e906f55dd02f4fb61c2fb018"; "dda3e91dc0150b07db9afb5617e9dd70" ] );
       ( "cached", Server.Cached, false,
-        [ "aafe64fd60fc0060db36760ecbe3e045"; "b7d3807fcf20abdd3bb32b49cb099cac" ] );
+        [ "70573975678d403cbefac97246c549bb"; "d78593346296b25cf0ddb21bb2e99417" ] );
       ( "tiered", Server.Tiered, false,
-        [ "727575fccfcee6783c276f435929503a"; "2f58f702afbf61dd2f8e185d87c1817d" ] );
+        [ "4c798a00192a470a5115a80b4789f9fa"; "42f432cf737ad08cf6f8590a3c607a1d" ] );
       ( "tiered+reopt", Server.Tiered, true,
-        [ "727575fccfcee6783c276f435929503a"; "2f58f702afbf61dd2f8e185d87c1817d" ] );
+        [ "4c798a00192a470a5115a80b4789f9fa"; "42f432cf737ad08cf6f8590a3c607a1d" ] );
     ]
-  @ [ ("poisson trace", golden_trace, "5d295fcf547fc9f28a6c81da158992db") ]
+  @ [ ("poisson trace", golden_trace, "d87a226c6f3f9de1b3c3ee406e24320f") ]
 
 (* repeated stream: cache hits, byte-identical and golden reports *)
 let determinism_test =
