@@ -525,44 +525,59 @@ let emit_cleanup ctx ~name ~obj_slot ~stats_slot =
 
 (* ---------------- aggregate state ---------------- *)
 
+(** What a group keeps for one aggregate: one payload field, updated once
+    per row. Output aggregates share states: [SUM e] and [AVG e] keep one
+    sum per distinct [e] (structural equality after paramization, so two
+    holes match only when they are the same hole), and every [Count_star]
+    and [AVG] share one count, since [Sqlty] has no NULL and an AVG's
+    count is its group's row count. *)
+type state_kind = Count | Sum | Min | Max
+
 type agg_state = {
-  a_kind : Algebra.agg;
-  a_expr_ty : Sqlty.t option;  (** type of the aggregated expression *)
-  a_fields : Sqlty.t list;  (** state fields in the payload *)
-  a_out_ty : Sqlty.t;
+  s_kind : state_kind;
+  s_input : Expr.t option;  (** [None] only for the count *)
+  s_ty : Sqlty.t;  (** type of the state's payload field *)
 }
 
-let agg_state tys (a : Algebra.agg) : agg_state =
-  match a with
-  | Algebra.Count_star ->
-      { a_kind = a; a_expr_ty = None; a_fields = [ Sqlty.Int64 ]; a_out_ty = Sqlty.Int64 }
-  | Algebra.Sum e ->
-      let ty = Expr.type_of tys e in
-      let state_ty =
-        match ty with
-        | Sqlty.Decimal s -> Sqlty.Decimal s
-        | _ -> Sqlty.Int64
-      in
-      { a_kind = a; a_expr_ty = Some ty; a_fields = [ state_ty ]; a_out_ty = state_ty }
-  | Algebra.Min e | Algebra.Max e ->
-      let ty = Expr.type_of tys e in
-      { a_kind = a; a_expr_ty = Some ty; a_fields = [ ty ]; a_out_ty = ty }
-  | Algebra.Avg e ->
-      let ty = Expr.type_of tys e in
-      let sum_ty =
-        match ty with Sqlty.Decimal s -> Sqlty.Decimal s | _ -> Sqlty.Int64
-      in
-      {
-        a_kind = a;
-        a_expr_ty = Some ty;
-        a_fields = [ sum_ty; Sqlty.Int64 ];
-        a_out_ty = sum_ty;
-      }
+(** How the aggscan reads one output aggregate from the states (indices
+    into the state list): a state as is, or an AVG's sum divided by the
+    shared count. *)
+type agg_output = State of int | Avg of { sum : int; count : int }
 
-let agg_input_expr (a : Algebra.agg) =
-  match a with
-  | Algebra.Count_star -> None
-  | Algebra.Sum e | Algebra.Min e | Algebra.Max e | Algebra.Avg e -> Some e
+(** The distinct states of [aggs], in order of first use, and how each
+    output aggregate reads them. *)
+let agg_states tys (aggs : Algebra.agg list) : agg_state list * agg_output list =
+  let states = ref [] in
+  let state s_kind s_input s_ty =
+    let s = { s_kind; s_input; s_ty } in
+    let rec find i = function
+      | [] ->
+          states := !states @ [ s ];
+          i
+      | s' :: rest -> if s' = s then i else find (i + 1) rest
+    in
+    find 0 !states
+  in
+  let count () = state Count None Sqlty.Int64 in
+  let sum e =
+    let ty =
+      match Expr.type_of tys e with Sqlty.Decimal s -> Sqlty.Decimal s | _ -> Sqlty.Int64
+    in
+    state Sum (Some e) ty
+  in
+  let outputs =
+    List.map
+      (function
+        | Algebra.Count_star -> State (count ())
+        | Algebra.Sum e -> State (sum e)
+        | Algebra.Min e -> State (state Min (Some e) (Expr.type_of tys e))
+        | Algebra.Max e -> State (state Max (Some e) (Expr.type_of tys e))
+        | Algebra.Avg e ->
+            let sum = sum e in
+            Avg { sum; count = count () })
+      aggs
+  in
+  (!states, outputs)
 
 (* ---------------- produce/consume ---------------- *)
 
@@ -809,20 +824,13 @@ and produce_group_by ctx ~input ~keys ~aggs ~tys ~needed ~consume =
   ignore needed;
   let in_tys = Algebra.output_tys ctx.catalog input in
   let key_tys = List.map (Expr.type_of in_tys) keys in
-  let states = List.map (agg_state in_tys) aggs in
-  let state_fields = List.concat_map (fun s -> s.a_fields) states in
-  let payload_layout = Layout.of_tys (key_tys @ state_fields) in
-  let nk = List.length keys in
-  (* field index where each agg's state starts *)
-  let agg_field_start =
-    let idx = ref nk in
-    List.map
-      (fun s ->
-        let start = !idx in
-        idx := !idx + List.length s.a_fields;
-        start)
-      states
+  let states, outputs = agg_states in_tys aggs in
+  let payload_layout =
+    Layout.of_tys (key_tys @ List.map (fun s -> s.s_ty) states)
   in
+  let nk = List.length keys in
+  (* state [i] is the payload field after the keys *)
+  let state_field i = Layout.field payload_layout (nk + i) in
   let ht_slot = alloc_slot ctx in
   emit_prepare ctx
     ~name:(fresh_fn_name ctx "agg_prepare")
@@ -832,7 +840,7 @@ and produce_group_by ctx ~input ~keys ~aggs ~tys ~needed ~consume =
       let hint = Builder.const b Ty.I64 256L in
       call_rt b "umbra_htCreate" [| Ty.I64; Ty.I64 |] Ty.Ptr [ sz; hint ]);
   let input_needed =
-    used_of_exprs (keys @ List.filter_map agg_input_expr aggs)
+    used_of_exprs (keys @ List.filter_map (fun s -> s.s_input) states)
   in
   let merge_name = fresh_fn_name ctx "aggmerge" in
   produce ctx input ~needed:input_needed ~consume:(fun p env ->
@@ -847,10 +855,7 @@ and produce_group_by ctx ~input ~keys ~aggs ~tys ~needed ~consume =
       let kvs = List.map (fun k -> compile_expr ctx p env in_tys k) keys in
       let avs =
         List.map
-          (fun s ->
-            match agg_input_expr s.a_kind with
-            | None -> None
-            | Some e -> Some (compile_expr ctx p env in_tys e))
+          (fun s -> Option.map (compile_expr ctx p env in_tys) s.s_input)
           states
       in
       let h = hash_keys ctx p kvs in
@@ -887,9 +892,9 @@ and produce_group_by ctx ~input ~keys ~aggs ~tys ~needed ~consume =
       Builder.switch_to b upd;
       List.iteri
         (fun i s ->
-          let fstart = List.nth agg_field_start i in
-          update_agg ctx p ~payload ~layout:payload_layout ~fstart s
-            (List.nth avs i))
+          let cur = load_field p ~base:payload (state_field i) in
+          store_field p ~base:payload (state_field i)
+            (combine b s cur (row_value b s (List.nth avs i))))
         states;
       Builder.br b done_;
       (* probe next duplicate hash *)
@@ -911,14 +916,12 @@ and produce_group_by ctx ~input ~keys ~aggs ~tys ~needed ~consume =
         kvs;
       List.iteri
         (fun i s ->
-          let fstart = List.nth agg_field_start i in
-          init_agg ctx p ~payload:payload_new ~layout:payload_layout ~fstart s
-            (List.nth avs i))
+          store_field p ~base:payload_new (state_field i)
+            (row_value b s (List.nth avs i)))
         states;
       Builder.br b done_;
       Builder.switch_to b done_);
-  emit_agg_merge ctx ~name:merge_name ~ht_slot ~payload_layout ~nk ~states
-    ~agg_field_start;
+  emit_agg_merge ctx ~name:merge_name ~ht_slot ~payload_layout ~nk ~states;
   (* Scan the hash table: a fresh pipeline. *)
   ctx.pipes <- ctx.pipes + 1;
   let name = fresh_fn_name ctx "aggscan" in
@@ -954,12 +957,27 @@ and produce_group_by ctx ~input ~keys ~aggs ~tys ~needed ~consume =
     (fun k _ ->
       out.(k) <- Some (load_field p ~base:payload (Layout.field payload_layout k)))
     key_tys;
+  let read i = load_field p ~base:payload (state_field i) in
   List.iteri
-    (fun k s ->
-      let fstart = List.nth agg_field_start k in
+    (fun k o ->
       out.(nk + k) <-
-        Some (finalize_agg ctx p ~payload ~layout:payload_layout ~fstart s))
-    states;
+        Some
+          (match o with
+          | State i -> read i
+          | Avg { sum; count } -> (
+              let sum = read sum and cnt = read count in
+              match sum.vty with
+              | Sqlty.Decimal _ ->
+                  let cnt128 = Builder.sext b Ty.I128 cnt.v in
+                  let r =
+                    call_rt b "umbra_i128Div" [| Ty.I128; Ty.I128 |] Ty.I128
+                      [ sum.v; cnt128 ]
+                  in
+                  { vty = sum.vty; v = r }
+              | _ ->
+                  (* integer average truncates; count is never zero here *)
+                  { vty = sum.vty; v = Builder.sdiv b Ty.I64 sum.v cnt.v })))
+    outputs;
   consume p out;
   Builder.br b incr;
   Builder.switch_to b incr;
@@ -971,119 +989,34 @@ and produce_group_by ctx ~input ~keys ~aggs ~tys ~needed ~consume =
   Builder.ret_void b;
   push_step ctx name `Whole
 
-and init_agg ctx (p : pipe) ~payload ~layout ~fstart (s : agg_state) v =
-  ignore ctx;
-  let b = p.b in
-  let fld k = Layout.field layout (fstart + k) in
-  match (s.a_kind, v) with
-  | Algebra.Count_star, _ ->
-      let one = Builder.const b Ty.I64 1L in
-      store_field p ~base:payload (fld 0) { vty = Sqlty.Int64; v = one }
-  | Algebra.Sum _, Some v | Algebra.Min _, Some v | Algebra.Max _, Some v ->
-      let v' = coerce b v (fld 0).Layout.f_ty in
-      store_field p ~base:payload (fld 0) v'
-  | Algebra.Avg _, Some v ->
-      let v' = coerce b v (fld 0).Layout.f_ty in
-      store_field p ~base:payload (fld 0) v';
-      let one = Builder.const b Ty.I64 1L in
-      store_field p ~base:payload (fld 1) { vty = Sqlty.Int64; v = one }
+(* A row's contribution to state [s]: one for the count, else the row's
+   input coerced to the state's type. *)
+and row_value b (s : agg_state) v =
+  match (s.s_kind, v) with
+  | Count, _ -> { vty = Sqlty.Int64; v = Builder.const b Ty.I64 1L }
+  | _, Some v -> coerce b v s.s_ty
   | _, None -> fail "aggregate without input"
 
-and update_agg ctx (p : pipe) ~payload ~layout ~fstart (s : agg_state) v =
-  ignore ctx;
-  let b = p.b in
-  let fld k = Layout.field layout (fstart + k) in
-  let bump_count fld_k =
-    let cur = load_field p ~base:payload (fld fld_k) in
-    let one = Builder.const b Ty.I64 1L in
-    let n = Builder.add b Ty.I64 cur.v one in
-    store_field p ~base:payload (fld fld_k) { vty = Sqlty.Int64; v = n }
+(* State [s]'s value [cur] with [inc] folded in: a row's contribution when
+   a group is updated, another lane's partial state when tables merge. *)
+and combine b (s : agg_state) (cur : value) (inc : value) =
+  let v =
+    match s.s_kind with
+    | Count -> Builder.add b Ty.I64 cur.v inc.v
+    | Sum -> Builder.saddtrap b (ir_ty cur.vty) cur.v inc.v
+    | Min | Max ->
+        let pred = if s.s_kind = Min then Op.Slt else Op.Sgt in
+        let better = Builder.cmp b pred inc.v cur.v in
+        Builder.select b (ir_ty cur.vty) better inc.v cur.v
   in
-  let add_in fld_k v =
-    let cur = load_field p ~base:payload (fld fld_k) in
-    let v' = coerce b v cur.vty in
-    let sum = Builder.saddtrap b (ir_ty cur.vty) cur.v v'.v in
-    store_field p ~base:payload (fld fld_k) { vty = cur.vty; v = sum }
-  in
-  match (s.a_kind, v) with
-  | Algebra.Count_star, _ -> bump_count 0
-  | Algebra.Sum _, Some v -> add_in 0 v
-  | Algebra.Avg _, Some v ->
-      add_in 0 v;
-      bump_count 1
-  | Algebra.Min _, Some v | Algebra.Max _, Some v ->
-      let cur = load_field p ~base:payload (fld 0) in
-      let v' = coerce b v cur.vty in
-      let is_min = match s.a_kind with Algebra.Min _ -> true | _ -> false in
-      let pred = if is_min then Op.Slt else Op.Sgt in
-      let better = Builder.cmp b pred v'.v cur.v in
-      let sel = Builder.select b (ir_ty cur.vty) better v'.v cur.v in
-      store_field p ~base:payload (fld 0) { vty = cur.vty; v = sel }
-  | _, None -> fail "aggregate without input"
-
-and finalize_agg ctx (p : pipe) ~payload ~layout ~fstart (s : agg_state) : value
-    =
-  ignore ctx;
-  let b = p.b in
-  let fld k = Layout.field layout (fstart + k) in
-  match s.a_kind with
-  | Algebra.Count_star | Algebra.Sum _ | Algebra.Min _ | Algebra.Max _ ->
-      load_field p ~base:payload (fld 0)
-  | Algebra.Avg _ -> (
-      let sum = load_field p ~base:payload (fld 0) in
-      let cnt = load_field p ~base:payload (fld 1) in
-      match sum.vty with
-      | Sqlty.Decimal _ ->
-          let cnt128 = Builder.sext b Ty.I128 cnt.v in
-          let r =
-            call_rt b "umbra_i128Div" [| Ty.I128; Ty.I128 |] Ty.I128
-              [ sum.v; cnt128 ]
-          in
-          { vty = sum.vty; v = r }
-      | _ ->
-          (* integer average truncates; count is never zero here *)
-          { vty = sum.vty; v = Builder.sdiv b Ty.I64 sum.v cnt.v })
-
-(** Combine one aggregate's partial state at [src] into the group at [dst]
-    (both payload pointers). Mirrors [update_agg], but the increment comes
-    from another partial state instead of a fresh input row. *)
-and merge_agg ctx (p : pipe) ~dst ~src ~layout ~fstart (s : agg_state) =
-  ignore ctx;
-  let b = p.b in
-  let fld k = Layout.field layout (fstart + k) in
-  let add_into k ~trap =
-    let cur = load_field p ~base:dst (fld k) in
-    let inc = load_field p ~base:src (fld k) in
-    let v =
-      if trap then Builder.saddtrap b (ir_ty cur.vty) cur.v inc.v
-      else Builder.add b Ty.I64 cur.v inc.v
-    in
-    store_field p ~base:dst (fld k) { vty = cur.vty; v }
-  in
-  match s.a_kind with
-  | Algebra.Count_star -> add_into 0 ~trap:false
-  | Algebra.Sum _ -> add_into 0 ~trap:true
-  | Algebra.Avg _ ->
-      add_into 0 ~trap:true;
-      add_into 1 ~trap:false
-  | Algebra.Min _ | Algebra.Max _ ->
-      let cur = load_field p ~base:dst (fld 0) in
-      let cand = load_field p ~base:src (fld 0) in
-      let is_min = match s.a_kind with Algebra.Min _ -> true | _ -> false in
-      let pred = if is_min then Op.Slt else Op.Sgt in
-      let better = Builder.cmp b pred cand.v cur.v in
-      let sel = Builder.select b (ir_ty cur.vty) better cand.v cur.v in
-      store_field p ~base:dst (fld 0) { vty = cur.vty; v = sel }
+  { vty = cur.vty; v }
 
 (** Generated barrier function [(state, src_ht, _)]: fold a lane-local
     aggregate table into the global one at [ht_slot]. Stored hashes are
     already normalized, so they are reused verbatim for the global lookup;
     on a key miss the partial payload is copied as the initial group state. *)
-and emit_agg_merge ctx ~name ~ht_slot ~payload_layout ~nk ~states
-    ~agg_field_start =
-  let nfields =
-    nk + List.fold_left (fun n s -> n + List.length s.a_fields) 0 states
-  in
+and emit_agg_merge ctx ~name ~ht_slot ~payload_layout ~nk ~states =
+  let nfields = nk + List.length states in
   let b =
     Builder.create ctx.modul ~name ~ret:Ty.Void
       ~args:[| Ty.Ptr; Ty.Ptr; Ty.I64 |]
@@ -1147,9 +1080,11 @@ and emit_agg_merge ctx ~name ~ht_slot ~payload_layout ~nk ~states
   Builder.br b upd;
   Builder.switch_to b upd;
   List.iteri
-    (fun k s ->
-      let fstart = List.nth agg_field_start k in
-      merge_agg ctx p ~dst:gpay ~src:spay ~layout:payload_layout ~fstart s)
+    (fun i s ->
+      let fld = Layout.field payload_layout (nk + i) in
+      let cur = load_field p ~base:gpay fld in
+      let inc = load_field p ~base:spay fld in
+      store_field p ~base:gpay fld (combine b s cur inc))
     states;
   Builder.br b done_;
   Builder.switch_to b nxt;

@@ -14,8 +14,9 @@ let name = "directemit"
     ({!Qcomp_runtime.Sso.hash}) inline, so a snapshot written under
     another hash must not be re-linked: bump this with that hash, and with
     any change to the code the emitter writes (2: register reuse,
-    immediates and callee-saved registers). *)
-let code_version = 2
+    immediates and callee-saved registers; 3: no fits-64-bits check on an
+    i128 factor that provably fits, one-lane write-home at calls). *)
+let code_version = 3
 
 let compile_func ~asm ~target ~intrinsics ~extern_addr ~rt_addr ~timing (f : Func.t) =
   let an = Timing.scope timing "Analysis" (fun () -> Analysis.compute ~intrinsics f) in

@@ -1342,20 +1342,24 @@ and emit_mul_trap st i =
          Sec. V-A1/VI-A1): one signed widening multiply into rdx:rax.
          Otherwise an out-of-line stub calls the hand-optimized runtime
          helper, saving and restoring the live registers around the call,
-         so both paths meet with the same register state. *)
+         so both paths meet with the same register state. A factor that
+         provably fits (see [fits_64]) is not checked; when both do, the
+         stub and the hi lanes are not needed at all. *)
       let asm = st.asm in
       let fixed = [ rax; rdx ] in
+      let checked = List.filter (fun v -> not (fits_64 st v)) (if y = x then [ x ] else [ x; y ]) in
       (* an operand that dies here may already sit in rax/rdx: the checks
          only read it, and the multiply consumes it *)
       let dies v = st.an.Analysis.hi.(v) = st.cur_idx && st.an.Analysis.last_use.(v) <= st.cur_pos in
       let fixed_for v = if dies v then [] else fixed in
+      let hi_of ~avoid v = if checked = [] then -1 else use_hi ~avoid st v in
       let xlo = use ~avoid:(fixed_for x) st x in
-      let xhi = use_hi ~avoid:(xlo :: fixed_for x) st x in
+      let xhi = hi_of ~avoid:(xlo :: fixed_for x) x in
       let ylo, yhi =
         if y = x then (xlo, xhi)
         else
           let ylo = use ~avoid:(xlo :: xhi :: fixed_for y) st y in
-          (ylo, use_hi ~avoid:(ylo :: xlo :: xhi :: fixed_for y) st y)
+          (ylo, hi_of ~avoid:(ylo :: xlo :: xhi :: fixed_for y) y)
       in
       let keep = xlo :: xhi :: ylo :: yhi :: fixed in
       List.iter
@@ -1363,18 +1367,20 @@ and emit_mul_trap st i =
           let v = st.reg_owner.(r) in
           if not (v >= 0 && (v = x || v = y) && dies v) then evacuate ~avoid:keep st r)
         fixed;
-      let slow = Asm.new_label asm and done_ = Asm.new_label asm in
-      let t = st.target.Target.scratch2 in
-      let fits lo hi =
-        emit st (Minst.Mov_rr (t, lo));
-        emit st (Minst.Alu_ri (Minst.Sar, t, 63L));
-        emit st (Minst.Cmp_rr (t, hi));
-        Asm.jcc asm Minst.Ne slow
-      in
-      fits xlo xhi;
-      fits ylo yhi;
-      runtime_stub st ~slow ~done_ ~args:[ xlo; xhi; ylo; yhi ] ~results:fixed
-        "umbra_i128MulFull";
+      let done_ = Asm.new_label asm in
+      if checked <> [] then begin
+        let slow = Asm.new_label asm in
+        let t = st.target.Target.scratch2 in
+        let fits lo hi =
+          emit st (Minst.Mov_rr (t, lo));
+          emit st (Minst.Alu_ri (Minst.Sar, t, 63L));
+          emit st (Minst.Cmp_rr (t, hi));
+          Asm.jcc asm Minst.Ne slow
+        in
+        List.iter (fun v -> if v = x then fits xlo xhi else fits ylo yhi) checked;
+        runtime_stub st ~slow ~done_ ~args:[ xlo; xhi; ylo; yhi ] ~results:fixed
+          "umbra_i128MulFull"
+      end;
       (* fast: exact, cannot overflow 128 bits; the product commutes, so
          the factor already in rax stays there *)
       let a, b = if ylo = rax then (ylo, xlo) else (xlo, ylo) in
@@ -1390,6 +1396,17 @@ and emit_mul_trap st i =
       let d = emit_alu st i Minst.Mul in
       trap_unless_fits st ty d;
       finish_def st i
+
+(* The hi lane of the 128-bit [v] is always its lo lane's sign: [v]
+   sign-extends a value of at most 64 bits, or is a constant that does. *)
+and fits_64 st v =
+  match Func.op st.f v with
+  | Op.Sext -> true
+  | Op.Const | Op.Const128 -> (
+      match (remat st v 0, remat st v 1) with
+      | Some lo, Some hi -> hi = Int64.shift_right lo 63
+      | _ -> false)
+  | _ -> false
 
 and emit_div st i =
   let f = st.f in
@@ -1563,7 +1580,10 @@ and emit_runtime_call st i =
    sits in caller-saved registers moves to free callee-saved ones, dirty
    values first, or else is written home; a constant is left to be
    materialised again. A callee-saved register whose value dies at the call
-   and is no argument of it counts as free. *)
+   and is no argument of it counts as free. Of a 128-bit value with one
+   lane in a callee-saved register, only the other lane goes home: the
+   preserved lane stays, and the value stays dirty, since its home holds
+   the lanes that are not in a register. *)
 and keep_across_call st args =
   let free r =
     st.callee_saved.(r)
@@ -1590,16 +1610,22 @@ and keep_across_call st args =
           && live_after st v
           && not (is_const st v)
         then begin
-          let exposed =
-            List.filter
-              (fun r -> r >= 0 && not st.callee_saved.(r))
-              [ st.reg_of.(v); st.reg2_of.(v) ]
+          let exposed, preserved =
+            List.partition
+              (fun r -> not st.callee_saved.(r))
+              (List.filter (fun r -> r >= 0) [ st.reg_of.(v); st.reg2_of.(v) ])
           in
           let targets =
             List.filteri (fun k _ -> k < List.length exposed) (List.filter free allocatable)
           in
           if List.compare_lengths targets exposed = 0 then List.iter2 move exposed targets
-          else write_home st v
+          else if preserved = [] then write_home st v
+          else if not st.clean.(v) then
+            List.iter
+              (fun r ->
+                let off = slot st v + (8 * st.reg_lane.(r)) in
+                emit st (Minst.St { src = r; base = sp st; off; size = 8 }))
+              exposed
         end)
       allocatable
   in

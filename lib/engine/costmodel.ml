@@ -81,21 +81,21 @@ let pinned_cycles (target : Qcomp_vm.Target.t) =
   match target.Qcomp_vm.Target.arch with
   | Qcomp_vm.Target.X64 ->
       [
-        ("interpreter", 22_856_241);
-        ("stencil", 8_661_013);
-        ("directemit", 4_286_030);
-        ("cranelift", 6_831_049);
-        ("llvm-opt", 7_019_610);
-        ("llvm-cheap", 11_222_258);
-        ("gcc", 10_112_423);
+        ("interpreter", 22_445_835);
+        ("stencil", 8_457_578);
+        ("directemit", 4_181_483);
+        ("cranelift", 6_704_932);
+        ("llvm-opt", 6_912_779);
+        ("llvm-cheap", 11_036_028);
+        ("gcc", 10_021_040);
       ]
   | Qcomp_vm.Target.A64 ->
       [
-        ("interpreter", 22_856_241);
-        ("cranelift", 5_628_595);
-        ("llvm-opt", 6_423_589);
-        ("llvm-cheap", 9_076_490);
-        ("gcc", 8_655_953);
+        ("interpreter", 22_445_835);
+        ("cranelift", 5_556_570);
+        ("llvm-opt", 6_332_230);
+        ("llvm-cheap", 8_927_213);
+        ("gcc", 8_572_294);
       ]
 
 (** Summed {!Qcomp_engine.Engine.estimated_work} of the same 22 plans at
@@ -103,7 +103,7 @@ let pinned_cycles (target : Qcomp_vm.Target.t) =
 let pinned_work = 81_320
 
 (* Interpreter cycles per unit of estimated work, the prior a query is
-   priced with before it has run: about 281.1. *)
+   priced with before it has run: about 276.0. *)
 let cycles_per_work =
   float_of_int (List.assoc "interpreter" (pinned_cycles Qcomp_vm.Target.x64))
   /. float_of_int pinned_work

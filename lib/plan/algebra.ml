@@ -12,7 +12,10 @@ type agg =
   | Sum of Expr.t
   | Min of Expr.t
   | Max of Expr.t
-  | Avg of Expr.t  (** compiled as sum+count with a final 128-bit division *)
+  | Avg of Expr.t
+      (** compiled as [Sum e]'s state and the group's shared count, divided
+          when the group is read (128-bit division for decimals); shares
+          both with any [Sum e] and [Count_star] of the same group-by *)
 
 type t =
   | Scan of { table : string; filter : Expr.t option }

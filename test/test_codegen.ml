@@ -139,6 +139,40 @@ let suite =
                  aggs = [ Algebra.Count_star; Algebra.Sum (Expr.col 2) ] })
         in
         check Alcotest.int "3 outputs" 3 (Array.length cq.Codegen.output_tys));
+    Alcotest.test_case "q01 keeps five sums and one count per group" `Quick (fun () ->
+        (* sum(qty), sum(price), sum(disc_price), sum(charge), avg(qty),
+           avg(price), avg(disc), count( * ): the averages reuse the first
+           two sums and the count *)
+        let db = Experiments.make_db Qcomp_vm.Target.x64 Experiments.Tpch ~sf:1 in
+        let q01 =
+          List.find
+            (fun (q : Qcomp_workloads.Spec.query) -> q.Qcomp_workloads.Spec.q_name = "q01")
+            (Experiments.queries_of Experiments.Tpch)
+        in
+        let input, aggs =
+          match q01.Qcomp_workloads.Spec.q_plan with
+          | Algebra.Order_by { input = Algebra.Group_by { input; aggs; _ }; _ } -> (input, aggs)
+          | _ -> Alcotest.fail "q01 is not order_by(group_by)"
+        in
+        let states, _ = Codegen.agg_states (Algebra.output_tys db.Engine.catalog input) aggs in
+        let count kind = List.length (List.filter (fun s -> s.Codegen.s_kind = kind) states) in
+        check Alcotest.int "output aggregates" 8 (List.length aggs);
+        check Alcotest.int "sums" 5 (count Codegen.Sum);
+        check Alcotest.int "counts" 1 (count Codegen.Count);
+        check Alcotest.int "states" 6 (List.length states);
+        (* two 16-byte string keys, five 16-byte decimal sums, one count *)
+        let cq = Engine.plan_to_ir db ~name:"q01" q01.Qcomp_workloads.Spec.q_plan in
+        let payloads =
+          List.concat_map
+            (fun (st : Codegen.step) ->
+              List.filter_map
+                (function
+                  | Codegen.Sink_ht { ht_payload; ht_merge = Some _; _ } -> Some ht_payload
+                  | _ -> None)
+                st.Codegen.sinks)
+            cq.Codegen.steps
+        in
+        check Alcotest.(list int) "aggregate payload bytes" [ 120 ] payloads);
     Alcotest.test_case "filter inside scan fuses (no extra pipeline)" `Quick
       (fun () ->
         let cq =

@@ -388,6 +388,69 @@ let case_call_loop () =
   Builder.ret b (Builder.xor b i64 acc v);
   m
 
+(* [n] iterations of [body i acc] from acc = 0; the function returns the
+   final acc *)
+let counted_loop b ~n body =
+  let entry = Builder.current_block b in
+  let zero = Builder.const_i64 b 0L in
+  let head = Builder.new_block b and blk = Builder.new_block b and exit = Builder.new_block b in
+  Builder.br b head;
+  Builder.switch_to b head;
+  let i = Builder.phi_placeholder b i64 ~max_incoming:2 in
+  let acc = Builder.phi_placeholder b i64 ~max_incoming:2 in
+  Builder.condbr b (Builder.cmp b Op.Slt i (Builder.const_i64 b n)) ~then_:blk ~else_:exit;
+  Builder.switch_to b blk;
+  let acc' = body i acc in
+  let i' = Builder.add b i64 i (Builder.const_i64 b 1L) in
+  Builder.br b head;
+  Builder.add_phi_incoming b i ~block:entry ~value:zero;
+  Builder.add_phi_incoming b i ~block:blk ~value:i';
+  Builder.add_phi_incoming b acc ~block:entry ~value:zero;
+  Builder.add_phi_incoming b acc ~block:blk ~value:acc';
+  Builder.switch_to b exit;
+  Builder.ret b acc
+
+let wide b x = Builder.sext b Ty.I128 x
+let hi_word b x = Builder.trunc b i64 (Builder.ashr b Ty.I128 x (Builder.const b Ty.I128 64L))
+
+(* i128 multiplies as decimal arithmetic has them, price * (100 - disc)
+   and price * -7: a sign-extended factor and a constant whose hi lane is
+   its lo lane's sign need no fits-64-bits check, the difference does,
+   and a product of two such factors needs neither a check nor the
+   runtime stub *)
+let case_mul_fits () =
+  let m, b = new_fn () in
+  let a0 = Builder.arg b 0 and a1 = Builder.arg b 1 in
+  let const128 hi lo = Builder.const128 b (Qcomp_support.I128.make ~hi ~lo) in
+  counted_loop b ~n:8L (fun i acc ->
+      let price = wide b (Builder.add b i64 a0 i) in
+      let disc = wide b (Builder.xor b i64 a1 i) in
+      let q = Builder.smultrap b Ty.I128 price (Builder.ssubtrap b Ty.I128 (const128 0L 100L) disc) in
+      let r = Builder.smultrap b Ty.I128 price (const128 (-1L) (-7L)) in
+      let fold x = Builder.xor b i64 (Builder.trunc b i64 x) (hi_word b x) in
+      Builder.add b i64 acc (Builder.add b i64 (fold q) (fold r)));
+  m
+
+(* an i128 value live across a call in a loop, with its hi lane in a
+   callee-saved register and its lo lane in a caller-saved one when every
+   callee-saved register is taken: [x0] and [x1] are defined before it
+   and [x2] after it *)
+let case_i128_across_call () =
+  let m, b = new_fn () in
+  let a0 = Builder.arg b 0 and a1 = Builder.arg b 1 in
+  counted_loop b ~n:6L (fun i acc ->
+      let x k = Builder.mul b i64 a0 (Builder.add b i64 i (Builder.const_i64 b (Int64.of_int (k + 3)))) in
+      let x0 = x 0 in
+      let x1 = x 1 in
+      let v = wide b (Builder.add b i64 a1 i) in
+      let x2 = x 2 in
+      let h = Builder.call b ~name:"umbra_crc32" ~args_ty:[| i64; i64 |] ~ret:i64 [ acc; i ] in
+      let v2 = Builder.saddtrap b Ty.I128 v v in
+      List.fold_left (Builder.add b i64)
+        (Builder.xor b i64 h (Builder.trunc b i64 v2))
+        [ hi_word b v2; x0; x1; x2 ]);
+  m
+
 (* a comparator over two rows of eight words with every word live at
    once: more values than caller-saved registers, as a sort comparator
    under pressure *)
@@ -423,9 +486,11 @@ let small_sets =
 
 (* (name, function, argument sets, instruction ceiling). The ceiling of
    the first nine cases is what the emitter that dropped every register at
-   block edges and calls executed over them; that of the later ones is
+   block edges and calls executed over them; that of the next five is
    what the emitter that copied every two-address operand, materialised
-   every constant and spilled every live value at a call executed. *)
+   every constant and spilled every live value at a call executed; that of
+   the last two is what the emitter that checked every i128 factor, and
+   wrote both lanes of an i128 value home at a call, executed. *)
 let cases =
   [ ("integer predicates", case_predicates, arg_sets, 35136);
     ("isnull / isnotnull", case_null_tests, arg_sets, 2233);
@@ -440,7 +505,9 @@ let cases =
     ("live operands keep their registers", case_live_operands, small_sets, 1624);
     ("imm32 bounds fold, wider constants do not", case_imm_bounds, arg_sets, 5328);
     ("narrow results stay canonical after immediate ops", case_narrow_imm, arg_sets, 6336);
-    ("a value live across calls in a loop", case_call_loop, small_sets, 1160) ]
+    ("a value live across calls in a loop", case_call_loop, small_sets, 1160);
+    ("i128 factors that fit 64 bits are not checked", case_mul_fits, arg_sets, 67392);
+    ("an i128 value live across a call in a loop", case_i128_across_call, small_sets, 2176) ]
 
 (* run [f] over [args] on [backend]: results, executed instructions and
    cycles *)
@@ -515,20 +582,22 @@ let imm_bounds_test =
           Alcotest.(check bool) (Printf.sprintf "%Ld is no immediate" c) false (folded c))
         wide_bounds)
 
+(* the source registers of the stack stores in [m]'s code *)
+let stack_stores db m =
+  Array.fold_left
+    (fun acc i ->
+      match i with
+      | Qcomp_vm.Minst.St { src; base; _ } when base = x64.sp -> src :: acc
+      | _ -> acc)
+    [] (decoded db m)
+
 (* the only stack stores are the prologue's saves, one per callee-saved
    register: neither [v] nor the counter is ever written home *)
 let call_loop_test =
   Alcotest.test_case "calls: values live across a call in a loop are never stored" `Quick
     (fun () ->
       let db = Engine.create_db ~mem_size:(1 lsl 22) x64 in
-      let stored =
-        Array.fold_left
-          (fun acc i ->
-            match i with
-            | Qcomp_vm.Minst.St { src; base; _ } when base = x64.sp -> src :: acc
-            | _ -> acc)
-          [] (decoded db (case_call_loop ()))
-      in
+      let stored = stack_stores db (case_call_loop ()) in
       List.iter
         (fun r ->
           if not (callee_saved r) then
@@ -537,6 +606,20 @@ let call_loop_test =
         stored;
       Alcotest.(check int) "one save per register" (List.length (List.sort_uniq compare stored))
         (List.length stored))
+
+(* at the call only the i128 value's caller-saved lane goes home: its hi
+   lane stays in its callee-saved register, which only the prologue
+   stores; the emitter that wrote both lanes home made 10 stack stores *)
+let i128_call_test =
+  Alcotest.test_case "calls: an i128 value with a callee-saved lane writes only the other home"
+    `Quick (fun () ->
+      let db = Engine.create_db ~mem_size:(1 lsl 22) x64 in
+      let stored = stack_stores db (case_i128_across_call ()) in
+      let saved = List.filter callee_saved stored in
+      Alcotest.(check int) "one save per callee-saved register"
+        (List.length (List.sort_uniq compare saved)) (List.length saved);
+      if List.length stored >= 10 then
+        Alcotest.failf "%d stack stores, the both-lanes emitter made 10" (List.length stored))
 
 (* the host calls the comparator as umbra_sort does, with a sentinel in
    every callee-saved register: each must hold it again on return *)
@@ -913,6 +996,7 @@ let suite =
   @ intrinsic_tests
   @ [ imm_bounds_test;
       call_loop_test;
+      i128_call_test;
       comparator_test;
       padding_test Experiments.Tpch "TPC-H";
       padding_test Experiments.Tpcds "TPC-DS-like";

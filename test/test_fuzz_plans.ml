@@ -205,15 +205,22 @@ let rec plan_str (p : Algebra.t) =
 
 type outcome = Rows of int64 * int | Error of string
 
+(* Run [plan] on [backend] and return its rows; the generated module must
+   pass [Verify] before it runs, so IR that executes but breaks an
+   invariant (say, a value defined in one CASE arm and used after it)
+   fails here instead of giving back-end-dependent rows. *)
+let run_rows ?target backend plan =
+  let db = make_db ?target () in
+  let timing = Qcomp_support.Timing.create ~enabled:false () in
+  Engine.with_compiled db ~backend ~timing ~name:"fuzz" plan (fun cq cm _ ->
+      Qcomp_ir.Verify.verify_module cq.Qcomp_codegen.Codegen.modul;
+      Engine.execute db cq cm)
+
 let run_outcome ?target backend plan =
   (* typing rejections must also agree, but those happen before the
      back-end runs; treat them as an Error outcome keyed on the message *)
-  match
-    let db = make_db ?target () in
-    let timing = Qcomp_support.Timing.create ~enabled:false () in
-    Engine.run_plan db ~backend ~timing ~name:"fuzz" plan
-  with
-  | r, _, _ -> Rows (Engine.checksum r.Engine.rows, r.Engine.output_count)
+  match run_rows ?target backend plan with
+  | r -> Rows (Engine.checksum r.Engine.rows, r.Engine.output_count)
   | exception Qcomp_runtime.Rt_error.Query_error e -> Error e
   | exception Expr.Type_error e -> Error ("type: " ^ e)
 
@@ -231,6 +238,66 @@ let mk_test ?target ?(suffix = "") (bname, backend) =
              bname
              (match got with Rows (c, n) -> Printf.sprintf "rows(%Lx,%d)" c n | Error e -> "err:" ^ e)
          else true))
+
+(* ---- shared aggregate states ---- *)
+
+(* Group-by keeps one state per distinct aggregate: SUM(e) and AVG(e)
+   share a sum, every COUNT and AVG one count. The interpreter runs the
+   same generated code, so it cannot see a wrong sharing; the oracle here
+   is each output column computed alone, in a group-by with that one
+   aggregate, where nothing can be shared. The lists force the duplicates
+   sharing depends on. *)
+let gen_shared_aggs =
+  let group =
+    oneof
+      [
+        map (fun x -> [ Algebra.Sum x; Algebra.Avg x ]) gen_num;
+        map (fun x -> [ Algebra.Avg x; Algebra.Avg x ]) gen_num;
+        map (fun x -> [ Algebra.Min x; Algebra.Max x ]) gen_num;
+        map (fun x -> [ Algebra.Avg x; Algebra.Count_star; Algebra.Sum x ]) gen_num;
+        return [ Algebra.Count_star ];
+      ]
+  in
+  map List.concat (list_size (int_range 2 3) group) >>= shuffle_l
+
+(* group key -> row of [plan]'s result, or the query error *)
+let rows_by_key backend plan =
+  match run_rows backend plan with
+  | r -> Ok (List.map (fun row -> (row.(0), row)) r.Engine.rows)
+  | exception Qcomp_runtime.Rt_error.Query_error e -> Error e
+  | exception Expr.Type_error e -> Error ("type: " ^ e)
+
+let shared_state_test (bname, backend) =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:60
+       ~print:(fun aggs -> String.concat "; " (List.map agg_str aggs))
+       ~name:(Printf.sprintf "shared aggregate states: %s columns = each aggregate alone" bname)
+       gen_shared_aggs
+       (fun aggs ->
+         let group aggs = Algebra.Group_by { input = scan; keys = [ Expr.col 1 ]; aggs } in
+         let alone = List.map (fun a -> rows_by_key backend (group [ a ])) aggs in
+         match rows_by_key backend (group aggs) with
+         | Error e ->
+             (* the query traps on the first row that traps any state *)
+             List.exists Result.is_error alone
+             || QCheck2.Test.fail_reportf "all together raised %s, each alone ran" e
+         | Ok rows ->
+             List.iteri
+               (fun k a ->
+                 match List.nth alone k with
+                 | Error e -> QCheck2.Test.fail_reportf "%s alone raised %s" (agg_str a) e
+                 | Ok single ->
+                     if List.length single <> List.length rows then
+                       QCheck2.Test.fail_reportf "%s alone: %d groups, together %d"
+                         (agg_str a) (List.length single) (List.length rows);
+                     List.iter
+                       (fun (key, row) ->
+                         if List.assoc_opt key single <> Some [| key; row.(k + 1) |] then
+                           QCheck2.Test.fail_reportf "%s differs in group %s" (agg_str a)
+                             (Format.asprintf "%a" Engine.pp_cell key))
+                       rows)
+               aggs;
+             true))
 
 (* ---- use counts ---- *)
 
@@ -314,6 +381,8 @@ let use_count_workloads_test =
 
 let suite =
   use_count_fuzz_test :: use_count_workloads_test
+  :: shared_state_test ("interpreter", Engine.interpreter)
+  :: shared_state_test ("directemit", Engine.directemit)
   :: List.map (fun b -> mk_test b) Test_backends.backends_x64
   @ List.map
       (fun b -> mk_test ~target:Qcomp_vm.Target.a64 ~suffix:" (a64)" b)

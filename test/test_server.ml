@@ -306,15 +306,15 @@ let golden_cases =
         [ 1; 4 ] digests)
     [
       ( "static:cranelift", Server.Static Engine.cranelift, false,
-        [ "2e29af98e906f55dd02f4fb61c2fb018"; "dda3e91dc0150b07db9afb5617e9dd70" ] );
+        [ "c32c830c5212d64936e9cc9401263153"; "e540b3e11bcbcfdedd3a81bbc924208a" ] );
       ( "cached", Server.Cached, false,
-        [ "70573975678d403cbefac97246c549bb"; "d78593346296b25cf0ddb21bb2e99417" ] );
+        [ "da3375380969877504ce8fcd563eff02"; "4d37afe260f7201e978474b46dd3baae" ] );
       ( "tiered", Server.Tiered, false,
-        [ "4c798a00192a470a5115a80b4789f9fa"; "42f432cf737ad08cf6f8590a3c607a1d" ] );
+        [ "5cac9ac92b6577a8c8fa6cbb2aa5a5ba"; "02c72c6ff730c3861870c3c4796a571e" ] );
       ( "tiered+reopt", Server.Tiered, true,
-        [ "4c798a00192a470a5115a80b4789f9fa"; "42f432cf737ad08cf6f8590a3c607a1d" ] );
+        [ "5cac9ac92b6577a8c8fa6cbb2aa5a5ba"; "02c72c6ff730c3861870c3c4796a571e" ] );
     ]
-  @ [ ("poisson trace", golden_trace, "d87a226c6f3f9de1b3c3ee406e24320f") ]
+  @ [ ("poisson trace", golden_trace, "b26df7580a0891bd9a35a152842ec99e") ]
 
 (* repeated stream: cache hits, byte-identical and golden reports *)
 let determinism_test =
