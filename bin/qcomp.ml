@@ -62,7 +62,11 @@ let run_cmd =
     Arg.(value & opt int 20 & info [ "max-rows" ] ~docv:"N" ~doc:"Print at most N result rows.")
   in
   (* one row per back-end, each on a fresh database so no back-end's
-     compilations shift another's addresses or cycles *)
+     compilations shift another's addresses or cycles. host_ns/inst is the
+     host time per emulated instruction: the median of [host_reps]
+     executions after a first one, which pays the emulator's one-time
+     translation of the module *)
+  let host_reps = 5 in
   let run_all wl sf target (q : Spec.query) =
     List.iter
       (fun b ->
@@ -71,9 +75,21 @@ let run_cmd =
         Engine.with_compiled db ~backend:b ~timing ~name:q.Spec.q_name q.Spec.q_plan
           (fun cq cm _ ->
             let r = Engine.execute db cq cm in
-            Printf.printf "%-12s cycles=%10d insts=%10d code=%7d rows=%d\n%!"
+            let host_ns =
+              List.init host_reps (fun _ ->
+                  let t0 = Qcomp_support.Timing.now () in
+                  ignore (Engine.execute db cq cm);
+                  1e9 *. (Qcomp_support.Timing.now () -. t0))
+              |> List.sort compare
+              |> fun l -> List.nth l (host_reps / 2)
+            in
+            let per_inst =
+              if r.Engine.exec_instructions = 0 then "-"
+              else Printf.sprintf "%.2f" (host_ns /. float_of_int r.Engine.exec_instructions)
+            in
+            Printf.printf "%-12s cycles=%10d insts=%10d code=%7d rows=%d host_ns/inst=%s\n%!"
               (Qcomp_backend.Backend.name b) r.Engine.exec_cycles r.Engine.exec_instructions
-              cm.Qcomp_backend.Backend.cm_code_size r.Engine.output_count))
+              cm.Qcomp_backend.Backend.cm_code_size r.Engine.output_count per_inst))
       (Engine.all_backends target)
   in
   let run_one wl sf target bname (q : Spec.query) max_rows =

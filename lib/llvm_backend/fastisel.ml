@@ -22,9 +22,6 @@ let canon_bits (ty : Lir.ty) =
 let rax = 0
 let rdx = 2
 
-(* flag vregs of overflow intrinsics selected in this block *)
-let ovf_flags : (int, int) Hashtbl.t = Hashtbl.create 16
-
 let alu_of (iop : Lir.iop) =
   match iop with
   | Lir.Add -> Minst.Add
@@ -216,7 +213,7 @@ let try_select (fl : Flow.t) (i : Lir.inst) : verdict =
     | Lir.Extractvalue 1 -> (
         match i.Lir.operands.(0) with
         | Lir.Vinst call -> (
-            match Hashtbl.find_opt ovf_flags call.Lir.iid with
+            match Hashtbl.find_opt fl.Flow.fast_ovf call.Lir.iid with
             | Some flag ->
                 push (Minst.Mov_rr (dst (), flag));
                 Ok
@@ -247,7 +244,7 @@ let try_select (fl : Flow.t) (i : Lir.inst) : verdict =
               push (Minst.Setcc (Minst.Ne, flag));
               push (Minst.Mov_rr (d, t))
             end;
-            Hashtbl.replace ovf_flags i.Lir.iid flag;
+            Hashtbl.replace fl.Flow.fast_ovf i.Lir.iid flag;
             Ok
         | Lir.Sadd_ovf _ | Lir.Ssub_ovf _ | Lir.Smul_ovf _ ->
             Fb_block Flow.Wide_int
@@ -327,7 +324,7 @@ let try_select (fl : Flow.t) (i : Lir.inst) : verdict =
 (** Select a block's instruction list, falling back to SelectionDAG as
     required. *)
 let select_block (fl : Flow.t) (insts : Lir.inst list) =
-  Hashtbl.reset ovf_flags;
+  Hashtbl.reset fl.Flow.fast_ovf;
   let rec go = function
     | [] -> ()
     | (i : Lir.inst) :: rest -> (

@@ -53,6 +53,15 @@ type t = {
   arg_lo : int array;
   arg_hi : int array;
   stats : stats;
+  fast_ovf : (int, int) Hashtbl.t;
+      (** FastISel: the flag vreg of each overflow intrinsic selected in
+          the current block, by LIR inst id *)
+  dag_ovf : (int, int) Hashtbl.t;
+      (** SelectionDAG: the flag vreg of each 128-bit overflow sequence of
+          the current DAG, by node id *)
+  gisel_ovf : (int, int) Hashtbl.t;
+      (** GlobalISel: the flag vreg of each overflow intrinsic, by LIR inst
+          id *)
   mutable cur : int;  (** current MIR block *)
   mutable trap_mb : int;
 }
@@ -73,6 +82,9 @@ let create ~target ~cfg ~rt_addr ~extern_name (lir : Lir.func) =
     arg_lo = Array.make nargs (-1);
     arg_hi = Array.make nargs (-1);
     stats = new_stats ();
+    fast_ovf = Hashtbl.create 16;
+    dag_ovf = Hashtbl.create 16;
+    gisel_ovf = Hashtbl.create 16;
     cur = 0;
     trap_mb = -1;
   }

@@ -75,9 +75,6 @@ type gfunc = {
 
 let dummy_ginst = { gop = G_trap; dsts = [||]; srcs = [||]; wide = false; bits = 64 }
 
-(* flag vregs of overflow intrinsics (read by the extractvalue copies) *)
-let ovf_flag_of : (int, int) Hashtbl.t = Hashtbl.create 16
-
 (* ---------------- IRTranslator ---------------- *)
 
 (* Wide LIR values get a vreg PAIR from the start (lo from vreg_lo, hi from
@@ -302,7 +299,7 @@ let translate (fl : Flow.t) : gfunc =
                     }
               | Lir.Sadd_ovf _ | Lir.Ssub_ovf _ | Lir.Smul_ovf _ ->
                   let flag = Mir.new_vreg fl.Flow.mir in
-                  Hashtbl.replace ovf_flag_of i.Lir.iid flag;
+                  Hashtbl.replace fl.Flow.gisel_ovf i.Lir.iid flag;
                   let gop =
                     match intr with
                     | Lir.Sadd_ovf _ -> G_saddo
@@ -321,7 +318,7 @@ let translate (fl : Flow.t) : gfunc =
               match i.Lir.operands.(0) with
               | Lir.Vinst call ->
                   let flag =
-                    match Hashtbl.find_opt ovf_flag_of call.Lir.iid with
+                    match Hashtbl.find_opt fl.Flow.gisel_ovf call.Lir.iid with
                     | Some f -> f
                     | None -> failwith "gisel: flag of unknown intrinsic"
                   in
@@ -899,7 +896,7 @@ let instruction_select (fl : Flow.t) (g : gfunc) (_banks : int array) =
 
 (** The full GlobalISel pipeline; phase names match Fig. 3. *)
 let run (timing : Qcomp_support.Timing.t) (fl : Flow.t) =
-  Hashtbl.reset ovf_flag_of;
+  Hashtbl.reset fl.Flow.gisel_ovf;
   (* argument binding, as in the DAG/FastISel driver *)
   fl.Flow.cur <- 0;
   let argk = ref 0 in

@@ -683,9 +683,6 @@ let canon_bits (ty : Lir.ty) =
 let rax = 0
 let rdx = 2
 
-(* flag vregs of 128-bit overflow sequences, keyed by node id *)
-let ovf128_flags : (int, int) Hashtbl.t = Hashtbl.create 16
-
 let schedule (fl : Flow.t) (dag : dag) =
   let mir = fl.Flow.mir in
   let push i = Flow.push fl (Mir.M i) in
@@ -872,7 +869,7 @@ let schedule (fl : Flow.t) (dag : dag) =
         n.result_vreg <- d;
         n.result_vreg2 <- flag
     | NOvf_flag -> (
-        match Hashtbl.find_opt ovf128_flags n.ops.(0).nid with
+        match Hashtbl.find_opt fl.Flow.dag_ovf n.ops.(0).nid with
         | Some f -> n.result_vreg <- f
         | None -> n.result_vreg <- n.ops.(0).result_vreg2)
     | NSelect ->
@@ -975,7 +972,7 @@ let schedule (fl : Flow.t) (dag : dag) =
              the flag in a third slot: reuse a map via an extra node field *)
           n.result_vreg2 <- dhi;
           (* NOvf_flag on 128-bit ops reads from here: *)
-          Hashtbl.replace ovf128_flags n.nid flag
+          Hashtbl.replace fl.Flow.dag_ovf n.nid flag
         end
     | NMul128 ->
         let dlo = fresh () and dhi = fresh () in
@@ -1136,7 +1133,7 @@ let schedule (fl : Flow.t) (dag : dag) =
 (* Run the full DAG pipeline on a list of LIR instructions. *)
 let run (fl : Flow.t) (insts : Lir.inst list) =
   if insts <> [] then begin
-    Hashtbl.reset ovf128_flags;
+    Hashtbl.reset fl.Flow.dag_ovf;
     let dag = build fl insts in
     (* combine round 1 *)
     let rec fix k = if k > 0 && combine dag then fix (k - 1) in

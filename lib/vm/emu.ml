@@ -17,7 +17,8 @@ let runtime_base = 0x7F00_0000_0000
 let sentinel = 0x7FFF_0000_0000
 
 (** A registered code blob, decoded once at registration into a flat
-    instruction table (see "the instruction table" below). *)
+    instruction table (see "the instruction table" below) and translated
+    into threaded closures on its first entry (see "threaded code"). *)
 type code_mod = {
   cm_base : int;
   cm_size : int;
@@ -27,20 +28,31 @@ type code_mod = {
   cm_map : Bytes.t;
       (** byte offset -> instruction index, a native-endian int32 per code
           byte; -1 where no instruction starts *)
+  cm_chains : chains Atomic.t;
+      (** the module as threaded code; {!untranslated} until the module is
+          first entered *)
 }
 
-(* Matches no address: the initial [last_mod] of every context. *)
-let no_mod = { cm_base = 0; cm_size = 0; cm_table = Bytes.empty; cm_map = Bytes.empty }
+(** A module translated into threaded code (see "threaded code"). Each
+    array has an element per instruction index and one for the [End]
+    record. *)
+and chains = {
+  ch_body : (t -> unit) array;  (** runs the instruction and the rest of its chain *)
+  ch_cycles : int array;  (** cycles from the index to the end of its chain *)
+  ch_insts : int array;  (** instructions from the index to the end of its chain *)
+  ch_fuel_stop : t -> int -> unit;  (** entered at an index, would cross fuel *)
+}
 
 (** Code + runtime registries shared by every execution context of one
     virtual machine. All mutation happens under [reg_mu]; the hot read
     paths ([find_mod], runtime dispatch) read the mutable fields without
     the lock — they only ever chase addresses that were published to them
     through a mutex (the caller obtained the module through the code cache
-    or compiled it itself), which establishes the happens-before edge.
+    or compiled it itself), which establishes the happens-before edge. A
+    module's translation is published through its own [Atomic].
     [code_gen] bumps on every release so per-context [last_mod] caches
     cannot resurrect a module whose span was recycled by another domain. *)
-type shared = {
+and shared = {
   mutable mods : code_mod list;
   mutable next_code_base : int;
   free_spans : (int, int list) Hashtbl.t;  (** span size -> free bases *)
@@ -79,6 +91,19 @@ and t = {
   mutable last_mod : code_mod;  (** {!no_mod} when nothing is cached *)
   mutable last_gen : int;  (** [shared.code_gen] when [last_mod] was cached *)
 }
+
+let untranslated =
+  { ch_body = [||]; ch_cycles = [||]; ch_insts = [||]; ch_fuel_stop = (fun _ _ -> ()) }
+
+(* Matches no address: the initial [last_mod] of every context. *)
+let no_mod =
+  {
+    cm_base = 0;
+    cm_size = 0;
+    cm_table = Bytes.empty;
+    cm_map = Bytes.empty;
+    cm_chains = Atomic.make untranslated;
+  }
 
 let num_regs = 33
 
@@ -247,8 +272,8 @@ let remove_runtime t (addr : int64) =
    16-byte records, one per instruction in address order, followed by an
    [End] record. Nothing in it is boxed: building it allocates the table
    (doubled when an x64 blob holds more instructions than guessed) and an
-   offset map per blob, and the execute loop reads every field straight
-   out of the bytes.
+   offset map per blob, and translation (see "threaded code") reads every
+   field straight out of the bytes.
 
    byte  0      op      specialised opcode ({!op}): the ALU operation,
                         operand kind, access size and sign are part of it
@@ -919,7 +944,15 @@ let register_code t (code : bytes) =
             s.next_code_base <- base + span;
             base
       in
-      let m = { cm_base = base; cm_size = size; cm_table = table; cm_map = map } in
+      let m =
+        {
+          cm_base = base;
+          cm_size = size;
+          cm_table = table;
+          cm_map = map;
+          cm_chains = Atomic.make untranslated;
+        }
+      in
       s.mods <- m :: s.mods;
       s.live_code <- s.live_code + size;
       if s.live_code > s.peak_code then s.peak_code <- s.live_code;
@@ -991,25 +1024,26 @@ let idx_of (m : code_mod) addr =
 
 (* ---------------- hot accessors ----------------
 
-   Everything the execute loop calls per instruction is defined here and
-   inlined into it, so register values stay unboxed [int64]s from read to
-   write. Library modules are compiled with [-opaque] in dune's dev profile,
-   so calls into {!Memory} or {!Qcomp_support.I128} could not be inlined:
-   each would box its [int64] arguments and result. The memory accessors
-   below are copies of {!Memory.load}/{!Memory.store} with the same bounds
-   check and the same {!Memory.Fault} messages. *)
+   Everything a translated instruction does when it runs is defined here
+   and inlined into its closure, so register values stay unboxed [int64]s
+   from read to write. Library modules are compiled with [-opaque] in
+   dune's dev profile, so calls into {!Memory} or {!Qcomp_support.I128}
+   could not be inlined: each would box its [int64] arguments and result.
+   The memory accesses below repeat {!Memory.load}/{!Memory.store}'s bounds
+   check and {!Memory.Fault} messages. *)
 
 let[@inline] reg t r = Bytes.get_int64_ne t.regs (r lsl 3)
 let[@inline] set_reg t r v = Bytes.set_int64_ne t.regs (r lsl 3) v
 
-(* Unchecked: the loop's register numbers come from the table, whose
-   loader rejected every one outside the register file. *)
+(* Unchecked: a closure's register offsets come from the table, whose
+   loader rejected every register outside the register file. *)
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 
-let[@inline] ureg t r = get64u t.regs (r lsl 3)
-let[@inline] uset t r v = set64u t.regs (r lsl 3) v
+(* a register by its byte offset [r lsl 3] in the register file *)
+let[@inline] rd t o = get64u t.regs o
+let[@inline] wr t o v = set64u t.regs o v
 
 (* Fields of the record at byte [p] of a table (see the layout above). *)
 let[@inline] op_at tb p = op_of_char (Bytes.unsafe_get tb p)
@@ -1024,59 +1058,19 @@ let[@inline] imm tb p = get64u tb (p + 8)
 let[@inline] tgt_at tb p = Int32.to_int (get32u tb (p + 8))
 let[@inline] off_at tb p = Int32.to_int (get32u tb (p + 12))
 
-(* the values of a record's register fields *)
-let[@inline] v0 t tb p = ureg t (r0 tb p)
-let[@inline] v1 t tb p = ureg t (r1 tb p)
-let[@inline] v2 t tb p = ureg t (r2 tb p)
-
 let[@inline never] access_fault n addr =
   raise (Memory.Fault (Printf.sprintf "access of %d bytes at 0x%x" n addr))
 
-let[@inline] check_access (mem : Memory.t) addr n =
-  if addr < Memory.page || addr + n > mem.Memory.size then access_fault n addr
+(* an access of [n] bytes at [addr] that {!Memory} would refuse *)
+let[@inline] outside msize addr n = addr < Memory.page || addr + n > msize
 
 let[@inline] load64 (mem : Memory.t) addr =
-  check_access mem addr 8;
+  if outside mem.Memory.size addr 8 then access_fault 8 addr;
   Bytes.get_int64_le mem.Memory.data addr
 
 let[@inline] store64 (mem : Memory.t) addr v =
-  check_access mem addr 8;
+  if outside mem.Memory.size addr 8 then access_fault 8 addr;
   Bytes.set_int64_le mem.Memory.data addr v
-
-let[@inline] load32 (mem : Memory.t) addr =
-  check_access mem addr 4;
-  Bytes.get_int32_le mem.Memory.data addr
-
-let[@inline] load16u (mem : Memory.t) addr =
-  check_access mem addr 2;
-  Bytes.get_uint16_le mem.Memory.data addr
-
-let[@inline] load16s (mem : Memory.t) addr =
-  check_access mem addr 2;
-  Bytes.get_int16_le mem.Memory.data addr
-
-let[@inline] load8u (mem : Memory.t) addr =
-  check_access mem addr 1;
-  Bytes.get_uint8 mem.Memory.data addr
-
-let[@inline] load8s (mem : Memory.t) addr =
-  check_access mem addr 1;
-  Bytes.get_int8 mem.Memory.data addr
-
-let[@inline] store32 (mem : Memory.t) addr v =
-  check_access mem addr 4;
-  Bytes.set_int32_le mem.Memory.data addr (Int64.to_int32 v)
-
-let[@inline] store16 (mem : Memory.t) addr v =
-  check_access mem addr 2;
-  Bytes.set_uint16_le mem.Memory.data addr (Int64.to_int v land 0xFFFF)
-
-let[@inline] store8 (mem : Memory.t) addr v =
-  check_access mem addr 1;
-  Bytes.set_uint8 mem.Memory.data addr (Int64.to_int v land 0xFF)
-
-(* the address of a load or store: base register plus displacement *)
-let[@inline] ea t tb p = Int64.to_int (v1 t tb p) + Int64.to_int (imm tb p)
 
 (* unsigned a < b *)
 let[@inline] ult (a : int64) b = Int64.sub a Int64.min_int < Int64.sub b Int64.min_int
@@ -1147,42 +1141,148 @@ let[@inline] cond_true t (c : Minst.cond) =
   | Ov -> t.ovf
   | Noov -> not t.ovf
 
-(* ---------------- execution ---------------- *)
+(* A condition as the test it negates or is: each pair of conditions
+   shares one test, and a branch on the negated one swaps its targets. *)
+let cond_test : Minst.cond -> Minst.cond * bool = function
+  | Eq -> (Eq, false)
+  | Ne -> (Eq, true)
+  | Slt -> (Slt, false)
+  | Sge -> (Slt, true)
+  | Sle -> (Sle, false)
+  | Sgt -> (Sle, true)
+  | Ult -> (Ult, false)
+  | Uge -> (Ult, true)
+  | Ule -> (Ule, false)
+  | Ugt -> (Ule, true)
+  | Ov -> (Ov, false)
+  | Noov -> (Ov, true)
 
-(* [d <- a op b] for each ALU operation, setting the flags it defines. *)
+(* ---------------- flag liveness ----------------
+
+   A module-wide backward fixpoint over the table gives, for every
+   instruction, the flags that some path after it reads before it writes
+   them. An op none of whose flags is read skips computing them. Leaving
+   the module's known flow (a return, an indirect or far transfer, falling
+   off the end) keeps every flag live, so the flags are exact wherever
+   other code, the host or a runtime function could read them. *)
+
+let flag_z = 1
+let flag_s = 2
+let flag_c = 4
+let flag_o = 8
+let all_flags = 15
+
+let cond_uses : Minst.cond -> int = function
+  | Eq | Ne -> flag_z
+  | Slt | Sge -> flag_s lor flag_o
+  | Sle | Sgt -> flag_z lor flag_s lor flag_o
+  | Ult | Uge -> flag_c
+  | Ule | Ugt -> flag_c lor flag_z
+  | Ov | Noov -> flag_o
+
+let flag_defs = function
+  | Add_r | Sub_r | Adc_r | Sbb_r | And_r | Or_r | Xor_r | Mul_r | Add_i | Sub_i | Adc_i
+  | Sbb_i | And_i | Or_i | Xor_i | Mul_i | Cmp_r | Cmp_i | Fcmp ->
+      all_flags
+  | Shl_r | Shr_r | Sar_r | Ror_r | Shl_i | Shr_i | Sar_i | Ror_i -> flag_z lor flag_s
+  | _ -> 0
+
+let flag_uses tb p =
+  match op_at tb p with
+  | Adc_r | Adc_i | Sbb_r | Sbb_i -> flag_c
+  | Jcc | Jcc_far | Setcc | Csel -> cond_uses (cond_at tb p)
+  | _ -> 0
+
+(* The flags live after each of the [n] instructions of table [tb]. *)
+let flags_live_after tb n =
+  let live_in = Array.make (n + 1) 0 in
+  live_in.(n) <- all_flags;
+  let after k =
+    let p = k lsl 4 in
+    match op_at tb p with
+    | Jmp | Call -> live_in.(tgt_at tb p)
+    | Jcc -> live_in.(tgt_at tb p) lor live_in.(k + 1)
+    | Jmp_far | Jcc_far | Call_far | Jmp_ind | Jmp_mem | Call_ind | Ret -> all_flags
+    | _ -> live_in.(k + 1)
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for k = n - 1 downto 0 do
+      let p = k lsl 4 in
+      let v = flag_uses tb p lor (after k land lnot (flag_defs (op_at tb p))) in
+      if v <> live_in.(k) then begin
+        live_in.(k) <- v;
+        changed := true
+      end
+    done
+  done;
+  Array.init n after
+
+(* ---------------- threaded code ----------------
+
+   A module runs as threaded code. On its first entry it is translated
+   into one closure per instruction, with operands, cost and successor
+   baked in; no closure matches on an opcode when it runs.
+
+   A chain is a straight-line run of instructions up to and including the
+   next control transfer. Entering the chain at index [k] ({!enter})
+   charges the cycles and instruction count of the rest of it at once,
+   checks fuel once, and calls [k]'s body. Each body does its
+   instruction's work and tail-calls the next body; a direct transfer
+   enters its target's chain, a far or indirect one reaches its target
+   through {!goto}. Entering midway is entering at another index, so
+   branch targets need no chain of their own.
+
+   The counts stay exact. A body that can fault (a load or store, a
+   division, a bad extension, [brk]) gives back the part of the charge
+   after its own instruction before it raises, which costs the fast path
+   nothing. A chain that would run past [fuel] runs only the prefix fuel
+   allows and traps with that prefix's counts ([fuel_stop] in
+   {!translate}).
+
+   Flags no path reads are never computed (see "flag liveness"). A
+   compare whose flags only the branch after it reads fuses with that
+   branch ({!cmp_jcc_body}), and a few frequent pairs of instructions
+   share one body ({!pair_body}), so fewer closures run. *)
+
+(* [d <- a op b] for the ALU operations, setting the flags each defines;
+   [d] is a register offset *)
 let[@inline] add t d a b =
   let r = Int64.add a b in
   flags_add t a b r;
-  uset t d r
+  wr t d r
 
 let[@inline] sub t d a b =
   let r = Int64.sub a b in
   flags_sub t a b r;
-  uset t d r
+  wr t d r
+
+let[@inline] carry t = if t.cf then 1L else 0L
 
 let[@inline] adc t d a b =
-  let cin = if t.cf then 1L else 0L in
+  let cin = carry t in
   let ab = Int64.add a b in
   let r = Int64.add ab cin in
   set_zs t r;
   t.cf <- ult ab a || ult r ab;
   (* signed overflow (valid with carry-in): operands agree, result differs *)
   t.ovf <- Int64.logand (Int64.logxor a r) (Int64.logxor b r) < 0L;
-  uset t d r
+  wr t d r
 
 let[@inline] sbb t d a b =
-  let cin = if t.cf then 1L else 0L in
+  let cin = carry t in
   let r = Int64.sub (Int64.sub a b) cin in
   let borrow = ult a b || (a = b && cin = 1L) || ult (Int64.sub a b) cin in
   set_zs t r;
   t.cf <- borrow;
   t.ovf <- Int64.logand (Int64.logxor a b) (Int64.logxor a r) < 0L;
-  uset t d r
+  wr t d r
 
 (* and / or / xor *)
 let[@inline] logic t d r =
   flags_logic t r;
-  uset t d r
+  wr t d r
 
 let[@inline] mul t d a b =
   let r = Int64.mul a b in
@@ -1190,19 +1290,17 @@ let[@inline] mul t d a b =
   let ovf = smulh a b <> Int64.shift_right r 63 in
   t.cf <- ovf;
   t.ovf <- ovf;
-  uset t d r
+  wr t d r
 
 (* shifts and rotates set only zf/sf *)
 let[@inline] shifted t d r =
   set_zs t r;
-  uset t d r
+  wr t d r
 
 let[@inline] count b = Int64.to_int b land 63
 
-let[@inline] ror a b =
-  let n = count b in
-  if n = 0 then a
-  else Int64.logor (Int64.shift_right_logical a n) (Int64.shift_left a (64 - n))
+let[@inline] rotr a n =
+  if n = 0 then a else Int64.logor (Int64.shift_right_logical a n) (Int64.shift_left a (64 - n))
 
 (* float operations on the bit patterns the registers hold *)
 let[@inline] fadd a b = Int64.bits_of_float (Int64.float_of_bits a +. Int64.float_of_bits b)
@@ -1228,6 +1326,398 @@ let[@inline] push_ret t ra =
   end
   else set_reg t Target.lr ra
 
+let ends_chain = function
+  | Jmp | Jcc | Call | Jmp_far | Jcc_far | Call_far | Jmp_ind | Jmp_mem | Call_ind | Ret -> true
+  | _ -> false
+
+(* Give back [uc] cycles and [un] instructions charged past a faulting
+   instruction, then raise. *)
+let[@inline never] fault t uc un n addr =
+  t.cycles <- t.cycles - uc;
+  t.icount <- t.icount - un;
+  access_fault n addr
+
+let[@inline never] trap t uc un msg =
+  t.cycles <- t.cycles - uc;
+  t.icount <- t.icount - un;
+  raise (Trap msg)
+
+let fell_off (_ : t) = raise (Trap "fell off end of code")
+
+(* Enter the chain of [ch] at index [k]: charge the rest of the chain at
+   once, check fuel once, run it. *)
+let[@inline] enter ch k t =
+  t.cycles <- t.cycles + Array.unsafe_get ch.ch_cycles k;
+  let ic = t.icount + Array.unsafe_get ch.ch_insts k in
+  t.icount <- ic;
+  if t.fuel >= 0 && ic > t.fuel then ch.ch_fuel_stop t k else (Array.unsafe_get ch.ch_body k) t
+
+(* The body of the non-transfer instruction [k] of table [tb]: its work,
+   then a tail call of [next]. [live] holds the flags read after [k]; [uc]
+   and [un] are the cycles and instructions charged for the part of the
+   chain after [k], which a fault gives back. *)
+let op_body (mem : Memory.t) tb k ~live ~(next : t -> unit) ~uc ~un : t -> unit =
+  let data = mem.Memory.data and msize = mem.Memory.size in
+  let p = k lsl 4 in
+  let op = op_at tb p in
+  let o0 = r0 tb p lsl 3 and o1 = r1 tb p lsl 3 and o2 = r2 tb p lsl 3 in
+  let i = imm tb p in
+  let off = Int64.to_int i in
+  let n = off land 63 in
+  let fl = live land flag_defs op <> 0 in
+  match op with
+  | End | Jmp | Jcc | Call | Jmp_far | Jcc_far | Call_far | Jmp_ind | Jmp_mem | Call_ind | Ret
+    ->
+      invalid_arg "Emu.op_body: a control transfer"
+  | Nop -> next
+  | Mov_r -> fun t -> wr t o0 (rd t o1); next t
+  | Mov_i | Movz -> fun t -> wr t o0 i; next t
+  | Movk ->
+      let keep = Int64.lognot (Int64.shift_left 0xFFFFL (16 * r1 tb p)) in
+      fun t -> wr t o0 (Int64.logor (Int64.logand (rd t o0) keep) i); next t
+  | Add_r when fl -> fun t -> add t o0 (rd t o1) (rd t o2); next t
+  | Add_r -> fun t -> wr t o0 (Int64.add (rd t o1) (rd t o2)); next t
+  | Add_i when fl -> fun t -> add t o0 (rd t o1) i; next t
+  | Add_i -> fun t -> wr t o0 (Int64.add (rd t o1) i); next t
+  | Sub_r when fl -> fun t -> sub t o0 (rd t o1) (rd t o2); next t
+  | Sub_r -> fun t -> wr t o0 (Int64.sub (rd t o1) (rd t o2)); next t
+  | Sub_i when fl -> fun t -> sub t o0 (rd t o1) i; next t
+  | Sub_i -> fun t -> wr t o0 (Int64.sub (rd t o1) i); next t
+  | Adc_r when fl -> fun t -> adc t o0 (rd t o1) (rd t o2); next t
+  | Adc_r -> fun t -> wr t o0 (Int64.add (Int64.add (rd t o1) (rd t o2)) (carry t)); next t
+  | Adc_i when fl -> fun t -> adc t o0 (rd t o1) i; next t
+  | Adc_i -> fun t -> wr t o0 (Int64.add (Int64.add (rd t o1) i) (carry t)); next t
+  | Sbb_r when fl -> fun t -> sbb t o0 (rd t o1) (rd t o2); next t
+  | Sbb_r -> fun t -> wr t o0 (Int64.sub (Int64.sub (rd t o1) (rd t o2)) (carry t)); next t
+  | Sbb_i when fl -> fun t -> sbb t o0 (rd t o1) i; next t
+  | Sbb_i -> fun t -> wr t o0 (Int64.sub (Int64.sub (rd t o1) i) (carry t)); next t
+  | And_r when fl -> fun t -> logic t o0 (Int64.logand (rd t o1) (rd t o2)); next t
+  | And_r -> fun t -> wr t o0 (Int64.logand (rd t o1) (rd t o2)); next t
+  | And_i when fl -> fun t -> logic t o0 (Int64.logand (rd t o1) i); next t
+  | And_i -> fun t -> wr t o0 (Int64.logand (rd t o1) i); next t
+  | Or_r when fl -> fun t -> logic t o0 (Int64.logor (rd t o1) (rd t o2)); next t
+  | Or_r -> fun t -> wr t o0 (Int64.logor (rd t o1) (rd t o2)); next t
+  | Or_i when fl -> fun t -> logic t o0 (Int64.logor (rd t o1) i); next t
+  | Or_i -> fun t -> wr t o0 (Int64.logor (rd t o1) i); next t
+  | Xor_r when fl -> fun t -> logic t o0 (Int64.logxor (rd t o1) (rd t o2)); next t
+  | Xor_r -> fun t -> wr t o0 (Int64.logxor (rd t o1) (rd t o2)); next t
+  | Xor_i when fl -> fun t -> logic t o0 (Int64.logxor (rd t o1) i); next t
+  | Xor_i -> fun t -> wr t o0 (Int64.logxor (rd t o1) i); next t
+  | Mul_r when fl -> fun t -> mul t o0 (rd t o1) (rd t o2); next t
+  | Mul_r -> fun t -> wr t o0 (Int64.mul (rd t o1) (rd t o2)); next t
+  | Mul_i when fl -> fun t -> mul t o0 (rd t o1) i; next t
+  | Mul_i -> fun t -> wr t o0 (Int64.mul (rd t o1) i); next t
+  | Shl_r when fl -> fun t -> shifted t o0 (Int64.shift_left (rd t o1) (count (rd t o2))); next t
+  | Shl_r -> fun t -> wr t o0 (Int64.shift_left (rd t o1) (count (rd t o2))); next t
+  | Shl_i when fl -> fun t -> shifted t o0 (Int64.shift_left (rd t o1) n); next t
+  | Shl_i -> fun t -> wr t o0 (Int64.shift_left (rd t o1) n); next t
+  | Shr_r when fl ->
+      fun t -> shifted t o0 (Int64.shift_right_logical (rd t o1) (count (rd t o2))); next t
+  | Shr_r -> fun t -> wr t o0 (Int64.shift_right_logical (rd t o1) (count (rd t o2))); next t
+  | Shr_i when fl -> fun t -> shifted t o0 (Int64.shift_right_logical (rd t o1) n); next t
+  | Shr_i -> fun t -> wr t o0 (Int64.shift_right_logical (rd t o1) n); next t
+  | Sar_r when fl -> fun t -> shifted t o0 (Int64.shift_right (rd t o1) (count (rd t o2))); next t
+  | Sar_r -> fun t -> wr t o0 (Int64.shift_right (rd t o1) (count (rd t o2))); next t
+  | Sar_i when fl -> fun t -> shifted t o0 (Int64.shift_right (rd t o1) n); next t
+  | Sar_i -> fun t -> wr t o0 (Int64.shift_right (rd t o1) n); next t
+  | Ror_r when fl -> fun t -> shifted t o0 (rotr (rd t o1) (count (rd t o2))); next t
+  | Ror_r -> fun t -> wr t o0 (rotr (rd t o1) (count (rd t o2))); next t
+  | Ror_i when fl -> fun t -> shifted t o0 (rotr (rd t o1) n); next t
+  | Ror_i -> fun t -> wr t o0 (rotr (rd t o1) n); next t
+  | Cmp_r when fl ->
+      fun t ->
+        let a = rd t o0 and b = rd t o1 in
+        flags_sub t a b (Int64.sub a b);
+        next t
+  | Cmp_i when fl ->
+      fun t ->
+        let a = rd t o0 in
+        flags_sub t a i (Int64.sub a i);
+        next t
+  | Cmp_r | Cmp_i -> next
+  | Ld1 ->
+      fun t ->
+        let a = Int64.to_int (rd t o1) + off in
+        if outside msize a 1 then fault t uc un 1 a
+        else (wr t o0 (Int64.of_int (Bytes.get_uint8 data a)); next t)
+  | Ld1s ->
+      fun t ->
+        let a = Int64.to_int (rd t o1) + off in
+        if outside msize a 1 then fault t uc un 1 a
+        else begin
+          wr t o0 (Int64.of_int (Bytes.get_int8 data a));
+          next t
+        end
+  | Ld2 ->
+      fun t ->
+        let a = Int64.to_int (rd t o1) + off in
+        if outside msize a 2 then fault t uc un 2 a
+        else (wr t o0 (Int64.of_int (Bytes.get_uint16_le data a)); next t)
+  | Ld2s ->
+      fun t ->
+        let a = Int64.to_int (rd t o1) + off in
+        if outside msize a 2 then fault t uc un 2 a
+        else (wr t o0 (Int64.of_int (Bytes.get_int16_le data a)); next t)
+  | Ld4 ->
+      fun t ->
+        let a = Int64.to_int (rd t o1) + off in
+        if outside msize a 4 then fault t uc un 4 a
+        else begin
+          wr t o0 (Int64.logand (Int64.of_int32 (Bytes.get_int32_le data a)) 0xFFFFFFFFL);
+          next t
+        end
+  | Ld4s ->
+      fun t ->
+        let a = Int64.to_int (rd t o1) + off in
+        if outside msize a 4 then fault t uc un 4 a
+        else (wr t o0 (Int64.of_int32 (Bytes.get_int32_le data a)); next t)
+  | Ld8 | Ld8s ->
+      fun t ->
+        let a = Int64.to_int (rd t o1) + off in
+        if outside msize a 8 then fault t uc un 8 a
+        else (wr t o0 (Bytes.get_int64_le data a); next t)
+  | St1 ->
+      fun t ->
+        let a = Int64.to_int (rd t o1) + off in
+        if outside msize a 1 then fault t uc un 1 a
+        else (Bytes.set_uint8 data a (Int64.to_int (rd t o0) land 0xFF); next t)
+  | St2 ->
+      fun t ->
+        let a = Int64.to_int (rd t o1) + off in
+        if outside msize a 2 then fault t uc un 2 a
+        else (Bytes.set_uint16_le data a (Int64.to_int (rd t o0) land 0xFFFF); next t)
+  | St4 ->
+      fun t ->
+        let a = Int64.to_int (rd t o1) + off in
+        if outside msize a 4 then fault t uc un 4 a
+        else (Bytes.set_int32_le data a (Int64.to_int32 (rd t o0)); next t)
+  | St8 ->
+      fun t ->
+        let a = Int64.to_int (rd t o1) + off in
+        if outside msize a 8 then fault t uc un 8 a
+        else (Bytes.set_int64_le data a (rd t o0); next t)
+  | Lea_x ->
+      let sh = r3 tb p in
+      fun t -> wr t o0 (Int64.add (Int64.add (rd t o1) i) (Int64.shift_left (rd t o2) sh)); next t
+  | Lea -> fun t -> wr t o0 (Int64.add (rd t o1) i); next t
+  | Ext1 -> fun t -> wr t o0 (Int64.logand (rd t o1) 1L); next t
+  | Ext1s -> fun t -> wr t o0 (Int64.shift_right (Int64.shift_left (rd t o1) 63) 63); next t
+  | Ext8 -> fun t -> wr t o0 (Int64.logand (rd t o1) 0xFFL); next t
+  | Ext8s -> fun t -> wr t o0 (Int64.shift_right (Int64.shift_left (rd t o1) 56) 56); next t
+  | Ext16 -> fun t -> wr t o0 (Int64.logand (rd t o1) 0xFFFFL); next t
+  | Ext16s -> fun t -> wr t o0 (Int64.shift_right (Int64.shift_left (rd t o1) 48) 48); next t
+  | Ext32 -> fun t -> wr t o0 (Int64.logand (rd t o1) 0xFFFFFFFFL); next t
+  | Ext32s -> fun t -> wr t o0 (Int64.shift_right (Int64.shift_left (rd t o1) 32) 32); next t
+  | Ext_bad -> fun t -> trap t uc un "bad extension width"
+  (* x64's widening multiply and division use rax (offset 0) and rdx (16) *)
+  | Mulw ->
+      fun t ->
+        let a = rd t 0 and b = rd t o0 in
+        wr t 0 (Int64.mul a b);
+        wr t 16 (umulh a b);
+        next t
+  | Mulw_s ->
+      fun t ->
+        let a = rd t 0 and b = rd t o0 in
+        wr t 0 (Int64.mul a b);
+        wr t 16 (smulh a b);
+        next t
+  | Mulh -> fun t -> wr t o0 (umulh (rd t o1) (rd t o2)); next t
+  | Mulh_s -> fun t -> wr t o0 (smulh (rd t o1) (rd t o2)); next t
+  | Div ->
+      fun t ->
+        let d = rd t o0 in
+        if d = 0L then trap t uc un "integer division by zero"
+        else begin
+          let a = rd t 0 in
+          wr t 0 (Int64.unsigned_div a d);
+          wr t 16 (Int64.unsigned_rem a d);
+          next t
+        end
+  | Div_s ->
+      fun t ->
+        let d = rd t o0 and a = rd t 0 in
+        if d = 0L then trap t uc un "integer division by zero"
+        else if a = Int64.min_int && d = -1L then trap t uc un "integer division overflow"
+        else (wr t 0 (Int64.div a d); wr t 16 (Int64.rem a d); next t)
+  (* AArch64 semantics: division by zero yields zero *)
+  | Udiv ->
+      fun t ->
+        let b = rd t o2 in
+        wr t o0 (if b = 0L then 0L else Int64.unsigned_div (rd t o1) b);
+        next t
+  | Sdiv ->
+      fun t ->
+        let a = rd t o1 and b = rd t o2 in
+        wr t o0
+          (if b = 0L then 0L
+           else if a = Int64.min_int && b = -1L then Int64.min_int
+           else Int64.div a b);
+        next t
+  | Msub -> fun t -> wr t o0 (Int64.sub (rd t o0) (Int64.mul (rd t o1) (rd t o2))); next t
+  | Crc -> fun t -> wr t o0 (crc32c (rd t o1) (rd t o2)); next t
+  | Setcc ->
+      let c = cond_at tb p in
+      fun t -> wr t o0 (if cond_true t c then 1L else 0L); next t
+  | Csel ->
+      let c = cond_at tb p in
+      fun t -> wr t o0 (if cond_true t c then rd t o1 else rd t o2); next t
+  | Fadd -> fun t -> wr t o0 (fadd (rd t o1) (rd t o2)); next t
+  | Fsub -> fun t -> wr t o0 (fsub (rd t o1) (rd t o2)); next t
+  | Fmul -> fun t -> wr t o0 (fmul (rd t o1) (rd t o2)); next t
+  | Fdiv -> fun t -> wr t o0 (fdiv (rd t o1) (rd t o2)); next t
+  | Fcmp when fl ->
+      fun t ->
+        let a = Int64.float_of_bits (rd t o0) and b = Int64.float_of_bits (rd t o1) in
+        t.zf <- a = b;
+        t.sf <- a < b;
+        t.ovf <- false;
+        t.cf <- a < b;
+        next t
+  | Fcmp -> next
+  | Cvt_si2f -> fun t -> wr t o0 (Int64.bits_of_float (Int64.to_float (rd t o1))); next t
+  | Cvt_f2si -> fun t -> wr t o0 (Int64.of_float (Int64.float_of_bits (rd t o1))); next t
+  | Brk ->
+      let msg = Printf.sprintf "brk #%d" off in
+      fun t -> trap t uc un msg
+
+(* Two adjacent instructions [k] and [k + 1] of one chain as one body, for
+   the pairs that run most often, or [None]. [live] is the flags read
+   after [k + 1], the rest as for {!op_body} of [k]. *)
+let pair_body (mem : Memory.t) tb k ~live ~(next : t -> unit) ~uc ~un : (t -> unit) option =
+  let data = mem.Memory.data and msize = mem.Memory.size in
+  let p = k lsl 4 and q = (k + 1) lsl 4 in
+  let d1 = r0 tb p lsl 3 and s1 = r1 tb p lsl 3 and i1 = imm tb p in
+  let d2 = r0 tb q lsl 3 and s2 = r1 tb q lsl 3 and i2 = imm tb q in
+  let off1 = Int64.to_int i1 and off2 = Int64.to_int i2 in
+  let uc2 = uc - cost_at tb q and un2 = un - 1 in
+  let op2 = op_at tb q in
+  match (op_at tb p, op2) with
+  | (Ld8 | Ld8s), (Ld8 | Ld8s) ->
+      Some
+        (fun t ->
+          let a = Int64.to_int (rd t s1) + off1 in
+          if outside msize a 8 then fault t uc un 8 a
+          else begin
+            wr t d1 (Bytes.get_int64_le data a);
+            let a = Int64.to_int (rd t s2) + off2 in
+            if outside msize a 8 then fault t uc2 un2 8 a
+            else (wr t d2 (Bytes.get_int64_le data a); next t)
+          end)
+  | St8, St8 ->
+      Some
+        (fun t ->
+          let a = Int64.to_int (rd t s1) + off1 in
+          if outside msize a 8 then fault t uc un 8 a
+          else begin
+            Bytes.set_int64_le data a (rd t d1);
+            let a = Int64.to_int (rd t s2) + off2 in
+            if outside msize a 8 then fault t uc2 un2 8 a
+            else (Bytes.set_int64_le data a (rd t d2); next t)
+          end)
+  | St8, (Ld8 | Ld8s) ->
+      Some
+        (fun t ->
+          let a = Int64.to_int (rd t s1) + off1 in
+          if outside msize a 8 then fault t uc un 8 a
+          else begin
+            Bytes.set_int64_le data a (rd t d1);
+            let a = Int64.to_int (rd t s2) + off2 in
+            if outside msize a 8 then fault t uc2 un2 8 a
+            else (wr t d2 (Bytes.get_int64_le data a); next t)
+          end)
+  | (Ld8 | Ld8s), Mov_r ->
+      Some
+        (fun t ->
+          let a = Int64.to_int (rd t s1) + off1 in
+          if outside msize a 8 then fault t uc un 8 a
+          else begin
+            wr t d1 (Bytes.get_int64_le data a);
+            wr t d2 (rd t s2);
+            next t
+          end)
+  | Lea_x, (Ld8 | Ld8s) ->
+      let x1 = r2 tb p lsl 3 and sh1 = r3 tb p in
+      Some
+        (fun t ->
+          wr t d1 (Int64.add (Int64.add (rd t s1) i1) (Int64.shift_left (rd t x1) sh1));
+          let a = Int64.to_int (rd t s2) + off2 in
+          if outside msize a 8 then fault t uc2 un2 8 a
+          else (wr t d2 (Bytes.get_int64_le data a); next t))
+  | Mov_i, Lea_x ->
+      let x2 = r2 tb q lsl 3 and sh2 = r3 tb q in
+      Some
+        (fun t ->
+          wr t d1 i1;
+          wr t d2 (Int64.add (Int64.add (rd t s2) i2) (Int64.shift_left (rd t x2) sh2));
+          next t)
+  | Mov_r, Mov_r ->
+      Some
+        (fun t ->
+          wr t d1 (rd t s1);
+          wr t d2 (rd t s2);
+          next t)
+  (* x64's three-address idiom [mov d, a; op d, imm] with the flags of
+     [op] unread: d = a op imm *)
+  | Mov_r, (Add_i | And_i | Shl_i | Shr_i | Sar_i)
+    when d2 = d1 && s2 = d1 && live land flag_defs op2 = 0 ->
+      let n2 = off2 land 63 in
+      Some
+        (match op2 with
+        | Add_i -> fun t -> wr t d1 (Int64.add (rd t s1) i2); next t
+        | And_i -> fun t -> wr t d1 (Int64.logand (rd t s1) i2); next t
+        | Shl_i -> fun t -> wr t d1 (Int64.shift_left (rd t s1) n2); next t
+        | Shr_i -> fun t -> wr t d1 (Int64.shift_right_logical (rd t s1) n2); next t
+        | _ -> fun t -> wr t d1 (Int64.shift_right (rd t s1) n2); next t)
+  | _ -> None
+
+(* [jcc c]: continue at index [taken] when the flags satisfy [c], else at
+   [fall]. *)
+let jcc_body ch (c : Minst.cond) ~taken ~fall : t -> unit =
+  let test, negated = cond_test c in
+  let y, n = if negated then (fall, taken) else (taken, fall) in
+  match test with
+  | Eq -> fun t -> if t.zf then enter ch y t else enter ch n t
+  | Slt -> fun t -> if t.sf <> t.ovf then enter ch y t else enter ch n t
+  | Sle -> fun t -> if t.zf || t.sf <> t.ovf then enter ch y t else enter ch n t
+  | Ult -> fun t -> if t.cf then enter ch y t else enter ch n t
+  | Ule -> fun t -> if t.cf || t.zf then enter ch y t else enter ch n t
+  | _ -> fun t -> if t.ovf then enter ch y t else enter ch n t
+
+(* [cmp a, b; jcc c] with no flag read after the branch: the branch tests
+   the operands directly. [b] is register offset [o1], or the immediate
+   [i] when [o1 < 0]. *)
+let cmp_jcc_body ch o0 o1 (i : int64) (c : Minst.cond) ~taken ~fall : t -> unit =
+  let test, negated = cond_test c in
+  let y, n = if negated then (fall, taken) else (taken, fall) in
+  match (test, o1 < 0) with
+  | Eq, true -> fun t -> if rd t o0 = i then enter ch y t else enter ch n t
+  | Slt, true -> fun t -> if rd t o0 < i then enter ch y t else enter ch n t
+  | Sle, true -> fun t -> if rd t o0 <= i then enter ch y t else enter ch n t
+  | Ult, true -> fun t -> if ult (rd t o0) i then enter ch y t else enter ch n t
+  | Ule, true -> fun t -> if ult i (rd t o0) then enter ch n t else enter ch y t
+  | Eq, false -> fun t -> if rd t o0 = rd t o1 then enter ch y t else enter ch n t
+  | Slt, false -> fun t -> if rd t o0 < rd t o1 then enter ch y t else enter ch n t
+  | Sle, false -> fun t -> if rd t o0 <= rd t o1 then enter ch y t else enter ch n t
+  | Ult, false -> fun t -> if ult (rd t o0) (rd t o1) then enter ch y t else enter ch n t
+  | Ule, false -> fun t -> if ult (rd t o1) (rd t o0) then enter ch n t else enter ch y t
+  | _, imm_form ->
+      (* overflow of [a - b] *)
+      fun t ->
+        let a = rd t o0 in
+        let b = if imm_form then i else rd t o1 in
+        if Int64.logand (Int64.logxor a b) (Int64.logxor a (Int64.sub a b)) < 0L then
+          enter ch y t
+        else enter ch n t
+
+(* The number of instructions in a table: its records up to [End]. *)
+let table_length tb =
+  let k = ref 0 in
+  while op_at tb (!k lsl 4) != End do
+    incr k
+  done;
+  !k
+
 (* Transfer control to an arbitrary address: code, runtime or sentinel.
    Returns the instruction index to continue at, in the module [find_mod]
    just left in [t.last_mod], or -1 once control reaches the sentinel. *)
@@ -1242,175 +1732,139 @@ let rec goto t (a : int) =
   end
   else idx_of (find_mod t a) a
 
-(** Run starting at [addr] until control returns to the sentinel.
-    Reentrant: runtime functions may use {!call_generated}. Each executed
-    instruction reads its opcode, operands, cost and branch target from
-    its record in the module's table and allocates nothing. *)
-and run_at t addr =
-  let m = ref (find_mod t addr) in
-  let ip = ref (idx_of !m addr) in
-  while !ip >= 0 do
-    let cm = !m in
-    let tb = cm.cm_table in
-    let i = !ip in
-    let p = i lsl 4 in
-    let op = op_at tb p in
-    if op == End then raise (Trap "fell off end of code");
-    t.cycles <- t.cycles + cost_at tb p;
-    t.icount <- t.icount + 1;
-    if t.fuel >= 0 && t.icount > t.fuel then raise (Trap "fuel exhausted");
-    ip := i + 1;
-    match op with
-    | End | Nop -> ()
-    | Mov_r -> uset t (r0 tb p) (v1 t tb p)
-    | Mov_i | Movz -> uset t (r0 tb p) (imm tb p)
-    | Movk ->
-        let d = r0 tb p in
-        let mask = Int64.shift_left 0xFFFFL (16 * r1 tb p) in
-        uset t d (Int64.logor (Int64.logand (ureg t d) (Int64.lognot mask)) (imm tb p))
-    | Add_r -> add t (r0 tb p) (v1 t tb p) (v2 t tb p)
-    | Add_i -> add t (r0 tb p) (v1 t tb p) (imm tb p)
-    | Sub_r -> sub t (r0 tb p) (v1 t tb p) (v2 t tb p)
-    | Sub_i -> sub t (r0 tb p) (v1 t tb p) (imm tb p)
-    | Adc_r -> adc t (r0 tb p) (v1 t tb p) (v2 t tb p)
-    | Adc_i -> adc t (r0 tb p) (v1 t tb p) (imm tb p)
-    | Sbb_r -> sbb t (r0 tb p) (v1 t tb p) (v2 t tb p)
-    | Sbb_i -> sbb t (r0 tb p) (v1 t tb p) (imm tb p)
-    | And_r -> logic t (r0 tb p) (Int64.logand (v1 t tb p) (v2 t tb p))
-    | And_i -> logic t (r0 tb p) (Int64.logand (v1 t tb p) (imm tb p))
-    | Or_r -> logic t (r0 tb p) (Int64.logor (v1 t tb p) (v2 t tb p))
-    | Or_i -> logic t (r0 tb p) (Int64.logor (v1 t tb p) (imm tb p))
-    | Xor_r -> logic t (r0 tb p) (Int64.logxor (v1 t tb p) (v2 t tb p))
-    | Xor_i -> logic t (r0 tb p) (Int64.logxor (v1 t tb p) (imm tb p))
-    | Mul_r -> mul t (r0 tb p) (v1 t tb p) (v2 t tb p)
-    | Mul_i -> mul t (r0 tb p) (v1 t tb p) (imm tb p)
-    | Shl_r -> shifted t (r0 tb p) (Int64.shift_left (v1 t tb p) (count (v2 t tb p)))
-    | Shl_i -> shifted t (r0 tb p) (Int64.shift_left (v1 t tb p) (count (imm tb p)))
-    | Shr_r ->
-        shifted t (r0 tb p) (Int64.shift_right_logical (v1 t tb p) (count (v2 t tb p)))
-    | Shr_i ->
-        shifted t (r0 tb p) (Int64.shift_right_logical (v1 t tb p) (count (imm tb p)))
-    | Sar_r -> shifted t (r0 tb p) (Int64.shift_right (v1 t tb p) (count (v2 t tb p)))
-    | Sar_i -> shifted t (r0 tb p) (Int64.shift_right (v1 t tb p) (count (imm tb p)))
-    | Ror_r -> shifted t (r0 tb p) (ror (v1 t tb p) (v2 t tb p))
-    | Ror_i -> shifted t (r0 tb p) (ror (v1 t tb p) (imm tb p))
-    | Cmp_r ->
-        let a = v0 t tb p and b = v1 t tb p in
-        flags_sub t a b (Int64.sub a b)
-    | Cmp_i ->
-        let a = v0 t tb p and b = imm tb p in
-        flags_sub t a b (Int64.sub a b)
-    | Ld1 -> uset t (r0 tb p) (Int64.of_int (load8u t.mem (ea t tb p)))
-    | Ld1s -> uset t (r0 tb p) (Int64.of_int (load8s t.mem (ea t tb p)))
-    | Ld2 -> uset t (r0 tb p) (Int64.of_int (load16u t.mem (ea t tb p)))
-    | Ld2s -> uset t (r0 tb p) (Int64.of_int (load16s t.mem (ea t tb p)))
-    | Ld4 ->
-        uset t (r0 tb p)
-          (Int64.logand (Int64.of_int32 (load32 t.mem (ea t tb p))) 0xFFFFFFFFL)
-    | Ld4s -> uset t (r0 tb p) (Int64.of_int32 (load32 t.mem (ea t tb p)))
-    | Ld8 | Ld8s -> uset t (r0 tb p) (load64 t.mem (ea t tb p))
-    | St1 -> store8 t.mem (ea t tb p) (v0 t tb p)
-    | St2 -> store16 t.mem (ea t tb p) (v0 t tb p)
-    | St4 -> store32 t.mem (ea t tb p) (v0 t tb p)
-    | St8 -> store64 t.mem (ea t tb p) (v0 t tb p)
-    | Lea_x ->
-        uset t (r0 tb p)
-          (Int64.add
-             (Int64.add (v1 t tb p) (imm tb p))
-             (Int64.shift_left (v2 t tb p) (r3 tb p)))
-    | Lea -> uset t (r0 tb p) (Int64.add (v1 t tb p) (imm tb p))
-    | Ext1 -> uset t (r0 tb p) (Int64.logand (v1 t tb p) 1L)
-    | Ext1s -> uset t (r0 tb p) (Int64.shift_right (Int64.shift_left (v1 t tb p) 63) 63)
-    | Ext8 -> uset t (r0 tb p) (Int64.logand (v1 t tb p) 0xFFL)
-    | Ext8s -> uset t (r0 tb p) (Int64.shift_right (Int64.shift_left (v1 t tb p) 56) 56)
-    | Ext16 -> uset t (r0 tb p) (Int64.logand (v1 t tb p) 0xFFFFL)
-    | Ext16s -> uset t (r0 tb p) (Int64.shift_right (Int64.shift_left (v1 t tb p) 48) 48)
-    | Ext32 -> uset t (r0 tb p) (Int64.logand (v1 t tb p) 0xFFFFFFFFL)
-    | Ext32s -> uset t (r0 tb p) (Int64.shift_right (Int64.shift_left (v1 t tb p) 32) 32)
-    | Ext_bad -> raise (Trap "bad extension width")
-    | Mulw ->
-        let a = ureg t 0 and b = v0 t tb p in
-        uset t 0 (Int64.mul a b);
-        uset t 2 (umulh a b)
-    | Mulw_s ->
-        let a = ureg t 0 and b = v0 t tb p in
-        uset t 0 (Int64.mul a b);
-        uset t 2 (smulh a b)
-    | Mulh -> uset t (r0 tb p) (umulh (v1 t tb p) (v2 t tb p))
-    | Mulh_s -> uset t (r0 tb p) (smulh (v1 t tb p) (v2 t tb p))
-    | Div | Div_s ->
-        let d = v0 t tb p in
-        if d = 0L then raise (Trap "integer division by zero");
-        let a = ureg t 0 in
-        if op == Div_s then begin
-          if a = Int64.min_int && d = -1L then raise (Trap "integer division overflow");
-          uset t 0 (Int64.div a d);
-          uset t 2 (Int64.rem a d)
-        end
+(* continue at an arbitrary address; return at the sentinel *)
+and jump t a =
+  let k = goto t a in
+  if k >= 0 then enter (chains_of t t.last_mod) k t
+
+(* [m] as threaded code, translated on the module's first entry. The first
+   domain to enter translates under [reg_mu]; the [Atomic] publishes the
+   finished translation to every other domain. *)
+and chains_of t m =
+  let ch = Atomic.get m.cm_chains in
+  if ch != untranslated then ch
+  else
+    Mutex.protect t.shared.reg_mu (fun () ->
+        let ch = Atomic.get m.cm_chains in
+        if ch != untranslated then ch
         else begin
-          uset t 0 (Int64.unsigned_div a d);
-          uset t 2 (Int64.unsigned_rem a d)
-        end
-    (* AArch64 semantics: division by zero yields zero *)
-    | Udiv ->
-        let b = v2 t tb p in
-        uset t (r0 tb p) (if b = 0L then 0L else Int64.unsigned_div (v1 t tb p) b)
-    | Sdiv ->
-        let a = v1 t tb p and b = v2 t tb p in
-        uset t (r0 tb p)
-          (if b = 0L then 0L
-           else if a = Int64.min_int && b = -1L then Int64.min_int
-           else Int64.div a b)
-    | Msub ->
-        uset t (r0 tb p) (Int64.sub (v0 t tb p) (Int64.mul (v1 t tb p) (v2 t tb p)))
-    | Crc -> uset t (r0 tb p) (crc32c (v1 t tb p) (v2 t tb p))
-    | Setcc -> uset t (r0 tb p) (if cond_true t (cond_at tb p) then 1L else 0L)
-    | Csel ->
-        uset t (r0 tb p) (if cond_true t (cond_at tb p) then v1 t tb p else v2 t tb p)
-    | Jmp -> ip := tgt_at tb p
-    | Jcc -> if cond_true t (cond_at tb p) then ip := tgt_at tb p
-    | Call ->
-        push_ret t (Int64.of_int (cm.cm_base + ret_at tb p));
-        ip := tgt_at tb p
-    | Jmp_far ->
-        ip := goto t (cm.cm_base + off_at tb p);
-        m := t.last_mod
-    | Jcc_far ->
-        if cond_true t (cond_at tb p) then begin
-          ip := goto t (cm.cm_base + off_at tb p);
-          m := t.last_mod
-        end
-    | Call_far ->
-        push_ret t (Int64.of_int (cm.cm_base + ret_at tb p));
-        ip := goto t (cm.cm_base + off_at tb p);
-        m := t.last_mod
-    | Jmp_ind ->
-        ip := goto t (Int64.to_int (v0 t tb p));
-        m := t.last_mod
-    | Jmp_mem ->
-        ip := goto t (Int64.to_int (load64 t.mem (Int64.to_int (imm tb p))));
-        m := t.last_mod
-    | Call_ind ->
-        push_ret t (Int64.of_int (cm.cm_base + ret_at tb p));
-        ip := goto t (Int64.to_int (v0 t tb p));
-        m := t.last_mod
-    | Ret ->
-        ip := goto t (Int64.to_int (pop_ret t));
-        m := t.last_mod
-    | Fadd -> uset t (r0 tb p) (fadd (v1 t tb p) (v2 t tb p))
-    | Fsub -> uset t (r0 tb p) (fsub (v1 t tb p) (v2 t tb p))
-    | Fmul -> uset t (r0 tb p) (fmul (v1 t tb p) (v2 t tb p))
-    | Fdiv -> uset t (r0 tb p) (fdiv (v1 t tb p) (v2 t tb p))
-    | Fcmp ->
-        let a = Int64.float_of_bits (v0 t tb p) and b = Int64.float_of_bits (v1 t tb p) in
-        t.zf <- a = b;
-        t.sf <- a < b;
-        t.ovf <- false;
-        t.cf <- a < b
-    | Cvt_si2f -> uset t (r0 tb p) (Int64.bits_of_float (Int64.to_float (v1 t tb p)))
-    | Cvt_f2si -> uset t (r0 tb p) (Int64.of_float (Int64.float_of_bits (v1 t tb p)))
-    | Brk -> raise (Trap (Printf.sprintf "brk #%d" (Int64.to_int (imm tb p))))
-  done
+          let ch = translate t.mem m in
+          Atomic.set m.cm_chains ch;
+          ch
+        end)
+
+(* The body of the control transfer [k] of a module at [base]. *)
+and transfer_body ch base tb k : t -> unit =
+  let p = k lsl 4 in
+  let o0 = r0 tb p lsl 3 in
+  let ra = Int64.of_int (base + ret_at tb p) and far = base + off_at tb p in
+  match op_at tb p with
+  | Jmp ->
+      let e = tgt_at tb p in
+      fun t -> enter ch e t
+  | Jcc -> jcc_body ch (cond_at tb p) ~taken:(tgt_at tb p) ~fall:(k + 1)
+  | Call ->
+      let e = tgt_at tb p in
+      fun t ->
+        push_ret t ra;
+        enter ch e t
+  | Jmp_far -> fun t -> jump t far
+  | Jcc_far ->
+      let c = cond_at tb p in
+      fun t -> if cond_true t c then jump t far else enter ch (k + 1) t
+  | Call_far ->
+      fun t ->
+        push_ret t ra;
+        jump t far
+  | Jmp_ind -> fun t -> jump t (Int64.to_int (rd t o0))
+  | Jmp_mem ->
+      let slot = Int64.to_int (imm tb p) in
+      fun t -> jump t (Int64.to_int (load64 t.mem slot))
+  | Call_ind ->
+      fun t ->
+        push_ret t ra;
+        jump t (Int64.to_int (rd t o0))
+  | Ret -> fun t -> jump t (Int64.to_int (pop_ret t))
+  | _ -> invalid_arg "Emu.transfer_body: not a control transfer"
+
+(* Translate [m]: the chain counts of every index, then one body per
+   instruction, chained as described under "threaded code". *)
+and translate mem m =
+  let tb = m.cm_table in
+  let n = table_length tb in
+  let live = flags_live_after tb n in
+  let cycles = Array.make (n + 1) 0 and insts = Array.make (n + 1) 0 in
+  for k = n - 1 downto 0 do
+    let p = k lsl 4 in
+    let c = cost_at tb p in
+    if ends_chain (op_at tb p) || k = n - 1 then begin
+      cycles.(k) <- c;
+      insts.(k) <- 1
+    end
+    else begin
+      cycles.(k) <- c + cycles.(k + 1);
+      insts.(k) <- 1 + insts.(k + 1)
+    end
+  done;
+  (* The chain from [k] would cross [t.fuel]: give its charge back, run the
+     instructions fuel still allows, then charge the one that runs out and
+     trap. The prefix never reaches the chain's transfer. *)
+  let fuel_stop t k =
+    if k = n then fell_off t;
+    t.cycles <- t.cycles - cycles.(k);
+    t.icount <- t.icount - insts.(k);
+    let stop = k + max 0 (t.fuel - t.icount) in
+    let run_out t =
+      t.cycles <- t.cycles + cost_at tb (stop lsl 4);
+      t.icount <- t.icount + 1;
+      raise (Trap "fuel exhausted")
+    in
+    let prefix = ref run_out and uc = ref 0 in
+    for j = stop - 1 downto k do
+      prefix := op_body mem tb j ~live:live.(j) ~next:!prefix ~uc:!uc ~un:(stop - 1 - j);
+      uc := !uc + cost_at tb (j lsl 4)
+    done;
+    t.cycles <- t.cycles + !uc;
+    t.icount <- t.icount + (stop - k);
+    !prefix t
+  in
+  let body = Array.make (n + 1) fell_off in
+  let ch = { ch_body = body; ch_cycles = cycles; ch_insts = insts; ch_fuel_stop = fuel_stop } in
+  for k = n - 1 downto 0 do
+    let p = k lsl 4 in
+    let op = op_at tb p in
+    body.(k) <-
+      (if ends_chain op then transfer_body ch m.cm_base tb k
+       else
+         let uc = cycles.(k) - cost_at tb p and un = insts.(k) - 1 in
+         if
+           (op == Cmp_r || op == Cmp_i)
+           && un = 1
+           && op_at tb ((k + 1) lsl 4) == Jcc
+           && live.(k + 1) = 0
+         then
+           let q = (k + 1) lsl 4 in
+           cmp_jcc_body ch (r0 tb p lsl 3)
+             (if op == Cmp_r then r1 tb p lsl 3 else -1)
+             (imm tb p) (cond_at tb q) ~taken:(tgt_at tb q) ~fall:(k + 2)
+         else
+           match
+             if un >= 2 then pair_body mem tb k ~live:live.(k + 1) ~next:body.(k + 2) ~uc ~un
+             else None
+           with
+           | Some b -> b
+           | None -> op_body mem tb k ~live:live.(k) ~next:body.(k + 1) ~uc ~un)
+  done;
+  ch
+
+(** Run starting at [addr] until control returns to the sentinel.
+    Reentrant: runtime functions may use {!call_generated}. The module's
+    translation (see "threaded code") runs the code and allocates
+    nothing per instruction. *)
+and run_at t addr =
+  let m = find_mod t addr in
+  let k = idx_of m addr in
+  enter (chains_of t m) k t
 
 and dispatch_runtime t addr =
   let idx = (addr - runtime_base) / 8 in

@@ -853,4 +853,144 @@ let suite =
         in
         rejects "reg" (fun () -> Emu.reg emu Emu.num_regs);
         rejects "set_reg" (fun () -> Emu.set_reg emu Emu.num_regs 1L));
+    Alcotest.test_case "two domains entering a never-run module at once get the serial counts"
+      `Quick (fun () ->
+        (* both domains call the module's entry at the same moment, so both
+           reach its first-entry translation together; each must get the
+           serial run's result, cycles and instruction count *)
+        List.iter
+          (fun (target : Target.t) ->
+            let n = target.Target.arg_regs.(0) and p = target.Target.arg_regs.(1) in
+            let acc = 3 and tmp = 8 in
+            let alu op d v =
+              match target.Target.arch with
+              | Target.X64 -> Minst.Alu_ri (op, d, v)
+              | Target.A64 -> Minst.Alu_rri (op, d, d, v)
+            and alu_r op d s =
+              match target.Target.arch with
+              | Target.X64 -> Minst.Alu_rr (op, d, s)
+              | Target.A64 -> Minst.Alu_rrr (op, d, d, s)
+            and crc d s =
+              match target.Target.arch with
+              | Target.X64 -> Minst.Crc32_rr (d, s)
+              | Target.A64 -> Minst.Crc32_rrr (d, d, s)
+            in
+            let a = Asm.create target in
+            let head = Asm.new_label a and exit = Asm.new_label a in
+            Asm.emit a (Minst.Mov_ri (acc, 1L));
+            Asm.bind a head;
+            Asm.emit a (Minst.Cmp_ri (n, 0L));
+            Asm.jcc a Minst.Sle exit;
+            List.iter (Asm.emit a)
+              [
+                Minst.St { src = n; base = p; off = 8; size = 8 };
+                Minst.Ld { dst = tmp; base = p; off = 8; size = 8; sext = false };
+                alu_r Minst.Add acc tmp;
+                alu Minst.Mul acc 3L;
+                crc acc tmp;
+                alu Minst.Sub n 1L;
+              ];
+            Asm.jmp a head;
+            Asm.bind a exit;
+            List.iter (Asm.emit a) [ Minst.Mov_rr (0, acc); Minst.Ret ];
+            let code = Asm.finish a in
+            let machine () =
+              let emu = Emu.create ~mem_size:(1 lsl 22) target in
+              (emu, Code_region.base (Emu.register_code emu code))
+            in
+            let run ctx base =
+              let buf = Memory.alloc (Emu.memory ctx) 64 in
+              let r, _ = Emu.call ctx ~addr:base ~args:[| 200L; Int64.of_int buf |] in
+              (r, Emu.cycles ctx, Emu.instructions_executed ctx)
+            in
+            let serial =
+              let emu, base = machine () in
+              run emu base
+            in
+            for _ = 1 to 20 do
+              let emu, base = machine () in
+              let ready = Atomic.make 0 in
+              let worker () =
+                let ctx = Emu.context emu in
+                ignore (Atomic.fetch_and_add ready 1);
+                while Atomic.get ready < 2 do
+                  Domain.cpu_relax ()
+                done;
+                let got = run ctx base in
+                Emu.release_context ctx;
+                got
+              in
+              let d1 = Domain.spawn worker and d2 = Domain.spawn worker in
+              let r1 = Domain.join d1 and r2 = Domain.join d2 in
+              let same what (r, c, i) =
+                let sr, sc, si = serial in
+                check Alcotest.int64 (target.Target.name ^ " " ^ what ^ " result") sr r;
+                check Alcotest.int (target.Target.name ^ " " ^ what ^ " cycles") sc c;
+                check Alcotest.int (target.Target.name ^ " " ^ what ^ " instructions") si i
+              in
+              same "domain 1" r1;
+              same "domain 2" r2
+            done)
+          [ Target.x64; Target.a64 ]);
+    Alcotest.test_case "checked 128-bit add and subtract branch on overflow" `Quick
+      (fun () ->
+        (* [add; adc; jo] and [sub; sbb; jo], as x64 code checks 128-bit
+           sums: the halves and the overflow branch match I128 *)
+        let module I = Qcomp_support.I128 in
+        let edge =
+          [ 0L; 1L; -1L; Int64.max_int; Int64.min_int; 0x7FFF_FFFF_FFFF_FFFEL; 42L ]
+        in
+        List.iter
+          (fun (target : Target.t) ->
+            let args = target.Target.arg_regs in
+            let two op d s =
+              match target.Target.arch with
+              | Target.X64 -> Minst.Alu_rr (op, d, s)
+              | Target.A64 -> Minst.Alu_rrr (op, d, d, s)
+            in
+            let checked lo_op hi_op =
+              let a = Asm.create target in
+              let ovf = Asm.new_label a and out = Asm.new_label a in
+              List.iter (Asm.emit a)
+                [
+                  Minst.Mov_rr (8, args.(0));
+                  Minst.Mov_rr (9, args.(1));
+                  two lo_op 8 args.(2);
+                  two hi_op 9 args.(3);
+                ];
+              Asm.jcc a Minst.Ov ovf;
+              Asm.emit a (Minst.Mov_ri (12, 0L));
+              Asm.jmp a out;
+              Asm.bind a ovf;
+              Asm.emit a (Minst.Mov_ri (12, 1L));
+              Asm.bind a out;
+              List.iter (Asm.emit a) [ Minst.Mov_rr (0, 8); Minst.Ret ];
+              let emu = Emu.create ~mem_size:(1 lsl 20) target in
+              let base = Code_region.base (Emu.register_code emu (Asm.finish a)) in
+              fun (x : I.t) (y : I.t) ->
+                let lo, _ = Emu.call emu ~addr:base ~args:[| x.I.lo; x.I.hi; y.I.lo; y.I.hi |] in
+                (I.make ~hi:(Emu.reg emu 9) ~lo, Emu.reg emu 12 = 1L)
+            in
+            let add = checked Minst.Add Minst.Adc and sub = checked Minst.Sub Minst.Sbb in
+            List.iter
+              (fun xh ->
+                List.iter
+                  (fun xl ->
+                    List.iter
+                      (fun yh ->
+                        List.iter
+                          (fun yl ->
+                            let x = I.make ~hi:xh ~lo:xl and y = I.make ~hi:yh ~lo:yl in
+                            let what = target.Target.name in
+                            let r, o = add x y in
+                            check Alcotest.bool (what ^ " add result") true (I.add x y = r);
+                            check Alcotest.bool (what ^ " add overflow") (I.add_overflows x y) o;
+                            let r, o = sub x y in
+                            check Alcotest.bool (what ^ " sub result") true (I.sub x y = r);
+                            check Alcotest.bool (what ^ " sub overflow") (I.sub_overflows x y) o)
+                          edge)
+                      edge)
+                  edge)
+              edge)
+          [ Target.x64; Target.a64 ]);
   ]

@@ -82,8 +82,7 @@ let eval_ext v ~bits ~signed =
   if signed then Int64.shift_right (Int64.shift_left v shift) shift
   else Int64.shift_right_logical (Int64.shift_left v shift) shift
 
-let reference prog =
-  let f = Array.make 16 0L in
+let reference_into f prog =
   List.iter
     (fun op ->
       match op with
@@ -96,53 +95,236 @@ let reference prog =
     prog;
   f.(0)
 
+let reference prog = reference_into (Array.make 16 0L) prog
+
 (* ---- lowering ---- *)
 
-let lower_x64 prog =
-  List.concat_map
-    (fun op ->
-      match op with
-      | Ldi (d, v) -> [ Minst.Mov_ri (d, v) ]
-      | Mov (d, s) -> [ Minst.Mov_rr (d, s) ]
-      | Alu (op, d, a, b) ->
-          (* two-address: d <> b by construction *)
-          [ Minst.Mov_rr (d, a); Minst.Alu_rr (op, d, b) ]
-      | CmpSet (c, d, a, b) -> [ Minst.Cmp_rr (a, b); Minst.Setcc (c, d) ]
-      | Sel (c, d, a, b, y) ->
-          [ Minst.Cmp_rr (a, b); Minst.Csel { cond = c; dst = d; a = d; b = y } ]
-      | Ext (d, s, bits, signed) -> [ Minst.Ext { dst = d; src = s; bits; signed } ])
-    prog
-  @ [ Minst.Ret ]
+let lower_x64 op =
+  match op with
+  | Ldi (d, v) -> [ Minst.Mov_ri (d, v) ]
+  | Mov (d, s) -> [ Minst.Mov_rr (d, s) ]
+  | Alu (op, d, a, b) ->
+      (* two-address: d <> b by construction *)
+      [ Minst.Mov_rr (d, a); Minst.Alu_rr (op, d, b) ]
+  | CmpSet (c, d, a, b) -> [ Minst.Cmp_rr (a, b); Minst.Setcc (c, d) ]
+  | Sel (c, d, a, b, y) -> [ Minst.Cmp_rr (a, b); Minst.Csel { cond = c; dst = d; a = d; b = y } ]
+  | Ext (d, s, bits, signed) -> [ Minst.Ext { dst = d; src = s; bits; signed } ]
 
-let lower_a64 prog =
-  List.concat_map
-    (fun op ->
-      match op with
-      | Ldi (d, v) -> [ Minst.Mov_ri (d, v) ]
-      | Mov (d, s) -> [ Minst.Mov_rr (d, s) ]
-      | Alu (op, d, a, b) -> [ Minst.Alu_rrr (op, d, a, b) ]
-      | CmpSet (c, d, a, b) -> [ Minst.Cmp_rr (a, b); Minst.Setcc (c, d) ]
-      | Sel (c, d, a, b, y) ->
-          [ Minst.Cmp_rr (a, b); Minst.Csel { cond = c; dst = d; a = d; b = y } ]
-      | Ext (d, s, bits, signed) -> [ Minst.Ext { dst = d; src = s; bits; signed } ])
-    prog
-  @ [ Minst.Ret ]
+let lower_a64 op =
+  match op with
+  | Ldi (d, v) -> [ Minst.Mov_ri (d, v) ]
+  | Mov (d, s) -> [ Minst.Mov_rr (d, s) ]
+  | Alu (op, d, a, b) -> [ Minst.Alu_rrr (op, d, a, b) ]
+  | CmpSet (c, d, a, b) -> [ Minst.Cmp_rr (a, b); Minst.Setcc (c, d) ]
+  | Sel (c, d, a, b, y) -> [ Minst.Cmp_rr (a, b); Minst.Csel { cond = c; dst = d; a = d; b = y } ]
+  | Ext (d, s, bits, signed) -> [ Minst.Ext { dst = d; src = s; bits; signed } ]
 
-let run_emu target insts =
-  let emu = Emu.create ~mem_size:(1 lsl 18) target in
+let lower (target : Target.t) =
+  match target.Target.arch with Target.X64 -> lower_x64 | Target.A64 -> lower_a64
+
+let assemble target insts =
   let a = Asm.create target in
   List.iter (Asm.emit a) insts;
-  let base = Code_region.base (Emu.register_code emu (Asm.finish a)) in
+  Asm.finish a
+
+let straight target prog = List.concat_map (lower target) prog @ [ Minst.Ret ]
+
+let fresh target = Emu.create ~mem_size:(1 lsl 18) target
+
+let run_code emu code =
+  let base = Code_region.base (Emu.register_code emu code) in
   fst (Emu.call emu ~addr:base ~args:[||])
+
+let run_emu target insts = run_code (fresh target) (assemble target insts)
+
+(* ---- branches and loops ----
+
+   A branchy program is a list of steps. [Skip] is a forward branch over
+   the next [n] steps, [Loop] runs a straight-line body [n >= 1] times on
+   a counter register no op touches. A loop puts the flag producer (the
+   counter's decrement) and the branch reading it in different chains: a
+   [jmp] to the next instruction sits between them. A skip does so when
+   [split] holds, and otherwise lets the compare fuse with its branch. *)
+
+type step =
+  | Op of op
+  | Skip of Minst.cond * int * int * int * bool  (** cond, a, b, steps skipped, split *)
+  | Loop of int * op list
+
+let counter = 14
+
+let gen_step =
+  let open QCheck2.Gen in
+  let r = map (Array.get regs) (int_bound (Array.length regs - 1)) in
+  let cond = oneofl Minst.[ Eq; Ne; Slt; Sle; Sgt; Sge; Ult; Ule; Ugt; Uge ] in
+  frequency
+    [
+      (6, map (fun o -> Op o) gen_op);
+      ( 2,
+        map3 (fun c (a, b) (n, split) -> Skip (c, a, b, n, split)) cond (pair r r)
+          (pair (int_range 0 4) bool) );
+      (1, map2 (fun n body -> Loop (n, body)) (int_range 1 5) (list_size (int_range 1 6) gen_op));
+    ]
+
+let gen_branchy = QCheck2.Gen.(list_size (int_range 1 20) gen_step)
+
+let reference_branchy steps =
+  let f = Array.make 16 0L in
+  let step op = ignore (reference_into f [ op ]) in
+  let rec go = function
+    | [] -> ()
+    | Op op :: rest ->
+        step op;
+        go rest
+    | Skip (c, a, b, n, _) :: rest ->
+        go (if eval_cond c f.(a) f.(b) then List.filteri (fun i _ -> i >= n) rest else rest)
+    | Loop (n, body) :: rest ->
+        for _ = 1 to n do
+          List.iter step body
+        done;
+        go rest
+  in
+  go steps;
+  f.(0)
+
+let assemble_branchy (target : Target.t) steps =
+  let a = Asm.create target in
+  let emit = List.iter (Asm.emit a) in
+  let labels = Array.init (List.length steps + 1) (fun _ -> Asm.new_label a) in
+  let split () =
+    let l = Asm.new_label a in
+    Asm.jmp a l;
+    Asm.bind a l
+  in
+  List.iteri
+    (fun i s ->
+      Asm.bind a labels.(i);
+      match s with
+      | Op op -> emit (lower target op)
+      | Skip (c, x, y, n, split_it) ->
+          emit [ Minst.Cmp_rr (x, y) ];
+          if split_it then split ();
+          Asm.jcc a c labels.(min (i + 1 + n) (List.length steps))
+      | Loop (n, body) ->
+          emit [ Minst.Mov_ri (counter, Int64.of_int n) ];
+          let head = Asm.new_label a in
+          Asm.bind a head;
+          emit (List.concat_map (lower target) body);
+          emit
+            [
+              (match target.Target.arch with
+              | Target.X64 -> Minst.Alu_ri (Minst.Sub, counter, 1L)
+              | Target.A64 -> Minst.Alu_rri (Minst.Sub, counter, counter, 1L));
+            ];
+          split ();
+          Asm.jcc a Minst.Ne head)
+    steps;
+  Asm.bind a labels.(List.length steps);
+  Asm.emit a Minst.Ret;
+  Asm.finish a
+
+(* A loop whose exit test reads a wrong flag would spin: fuel bounds it
+   far above any generated program's length. *)
+let run_branchy target steps =
+  let emu = fresh target in
+  emu.Emu.fuel <- 100_000;
+  run_code emu (assemble_branchy target steps)
+
+(* ---- exact counts at a fault and at every fuel stop ---- *)
+
+(* The record op an instruction decodes to, for {!Emu.cost_of}. *)
+let op_of (i : Minst.t) : Emu.op =
+  match i with
+  | Minst.Mov_ri _ -> Emu.Mov_i
+  | Minst.Movz _ -> Emu.Movz
+  | Minst.Movk _ -> Emu.Movk
+  | Minst.Mov_rr _ -> Emu.Mov_r
+  | Minst.Alu_rr (op, _, _) | Minst.Alu_rrr (op, _, _, _) -> Emu.alu_r op
+  | Minst.Alu_ri (op, _, _) | Minst.Alu_rri (op, _, _, _) -> Emu.alu_i op
+  | Minst.Cmp_rr _ -> Emu.Cmp_r
+  | Minst.Setcc _ -> Emu.Setcc
+  | Minst.Csel _ -> Emu.Csel
+  | Minst.Ext { bits; signed; _ } -> Emu.ext_op (bits lor if signed then 0x80 else 0)
+  | Minst.Ld { size = 8; _ } -> Emu.Ld8
+  | Minst.St { size = 8; _ } -> Emu.St8
+  | Minst.Ret -> Emu.Ret
+  | i -> Alcotest.failf "op_of: %s" (Format.asprintf "%a" (Minst.pp Target.x64) i)
+
+(* the cycles of the first [k] instructions of a decoded blob *)
+let prefix_cycles insts k =
+  let c = ref 0 in
+  for j = 0 to k - 1 do
+    c := !c + Emu.cost_of (op_of insts.(j))
+  done;
+  !c
+
+(* A program that loads from the unmapped first page after [pos] ops. The
+   load follows nothing in particular, a load or a store of the stack, so
+   it also faults as the second half of a fused pair. *)
+let gen_faulting = QCheck2.Gen.(triple gen_prog (int_bound 30) (int_bound 2))
+
+let faulting_load (target : Target.t) prog pos before_load =
+  let sp = target.Target.sp in
+  let before = List.filteri (fun i _ -> i < pos) prog
+  and after = List.filteri (fun i _ -> i >= pos) prog in
+  List.concat_map (lower target) before
+  @ [ Minst.Mov_ri (15, 0L) ]
+  @ (match before_load with
+    | 0 -> []
+    | 1 -> [ Minst.Ld { dst = 1; base = sp; off = 0; size = 8; sext = false } ]
+    | _ -> [ Minst.St { src = 1; base = sp; off = 0; size = 8 } ])
+  @ [ Minst.Ld { dst = 0; base = 15; off = 8; size = 8; sext = false } ]
+  @ straight target after
+
+let fault_counts_exact target (prog, pos, before_load) =
+  let code = assemble target (faulting_load target prog pos before_load) in
+  let insts, _ = Emu.decode_all target code in
+  let load = ref (-1) in
+  Array.iteri (fun j i -> match i with Minst.Ld { base = 15; _ } -> load := j | _ -> ()) insts;
+  let emu = fresh target in
+  match run_code emu code with
+  | _ -> false
+  | exception Memory.Fault _ ->
+      Emu.instructions_executed emu = !load + 1
+      && Emu.cycles emu = prefix_cycles insts (!load + 1)
+
+let fuel_stops_exact target prog =
+  let code = assemble target (straight target prog) in
+  let insts, _ = Emu.decode_all target code in
+  let emu = fresh target in
+  let base = Code_region.base (Emu.register_code emu code) in
+  let stops_at k =
+    Emu.reset_counters emu;
+    emu.Emu.fuel <- k;
+    match Emu.call emu ~addr:base ~args:[||] with
+    | _ -> false
+    | exception Emu.Trap "fuel exhausted" ->
+        Emu.instructions_executed emu = k + 1 && Emu.cycles emu = prefix_cycles insts (k + 1)
+  in
+  List.for_all stops_at (List.init (Array.length insts) Fun.id)
 
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:400 ~name gen f)
 
 let suite =
   [
     prop "x64 straight-line programs match the reference" gen_prog (fun prog ->
-        Int64.equal (run_emu Target.x64 (lower_x64 prog)) (reference prog));
+        Int64.equal (run_emu Target.x64 (straight Target.x64 prog)) (reference prog));
     prop "a64 straight-line programs match the reference" gen_prog (fun prog ->
-        Int64.equal (run_emu Target.a64 (lower_a64 prog)) (reference prog));
+        Int64.equal (run_emu Target.a64 (straight Target.a64 prog)) (reference prog));
     prop "x64 and a64 agree with each other" gen_prog (fun prog ->
-        Int64.equal (run_emu Target.x64 (lower_x64 prog)) (run_emu Target.a64 (lower_a64 prog)));
+        Int64.equal
+          (run_emu Target.x64 (straight Target.x64 prog))
+          (run_emu Target.a64 (straight Target.a64 prog)));
+    prop "x64 programs with branches and a loop match the reference" gen_branchy (fun steps ->
+        Int64.equal (run_branchy Target.x64 steps) (reference_branchy steps));
+    prop "a64 programs with branches and a loop match the reference" gen_branchy (fun steps ->
+        Int64.equal (run_branchy Target.a64 steps) (reference_branchy steps));
+    prop "x64 cycles and instructions at a faulting load are the prefix's" gen_faulting
+      (fault_counts_exact Target.x64);
+    prop "a64 cycles and instructions at a faulting load are the prefix's" gen_faulting
+      (fault_counts_exact Target.a64);
+    prop "x64 fuel k traps after k + 1 instructions and their cycles" gen_prog
+      (fuel_stops_exact Target.x64);
+    prop "a64 fuel k traps after k + 1 instructions and their cycles" gen_prog
+      (fuel_stops_exact Target.a64);
   ]
