@@ -63,8 +63,8 @@ let mode_direct = 2L
 
 (* ---------------- charged-cycle model ----------------
 
-   All simulated costs live here (the registry charges whatever these
-   functions return), so the calibration is in one place:
+   All simulated costs live here, and the table operations charge the
+   machine they run on themselves, so the calibration is in one place:
 
    create 200 + arena zeroing.
 
@@ -86,71 +86,101 @@ let zero_cost bytes = bytes / 32
 
 (* ---------------- probe statistics ----------------
 
-   Global counters feeding [bench join] and the htable tests. Atomic so
-   parallel serving does not tear them; they are aggregate gauges, not
+   Counters feeding [bench join], the e2e trace and the htable tests. Each
+   domain counts into its own record with plain writes, so parallel
+   serving loses no update and pays no atomic; [stats] sums the records of
+   every domain that ever counted. They are aggregate gauges, not
    per-table state. *)
 
-let stat_probes = Atomic.make 0 (* lookup + next calls *)
-let stat_probe_cycles = Atomic.make 0 (* cycles charged for those calls *)
-let stat_tag_words = Atomic.make 0 (* 64-bit tag words scanned *)
-let stat_tag_hits = Atomic.make 0 (* full-hash checks after a tag match *)
-let stat_direct_probes = Atomic.make 0 (* probes served by a Direct table *)
-let stat_fallbacks = Atomic.make 0 (* Direct -> Tagged migrations *)
-let stat_grows = Atomic.make 0
-
 type stats = {
-  probes : int;
-  probe_cycles : int;
-  tag_words : int;
-  tag_hits : int;
-  direct_probes : int;
-  fallbacks : int;
-  grows : int;
+  mutable probes : int;  (** lookup + next calls *)
+  mutable probe_cycles : int;  (** cycles charged for those calls *)
+  mutable tag_words : int;  (** 64-bit tag words scanned *)
+  mutable tag_hits : int;  (** full-hash checks after a tag match *)
+  mutable direct_probes : int;  (** probes served by a Direct table *)
+  mutable fallbacks : int;  (** Direct -> Tagged migrations *)
+  mutable grows : int;
 }
 
+let zero_stats () =
+  { probes = 0; probe_cycles = 0; tag_words = 0; tag_hits = 0; direct_probes = 0; fallbacks = 0; grows = 0 }
+
+let domain_stats = ref [] (* every domain's record, under [domain_stats_mu] *)
+let domain_stats_mu = Mutex.create ()
+
+let stats_key =
+  Domain.DLS.new_key (fun () ->
+      let s = zero_stats () in
+      Mutex.protect domain_stats_mu (fun () -> domain_stats := s :: !domain_stats);
+      s)
+
+(* the calling domain's counters *)
+let[@inline] counters () = Domain.DLS.get stats_key
+
+(** The counters summed over every domain. *)
 let stats () =
-  {
-    probes = Atomic.get stat_probes;
-    probe_cycles = Atomic.get stat_probe_cycles;
-    tag_words = Atomic.get stat_tag_words;
-    tag_hits = Atomic.get stat_tag_hits;
-    direct_probes = Atomic.get stat_direct_probes;
-    fallbacks = Atomic.get stat_fallbacks;
-    grows = Atomic.get stat_grows;
-  }
-
-let reset_stats () =
+  let sum = zero_stats () in
   List.iter
-    (fun c -> Atomic.set c 0)
-    [
-      stat_probes; stat_probe_cycles; stat_tag_words; stat_tag_hits;
-      stat_direct_probes; stat_fallbacks; stat_grows;
-    ]
+    (fun s ->
+      sum.probes <- sum.probes + s.probes;
+      sum.probe_cycles <- sum.probe_cycles + s.probe_cycles;
+      sum.tag_words <- sum.tag_words + s.tag_words;
+      sum.tag_hits <- sum.tag_hits + s.tag_hits;
+      sum.direct_probes <- sum.direct_probes + s.direct_probes;
+      sum.fallbacks <- sum.fallbacks + s.fallbacks;
+      sum.grows <- sum.grows + s.grows)
+    (Mutex.protect domain_stats_mu (fun () -> !domain_stats));
+  sum
 
-let bump c n = Atomic.set c (Atomic.get c + n)
+(* Charge a lookup or next probe of [cost] cycles and count it; returns
+   [entry]. *)
+let probed e d entry cost =
+  d.probes <- d.probes + 1;
+  d.probe_cycles <- d.probe_cycles + cost;
+  Emu.charge e cost;
+  entry
 
-let count_probe cost =
-  bump stat_probes 1;
-  bump stat_probe_cycles cost
+(* ---------------- memory access ----------------
+
+   The table reads and writes VM memory through these copies of
+   {!Memory}'s accessors, inlined here: dune's dev profile compiles with
+   [-opaque], so a call into {!Memory} is never inlined and boxes every
+   [int64] it takes or returns. Same bounds check, same {!Memory.Fault}
+   message. *)
+
+let[@inline never] access_fault n addr =
+  raise (Memory.Fault (Printf.sprintf "access of %d bytes at 0x%x" n addr))
+
+let[@inline] check (mem : Memory.t) addr n =
+  if addr < Memory.page || addr + n > mem.Memory.size then access_fault n addr
+
+let[@inline] load64 mem addr =
+  check mem addr 8;
+  Bytes.get_int64_le mem.Memory.data addr
+
+let[@inline] store64 mem addr v =
+  check mem addr 8;
+  Bytes.set_int64_le mem.Memory.data addr v
+
+let[@inline] load_int mem addr = Int64.to_int (load64 mem addr)
+let[@inline] store_int mem addr v = store64 mem addr (Int64.of_int v)
 
 (* ---------------- handle accessors ---------------- *)
 
-let norm_hash h = if Int64.equal h 0L then 1L else h
+let[@inline] norm_hash h = if Int64.equal h 0L then 1L else h
 
-let capacity mem ht = Int64.to_int (Memory.load64 mem ht)
-let count mem ht = Int64.to_int (Memory.load64 mem (ht + 8))
-let entry_size mem ht = Int64.to_int (Memory.load64 mem (ht + 16))
-let entries_ptr mem ht = Int64.to_int (Memory.load64 mem (ht + 24))
-let mode_word mem ht = Memory.load64 mem (ht + 32)
-let aux_ptr mem ht = Int64.to_int (Memory.load64 mem (ht + 40))
-let direct_base mem ht = Memory.load64 mem (ht + 48)
-let direct_bcap mem ht = Int64.to_int (Memory.load64 mem (ht + 56))
+let[@inline] capacity mem ht = load_int mem ht
+let[@inline] count mem ht = load_int mem (ht + 8)
+let[@inline] entry_size mem ht = load_int mem (ht + 16)
+let[@inline] entries_ptr mem ht = load_int mem (ht + 24)
+let[@inline] aux_ptr mem ht = load_int mem (ht + 40)
+let[@inline] direct_base mem ht = load64 mem (ht + 48)
+let[@inline] direct_bcap mem ht = load_int mem (ht + 56)
+let[@inline] is_direct mem ht = Int64.equal (load64 mem (ht + 32)) mode_direct
 
-let mode mem ht =
-  if Int64.equal (mode_word mem ht) mode_tagged then `Tagged else `Direct
+let mode mem ht = if is_direct mem ht then `Direct else `Tagged
 
-let slot_addr mem ht i = entries_ptr mem ht + (i * entry_size mem ht)
-let mask mem ht = capacity mem ht - 1
+let[@inline] slot_addr mem ht i = entries_ptr mem ht + (i * entry_size mem ht)
 
 (* 16-bit tag from the top bits of the hash, forced non-zero so tag 0
    means "empty slot". Collisions with the forced value only cost a
@@ -159,12 +189,26 @@ let tag_of h =
   let t = Int64.to_int (Int64.shift_right_logical h 48) land 0xFFFF in
   if t = 0 then 1 else t
 
-let load_tag mem tags i = Int64.to_int (Memory.load mem ~addr:(tags + (2 * i)) ~size:2 ~sext:false)
-let store_tag mem tags i t = Memory.store mem ~addr:(tags + (2 * i)) ~size:2 (Int64.of_int t)
+let load_tag mem tags i =
+  let a = tags + (2 * i) in
+  check mem a 2;
+  Bytes.get_uint16_le mem.Memory.data a
+
+let store_tag mem tags i t =
+  let a = tags + (2 * i) in
+  check mem a 2;
+  Bytes.set_uint16_le mem.Memory.data a t
 
 (* Tag words are scanned 64 bits (4 tags) at a time in the modeled
    hardware loop; the cost model charges per distinct word touched. *)
 let tag_word i = i lsr 2
+
+(* The tag words a linear probe reads from slot [start] to slot [stop] of
+   [cap]: each word once per visit, so a word re-entered after wrapping
+   past the end counts again. *)
+let probe_words ~cap start stop =
+  if stop >= start then tag_word stop - tag_word start + 1
+  else tag_word (cap - 1) - tag_word start + 1 + tag_word stop + 1
 
 let rec pow2_at_least n c = if c >= n then c else pow2_at_least n (2 * c)
 
@@ -175,75 +219,86 @@ let alloc_zeroed mem bytes =
 
 (* ---------------- creation ---------------- *)
 
-(** Create a table; returns [(handle, cycles)]. The table starts as a
-    direct-address candidate (when {!Hashes.unhash64_opt} exists) and
-    decides on first contact with the keys. *)
-let create mem ~payload_size ~capacity_hint =
+(** Create a table and charge its cost to [e]; returns the handle. The
+    table starts as a direct-address candidate (when {!Hashes.unhash64}
+    exists) and decides on first contact with the keys. *)
+let create e ~payload_size ~capacity_hint =
+  let mem = Emu.memory e in
   let entry_size = 8 + ((payload_size + 7) land lnot 7) + 8 in
   let cap = pow2_at_least capacity_hint min_capacity in
   let ht = Memory.alloc mem ~align:16 header_size in
   let entries = alloc_zeroed mem (cap * entry_size) in
-  Memory.store64 mem ht (Int64.of_int cap);
-  Memory.store64 mem (ht + 8) 0L;
-  Memory.store64 mem (ht + 16) (Int64.of_int entry_size);
-  Memory.store64 mem (ht + 24) (Int64.of_int entries);
-  Memory.store64 mem (ht + 48) 0L;
-  Memory.store64 mem (ht + 56) 0L;
+  store_int mem ht cap;
+  store_int mem (ht + 8) 0;
+  store_int mem (ht + 16) entry_size;
+  store_int mem (ht + 24) entries;
+  store_int mem (ht + 48) 0;
+  store_int mem (ht + 56) 0;
   let zeroed =
-    match Hashes.unhash64_opt with
-    | Some _ ->
-        Memory.store64 mem (ht + 32) mode_direct;
-        Memory.store64 mem (ht + 40) 0L;
-        cap * entry_size
-    | None ->
-        let tags = alloc_zeroed mem (cap * 2) in
-        Memory.store64 mem (ht + 32) mode_tagged;
-        Memory.store64 mem (ht + 40) (Int64.of_int tags);
-        (cap * entry_size) + (cap * 2)
+    if Hashes.invertible then begin
+      store64 mem (ht + 32) mode_direct;
+      store_int mem (ht + 40) 0;
+      cap * entry_size
+    end
+    else begin
+      let tags = alloc_zeroed mem (cap * 2) in
+      store64 mem (ht + 32) mode_tagged;
+      store_int mem (ht + 40) tags;
+      (cap * entry_size) + (cap * 2)
+    end
   in
-  (ht, 200 + zero_cost zeroed)
+  Emu.charge e (200 + zero_cost zeroed);
+  ht
 
 (* ---------------- tagged probing ---------------- *)
 
-let tagged_insert_no_grow mem ht h =
-  let cap_mask = mask mem ht in
+(* Claim the first empty slot of [h]'s probe sequence in a Tagged table
+   that has room: store the tag and the normalised hash there. Returns the
+   slot; {!claim_words} gives the tag words the claim scanned. *)
+let tagged_claim mem ht h =
+  let mask = capacity mem ht - 1 in
   let tags = aux_ptr mem ht in
   let h = norm_hash h in
-  let t = tag_of h in
-  let rec probe i words last_w =
-    let w = tag_word i in
-    let words = if w = last_w then words else words + 1 in
-    if load_tag mem tags i = 0 then begin
-      store_tag mem tags i t;
-      let addr = slot_addr mem ht i in
-      Memory.store64 mem addr h;
-      (addr + 8, words)
-    end
-    else probe ((i + 1) land cap_mask) words w
-  in
-  let start = Int64.to_int (Int64.logand h (Int64.of_int cap_mask)) in
-  probe start 1 (tag_word start)
+  let i = ref (Int64.to_int h land mask) in
+  while load_tag mem tags !i <> 0 do
+    i := (!i + 1) land mask
+  done;
+  store_tag mem tags !i (tag_of h);
+  store64 mem (slot_addr mem ht !i) h;
+  !i
 
-(* Tag-filtered probe from slot [start]: compare 16-bit tags from the
-   packed array; only a tag match loads the slot's 64-bit hash. Returns
-   (entry | 0, tag words scanned, full-hash checks). *)
-let tagged_probe_from mem ht h start =
-  let cap_mask = mask mem ht in
+let claim_words mem ht h slot =
+  let cap = capacity mem ht in
+  probe_words ~cap (Int64.to_int (norm_hash h) land (cap - 1)) slot
+
+(* Tag-filtered probe for the normalised hash [h] from slot [from] (taken
+   modulo the capacity): compare 16-bit tags from the packed array; only a
+   tag match loads the slot's 64-bit hash. Charges [base] + 1 per tag word
+   + 3 per full-hash check; returns the entry, or 0. *)
+let tagged_probe e mem ht h ~from ~base =
+  let mask = capacity mem ht - 1 in
   let tags = aux_ptr mem ht in
+  let entries = entries_ptr mem ht and esz = entry_size mem ht in
   let t = tag_of h in
-  let rec probe i words last_w hits =
-    let w = tag_word i in
-    let words = if w = last_w then words else words + 1 in
-    let st = load_tag mem tags i in
-    if st = 0 then (0, words, hits)
-    else if st = t then begin
-      let addr = slot_addr mem ht i in
-      if Int64.equal (Memory.load64 mem addr) h then (addr, words, hits + 1)
-      else probe ((i + 1) land cap_mask) words w (hits + 1)
+  let start = from land mask in
+  let i = ref start and hits = ref 0 and entry = ref (-1) in
+  while !entry < 0 do
+    let st = load_tag mem tags !i in
+    if st = 0 then entry := 0
+    else begin
+      if st = t then begin
+        incr hits;
+        let addr = entries + (!i * esz) in
+        if Int64.equal (load64 mem addr) h then entry := addr
+      end;
+      if !entry < 0 then i := (!i + 1) land mask
     end
-    else probe ((i + 1) land cap_mask) words w hits
-  in
-  probe start 1 (tag_word start) 0
+  done;
+  let words = probe_words ~cap:(mask + 1) start !i in
+  let d = counters () in
+  d.tag_words <- d.tag_words + words;
+  d.tag_hits <- d.tag_hits + !hits;
+  probed e d !entry (base + words + (3 * !hits))
 
 (* ---------------- growth (Tagged) ----------------
 
@@ -256,7 +311,8 @@ let tagged_probe_from mem ht h start =
    bytes for the rest of the query. *)
 
 let grow mem ht =
-  bump stat_grows 1;
+  let d = counters () in
+  d.grows <- d.grows + 1;
   let old_cap = capacity mem ht in
   let old_entries = entries_ptr mem ht in
   let old_tags = aux_ptr mem ht in
@@ -264,25 +320,22 @@ let grow mem ht =
   let new_cap = old_cap * 2 in
   let entries = alloc_zeroed mem (new_cap * esz) in
   let tags = alloc_zeroed mem (new_cap * 2) in
-  Memory.store64 mem ht (Int64.of_int new_cap);
-  Memory.store64 mem (ht + 24) (Int64.of_int entries);
-  Memory.store64 mem (ht + 40) (Int64.of_int tags);
+  store_int mem ht new_cap;
+  store_int mem (ht + 24) entries;
+  store_int mem (ht + 40) tags;
   (* load <= 70% guarantees an empty slot exists *)
   let first_empty = ref 0 in
-  while
-    not
-      (Int64.equal (Memory.load64 mem (old_entries + (!first_empty * esz))) 0L)
-  do
+  while not (Int64.equal (load64 mem (old_entries + (!first_empty * esz))) 0L) do
     incr first_empty
   done;
   let moved = ref 0 in
   for k = 1 to old_cap do
     let i = (!first_empty + k) land (old_cap - 1) in
     let src = old_entries + (i * esz) in
-    let h = Memory.load64 mem src in
+    let h = load64 mem src in
     if not (Int64.equal h 0L) then begin
-      let dst_payload, _ = tagged_insert_no_grow mem ht h in
-      Memory.blit mem ~src:(src + 8) ~dst:dst_payload ~len:(esz - 16);
+      let dst = slot_addr mem ht (tagged_claim mem ht h) in
+      Memory.blit mem ~src:(src + 8) ~dst:(dst + 8) ~len:(esz - 16);
       incr moved
     end
   done;
@@ -292,25 +345,25 @@ let grow mem ht =
 
 (* ---------------- direct-address layout ---------------- *)
 
-let unhash h =
-  match Hashes.unhash64_opt with
-  | Some f -> f h
-  | None -> assert false (* Direct mode is never entered without it *)
-
 let bucket_load mem buckets i =
-  Int64.to_int (Memory.load mem ~addr:(buckets + (4 * i)) ~size:4 ~sext:false)
+  let a = buckets + (4 * i) in
+  check mem a 4;
+  Int32.to_int (Bytes.get_int32_le mem.Memory.data a) land 0xFFFF_FFFF
 
 let bucket_store mem buckets i v =
-  Memory.store mem ~addr:(buckets + (4 * i)) ~size:4 (Int64.of_int v)
+  let a = buckets + (4 * i) in
+  check mem a 4;
+  Bytes.set_int32_le mem.Memory.data a (Int32.of_int v)
 
-let entry_of_index mem ht idx = entries_ptr mem ht + ((idx - 1) * entry_size mem ht)
-let chain_word mem ht addr = addr + entry_size mem ht - 8
+let[@inline] entry_of_index mem ht idx = entries_ptr mem ht + ((idx - 1) * entry_size mem ht)
+let[@inline] chain_word mem ht addr = addr + entry_size mem ht - 8
 
 (* Migrate a Direct table (entries dense in [0, count)) to the Tagged
    layout; returns the charged cycles. Invalidate-on-migrate matches the
    growth contract: outstanding entry addresses die with the old arena. *)
 let fallback_to_tagged mem ht =
-  bump stat_fallbacks 1;
+  let d = counters () in
+  d.fallbacks <- d.fallbacks + 1;
   let cnt = count mem ht in
   let old_cap = capacity mem ht in
   let old_entries = entries_ptr mem ht in
@@ -320,18 +373,17 @@ let fallback_to_tagged mem ht =
   let cap = pow2_at_least (max min_capacity (2 * cnt)) min_capacity in
   let entries = alloc_zeroed mem (cap * esz) in
   let tags = alloc_zeroed mem (cap * 2) in
-  Memory.store64 mem ht (Int64.of_int cap);
-  Memory.store64 mem (ht + 24) (Int64.of_int entries);
-  Memory.store64 mem (ht + 32) mode_tagged;
-  Memory.store64 mem (ht + 40) (Int64.of_int tags);
-  Memory.store64 mem (ht + 48) 0L;
-  Memory.store64 mem (ht + 56) 0L;
+  store_int mem ht cap;
+  store_int mem (ht + 24) entries;
+  store64 mem (ht + 32) mode_tagged;
+  store_int mem (ht + 40) tags;
+  store_int mem (ht + 48) 0;
+  store_int mem (ht + 56) 0;
   (* re-insert in arena order = insertion order: chain order is kept *)
   for i = 0 to cnt - 1 do
     let src = old_entries + (i * esz) in
-    let h = Memory.load64 mem src in
-    let dst_payload, _ = tagged_insert_no_grow mem ht h in
-    Memory.blit mem ~src:(src + 8) ~dst:dst_payload ~len:(esz - 16)
+    let dst = slot_addr mem ht (tagged_claim mem ht (load64 mem src)) in
+    Memory.blit mem ~src:(src + 8) ~dst:(dst + 8) ~len:(esz - 16)
   done;
   Memory.free mem ~addr:old_entries ~size:(old_cap * esz) ~align:16;
   if old_buckets <> 0 then
@@ -339,9 +391,10 @@ let fallback_to_tagged mem ht =
   (6 * cnt) + zero_cost ((cap * esz) + (cap * 2)) + 20
 
 (* Re-point the bucket array at a window [base', base'+bcap') covering
-   both the existing window and key [k]; returns the charged cycles.
-   [base] is always the minimum key observed, so the window only ever
-   extends. *)
+   both the existing window and key [k]; returns the charged cycles, or
+   -1 when the window would exceed {!direct_max_span} and the table must
+   fall back to the tagged layout. [base] is always the minimum key
+   observed, so the window only ever extends. *)
 let direct_rewindow mem ht k =
   let buckets = aux_ptr mem ht in
   let base = direct_base mem ht in
@@ -356,7 +409,7 @@ let direct_rewindow mem ht k =
     Int64.compare span 0L < 0
     || Int64.compare hi_old base < 0 (* window wrapped past INT64_MAX *)
     || Int64.compare span (Int64.of_int direct_max_span) >= 0
-  then `Fallback
+  then -1
   else begin
     let span = Int64.to_int span + 1 in
     let bcap' = pow2_at_least (max span direct_min_buckets) direct_min_buckets in
@@ -364,18 +417,19 @@ let direct_rewindow mem ht k =
     let off = Int64.to_int (Int64.sub base lo) in
     Memory.blit mem ~src:buckets ~dst:(buckets' + (4 * off)) ~len:(bcap * 4);
     Memory.free mem ~addr:buckets ~size:(bcap * 4) ~align:16;
-    Memory.store64 mem (ht + 40) (Int64.of_int buckets');
-    Memory.store64 mem (ht + 48) lo;
-    Memory.store64 mem (ht + 56) (Int64.of_int bcap');
-    `Ok (20 + zero_cost (bcap' * 4) + zero_cost (bcap * 4))
+    store_int mem (ht + 40) buckets';
+    store64 mem (ht + 48) lo;
+    store_int mem (ht + 56) bcap';
+    20 + zero_cost (bcap' * 4) + zero_cost (bcap * 4)
   end
 
 (* Append an entry to the Direct arena (doubling it when full — entry
    *indices* stay stable, so the bucket array survives growth) and link
-   it at the tail of its bucket chain. *)
-let direct_insert mem ht h =
+   it at the tail of its bucket chain; charges [e] and returns the payload
+   address. *)
+let direct_insert e mem ht h =
   let h = norm_hash h in
-  let k = unhash h in
+  let k = Hashes.unhash64 h in
   let cnt = count mem ht in
   let esz = entry_size mem ht in
   let setup_cost = ref 0 in
@@ -383,9 +437,9 @@ let direct_insert mem ht h =
   (if aux_ptr mem ht = 0 then begin
      (* first insert decides the window *)
      let buckets = alloc_zeroed mem (direct_min_buckets * 4) in
-     Memory.store64 mem (ht + 40) (Int64.of_int buckets);
-     Memory.store64 mem (ht + 48) k;
-     Memory.store64 mem (ht + 56) (Int64.of_int direct_min_buckets);
+     store_int mem (ht + 40) buckets;
+     store64 mem (ht + 48) k;
+     store_int mem (ht + 56) direct_min_buckets;
      setup_cost := 20 + zero_cost (direct_min_buckets * 4)
    end
    else
@@ -393,38 +447,42 @@ let direct_insert mem ht h =
      let bcap = direct_bcap mem ht in
      let off = Int64.sub k base in
      if Int64.compare off 0L < 0 || Int64.compare off (Int64.of_int bcap) >= 0
-     then
-       match direct_rewindow mem ht k with
-       | `Ok c -> setup_cost := c
-       | `Fallback ->
-           setup_cost := fallback_to_tagged mem ht;
-           fellback := true);
+     then begin
+       let c = direct_rewindow mem ht k in
+       if c >= 0 then setup_cost := c
+       else begin
+         setup_cost := fallback_to_tagged mem ht;
+         fellback := true
+       end
+     end);
   if !fellback then begin
-    let payload, words = tagged_insert_no_grow mem ht h in
-    Memory.store64 mem (ht + 8) (Int64.of_int (cnt + 1));
-    (payload, 10 + words + 2 + !setup_cost)
+    let slot = tagged_claim mem ht h in
+    store_int mem (ht + 8) (cnt + 1);
+    Emu.charge e (10 + claim_words mem ht h slot + 2 + !setup_cost);
+    slot_addr mem ht slot + 8
   end
   else begin
     (* arena full? double it (append-only: blit is index-stable) *)
     let grow_cost =
       if cnt >= capacity mem ht then begin
-        bump stat_grows 1;
+        let d = counters () in
+        d.grows <- d.grows + 1;
         let old_cap = capacity mem ht in
         let old_entries = entries_ptr mem ht in
         let new_cap = old_cap * 2 in
         let entries = alloc_zeroed mem (new_cap * esz) in
         Memory.blit mem ~src:old_entries ~dst:entries ~len:(old_cap * esz);
         Memory.free mem ~addr:old_entries ~size:(old_cap * esz) ~align:16;
-        Memory.store64 mem ht (Int64.of_int new_cap);
-        Memory.store64 mem (ht + 24) (Int64.of_int entries);
+        store_int mem ht new_cap;
+        store_int mem (ht + 24) entries;
         zero_cost (new_cap * esz) + (old_cap * esz / 32)
       end
       else 0
     in
     let idx = cnt + 1 in
     let addr = entry_of_index mem ht idx in
-    Memory.store64 mem addr h;
-    Memory.store64 mem (chain_word mem ht addr) 0L;
+    store64 mem addr h;
+    store_int mem (chain_word mem ht addr) 0;
     let buckets = aux_ptr mem ht in
     let slot = Int64.to_int (Int64.sub k (direct_base mem ht)) in
     let head = bucket_load mem buckets slot in
@@ -433,66 +491,66 @@ let direct_insert mem ht h =
      else begin
        (* chain duplicates in insertion order: append at the tail *)
        let tail = ref (entry_of_index mem ht head) in
-       let next = ref (Memory.load64 mem (chain_word mem ht !tail)) in
-       while not (Int64.equal !next 0L) do
+       let next = ref (load_int mem (chain_word mem ht !tail)) in
+       while !next <> 0 do
          incr hops;
-         tail := entry_of_index mem ht (Int64.to_int !next);
-         next := Memory.load64 mem (chain_word mem ht !tail)
+         tail := entry_of_index mem ht !next;
+         next := load_int mem (chain_word mem ht !tail)
        done;
-       Memory.store64 mem (chain_word mem ht !tail) (Int64.of_int idx)
+       store_int mem (chain_word mem ht !tail) idx
      end);
-    Memory.store64 mem (ht + 8) (Int64.of_int (cnt + 1));
-    (addr + 8, 8 + !hops + !setup_cost + grow_cost)
+    store_int mem (ht + 8) (cnt + 1);
+    Emu.charge e (8 + !hops + !setup_cost + grow_cost);
+    addr + 8
   end
 
-let direct_lookup mem ht h =
-  bump stat_direct_probes 1;
+let direct_lookup e mem ht h =
+  let d = counters () in
+  d.direct_probes <- d.direct_probes + 1;
   let buckets = aux_ptr mem ht in
-  if buckets = 0 then (0, 3)
+  if buckets = 0 then probed e d 0 3
   else
-    let h = norm_hash h in
-    let k = unhash h in
+    let k = Hashes.unhash64 (norm_hash h) in
     let off = Int64.sub k (direct_base mem ht) in
     if
       Int64.compare off 0L < 0
       || Int64.compare off (Int64.of_int (direct_bcap mem ht)) >= 0
-    then (0, 3)
+    then probed e d 0 3
     else
       let idx = bucket_load mem buckets (Int64.to_int off) in
-      if idx = 0 then (0, 4) else (entry_of_index mem ht idx, 5)
+      if idx = 0 then probed e d 0 4 else probed e d (entry_of_index mem ht idx) 5
 
-(* ---------------- public operations ---------------- *)
+(* ---------------- public operations ----------------
 
-(** Insert an entry for [h]; returns (payload address, charged cycles). *)
-let insert mem ht h =
-  if Int64.equal (mode_word mem ht) mode_direct then direct_insert mem ht h
+   Each operation charges its cycles to the machine [e] it runs on and
+   returns one address, so a probe allocates nothing but what
+   {!Hashes.unhash64} returns on a Direct table. *)
+
+(** Insert an entry for [h]; returns the payload address. *)
+let insert e ht h =
+  let mem = Emu.memory e in
+  if is_direct mem ht then direct_insert e mem ht h
   else begin
     let cap = capacity mem ht in
     let cnt = count mem ht in
     let grow_cost = if 10 * (cnt + 1) > 7 * cap then grow mem ht else 0 in
-    Memory.store64 mem (ht + 8) (Int64.of_int (cnt + 1));
-    let payload, words = tagged_insert_no_grow mem ht h in
-    bump stat_tag_words words;
-    (payload, 10 + words + 2 + grow_cost)
+    store_int mem (ht + 8) (cnt + 1);
+    let slot = tagged_claim mem ht h in
+    let words = claim_words mem ht h slot in
+    let d = counters () in
+    d.tag_words <- d.tag_words + words;
+    Emu.charge e (10 + words + 2 + grow_cost);
+    slot_addr mem ht slot + 8
   end
 
 (** First entry whose hash equals [h]; 0 when absent. Returns the *entry*
-    address (hash word included) so probing can continue with {!next},
-    and the charged cycles. *)
-let lookup mem ht h =
-  let entry, cost =
-    if Int64.equal (mode_word mem ht) mode_direct then direct_lookup mem ht h
-    else begin
-      let h = norm_hash h in
-      let start = Int64.to_int (Int64.logand h (Int64.of_int (mask mem ht))) in
-      let entry, words, hits = tagged_probe_from mem ht h start in
-      bump stat_tag_words words;
-      bump stat_tag_hits hits;
-      (entry, 6 + words + (3 * hits))
-    end
-  in
-  count_probe cost;
-  (entry, cost)
+    address (hash word included) so probing can continue with {!next}. *)
+let lookup e ht h =
+  let mem = Emu.memory e in
+  if is_direct mem ht then direct_lookup e mem ht h
+  else
+    let h = norm_hash h in
+    tagged_probe e mem ht h ~from:(Int64.to_int h) ~base:6
 
 (* [next]'s contract: [addr] must be an entry address of the *current*
    arena (as returned by [lookup]/[next] since the last growth or
@@ -511,29 +569,20 @@ let check_entry_addr mem ht addr op =
             "%s: stale entry address 0x%x (table grew since lookup)" op addr))
 
 (** Next entry with the same hash after entry [addr]; 0 when exhausted. *)
-let next mem ht addr h =
+let next e ht addr h =
+  let mem = Emu.memory e in
   check_entry_addr mem ht addr "Htable.next";
-  let entry, cost =
-    if Int64.equal (mode_word mem ht) mode_direct then begin
-      bump stat_direct_probes 1;
-      let link = Memory.load64 mem (chain_word mem ht addr) in
-      if Int64.equal link 0L then (0, 3)
-      else (entry_of_index mem ht (Int64.to_int link), 3)
-    end
-    else begin
-      let h = norm_hash h in
-      let esz = entry_size mem ht in
-      let i = (addr - entries_ptr mem ht) / esz in
-      let entry, words, hits =
-        tagged_probe_from mem ht h ((i + 1) land mask mem ht)
-      in
-      bump stat_tag_words words;
-      bump stat_tag_hits hits;
-      (entry, 4 + words + (3 * hits))
-    end
-  in
-  count_probe cost;
-  (entry, cost)
+  if is_direct mem ht then begin
+    let d = counters () in
+    d.direct_probes <- d.direct_probes + 1;
+    let link = load_int mem (chain_word mem ht addr) in
+    probed e d (if link = 0 then 0 else entry_of_index mem ht link) 3
+  end
+  else begin
+    let h = norm_hash h in
+    let i = (addr - entries_ptr mem ht) / entry_size mem ht in
+    tagged_probe e mem ht h ~from:(i + 1) ~base:4
+  end
 
 (** Iterate payload addresses of all occupied entries (scan order: slot
     order for Tagged, insertion order for Direct). *)
@@ -541,7 +590,7 @@ let iter mem ht f =
   let cap = capacity mem ht in
   for i = 0 to cap - 1 do
     let addr = slot_addr mem ht i in
-    if not (Int64.equal (Memory.load64 mem addr) 0L) then f (addr + 8)
+    if not (Int64.equal (load64 mem addr) 0L) then f (addr + 8)
   done
 
 (* ---------------- parallel-build support ---------------- *)
@@ -556,21 +605,20 @@ let exact_capacity count =
 (** Fold every entry of [src] into [dst] by re-inserting under the stored
     (already normalized) hash and blitting the payload bytes; both tables
     must share one entry size. Chain order of equal-hash duplicates follows
-    [src]'s scan order. Returns the charged cycles. *)
-let merge_into mem ~dst ~src =
+    [src]'s scan order. Charges [e]. *)
+let merge_into e ~dst ~src =
+  let mem = Emu.memory e in
   let esz = entry_size mem src in
   if entry_size mem dst <> esz then
     raise (Rt_error.Query_error "Htable.merge_into: entry size mismatch");
   let plen = esz - 16 in
-  let cost = ref 0 in
   let cap = capacity mem src in
   for i = 0 to cap - 1 do
     let addr = entries_ptr mem src + (i * esz) in
-    let h = Memory.load64 mem addr in
+    let h = load64 mem addr in
     if not (Int64.equal h 0L) then begin
-      let payload, c = insert mem dst h in
+      let payload = insert e dst h in
       Memory.blit mem ~src:(addr + 8) ~dst:payload ~len:plen;
-      cost := !cost + c + 2 + (plen / 32)
+      Emu.charge e (2 + (plen / 32))
     end
-  done;
-  !cost
+  done

@@ -16,7 +16,13 @@ type t = {
   fns : (Emu.t -> unit) array;
 }
 
+(* Arguments and results that are addresses, sizes, counts or flags go
+   through {!Emu.arg_int}/{!Emu.set_ret_int}, which box nothing; only the
+   full 64-bit values (hashes, 128-bit halves, raw words) take the
+   boxing [int64] accessors below. *)
 let arg e k = Emu.reg e (Emu.arg_reg e k)
+let iarg = Emu.arg_int
+let iret = Emu.set_ret_int
 
 let make_ret target =
   let r0 = target.Target.ret_regs.(0) and r1 = target.Target.ret_regs.(1) in
@@ -42,73 +48,46 @@ let functions target : (string * (Emu.t -> unit)) list =
     (* ---- memory ---- *)
     ( "umbra_alloc",
       fun e ->
-        let n = Int64.to_int (arg e 0) in
+        let n = iarg e 0 in
         Emu.charge e (20 + (n / 64));
-        ret e (Int64.of_int (Memory.alloc (Emu.memory e) n)) );
+        iret e (Memory.alloc (Emu.memory e) n) );
     (* ---- hash table ---- *)
-    (* The hash-table functions charge whatever the table implementation
-       returns: the cycle model lives in {!Htable} next to the layout it
-       prices (tag-filtered probes, direct addressing, arena zeroing). *)
+    (* The hash-table functions charge the machine themselves: the cycle
+       model lives in {!Htable} next to the layout it prices (tag-filtered
+       probes, direct addressing, arena zeroing). *)
     ( "umbra_htCreate",
-      fun e ->
-        let payload = Int64.to_int (arg e 0) in
-        let hint = Int64.to_int (arg e 1) in
-        let ht, cost =
-          Htable.create (Emu.memory e) ~payload_size:payload
-            ~capacity_hint:hint
-        in
-        Emu.charge e cost;
-        ret e (Int64.of_int ht) );
-    ( "umbra_htInsert",
-      fun e ->
-        let ht = Int64.to_int (arg e 0) in
-        let payload, cost = Htable.insert (Emu.memory e) ht (arg e 1) in
-        Emu.charge e cost;
-        ret e (Int64.of_int payload) );
-    ( "umbra_htLookup",
-      fun e ->
-        let ht = Int64.to_int (arg e 0) in
-        let entry, cost = Htable.lookup (Emu.memory e) ht (arg e 1) in
-        Emu.charge e cost;
-        ret e (Int64.of_int entry) );
-    ( "umbra_htNext",
-      fun e ->
-        let ht = Int64.to_int (arg e 0) in
-        let entry = Int64.to_int (arg e 1) in
-        let next, cost = Htable.next (Emu.memory e) ht entry (arg e 2) in
-        Emu.charge e cost;
-        ret e (Int64.of_int next) );
+      fun e -> iret e (Htable.create e ~payload_size:(iarg e 0) ~capacity_hint:(iarg e 1)) );
+    ("umbra_htInsert", fun e -> iret e (Htable.insert e (iarg e 0) (arg e 1)));
+    ("umbra_htLookup", fun e -> iret e (Htable.lookup e (iarg e 0) (arg e 1)));
+    ("umbra_htNext", fun e -> iret e (Htable.next e (iarg e 0) (iarg e 1) (arg e 2)));
     (* ---- tuple buffers ---- *)
     ( "umbra_bufCreate",
       fun e ->
-        let row_size = Int64.to_int (arg e 0) in
+        let row_size = iarg e 0 in
         Emu.charge e 150;
-        ret e
-          (Int64.of_int
-             (Tuplebuf.create (Emu.memory e) ~row_size ~capacity_hint:64)) );
+        iret e (Tuplebuf.create (Emu.memory e) ~row_size ~capacity_hint:64) );
     ( "umbra_bufAppend",
       fun e ->
-        let buf = Int64.to_int (arg e 0) in
-        let row, cost = Tuplebuf.append (Emu.memory e) buf in
+        let row, cost = Tuplebuf.append (Emu.memory e) (iarg e 0) in
         Emu.charge e cost;
-        ret e (Int64.of_int row) );
+        iret e row );
     ( "umbra_bufCount",
       fun e ->
-        let buf = Int64.to_int (arg e 0) in
+        let buf = iarg e 0 in
         Emu.charge e 4;
-        ret e (Int64.of_int (Tuplebuf.count (Emu.memory e) buf)) );
+        iret e (Tuplebuf.count (Emu.memory e) buf) );
     ( "umbra_bufRow",
       fun e ->
-        let buf = Int64.to_int (arg e 0) in
+        let buf = iarg e 0 in
         Emu.charge e 5;
-        ret e (Int64.of_int (Tuplebuf.row (Emu.memory e) buf (Int64.to_int (arg e 1)))) );
+        iret e (Tuplebuf.row (Emu.memory e) buf (iarg e 1)) );
     ( "umbra_sort",
       fun e ->
         (* Sort rows with a generated comparator — the runtime-calls-back-
            into-generated-code case from the paper (sort operators). *)
         let mem = Emu.memory e in
-        let buf = Int64.to_int (arg e 0) in
-        let cmp_addr = Int64.to_int (arg e 1) in
+        let buf = iarg e 0 in
+        let cmp_addr = iarg e 1 in
         let n = Tuplebuf.count mem buf in
         if n > 1 then begin
           let idx = Array.init n (fun i -> i) in
@@ -131,32 +110,32 @@ let functions target : (string * (Emu.t -> unit)) list =
     ( "umbra_strEq",
       fun e ->
         let mem = Emu.memory e in
-        let a = Int64.to_int (arg e 0) and b = Int64.to_int (arg e 1) in
+        let a = iarg e 0 and b = iarg e 1 in
         let la = Sso.length mem a in
         Emu.charge e (10 + (la / 8));
-        ret e (if Sso.equal mem a b then 1L else 0L) );
+        iret e (Bool.to_int (Sso.equal mem a b)) );
     ( "umbra_strCmp",
       fun e ->
         let mem = Emu.memory e in
-        let a = Int64.to_int (arg e 0) and b = Int64.to_int (arg e 1) in
+        let a = iarg e 0 and b = iarg e 1 in
         Emu.charge e (12 + (Sso.length mem a / 8));
-        ret e (Int64.of_int (Sso.compare_str mem a b)) );
+        iret e (Sso.compare_str mem a b) );
     ( "umbra_strLike",
       fun e ->
         let mem = Emu.memory e in
-        let s = Int64.to_int (arg e 0) and p = Int64.to_int (arg e 1) in
+        let s = iarg e 0 and p = iarg e 1 in
         Emu.charge e (20 + (3 * Sso.length mem s));
-        ret e (if Sso.like mem ~str:s ~pat:p then 1L else 0L) );
+        iret e (Bool.to_int (Sso.like mem ~str:s ~pat:p)) );
     ( "umbra_strPrefix",
       fun e ->
         let mem = Emu.memory e in
-        let s = Int64.to_int (arg e 0) and p = Int64.to_int (arg e 1) in
+        let s = iarg e 0 and p = iarg e 1 in
         Emu.charge e (10 + (Sso.length mem p / 8));
-        ret e (if Sso.has_prefix mem ~str:s ~prefix:p then 1L else 0L) );
+        iret e (Bool.to_int (Sso.has_prefix mem ~str:s ~prefix:p)) );
     ( "umbra_strHash",
       fun e ->
         let mem = Emu.memory e in
-        let s = Int64.to_int (arg e 0) in
+        let s = iarg e 0 in
         (* a short string hashes its two words; a long one, byte by byte *)
         let n = Sso.length mem s in
         Emu.charge e (if n <= Sso.inline_max then 8 else 8 + (2 * n));

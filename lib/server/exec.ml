@@ -181,11 +181,10 @@ let init_lanes t sched (s : Codegen.step) =
                         Int64.to_int (Memory.load64 mem (t.state + ht_slot))
                       in
                       let hint = max 16 (Htable.capacity mem glob / n) in
-                      let ht, c =
-                        Htable.create mem ~payload_size:ht_payload
+                      let ht =
+                        Htable.create t.db.Engine.emu ~payload_size:ht_payload
                           ~capacity_hint:hint
                       in
-                      Emu.charge t.db.Engine.emu c;
                       Memory.store64 mem (st + ht_slot) (Int64.of_int ht)
                   | Codegen.Sink_buf { buf_slot; buf_row } ->
                       let buf =
@@ -218,17 +217,16 @@ let merge_lanes t (s : Codegen.step) =
                     (Int64.to_int (Memory.load64 mem (l.l_state + ht_slot))))
               0 t.lanes
           in
-          let dst, c =
-            Htable.create mem ~payload_size:ht_payload
+          let dst =
+            Htable.create emu ~payload_size:ht_payload
               ~capacity_hint:(Htable.exact_capacity total)
           in
-          Emu.charge emu c;
           Array.iter
             (fun l ->
               let src =
                 Int64.to_int (Memory.load64 mem (l.l_state + ht_slot))
               in
-              Emu.charge emu (Htable.merge_into mem ~dst ~src))
+              Htable.merge_into emu ~dst ~src)
             t.lanes;
           Memory.store64 mem (t.state + ht_slot) (Int64.of_int dst)
       | Codegen.Sink_ht { ht_slot; ht_merge = Some fn; _ } ->

@@ -1222,6 +1222,11 @@ type st = {
           scalar, and only within one straight-line run of a block *)
   mutable fused : int;
       (** a compare left for the branch right after it to emit, -1 = none *)
+  mutable hole_at : int;
+  mutable hole_of : int;
+  mutable hole : int;
+      (** [rax_hole fn hole_at hole_of], which store elision computed for
+          the next instruction; -1 in [hole_at] = none *)
   m : Func.modul;
   (* the function being compiled *)
   mutable fn : Func.t;
@@ -1828,7 +1833,7 @@ let[@inline] forwarding st i next =
   let acc = st.acc in
   let fw =
     if acc >= 0 && (x = acc || y = acc || (op == Op.Select && Array.unsafe_get f.Func.zs i = acc))
-    then rax_hole f i acc
+    then if st.hole_at = i && st.hole_of = acc then st.hole else rax_hole f i acc
     else -1
   in
   (* store elision: a scalar whose only use is the next stencil, taking
@@ -1840,7 +1845,14 @@ let[@inline] forwarding st i next =
     && Array.unsafe_get st.uses (i + 1) = 1
     && ty != Ty.Void && ty != Ty.I128
     && Array.unsafe_get ops next != Op.Ret
-    && rax_hole f next i >= 0
+    &&
+    (* kept for [next]'s own forwarding, which asks the same question
+       when [i] is still in rax *)
+    let h = rax_hole f next i in
+    st.hole_at <- next;
+    st.hole_of <- i;
+    st.hole <- h;
+    h >= 0
   in
   variant fw nostore + if fw = 0 && x <> acc then 8 else 0
 
@@ -2084,6 +2096,7 @@ let compile_func st ls us (f : Func.t) =
   if Array.length !us <= nv then us := Array.make (2 * (nv + 1)) 0;
   let has_phi = Func.count_uses f !us in
   st.fn <- f;
+  st.hole_at <- -1;
   st.uses <- !us;
   st.has_phi <- has_phi;
   (* per-block phi lists, gathered once: edge moves consult these instead
@@ -2196,7 +2209,7 @@ let compile_artifact ~timing ~(target : Target.t) ~registry:_ (m : Func.modul)
   cb.len <- 0;
   let st =
     { cb; target; cache = cache_for target; flat = flat_for target;
-      relocs = []; stencils_used = 0; acc = -1; fused = -1; m; fn = Func.dummy_func;
+      relocs = []; stencils_used = 0; acc = -1; fused = -1; hole_at = -1; hole_of = -1; hole = -1; m; fn = Func.dummy_func;
       uses = [||]; has_phi = false; moves = Array.make 16 0; blk_phis = [||]; epilogue = -1; trap = -1; trap_used = false;
       ai = Array.make 8 0;
       at = Array.make 2 0; a64 = Bytes.create 16 }

@@ -31,11 +31,15 @@ val hash64 : int64 -> int64
 (** Combine an accumulated hash with the next value hash. *)
 val combine : int64 -> int64 -> int64
 
-(** Exact inverse of {!hash64}, when one exists. [hash64] is affine over
-    GF(2) (CRC-32C is linear in its data argument), and for the paper's
-    seed constants the linear part is invertible, so
-    [unhash64 (hash64 x) = x] for every [x]. The hash-table runtime uses
-    this to recover integer join keys from stored hashes and detect dense
-    key ranges; [None] would mean the seeds produce a singular matrix, in
-    which case direct addressing is simply disabled. *)
-val unhash64_opt : (int64 -> int64) option
+(** Whether {!hash64} has an inverse. [hash64] is affine over GF(2)
+    (CRC-32C is linear in its data argument), and for the paper's seed
+    constants its linear part is invertible; [false] would mean the seeds
+    produce a singular matrix, in which case direct addressing is simply
+    disabled. *)
+val invertible : bool
+
+(** Exact inverse of {!hash64}: [unhash64 (hash64 x) = x] for every [x].
+    Eight lookups in a flat table of unboxed words. The hash-table runtime
+    uses this to recover integer join keys from stored hashes and detect
+    dense key ranges. Raises [Invalid_argument] unless {!invertible}. *)
+val unhash64 : int64 -> int64

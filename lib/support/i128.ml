@@ -11,8 +11,10 @@ let of_int64 x = { hi = Int64.shift_right x 63; lo = x }
 let of_int x = of_int64 (Int64.of_int x)
 let to_int64 x = x.lo
 
-let to_int64_opt x =
-  if Int64.equal x.hi (Int64.shift_right x.lo 63) then Some x.lo else None
+(* [x] in the signed 64-bit range: its high word is the sign of its low *)
+let fits64 x = Int64.equal x.hi (Int64.shift_right x.lo 63)
+
+let to_int64_opt x = if fits64 x then Some x.lo else None
 
 let equal a b = Int64.equal a.hi b.hi && Int64.equal a.lo b.lo
 let is_negative a = Int64.compare a.hi 0L < 0
@@ -133,36 +135,53 @@ let shift_right a n =
     }
   else { hi = Int64.shift_right a.hi 63; lo = Int64.shift_right a.hi (n - 64) }
 
-(* Unsigned division via binary long division on the magnitudes.  Slow but
-   only used by the reference runtime, never on a hot per-tuple path with
-   large divisors. *)
+(* Unsigned division. Operands below 2^64 divide in one [Int64] step;
+   wider ones go through binary long division on the magnitudes, which is
+   slow but never on a hot per-tuple path with large divisors. *)
 let udivmod a b =
   if equal b zero then raise Division_by_zero;
-  let q = ref zero and r = ref zero in
-  for i = 127 downto 0 do
-    r := shift_left !r 1;
-    let bit = Int64.logand (Int64.shift_right_logical (shift_right_logical a i).lo 0) 1L in
-    if Int64.equal (Int64.logand bit 1L) 1L then r := logor !r one;
-    if compare_unsigned !r b >= 0 then begin
-      r := sub !r b;
-      q := logor !q (shift_left one i)
-    end
-  done;
-  (!q, !r)
+  if Int64.equal a.hi 0L && Int64.equal b.hi 0L then
+    ({ hi = 0L; lo = Int64.unsigned_div a.lo b.lo }, { hi = 0L; lo = Int64.unsigned_rem a.lo b.lo })
+  else begin
+    let q = ref zero and r = ref zero in
+    for i = 127 downto 0 do
+      r := shift_left !r 1;
+      let bit = Int64.logand (Int64.shift_right_logical (shift_right_logical a i).lo 0) 1L in
+      if Int64.equal (Int64.logand bit 1L) 1L then r := logor !r one;
+      if compare_unsigned !r b >= 0 then begin
+        r := sub !r b;
+        q := logor !q (shift_left one i)
+      end
+    done;
+    (!q, !r)
+  end
 
+(* Truncating signed division: the quotient rounds toward zero and the
+   remainder takes the dividend's sign. Operands in the signed 64-bit
+   range divide with [Int64]; the one quotient outside that range,
+   min_int / -1 = 2^63, is the 128-bit negation. *)
 let divmod a b =
-  let sa = is_negative a and sb = is_negative b in
-  let ua = if sa then neg a else a and ub = if sb then neg b else b in
-  let q, r = udivmod ua ub in
-  let q = if sa <> sb then neg q else q in
-  let r = if sa then neg r else r in
-  (q, r)
+  if fits64 a && fits64 b then begin
+    if Int64.equal b.lo 0L then raise Division_by_zero;
+    if Int64.equal b.lo (-1L) then (neg a, zero)
+    else (of_int64 (Int64.div a.lo b.lo), of_int64 (Int64.rem a.lo b.lo))
+  end
+  else begin
+    let sa = is_negative a and sb = is_negative b in
+    let ua = if sa then neg a else a and ub = if sb then neg b else b in
+    let q, r = udivmod ua ub in
+    let q = if sa <> sb then neg q else q in
+    let r = if sa then neg r else r in
+    (q, r)
+  end
 
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
 let mul_overflows a b =
-  if equal a zero || equal b zero then false
+  (* two signed 64-bit factors: |a * b| <= 2^126 always fits *)
+  if fits64 a && fits64 b then false
+  else if equal a zero || equal b zero then false
   else if equal a min_int || equal b min_int then
     (* min_int * x overflows unless x = 1. *)
     not (equal a one || equal b one)

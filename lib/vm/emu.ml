@@ -1720,7 +1720,8 @@ let table_length tb =
 
 (* Transfer control to an arbitrary address: code, runtime or sentinel.
    Returns the instruction index to continue at, in the module [find_mod]
-   just left in [t.last_mod], or -1 once control reaches the sentinel. *)
+   just left in [t.last_mod], or -1 once control reaches the sentinel. A
+   [Call_ind] into the runtime never comes here (see [transfer_body]). *)
 let rec goto t (a : int) =
   if a = sentinel then -1
   else if is_runtime_addr a then begin
@@ -1783,7 +1784,18 @@ and transfer_body ch base tb k : t -> unit =
   | Call_ind ->
       fun t ->
         push_ret t ra;
-        jump t (Int64.to_int (rd t o0))
+        let a = Int64.to_int (rd t o0) in
+        if is_runtime_addr a then begin
+          (* A runtime callee returns straight into the next chain. The
+             return is taken before the call, as [goto] takes it, so the
+             callee runs on the caller's stack; nothing reads the return
+             address after the call, when on a64 a callee that calls back
+             into generated code has overwritten LR. *)
+          ignore (pop_ret t);
+          dispatch_runtime t a;
+          enter ch (k + 1) t
+        end
+        else jump t a
   | Ret -> fun t -> jump t (Int64.to_int (pop_ret t))
   | _ -> invalid_arg "Emu.transfer_body: not a control transfer"
 
@@ -1902,3 +1914,11 @@ let arg_reg t k = t.target.Target.arg_regs.(k)
 (* the public accessors, out of line: host callers see plain functions *)
 let reg t r = reg t r
 let set_reg t r v = set_reg t r v
+
+(* Argument [k] and the first return register as [int]s, for runtime
+   functions: an [int] crosses into another compilation unit unboxed,
+   where {!reg} and {!set_reg} box every [int64] (see "hot accessors").
+   The register's top bit is dropped, as [Int64.to_int] drops it, so
+   these carry addresses, sizes, counts and flags. *)
+let arg_int t k = Int64.to_int (get64u t.regs (t.target.Target.arg_regs.(k) lsl 3))
+let set_ret_int t v = set64u t.regs (t.target.Target.ret_regs.(0) lsl 3) (Int64.of_int v)

@@ -248,6 +248,7 @@ let op_of (i : Minst.t) : Emu.op =
   | Minst.Ld { size = 8; _ } -> Emu.Ld8
   | Minst.St { size = 8; _ } -> Emu.St8
   | Minst.Ret -> Emu.Ret
+  | Minst.Call_ind _ -> Emu.Call_ind
   | i -> Alcotest.failf "op_of: %s" (Format.asprintf "%a" (Minst.pp Target.x64) i)
 
 (* the cycles of the first [k] instructions of a decoded blob *)
@@ -303,6 +304,113 @@ let fuel_stops_exact target prog =
   in
   List.for_all stops_at (List.init (Array.length insts) Fun.id)
 
+(* ---- runtime calls return straight into the caller ----
+
+   A [Call_ind] into the runtime returns into the caller's next chain
+   without looking the caller up again. The same call made through a
+   one-instruction stub that tail-jumps into the runtime ([Jmp_ind]) takes
+   the general transfer path instead: pop the return address, dispatch,
+   find the caller's module and index. Both routes must agree on the
+   outcome, and their counts differ by exactly the stub's instruction. *)
+
+type callee =
+  | Plain  (** r0 <- 3 * r0 + r1, charges 17 *)
+  | Callback  (** calls back into generated code first: on a64 that overwrites LR *)
+  | Raises  (** charges 9, then raises *)
+  | Removed  (** a slot released by {!Emu.remove_runtime} *)
+  | Bad_slot  (** past the end of the runtime table *)
+
+(* [prog] with an indirect call through scratch2 after its first [pos]
+   ops; on a64 the caller keeps its own return address in x19 around the
+   call, as generated code does. *)
+let with_call (target : Target.t) prog pos =
+  let before = List.filteri (fun i _ -> i < pos) prog
+  and after = List.filteri (fun i _ -> i >= pos) prog in
+  let call = Minst.Call_ind target.Target.scratch2 in
+  List.concat_map (lower target) before
+  @ (match target.Target.arch with
+    | Target.X64 -> [ call ]
+    | Target.A64 -> [ Minst.Mov_rr (19, Target.lr); call; Minst.Mov_rr (Target.lr, 19) ])
+  @ straight target after
+
+(* Run [code] with the call going to [callee] directly or through the
+   stub; returns the outcome, cycles and instructions. Both routes
+   register the same modules in the same order. *)
+let run_call (target : Target.t) callee code ~via_stub ~fuel =
+  let emu = fresh target in
+  let module_of insts = Code_region.base (Emu.register_code emu (assemble target insts)) in
+  let callback =
+    module_of
+      [ Minst.Mov_rr (0, target.Target.arg_regs.(0)); Minst.Alu_ri (Minst.Add, 0, 100L); Minst.Ret ]
+  in
+  let rt =
+    match callee with
+    | Plain ->
+        Emu.add_runtime emu "plain" (fun e ->
+            Emu.set_reg e 0 (Int64.add (Int64.mul (Emu.reg e 0) 3L) (Emu.reg e 1));
+            Emu.charge e 17)
+    | Callback ->
+        Emu.add_runtime emu "callback" (fun e ->
+            let r0 = Emu.reg e 0 in
+            let r, _ = Emu.call_generated e ~addr:callback ~args:[| Emu.reg e 1 |] in
+            Emu.set_reg e 0 (Int64.add r r0);
+            Emu.charge e 5)
+    | Raises ->
+        Emu.add_runtime emu "raises" (fun e ->
+            Emu.charge e 9;
+            failwith "raised mid-call")
+    | Removed ->
+        let a = Emu.add_runtime emu "removed" (fun _ -> ()) in
+        Emu.remove_runtime emu a;
+        a
+    | Bad_slot -> Emu.runtime_addr 1000
+  in
+  let base = Code_region.base (Emu.register_code emu code) in
+  let stub = module_of [ Minst.Jmp_ind target.Target.scratch ] in
+  Emu.set_reg emu target.Target.scratch rt;
+  Emu.set_reg emu target.Target.scratch2 (if via_stub then Int64.of_int stub else rt);
+  emu.Emu.fuel <- fuel;
+  let outcome =
+    match Emu.call emu ~addr:base ~args:[||] with
+    | r, _ -> Ok r
+    | exception (Emu.Trap m | Failure m) -> Error m
+  in
+  (outcome, Emu.cycles emu, Emu.instructions_executed emu)
+
+(* The direct return against the stub route, and against the counts the
+   cost model gives: with [fuel_after], fuel runs out on the instruction
+   right after the call. *)
+let direct_return_exact target callee ~fuel_after (prog, pos) =
+  let code = assemble target (with_call target prog (pos mod (List.length prog + 1))) in
+  let insts, _ = Emu.decode_all target code in
+  let n = Array.length insts in
+  let call = ref (-1) in
+  Array.iteri (fun j i -> match i with Minst.Call_ind _ -> call := j | _ -> ()) insts;
+  let fuel extra = if fuel_after then !call + 1 + extra else -1 in
+  let o1, c1, n1 = run_call target callee code ~via_stub:false ~fuel:(fuel 0) in
+  let o2, c2, n2 = run_call target callee code ~via_stub:true ~fuel:(fuel 1) in
+  let dispatch = Emu.runtime_dispatch_cost in
+  let upto k = prefix_cycles insts k and after_call = !call + 1 in
+  let trap msg = function Error m -> m = msg | Ok _ -> false in
+  let returned = Result.is_ok in
+  (* the outcome and counts of the direct route *)
+  let outcome_ok, cycles, count =
+    match (callee, fuel_after) with
+    | Plain, false -> (returned, upto n + dispatch + 17, n)
+    | Plain, true -> (trap "fuel exhausted", upto (after_call + 1) + dispatch + 17, after_call + 1)
+    | Raises, _ -> (trap "raised mid-call", upto after_call + dispatch + 9, after_call)
+    | Removed, _ -> (trap "use-after-free runtime slot 0", upto after_call + dispatch, after_call)
+    | Bad_slot, _ -> (trap "call to bad runtime slot 1000", upto after_call, after_call)
+    | Callback, _ ->
+        (* the callback's three instructions run inside the call *)
+        let cb = Emu.cost_of Emu.Mov_r + Emu.cost_of Emu.Add_i + Emu.cost_of Emu.Ret in
+        (returned, upto n + dispatch + 5 + cb, n + 3)
+  in
+  o1 = o2 && c2 = c1 + Emu.cost_of Emu.Jmp_ind && n2 = n1 + 1 && outcome_ok o1 && c1 = cycles
+  && n1 = count
+
+let gen_call = QCheck2.Gen.(pair gen_prog (int_bound 30))
+
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:400 ~name gen f)
 
 let suite =
@@ -328,3 +436,20 @@ let suite =
     prop "a64 fuel k traps after k + 1 instructions and their cycles" gen_prog
       (fuel_stops_exact Target.a64);
   ]
+  @ List.concat_map
+      (fun (target : Target.t) ->
+        List.map
+          (fun (what, callee, fuel_after) ->
+            prop
+              (Printf.sprintf "%s runtime call returning directly: %s" target.Target.name what)
+              gen_call
+              (direct_return_exact target callee ~fuel_after))
+          [
+            ("plain callee, exact counts", Plain, false);
+            ("callee calling back into generated code", Callback, false);
+            ("callee raising mid-call", Raises, false);
+            ("fuel stop right after the call", Plain, true);
+            ("removed slot traps", Removed, false);
+            ("slot past the table traps", Bad_slot, false);
+          ])
+      [ Target.x64; Target.a64 ]

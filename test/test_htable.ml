@@ -1,19 +1,33 @@
 (* The tagged-probe / direct-address hash table runtime: layout selection
    and fallback, duplicate-chain order across growth, tag false-positive
    bounds, probe-cost calibration, zeroing charges, the stale-address
-   guard, and the grow-leak regression. *)
+   guard, the grow-leak regression, what a registry probe allocates and
+   the per-domain probe counters. *)
 
 open Qcomp_vm
 open Qcomp_runtime
 module Hashes = Qcomp_support.Hashes
 
 let check = Alcotest.check
-let fresh_mem () = Memory.create (1 lsl 24)
+let fresh () = Emu.create ~mem_size:(1 lsl 24) Target.x64
 
-let unhash =
-  match Hashes.unhash64_opt with
-  | Some f -> f
-  | None -> fun _ -> Alcotest.fail "unhash64 unavailable for these seeds"
+let unhash h =
+  if not Hashes.invertible then Alcotest.fail "unhash64 unavailable for these seeds";
+  Hashes.unhash64 h
+
+(* Every table operation charges the machine it runs on; these wrappers
+   return the charge beside the result. *)
+let charged vm f =
+  let c0 = Emu.cycles vm in
+  let r = f () in
+  (r, Emu.cycles vm - c0)
+
+let create vm ~payload_size ~capacity_hint =
+  charged vm (fun () -> Htable.create vm ~payload_size ~capacity_hint)
+
+let insert vm ht h = charged vm (fun () -> Htable.insert vm ht h)
+let lookup vm ht h = charged vm (fun () -> Htable.lookup vm ht h)
+let next vm ht e h = charged vm (fun () -> Htable.next vm ht e h)
 
 (* a spread 64-bit value whose unhash is pseudorandom (combined hashes
    never unhash to anything dense) *)
@@ -32,41 +46,43 @@ let mode_cases =
         done);
     Alcotest.test_case "dense integer keys select direct addressing" `Quick
       (fun () ->
-        let m = fresh_mem () in
-        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:16 in
+        let vm = fresh () in
+        let m = Emu.memory vm in
+        let ht, _ = create vm ~payload_size:8 ~capacity_hint:16 in
         for k = 0 to 999 do
-          let p, _ = Htable.insert m ht (Hashes.hash64 (Int64.of_int k)) in
+          let p, _ = insert vm ht (Hashes.hash64 (Int64.of_int k)) in
           Memory.store64 m p (Int64.of_int (k * 3))
         done;
         check Alcotest.bool "direct" true (Htable.mode m ht = `Direct);
         check Alcotest.int "count" 1000 (Htable.count m ht);
         for k = 0 to 999 do
-          let e, _ = Htable.lookup m ht (Hashes.hash64 (Int64.of_int k)) in
+          let e, _ = lookup vm ht (Hashes.hash64 (Int64.of_int k)) in
           check Alcotest.bool "found" true (e <> 0);
           check Alcotest.int64 "payload" (Int64.of_int (k * 3))
             (Memory.load64 m (e + 8))
         done;
         (* absent keys: in-range gaps and out-of-range both miss *)
-        let e, c = Htable.lookup m ht (Hashes.hash64 123456789L) in
+        let e, c = lookup vm ht (Hashes.hash64 123456789L) in
         check Alcotest.int "range miss" 0 e;
         check Alcotest.bool "range miss is cheap" true (c <= 3));
     Alcotest.test_case "sparse keys fall back to tagged mid-build" `Quick
       (fun () ->
-        let m = fresh_mem () in
-        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:16 in
+        let vm = fresh () in
+        let m = Emu.memory vm in
+        let ht, _ = create vm ~payload_size:8 ~capacity_hint:16 in
         let keys =
           List.init 100 (fun k -> Int64.of_int k) @ [ 10_000_000L ]
         in
         List.iteri
           (fun i k ->
-            let p, _ = Htable.insert m ht (Hashes.hash64 k) in
+            let p, _ = insert vm ht (Hashes.hash64 k) in
             Memory.store64 m p (Int64.of_int i))
           keys;
         check Alcotest.bool "tagged after outlier" true
           (Htable.mode m ht = `Tagged);
         List.iteri
           (fun i k ->
-            let e, _ = Htable.lookup m ht (Hashes.hash64 k) in
+            let e, _ = lookup vm ht (Hashes.hash64 k) in
             check Alcotest.bool "found" true (e <> 0);
             check Alcotest.int64 "payload survives migration"
               (Int64.of_int i)
@@ -87,11 +103,12 @@ let mode_cases =
                inserted)
         in
         let check_against_model name ~expect_mode inserted =
-          let m = fresh_mem () in
-          let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 in
+          let vm = fresh () in
+          let m = Emu.memory vm in
+          let ht, _ = create vm ~payload_size:8 ~capacity_hint:4 in
           List.iteri
             (fun i k ->
-              let p, _ = Htable.insert m ht (Hashes.hash64 k) in
+              let p, _ = insert vm ht (Hashes.hash64 k) in
               Memory.store64 m p (Int64.of_int i))
             inserted;
           check Alcotest.bool (name ^ ": layout") true
@@ -103,10 +120,10 @@ let mode_cases =
                 if e = 0 then List.rev acc
                 else
                   let v = Memory.load64 m (e + 8) in
-                  let e', _ = Htable.next m ht e h in
+                  let e', _ = next vm ht e h in
                   walk e' (v :: acc)
               in
-              let e, _ = Htable.lookup m ht h in
+              let e, _ = lookup vm ht h in
               check Alcotest.(list int64)
                 (Printf.sprintf "%s: chain of key %Ld" name k)
                 (model inserted k) (walk e []))
@@ -125,15 +142,16 @@ let mode_cases =
 let chain_cases =
   let dup_chain_test ?expect_mode name keys =
     Alcotest.test_case name `Quick (fun () ->
-        let m = fresh_mem () in
-        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 in
+        let vm = fresh () in
+        let m = Emu.memory vm in
+        let ht, _ = create vm ~payload_size:8 ~capacity_hint:4 in
         (* three duplicates per key, interleaved so several grows land
            mid-stream; payload encodes (key, dup ordinal) *)
         List.iter
           (fun d ->
             List.iter
               (fun k ->
-                let p, _ = Htable.insert m ht (Hashes.hash64 k) in
+                let p, _ = insert vm ht (Hashes.hash64 k) in
                 Memory.store64 m p Int64.(add (mul k 10L) (of_int d)))
               keys)
           [ 0; 1; 2 ];
@@ -145,10 +163,10 @@ let chain_cases =
         List.iter
           (fun k ->
             let h = Hashes.hash64 k in
-            let e1, _ = Htable.lookup m ht h in
-            let e2, _ = Htable.next m ht e1 h in
-            let e3, _ = Htable.next m ht e2 h in
-            let e4, _ = Htable.next m ht e3 h in
+            let e1, _ = lookup vm ht h in
+            let e2, _ = next vm ht e1 h in
+            let e3, _ = next vm ht e2 h in
+            let e4, _ = next vm ht e3 h in
             check Alcotest.int "chain exhausted" 0 e4;
             check
               Alcotest.(list int64)
@@ -172,16 +190,17 @@ let chain_cases =
 let probe_cases =
   [
     Alcotest.test_case "tag false-positive rate is bounded" `Quick (fun () ->
-        let m = fresh_mem () in
-        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:16 in
+        let vm = fresh () in
+        let m = Emu.memory vm in
+        let ht, _ = create vm ~payload_size:8 ~capacity_hint:16 in
         for i = 0 to 4095 do
-          ignore (Htable.insert m ht (scrambled i))
+          ignore (insert vm ht (scrambled i))
         done;
         check Alcotest.bool "tagged" true (Htable.mode m ht = `Tagged);
         let s0 = Htable.stats () in
         let misses = 4096 in
         for i = 0 to misses - 1 do
-          let e, _ = Htable.lookup m ht (scrambled (1_000_000 + i)) in
+          let e, _ = lookup vm ht (scrambled (1_000_000 + i)) in
           check Alcotest.int "absent" 0 e
         done;
         let s1 = Htable.stats () in
@@ -207,23 +226,24 @@ let probe_cases =
     Alcotest.test_case "lookup/next probe cost monotone and calibrated"
       `Quick (fun () ->
         let walk_costs ?(force_tagged = false) k dups =
-          let m = fresh_mem () in
-          let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:64 in
+          let vm = fresh () in
+          let m = Emu.memory vm in
+          let ht, _ = create vm ~payload_size:8 ~capacity_hint:64 in
           (* a single repeated key keeps the direct window at span 0;
              two far-apart warm-up keys force the tagged fallback *)
           if force_tagged then begin
-            ignore (Htable.insert m ht (Hashes.hash64 7L));
-            ignore (Htable.insert m ht (Hashes.hash64 777_777_777L));
+            ignore (insert vm ht (Hashes.hash64 7L));
+            ignore (insert vm ht (Hashes.hash64 777_777_777L));
             check Alcotest.bool "fallback forced" true
               (Htable.mode m ht <> `Direct)
           end;
           let h = Hashes.hash64 k in
           for _ = 1 to dups do
-            ignore (Htable.insert m ht h)
+            ignore (insert vm ht h)
           done;
-          let e0, c0 = Htable.lookup m ht h in
+          let e0, c0 = lookup vm ht h in
           let rec walk e acc =
-            let e', c = Htable.next m ht e h in
+            let e', c = next vm ht e h in
             if e' = 0 then List.rev (c :: acc) else walk e' (c :: acc)
           in
           (c0, walk e0 [])
@@ -258,17 +278,18 @@ let probe_cases =
            [bench join]'s cycle totals and the committed BENCH_join.json
            are sums of these *)
         let charges warmup =
-          let m = fresh_mem () in
-          let ht, ccost = Htable.create m ~payload_size:8 ~capacity_hint:16 in
-          let ins k = snd (Htable.insert m ht (Hashes.hash64 k)) in
+          let vm = fresh () in
+          let m = Emu.memory vm in
+          let ht, ccost = create vm ~payload_size:8 ~capacity_hint:16 in
+          let ins k = snd (insert vm ht (Hashes.hash64 k)) in
           let warm = List.map ins warmup in
           let inserts = List.map ins [ 5L; 6L; 5L ] in
           let h5 = Hashes.hash64 5L in
-          let e1, l1 = Htable.lookup m ht h5 in
-          let e2, n1 = Htable.next m ht e1 h5 in
-          let e3, n2 = Htable.next m ht e2 h5 in
+          let e1, l1 = lookup vm ht h5 in
+          let e2, n1 = next vm ht e1 h5 in
+          let e3, n2 = next vm ht e2 h5 in
           check Alcotest.int "chain of two" 0 e3;
-          let miss, l2 = Htable.lookup m ht (Hashes.hash64 9L) in
+          let miss, l2 = lookup vm ht (Hashes.hash64 9L) in
           check Alcotest.int "miss" 0 miss;
           (Htable.mode m ht, (ccost :: warm) @ inserts @ [ l1; n1; n2; l2 ])
         in
@@ -291,8 +312,9 @@ let accounting_cases =
   [
     Alcotest.test_case "create and growth charge for arena zeroing" `Quick
       (fun () ->
-        let m = fresh_mem () in
-        let ht, cost = Htable.create m ~payload_size:8 ~capacity_hint:1024 in
+        let vm = fresh () in
+        let m = Emu.memory vm in
+        let ht, cost = create vm ~payload_size:8 ~capacity_hint:1024 in
         let esz = Htable.entry_size m ht in
         check Alcotest.bool
           (Printf.sprintf "create charges zeroing (%d)" cost)
@@ -302,7 +324,7 @@ let accounting_cases =
            least the fresh arena's zero cost *)
         let max_insert = ref 0 in
         for i = 0 to 2999 do
-          let _, c = Htable.insert m ht (scrambled i) in
+          let _, c = insert vm ht (scrambled i) in
           if c > !max_insert then max_insert := c
         done;
         let cap = Htable.capacity m ht in
@@ -313,12 +335,13 @@ let accounting_cases =
           (!max_insert >= cap * esz / 32));
     Alcotest.test_case "grow frees the old arena (leak regression)" `Quick
       (fun () ->
-        let m = fresh_mem () in
+        let vm = fresh () in
+        let m = Emu.memory vm in
         let live0 = Memory.live_data_bytes m in
         let freed0 = Memory.freed_data_bytes m in
-        let ht, _ = Htable.create m ~payload_size:16 ~capacity_hint:16 in
+        let ht, _ = create vm ~payload_size:16 ~capacity_hint:16 in
         for i = 0 to 4999 do
-          ignore (Htable.insert m ht (scrambled i))
+          ignore (insert vm ht (scrambled i))
         done;
         let esz = Htable.entry_size m ht in
         let cap = Htable.capacity m ht in
@@ -334,16 +357,17 @@ let accounting_cases =
           (Memory.freed_data_bytes m > freed0));
     Alcotest.test_case "zero net growth across 100 grow cycles" `Quick
       (fun () ->
-        let m = fresh_mem () in
+        let vm = fresh () in
+        let m = Emu.memory vm in
         let live0 = Memory.live_data_bytes m in
         let s0 = Htable.stats () in
         for _round = 1 to 12 do
           let scope = Memory.new_scope () in
           Memory.with_scope scope (fun () ->
-              let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:16 in
+              let ht, _ = create vm ~payload_size:8 ~capacity_hint:16 in
               (* 3000 sparse keys drive 16 -> 8192: nine grows per round *)
               for i = 0 to 2999 do
-                ignore (Htable.insert m ht (scrambled i))
+                ignore (insert vm ht (scrambled i))
               done);
           Memory.free_scope m scope;
           check Alcotest.int "live returns to baseline" live0
@@ -358,17 +382,17 @@ let guard_cases =
   [
     Alcotest.test_case "stale entry address after grow is rejected" `Quick
       (fun () ->
-        let m = fresh_mem () in
-        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:16 in
+        let vm = fresh () in
+        let ht, _ = create vm ~payload_size:8 ~capacity_hint:16 in
         let h = scrambled 1 in
-        ignore (Htable.insert m ht h);
-        let e, _ = Htable.lookup m ht h in
+        ignore (insert vm ht h);
+        let e, _ = lookup vm ht h in
         check Alcotest.bool "found" true (e <> 0);
         (* grow several times: the old arena is freed and recycled *)
         for i = 2 to 2000 do
-          ignore (Htable.insert m ht (scrambled i))
+          ignore (insert vm ht (scrambled i))
         done;
-        (match Htable.next m ht e h with
+        (match next vm ht e h with
         | exception Qcomp_runtime.Rt_error.Query_error msg ->
             check Alcotest.bool "mentions staleness" true
               (String.length msg > 0)
@@ -377,21 +401,22 @@ let guard_cases =
                valid slot of the *current* arena — never silent garbage *)
             Alcotest.failf "stale next returned 0x%x" e');
         (* a fresh lookup still works *)
-        let e2, _ = Htable.lookup m ht h in
+        let e2, _ = lookup vm ht h in
         check Alcotest.bool "fresh lookup fine" true (e2 <> 0));
     Alcotest.test_case "zero hash is normalized in every layout" `Quick
       (fun () ->
         (* Direct as created, and Tagged after two far-apart warm-up keys *)
         List.iter
           (fun warmup ->
-            let m = fresh_mem () in
-            let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 in
+            let vm = fresh () in
+            let m = Emu.memory vm in
+            let ht, _ = create vm ~payload_size:8 ~capacity_hint:4 in
             List.iter
-              (fun k -> ignore (Htable.insert m ht (Hashes.hash64 k)))
+              (fun k -> ignore (insert vm ht (Hashes.hash64 k)))
               warmup;
-            let p, _ = Htable.insert m ht 0L in
+            let p, _ = insert vm ht 0L in
             Memory.store64 m p 9L;
-            let e, _ = Htable.lookup m ht 0L in
+            let e, _ = lookup vm ht 0L in
             check Alcotest.bool "found" true (e <> 0);
             check Alcotest.int64 "payload" 9L (Memory.load64 m (e + 8)))
           [ []; [ 7L; 777_777_777L ] ]);
@@ -399,10 +424,11 @@ let guard_cases =
       `Quick (fun () ->
         List.iter
           (fun mk ->
-            let m = fresh_mem () in
-            let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 in
+            let vm = fresh () in
+            let m = Emu.memory vm in
+            let ht, _ = create vm ~payload_size:8 ~capacity_hint:4 in
             for i = 1 to 40 do
-              let p, _ = Htable.insert m ht (mk i) in
+              let p, _ = insert vm ht (mk i) in
               Memory.store64 m p (Int64.of_int i)
             done;
             let seen = Hashtbl.create 40 in
@@ -413,5 +439,104 @@ let guard_cases =
             (fun i -> scrambled i) (* tagged *) ]);
   ]
 
+(* ---------------- host cost and counters ---------------- *)
+
+(* A registry function called the way generated code calls it: arguments
+   in the argument registers, dispatched by runtime address. *)
+let rt_call vm rt name (args : int64 array) =
+  let addr = Int64.to_int (Registry.addr rt name) in
+  fun () ->
+    for k = 0 to Array.length args - 1 do
+      Emu.set_reg vm (Emu.arg_reg vm k) args.(k)
+    done;
+    Emu.dispatch_runtime vm addr
+
+let rt_result vm = Emu.reg vm vm.Emu.target.Target.ret_regs.(0)
+
+let host_cases =
+  [
+    Alcotest.test_case "registry probes allocate only the boxed hash and key"
+      `Quick (fun () ->
+        (* Minor-heap words per umbra_htLookup and umbra_htNext registry
+           call, the hashes boxed beforehand. Each call boxes the hash it
+           reads from its argument register (3 words); a Direct probe also
+           boxes the key Hashes.unhash64 recovers (3 more). Before the
+           probe paths read memory in-module and returned one address,
+           Htable.lookup alone allocated 24 words per call on a Direct
+           table and 39 on a Tagged one. *)
+        List.iter
+          (fun (layout, key, ceiling) ->
+            let vm = fresh () in
+            let rt = Registry.create Target.x64 in
+            Registry.install rt vm;
+            rt_call vm rt "umbra_htCreate" [| 8L; 16L |] ();
+            let ht = rt_result vm in
+            let n = 2000 in
+            let hashes = Array.init n key in
+            Array.iter (fun h -> rt_call vm rt "umbra_htInsert" [| ht; h |] ()) hashes;
+            check Alcotest.bool "layout" true (Htable.mode (Emu.memory vm) (Int64.to_int ht) = layout);
+            let entries =
+              Array.map
+                (fun h ->
+                  rt_call vm rt "umbra_htLookup" [| ht; h |] ();
+                  rt_result vm)
+                hashes
+            in
+            (* the calls are built before counting *)
+            let per_call calls =
+              let w0 = Gc.minor_words () in
+              Array.iter (fun call -> call ()) calls;
+              (Gc.minor_words () -. w0) /. float_of_int n
+            in
+            let lw = per_call (Array.map (fun h -> rt_call vm rt "umbra_htLookup" [| ht; h |]) hashes) in
+            let nw =
+              per_call
+                (Array.mapi (fun i h -> rt_call vm rt "umbra_htNext" [| ht; entries.(i); h |]) hashes)
+            in
+            let name = if layout = `Direct then "direct" else "tagged" in
+            check Alcotest.bool
+              (Printf.sprintf "%s lookup: %.1f words per call <= %.0f" name lw ceiling)
+              true (lw <= ceiling);
+            check Alcotest.bool
+              (Printf.sprintf "%s next: %.1f words per call <= 3" name nw)
+              true (nw <= 3.0))
+          [
+            (`Direct, (fun i -> Hashes.hash64 (Int64.of_int i)), 6.0);
+            (`Tagged, scrambled, 3.0);
+          ]);
+    Alcotest.test_case "probe counters lose no update across domains" `Quick
+      (fun () ->
+        (* Two domains probe their own tables at the same time; the summed
+           counters must see every probe and every charged cycle. *)
+        let vm = fresh () in
+        let n = 100_000 in
+        let go = Atomic.make 0 in
+        let worker d () =
+          let vm = Emu.context vm in
+          let ht = Htable.create vm ~payload_size:8 ~capacity_hint:64 in
+          (* half of the keys probed are present *)
+          let keys = Array.init 64 (fun i -> scrambled ((1000 * d) + i)) in
+          for i = 0 to 31 do
+            ignore (Htable.insert vm ht keys.(i))
+          done;
+          Atomic.incr go;
+          while Atomic.get go < 2 do
+            Domain.cpu_relax ()
+          done;
+          let c0 = Emu.cycles vm in
+          for i = 0 to n - 1 do
+            ignore (Htable.lookup vm ht keys.(i land 63))
+          done;
+          Emu.cycles vm - c0
+        in
+        let s0 = Htable.stats () in
+        let doms = List.init 2 (fun d -> Domain.spawn (worker d)) in
+        let cycles = List.fold_left ( + ) 0 (List.map Domain.join doms) in
+        let s1 = Htable.stats () in
+        check Alcotest.int "probes" (2 * n) (s1.Htable.probes - s0.Htable.probes);
+        check Alcotest.int "probe cycles" cycles
+          (s1.Htable.probe_cycles - s0.Htable.probe_cycles));
+  ]
+
 let suite =
-  mode_cases @ chain_cases @ probe_cases @ accounting_cases @ guard_cases
+  mode_cases @ chain_cases @ probe_cases @ accounting_cases @ guard_cases @ host_cases

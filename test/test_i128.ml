@@ -147,4 +147,83 @@ let props =
         (I128.to_float (of64 a) <= I128.to_float (of64 b)) = (a <= b) || a = b);
   ]
 
-let suite = unit_cases @ props
+(* ---- division against the bit-serial oracle ----
+
+   The 128-step long division I128 used for every operand size before
+   its 64-bit fast paths, kept here as the reference they must match. *)
+let udivmod_bitserial a b =
+  if I128.equal b I128.zero then raise Division_by_zero;
+  let q = ref I128.zero and r = ref I128.zero in
+  for i = 127 downto 0 do
+    r := I128.shift_left !r 1;
+    if Int64.logand (I128.to_int64 (I128.shift_right_logical a i)) 1L = 1L then
+      r := I128.logor !r I128.one;
+    if I128.compare_unsigned !r b >= 0 then begin
+      r := I128.sub !r b;
+      q := I128.logor !q (I128.shift_left I128.one i)
+    end
+  done;
+  (!q, !r)
+
+let divmod_bitserial a b =
+  let sa = I128.is_negative a and sb = I128.is_negative b in
+  let q, r = udivmod_bitserial (if sa then I128.neg a else a) (if sb then I128.neg b else b) in
+  ((if sa <> sb then I128.neg q else q), if sa then I128.neg r else r)
+
+let mul_overflows_bitserial a b =
+  if I128.equal a I128.zero || I128.equal b I128.zero then false
+  else if I128.equal a I128.min_int || I128.equal b I128.min_int then
+    not (I128.equal a I128.one || I128.equal b I128.one)
+  else
+    let p = I128.mul a b in
+    I128.equal p I128.zero || not (I128.equal (fst (divmod_bitserial p b)) a)
+
+(* the same result, or the same [Division_by_zero] *)
+let same_division f g =
+  match (f (), g ()) with
+  | (q, r), (q', r') -> I128.equal q q' && I128.equal r r'
+  | exception Division_by_zero -> (
+      match g () with _ -> false | exception Division_by_zero -> true)
+
+let division_props =
+  let pair = QCheck2.Gen.pair gen_i128 gen_i128 in
+  [
+    prop "div/rem match the bit-serial oracle" pair (fun (a, b) ->
+        same_division (fun () -> (I128.div a b, I128.rem a b)) (fun () -> divmod_bitserial a b));
+    prop "64-bit div/rem match the bit-serial oracle, zero and min_int included"
+      QCheck2.Gen.(pair gen_int64 gen_int64)
+      (fun (a, b) ->
+        let a = of64 a and b = of64 b in
+        same_division (fun () -> (I128.div a b, I128.rem a b)) (fun () -> divmod_bitserial a b));
+    prop "to_string of unsigned magnitudes matches the oracle's digits" gen_i128 (fun a ->
+        (* to_string divides by ten through udivmod's 64-bit path *)
+        let rec digits v acc =
+          if I128.equal v I128.zero then acc
+          else
+            let q, r = udivmod_bitserial v (of64 10L) in
+            digits q (Char.chr (48 + Int64.to_int (I128.to_int64 r)) :: acc)
+        in
+        let m = if I128.is_negative a then I128.neg a else a in
+        QCheck2.assume (not (I128.equal a I128.min_int));
+        let s = if I128.equal m I128.zero then "0" else String.of_seq (List.to_seq (digits m [])) in
+        I128.to_string a = if I128.is_negative a then "-" ^ s else s);
+    prop "mul_overflows matches the bit-serial oracle" pair (fun (a, b) ->
+        I128.mul_overflows a b = mul_overflows_bitserial a b);
+  ]
+
+let division_cases =
+  [
+    Alcotest.test_case "64-bit division edges" `Quick (fun () ->
+        let min64 = of64 Int64.min_int in
+        check i128 "min_int / -1 = 2^63" (I128.make ~hi:0L ~lo:Int64.min_int)
+          (I128.div min64 I128.minus_one);
+        check i128 "min_int rem -1" I128.zero (I128.rem min64 I128.minus_one);
+        check i128 "-7 / 2 truncates" (of64 (-3L)) (I128.div (of64 (-7L)) (of64 2L));
+        check i128 "-7 rem 2 takes the dividend's sign" (of64 (-1L)) (I128.rem (of64 (-7L)) (of64 2L));
+        (match I128.div (of64 5L) I128.zero with
+        | exception Division_by_zero -> ()
+        | _ -> Alcotest.fail "expected Division_by_zero");
+        check Alcotest.bool "min_int64 squared fits" false (I128.mul_overflows min64 min64));
+  ]
+
+let suite = unit_cases @ props @ division_props @ division_cases

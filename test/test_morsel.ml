@@ -341,16 +341,17 @@ let lane_release_case =
 
 let exact_capacity_case =
   Alcotest.test_case "exact_capacity never admits a grow" `Quick (fun () ->
-      let m = Memory.create (1 lsl 24) in
+      let vm = Emu.create ~mem_size:(1 lsl 24) Target.x64 in
+      let m = Emu.memory vm in
       List.iter
         (fun n ->
-          let ht, _ =
-            Htable.create m ~payload_size:8
+          let ht =
+            Htable.create vm ~payload_size:8
               ~capacity_hint:(Htable.exact_capacity n)
           in
           let cap0 = Htable.capacity m ht in
           for i = 1 to n do
-            ignore (Htable.insert m ht (Hashes.hash64 (Int64.of_int i)))
+            ignore (Htable.insert vm ht (Hashes.hash64 (Int64.of_int i)))
           done;
           check Alcotest.int
             (Printf.sprintf "capacity stable at %d" n)
@@ -362,16 +363,18 @@ let concurrent_build_merge_case =
   Alcotest.test_case
     "grow-under-concurrent-build: lane tables merge exactly" `Quick
     (fun () ->
-      let m = Memory.create (1 lsl 26) in
+      let vm = Emu.create ~mem_size:(1 lsl 26) Target.x64 in
+      let m = Emu.memory vm in
       let lanes = 4 and per_lane = 5000 in
       (* each domain hammers its own lane-local table in the shared memory
          — tiny capacity hint forces several grows mid-build on every lane
          while the others are also allocating *)
       let build lane () =
-        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 in
+        let vm = Emu.context vm in
+        let ht = Htable.create vm ~payload_size:8 ~capacity_hint:4 in
         for i = 0 to per_lane - 1 do
           let key = Int64.of_int ((lane * per_lane) + i) in
-          let p, _ = Htable.insert m ht (Hashes.hash64 key) in
+          let p = Htable.insert vm ht (Hashes.hash64 key) in
           Memory.store64 m p key
         done;
         ht
@@ -379,22 +382,22 @@ let concurrent_build_merge_case =
       let doms = Array.init lanes (fun l -> Domain.spawn (build l)) in
       let lane_tables = Array.map Domain.join doms in
       let total = lanes * per_lane in
-      let dst, _ =
-        Htable.create m ~payload_size:8
+      let dst =
+        Htable.create vm ~payload_size:8
           ~capacity_hint:(Htable.exact_capacity total)
       in
       let cap0 = Htable.capacity m dst in
-      Array.iter (fun src -> ignore (Htable.merge_into m ~dst ~src)) lane_tables;
+      Array.iter (fun src -> Htable.merge_into vm ~dst ~src) lane_tables;
       check Alcotest.int "no grow during merge" cap0 (Htable.capacity m dst);
       check Alcotest.int "all entries merged" total (Htable.count m dst);
       (* every key is present exactly once with its payload *)
       for k = 0 to total - 1 do
         let key = Int64.of_int k in
-        let e, _ = Htable.lookup m dst (Hashes.hash64 key) in
+        let e = Htable.lookup vm dst (Hashes.hash64 key) in
         if e = 0 then Alcotest.failf "key %d missing after merge" k;
         if not (Int64.equal (Memory.load64 m (e + 8)) key) then
           Alcotest.failf "key %d: wrong payload" k;
-        let e', _ = Htable.next m dst e (Hashes.hash64 key) in
+        let e' = Htable.next vm dst e (Hashes.hash64 key) in
         if e' <> 0 && Int64.equal (Memory.load64 m (e' + 8)) key then
           Alcotest.failf "key %d merged twice" k
       done)

@@ -152,60 +152,65 @@ let sso_props =
 let htable_cases =
   [
     Alcotest.test_case "insert then lookup" `Quick (fun () ->
-        let m = fresh_mem () in
-        let ht, _ = Htable.create m ~payload_size:16 ~capacity_hint:4 in
-        let p, _ = Htable.insert m ht 0xABCL in
+        let vm = Emu.create ~mem_size:(1 lsl 22) Target.x64 in
+        let m = Emu.memory vm in
+        let ht = Htable.create vm ~payload_size:16 ~capacity_hint:4 in
+        let p = Htable.insert vm ht 0xABCL in
         Memory.store64 m p 77L;
-        let found, _ = Htable.lookup m ht 0xABCL in
+        let found = Htable.lookup vm ht 0xABCL in
         check Alcotest.bool "found" true (found <> 0);
         check Alcotest.int64 "payload" 77L (Memory.load64 m (found + 8)));
     Alcotest.test_case "lookup miss is 0" `Quick (fun () ->
-        let m = fresh_mem () in
-        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 in
-        let found, _ = Htable.lookup m ht 0x123L in
+        let vm = Emu.create ~mem_size:(1 lsl 22) Target.x64 in
+        let ht = Htable.create vm ~payload_size:8 ~capacity_hint:4 in
+        let found = Htable.lookup vm ht 0x123L in
         check Alcotest.int "miss" 0 found);
     Alcotest.test_case "duplicate hashes chained via next" `Quick (fun () ->
-        let m = fresh_mem () in
-        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 in
-        let p1, _ = Htable.insert m ht 5L in
-        let p2, _ = Htable.insert m ht 5L in
+        let vm = Emu.create ~mem_size:(1 lsl 22) Target.x64 in
+        let m = Emu.memory vm in
+        let ht = Htable.create vm ~payload_size:8 ~capacity_hint:4 in
+        let p1 = Htable.insert vm ht 5L in
+        let p2 = Htable.insert vm ht 5L in
         Memory.store64 m p1 1L;
         Memory.store64 m p2 2L;
-        let e1, _ = Htable.lookup m ht 5L in
-        let e2, _ = Htable.next m ht e1 5L in
-        let e3, _ = Htable.next m ht e2 5L in
+        let e1 = Htable.lookup vm ht 5L in
+        let e2 = Htable.next vm ht e1 5L in
+        let e3 = Htable.next vm ht e2 5L in
         check Alcotest.bool "two entries" true (e1 <> 0 && e2 <> 0 && e1 <> e2);
         check Alcotest.int "exhausted" 0 e3;
         let vals = List.sort compare [ Memory.load64 m (e1 + 8); Memory.load64 m (e2 + 8) ] in
         check Alcotest.(list int64) "both payloads" [ 1L; 2L ] vals);
     Alcotest.test_case "growth preserves entries" `Quick (fun () ->
-        let m = fresh_mem () in
-        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 in
+        let vm = Emu.create ~mem_size:(1 lsl 22) Target.x64 in
+        let m = Emu.memory vm in
+        let ht = Htable.create vm ~payload_size:8 ~capacity_hint:4 in
         let n = 500 in
         for i = 1 to n do
           let h = Qcomp_support.Hashes.hash64 (Int64.of_int i) in
-          let p, _ = Htable.insert m ht h in
+          let p = Htable.insert vm ht h in
           Memory.store64 m p (Int64.of_int i)
         done;
         check Alcotest.int "count" n (Htable.count m ht);
         check Alcotest.bool "grew" true (Htable.capacity m ht > 16);
         for i = 1 to n do
           let h = Qcomp_support.Hashes.hash64 (Int64.of_int i) in
-          let e, _ = Htable.lookup m ht h in
+          let e = Htable.lookup vm ht h in
           check Alcotest.bool "found after growth" true (e <> 0)
         done);
     Alcotest.test_case "zero hash is normalized, still findable" `Quick (fun () ->
-        let m = fresh_mem () in
-        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 in
-        let p, _ = Htable.insert m ht 0L in
+        let vm = Emu.create ~mem_size:(1 lsl 22) Target.x64 in
+        let m = Emu.memory vm in
+        let ht = Htable.create vm ~payload_size:8 ~capacity_hint:4 in
+        let p = Htable.insert vm ht 0L in
         Memory.store64 m p 9L;
-        let e, _ = Htable.lookup m ht 0L in
+        let e = Htable.lookup vm ht 0L in
         check Alcotest.bool "found" true (e <> 0));
     Alcotest.test_case "iter visits every payload once" `Quick (fun () ->
-        let m = fresh_mem () in
-        let ht, _ = Htable.create m ~payload_size:8 ~capacity_hint:4 in
+        let vm = Emu.create ~mem_size:(1 lsl 22) Target.x64 in
+        let m = Emu.memory vm in
+        let ht = Htable.create vm ~payload_size:8 ~capacity_hint:4 in
         for i = 1 to 40 do
-          let p, _ = Htable.insert m ht (Qcomp_support.Hashes.hash64 (Int64.of_int i)) in
+          let p = Htable.insert vm ht (Qcomp_support.Hashes.hash64 (Int64.of_int i)) in
           Memory.store64 m p (Int64.of_int i)
         done;
         let seen = Hashtbl.create 40 in
