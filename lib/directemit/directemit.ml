@@ -15,8 +15,10 @@ let name = "directemit"
     another hash must not be re-linked: bump this with that hash, and with
     any change to the code the emitter writes (2: register reuse,
     immediates and callee-saved registers; 3: no fits-64-bits check on an
-    i128 factor that provably fits, one-lane write-home at calls). *)
-let code_version = 3
+    i128 factor that provably fits, one-lane write-home at calls; 4:
+    indexed loads and base-less [lea], which a loader that predates them
+    refuses). *)
+let code_version = 4
 
 let compile_func ~asm ~target ~intrinsics ~extern_addr ~rt_addr ~timing (f : Func.t) =
   let an = Timing.scope timing "Analysis" (fun () -> Analysis.compute ~intrinsics f) in

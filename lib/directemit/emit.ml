@@ -102,6 +102,7 @@ type st = {
   mutable cur_pos : int;
   mutable fused : int;  (** compare whose flags feed the next branch, -1 *)
   mutable fused_cond : Minst.cond;  (** the condition [fused] leaves in the flags *)
+  mutable folded : int;  (** address whose load right after it reads it, -1 *)
   callee_saved : bool array;  (** reg -> allocatable and preserved across calls *)
   used_saved : bool array;  (** reg -> callee-saved and written by the function *)
   block_labels : int array;
@@ -148,6 +149,7 @@ let create asm f target an ~intrinsics extern_addr rt_addr =
     cur_pos = 0;
     fused = -1;
     fused_cond = Minst.Ne;
+    folded = -1;
     callee_saved =
       Array.init target.Target.num_regs (fun r ->
           Target.is_callee_saved target r && Array.mem r target.Target.allocatable);
@@ -517,10 +519,11 @@ let marked st v stamp = st.mark.(v) land lnot 7 = stamp
    live-in values stay in their registers, and each 64-bit phi takes its
    incoming value's register when that is free, else a free one, else its
    home. Into a loop header, only values the loop uses stay; when the loop
-   calls out, which clears every caller-saved register, only those in
-   callee-saved registers and those its header (and the body block after
-   it) read, since the back edge would reload the others on every
-   iteration. *)
+   calls out, which clears every caller-saved register, every value in a
+   callee-saved register stays, read by the loop or not, since the calls
+   preserve it, and of the others only those its header (and the body
+   block after it) read, since the back edge would reload the others on
+   every iteration. *)
 let fix_entry_map st b =
   let an = st.an in
   let k = an.Analysis.index.(b) in
@@ -550,8 +553,8 @@ let fix_entry_map st b =
     if
       v >= 0 && live_in st v k
       && (loop_end < 0
-         || (calls && marked st v reads)
-         || ((st.callee_saved.(r) || not calls) && an.Analysis.ext_end.(v) >= loop_end))
+         || (calls && (st.callee_saved.(r) || marked st v reads))
+         || ((not calls) && an.Analysis.ext_end.(v) >= loop_end))
     then hold v st.reg_lane.(r) r st.clean.(v)
   done;
   let live_phi p = an.Analysis.uses.(p) > 0 && Func.ty st.f p <> Ty.I128 in
@@ -993,20 +996,38 @@ let rec emit_inst st i =
       finish_def st i
   | Op.Select -> emit_select st i
   | Op.Load ->
-      let base = use st x in
-      kill_dead_operand st x;
       let off = Int64.to_int (Func.imm f i) in
+      (* [base + off + k] for lane offset [k], or for a folded address
+         [index * scale + disp + off + k] *)
+      let base, ld =
+        if st.folded = x then begin
+          st.folded <- -1;
+          let scale = Func.n f x in
+          let disp = Int64.to_int (Option.get (gep_disp st x)) + off in
+          let idx = use st (Func.y f x) in
+          kill_dead_operand st (Func.x f x);
+          kill_dead_operand st (Func.y f x);
+          ( idx,
+            fun dst k size sext ->
+              Minst.Ldx { dst; base = -1; index = idx; scale; off = disp + k; size; sext } )
+        end
+        else begin
+          let base = use st x in
+          kill_dead_operand st x;
+          (base, fun dst k size sext -> Minst.Ld { dst; base; off = off + k; size; sext })
+        end
+      in
       if ty = Ty.I128 then begin
         let d = def ~avoid:[ base ] st i in
-        emit st (Minst.Ld { dst = d; base; off; size = 8; sext = false });
+        emit st (ld d 0 8 false);
         let dhi = def_hi ~avoid:[ base; d ] st i in
-        emit st (Minst.Ld { dst = dhi; base; off = off + 8; size = 8; sext = false })
+        emit st (ld dhi 8 8 false)
       end
       else begin
         let d = def_over st i 0 base in
         let size = max 1 (Ty.size_bytes ty) in
         let sext = ty <> Ty.I1 && size < 8 in
-        emit st (Minst.Ld { dst = d; base; off; size; sext })
+        emit st (ld d 0 size sext)
       end;
       finish_def st i
   | Op.Store ->
@@ -1026,7 +1047,7 @@ let rec emit_inst st i =
       end;
       kill_dead_operand st x;
       kill_dead_operand st y
-  | Op.Gep -> emit_gep st i
+  | Op.Gep -> if folds_into_load st i then st.folded <- i else emit_gep st i
   | Op.Crc32 ->
       ignore (two_address st i ~commutes:false (fun d s -> Minst.Crc32_rr (d, s)) x y);
       finish_def st i
@@ -1121,7 +1142,39 @@ and emit_fcmp st i pred =
   emit st (Minst.Fcmp_rr (rx, ry));
   set_cond st i (cmp_to_cond pred)
 
-(* base + index * scale + offset: one lea for scales 1, 2, 4 and 8, a
+(* The displacement of Gep [i] as an address without a base, when it has
+   an index, a scale of 1, 2, 4 or 8 and a constant base that fits a
+   disp32 with its offset *)
+and gep_disp st i =
+  let f = st.f in
+  let scale = Func.n f i in
+  if Func.y f i < 0 || not (scale = 1 || scale = 2 || scale = 4 || scale = 8) then None
+  else
+    match imm32 st (Func.x f i) with
+    | Some c ->
+        let d = Int64.add c (Func.imm f i) in
+        if Asm.fits_i32 d then Some d else None
+    | None -> None
+
+(* Gep [i]'s only use is the load right after it, which reads the address
+   as its memory operand: [i] is not emitted, as a constant is not
+   materialised at its definition *)
+and folds_into_load st i =
+  st.an.Analysis.uses.(i) = 1
+  &&
+  match gep_disp st i with
+  | None -> false
+  | Some d ->
+      let insts = Func.block_insts st.f st.cur_block in
+      st.cur_pos + 1 < Vec.length insts
+      &&
+      let j = Vec.get insts (st.cur_pos + 1) in
+      Func.op st.f j = Op.Load
+      && Func.x st.f j = i
+      && Asm.fits_i32 (Int64.add d (Int64.add (Func.imm st.f j) 8L))
+
+(* base + index * scale + offset: one lea for scales 1, 2, 4 and 8, with
+   no base register when the base is a constant that fits a disp32, a
    shift for other powers of two, a multiply otherwise; a constant base
    that fits folds into the add *)
 and emit_gep st i =
@@ -1129,43 +1182,47 @@ and emit_gep st i =
   let x = Func.x f i and y = Func.y f i in
   let off = Int64.to_int (Func.imm f i) in
   let scale = Func.n f i in
-  if y < 0 then begin
-    let base = use st x in
-    kill_dead_operand st x;
-    let d = def_over st i 0 base in
-    if d <> base || off <> 0 then
-      emit st (Minst.Lea { dst = d; base; index = -1; scale = 1; off })
-  end
-  else if scale = 1 || scale = 2 || scale = 4 || scale = 8 then begin
-    let base = use st x in
-    let idx = if y = x then base else use ~avoid:[ base ] st y in
-    kill_dead_operand st x;
-    kill_dead_operand st y;
-    let d = def_over st i 0 base in
-    emit st (Minst.Lea { dst = d; base; index = idx; scale; off })
-  end
-  else begin
-    let base_imm =
-      match imm32 st x with
-      | Some c when Asm.fits_i32 (Int64.add c (Int64.of_int off)) ->
-          Some (Int64.add c (Int64.of_int off))
-      | _ -> None
-    in
-    let idx = use st y in
-    let rbase = if base_imm = None then use ~avoid:[ idx ] st x else -1 in
-    kill_dead_operand st x;
-    kill_dead_operand st y;
-    let d = def_copy ~avoid:[ rbase ] st i 0 idx in
-    (if scale land (scale - 1) = 0 then
-       let rec log2 n = if n = 1 then 0 else 1 + log2 (n lsr 1) in
-       emit st (Minst.Alu_ri (Minst.Shl, d, Int64.of_int (log2 scale)))
-     else emit st (Minst.Alu_ri (Minst.Mul, d, Int64.of_int scale)));
-    match base_imm with
-    | Some c -> if c <> 0L then emit st (Minst.Alu_ri (Minst.Add, d, c))
-    | None ->
-        emit st (Minst.Alu_rr (Minst.Add, d, rbase));
-        if off <> 0 then emit st (Minst.Alu_ri (Minst.Add, d, Int64.of_int off))
-  end;
+  (match gep_disp st i with
+  | Some disp ->
+      let idx = use st y in
+      kill_dead_operand st x;
+      kill_dead_operand st y;
+      let d = def_over st i 0 idx in
+      emit st (Minst.Lea { dst = d; base = -1; index = idx; scale; off = Int64.to_int disp })
+  | None when y < 0 ->
+      let base = use st x in
+      kill_dead_operand st x;
+      let d = def_over st i 0 base in
+      if d <> base || off <> 0 then
+        emit st (Minst.Lea { dst = d; base; index = -1; scale = 1; off })
+  | None when scale = 1 || scale = 2 || scale = 4 || scale = 8 ->
+      let base = use st x in
+      let idx = if y = x then base else use ~avoid:[ base ] st y in
+      kill_dead_operand st x;
+      kill_dead_operand st y;
+      let d = def_over st i 0 base in
+      emit st (Minst.Lea { dst = d; base; index = idx; scale; off })
+  | None -> (
+      let base_imm =
+        match imm32 st x with
+        | Some c when Asm.fits_i32 (Int64.add c (Int64.of_int off)) ->
+            Some (Int64.add c (Int64.of_int off))
+        | _ -> None
+      in
+      let idx = use st y in
+      let rbase = if base_imm = None then use ~avoid:[ idx ] st x else -1 in
+      kill_dead_operand st x;
+      kill_dead_operand st y;
+      let d = def_copy ~avoid:[ rbase ] st i 0 idx in
+      (if scale land (scale - 1) = 0 then
+         let rec log2 n = if n = 1 then 0 else 1 + log2 (n lsr 1) in
+         emit st (Minst.Alu_ri (Minst.Shl, d, Int64.of_int (log2 scale)))
+       else emit st (Minst.Alu_ri (Minst.Mul, d, Int64.of_int scale)));
+      match base_imm with
+      | Some c -> if c <> 0L then emit st (Minst.Alu_ri (Minst.Add, d, c))
+      | None ->
+          emit st (Minst.Alu_rr (Minst.Add, d, rbase));
+          if off <> 0 then emit st (Minst.Alu_ri (Minst.Add, d, Int64.of_int off))));
   finish_def st i
 
 and emit_i128_bin st i =

@@ -83,7 +83,7 @@ let pinned_cycles (target : Qcomp_vm.Target.t) =
       [
         ("interpreter", 22_445_835);
         ("stencil", 8_457_578);
-        ("directemit", 4_181_483);
+        ("directemit", 3_852_309);
         ("cranelift", 6_704_932);
         ("llvm-opt", 6_912_779);
         ("llvm-cheap", 11_036_028);

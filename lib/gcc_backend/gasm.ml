@@ -45,6 +45,7 @@ let print_function (target : Target.t) ~name (m : Mir.t) (b : Buffer.t) =
                   add "\tld%d%s %s, [%s%+d]\n" size (if sext then "s" else "u") (r dst) (r base) off
               | Minst.St { src; base; off; size } ->
                   add "\tst%d %s, [%s%+d]\n" size (r src) (r base) off
+              | Minst.Ldx _ -> failwith "gasm: indexed loads are DirectEmit's only"
               | Minst.Lea { dst; base; index; scale; off } ->
                   if index >= 0 then
                     add "\tlea %s, [%s+%s*%d%+d]\n" (r dst) (r base) (r index) scale off

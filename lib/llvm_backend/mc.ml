@@ -54,7 +54,7 @@ let mnemonic_of (i : Minst.t) =
   | Minst.Alu_rri (op, _, _, _) ->
       Minst.alu_name op
   | Minst.Cmp_rr _ | Minst.Cmp_ri _ -> "cmp"
-  | Minst.Ld _ -> "mov.load"
+  | Minst.Ld _ | Minst.Ldx _ -> "mov.load"
   | Minst.St _ -> "mov.store"
   | Minst.Lea _ -> "lea"
   | Minst.Ext _ -> "movx"

@@ -66,11 +66,7 @@ let functions target : (string * (Emu.t -> unit)) list =
         let row_size = iarg e 0 in
         Emu.charge e 150;
         iret e (Tuplebuf.create (Emu.memory e) ~row_size ~capacity_hint:64) );
-    ( "umbra_bufAppend",
-      fun e ->
-        let row, cost = Tuplebuf.append (Emu.memory e) (iarg e 0) in
-        Emu.charge e cost;
-        iret e row );
+    ("umbra_bufAppend", fun e -> iret e (Tuplebuf.append e (iarg e 0)));
     ( "umbra_bufCount",
       fun e ->
         let buf = iarg e 0 in
@@ -91,14 +87,11 @@ let functions target : (string * (Emu.t -> unit)) list =
         let n = Tuplebuf.count mem buf in
         if n > 1 then begin
           let idx = Array.init n (fun i -> i) in
-          let row i = Int64.of_int (Tuplebuf.row mem buf i) in
+          let data = Tuplebuf.data_ptr mem buf and rs = Tuplebuf.row_size mem buf in
           let cmp a b =
-            let r, _ =
-              Emu.call_generated e ~addr:cmp_addr ~args:[| row a; row b |]
-            in
+            let c = Emu.call_generated_int e ~addr:cmp_addr (data + (a * rs)) (data + (b * rs)) in
             (* stable: break comparator ties by input position, like
                std::stable_sort in Umbra's sort operator *)
-            let c = Int64.to_int r in
             if c <> 0 then c else compare a b
           in
           Array.sort cmp idx;

@@ -118,20 +118,41 @@ let like mem ~str ~pat =
 let hash_seed = 0xCBF29CE484222325L
 let golden = 0x9E3779B97F4A7C15L
 
+(* a word of VM memory, read in this module: {!Memory.load64} would box
+   it (dune's dev profile compiles with [-opaque]) *)
+let load64 (mem : Memory.t) addr =
+  Memory.check mem addr 8;
+  Bytes.get_int64_le mem.Memory.data addr
+
+(* one CRC-32C step over the 8 bytes of [w], as {!Qcomp_support.Hashes.crc32c} *)
+let crc_word crc w =
+  Qcomp_support.Hashes.crc32c_words crc
+    ~lo:(Int64.to_int w land 0xFFFF_FFFF)
+    ~hi:(Int64.to_int (Int64.shift_right_logical w 32))
+
 (** A short string hashes its two words, [long_mul_fold (crc32c (crc32c
     hash_seed w0) w1) golden], the function DirectEmit computes inline; a
-    long one hashes its contents. *)
+    long one hashes its contents byte by byte from [hash_seed] with
+    CRC-32C, xors in the length and folds the same way. The contents are
+    read a word at a time: CRC-32C over a little-endian word is its eight
+    byte steps. *)
 let hash mem addr =
-  let w0 = Memory.load64 mem addr in
+  let w0 = load64 mem addr in
   let n = Int64.to_int w0 land 0xFFFF_FFFF in
+  let seed = Int64.to_int hash_seed land 0xFFFF_FFFF in
   if n <= inline_max then
     Qcomp_support.Hashes.long_mul_fold
-      (Qcomp_support.Hashes.crc32c
-         (Qcomp_support.Hashes.crc32c hash_seed w0)
-         (Memory.load64 mem (addr + 8)))
+      (Int64.of_int (crc_word (crc_word seed w0) (load64 mem (addr + 8))))
       golden
   else begin
-    let h = ref hash_seed in
-    String.iter (fun c -> h := Qcomp_support.Hashes.crc32c_byte !h (Char.code c)) (read mem addr);
-    Qcomp_support.Hashes.long_mul_fold (Int64.logxor !h (Int64.of_int n)) golden
+    let body = Int64.to_int (load64 mem (addr + 8)) in
+    Memory.check mem body n;
+    let crc = ref seed and words = n / 8 in
+    for k = 0 to words - 1 do
+      crc := crc_word !crc (Bytes.get_int64_le mem.Memory.data (body + (8 * k)))
+    done;
+    for i = 8 * words to n - 1 do
+      crc := Qcomp_support.Hashes.crc32c_u8 !crc (byte mem (body + i))
+    done;
+    Qcomp_support.Hashes.long_mul_fold (Int64.of_int (!crc lxor n)) golden
   end

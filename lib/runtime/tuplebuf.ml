@@ -17,46 +17,54 @@ let create mem ~row_size ~capacity_hint =
   Memory.store64 mem (buf + 24) (Int64.of_int data);
   buf
 
-let count mem buf = Int64.to_int (Memory.load64 mem buf)
-let capacity mem buf = Int64.to_int (Memory.load64 mem (buf + 8))
-let row_size mem buf = Int64.to_int (Memory.load64 mem (buf + 16))
-let data_ptr mem buf = Int64.to_int (Memory.load64 mem (buf + 24))
+(* Header words are read and written in this module: dune's dev profile
+   compiles with [-opaque], so {!Memory.load64} and {!Memory.store64}
+   would box the [int64] they take or return. *)
+let[@inline] load_int (mem : Memory.t) addr =
+  Memory.check mem addr 8;
+  Int64.to_int (Bytes.get_int64_le mem.Memory.data addr)
+
+let[@inline] store_int (mem : Memory.t) addr v =
+  Memory.check mem addr 8;
+  Bytes.set_int64_le mem.Memory.data addr (Int64.of_int v)
+
+let count mem buf = load_int mem buf
+let capacity mem buf = load_int mem (buf + 8)
+let row_size mem buf = load_int mem (buf + 16)
+let data_ptr mem buf = load_int mem (buf + 24)
 
 let row mem buf i = data_ptr mem buf + (i * row_size mem buf)
 
-(** Append a row; returns (row address, cycle cost). *)
-let append mem buf =
-  let cnt = count mem buf in
-  let cap = capacity mem buf in
-  let rs = row_size mem buf in
-  let grow_cost =
-    if cnt = cap then begin
-      let data = data_ptr mem buf in
-      let cap' = 2 * cap in
-      let data' = Memory.alloc mem ~align:16 (cap' * rs) in
-      Memory.blit mem ~src:data ~dst:data' ~len:(cap * rs);
-      Memory.store64 mem (buf + 8) (Int64.of_int cap');
-      Memory.store64 mem (buf + 24) (Int64.of_int data');
-      cnt / 4
-    end
-    else 0
-  in
-  Memory.store64 mem buf (Int64.of_int (cnt + 1));
-  (data_ptr mem buf + (cnt * rs), 6 + grow_cost)
+(** Append a row to [buf] in [e]'s memory, charging [e] 6 cycles plus a
+    quarter of a cycle per row moved when the buffer grows; returns the
+    row's address. *)
+let append e buf =
+  let mem = Emu.memory e in
+  let cnt = count mem buf and cap = capacity mem buf and rs = row_size mem buf in
+  if cnt = cap then begin
+    let cap' = 2 * cap in
+    let data' = Memory.alloc mem ~align:16 (cap' * rs) in
+    Memory.blit mem ~src:(data_ptr mem buf) ~dst:data' ~len:(cap * rs);
+    store_int mem (buf + 8) cap';
+    store_int mem (buf + 24) data';
+    Emu.charge e (cnt / 4)
+  end;
+  store_int mem buf (cnt + 1);
+  Emu.charge e 6;
+  data_ptr mem buf + (cnt * rs)
 
-(** Append all of [src]'s rows to [dst] (one bulk blit per growth window;
-    both buffers must share a row size). Returns cycle cost. *)
-let concat_into mem ~dst ~src =
+(** Append all of [src]'s rows to [dst] (both buffers must share a row
+    size), charging [e] for each append and 1 cycle per 32 bytes copied. *)
+let concat_into e ~dst ~src =
+  let mem = Emu.memory e in
   let n = count mem src in
   let rs = row_size mem dst in
   if row_size mem src <> rs then invalid_arg "Tuplebuf.concat_into";
-  let cost = ref 0 in
   for i = 0 to n - 1 do
-    let r, c = append mem dst in
+    let r = append e dst in
     Memory.blit mem ~src:(row mem src i) ~dst:r ~len:rs;
-    cost := !cost + c + (rs / 32)
-  done;
-  !cost
+    Emu.charge e (rs / 32)
+  done
 
 (** Swap-free permutation application for sorting: rebuilds the data array
     in [perm] order. Returns cycle cost. *)

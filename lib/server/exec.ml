@@ -249,7 +249,7 @@ let merge_lanes t (s : Codegen.step) =
               let src =
                 Int64.to_int (Memory.load64 mem (l.l_state + buf_slot))
               in
-              Emu.charge emu (Tuplebuf.concat_into mem ~dst ~src))
+              Tuplebuf.concat_into emu ~dst ~src)
             t.lanes)
     s.Codegen.sinks;
   free_lanes t

@@ -9,9 +9,8 @@ let table =
       done;
       !c)
 
-let crc32c_byte acc byte =
-  let crc = Int64.to_int acc land 0xFFFF_FFFF in
-  Int64.of_int ((crc lsr 8) lxor table.((crc lxor byte) land 0xFF))
+let crc32c_u8 crc byte = (crc lsr 8) lxor table.((crc lxor byte) land 0xFF)
+let crc32c_byte acc byte = Int64.of_int (crc32c_u8 (Int64.to_int acc land 0xFFFF_FFFF) byte)
 
 let crc32c_words crc ~lo ~hi =
   let step crc word =

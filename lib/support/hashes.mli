@@ -20,6 +20,10 @@ val crc32c_words : int -> lo:int -> hi:int -> int
 (** CRC-32C over a byte at a time (used for string hashing). *)
 val crc32c_byte : int64 -> int -> int64
 
+(** {!crc32c_byte} with the 32-bit accumulator and the result as [int]s,
+    unboxed across compilation units as {!crc32c_words} is. *)
+val crc32c_u8 : int -> int -> int
+
 (** [long_mul_fold x k] multiplies [x] by [k] to a 128-bit result and XORs
     the two halves. *)
 val long_mul_fold : int64 -> int64 -> int64

@@ -190,6 +190,7 @@ let xop_mulw_s = 0x09
 let xop_div_u = 0x0A
 let xop_div_s = 0x0B
 let xop_crc32 = 0x0C
+let xop_lea_nobase = 0x0D (* [index*scale + disp] *)
 let xop_alu_rr = 0x10 (* +alu *)
 let xop_alu_ri8 = 0x20 (* +alu *)
 let xop_alu_ri32 = 0x30 (* +alu *)
@@ -208,6 +209,8 @@ let xop_falu = 0xA0 (* +falu *)
 let xop_fcmp = 0xA4
 let xop_cvt_si2f = 0xA5
 let xop_cvt_f2si = 0xA6
+let xop_ldx = 0xB0 (* +log2sz, +4 when sign-extending *)
+let xop_ldx_nobase = 0xB8 (* +log2sz, +4 when sign-extending *)
 let xop_brk = 0xFE
 
 (* ------------------------------------------------------------------ *)
@@ -325,6 +328,27 @@ let rec encode_x64 t (i : Minst.t) =
   | St { src; base; off; size } ->
       u8 t (xop_st + log2_size size);
       u8 t (regpair src base);
+      u32 t off
+  | Ldx { dst; base; index; scale; off; size; sext } ->
+      if index < 0 then enc_fail "indexed load without an index";
+      let sz = log2_size size + if sext then 4 else 0 in
+      if base >= 0 then begin
+        u8 t (xop_ldx + sz);
+        u8 t (regpair dst base)
+      end
+      else begin
+        u8 t (xop_ldx_nobase + sz);
+        u8 t dst
+      end;
+      u8 t index;
+      u8 t (log2_size scale);
+      u32 t off
+  | Lea { dst; base; index; scale; off } when base < 0 ->
+      if index < 0 then enc_fail "lea without a base or an index";
+      u8 t xop_lea_nobase;
+      u8 t dst;
+      u8 t index;
+      u8 t (log2_size scale);
       u32 t off
   | Lea { dst; base; index; scale; off } ->
       u8 t xop_lea;
@@ -486,6 +510,8 @@ let rec encode_a64 t (i : Minst.t) =
         encode_a64 t (Alu_rrr (Add, scratch, scratch, base));
         encode_a64 t (St { src; base = scratch; off = 0; size })
       end
+  | Ldx _ -> enc_fail "indexed loads are X64-only"
+  | Lea { base; _ } when base < 0 -> enc_fail "lea without a base is X64-only"
   | Lea { dst; base; index; scale; off } ->
       if index >= 0 then begin
         word t aop_lea dst base (index lor (log2_size scale lsl 5));

@@ -107,12 +107,17 @@ let no_mod =
 
 let num_regs = 33
 
+(* A cell past the addressable registers that always reads zero: the base
+   of an address that has none. No encoded register field can name it (the
+   loader rejects registers from [num_regs] on), so nothing writes it. *)
+let zero_reg = num_regs
+
 let create ?(mem_size = 256 * 1024 * 1024) target =
   let mem = Memory.create mem_size in
   {
     target;
     mem;
-    regs = Bytes.make (8 * num_regs) '\000';
+    regs = Bytes.make (8 * (num_regs + 1)) '\000';
     zf = false;
     sf = false;
     cf = false;
@@ -163,7 +168,7 @@ let context t =
   {
     target = t.target;
     mem = t.mem;
-    regs = Bytes.make (8 * num_regs) '\000';
+    regs = Bytes.make (8 * (num_regs + 1)) '\000';
     zf = false;
     sf = false;
     cf = false;
@@ -280,7 +285,8 @@ let remove_runtime t (addr : int64) =
    byte  1      cost    simulated cycles
    bytes 2-5    r0-r3   register fields, validated below {!num_regs} at
                         load; a condition ({!Minst.cond}) sits in r3, a
-                        shift count in r1 (Movz/Movk) or r3 (Lea_x)
+                        shift count in r1 (Movz/Movk) or r3 (Lea_x, Ldx);
+                        an absent base of Lea_x or Ldx is {!zero_reg}
    byte  6      aux     the raw operand byte [decode_all] lifts back:
                         Ext's width/sign mode, Lea's absent index
    bytes 8-15   imm     int64: immediate, displacement, jmp_mem slot or
@@ -295,6 +301,7 @@ let remove_runtime t (addr : int64) =
      <alu>_r d a b | <alu>_i d a imm (x64's two-address forms have a = d)
      Cmp_r a b | Cmp_i a imm | Ld* d base disp | St* src base disp
      Lea_x d base index shift disp | Lea d base disp
+     Ldx d base index shift disp (Ldx1 .. Ldx8s)
      Ext* d s | Mulw*/Div* s | Mulh*/Udiv/Sdiv/Msub/Crc/F<op> d a b
      Setcc d cond | Csel d a b cond | Jcc cond | Fcmp a b | Cvt* d s
      Jmp_ind/Call_ind r | Jmp_mem slot | Brk code *)
@@ -346,6 +353,14 @@ type op =
   | St8
   | Lea_x  (** with an index register *)
   | Lea
+  | Ldx1  (** loads from [base + index << shift + disp] *)
+  | Ldx1s
+  | Ldx2
+  | Ldx2s
+  | Ldx4
+  | Ldx4s
+  | Ldx8
+  | Ldx8s
   | Ext1
   | Ext1s
   | Ext8
@@ -404,6 +419,8 @@ let cost_of = function
       1
   | Cmp_r | Cmp_i -> 1
   | Ld1 | Ld1s | Ld2 | Ld2s | Ld4 | Ld4s | Ld8 | Ld8s | St1 | St2 | St4 | St8 -> 2
+  (* the address unit computes base + index * scale + disp inside the load *)
+  | Ldx1 | Ldx1s | Ldx2 | Ldx2s | Ldx4 | Ldx4s | Ldx8 | Ldx8s -> 2
   | Lea_x | Lea -> 1
   | Ext1 | Ext1s | Ext8 | Ext8s | Ext16 | Ext16s | Ext32 | Ext32s | Ext_bad -> 1
   | Mulw | Mulw_s | Mulh | Mulh_s -> 4
@@ -514,6 +531,9 @@ let[@inline] put_branch ld at op ~cond target =
   put ld at op 0 0 0 cond ~aux:0 0L;
   Bytes.set_int32_ne ld.ld_table (((ld.ld_n - 1) lsl 4) + 12) (Int32.of_int target)
 
+(* The instruction just put has no base register: it reads {!zero_reg}. *)
+let[@inline] put_no_base ld = Bytes.set ld.ld_table (((ld.ld_n - 1) lsl 4) + 3) (Char.chr zero_reg)
+
 (* The return address of the call just put, as a byte offset. *)
 let[@inline] put_ret ld ret =
   Bytes.set_int32_ne ld.ld_table (((ld.ld_n - 1) lsl 4) + 4) (Int32.of_int ret)
@@ -550,6 +570,9 @@ let loads base =
 
 let stores base = List.mapi (fun k op -> (base + k, op)) [ St1; St2; St4; St8 ]
 
+let indexed_loads base =
+  List.mapi (fun k op -> (base + k, op)) [ Ldx1; Ldx2; Ldx4; Ldx8; Ldx1s; Ldx2s; Ldx4s; Ldx8s ]
+
 let x64_ops =
   opcode_map
     (Asm.
@@ -560,7 +583,9 @@ let x64_ops =
          (xop_crc32, Crc); (xop_jmp, Jmp); (xop_jmp_ind, Jmp_ind); (xop_jmp_mem, Jmp_mem);
          (xop_call_rel, Call); (xop_call_ind, Call_ind); (xop_ret, Ret); (xop_fcmp, Fcmp);
          (xop_cvt_si2f, Cvt_si2f); (xop_cvt_f2si, Cvt_f2si); (xop_brk, Brk);
+         (xop_lea_nobase, Lea_x);
        ]
+    @ indexed_loads Asm.xop_ldx @ indexed_loads Asm.xop_ldx_nobase
     @ alus Asm.xop_alu_rr alu_r @ alus Asm.xop_alu_ri8 alu_i @ alus Asm.xop_alu_ri32 alu_i
     @ loads Asm.xop_ld @ stores Asm.xop_st @ conds Asm.xop_setcc Setcc
     @ conds Asm.xop_csel Csel @ conds Asm.xop_jcc Jcc @ falus Asm.xop_falu)
@@ -638,6 +663,14 @@ let load_x64 ld =
           need ld at 6;
           put ld at op (hi b at) (lo b at) 0 0 ~aux:0 (Int64.of_int (i32 b (at + 2)));
           6
+      | Lea_x when code = Asm.xop_lea_nobase ->
+          need ld at 8;
+          let sc = u8 b (at + 3) in
+          if sc > 3 then malformed "x64: bad lea scale %d at %d" sc at;
+          put ld at Lea_x (u8 b (at + 1)) 0 (u8 b (at + 2)) sc ~aux:0
+            (Int64.of_int (i32 b (at + 4)));
+          put_no_base ld;
+          8
       | Lea_x ->
           need ld at 8;
           let idx = i8 b (at + 2) and sc = u8 b (at + 3) in
@@ -647,6 +680,16 @@ let load_x64 ld =
             if sc > 3 then malformed "x64: bad lea scale %d at %d" sc at;
             put ld at Lea_x (hi b at) (lo b at) idx sc ~aux:0 off
           end;
+          8
+      | Ldx1 | Ldx1s | Ldx2 | Ldx2s | Ldx4 | Ldx4s | Ldx8 | Ldx8s ->
+          need ld at 8;
+          let sc = u8 b (at + 3) and off = Int64.of_int (i32 b (at + 4)) in
+          if sc > 3 then malformed "x64: bad load scale %d at %d" sc at;
+          if code >= Asm.xop_ldx_nobase then begin
+            put ld at op (u8 b (at + 1)) 0 (u8 b (at + 2)) sc ~aux:0 off;
+            put_no_base ld
+          end
+          else put ld at op (hi b at) (lo b at) (u8 b (at + 2)) sc ~aux:0 off;
           8
       | Ext1 | Ext1s | Ext8 | Ext8s | Ext16 | Ext16s | Ext32 | Ext32s | Ext_bad ->
           need ld at 3;
@@ -748,8 +791,8 @@ let load_a64 ld =
         put_ret ld (at + 4)
     | Brk -> put ld at op 0 0 0 0 ~aux:0 (Int64.of_int b1)
     (* [End] and the records no a64 opcode maps to *)
-    | End | Mov_i | Lea | Mulw | Mulw_s | Div | Div_s | Jmp_mem | Jmp_far | Jcc_far
-    | Call_far ->
+    | End | Mov_i | Lea | Ldx1 | Ldx1s | Ldx2 | Ldx2s | Ldx4 | Ldx4s | Ldx8 | Ldx8s | Mulw
+    | Mulw_s | Div | Div_s | Jmp_mem | Jmp_far | Jcc_far | Call_far ->
         bad_opcode ld code at);
     pos := at + 4
   done
@@ -816,6 +859,10 @@ let lift (arch : Target.arch) tb k : Minst.t =
     Ld { dst = r 0; base = r 1; off = Int64.to_int imm; size; sext }
   in
   let st size : Minst.t = St { src = r 0; base = r 1; off = Int64.to_int imm; size } in
+  let base () = if r 1 = zero_reg then -1 else r 1 in
+  let ldx size sext : Minst.t =
+    Ldx { dst = r 0; base = base (); index = r 2; scale = 1 lsl r 3; off = Int64.to_int imm; size; sext }
+  in
   match op with
   | End -> invalid_arg "Emu.lift: end of table"
   | Nop -> Nop
@@ -849,8 +896,16 @@ let lift (arch : Target.arch) tb k : Minst.t =
   | St2 -> st 2
   | St4 -> st 4
   | St8 -> st 8
+  | Ldx1 -> ldx 1 false
+  | Ldx1s -> ldx 1 true
+  | Ldx2 -> ldx 2 false
+  | Ldx2s -> ldx 2 true
+  | Ldx4 -> ldx 4 false
+  | Ldx4s -> ldx 4 true
+  | Ldx8 -> ldx 8 false
+  | Ldx8s -> ldx 8 true
   | Lea_x ->
-      Lea { dst = r 0; base = r 1; index = r 2; scale = 1 lsl r 3; off = Int64.to_int imm }
+      Lea { dst = r 0; base = base (); index = r 2; scale = 1 lsl r 3; off = Int64.to_int imm }
   | Lea ->
       (* the absent index as encoded: a negative byte *)
       Lea { dst = r 0; base = r 1; index = aux - 256; scale = 1; off = Int64.to_int imm }
@@ -1499,6 +1554,49 @@ let op_body (mem : Memory.t) tb k ~live ~(next : t -> unit) ~uc ~un : t -> unit 
   | Lea_x ->
       let sh = r3 tb p in
       fun t -> wr t o0 (Int64.add (Int64.add (rd t o1) i) (Int64.shift_left (rd t o2) sh)); next t
+  | Ldx1 | Ldx1s | Ldx2 | Ldx2s | Ldx4 | Ldx4s | Ldx8 | Ldx8s -> (
+      let sh = r3 tb p in
+      (* [base + index << sh + disp]; an absent base reads {!zero_reg} *)
+      let[@inline] addr t = Int64.to_int (rd t o1) + (Int64.to_int (rd t o2) lsl sh) + off in
+      match op with
+      | Ldx1 ->
+          fun t ->
+            let a = addr t in
+            if outside msize a 1 then fault t uc un 1 a
+            else (wr t o0 (Int64.of_int (Bytes.get_uint8 data a)); next t)
+      | Ldx1s ->
+          fun t ->
+            let a = addr t in
+            if outside msize a 1 then fault t uc un 1 a
+            else (wr t o0 (Int64.of_int (Bytes.get_int8 data a)); next t)
+      | Ldx2 ->
+          fun t ->
+            let a = addr t in
+            if outside msize a 2 then fault t uc un 2 a
+            else (wr t o0 (Int64.of_int (Bytes.get_uint16_le data a)); next t)
+      | Ldx2s ->
+          fun t ->
+            let a = addr t in
+            if outside msize a 2 then fault t uc un 2 a
+            else (wr t o0 (Int64.of_int (Bytes.get_int16_le data a)); next t)
+      | Ldx4 ->
+          fun t ->
+            let a = addr t in
+            if outside msize a 4 then fault t uc un 4 a
+            else begin
+              wr t o0 (Int64.logand (Int64.of_int32 (Bytes.get_int32_le data a)) 0xFFFFFFFFL);
+              next t
+            end
+      | Ldx4s ->
+          fun t ->
+            let a = addr t in
+            if outside msize a 4 then fault t uc un 4 a
+            else (wr t o0 (Int64.of_int32 (Bytes.get_int32_le data a)); next t)
+      | _ ->
+          fun t ->
+            let a = addr t in
+            if outside msize a 8 then fault t uc un 8 a
+            else (wr t o0 (Bytes.get_int64_le data a); next t))
   | Lea -> fun t -> wr t o0 (Int64.add (rd t o1) i); next t
   | Ext1 -> fun t -> wr t o0 (Int64.logand (rd t o1) 1L); next t
   | Ext1s -> fun t -> wr t o0 (Int64.shift_right (Int64.shift_left (rd t o1) 63) 63); next t
@@ -1630,6 +1728,19 @@ let pair_body (mem : Memory.t) tb k ~live ~(next : t -> unit) ~uc ~un : (t -> un
       Some
         (fun t ->
           let a = Int64.to_int (rd t s1) + off1 in
+          if outside msize a 8 then fault t uc un 8 a
+          else begin
+            wr t d1 (Bytes.get_int64_le data a);
+            wr t d2 (rd t s2);
+            next t
+          end)
+  (* a decimal column read: the row's word, then the copy its sign
+     extension to 128 bits starts from *)
+  | (Ldx8 | Ldx8s), Mov_r ->
+      let x1 = r2 tb p lsl 3 and sh1 = r3 tb p in
+      Some
+        (fun t ->
+          let a = Int64.to_int (rd t s1) + (Int64.to_int (rd t x1) lsl sh1) + off1 in
           if outside msize a 8 then fault t uc un 8 a
           else begin
             wr t d1 (Bytes.get_int64_le data a);
@@ -1911,9 +2022,29 @@ let call t ~addr ~args =
 
 let arg_reg t k = t.target.Target.arg_regs.(k)
 
-(* the public accessors, out of line: host callers see plain functions *)
-let reg t r = reg t r
-let set_reg t r v = set_reg t r v
+(** {!call_generated} of a function that takes two [int]s and returns an
+    [int] in the first return register, with {!arg_int}'s and
+    {!set_ret_int}'s conventions: nothing is boxed on the way in or out,
+    where [call_generated] takes an [int64] array and returns a pair. A
+    runtime function that calls back into generated code once per
+    element ([umbra_sort]'s comparator) uses it. *)
+let call_generated_int t ~addr a b =
+  let tgt = t.target in
+  set64u t.regs (tgt.Target.arg_regs.(0) lsl 3) (Int64.of_int a);
+  set64u t.regs (tgt.Target.arg_regs.(1) lsl 3) (Int64.of_int b);
+  if is_runtime_addr addr then dispatch_runtime t addr
+  else begin
+    push_ret t (Int64.of_int sentinel);
+    run_at t addr
+  end;
+  Int64.to_int (get64u t.regs (tgt.Target.ret_regs.(0) lsl 3))
+
+(* the public accessors, out of line: host callers see plain functions.
+   They refuse {!zero_reg}, which the register file holds past the
+   addressable registers. *)
+let addressable r = if r >= num_regs then invalid_arg "Emu: register out of range"
+let reg t r = addressable r; reg t r
+let set_reg t r v = addressable r; set_reg t r v
 
 (* Argument [k] and the first return register as [int]s, for runtime
    functions: an [int] crosses into another compilation unit unboxed,

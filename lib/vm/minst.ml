@@ -52,8 +52,12 @@ type t =
   | Cmp_ri of int * int64
   | Ld of { dst : int; base : int; off : int; size : int; sext : bool }
   | St of { src : int; base : int; off : int; size : int }
+  | Ldx of { dst : int; base : int; index : int; scale : int; off : int; size : int; sext : bool }
+      (** X64 only: load from [base + index * scale + off]; [base = -1]
+          when absent; scale in 1/2/4/8, [off] a disp32 *)
   | Lea of { dst : int; base : int; index : int; scale : int; off : int }
-      (** [index = -1] when absent; scale in 1/2/4/8 *)
+      (** [index = -1] when absent; scale in 1/2/4/8. X64 also has
+          [base = -1] with an index: [index * scale + off] *)
   | Ext of { dst : int; src : int; bits : int; signed : bool }
       (** movzx/movsx / uxt*/sxt*: extend low [bits] of [src] *)
   | Mul_wide of { signed : bool; src : int }
@@ -126,6 +130,13 @@ let alu_name = function
   | Sar -> "sar"
   | Ror -> "ror"
 
+(* [base + index*scale + off], either register absent when -1 *)
+let pp_addr r fmt (base, index, scale, off) =
+  match (base >= 0, index >= 0) with
+  | true, true -> Format.fprintf fmt "%s + %s*%d + %d" (r base) (r index) scale off
+  | true, false -> Format.fprintf fmt "%s + %d" (r base) off
+  | false, _ -> Format.fprintf fmt "%s*%d + %d" (r index) scale off
+
 let pp target fmt (i : t) =
   let r = Target.reg_name target in
   match i with
@@ -147,11 +158,11 @@ let pp target fmt (i : t) =
         (r dst) (r base) off
   | St { src; base; off; size } ->
       Format.fprintf fmt "st%d %s, [%s + %d]" size (r src) (r base) off
+  | Ldx { dst; base; index; scale; off; size; sext } ->
+      Format.fprintf fmt "ld%d%s %s, [%a]" size (if sext then "s" else "") (r dst)
+        (pp_addr r) (base, index, scale, off)
   | Lea { dst; base; index; scale; off } ->
-      if index >= 0 then
-        Format.fprintf fmt "lea %s, [%s + %s*%d + %d]" (r dst) (r base)
-          (r index) scale off
-      else Format.fprintf fmt "lea %s, [%s + %d]" (r dst) (r base) off
+      Format.fprintf fmt "lea %s, [%a]" (r dst) (pp_addr r) (base, index, scale, off)
   | Ext { dst; src; bits; signed } ->
       Format.fprintf fmt "%s%d %s, %s" (if signed then "sext" else "zext") bits
         (r dst) (r src)
@@ -214,8 +225,8 @@ let defs_uses (i : t) : int list * int list =
   | Cmp_ri (a, _) -> ([], [ a ])
   | Ld { dst; base; _ } -> ([ dst ], [ base ])
   | St { src; base; _ } -> ([], [ src; base ])
-  | Lea { dst; base; index; _ } ->
-      ([ dst ], base :: (if index >= 0 then [ index ] else []))
+  | Ldx { dst; base; index; _ } | Lea { dst; base; index; _ } ->
+      ([ dst ], List.filter (fun r -> r >= 0) [ base; index ])
   | Ext { dst; src; _ } -> ([ dst ], [ src ])
   | Mul_wide { src; _ } -> ([ 0; 2 ], [ 0; src ])
   | Mul_hi { dst; a; b; _ } -> ([ dst ], [ a; b ])
@@ -231,6 +242,9 @@ let defs_uses (i : t) : int list * int list =
   | Falu_rrr (_, d, a, b) -> ([ d ], [ a; b ])
   | Fcmp_rr (a, b) -> ([], [ a; b ])
   | Cvt_si2f (d, s) | Cvt_f2si (d, s) -> ([ d ], [ s ])
+
+(* an optional register field: -1 stays absent *)
+let opt m r = if r >= 0 then m r else -1
 
 (** Rewrite all register fields through [m]. *)
 let map_regs m (i : t) : t =
@@ -252,9 +266,8 @@ let map_regs m (i : t) : t =
   | Cmp_ri (a, v) -> Cmp_ri (m a, v)
   | Ld r -> Ld { r with dst = m r.dst; base = m r.base }
   | St r -> St { r with src = m r.src; base = m r.base }
-  | Lea r ->
-      Lea
-        { r with dst = m r.dst; base = m r.base; index = (if r.index >= 0 then m r.index else -1) }
+  | Ldx r -> Ldx { r with dst = m r.dst; base = opt m r.base; index = m r.index }
+  | Lea r -> Lea { r with dst = m r.dst; base = opt m r.base; index = opt m r.index }
   | Ext r -> Ext { r with dst = m r.dst; src = m r.src }
   | Mul_wide r -> Mul_wide { r with src = m r.src }
   | Mul_hi r -> Mul_hi { r with dst = m r.dst; a = m r.a; b = m r.b }

@@ -35,6 +35,8 @@ let gen_cond =
 
 let gen_imm32 = QCheck2.Gen.(map Int64.of_int (int_range (-0x4000_0000) 0x3FFF_FFFF))
 
+let gen_disp32 = QCheck2.Gen.int_range (-0x8000_0000) 0x7FFF_FFFF
+
 (* x64: two-address forms, 16 registers *)
 let gen_x64_inst =
   let open QCheck2.Gen in
@@ -60,6 +62,16 @@ let gen_x64_inst =
         (fun dst base (index, scale, off) -> Minst.Lea { dst; base; index; scale; off })
         r r
         (triple (int_bound 15) (oneofl [ 1; 2; 4; 8 ]) (int_range (-1024) 1024));
+      map3
+        (fun dst base (index, scale, off) -> Minst.Lea { dst; base; index; scale; off })
+        r (return (-1))
+        (triple r (oneofl [ 1; 2; 4; 8 ]) gen_disp32);
+      map3
+        (fun (dst, base) (index, scale, off) (size, sext) ->
+          Minst.Ldx { dst; base; index; scale; off; size; sext })
+        (pair r (oneof [ r; return (-1) ]))
+        (triple r (oneofl [ 1; 2; 4; 8 ]) gen_disp32)
+        (pair (oneofl [ 1; 2; 4; 8 ]) bool);
       map3
         (fun dst src (bits, signed) -> Minst.Ext { dst; src; bits; signed })
         r r
@@ -186,6 +198,47 @@ let unit_cases =
         match insts.(0) with
         | Minst.Alu_ri (Minst.Sub, 4, v) -> check Alcotest.int64 "imm" 4096L v
         | _ -> Alcotest.fail "decode");
+    Alcotest.test_case "x64 indexed loads and base-less lea round trip through registration"
+      `Quick (fun () ->
+        let forms =
+          List.concat_map
+            (fun scale ->
+              List.concat_map
+                (fun off ->
+                  Minst.Lea { dst = 3; base = -1; index = 9; scale; off }
+                  :: List.concat_map
+                       (fun base ->
+                         List.concat_map
+                           (fun size ->
+                             List.map
+                               (fun sext ->
+                                 Minst.Ldx { dst = 15; base; index = 6; scale; off; size; sext })
+                               [ false; true ])
+                           [ 1; 2; 4; 8 ])
+                       [ -1; 12 ])
+                [ 0; 60096; -8; -0x8000_0000; 0x7FFF_FFFF ])
+            [ 1; 2; 4; 8 ]
+        in
+        let a = Asm.create Target.x64 in
+        List.iter (Asm.emit a) forms;
+        let blob = Asm.finish a in
+        (* every form is 8 bytes, as x86-64's SIB-addressed mov and lea
+           with a disp32 *)
+        check Alcotest.int "bytes" (8 * List.length forms) (Bytes.length blob);
+        let emu = Emu.create ~mem_size:(1 lsl 20) Target.x64 in
+        ignore (Emu.register_code emu blob);
+        check Alcotest.bool "decode_all gives the forms back" true
+          (Array.to_list (fst (Emu.decode_all Target.x64 blob)) = forms);
+        List.iter
+          (fun i ->
+            let a = Asm.create Target.a64 in
+            match Asm.emit a i with
+            | exception Asm.Encode_error _ -> ()
+            | () ->
+                Alcotest.failf "a64 encoded %s" (Format.asprintf "%a" (Minst.pp Target.x64) i))
+          [ Minst.Ldx { dst = 1; base = 2; index = 3; scale = 8; off = 0; size = 8; sext = false };
+            Minst.Ldx { dst = 1; base = -1; index = 3; scale = 4; off = 16; size = 4; sext = true };
+            Minst.Lea { dst = 1; base = -1; index = 3; scale = 8; off = 64 } ]);
     Alcotest.test_case "decode error on garbage" `Quick (fun () ->
         let b = Bytes.make 1 '\xFF' in
         match Emu.decode_all Target.x64 b with

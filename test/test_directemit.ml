@@ -671,6 +671,52 @@ let comparator_test =
       Engine.dispose_module db cm;
       Alcotest.(check (list int64)) "results = interpreter" expect got)
 
+(* Column reads as codegen writes them, [load (gep col ~index:row ~scale)]
+   with the column's address a constant: an i64, an i32 and an i128 read
+   each fold the address into the load ([index * scale + disp], no base
+   register), and an address read twice is computed once by a base-less
+   lea. No column address is materialised. *)
+let column_access_test =
+  Alcotest.test_case "addresses: a column read is one indexed load, a shared one a base-less lea"
+    `Quick (fun () ->
+      let db = Engine.create_db ~mem_size:(1 lsl 22) x64 in
+      let mem = Qcomp_vm.Emu.memory db.Engine.emu in
+      let col = Memory.unscoped (fun () -> Memory.alloc mem ~align:16 512) in
+      for k = 0 to 63 do
+        Memory.store64 mem (col + (8 * k)) (Int64.of_int ((k * k * 7919) - 100_000))
+      done;
+      let mk () =
+        let m, b = new_fn () in
+        let row = Builder.arg b 0 and row2 = Builder.arg b 1 in
+        let base = Builder.const_ptr b (Int64.of_int col) in
+        let at ~scale ~index off = Builder.gep b base ~index ~scale off in
+        let v = Builder.load b i64 (at ~scale:8 ~index:row 0) ~offset:0 in
+        let w = Builder.load b Ty.I32 (at ~scale:4 ~index:row2 16) ~offset:4 in
+        let d = Builder.load b Ty.I128 (at ~scale:8 ~index:row2 0) ~offset:8 in
+        let p = at ~scale:8 ~index:row 8 in
+        let x = Builder.load b i64 p ~offset:0 and y = Builder.load b i64 p ~offset:8 in
+        let sum =
+          List.fold_left (Builder.add b i64) v
+            [ Builder.sext b i64 w; Builder.trunc b i64 d; hi_word b d; x; Builder.mul b i64 y (Builder.const_i64 b 3L) ]
+        in
+        Builder.ret b sum;
+        m
+      in
+      let args = List.init 12 (fun k -> [| Int64.of_int (k * 5 mod 40); Int64.of_int (k * 3) |]) in
+      let expect, _, _ = run_case db Engine.interpreter mk args in
+      let got, _, _ = run_case db Engine.directemit mk args in
+      Alcotest.(check (list int64)) "results = interpreter" expect got;
+      let code = decoded db (mk ()) in
+      let count p = Array.fold_left (fun n i -> if p i then n + 1 else n) 0 code in
+      Alcotest.(check int) "base-less indexed loads: i64, i32 and both i128 lanes" 4
+        (count (function Qcomp_vm.Minst.Ldx { base = -1; _ } -> true | _ -> false));
+      Alcotest.(check int) "base-less lea of the shared address" 1
+        (count (function Qcomp_vm.Minst.Lea { base = -1; _ } -> true | _ -> false));
+      Alcotest.(check int) "column addresses materialised" 0
+        (count (function
+          | Qcomp_vm.Minst.Mov_ri (_, k) -> Int64.sub k (Int64.of_int col) < 64L && k >= Int64.of_int col
+          | _ -> false)))
+
 (* the layout case really lays out all three shapes *)
 let layout_shape_test =
   Alcotest.test_case "layout: then-next, else-next and neither-next occur" `Quick (fun () ->
@@ -978,18 +1024,23 @@ let snapshot_version_test =
           let key_off = 20 + Int32.to_int (Bytes.get_int32_le b 8) in
           Alcotest.(check int64) "the key folds in the code version" (key version)
             (Bytes.get_int64_le b key_off);
-          Bytes.set_int64_le b key_off (key (version + 1));
-          let crc = ref 0xC5_C5_C5L in
-          for i = key_off to Bytes.length b - 9 do
-            crc := Qcomp_support.Hashes.crc32c_byte !crc (Char.code (Bytes.get b i))
-          done;
-          Bytes.set_int64_le b (Bytes.length b - 8) !crc;
-          let oc = open_out_bin file in
-          output_bytes oc b;
-          close_out oc;
-          match Code_cache.load ~capacity:4 ~db:(make_db ()) file with
-          | _ -> Alcotest.fail "a record keyed under another code version was accepted"
-          | exception Invalid_argument _ -> ()))
+          (* the version before this one (3 had no indexed loads) and a
+             later one *)
+          List.iter
+            (fun other ->
+              Bytes.set_int64_le b key_off (key other);
+              let crc = ref 0xC5_C5_C5L in
+              for i = key_off to Bytes.length b - 9 do
+                crc := Qcomp_support.Hashes.crc32c_byte !crc (Char.code (Bytes.get b i))
+              done;
+              Bytes.set_int64_le b (Bytes.length b - 8) !crc;
+              let oc = open_out_bin file in
+              output_bytes oc b;
+              close_out oc;
+              match Code_cache.load ~capacity:4 ~db:(make_db ()) file with
+              | _ -> Alcotest.failf "a record keyed under code version %d was accepted" other
+              | exception Invalid_argument _ -> ())
+            [ version - 1; version + 1 ]))
 
 let suite =
   rule_tests
@@ -1002,6 +1053,7 @@ let suite =
       padding_test Experiments.Tpcds "TPC-DS-like";
       param_padding_test;
       snapshot_version_test;
+      column_access_test;
       layout_shape_test;
       oracle_test Experiments.Tpch "TPC-H";
       oracle_test Experiments.Tpcds "TPC-DS-like" ]

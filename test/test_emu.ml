@@ -788,6 +788,15 @@ let suite =
           Asm.finish a
         in
         let truncated b = Bytes.sub b 0 (Bytes.length b - 1) in
+        let ldx ?(dst = 0) ?(base = -1) ?(index = 2) () =
+          Minst.Ldx { dst; base; index; scale = 8; off = -8; size = 8; sext = false }
+        in
+        (* the scale code is the fourth byte of every indexed form *)
+        let bad_scale i code =
+          let b = blob Target.x64 [ Minst.Nop; i ] in
+          Bytes.set b 4 (Char.chr code);
+          b
+        in
         List.iter
           (fun (what, (target : Target.t), code) ->
             let emu = Emu.create ~mem_size:(1 lsl 20) target in
@@ -813,6 +822,19 @@ let suite =
               Target.x64,
               blob Target.x64
                 [ Minst.Lea { dst = 0; base = 1; index = 100; scale = 1; off = 0 } ] );
+            ( "x64 indexed load index 40",
+              Target.x64,
+              blob Target.x64 [ Minst.Nop; ldx ~base:1 ~index:40 () ] );
+            (* the cell past the registers that an absent base reads *)
+            ("x64 base-less load into register 33", Target.x64, blob Target.x64 [ ldx ~dst:33 () ]);
+            ( "x64 base-less lea index 200",
+              Target.x64,
+              blob Target.x64 [ Minst.Lea { dst = 0; base = -1; index = 200; scale = 8; off = 0 } ] );
+            ("x64 indexed load scale code 4", Target.x64, bad_scale (ldx ~base:1 ()) 4);
+            ("x64 base-less load scale code 255", Target.x64, bad_scale (ldx ()) 255);
+            ( "x64 base-less lea scale code 7",
+              Target.x64,
+              bad_scale (Minst.Lea { dst = 0; base = -1; index = 2; scale = 1; off = 0 }) 7 );
           ]);
     Alcotest.test_case "registration allocates nothing per instruction" `Quick
       (fun () ->

@@ -246,6 +246,10 @@ let op_of (i : Minst.t) : Emu.op =
   | Minst.Csel _ -> Emu.Csel
   | Minst.Ext { bits; signed; _ } -> Emu.ext_op (bits lor if signed then 0x80 else 0)
   | Minst.Ld { size = 8; _ } -> Emu.Ld8
+  | Minst.Ldx { size = 1; _ } -> Emu.Ldx1
+  | Minst.Ldx { size = 2; _ } -> Emu.Ldx2
+  | Minst.Ldx { size = 4; _ } -> Emu.Ldx4
+  | Minst.Ldx _ -> Emu.Ldx8
   | Minst.St { size = 8; _ } -> Emu.St8
   | Minst.Ret -> Emu.Ret
   | Minst.Call_ind _ -> Emu.Call_ind
@@ -289,8 +293,8 @@ let fault_counts_exact target (prog, pos, before_load) =
       Emu.instructions_executed emu = !load + 1
       && Emu.cycles emu = prefix_cycles insts (!load + 1)
 
-let fuel_stops_exact target prog =
-  let code = assemble target (straight target prog) in
+let fuel_stops_exact_in target insts =
+  let code = assemble target insts in
   let insts, _ = Emu.decode_all target code in
   let emu = fresh target in
   let base = Code_region.base (Emu.register_code emu code) in
@@ -303,6 +307,65 @@ let fuel_stops_exact target prog =
         Emu.instructions_executed emu = k + 1 && Emu.cycles emu = prefix_cycles insts (k + 1)
   in
   List.for_all stops_at (List.init (Array.length insts) Fun.id)
+
+let fuel_stops_exact target prog = fuel_stops_exact_in target (straight target prog)
+
+(* ---- indexed loads (x64) ---- *)
+
+let ldx ?(dst = 0) ~base ~index ~scale ~off ~size () =
+  Minst.Ldx { dst; base; index; scale; off; size; sext = false }
+
+(* [prog] with a faulting indexed load, [index * 8 + 8] with index and
+   base zero, after its first [pos] ops; right before the load nothing, a
+   load or a valid indexed load of the stack, and right after it a move
+   when [then_move] holds, so the faulting one also runs as either half of
+   a pair. [based] picks the form with a base register. *)
+let gen_faulting_indexed =
+  QCheck2.Gen.(pair gen_faulting (triple bool (oneofl [ 1; 2; 4; 8 ]) bool))
+
+let faulting_indexed (target : Target.t) (prog, pos, before_load) (based, size, then_move) =
+  let sp = target.Target.sp in
+  let before = List.filteri (fun i _ -> i < pos) prog
+  and after = List.filteri (fun i _ -> i >= pos) prog in
+  List.concat_map (lower target) before
+  @ [ Minst.Mov_ri (15, 0L) ]
+  @ (match before_load with
+    | 0 -> []
+    | 1 -> [ Minst.Ld { dst = 1; base = sp; off = 0; size = 8; sext = false } ]
+    | _ -> [ ldx ~dst:1 ~base:sp ~index:15 ~scale:8 ~off:0 ~size:8 () ])
+  @ [ ldx ~base:(if based then 15 else -1) ~index:15 ~scale:8 ~off:8 ~size () ]
+  @ (if then_move then [ Minst.Mov_rr (1, 0) ] else [])
+  @ straight target after
+
+let indexed_fault_exact target (p, form) =
+  let code = assemble target (faulting_indexed target p form) in
+  let insts, _ = Emu.decode_all target code in
+  let load = ref (-1) in
+  Array.iteri (fun j i -> match i with Minst.Ldx { off = 8; _ } -> load := j | _ -> ()) insts;
+  let emu = fresh target in
+  match run_code emu code with
+  | _ -> false
+  | exception Memory.Fault m ->
+      let _, size, _ = form in
+      m = Printf.sprintf "access of %d bytes at 0x8" size
+      && Emu.instructions_executed emu = !load + 1
+      && Emu.cycles emu = prefix_cycles insts (!load + 1)
+
+(* [prog] with valid indexed loads of the stack after each op: [sp + 0 *
+   8] with a base, [sp * 1 + 8] without *)
+let with_indexed_loads (target : Target.t) prog =
+  let sp = target.Target.sp in
+  Minst.Mov_ri (15, 0L)
+  :: List.concat
+       (List.mapi
+          (fun k op ->
+            lower target op
+            @ [
+                (if k land 1 = 0 then ldx ~dst:10 ~base:sp ~index:15 ~scale:8 ~off:0 ~size:8 ()
+                 else ldx ~dst:10 ~base:(-1) ~index:sp ~scale:1 ~off:8 ~size:4 ());
+              ])
+          prog)
+  @ [ Minst.Ret ]
 
 (* ---- runtime calls return straight into the caller ----
 
@@ -435,6 +498,12 @@ let suite =
       (fuel_stops_exact Target.x64);
     prop "a64 fuel k traps after k + 1 instructions and their cycles" gen_prog
       (fuel_stops_exact Target.a64);
+    prop "x64 cycles and instructions at a faulting indexed load are the prefix's"
+      gen_faulting_indexed (indexed_fault_exact Target.x64);
+    prop "x64 fuel k traps exactly in programs with indexed loads" gen_prog (fun prog ->
+        fuel_stops_exact_in Target.x64 (with_indexed_loads Target.x64 prog));
+    prop "x64 indexed loads leave the reference's result" gen_prog (fun prog ->
+        Int64.equal (run_emu Target.x64 (with_indexed_loads Target.x64 prog)) (reference prog));
   ]
   @ List.concat_map
       (fun (target : Target.t) ->

@@ -104,6 +104,34 @@ let sso_cases =
         let c = Sso.alloc m "some longer string ........ B" in
         check Alcotest.int64 "same" (Sso.hash m a) (Sso.hash m b);
         check Alcotest.bool "differs" true (not (Int64.equal (Sso.hash m a) (Sso.hash m c))));
+    (* the values the byte-at-a-time hash gave, for the strings over 12
+       bytes of DirectEmit's intrinsic cases and one short one; a long
+       string's hash reads whole words and must not move them *)
+    Alcotest.test_case "hash values of long strings are pinned" `Quick (fun () ->
+        let m = fresh_mem () in
+        let reference s =
+          let h = ref Sso.hash_seed in
+          String.iter (fun c -> h := Qcomp_support.Hashes.crc32c_byte !h (Char.code c)) s;
+          Qcomp_support.Hashes.long_mul_fold
+            (Int64.logxor !h (Int64.of_int (String.length s)))
+            Sso.golden
+        in
+        List.iter
+          (fun (s, v) ->
+            let got = Sso.hash m (Sso.alloc m s) in
+            check Alcotest.int64 (String.escaped s) v got;
+            if String.length s > Sso.inline_max then
+              check Alcotest.int64 (String.escaped s ^ " = bytewise CRC") (reference s) got)
+          [ ("abcdefghijklm", 31098256766774679L);
+            ("abcdefghijklmn", -2482555525441443739L);
+            ("abcdefghijklmnop", 4880323809022673670L);
+            ("abcdefghijklmnopq", 1243006525601085717L);
+            ("abcdefghijklmnopqrstuvwxyz0123456789ABC", -4855220521024204073L);
+            ("abcdefghijklmnopqrstuvwxyz0123456789ABCD", 6535921355350275094L);
+            ("abcdefghijklm\000", -4471851788246665745L);
+            ("!bcdefghijklmnop", -8511177304663861141L);
+            ("some longer string ........ A", -5539841442935520011L);
+            ("abcdefghijkl", 6024095173560436176L) ]);
   ]
 
 let sso_props =
@@ -221,25 +249,38 @@ let htable_cases =
 let tuplebuf_cases =
   [
     Alcotest.test_case "append grows and preserves rows" `Quick (fun () ->
-        let m = fresh_mem () in
+        let vm = Emu.create ~mem_size:(1 lsl 22) Target.x64 in
+        let m = Emu.memory vm in
         let buf = Tuplebuf.create m ~row_size:16 ~capacity_hint:2 in
         for i = 0 to 99 do
-          let r, _ = Tuplebuf.append m buf in
+          let r = Tuplebuf.append vm buf in
           Memory.store64 m r (Int64.of_int i);
           Memory.store64 m (r + 8) (Int64.of_int (i * i))
         done;
         check Alcotest.int "count" 100 (Tuplebuf.count m buf);
+        (* 6 a row, and a quarter of the rows moved at each of the grows
+           at 16, 32 and 64 rows *)
+        check Alcotest.int "cycles" (600 + 4 + 8 + 16) (Emu.cycles vm);
         for i = 0 to 99 do
           let r = Tuplebuf.row m buf i in
           check Alcotest.int64 "k" (Int64.of_int i) (Memory.load64 m r);
           check Alcotest.int64 "v" (Int64.of_int (i * i)) (Memory.load64 m (r + 8))
         done);
+    Alcotest.test_case "append allocates nothing until it grows" `Quick (fun () ->
+        let vm = Emu.create ~mem_size:(1 lsl 22) Target.x64 in
+        let buf = Tuplebuf.create (Emu.memory vm) ~row_size:8 ~capacity_hint:1000 in
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 1000 do
+          ignore (Tuplebuf.append vm buf)
+        done;
+        check (Alcotest.float 0.) "minor words" 0. (Gc.minor_words () -. w0));
     Alcotest.test_case "permute reorders rows" `Quick (fun () ->
-        let m = fresh_mem () in
+        let vm = Emu.create ~mem_size:(1 lsl 22) Target.x64 in
+        let m = Emu.memory vm in
         let buf = Tuplebuf.create m ~row_size:8 ~capacity_hint:4 in
         List.iter
           (fun v ->
-            let r, _ = Tuplebuf.append m buf in
+            let r = Tuplebuf.append vm buf in
             Memory.store64 m r v)
           [ 30L; 10L; 20L ];
         ignore (Tuplebuf.permute m buf [| 1; 2; 0 |]);
@@ -247,4 +288,49 @@ let tuplebuf_cases =
         check Alcotest.(list int64) "sorted" [ 10L; 20L; 30L ] [ at 0; at 1; at 2 ]);
   ]
 
-let suite = memory_cases @ sso_cases @ sso_props @ htable_cases @ tuplebuf_cases
+(* umbra_sort over [n] rows of one word each, through generated code
+   that calls it with a comparator of the rows' first words *)
+let sort_rows vals =
+  let target = Target.x64 in
+  let vm = Emu.create ~mem_size:(1 lsl 22) target in
+  let reg = Registry.create target in
+  Registry.install reg vm;
+  let m = Emu.memory vm in
+  let code insts =
+    let a = Asm.create target in
+    List.iter (Asm.emit a) insts;
+    Int64.of_int (Code_region.base (Emu.register_code vm (Asm.finish a)))
+  in
+  let ld dst base = Minst.Ld { dst; base; off = 0; size = 8; sext = false } in
+  (* (a > b) - (a < b) *)
+  let cmp =
+    code Minst.[ ld 0 7; ld 1 6; Cmp_rr (0, 1); Setcc (Sgt, 0); Setcc (Slt, 1); Alu_rr (Sub, 0, 1); Ret ]
+  in
+  let sort =
+    code Minst.[ Mov_ri (11, Registry.addr reg "umbra_sort"); Call_ind 11; Ret ]
+  in
+  let buf = Tuplebuf.create m ~row_size:8 ~capacity_hint:(List.length vals) in
+  List.iter (fun v -> Memory.store64 m (Tuplebuf.append vm buf) v) vals;
+  let w0 = Gc.minor_words () in
+  ignore (Emu.call vm ~addr:(Int64.to_int sort) ~args:[| Int64.of_int buf; cmp |]);
+  let words = Gc.minor_words () -. w0 in
+  (* the caller runs 3 instructions, each comparison 7 *)
+  let comparisons = (Emu.instructions_executed vm - 3) / 7 in
+  (List.init (List.length vals) (fun i -> Memory.load64 m (Tuplebuf.row m buf i)), words, comparisons)
+
+let sort_cases =
+  [
+    (* each comparison boxed two row addresses, an argument array and a
+       result pair before, at least 9 words; what is left is [Array.sort]'s
+       own, a few words per row *)
+    Alcotest.test_case "umbra_sort sorts without allocating per comparison" `Quick (fun () ->
+        let n = 2000 in
+        let vals = List.init n (fun i -> Int64.of_int ((i * 7919) mod 1009)) in
+        let sorted, words, comparisons = sort_rows vals in
+        check Alcotest.(list int64) "sorted" (List.sort compare vals) sorted;
+        if comparisons < n then Alcotest.failf "%d comparisons for %d rows" comparisons n;
+        if words >= float_of_int comparisons /. 2. then
+          Alcotest.failf "%.0f minor words for %d comparisons" words comparisons);
+  ]
+
+let suite = memory_cases @ sso_cases @ sso_props @ htable_cases @ tuplebuf_cases @ sort_cases

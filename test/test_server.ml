@@ -308,13 +308,13 @@ let golden_cases =
       ( "static:cranelift", Server.Static Engine.cranelift, false,
         [ "c32c830c5212d64936e9cc9401263153"; "e540b3e11bcbcfdedd3a81bbc924208a" ] );
       ( "cached", Server.Cached, false,
-        [ "da3375380969877504ce8fcd563eff02"; "4d37afe260f7201e978474b46dd3baae" ] );
+        [ "ed08d969d581b1a5f56ae8e28a5adb1c"; "804df8c5121f66307e6b1deb4b47ed91" ] );
       ( "tiered", Server.Tiered, false,
-        [ "5cac9ac92b6577a8c8fa6cbb2aa5a5ba"; "02c72c6ff730c3861870c3c4796a571e" ] );
+        [ "eff00788401d4920bf25f62d2394bd24"; "b7b006946d7452a76a7ebda0a57ac65b" ] );
       ( "tiered+reopt", Server.Tiered, true,
-        [ "5cac9ac92b6577a8c8fa6cbb2aa5a5ba"; "02c72c6ff730c3861870c3c4796a571e" ] );
+        [ "eff00788401d4920bf25f62d2394bd24"; "b7b006946d7452a76a7ebda0a57ac65b" ] );
     ]
-  @ [ ("poisson trace", golden_trace, "b26df7580a0891bd9a35a152842ec99e") ]
+  @ [ ("poisson trace", golden_trace, "5a0dbc14d7c2c8b043bf42326ab0ff27") ]
 
 (* repeated stream: cache hits, byte-identical and golden reports *)
 let determinism_test =
@@ -685,10 +685,11 @@ let deceptive_upgrade_test =
         (List.mem m.Report.qm_backend
            (List.map fst (Engine.stronger_than db static_pick))))
 
-(* at a larger scale factor the same query keeps looking worse as it runs:
-   the prior buys the cheap rung, the observations on the probe pipeline
-   justify a second, stronger one. Every step must go to a rung with a
-   higher rate, at sf 2 and at sf 4 alike. *)
+(* the same query keeps looking worse as it runs: at sf 1 the prior buys
+   the cheap rung and the observations on the probe pipeline justify a
+   second, stronger one; from sf 2 on the first upgrade already goes to
+   DirectEmit. Every step must go to a rung with a higher rate, at sf 1, 2
+   and 4 alike. *)
 let second_upgrade_test =
   Alcotest.test_case "observed work keeps growing => second upgrade" `Quick
     (fun () ->
@@ -720,15 +721,15 @@ let second_upgrade_test =
             (Printf.sprintf "sf %d: checksum matches run_plan" sf)
             expect
             (m.Report.qm_checksum, m.Report.qm_rows);
-          if sf = 2 then
+          if sf = 1 then
             check Alcotest.bool
-              (Printf.sprintf "sf 2: two upgrades (tier path: %s)" path)
+              (Printf.sprintf "sf 1: two upgrades (tier path: %s)" path)
               true
               (List.length m.Report.qm_tiers >= 3);
           check Alcotest.bool
             (Printf.sprintf "sf %d: every step raises the rate (tier path: %s)" sf path)
             true (rising db m.Report.qm_tiers))
-        [ 2; 4 ])
+        [ 1; 2; 4 ])
 
 (* a resident hit at the Tiered start is a real LRU hit: it refreshes the
    entry's recency, so under capacity pressure a hot plan's compiled code
