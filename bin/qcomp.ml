@@ -6,8 +6,8 @@
 
    `run` executes one query and prints its rows and timings; `bench`
    compiles+executes a whole workload per back-end and prints a Table
-   III-style summary; `validate` checks every back-end against the
-   interpreter. *)
+   III-style summary; `validate` checks every back-end and the Cached,
+   Tiered and Tiered+reopt serving replays against the interpreter. *)
 
 open Cmdliner
 open Qcomp_engine
@@ -167,20 +167,51 @@ let bench_cmd =
 
 (* ---- validate ---- *)
 
+(* Serve every query twice (the second pass hits the code cache) through
+   [mode] on a fresh database and name each served checksum that differs
+   from the interpreter's, or the exception that stopped the run. *)
+let serving_mismatches target wl ~sf ref_sums (mode, reopt) =
+  let open Qcomp_server in
+  let label = Server.mode_name mode ^ if reopt then "+reopt" else "" in
+  let stream =
+    List.concat_map
+      (fun (q : Spec.query) -> [ (q.Spec.q_name, q.Spec.q_plan); (q.Spec.q_name, q.Spec.q_plan) ])
+      (Experiments.queries_of wl)
+  in
+  match
+    Server.run (Experiments.make_db target wl ~sf) { Server.default_config with Server.mode; reopt }
+      stream
+  with
+  | report ->
+      List.filter_map
+        (fun (qm : Server.query_metrics) ->
+          if Int64.equal qm.Report.qm_checksum (List.assoc qm.Report.qm_name ref_sums) then None
+          else Some (label ^ "/" ^ qm.Report.qm_name))
+        report.Report.r_queries
+  | exception e -> [ label ^ " " ^ Printexc.to_string e ]
+
 let validate_cmd =
   let validate wl sf target =
     let wl, target = resolve_common wl target in
     let backends =
       List.filter (fun b -> b != Engine.interpreter) (Engine.all_backends target)
     in
-    let bad = Experiments.validate target wl ~sf backends in
-    if bad = [] then print_endline "all back-ends match the interpreter"
+    let ref_sums, bad = Experiments.validate target wl ~sf backends in
+    let bad =
+      bad
+      @ List.concat_map
+          (serving_mismatches target wl ~sf ref_sums)
+          Qcomp_server.Server.[ (Cached, false); (Tiered, false); (Tiered, true) ]
+    in
+    if bad = [] then print_endline "all back-ends and serving modes match the interpreter"
     else begin
       List.iter (fun q -> Printf.printf "MISMATCH %s\n" q) bad;
       exit 1
     end
   in
-  Cmd.v (Cmd.info "validate" ~doc:"Differentially validate all back-ends against the interpreter.")
+  Cmd.v
+    (Cmd.info "validate"
+       ~doc:"Differentially validate all back-ends and the serving modes against the interpreter.")
     Term.(const validate $ workload_arg $ sf_arg $ target_arg)
 
 let () =

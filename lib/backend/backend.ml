@@ -85,8 +85,8 @@ let patch_rel24_words text off value_bytes =
     symbols, predict a base address, resolve externals against the live
     registry, apply relocations into a private copy of the text, and
     register code and unwind tables. The predict-resolve-apply-register
-    sequence holds the machine's code-layout lock, exactly as
-    [Jitlink.link] does. The artifact itself is never mutated, so the same
+    sequence holds the machine's code-layout lock, so no other domain can
+    move the predicted base. The artifact itself is never mutated, so the same
     artifact can be linked any number of times (including into machines
     the producing process never saw).
 

@@ -239,21 +239,6 @@ let succs f b =
       | Brif -> [ f.aux.(t); f.aux2.(t) ]
       | _ -> [])
 
-(** Arguments passed to successor [s] by the terminator of [b]. For [Brif]
-    the arg list is: cond :: then-args ++ else-args. *)
-let edge_args f b s =
-  let t = f.block_tail.(b) in
-  match f.op.(t) with
-  | Jump -> inst_args f t
-  | Brif ->
-      let all = inst_args f t in
-      let args = List.tl all in
-      let nthen = Array.length f.block_params.(f.aux.(t)) in
-      let rec split n l = if n = 0 then ([], l) else match l with [] -> ([], []) | x :: r -> let a, b = split (n - 1) r in (x :: a, b) in
-      let then_args, else_args = split nthen args in
-      if s = f.aux.(t) then then_args else else_args
-  | _ -> []
-
 let cond_of_cmp (c : Qcomp_ir.Op.cmp) : cond =
   match c with
   | Qcomp_ir.Op.Eq -> Eq

@@ -122,15 +122,16 @@ let validate target workload ~sf backends =
   let ref_sums =
     List.map (fun q -> (q.qr_name, q.qr_checksum)) reference.wr_queries
   in
-  List.concat_map
-    (fun b ->
-      let r = measure target workload ~sf b in
-      List.filter_map
-        (fun q ->
-          match List.assoc_opt q.qr_name ref_sums with
-          | Some c when Int64.equal c q.qr_checksum -> None
-          | _ -> Some (r.wr_backend ^ "/" ^ q.qr_name))
-        r.wr_queries)
-    backends
+  ( ref_sums,
+    List.concat_map
+      (fun b ->
+        let r = measure target workload ~sf b in
+        List.filter_map
+          (fun q ->
+            match List.assoc_opt q.qr_name ref_sums with
+            | Some c when Int64.equal c q.qr_checksum -> None
+            | _ -> Some (r.wr_backend ^ "/" ^ q.qr_name))
+          r.wr_queries)
+      backends )
 
 let cycles_to_seconds = Engine.cycles_to_seconds

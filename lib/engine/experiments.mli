@@ -69,12 +69,13 @@ val measure :
   workload_result
 
 (** Cross-back-end result validation: every checksum must agree with the
-    interpreter's. Returns the disagreeing ["backend/query"] names. *)
+    interpreter's. Returns the interpreter's [(query, checksum)] reference
+    and the disagreeing ["backend/query"] names. *)
 val validate :
   Qcomp_vm.Target.t ->
   workload ->
   sf:int ->
   Qcomp_backend.Backend.t list ->
-  string list
+  (string * int64) list * string list
 
 val cycles_to_seconds : int -> float

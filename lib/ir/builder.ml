@@ -40,9 +40,7 @@ let emit b ~op ~ty ?x ?y ?z ?n ?imm () =
   i
 
 let const b ty v = emit b ~op:Op.Const ~ty ~imm:v ()
-let const_i32 b v = const b Ty.I32 (Int64.of_int v)
 let const_i64 b v = const b Ty.I64 v
-let const_bool b v = const b Ty.I1 (if v then 1L else 0L)
 let const_ptr b v = const b Ty.Ptr v
 
 (* link-time hole for entry [idx] of the query's parameter vector; I128

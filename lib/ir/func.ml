@@ -122,14 +122,10 @@ let y f i = f.ys.(i)
 let z f i = f.zs.(i)
 let n f i = f.ns.(i)
 let imm f i = f.imms.(i)
-let get_scratch f i = f.scratch.(i)
 let set_scratch f i v = f.scratch.(i) <- v
-let set_op f i v = f.ops.(i) <- v
 let set_x f i v = f.xs.(i) <- v
 let set_y f i v = f.ys.(i) <- v
-let set_z f i v = f.zs.(i) <- v
 let set_n f i v = f.ns.(i) <- v
-let set_imm f i v = f.imms.(i) <- v
 
 let extra_push f v = Vec.push f.extra v
 let extra_get f i = Vec.get f.extra i
@@ -138,8 +134,6 @@ let extra_set f i v = Vec.set f.extra i v
 (** Store the high half of a 128-bit constant; returns its index (placed in
     the instruction's [x] field by the builder). *)
 let wide_push f v = Vec.push f.wide v
-
-let wide_get f i = Vec.get f.wide i
 
 (** [const128_value f i] is the (hi, lo) pair of a [Const128]. *)
 let const128_value f i =
@@ -266,43 +260,6 @@ let count_uses f cnt =
     done
   end;
   !has_phi
-
-(** Rewrite every value operand with [g] (including phi inputs and call
-    arguments). *)
-let map_operands f i g =
-  let mx () = f.xs.(i) <- g f.xs.(i) in
-  let my () = f.ys.(i) <- g f.ys.(i) in
-  let mz () = f.zs.(i) <- g f.zs.(i) in
-  match f.ops.(i) with
-  | Op.Nop | Op.Arg | Op.Const | Op.Const128 | Op.Param | Op.Unreachable | Op.Br -> ()
-  | Op.Isnull | Op.Isnotnull | Op.Zext | Op.Sext | Op.Trunc | Op.Sitofp
-  | Op.Fptosi | Op.Load | Op.Condbr ->
-      mx ()
-  | Op.Ret -> if f.xs.(i) >= 0 then mx ()
-  | Op.Add | Op.Sub | Op.Mul | Op.Sdiv | Op.Udiv | Op.Srem | Op.Urem
-  | Op.Saddtrap | Op.Ssubtrap | Op.Smultrap | Op.And | Op.Or | Op.Xor | Op.Shl
-  | Op.Lshr | Op.Ashr | Op.Rotr | Op.Cmp | Op.Store | Op.Crc32
-  | Op.Longmulfold | Op.Atomicadd | Op.Fadd | Op.Fsub | Op.Fmul | Op.Fdiv
-  | Op.Fcmp ->
-      mx ();
-      my ()
-  | Op.Select ->
-      mx ();
-      my ();
-      mz ()
-  | Op.Gep ->
-      mx ();
-      if f.ys.(i) >= 0 then my ()
-  | Op.Phi ->
-      for j = 0 to f.ns.(i) - 1 do
-        let idx = f.xs.(i) + (2 * j) + 1 in
-        Vec.set f.extra idx (g (Vec.get f.extra idx))
-      done
-  | Op.Call ->
-      for j = 0 to f.ns.(i) - 1 do
-        let idx = f.xs.(i) + j in
-        Vec.set f.extra idx (g (Vec.get f.extra idx))
-      done
 
 (** [phi_incoming f i] is the [(pred_block, value)] list of a phi. *)
 let phi_incoming f i =

@@ -73,11 +73,3 @@ let compute (f : Func.t) =
     done
   done;
   { live_in; live_out }
-
-(** Phi defs of a block (needed by consumers that place phi moves). *)
-let block_phi_defs f b =
-  let acc = ref [] in
-  Vec.iter
-    (fun i -> if Func.op f i = Op.Phi then acc := i :: !acc)
-    (Func.block_insts f b);
-  List.rev !acc

@@ -121,30 +121,6 @@ let cmp_eval pred ~signed_cmp ~unsigned_cmp =
   | Ugt -> unsigned_cmp > 0
   | Uge -> unsigned_cmp >= 0
 
-let cmp_swap = function
-  | Eq -> Eq
-  | Ne -> Ne
-  | Slt -> Sgt
-  | Sle -> Sge
-  | Sgt -> Slt
-  | Sge -> Sle
-  | Ult -> Ugt
-  | Ule -> Uge
-  | Ugt -> Ult
-  | Uge -> Ule
-
-let cmp_negate = function
-  | Eq -> Ne
-  | Ne -> Eq
-  | Slt -> Sge
-  | Sle -> Sgt
-  | Sgt -> Sle
-  | Sge -> Slt
-  | Ult -> Uge
-  | Ule -> Ugt
-  | Ugt -> Ule
-  | Uge -> Ult
-
 let is_terminator = function
   | Br | Condbr | Ret | Unreachable -> true
   | _ -> false

@@ -132,24 +132,6 @@ let value_vreg fl (v : Lir.value) =
       push fl (Mir.M (Minst.Mov_ri (r, Qcomp_support.I128.to_int64 c)));
       r
 
-let value_vreg_hi fl (v : Lir.value) =
-  match v with
-  | Lir.Vinst i -> inst_vreg_hi fl i
-  | Lir.Varg (k, _) -> arg_vreg_hi fl k
-  | Lir.Vconst (_, c) ->
-      let r = Mir.new_vreg fl.mir in
-      push fl (Mir.M (Minst.Mov_ri (r, Int64.shift_right c 63)));
-      r
-  | Lir.Vconst128 c ->
-      let r = Mir.new_vreg fl.mir in
-      push fl
-        (Mir.M
-           (Minst.Mov_ri
-              ( r,
-                Qcomp_support.I128.to_int64
-                  (Qcomp_support.I128.shift_right_logical c 64) )));
-      r
-
 (** The shared per-function trap stub (overflow). *)
 let trap_block fl =
   if fl.trap_mb < 0 then begin

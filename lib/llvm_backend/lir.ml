@@ -33,13 +33,6 @@ type intrinsic =
   | Crc32  (** i64 crc32c step *)
   | Fshr  (** funnel shift right = rotate for equal operands *)
 
-let intrinsic_name = function
-  | Sadd_ovf _ -> "llvm.sadd.with.overflow"
-  | Ssub_ovf _ -> "llvm.ssub.with.overflow"
-  | Smul_ovf _ -> "llvm.smul.with.overflow"
-  | Crc32 -> "llvm.x86.sse42.crc32.64.64"
-  | Fshr -> "llvm.fshr.i64"
-
 type callee =
   | Extern of int  (** module symbol *)
   | Named of string  (** runtime helper referenced directly by name *)

@@ -35,8 +35,6 @@ let create target ~code_model_large =
     mcinsts_built = 0;
   }
 
-let add_hook ctx h = ctx.hooks <- h :: ctx.hooks
-
 (** Intern a (string-based) symbol bound at the current offset. *)
 let define_symbol ctx name ~size =
   Hashtbl.replace ctx.symtab name (Asm.offset ctx.asm);

@@ -35,18 +35,6 @@ let sso_inline_max = 12
 
 let value_ty = function V_int (ty, _) -> ty | V_str _ -> Sqlty.Str
 
-let value_equal a b =
-  match (a, b) with
-  | V_int (ta, va), V_int (tb, vb) -> Sqlty.equal ta tb && Int64.equal va vb
-  | V_str a, V_str b -> String.equal a b
-  | _ -> false
-
-let values_equal a b =
-  Array.length a = Array.length b
-  && (let n = Array.length a in
-      let rec go i = i >= n || (value_equal a.(i) b.(i) && go (i + 1)) in
-      go 0)
-
 let pp_value ppf = function
   | V_int (ty, v) -> Format.fprintf ppf "%s:%Ld" (Sqlty.to_string ty) v
   | V_str s -> Format.fprintf ppf "%S" s
@@ -292,8 +280,6 @@ let rec param_count (p : Algebra.t) : int =
         (fun acc (k, _) -> expr_params k acc)
         (param_count input) keys
   | Algebra.Limit { input; _ } -> param_count input
-
-let has_params p = param_count p > 0
 
 let rec expr_iter_params f (e : Expr.t) =
   match e with

@@ -35,8 +35,7 @@
     independent LRU shards (keyed by fingerprint and back-end), each
     behind its own mutex, so worker domains hitting different plans never
     contend on one global lock. [{!create} ~capacity] is the single-shard
-    configuration — exactly the previous behavior, including snapshot
-    byte layout — and the only one the deterministic discrete-event
+    configuration and the only one the deterministic discrete-event
     driver uses; {!create_sharded} spreads the capacity over several
     shards for the parallel pool. Stats aggregate across shards on read.
     Concurrent misses on one key are deduplicated: the first domain

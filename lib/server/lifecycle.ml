@@ -323,17 +323,21 @@ let finish t q ex =
 let serve t ~db ?sched ?(on_done = ignore) q =
   let c = t.config and d = t.drv and cache = t.cache in
   let parameterized = Array.length q.q_params > 0 in
-  (* a rung that cannot bind parameter holes compiles the exact whole plan
-     (keyed per query) instead of the shape *)
+  (* A rung that cannot bind parameter holes compiles the exact whole plan
+     (keyed per query) instead of the shape. Every quantum must run code of
+     one codegen result, so the first rung fixes the plan for every tier,
+     and a query running its shape never upgrades to such a rung. *)
   let exact_for b = parameterized && not (Qcomp_backend.Backend.supports_params b) in
-  let target_of b = if exact_for b then (q.q_exact, [||]) else (q.q_plan, q.q_params) in
+  let exact = ref false in
+  let target () = if !exact then (q.q_exact, [||]) else (q.q_plan, q.q_params) in
   (* one fingerprint per plan per query, however often the ladder is priced *)
   let shape_key = lazy (Code_cache.key db ~backend:Engine.interpreter q.q_plan)
   and exact_key = lazy (Code_cache.key db ~backend:Engine.interpreter q.q_exact) in
-  let key_of b =
-    { (Lazy.force (if exact_for b then exact_key else shape_key)) with
+  let key_for ~exact b =
+    { (Lazy.force (if exact then exact_key else shape_key)) with
       Code_cache.ck_backend = Qcomp_backend.Backend.name b }
   in
+  let key_of b = key_for ~exact:!exact b in
   let enter ?(tier0 = false) nm =
     q.q_cur_tier <- nm;
     q.q_tiers <- [ nm ];
@@ -342,7 +346,7 @@ let serve t ~db ?sched ?(on_done = ignore) q =
   (* foreground lookup-or-compile, pinned atomically with the lookup;
      [stats:false] keeps Static's "no cache" lookups out of the hit rate *)
   let fetch ?(stats = true) backend =
-    let plan, params = target_of backend in
+    let plan, params = target () in
     let e, hit =
       Code_cache.get_or_compile cache db ~backend ~params ~stats ~pin:true
         ~name:q.q_name plan
@@ -359,16 +363,20 @@ let serve t ~db ?sched ?(on_done = ignore) q =
   let first_rung () =
     let resident (nm, b) =
       (not (String.equal nm "interpreter"))
-      && Option.is_some (Code_cache.find_nostat cache (key_of b))
+      && Option.is_some (Code_cache.find_nostat cache (key_for ~exact:(exact_for b) b))
     in
-    match List.find_opt resident (List.rev (Engine.tier_ladder db)) with
-    | Some r -> r
-    | None ->
-        let cq =
-          Code_cache.plan_ir cache db ~fp:(Lazy.force shape_key).Code_cache.ck_fp
-            ~name:q.q_name q.q_plan
-        in
-        Engine.adaptive_backend db q.q_plan cq.Qcomp_codegen.Codegen.modul
+    let ((_, b) as r) =
+      match List.find_opt resident (List.rev (Engine.tier_ladder db)) with
+      | Some r -> r
+      | None ->
+          let cq =
+            Code_cache.plan_ir cache db ~fp:(Lazy.force shape_key).Code_cache.ck_fp
+              ~name:q.q_name q.q_plan
+          in
+          Engine.adaptive_backend db q.q_plan cq.Qcomp_codegen.Codegen.modul
+    in
+    exact := exact_for b;
+    r
   in
   (* start on [e], after its foreground compile unless it was a hit *)
   let rec charged e hit =
@@ -378,7 +386,7 @@ let serve t ~db ?sched ?(on_done = ignore) q =
       d.after e.Code_cache.ce_compile_s (fun () -> begin_exec e)
     end
   and begin_exec e =
-    let cq, cm, fresh = Code_cache.force cache db ~params:q.q_params ~claim:true e in
+    let cq, cm, fresh = Code_cache.force cache db ~params:(snd (target ())) ~claim:true e in
     q.q_claims <- (e, cm) :: q.q_claims;
     let ex = Exec.start ?sched db cq cm in
     q.q_exec <- Some ex;
@@ -393,7 +401,7 @@ let serve t ~db ?sched ?(on_done = ignore) q =
      boundary; the caller holds the driver lock and has set [q_upgrading]
      (one upgrade in flight at a time) *)
   and compile_behind nm b =
-    let plan, params = target_of b in
+    let plan, params = target () in
     submit_locked t ~backend:b ~params ~name:q.q_name plan (key_of b) (park_locked t q nm)
   (* The reopt controller, consulted at each morsel boundary: re-price the
      ladder from the cycles observed on the current rung (the swap, if any,
@@ -414,9 +422,11 @@ let serve t ~db ?sched ?(on_done = ignore) q =
                   (float_of_int rows_remaining *. cpr /. Costmodel.clock_hz
                   *. Costmodel.exec_rate db.Engine.target cur)
                 ~compile_s:(fun nm b ->
-                  match Code_cache.find_nostat cache (key_of b) with
-                  | Some _ -> 0.0
-                  | None -> Costmodel.compile_seconds ~backend:nm m)
+                  if exact_for b && not !exact then infinity
+                  else
+                    match Code_cache.find_nostat cache (key_of b) with
+                    | Some _ -> 0.0
+                    | None -> Costmodel.compile_seconds ~backend:nm m)
             in
             if not (String.equal nm cur) then begin
               q.q_upgrading <- true;
@@ -435,7 +445,7 @@ let serve t ~db ?sched ?(on_done = ignore) q =
       q.q_first_s <- Some (d.now () -. q.q_arrival);
     (match Atomic.exchange q.q_swap None with
     | Some (nm, e) when not (Exec.finished ex) ->
-        let _, cm, fresh = Code_cache.force cache db ~params:q.q_params ~claim:true e in
+        let _, cm, fresh = Code_cache.force cache db ~params:(snd (target ())) ~claim:true e in
         q.q_claims <- (e, cm) :: q.q_claims;
         if fresh && parameterized then
           q.q_compile_s <- q.q_compile_s +. Costmodel.bind_seconds;

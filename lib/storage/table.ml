@@ -24,7 +24,6 @@ let create mem schema ~rows =
 let rows t = t.rows
 let schema t = t.schema
 let col_addr t i = t.col_addrs.(i)
-let col_addr_by_name t name = t.col_addrs.(Schema.col_index t.schema name)
 
 let cell_addr t col row =
   t.col_addrs.(col) + (row * Schema.stride (Schema.col_ty t.schema col))

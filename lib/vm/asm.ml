@@ -220,7 +220,6 @@ let aop_nop = 0x00
 let aop_mov_rr = 0x01
 let aop_movz = 0x02 (* +shift 0..3 *)
 let aop_movk = 0x06 (* +shift *)
-let aop_movn = 0x0A (* +shift *)
 let aop_alu_rrr = 0x10 (* +alu *)
 let aop_alu_rri = 0x20 (* +alu; imm16 unsigned *)
 let aop_cmp_rr = 0x40

@@ -102,20 +102,6 @@ let cond_name = function
   | Ov -> "o"
   | Noov -> "no"
 
-let cond_negate = function
-  | Eq -> Ne
-  | Ne -> Eq
-  | Slt -> Sge
-  | Sle -> Sgt
-  | Sgt -> Sle
-  | Sge -> Slt
-  | Ult -> Uge
-  | Ule -> Ugt
-  | Ugt -> Ule
-  | Uge -> Ult
-  | Ov -> Noov
-  | Noov -> Ov
-
 let alu_name = function
   | Add -> "add"
   | Sub -> "sub"

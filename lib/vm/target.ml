@@ -68,7 +68,6 @@ let a64 =
     pointer_align = 8;
   }
 
-let of_arch = function X64 -> x64 | A64 -> a64
 let lr = 30 (* A64 link register *)
 
 let is_callee_saved t r = Array.exists (fun x -> x = r) t.callee_saved

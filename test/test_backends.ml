@@ -356,7 +356,27 @@ let phase_names target =
           check Alcotest.bool (name ^ " JITLink phases")
             (String.length name > 4 && String.sub name 0 4 = "llvm")
             (List.for_all (fun p -> List.mem p paths) jitlink_phases))
-        (Engine.all_backends target))
+        (Engine.all_backends target);
+      (* an artifact with no undefined symbols gets no PLT and no GOT: the
+         linked module owns no data block *)
+      let open Qcomp_backend in
+      let db = Engine.create_db ~mem_size:(1 lsl 21) target in
+      let a = Qcomp_vm.Asm.create target in
+      Qcomp_vm.Asm.emit a Qcomp_vm.Minst.Ret;
+      let text = Qcomp_vm.Asm.finish a in
+      let art =
+        { Artifact.a_backend = "llvm-cheap"; a_target = target.Qcomp_vm.Target.name;
+          a_text = text;
+          a_syms = [ { Artifact.s_name = "g"; s_off = 0; s_size = Bytes.length text; s_defined = true } ];
+          a_relocs = []; a_unwind = []; a_baked = []; a_params = [||]; a_stats = [];
+          a_code_size = Bytes.length text }
+      in
+      let cm =
+        Backend.link_artifact ~link:Backend.Jitlink ~timing:(Qcomp_support.Timing.create ())
+          ~emu:db.Engine.emu ~registry:db.Engine.registry ~unwind:db.Engine.unwind art
+      in
+      check Alcotest.int "extern-free artifact: no GOT" 0 (List.length cm.Backend.cm_data_blocks);
+      Engine.dispose_module db cm)
 
 let suite =
   unit_cases

@@ -1,7 +1,6 @@
-(* JIT linker: objects with internal and external relocations become
-   executable code in the emulator, with PLT stubs and GOT slots for
-   runtime symbols. Also covers unwind-table registration and MIR machine
-   passes (parallel-move phi elimination). *)
+(* Unwind-table registration and MIR machine passes (parallel-move phi
+   elimination). The link step itself is Backend.link_artifact, covered by
+   test_backends and test_server. *)
 
 open Qcomp_vm
 open Qcomp_llvm
@@ -10,67 +9,6 @@ let check = Alcotest.check
 
 let suite =
   [
-    Alcotest.test_case "link end-to-end: call external through PLT" `Quick
-      (fun () ->
-        (* assemble f: call ext@plt; add 1; ret — with a real Call_rel fixup
-           left for the linker via an Elf reloc *)
-        let target = Target.x64 in
-        let emu = Emu.create ~mem_size:(1 lsl 21) target in
-        let ext_addr =
-          Emu.add_runtime emu "umbra_test_ext" (fun e ->
-              let v = Emu.reg e (Emu.arg_reg e 0) in
-              Emu.set_reg e target.Target.ret_regs.(0) (Int64.mul v 10L))
-        in
-        ignore ext_addr;
-        let a = Asm.create target in
-        (* call rel32 with placeholder displacement; reloc points at the
-           4 displacement bytes *)
-        let call_pos = 1 in
-        Asm.emit a (Minst.Call_rel 0);
-        Asm.emit a (Minst.Alu_ri (Minst.Add, 0, 1L));
-        Asm.emit a Minst.Ret;
-        let text = Asm.finish a in
-        let obj =
-          {
-            Elf.o_text = text;
-            o_syms =
-              [
-                { Elf.s_name = "f"; s_off = 0; s_size = Bytes.length text; s_defined = true };
-                { Elf.s_name = "umbra_test_ext"; s_off = 0; s_size = 0; s_defined = false };
-              ];
-            o_relocs = [ { Elf.r_off = call_pos; r_sym = "umbra_test_ext@plt"; r_kind = Elf.Plt32 } ];
-          }
-        in
-        let linked =
-          Jitlink.link ~emu
-            ~resolve:(fun sym ->
-              match sym with
-              | "umbra_test_ext" -> ext_addr
-              | _ -> 0L)
-            (Elf.write obj)
-        in
-        check Alcotest.bool "got slot allocated" true (linked.Jitlink.got_slots >= 1);
-        let f_addr = Hashtbl.find linked.Jitlink.fn_addr "f" in
-        let r, _ = Emu.call emu ~addr:f_addr ~args:[| 4L |] in
-        check Alcotest.int64 "4*10+1" 41L r);
-    Alcotest.test_case "phase times are recorded" `Quick (fun () ->
-        let target = Target.x64 in
-        let emu = Emu.create ~mem_size:(1 lsl 21) target in
-        let a = Asm.create target in
-        Asm.emit a Minst.Ret;
-        let obj =
-          {
-            Elf.o_text = Asm.finish a;
-            o_syms = [ { Elf.s_name = "g"; s_off = 0; s_size = 1; s_defined = true } ];
-            o_relocs = [];
-          }
-        in
-        let linked = Jitlink.link ~emu ~resolve:(fun _ -> 0L) (Elf.write obj) in
-        let t = linked.Jitlink.times in
-        check Alcotest.bool "non-negative phases" true
-          (t.Jitlink.ph_alloc >= 0.0 && t.Jitlink.ph_resolve >= 0.0
-          && t.Jitlink.ph_apply >= 0.0 && t.Jitlink.ph_lookup >= 0.0);
-        check Alcotest.int "no GOT without externs" 0 linked.Jitlink.got_slots);
     Alcotest.test_case "unwind: rule lookup by address" `Quick (fun () ->
         let u = Unwind.create () in
         Unwind.register u ~start:0x1000 ~size:64 ~sync_only:false

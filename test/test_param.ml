@@ -303,6 +303,34 @@ let serving_differential_test =
       if par.Report.r_shape_hits + par.Report.r_exact_hits = 0 then
         Alcotest.fail "paramized pool run saw no shape/exact hits")
 
+(* AArch64 has no compiling rung that binds parameter holes, so a tiered
+   query upgrades from the interpreter to code compiled from its exact
+   plan: every quantum must still run code of one codegen result, with
+   and without reopt, on both drivers *)
+let a64_tiered_test ~parallel =
+  Alcotest.test_case
+    (Printf.sprintf "a64 tiered and tiered+reopt over Zipf plans = interpreter (%s)"
+       (if parallel then "pool driver" else "event driver"))
+    `Slow
+    (fun () ->
+      let stream = pairs (Qcomp_workloads.Paramgen.stream ~seed:11L ~n:30) in
+      let serve mode reopt =
+        Server.run ~parallel
+          (Experiments.make_db Qcomp_vm.Target.a64 Experiments.Tpch ~sf:1)
+          { Server.default_config with Server.mode; reopt; workers = 2 }
+          stream
+      in
+      let expect = multiset (serve (Server.Static Engine.interpreter) false) in
+      List.iter
+        (fun reopt ->
+          let r = serve Server.Tiered reopt in
+          let label = if reopt then "tiered+reopt" else "tiered" in
+          check
+            Alcotest.(list (triple string int int64))
+            label expect (multiset r);
+          if r.Report.r_switchovers = 0 then Alcotest.failf "%s never switched tier" label)
+        [ false; true ])
+
 let suite =
   [
     normalize_roundtrip_test;
@@ -314,4 +342,6 @@ let suite =
     non_param_backend_refusal_test;
     dead_hole_test;
     serving_differential_test;
+    a64_tiered_test ~parallel:false;
+    a64_tiered_test ~parallel:true;
   ]
