@@ -142,25 +142,25 @@ let probed e d entry cost =
 
 (* ---------------- memory access ----------------
 
-   The table reads and writes VM memory through these copies of
-   {!Memory}'s accessors, inlined here: dune's dev profile compiles with
-   [-opaque], so a call into {!Memory} is never inlined and boxes every
-   [int64] it takes or returns. Same bounds check, same {!Memory.Fault}
-   message. *)
+   The table reads and writes VM memory through {!Memory}'s primitive
+   accessors, which inline here although dune's dev profile compiles with
+   [-opaque]; a call of {!Memory.load64} would not, and would box every
+   [int64] it takes or returns. The copies below exist to keep the bounds
+   check and its {!Memory.Fault} message inline too. *)
 
 let[@inline never] access_fault n addr =
   raise (Memory.Fault (Printf.sprintf "access of %d bytes at 0x%x" n addr))
 
 let[@inline] check (mem : Memory.t) addr n =
-  if addr < Memory.page || addr + n > mem.Memory.size then access_fault n addr
+  if addr < Memory.page || addr > mem.Memory.size - n then access_fault n addr
 
 let[@inline] load64 mem addr =
   check mem addr 8;
-  Bytes.get_int64_le mem.Memory.data addr
+  Memory.get64u mem.Memory.data addr
 
 let[@inline] store64 mem addr v =
   check mem addr 8;
-  Bytes.set_int64_le mem.Memory.data addr v
+  Memory.set64u mem.Memory.data addr v
 
 let[@inline] load_int mem addr = Int64.to_int (load64 mem addr)
 let[@inline] store_int mem addr v = store64 mem addr (Int64.of_int v)
@@ -192,12 +192,12 @@ let tag_of h =
 let load_tag mem tags i =
   let a = tags + (2 * i) in
   check mem a 2;
-  Bytes.get_uint16_le mem.Memory.data a
+  Memory.get16u mem.Memory.data a
 
 let store_tag mem tags i t =
   let a = tags + (2 * i) in
   check mem a 2;
-  Bytes.set_uint16_le mem.Memory.data a t
+  Memory.set16u mem.Memory.data a t
 
 (* Tag words are scanned 64 bits (4 tags) at a time in the modeled
    hardware loop; the cost model charges per distinct word touched. *)
@@ -348,12 +348,12 @@ let grow mem ht =
 let bucket_load mem buckets i =
   let a = buckets + (4 * i) in
   check mem a 4;
-  Int32.to_int (Bytes.get_int32_le mem.Memory.data a) land 0xFFFF_FFFF
+  Int32.to_int (Memory.get32u mem.Memory.data a) land 0xFFFF_FFFF
 
 let bucket_store mem buckets i v =
   let a = buckets + (4 * i) in
   check mem a 4;
-  Bytes.set_int32_le mem.Memory.data a (Int32.of_int v)
+  Memory.set32u mem.Memory.data a (Int32.of_int v)
 
 let[@inline] entry_of_index mem ht idx = entries_ptr mem ht + ((idx - 1) * entry_size mem ht)
 let[@inline] chain_word mem ht addr = addr + entry_size mem ht - 8

@@ -76,7 +76,9 @@ let contents mem addr n =
   if n > 0 then Memory.check mem a n;
   a
 
-let byte mem a = Bytes.get_uint8 mem.Memory.data a
+(* Checked against the arena as a backstop: every caller reads inside a
+   span {!contents} or {!hash} has checked. *)
+let byte mem a = Char.code (Memory.get8 mem.Memory.data a)
 
 (* bytes [i, k) at [a] and at [b] are equal *)
 let rec same_bytes mem a b i k =
@@ -122,7 +124,7 @@ let golden = 0x9E3779B97F4A7C15L
    it (dune's dev profile compiles with [-opaque]) *)
 let load64 (mem : Memory.t) addr =
   Memory.check mem addr 8;
-  Bytes.get_int64_le mem.Memory.data addr
+  Memory.get64u mem.Memory.data addr
 
 (* one CRC-32C step over the 8 bytes of [w], as {!Qcomp_support.Hashes.crc32c} *)
 let crc_word crc w =
@@ -149,7 +151,7 @@ let hash mem addr =
     Memory.check mem body n;
     let crc = ref seed and words = n / 8 in
     for k = 0 to words - 1 do
-      crc := crc_word !crc (Bytes.get_int64_le mem.Memory.data (body + (8 * k)))
+      crc := crc_word !crc (Memory.get64u mem.Memory.data (body + (8 * k)))
     done;
     for i = 8 * words to n - 1 do
       crc := Qcomp_support.Hashes.crc32c_u8 !crc (byte mem (body + i))

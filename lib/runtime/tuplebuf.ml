@@ -17,16 +17,17 @@ let create mem ~row_size ~capacity_hint =
   Memory.store64 mem (buf + 24) (Int64.of_int data);
   buf
 
-(* Header words are read and written in this module: dune's dev profile
-   compiles with [-opaque], so {!Memory.load64} and {!Memory.store64}
-   would box the [int64] they take or return. *)
+(* Header words are read and written through {!Memory}'s primitive
+   accessors: dune's dev profile compiles with [-opaque], so calls of
+   {!Memory.load64} and {!Memory.store64} would box the [int64] they take
+   or return. *)
 let[@inline] load_int (mem : Memory.t) addr =
   Memory.check mem addr 8;
-  Int64.to_int (Bytes.get_int64_le mem.Memory.data addr)
+  Int64.to_int (Memory.get64u mem.Memory.data addr)
 
 let[@inline] store_int (mem : Memory.t) addr v =
   Memory.check mem addr 8;
-  Bytes.set_int64_le mem.Memory.data addr (Int64.of_int v)
+  Memory.set64u mem.Memory.data addr (Int64.of_int v)
 
 let count mem buf = load_int mem buf
 let capacity mem buf = load_int mem (buf + 8)

@@ -1084,8 +1084,9 @@ let idx_of (m : code_mod) addr =
    from read to write. Library modules are compiled with [-opaque] in
    dune's dev profile, so calls into {!Memory} or {!Qcomp_support.I128}
    could not be inlined: each would box its [int64] arguments and result.
-   The memory accesses below repeat {!Memory.load}/{!Memory.store}'s bounds
-   check and {!Memory.Fault} messages. *)
+   The memory accesses below use {!Memory}'s primitive accessors, which
+   inline across [-opaque], and repeat {!Memory.check}'s bounds test and
+   {!Memory.Fault} messages so that those inline too. *)
 
 let[@inline] reg t r = Bytes.get_int64_ne t.regs (r lsl 3)
 let[@inline] set_reg t r v = Bytes.set_int64_ne t.regs (r lsl 3) v
@@ -1116,16 +1117,20 @@ let[@inline] off_at tb p = Int32.to_int (get32u tb (p + 12))
 let[@inline never] access_fault n addr =
   raise (Memory.Fault (Printf.sprintf "access of %d bytes at 0x%x" n addr))
 
-(* an access of [n] bytes at [addr] that {!Memory} would refuse *)
-let[@inline] outside msize addr n = addr < Memory.page || addr + n > msize
+(* an access of [n] bytes at [addr] that {!Memory.check} would refuse *)
+let[@inline] outside msize addr n = addr < Memory.page || addr > msize - n
+
+(* {!Memory.sext8} and {!Memory.sext16}, inlined here *)
+let[@inline] sext8 v = (v lsl (Sys.int_size - 8)) asr (Sys.int_size - 8)
+let[@inline] sext16 v = (v lsl (Sys.int_size - 16)) asr (Sys.int_size - 16)
 
 let[@inline] load64 (mem : Memory.t) addr =
   if outside mem.Memory.size addr 8 then access_fault 8 addr;
-  Bytes.get_int64_le mem.Memory.data addr
+  Memory.get64u mem.Memory.data addr
 
 let[@inline] store64 (mem : Memory.t) addr v =
   if outside mem.Memory.size addr 8 then access_fault 8 addr;
-  Bytes.set_int64_le mem.Memory.data addr v
+  Memory.set64u mem.Memory.data addr v
 
 (* unsigned a < b *)
 let[@inline] ult (a : int64) b = Int64.sub a Int64.min_int < Int64.sub b Int64.min_int
@@ -1494,63 +1499,63 @@ let op_body (mem : Memory.t) tb k ~live ~(next : t -> unit) ~uc ~un : t -> unit 
       fun t ->
         let a = Int64.to_int (rd t o1) + off in
         if outside msize a 1 then fault t uc un 1 a
-        else (wr t o0 (Int64.of_int (Bytes.get_uint8 data a)); next t)
+        else (wr t o0 (Int64.of_int (Char.code (Memory.get8u data a))); next t)
   | Ld1s ->
       fun t ->
         let a = Int64.to_int (rd t o1) + off in
         if outside msize a 1 then fault t uc un 1 a
         else begin
-          wr t o0 (Int64.of_int (Bytes.get_int8 data a));
+          wr t o0 (Int64.of_int (sext8 (Char.code (Memory.get8u data a))));
           next t
         end
   | Ld2 ->
       fun t ->
         let a = Int64.to_int (rd t o1) + off in
         if outside msize a 2 then fault t uc un 2 a
-        else (wr t o0 (Int64.of_int (Bytes.get_uint16_le data a)); next t)
+        else (wr t o0 (Int64.of_int (Memory.get16u data a)); next t)
   | Ld2s ->
       fun t ->
         let a = Int64.to_int (rd t o1) + off in
         if outside msize a 2 then fault t uc un 2 a
-        else (wr t o0 (Int64.of_int (Bytes.get_int16_le data a)); next t)
+        else (wr t o0 (Int64.of_int (sext16 (Memory.get16u data a))); next t)
   | Ld4 ->
       fun t ->
         let a = Int64.to_int (rd t o1) + off in
         if outside msize a 4 then fault t uc un 4 a
         else begin
-          wr t o0 (Int64.logand (Int64.of_int32 (Bytes.get_int32_le data a)) 0xFFFFFFFFL);
+          wr t o0 (Int64.logand (Int64.of_int32 (Memory.get32u data a)) 0xFFFFFFFFL);
           next t
         end
   | Ld4s ->
       fun t ->
         let a = Int64.to_int (rd t o1) + off in
         if outside msize a 4 then fault t uc un 4 a
-        else (wr t o0 (Int64.of_int32 (Bytes.get_int32_le data a)); next t)
+        else (wr t o0 (Int64.of_int32 (Memory.get32u data a)); next t)
   | Ld8 | Ld8s ->
       fun t ->
         let a = Int64.to_int (rd t o1) + off in
         if outside msize a 8 then fault t uc un 8 a
-        else (wr t o0 (Bytes.get_int64_le data a); next t)
+        else (wr t o0 (Memory.get64u data a); next t)
   | St1 ->
       fun t ->
         let a = Int64.to_int (rd t o1) + off in
         if outside msize a 1 then fault t uc un 1 a
-        else (Bytes.set_uint8 data a (Int64.to_int (rd t o0) land 0xFF); next t)
+        else (Memory.set8u data a (Char.unsafe_chr (Int64.to_int (rd t o0) land 0xFF)); next t)
   | St2 ->
       fun t ->
         let a = Int64.to_int (rd t o1) + off in
         if outside msize a 2 then fault t uc un 2 a
-        else (Bytes.set_uint16_le data a (Int64.to_int (rd t o0) land 0xFFFF); next t)
+        else (Memory.set16u data a (Int64.to_int (rd t o0) land 0xFFFF); next t)
   | St4 ->
       fun t ->
         let a = Int64.to_int (rd t o1) + off in
         if outside msize a 4 then fault t uc un 4 a
-        else (Bytes.set_int32_le data a (Int64.to_int32 (rd t o0)); next t)
+        else (Memory.set32u data a (Int64.to_int32 (rd t o0)); next t)
   | St8 ->
       fun t ->
         let a = Int64.to_int (rd t o1) + off in
         if outside msize a 8 then fault t uc un 8 a
-        else (Bytes.set_int64_le data a (rd t o0); next t)
+        else (Memory.set64u data a (rd t o0); next t)
   | Lea_x ->
       let sh = r3 tb p in
       fun t -> wr t o0 (Int64.add (Int64.add (rd t o1) i) (Int64.shift_left (rd t o2) sh)); next t
@@ -1563,40 +1568,40 @@ let op_body (mem : Memory.t) tb k ~live ~(next : t -> unit) ~uc ~un : t -> unit 
           fun t ->
             let a = addr t in
             if outside msize a 1 then fault t uc un 1 a
-            else (wr t o0 (Int64.of_int (Bytes.get_uint8 data a)); next t)
+            else (wr t o0 (Int64.of_int (Char.code (Memory.get8u data a))); next t)
       | Ldx1s ->
           fun t ->
             let a = addr t in
             if outside msize a 1 then fault t uc un 1 a
-            else (wr t o0 (Int64.of_int (Bytes.get_int8 data a)); next t)
+            else (wr t o0 (Int64.of_int (sext8 (Char.code (Memory.get8u data a)))); next t)
       | Ldx2 ->
           fun t ->
             let a = addr t in
             if outside msize a 2 then fault t uc un 2 a
-            else (wr t o0 (Int64.of_int (Bytes.get_uint16_le data a)); next t)
+            else (wr t o0 (Int64.of_int (Memory.get16u data a)); next t)
       | Ldx2s ->
           fun t ->
             let a = addr t in
             if outside msize a 2 then fault t uc un 2 a
-            else (wr t o0 (Int64.of_int (Bytes.get_int16_le data a)); next t)
+            else (wr t o0 (Int64.of_int (sext16 (Memory.get16u data a))); next t)
       | Ldx4 ->
           fun t ->
             let a = addr t in
             if outside msize a 4 then fault t uc un 4 a
             else begin
-              wr t o0 (Int64.logand (Int64.of_int32 (Bytes.get_int32_le data a)) 0xFFFFFFFFL);
+              wr t o0 (Int64.logand (Int64.of_int32 (Memory.get32u data a)) 0xFFFFFFFFL);
               next t
             end
       | Ldx4s ->
           fun t ->
             let a = addr t in
             if outside msize a 4 then fault t uc un 4 a
-            else (wr t o0 (Int64.of_int32 (Bytes.get_int32_le data a)); next t)
+            else (wr t o0 (Int64.of_int32 (Memory.get32u data a)); next t)
       | _ ->
           fun t ->
             let a = addr t in
             if outside msize a 8 then fault t uc un 8 a
-            else (wr t o0 (Bytes.get_int64_le data a); next t))
+            else (wr t o0 (Memory.get64u data a); next t))
   | Lea -> fun t -> wr t o0 (Int64.add (rd t o1) i); next t
   | Ext1 -> fun t -> wr t o0 (Int64.logand (rd t o1) 1L); next t
   | Ext1s -> fun t -> wr t o0 (Int64.shift_right (Int64.shift_left (rd t o1) 63) 63); next t
@@ -1697,10 +1702,10 @@ let pair_body (mem : Memory.t) tb k ~live ~(next : t -> unit) ~uc ~un : (t -> un
           let a = Int64.to_int (rd t s1) + off1 in
           if outside msize a 8 then fault t uc un 8 a
           else begin
-            wr t d1 (Bytes.get_int64_le data a);
+            wr t d1 (Memory.get64u data a);
             let a = Int64.to_int (rd t s2) + off2 in
             if outside msize a 8 then fault t uc2 un2 8 a
-            else (wr t d2 (Bytes.get_int64_le data a); next t)
+            else (wr t d2 (Memory.get64u data a); next t)
           end)
   | St8, St8 ->
       Some
@@ -1708,10 +1713,10 @@ let pair_body (mem : Memory.t) tb k ~live ~(next : t -> unit) ~uc ~un : (t -> un
           let a = Int64.to_int (rd t s1) + off1 in
           if outside msize a 8 then fault t uc un 8 a
           else begin
-            Bytes.set_int64_le data a (rd t d1);
+            Memory.set64u data a (rd t d1);
             let a = Int64.to_int (rd t s2) + off2 in
             if outside msize a 8 then fault t uc2 un2 8 a
-            else (Bytes.set_int64_le data a (rd t d2); next t)
+            else (Memory.set64u data a (rd t d2); next t)
           end)
   | St8, (Ld8 | Ld8s) ->
       Some
@@ -1719,10 +1724,10 @@ let pair_body (mem : Memory.t) tb k ~live ~(next : t -> unit) ~uc ~un : (t -> un
           let a = Int64.to_int (rd t s1) + off1 in
           if outside msize a 8 then fault t uc un 8 a
           else begin
-            Bytes.set_int64_le data a (rd t d1);
+            Memory.set64u data a (rd t d1);
             let a = Int64.to_int (rd t s2) + off2 in
             if outside msize a 8 then fault t uc2 un2 8 a
-            else (wr t d2 (Bytes.get_int64_le data a); next t)
+            else (wr t d2 (Memory.get64u data a); next t)
           end)
   | (Ld8 | Ld8s), Mov_r ->
       Some
@@ -1730,7 +1735,7 @@ let pair_body (mem : Memory.t) tb k ~live ~(next : t -> unit) ~uc ~un : (t -> un
           let a = Int64.to_int (rd t s1) + off1 in
           if outside msize a 8 then fault t uc un 8 a
           else begin
-            wr t d1 (Bytes.get_int64_le data a);
+            wr t d1 (Memory.get64u data a);
             wr t d2 (rd t s2);
             next t
           end)
@@ -1743,7 +1748,7 @@ let pair_body (mem : Memory.t) tb k ~live ~(next : t -> unit) ~uc ~un : (t -> un
           let a = Int64.to_int (rd t s1) + (Int64.to_int (rd t x1) lsl sh1) + off1 in
           if outside msize a 8 then fault t uc un 8 a
           else begin
-            wr t d1 (Bytes.get_int64_le data a);
+            wr t d1 (Memory.get64u data a);
             wr t d2 (rd t s2);
             next t
           end)
@@ -1754,7 +1759,7 @@ let pair_body (mem : Memory.t) tb k ~live ~(next : t -> unit) ~uc ~un : (t -> un
           wr t d1 (Int64.add (Int64.add (rd t s1) i1) (Int64.shift_left (rd t x1) sh1));
           let a = Int64.to_int (rd t s2) + off2 in
           if outside msize a 8 then fault t uc2 un2 8 a
-          else (wr t d2 (Bytes.get_int64_le data a); next t))
+          else (wr t d2 (Memory.get64u data a); next t))
   | Mov_i, Lea_x ->
       let x2 = r2 tb q lsl 3 and sh2 = r3 tb q in
       Some

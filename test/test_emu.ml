@@ -865,6 +865,54 @@ let suite =
               (target.Target.name ^ ": words do not grow with the blob")
               (words small) (words large))
           [ Target.x64; Target.a64 ]);
+    Alcotest.test_case "loads and stores fault at the arena's edges" `Quick (fun () ->
+        let mem_size = 1 lsl 20 in
+        (* [insts] with the address in r7 (x64) or r0 (a64) *)
+        let outcome target insts addr =
+          let emu = Emu.create ~mem_size target in
+          let a = Asm.create target in
+          List.iter (Asm.emit a) (insts target.Target.arg_regs.(0) @ [ Minst.Ret ]);
+          let base = Code_region.base (Emu.register_code emu (Asm.finish a)) in
+          match Emu.call emu ~addr:base ~args:[| Int64.of_int addr |] with
+          | _ -> None
+          | exception Memory.Fault msg -> Some msg
+        in
+        List.iter
+          (fun target ->
+            List.iter
+              (fun n ->
+                let ld r = [ Minst.Ld { dst = 1; base = r; off = 0; size = n; sext = false } ] in
+                let lds r = [ Minst.Ld { dst = 1; base = r; off = 0; size = n; sext = true } ] in
+                let st r = [ Minst.St { src = 1; base = r; off = 0; size = n } ] in
+                (* the second of a fused pair *)
+                let ld_pair r =
+                  [ Minst.Ld { dst = 2; base = target.Target.sp; off = 0; size = 8; sext = false } ]
+                  @ if n = 8 then ld r else []
+                in
+                let ldx r =
+                  if target.Target.name = "x64" then
+                    [ Minst.Ldx { dst = 1; base = -1; index = r; scale = 1; off = 0; size = n; sext = false } ]
+                  else ld r
+                in
+                List.iter
+                  (fun (what, insts) ->
+                    List.iter
+                      (fun addr ->
+                        check
+                          Alcotest.(option string)
+                          (Printf.sprintf "%s %s of %d at 0x%x" target.Target.name what n addr)
+                          (Some (Printf.sprintf "access of %d bytes at 0x%x" n addr))
+                          (outcome target insts addr))
+                      [ mem_size - n + 1; Memory.page - 1; max_int - n + 2 ];
+                    check
+                      Alcotest.(option string)
+                      (Printf.sprintf "%s %s of %d in range" target.Target.name what n)
+                      None
+                      (outcome target insts (mem_size - n)))
+                  ([ ("load", ld); ("sext load", lds); ("store", st); ("indexed load", ldx) ]
+                  @ if n = 8 then [ ("paired load", ld_pair) ] else []))
+              [ 1; 2; 4; 8 ])
+          [ Target.x64; Target.a64 ]);
     Alcotest.test_case "the public register accessors stay checked" `Quick
       (fun () ->
         let emu = Emu.create ~mem_size:(1 lsl 20) Target.x64 in

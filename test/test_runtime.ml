@@ -53,6 +53,100 @@ let memory_cases =
           (Memory.load_bytes m b 12);
         Memory.fill m ~addr:b ~len:12 '\000';
         check Alcotest.int64 "zeroed" 0L (Memory.load64 m b));
+    Alcotest.test_case "a fresh arena reads zero everywhere" `Quick (fun () ->
+        let size = 1 lsl 26 in
+        let m = Memory.create size in
+        let zero what a = check Alcotest.int64 what 0L (Memory.load64 m a) in
+        zero "first usable word" Memory.page;
+        zero "last word" (size - 8);
+        let rng = Random.State.make [| 31 |] in
+        for _ = 1 to 1000 do
+          zero "above the break" (Memory.page + 4096 + Random.State.int rng (size - Memory.page - 4096 - 8))
+        done;
+        (* a second arena is fresh too, whatever the first one holds *)
+        Memory.fill m ~addr:Memory.page ~len:(1 lsl 20) '\255';
+        let m' = Memory.create size in
+        check Alcotest.int64 "second arena" 0L (Memory.load64 m' Memory.page));
+    Alcotest.test_case "accesses past either end fault with the access in the message" `Quick
+      (fun () ->
+        let size = 16 * Memory.page in
+        let m = Memory.create size in
+        let faults what n addr f =
+          match f () with
+          | _ -> Alcotest.failf "%s of %d bytes at 0x%x: no fault" what n addr
+          | exception Memory.Fault msg ->
+              check Alcotest.string what (Printf.sprintf "access of %d bytes at 0x%x" n addr) msg
+        in
+        List.iter
+          (fun n ->
+            (* one byte past the end, one byte into the null page, and an
+               address whose end wraps past [max_int] *)
+            List.iter
+              (fun addr ->
+                faults "load" n addr (fun () -> Memory.load m ~addr ~size:n ~sext:false);
+                faults "sext load" n addr (fun () -> Memory.load m ~addr ~size:n ~sext:true);
+                faults "store" n addr (fun () -> Memory.store m ~addr ~size:n 1L);
+                faults "fill" n addr (fun () -> Memory.fill m ~addr ~len:n 'x');
+                faults "store_bytes" n addr (fun () -> Memory.store_bytes m addr (String.make n 'x'));
+                faults "load_bytes" n addr (fun () -> Memory.load_bytes m addr n);
+                faults "blit from" n addr (fun () -> Memory.blit m ~src:addr ~dst:Memory.page ~len:n);
+                faults "blit to" n addr (fun () -> Memory.blit m ~src:Memory.page ~dst:addr ~len:n);
+                if n = 8 then begin
+                  faults "load64" n addr (fun () -> Memory.load64 m addr);
+                  faults "store64" n addr (fun () -> Memory.store64 m addr 1L)
+                end)
+              [ size - n + 1; Memory.page - 1; max_int - n + 2 ];
+            (* the last in-range access of each width *)
+            Memory.store m ~addr:(size - n) ~size:n (-1L);
+            check Alcotest.int64 "last" (-1L) (Memory.load m ~addr:(size - n) ~size:n ~sext:true))
+          [ 1; 2; 4; 8 ]);
+  ]
+
+(* [blit], [fill] and [store_bytes] over one region agree with the same
+   operations on a [Bytes] copy of it: short spans, the word loops' tails,
+   overlaps in both directions and spans long enough for [memmove]. *)
+let span_region = 8192
+
+let span_op =
+  QCheck2.Gen.(
+    let off = int_bound 3000 and len = oneof [ int_bound 600; int_range 600 2600 ] in
+    oneof
+      [
+        map3 (fun s d n -> `Blit (s, d, n)) off off len;
+        map3 (fun a n c -> `Fill (a, n, c)) off len char;
+        map2 (fun a s -> `Store (a, s)) off (string_size (int_bound 80));
+      ])
+
+let show_span_op = function
+  | `Blit (s, d, n) -> Printf.sprintf "blit %d -> %d, %d bytes" s d n
+  | `Fill (a, n, c) -> Printf.sprintf "fill %d, %d bytes of %C" a n c
+  | `Store (a, s) -> Printf.sprintf "store %d, %S" a s
+
+let span_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300 ~name:"spans agree with a Bytes model"
+         ~print:(fun ops -> String.concat "; " (List.map show_span_op ops))
+         QCheck2.Gen.(list_size (int_range 1 6) span_op)
+         (fun ops ->
+           let m = fresh_mem () in
+           (* odd addresses: no span starts word-aligned by luck *)
+           let base = Memory.alloc m span_region + 1 in
+           let model = Bytes.init (span_region - 1) (fun i -> Char.chr (((i * 31) + 7) land 255)) in
+           Memory.store_bytes m base (Bytes.to_string model);
+           List.iter
+             (function
+               | `Blit (s, d, n) ->
+                   Memory.blit m ~src:(base + s) ~dst:(base + d) ~len:n;
+                   Bytes.blit model s model d n
+               | `Fill (a, n, c) ->
+                   Memory.fill m ~addr:(base + a) ~len:n c;
+                   Bytes.fill model a n c
+               | `Store (a, s) ->
+                   Memory.store_bytes m (base + a) s;
+                   Bytes.blit_string s 0 model a (String.length s))
+             ops;
+           Memory.load_bytes m base (Bytes.length model) = Bytes.to_string model));
   ]
 
 let sso_cases =
@@ -333,4 +427,4 @@ let sort_cases =
           Alcotest.failf "%.0f minor words for %d comparisons" words comparisons);
   ]
 
-let suite = memory_cases @ sso_cases @ sso_props @ htable_cases @ tuplebuf_cases @ sort_cases
+let suite = memory_cases @ span_props @ sso_cases @ sso_props @ htable_cases @ tuplebuf_cases @ sort_cases
