@@ -3,11 +3,13 @@
      qcomp run   --workload tpch --query q06 --backend llvm-opt --sf 2
      qcomp bench --workload tpcds --backend all --sf 1 [--target a64]
      qcomp validate --workload tpch --sf 1
+     qcomp dis --backend llvm-opt --query q06 [--fn F] [--target a64]
 
    `run` executes one query and prints its rows and timings; `bench`
    compiles+executes a whole workload per back-end and prints a Table
    III-style summary; `validate` checks every back-end and the Cached,
-   Tiered and Tiered+reopt serving replays against the interpreter. *)
+   Tiered and Tiered+reopt serving replays against the interpreter; `dis`
+   prints the decoded machine code a back-end emits for one query. *)
 
 open Cmdliner
 open Qcomp_engine
@@ -214,6 +216,34 @@ let validate_cmd =
        ~doc:"Differentially validate all back-ends and the serving modes against the interpreter.")
     Term.(const validate $ workload_arg $ sf_arg $ target_arg)
 
+(* ---- dis ---- *)
+
+let dis_cmd =
+  let query_arg =
+    Arg.(value & opt string "q06" & info [ "q"; "query" ] ~docv:"Q" ~doc:"Query name (e.g. q06, ds001).")
+  in
+  let fn_arg =
+    Arg.(value & opt (some string) None & info [ "fn" ] ~docv:"F"
+           ~doc:"Print only function F (default: every function of the module).")
+  in
+  let dis wl target bname query fn =
+    let wl, target = resolve_common wl target in
+    let backend = match backends_of_arg target bname with [ b ] -> b | _ -> fail "dis takes one back-end" in
+    match Experiments.disassemble target wl backend ~query ?fn () with
+    | fns ->
+        List.iter
+          (fun (name, code) ->
+            Format.printf "%s:@." name;
+            List.iter
+              (fun (off, i) -> Format.printf "  %6d  %a@." off (Qcomp_vm.Minst.pp target) i)
+              code)
+          fns
+    | exception Invalid_argument msg -> fail "%s" msg
+  in
+  Cmd.v
+    (Cmd.info "dis" ~doc:"Print the decoded machine code a back-end emits for one query.")
+    Term.(const dis $ workload_arg $ target_arg $ backend_arg $ query_arg $ fn_arg)
+
 let () =
   let doc = "query compilation with pluggable compiler back-ends" in
-  exit (Cmd.eval (Cmd.group (Cmd.info "qcomp" ~doc) [ run_cmd; bench_cmd; validate_cmd ]))
+  exit (Cmd.eval (Cmd.group (Cmd.info "qcomp" ~doc) [ run_cmd; bench_cmd; validate_cmd; dis_cmd ]))

@@ -102,11 +102,12 @@ let emit ~(asm : Asm.t) (vc : Vcode.t) (ra : Regalloc.t) =
   in
   for b = 0 to vc.Vcode.nblocks - 1 do
     Asm.bind asm labels.(b);
+    let last = Vec.length vc.Vcode.insts.(b) - 1 in
     (* spilled vregs with a block-local register that already hold the
        current value (loaded at first use or written by a def) *)
     let loaded = Hashtbl.create 8 in
-    Vec.iter
-      (fun inst ->
+    Vec.iteri
+      (fun k inst ->
         let _, uses = Vcode.defs_uses inst in
         (* assign scratches to spilled uses *)
         let spill_map = Hashtbl.create 4 in
@@ -151,6 +152,8 @@ let emit ~(asm : Asm.t) (vc : Vcode.t) (ra : Regalloc.t) =
         in
         (* rewrite, handling branch targets specially *)
         (match inst with
+        (* as MachBuffer: a block's final jump to the next block falls through *)
+        | Minst.Jmp b' when k = last && b' = b + 1 -> ()
         | Minst.Jmp b' -> Asm.jmp asm labels.(b')
         | Minst.Jcc (c, b') -> Asm.jcc asm c labels.(b')
         | Minst.Ret -> emit_epilogue ()

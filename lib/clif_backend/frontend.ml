@@ -155,7 +155,12 @@ let check_narrow ctx bits r64 =
   let bad = emit ctx ~op:Cir.Bor ~ty:Cir.I8 ~args:[ too_big; too_small ] () in
   trap_if ctx bad
 
-let log2 = function 1 -> 0 | 2 -> 1 | 4 -> 2 | 8 -> 3 | 16 -> 4 | _ -> -1
+(* k with [n = 1 lsl k], or -1 when [n] is no power of two *)
+let log2 n =
+  if n <= 0 || n land (n - 1) <> 0 then -1
+  else
+    let rec go k = if 1 lsl k = n then k else go (k + 1) in
+    go 0
 
 (* ------------------------------------------------------------------ *)
 
@@ -361,12 +366,19 @@ let translate ~features ~extern_addr ~rt_addr (src : Func.t) : Cir.func =
             let aux = log2 (Ty.size_bytes vty) in
             emit_void ctx ~op:Cir.Store ~imm:(Func.imm src i) ~aux ~args:[ v x; v y ] ()
         | Op.Gep ->
-            (* integer arithmetic, no addressing modes at the IR level *)
+            (* integer arithmetic (CIR has no pointers): a power-of-two
+               scale is a shift, which the lowering folds into the load's
+               addressing mode together with the adds *)
             let base = v x in
             let with_index =
               if y >= 0 then begin
-                let scale = iconst ctx (Int64.of_int (Func.n src i)) in
-                let scaled = emit ctx ~op:Cir.Imul ~ty:Cir.I64 ~args:[ v y; scale ] () in
+                let scale = Func.n src i in
+                let scaled =
+                  match log2 scale with
+                  | 0 -> v y
+                  | -1 -> emit ctx ~op:Cir.Imul ~ty:Cir.I64 ~args:[ v y; iconst ctx (Int64.of_int scale) ] ()
+                  | k -> emit ctx ~op:Cir.Ishl ~ty:Cir.I64 ~args:[ v y; iconst ctx (Int64.of_int k) ] ()
+                in
                 emit ctx ~op:Cir.Iadd ~ty:Cir.I64 ~args:[ base; scaled ] ()
               end
               else base

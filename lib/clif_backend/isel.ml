@@ -10,6 +10,11 @@
 
 open Qcomp_vm
 
+(** A load's addressing mode: [base + index * scale + disp] over CIR
+    values ([-1] when absent). [const_base] (a64): the base is the
+    constant [disp], materialized at the load. *)
+type amode = { base : int; index : int; scale : int; disp : int64; const_base : bool }
+
 type prep = {
   vreg_lo : int array;  (** CIR value -> vreg *)
   vreg_hi : int array;  (** second vreg for i128 values, else -1 *)
@@ -17,6 +22,7 @@ type prep = {
   use_count : int array;  (** per CIR value *)
   effect_group : int array;  (** per CIR instruction *)
   folded : bool array;  (** per CIR instruction: sunk into its user *)
+  amodes : (int, amode) Hashtbl.t;  (** per load instruction with one *)
   result_of : int array;  (** instruction -> its result value, -1 if none *)
 }
 
@@ -76,9 +82,72 @@ let count_uses (cir : Cir.func) =
 
 let fits_i32 (v : int64) = Int64.of_int32 (Int64.to_int32 v) = v
 
+(* The address [v] of a load of [size] bytes at offset [off] as one
+   addressing mode, as Cranelift's x64 [to_amode] and aarch64 [amode]
+   rules match it: through single-use [iadd]s of the load's block,
+   constants into the displacement and one [ishl] by 0-3 or [imul] by 1, 2,
+   4 or 8 into the index; other values take the base, then the index.
+   Returns the mode and the instructions it sinks, or [None] when it
+   needs more registers or the target has no such form: x64 takes
+   [base + index * scale + disp32], a64 [base + index lsl 0|log2 size]
+   or [base + disp]. *)
+let match_amode (cir : Cir.func) ~(target : Target.t) ~use_count ~block_of ~block v ~size ~off =
+  let def v = cir.Cir.value_def.(v) in
+  let const v =
+    let d = def v in
+    if d >= 0 && cir.Cir.op.(d) = Cir.Iconst then Some cir.Cir.imm.(d) else None
+  in
+  (* pure, single use, in the load's block: may be sunk into it *)
+  let sinkable v = def v >= 0 && use_count.(v) = 1 && block_of.(def v) = block in
+  let register (am, sunk) v =
+    if am.base < 0 then Some ({ am with base = v }, sunk)
+    else if am.index < 0 then Some ({ am with index = v; scale = 1 }, sunk)
+    else None
+  in
+  let rec go ((am, sunk) as acc) v depth =
+    let d = def v in
+    if d < 0 then register acc v
+    else
+      match (cir.Cir.op.(d), Cir.inst_args cir d) with
+      | Cir.Iconst, _ ->
+          Some ({ am with disp = Int64.add am.disp cir.Cir.imm.(d) }, if sinkable v then d :: sunk else sunk)
+      | Cir.Iadd, [ p; q ] when sinkable v && depth < 4 && cir.Cir.ity.(d) <> Cir.I128 -> (
+          match Option.bind (go acc p (depth + 1)) (fun acc -> go acc q (depth + 1)) with
+          | Some (am, sunk) -> Some (am, d :: sunk)
+          | None -> register acc v)
+      | Cir.Ishl, [ y; k ] when sinkable v && am.index < 0 -> (
+          match const k with
+          | Some k when k >= 0L && k <= 3L ->
+              Some ({ am with index = y; scale = 1 lsl Int64.to_int k }, d :: sunk)
+          | _ -> register acc v)
+      | Cir.Imul, [ y; c ] when sinkable v && am.index < 0 -> (
+          match const c with
+          | Some (1L | 2L | 4L | 8L as c) -> Some ({ am with index = y; scale = Int64.to_int c }, d :: sunk)
+          | _ -> register acc v)
+      | _ -> register acc v
+  in
+  let start = { base = -1; index = -1; scale = 1; disp = Int64.of_int off; const_base = false } in
+  match go (start, []) v 0 with
+  | None | Some ({ base = -1; index = -1; _ }, _) -> None
+  | Some (am, sunk) -> (
+      match target.Target.arch with
+      | Target.X64 ->
+          if not (fits_i32 am.disp) then None
+          else if am.base < 0 && am.scale = 1 then Some ({ am with base = am.index; index = -1 }, sunk)
+          else Some (am, sunk)
+      | Target.A64 ->
+          if am.index < 0 then Some (am, sunk)
+          else if am.scale <> 1 && am.scale <> size then None
+          else if am.base < 0 then Some ({ am with const_base = true }, sunk)
+          else if Int64.equal am.disp 0L then Some (am, sunk)
+          else None)
+
 (* Tree-matching decisions: single-use pure defs sunk into users. *)
 let mark_folds (cir : Cir.func) ~(target : Target.t) use_count effect_group =
   let folded = Array.make cir.Cir.ninsts false in
+  let amodes = Hashtbl.create 16 in
+  (* filled as the walk goes: a load's operands are defined before it *)
+  let block_of = Array.make cir.Cir.ninsts (-1) in
   let def v = cir.Cir.value_def.(v) in
   let imm_fits v =
     let d = def v in
@@ -101,6 +170,7 @@ let mark_folds (cir : Cir.func) ~(target : Target.t) use_count effect_group =
   in
   for b = 0 to cir.Cir.nblocks - 1 do
     Cir.iter_block_insts cir b (fun i ->
+        block_of.(i) <- b;
         match cir.Cir.op.(i) with
         | Cir.Iadd | Cir.Isub | Cir.Band | Cir.Bor | Cir.Bxor | Cir.Imul
           when cir.Cir.ity.(i) <> Cir.I128 -> (
@@ -126,6 +196,17 @@ let mark_folds (cir : Cir.func) ~(target : Target.t) use_count effect_group =
             match Cir.inst_args cir i with
             | cond :: _ when is_single_use_cmp cond i -> folded.(def cond) <- true
             | _ -> ())
+        | Cir.Load when cir.Cir.ity.(i) <> Cir.I128 -> (
+            let size = 1 lsl (cir.Cir.aux.(i) land 7) in
+            match
+              match_amode cir ~target ~use_count ~block_of ~block:b
+                (List.hd (Cir.inst_args cir i))
+                ~size ~off:(Int64.to_int cir.Cir.imm.(i))
+            with
+            | Some (am, sunk) ->
+                Hashtbl.replace amodes i am;
+                List.iter (fun d -> folded.(d) <- true) sunk
+            | None -> ())
         | Cir.Call_indirect -> (
             (* the hard-wired callee constant is always sunk *)
             match Cir.inst_args cir i with
@@ -136,18 +217,18 @@ let mark_folds (cir : Cir.func) ~(target : Target.t) use_count effect_group =
             | _ -> ())
         | _ -> ())
   done;
-  folded
+  (folded, amodes)
 
 let prepare (cir : Cir.func) (vc : Vcode.t) ~target : prep =
   let vreg_lo, vreg_hi, reg_class = assign_vregs cir vc in
   let effect_group = partition cir in
   let use_count = count_uses cir in
-  let folded = mark_folds cir ~target use_count effect_group in
+  let folded, amodes = mark_folds cir ~target use_count effect_group in
   let result_of = Array.make cir.Cir.ninsts (-1) in
   for v = 0 to cir.Cir.nvalues - 1 do
     if cir.Cir.value_def.(v) >= 0 then result_of.(cir.Cir.value_def.(v)) <- v
   done;
-  { vreg_lo; vreg_hi; reg_class; use_count; effect_group; folded; result_of }
+  { vreg_lo; vreg_hi; reg_class; use_count; effect_group; folded; amodes; result_of }
 
 (* ------------------------------------------------------------------ *)
 (* Lowering *)
@@ -405,12 +486,8 @@ let lower_inst ctx i =
   match cir.Cir.op.(i) with
   | Cir.Nop -> ()
   | Cir.Iconst ->
-      if not ctx.p.folded.(i) then begin
-        push ctx (Minst.Mov_ri (d (), cir.Cir.imm.(i)));
-        if ty = Cir.I128 then begin
-          push ctx (Minst.Mov_ri (d_hi (), Int64.shift_right cir.Cir.imm.(i) 63))
-        end
-      end
+      push ctx (Minst.Mov_ri (d (), cir.Cir.imm.(i)));
+      if ty = Cir.I128 then push ctx (Minst.Mov_ri (d_hi (), Int64.shift_right cir.Cir.imm.(i) 63))
   | Cir.Iadd | Cir.Isub | Cir.Band | Cir.Bor | Cir.Bxor -> (
       let a, b = match args with [ a; b ] -> (a, b) | _ -> assert false in
       if ty = Cir.I128 then begin
@@ -517,22 +594,18 @@ let lower_inst ctx i =
         canonicalize ctx ty (d ())
       end)
   | Cir.Icmp ->
-      if not ctx.p.folded.(i) then begin
-        let a, b = match args with [ a; b ] -> (a, b) | _ -> assert false in
-        let cond = Frontend.cond_of_code cir.Cir.aux.(i) in
-        if cir.Cir.value_ty.(a) = Cir.I128 then emit_cmp128 ctx cond (d ()) a b
-        else begin
-          emit_cmp_flags ctx a b;
-          push ctx (Minst.Setcc (Cir.cond_to_minst cond, d ()))
-        end
-      end
-  | Cir.Fcmp ->
-      if not ctx.p.folded.(i) then begin
-        let a, b = match args with [ a; b ] -> (a, b) | _ -> assert false in
-        let cond = Frontend.cond_of_code cir.Cir.aux.(i) in
-        push ctx (Minst.Fcmp_rr (reg ctx a, reg ctx b));
+      let a, b = match args with [ a; b ] -> (a, b) | _ -> assert false in
+      let cond = Frontend.cond_of_code cir.Cir.aux.(i) in
+      if cir.Cir.value_ty.(a) = Cir.I128 then emit_cmp128 ctx cond (d ()) a b
+      else begin
+        emit_cmp_flags ctx a b;
         push ctx (Minst.Setcc (Cir.cond_to_minst cond, d ()))
       end
+  | Cir.Fcmp ->
+      let a, b = match args with [ a; b ] -> (a, b) | _ -> assert false in
+      let cond = Frontend.cond_of_code cir.Cir.aux.(i) in
+      push ctx (Minst.Fcmp_rr (reg ctx a, reg ctx b));
+      push ctx (Minst.Setcc (Cir.cond_to_minst cond, d ()))
   | Cir.Uextend -> (
       let a = List.hd args in
       let bits = Cir.ty_bits cir.Cir.value_ty.(a) in
@@ -605,9 +678,21 @@ let lower_inst ctx i =
         push ctx (Minst.Ld { dst = d (); base = reg ctx a; off; size = 8; sext = false });
         push ctx (Minst.Ld { dst = d_hi (); base = reg ctx a; off = off + 8; size = 8; sext = false })
       end
-      else
-        push ctx
-          (Minst.Ld { dst = d (); base = reg ctx a; off; size = min size 8; sext = sext && size < 8 })
+      else begin
+        let sext = sext && size < 8 in
+        match Hashtbl.find_opt ctx.p.amodes i with
+        | None -> push ctx (Minst.Ld { dst = d (); base = reg ctx a; off; size; sext })
+        | Some { base; index = -1; disp; _ } ->
+            push ctx (Minst.Ld { dst = d (); base = reg ctx base; off = Int64.to_int disp; size; sext })
+        | Some { const_base = true; index; scale; disp; _ } ->
+            let t = Vcode.new_vreg ctx.vc in
+            push ctx (Minst.Mov_ri (t, disp));
+            push ctx (Minst.Ldx { dst = d (); base = t; index = reg ctx index; scale; off = 0; size; sext })
+        | Some { base; index; scale; disp; _ } ->
+            let base = if base >= 0 then reg ctx base else -1 in
+            push ctx
+              (Minst.Ldx { dst = d (); base; index = reg ctx index; scale; off = Int64.to_int disp; size; sext })
+      end
   | Cir.Store ->
       let v, a = match args with [ v; a ] -> (v, a) | _ -> assert false in
       let off = Int64.to_int cir.Cir.imm.(i) in
@@ -755,5 +840,6 @@ let lower (cir : Cir.func) ~(target : Target.t) ~rt_addr ~(prep : prep)
        target.Target.arg_regs);
   for b = 0 to cir.Cir.nblocks - 1 do
     ctx.cur <- b;
-    Cir.iter_block_insts cir b (fun i -> lower_inst ctx i)
+    (* a folded instruction is sunk into its user, which emits it *)
+    Cir.iter_block_insts cir b (fun i -> if not prep.folded.(i) then lower_inst ctx i)
   done

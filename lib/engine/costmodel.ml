@@ -84,18 +84,18 @@ let pinned_cycles (target : Qcomp_vm.Target.t) =
         ("interpreter", 22_445_835);
         ("stencil", 8_457_578);
         ("directemit", 3_852_309);
-        ("cranelift", 6_704_932);
-        ("llvm-opt", 6_912_779);
-        ("llvm-cheap", 11_036_028);
-        ("gcc", 10_021_040);
+        ("cranelift", 5_810_587);
+        ("llvm-opt", 6_550_746);
+        ("llvm-cheap", 8_648_016);
+        ("gcc", 9_499_582);
       ]
   | Qcomp_vm.Target.A64 ->
       [
         ("interpreter", 22_445_835);
-        ("cranelift", 5_556_570);
-        ("llvm-opt", 6_332_230);
-        ("llvm-cheap", 8_927_213);
-        ("gcc", 8_572_294);
+        ("cranelift", 4_931_772);
+        ("llvm-opt", 6_147_126);
+        ("llvm-cheap", 7_884_672);
+        ("gcc", 8_300_863);
       ]
 
 (** Summed {!Qcomp_engine.Engine.estimated_work} of the same 22 plans at

@@ -177,11 +177,10 @@ let execute db (cq : Qcomp_codegen.Codegen.compiled)
     ~finally:(fun () -> Memory.free_scope mem scope)
     (fun () ->
       Memory.with_scope scope (fun () ->
+          (* zeroed, as every {!Memory.alloc} *)
           let state =
             Memory.alloc mem ~align:16 cq.Qcomp_codegen.Codegen.state_size
           in
-          Memory.fill mem ~addr:state ~len:cq.Qcomp_codegen.Codegen.state_size
-            '\000';
           List.iter
             (fun (slot, fn) ->
               Memory.store64 mem (state + slot)

@@ -135,3 +135,52 @@ let validate target workload ~sf backends =
       backends )
 
 let cycles_to_seconds = Engine.cycles_to_seconds
+
+(** The machine code [backend] emits for [query]: every defined function
+    of the module's artifact (or only [fn]), each as its instructions
+    decoded by the emulator's loader, with their byte offsets in the
+    text. The database is built at sf 1: code depends on the plan and the
+    table addresses, not on the row counts. *)
+let disassemble target workload backend ~query ?fn () =
+  let q =
+    match List.find_opt (fun (q : Spec.query) -> q.Spec.q_name = query) (queries_of workload) with
+    | Some q -> q
+    | None -> invalid_arg ("disassemble: no query " ^ query)
+  in
+  let artifact =
+    match Qcomp_backend.Backend.compile_artifact backend with
+    | Some a -> a
+    | None -> invalid_arg ("disassemble: " ^ Qcomp_backend.Backend.name backend ^ " emits no code")
+  in
+  let db = make_db target workload ~sf:1 in
+  let cq = Engine.plan_to_ir db ~name:q.Spec.q_name q.Spec.q_plan in
+  let a =
+    artifact ~timing:(Timing.create ~enabled:false ()) ~target ~registry:db.Engine.registry
+      cq.Qcomp_codegen.Codegen.modul
+  in
+  let text = a.Qcomp_backend.Artifact.a_text in
+  let insts, at = Qcomp_vm.Emu.decode_all target text in
+  let defined =
+    List.sort
+      (fun (s : Qcomp_backend.Artifact.symbol) t -> compare s.s_off t.Qcomp_backend.Artifact.s_off)
+      (List.filter (fun (s : Qcomp_backend.Artifact.symbol) -> s.s_defined) a.Qcomp_backend.Artifact.a_syms)
+  in
+  (* a function runs from its symbol to the next one's, or the text's end *)
+  let rec ranges = function
+    | [] -> []
+    | (s : Qcomp_backend.Artifact.symbol) :: rest ->
+        let stop = match rest with t :: _ -> t.Qcomp_backend.Artifact.s_off | [] -> Bytes.length text in
+        (s.s_name, s.s_off, stop) :: ranges rest
+  in
+  let chosen =
+    List.filter (fun (name, _, _) -> match fn with None -> true | Some f -> f = name) (ranges defined)
+  in
+  if chosen = [] then invalid_arg ("disassemble: no function " ^ Option.value fn ~default:"");
+  List.map
+    (fun (name, start, stop) ->
+      let code = ref [] in
+      for off = stop - 1 downto start do
+        if at.(off) >= 0 then code := (off, insts.(at.(off))) :: !code
+      done;
+      (name, !code))
+    chosen

@@ -79,3 +79,18 @@ val validate :
   (string * int64) list * string list
 
 val cycles_to_seconds : int -> float
+
+(** [disassemble target wl backend ~query ?fn ()] compiles [query] with
+    [backend] (a database at sf 1) and decodes its artifact's text with
+    {!Qcomp_vm.Emu.decode_all}: one [(function, [(offset, instruction)])]
+    entry per defined function, or only [fn]. Raises [Invalid_argument]
+    for an unknown query or function, or a back-end without machine
+    code. *)
+val disassemble :
+  Qcomp_vm.Target.t ->
+  workload ->
+  Qcomp_backend.Backend.t ->
+  query:string ->
+  ?fn:string ->
+  unit ->
+  (string * (int * Qcomp_vm.Minst.t) list) list

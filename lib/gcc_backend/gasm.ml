@@ -16,6 +16,13 @@ let reg_names (target : Target.t) =
 let print_function (target : Target.t) ~name (m : Mir.t) (b : Buffer.t) =
   let r = Target.reg_name target in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  (* [base+index*scale+off], an absent base or index left out *)
+  let mem base index scale off =
+    String.concat "+"
+      ((if base >= 0 then [ r base ] else [])
+      @ if index >= 0 then [ Printf.sprintf "%s*%d" (r index) scale ] else [])
+    ^ Printf.sprintf "%+d" off
+  in
   add ".globl %s\n%s:\n" name name;
   Array.iteri
     (fun bi (blk : Mir.block) ->
@@ -42,14 +49,15 @@ let print_function (target : Target.t) ~name (m : Mir.t) (b : Buffer.t) =
               | Minst.Cmp_rr (a, bb) -> add "\tcmp %s, %s\n" (r a) (r bb)
               | Minst.Cmp_ri (a, v) -> add "\tcmp %s, %Ld\n" (r a) v
               | Minst.Ld { dst; base; off; size; sext } ->
-                  add "\tld%d%s %s, [%s%+d]\n" size (if sext then "s" else "u") (r dst) (r base) off
+                  add "\tld%d%s %s, [%s]\n" size (if sext then "s" else "u") (r dst)
+                    (mem base (-1) 1 off)
               | Minst.St { src; base; off; size } ->
-                  add "\tst%d %s, [%s%+d]\n" size (r src) (r base) off
-              | Minst.Ldx _ -> failwith "gasm: indexed loads are DirectEmit's only"
+                  add "\tst%d %s, [%s]\n" size (r src) (mem base (-1) 1 off)
+              | Minst.Ldx { dst; base; index; scale; off; size; sext } ->
+                  add "\tld%d%s %s, [%s]\n" size (if sext then "s" else "u") (r dst)
+                    (mem base index scale off)
               | Minst.Lea { dst; base; index; scale; off } ->
-                  if index >= 0 then
-                    add "\tlea %s, [%s+%s*%d%+d]\n" (r dst) (r base) (r index) scale off
-                  else add "\tlea %s, [%s%+d]\n" (r dst) (r base) off
+                  add "\tlea %s, [%s]\n" (r dst) (mem base index scale off)
               | Minst.Ext { dst; src; bits; signed } ->
                   add "\text%d%s %s, %s\n" bits (if signed then "s" else "u") (r dst) (r src)
               | Minst.Mul_wide { signed; src } ->
@@ -153,38 +161,27 @@ let assemble (target : Target.t) (src : string) : Elf.obj =
   in
   let imm s = Int64.of_string s in
   let parse_mem s =
-    (* [base+off] or [base+index*scale+off] *)
+    (* [base+index*scale+off], base and index optional: a term with a '*'
+       is the scaled index, a register name the base, a number the
+       offset; '-' starts a term as '+' does *)
     let inner = String.sub s 1 (String.length s - 2) in
-    (* find a '+' or '-' splitting base and rest; base is a register name *)
-    let plus =
-      let rec find i = if i >= String.length inner then -1
-        else if inner.[i] = '+' || inner.[i] = '-' then i else find (i + 1) in
-      find 0
-    in
-    if plus < 0 then (reg_of inner, -1, 1, 0)
-    else begin
-      let base = reg_of (String.sub inner 0 plus) in
-      let rest = String.sub inner plus (String.length inner - plus) in
-      if String.contains rest '*' then begin
-        (* +index*scale+off *)
-        let rest' = String.sub rest 1 (String.length rest - 1) in
-        let star = String.index rest' '*' in
-        let index = reg_of (String.sub rest' 0 star) in
-        let after = String.sub rest' (star + 1) (String.length rest' - star - 1) in
-        let plus2 =
-          let rec find i = if i >= String.length after then -1
-            else if after.[i] = '+' || after.[i] = '-' then i else find (i + 1) in
-          find 0
-        in
-        if plus2 < 0 then (base, index, int_of_string after, 0)
-        else
-          ( base,
-            index,
-            int_of_string (String.sub after 0 plus2),
-            int_of_string (String.sub after plus2 (String.length after - plus2)) )
-      end
-      else (base, -1, 1, int_of_string rest)
-    end
+    let terms = ref [] and start = ref 0 in
+    String.iteri
+      (fun i c ->
+        if i > 0 && (c = '+' || c = '-') then begin
+          terms := String.sub inner !start (i - !start) :: !terms;
+          start := if c = '+' then i + 1 else i
+        end)
+      inner;
+    terms := String.sub inner !start (String.length inner - !start) :: !terms;
+    List.fold_left
+      (fun (base, index, scale, off) t ->
+        match String.index_opt t '*' with
+        | Some star ->
+            (base, reg_of (String.sub t 0 star), int_of_string (String.sub t (star + 1) (String.length t - star - 1)), off)
+        | None when Array.mem t names -> (reg_of t, index, scale, off)
+        | None -> (base, index, scale, off + int_of_string t))
+      (-1, -1, 1, 0) (List.rev !terms)
   in
   List.iter
     (fun raw ->
@@ -284,8 +281,10 @@ let assemble (target : Target.t) (src : string) : Elf.obj =
             let size = int_of_string (String.sub size_sext 0 (String.length size_sext - 1)) in
             (match ops with
             | [ d; mem ] ->
-                let base, _, _, off = parse_mem mem in
-                Asm.emit asm (Minst.Ld { dst = reg_of d; base; off; size; sext })
+                let base, index, scale, off = parse_mem mem in
+                Asm.emit asm
+                  (if index >= 0 then Minst.Ldx { dst = reg_of d; base; index; scale; off; size; sext }
+                   else Minst.Ld { dst = reg_of d; base; off; size; sext })
             | _ -> raise (Asm_error line))
         | _ when String.length mn > 2 && String.sub mn 0 2 = "st" ->
             let size = int_of_string (String.sub mn 2 (String.length mn - 2)) in

@@ -99,6 +99,7 @@ let compile_artifact ~timing ~(target : Target.t) ~registry (m : Func.modul) :
           ignore (Llvm.Mpasses.regalloc_greedy mir live freq);
           Llvm.Mpasses.remove_identity_moves mir;
           let frame = Llvm.Mpasses.prologue_epilogue mir in
+          Llvm.Mpasses.drop_fallthrough_jumps mir;
           Gasm.print_function target ~name:lf.Lir.lname mir asm_text;
           fn_frames := (lf.Lir.lname, frame) :: !fn_frames)
         funcs);

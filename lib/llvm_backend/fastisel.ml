@@ -48,8 +48,65 @@ let cmp_to_cond (c : Qcomp_ir.Op.cmp) : Minst.cond =
   | Qcomp_ir.Op.Ugt -> Minst.Ugt
   | Qcomp_ir.Op.Uge -> Minst.Uge
 
-(** Try to select one instruction; emits MIR on success. *)
-let try_select (fl : Flow.t) (i : Lir.inst) : verdict =
+(* The GEP [i] as one lea: when the scale is an addressing-mode scale;
+   any other scale is multiplied out first. *)
+let select_gep (fl : Flow.t) (i : Lir.inst) =
+  let push m = Flow.push fl (Mir.M m) in
+  let d = Flow.inst_vreg fl i in
+  let base = Flow.value_vreg fl i.Lir.operands.(0) in
+  let scale, off = Lir.gep_scale_off i in
+  let off = Int64.to_int off in
+  match Flow.const_of i.Lir.operands.(1) with
+  | Some 0L -> push (Minst.Lea { dst = d; base; index = -1; scale = 1; off })
+  | _ ->
+      let index = Flow.value_vreg fl i.Lir.operands.(1) in
+      if List.mem scale [ 1; 2; 4; 8 ] then push (Minst.Lea { dst = d; base; index; scale; off })
+      else begin
+        let t = Mir.new_vreg fl.Flow.mir in
+        push (Minst.Alu_rri (Minst.Mul, t, index, Int64.of_int scale));
+        push (Minst.Lea { dst = d; base; index = t; scale = 1; off })
+      end
+
+(* As X86FastISel::X86SelectAddress looks through a GEP of the same
+   block: a GEP whose every user is a load of its block that can read the
+   whole address in one instruction is not selected, and each of those
+   loads reads it ({!address_load}). x64 addresses
+   [base + index * 1|2|4|8 + disp32], a64 [base + index lsl 0|log2 size]
+   or [base + off]. *)
+let foldable_gep (fl : Flow.t) (i : Lir.inst) =
+  let scale, off = Lir.gep_scale_off i in
+  let indexed = Flow.const_of i.Lir.operands.(1) <> Some 0L in
+  let size (u : Lir.inst) = max 1 (Lir.ty_size_bits u.Lir.ity / 8) in
+  i.Lir.users <> []
+  && List.for_all
+       (fun (u : Lir.inst) ->
+         u.Lir.iop = Lir.Load
+         && (match (u.Lir.parent, i.Lir.parent) with Some a, Some b -> a == b | _ -> false)
+         && (not (is_wide u.Lir.ity)) && (not (is_pair u.Lir.ity))
+         &&
+         if Flow.is_x64 fl then Asm.fits_i32 off && ((not indexed) || List.mem scale [ 1; 2; 4; 8 ])
+         else (not indexed) || (Int64.equal off 0L && (scale = 1 || scale = size u)))
+       i.Lir.users
+
+(* A load through the folded GEP [g]: its whole address in one load. *)
+let address_load (fl : Flow.t) (g : Lir.inst) ~dst ~size ~sext =
+  let push m = Flow.push fl (Mir.M m) in
+  let vr v = Flow.value_vreg fl v in
+  let scale, off = Lir.gep_scale_off g in
+  let base = g.Lir.operands.(0) and index = g.Lir.operands.(1) in
+  match Flow.const_of index with
+  | Some 0L -> push (Minst.Ld { dst; base = vr base; off = Int64.to_int off; size; sext })
+  | _ -> (
+      match Flow.const_of base with
+      | Some c when Flow.is_x64 fl && Asm.fits_i32 (Int64.add c off) ->
+          push
+            (Minst.Ldx
+               { dst; base = -1; index = vr index; scale; off = Int64.to_int (Int64.add c off); size; sext })
+      | _ -> push (Minst.Ldx { dst; base = vr base; index = vr index; scale; off = Int64.to_int off; size; sext }))
+
+(** Try to select one instruction; emits MIR on success. [deferred] holds
+    the GEPs of the block left to their loads. *)
+let try_select (fl : Flow.t) deferred (i : Lir.inst) : verdict =
   let push m = Flow.push fl (Mir.M m) in
   let x64 = Flow.is_x64 fl in
   let mir = fl.Flow.mir in
@@ -175,20 +232,16 @@ let try_select (fl : Flow.t) (i : Lir.inst) : verdict =
         push (Minst.Cvt_f2si (dst (), vr i.Lir.operands.(0)));
         Ok
     | Lir.Gep ->
-        let d = dst () in
-        let base = vr i.Lir.operands.(0) in
-        (match Flow.const_of i.Lir.operands.(1) with
-        | Some c ->
-            push (Minst.Lea { dst = d; base; index = -1; scale = 1; off = Int64.to_int c })
-        | None ->
-            push (Minst.Lea { dst = d; base; index = vr i.Lir.operands.(1); scale = 1; off = 0 }));
+        if foldable_gep fl i then deferred := i :: !deferred else select_gep fl i;
         Ok
     | Lir.Load ->
         if any_wide () then Fb_block Flow.Wide_int
         else begin
           let size = max 1 (Lir.ty_size_bits i.Lir.ity / 8) in
           let sext = i.Lir.ity <> Lir.I1 && size < 8 in
-          push (Minst.Ld { dst = dst (); base = vr i.Lir.operands.(0); off = 0; size; sext });
+          (match i.Lir.operands.(0) with
+          | Lir.Vinst g when List.memq g !deferred -> address_load fl g ~dst:(dst ()) ~size ~sext
+          | addr -> push (Minst.Ld { dst = dst (); base = vr addr; off = 0; size; sext }));
           Ok
         end
     | Lir.Store ->
@@ -325,10 +378,21 @@ let try_select (fl : Flow.t) (i : Lir.inst) : verdict =
     required. *)
 let select_block (fl : Flow.t) (insts : Lir.inst list) =
   Hashtbl.reset fl.Flow.fast_ovf;
+  let deferred = ref [] in
+  (* before SelectionDAG takes [handed] over: a deferred GEP one of them
+     reads is selected now *)
+  let fall_back handed =
+    let read, unread =
+      List.partition (fun (g : Lir.inst) -> List.exists (fun u -> List.memq u handed) g.Lir.users) !deferred
+    in
+    List.iter (select_gep fl) (List.rev read);
+    deferred := unread;
+    Seldag.run fl handed
+  in
   let rec go = function
     | [] -> ()
     | (i : Lir.inst) :: rest -> (
-        match try_select fl i with
+        match try_select fl deferred i with
         | Ok -> go rest
         | Fb_inst reason ->
             Flow.count_fallback fl.Flow.stats reason;
@@ -343,10 +407,10 @@ let select_block (fl : Flow.t) (insts : Lir.inst list) =
                        r.Lir.operands)
                 rest
             in
-            Seldag.run fl (i :: extracts);
+            fall_back (i :: extracts);
             go (List.filter (fun r -> not (List.memq r extracts)) rest)
         | Fb_block reason ->
             Flow.count_fallback fl.Flow.stats reason;
-            Seldag.run fl (i :: rest))
+            fall_back (i :: rest))
   in
   go insts

@@ -252,14 +252,34 @@ let translate (fl : Flow.t) : gfunc =
               push { gop = G_sitofp; dsts = [| wide_dst i |]; srcs = [| value_vreg i.Lir.operands.(0) |]; wide = false; bits = 64; }
           | Lir.Fptosi ->
               push { gop = G_fptosi; dsts = [| wide_dst i |]; srcs = [| value_vreg i.Lir.operands.(0) |]; wide = false; bits = 64; }
-          | Lir.Gep ->
-              push
-                {
-                  gop = G_ptr_add;
-                  dsts = [| wide_dst i |];
-                  srcs = [| value_vreg i.Lir.operands.(0); value_vreg i.Lir.operands.(1) |];
-                  wide = false; bits = 64;
-                }
+          | Lir.Gep -> (
+              (* as LLVM's IRTranslator: the index scaled by G_SHL (or
+                 G_MUL), then one G_PTR_ADD per non-zero term *)
+              let g1 gop srcs =
+                let d = Mir.new_vreg fl.Flow.mir in
+                push { gop; dsts = [| d |]; srcs; wide = false; bits = 64 };
+                d
+              in
+              let const c = g1 (G_const c) [||] in
+              let dst = wide_dst i in
+              let put gop srcs = push { gop; dsts = [| dst |]; srcs; wide = false; bits = 64 } in
+              let scale, off = Lir.gep_scale_off i in
+              let base = value_vreg i.Lir.operands.(0) in
+              let scaled =
+                match i.Lir.operands.(1) with
+                | Lir.Vconst (_, 0L) -> None
+                | index -> (
+                    let index = value_vreg index in
+                    match Lir.scale_shift scale with
+                    | Some 0 -> Some index
+                    | Some k -> Some (g1 G_shl [| index; const (Int64.of_int k) |])
+                    | None -> Some (g1 G_mul [| index; const (Int64.of_int scale) |]))
+              in
+              match (scaled, Int64.equal off 0L) with
+              | None, true -> put G_copy [| base |]
+              | None, false -> put G_ptr_add [| base; const off |]
+              | Some s, true -> put G_ptr_add [| base; s |]
+              | Some s, false -> put G_ptr_add [| g1 G_ptr_add [| base; s |]; const off |])
           | Lir.Load ->
               let size = max 1 (Lir.ty_size_bits i.Lir.ity / 8) in
               push
@@ -687,10 +707,81 @@ let cmp_to_cond (c : Qcomp_ir.Op.cmp) : Minst.cond =
 let rax = 0
 let rdx = 2
 
+(* The addressing modes of the loads: as LLVM's X86/AArch64 instruction
+   selectors, a G_LOAD whose address is a single-use G_PTR_ADD of the same
+   block reads [base + index << k (+ G_CONSTANT offset on x64)] in one
+   instruction; the matched G_SHL, G_CONSTANTs and G_PTR_ADDs left without
+   another use are not selected. x64 takes k <= 3 and a base-less
+   [index << k + disp32] when the base is a constant; a64 takes only
+   [base + index lsl 0|log2 size]. Returns the load modes by destination
+   vreg and the folded definitions' destinations. *)
+let match_load_addresses ~x64 (g : gfunc) =
+  let defs = Hashtbl.create 64 and uses = Hashtbl.create 64 in
+  let use v = Hashtbl.replace uses v (1 + Option.value ~default:0 (Hashtbl.find_opt uses v)) in
+  Array.iteri
+    (fun bi blk ->
+      Vec.iter
+        (fun (i : ginst) ->
+          Array.iter use i.srcs;
+          (match i.gop with G_phi incoming -> Array.iter (fun (_, v) -> use v) incoming | _ -> ());
+          match (i.gop, i.dsts) with
+          | (G_const _ | G_shl | G_ptr_add), [| d |] -> Hashtbl.replace defs d (bi, i)
+          | _ -> ())
+        blk)
+    g.gblocks;
+  let single v = Hashtbl.find_opt uses v = Some 1 in
+  (* the single-use definition of [v] in block [bi] *)
+  let def bi v =
+    match Hashtbl.find_opt defs v with Some (b, i) when b = bi && single v -> Some i | _ -> None
+  in
+  let const bi v = match def bi v with Some { gop = G_const c; _ } -> Some c | _ -> None in
+  let modes = Hashtbl.create 16 and folded = Hashtbl.create 16 in
+  Array.iteri
+    (fun bi blk ->
+      Vec.iter
+        (fun (i : ginst) ->
+          match i.gop with
+          | G_load { size; _ } when size <= 8 -> (
+              (* [base + index << k], then an optional outer constant *)
+              let inner, disp, outer =
+                match def bi i.srcs.(0) with
+                | Some { gop = G_ptr_add; srcs = [| p; c |]; _ } when x64 -> (
+                    match (const bi c, def bi p) with
+                    | Some off, Some ({ gop = G_ptr_add; _ } as q) -> (Some q, off, [ i.srcs.(0); c ])
+                    | _, _ -> (def bi i.srcs.(0), 0L, []))
+                | d -> (d, 0L, [])
+              in
+              match inner with
+              | Some { gop = G_ptr_add; srcs = [| b; x |]; dsts = [| a |]; _ } ->
+                  let index, scale, shifted =
+                    match def bi x with
+                    | Some { gop = G_shl; srcs = [| y; amount |]; _ } -> (
+                        match const bi amount with
+                        | Some k when k >= 0L && k <= 3L -> (y, 1 lsl Int64.to_int k, [ x; amount ])
+                        | _ -> (x, 1, []))
+                    | _ -> (x, 1, [])
+                  in
+                  let base, disp, based =
+                    match const bi b with
+                    | Some c when x64 && Asm.fits_i32 (Int64.add c disp) -> (-1, Int64.add c disp, [ b ])
+                    | _ -> (b, disp, [])
+                  in
+                  if (x64 && Asm.fits_i32 disp) || (Int64.equal disp 0L && (scale = 1 || scale = size))
+                  then begin
+                    Hashtbl.replace modes i.dsts.(0) (base, index, scale, Int64.to_int disp);
+                    List.iter (fun v -> Hashtbl.replace folded v ()) ((a :: outer) @ shifted @ based)
+                  end
+              | _ -> ())
+          | _ -> ())
+        blk)
+    g.gblocks;
+  (modes, folded)
+
 let instruction_select (fl : Flow.t) (g : gfunc) (_banks : int array) =
   let mir = fl.Flow.mir in
   let push i = Flow.push fl (Mir.M i) in
   let x64 = Flow.is_x64 fl in
+  let modes, folded = match_load_addresses ~x64 g in
   let hi_of lo = try Hashtbl.find g.pair_hi lo with Not_found -> lo in
   let canon bits d =
     if bits < 64 && bits > 1 then
@@ -702,6 +793,8 @@ let instruction_select (fl : Flow.t) (g : gfunc) (_banks : int array) =
       mir.Mir.blocks.(bi).Mir.succs <- g.gsuccs.(bi);
       Vec.iter
         (fun (i : ginst) ->
+          if Array.length i.dsts = 1 && Hashtbl.mem folded i.dsts.(0) then ()
+          else
           match i.gop with
           | G_const c -> push (Minst.Mov_ri (i.dsts.(0), c))
           | G_copy -> push (Minst.Mov_rr (i.dsts.(0), i.srcs.(0)))
@@ -794,8 +887,12 @@ let instruction_select (fl : Flow.t) (g : gfunc) (_banks : int array) =
           | G_select ->
               push (Minst.Cmp_ri (i.srcs.(0), 0L));
               push (Minst.Csel { cond = Minst.Ne; dst = i.dsts.(0); a = i.srcs.(1); b = i.srcs.(2) })
-          | G_load { size; sext } ->
-              push (Minst.Ld { dst = i.dsts.(0); base = i.srcs.(0); off = 0; size = min 8 size; sext })
+          | G_load { size; sext } -> (
+              match Hashtbl.find_opt modes i.dsts.(0) with
+              | Some (base, index, scale, off) ->
+                  push (Minst.Ldx { dst = i.dsts.(0); base; index; scale; off; size; sext })
+              | None ->
+                  push (Minst.Ld { dst = i.dsts.(0); base = i.srcs.(0); off = 0; size = min 8 size; sext }))
           | G_load_hi ->
               push (Minst.Ld { dst = i.dsts.(0); base = i.srcs.(0); off = 8; size = 8; sext = false })
           | G_store { size } ->

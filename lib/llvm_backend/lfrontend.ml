@@ -47,6 +47,14 @@ let vconst ty v = Lir.Vconst (ty, v)
 let emit ctx ~iop ~ity ?(operands = [||]) ?(phi_blocks = [||]) ?(targets = [||]) () =
   Lir.Vinst (Lir.mk_inst ctx.f ctx.cur ~iop ~ity ~operands ~phi_blocks ~targets ())
 
+(* [base + off]: a load's or store's constant offset as a GEP *)
+let field_addr ctx base off =
+  if Int64.equal off 0L then base
+  else
+    emit ctx ~iop:Lir.Gep ~ity:Lir.Ptr
+      ~operands:(Lir.gep_operands ~base ~index:(vconst Lir.I64 0L) ~scale:1 ~off)
+      ()
+
 (* Read an operand as a plain value; unwraps the struct representation. *)
 let use ctx v =
   match ctx.values.(v) with
@@ -250,37 +258,19 @@ let translate ~(cfg : config) (m : Lir.modul) (src : Func.t) : Lir.func =
             bind ctx i
               (emit ctx ~iop:Lir.Select ~ity ~operands:[| u x; u y; u z |] ())
         | Op.Load ->
-            let addr =
-              if Int64.equal (Func.imm src i) 0L then u x
-              else
-                emit ctx ~iop:Lir.Gep ~ity:Lir.Ptr
-                  ~operands:[| u x; vconst Lir.I64 (Func.imm src i) |] ()
-            in
+            let addr = field_addr ctx (u x) (Func.imm src i) in
             bind ctx i (emit ctx ~iop:Lir.Load ~ity ~operands:[| addr |] ())
         | Op.Store ->
-            let addr =
-              if Int64.equal (Func.imm src i) 0L then u y
-              else
-                emit ctx ~iop:Lir.Gep ~ity:Lir.Ptr
-                  ~operands:[| u y; vconst Lir.I64 (Func.imm src i) |] ()
-            in
+            let addr = field_addr ctx (u y) (Func.imm src i) in
             ignore (emit ctx ~iop:Lir.Store ~ity:Lir.Void ~operands:[| u x; addr |] ())
         | Op.Gep ->
-            let off =
-              if y >= 0 then begin
-                let scaled =
-                  emit ctx ~iop:Lir.Mul ~ity:Lir.I64
-                    ~operands:[| u y; vconst Lir.I64 (Int64.of_int (Func.n src i)) |]
-                    ()
-                in
-                if Int64.equal (Func.imm src i) 0L then scaled
-                else
-                  emit ctx ~iop:Lir.Add ~ity:Lir.I64
-                    ~operands:[| scaled; vconst Lir.I64 (Func.imm src i) |] ()
-              end
-              else vconst Lir.I64 (Func.imm src i)
-            in
-            bind ctx i (emit ctx ~iop:Lir.Gep ~ity:Lir.Ptr ~operands:[| u x; off |] ())
+            (* one GEP carries base, index, scale and offset, as LLVM IR's
+               does: the selectors see the whole address *)
+            let index, scale = if y >= 0 then (u y, Func.n src i) else (vconst Lir.I64 0L, 1) in
+            bind ctx i
+              (emit ctx ~iop:Lir.Gep ~ity:Lir.Ptr
+                 ~operands:(Lir.gep_operands ~base:(u x) ~index ~scale ~off:(Func.imm src i))
+                 ())
         | Op.Crc32 ->
             bind ctx i
               (emit ctx ~iop:(Lir.Call (Lir.Intr Lir.Crc32)) ~ity:Lir.I64

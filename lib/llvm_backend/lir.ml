@@ -59,7 +59,12 @@ type iop =
   | Sext
   | Sitofp
   | Fptosi
-  | Gep  (** operands: base ptr, byte offset (i64) *)
+  | Gep
+      (** operands: base ptr, index (i64), scale, offset — the address
+          [base + index * scale + offset], as LLVM's GEP into an array of
+          [scale]-byte elements at a constant field offset. Scale and
+          offset are i64 constants; without a variable index the index is
+          the constant 0 (see {!gep_operands}). *)
   | Load
   | Store  (** operands: value, ptr *)
   | Phi  (** operands parallel to [phi_blocks] *)
@@ -116,6 +121,23 @@ type modul = {
   externs : Qcomp_ir.Func.extern_fn array;
   mutable next_fid : int;
 }
+
+(** The operands of a [Gep] computing [base + index * scale + off]. *)
+let gep_operands ~base ~index ~scale ~off =
+  [| base; index; Vconst (I64, Int64.of_int scale); Vconst (I64, off) |]
+
+(** A [Gep]'s constant scale and offset. *)
+let gep_scale_off (i : inst) =
+  match (i.operands.(2), i.operands.(3)) with
+  | Vconst (_, s), Vconst (_, o) -> (Int64.to_int s, o)
+  | _ -> invalid_arg "Lir.gep_scale_off: scale and offset must be constants"
+
+(** [Some k] when [scale = 1 lsl k]: the shift a scale becomes. *)
+let scale_shift scale =
+  if scale > 0 && scale land (scale - 1) = 0 then
+    let rec go k = if 1 lsl k = scale then k else go (k + 1) in
+    Some (go 0)
+  else None
 
 let dummy_inst =
   {

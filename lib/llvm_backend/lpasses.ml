@@ -354,8 +354,15 @@ let instcombine_pass =
                         fold i j.Lir.operands.(0)
                     | _ -> ())
                 | Lir.Gep -> (
+                    let scale, off = Lir.gep_scale_off i in
                     match op 1 with
-                    | Lir.Vconst (_, 0L) -> fold i (op 0)
+                    | Lir.Vconst (_, 0L) when Int64.equal off 0L -> fold i (op 0)
+                    | Lir.Vconst (_, c) when not (Int64.equal c 0L) ->
+                        (* a constant index belongs to the offset *)
+                        Lir.set_operand i 1 (Lir.Vconst (Lir.I64, 0L));
+                        Lir.set_operand i 3
+                          (Lir.Vconst (Lir.I64, Int64.add off (Int64.mul c (Int64.of_int scale))));
+                        changed := true
                     | _ -> ())
                 | _ -> ()));
         !changed);

@@ -696,3 +696,23 @@ let prologue_epilogue (m : Mir.t) =
       blk.Mir.insts <- nv_out)
     m.Mir.blocks;
   frame
+
+(* ---------------- branch folding ---------------- *)
+
+(* The -O2 pipelines' BranchFolder, reduced to its commonest rewrite: a
+   block whose last instruction jumps to the next non-empty block laid out
+   falls through to it instead. *)
+let drop_fallthrough_jumps (m : Mir.t) =
+  let blocks = m.Mir.blocks in
+  Array.iteri
+    (fun b (blk : Mir.block) ->
+      let n = Vec.length blk.Mir.insts in
+      if n > 0 then
+        match Vec.get blk.Mir.insts (n - 1) with
+        | Mir.M (Minst.Jmp t)
+          when t > b
+               && (let rec empty k = k >= t || (Vec.is_empty blocks.(k).Mir.insts && empty (k + 1)) in
+                   empty (b + 1)) ->
+            Vec.truncate blk.Mir.insts (n - 1)
+        | _ -> ())
+    blocks

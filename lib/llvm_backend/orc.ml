@@ -146,7 +146,11 @@ let compile_artifact (cfg : config) ~backend ~timing ~(target : Target.t)
           else Mpasses.regalloc_fast mir;
           Mpasses.remove_identity_moves mir);
       let frame =
-        Timing.scope timing "PrologEpilog" (fun () -> Mpasses.prologue_epilogue mir)
+        Timing.scope timing "PrologEpilog" (fun () ->
+            let frame = Mpasses.prologue_epilogue mir in
+            (* -O0 runs no branch folding *)
+            if cfg.optimize then Mpasses.drop_fallthrough_jumps mir;
+            frame)
       in
       (* machine-code emission *)
       let off, size =

@@ -38,6 +38,9 @@ type nop =
   | NSitofp
   | NFptosi
   | NLoad of { size : int; sext : bool; off : int }
+  | NLoadx of { size : int; sext : bool; scale : int; off : int }
+      (** selected addressing-mode load from [base + index * scale + off];
+          operands [base; index], or only [index] without a base (x64) *)
   | NStore of { size : int; off : int }
   | NCall of { sym : string; ret2 : bool }
   | NCrc32
@@ -523,8 +526,25 @@ let build (fl : Flow.t) (insts : Lir.inst list) : dag =
     | Lir.Sitofp -> Some (mk dag ~ops:[| op1 i |] ~ty:i.Lir.ity NSitofp)
     | Lir.Fptosi -> Some (mk dag ~ops:[| op1 i |] ~ty:i.Lir.ity NFptosi)
     | Lir.Gep ->
-        let a, b = op2 i in
-        Some (mk dag ~ops:[| a; b |] ~ty:Lir.Ptr NAdd)
+        (* as SelectionDAGBuilder: base + index * scale (a shift for a
+           power of two) + offset, in generic nodes *)
+        let scale, off = Lir.gep_scale_off i in
+        let const c = mk dag ~ty:Lir.I64 (NConst c) in
+        let addr = value_node i.Lir.operands.(0) in
+        let addr =
+          match i.Lir.operands.(1) with
+          | Lir.Vconst (_, 0L) -> addr
+          | index ->
+              let index = value_node index in
+              let scaled =
+                match Lir.scale_shift scale with
+                | Some 0 -> index
+                | Some k -> mk dag ~ops:[| index; const (Int64.of_int k) |] ~ty:Lir.I64 NShl
+                | None -> mk dag ~ops:[| index; const (Int64.of_int scale) |] ~ty:Lir.I64 NMul
+              in
+              mk dag ~ops:[| addr; scaled |] ~ty:Lir.Ptr NAdd
+        in
+        Some (if Int64.equal off 0L then addr else mk dag ~ops:[| addr; const off |] ~ty:Lir.Ptr NAdd)
     | Lir.Load ->
         let size = max 1 (Lir.ty_size_bits i.Lir.ity / 8) in
         let sext = i.Lir.ity <> Lir.I1 && size < 8 in
@@ -635,29 +655,98 @@ let build (fl : Flow.t) (insts : Lir.inst list) : dag =
 
 let fits_i32 (v : int64) = Int64.of_int32 (Int64.to_int32 v) = v
 
-let select dag =
+(* An address as x86 sees one: base + index * scale + disp. *)
+type amode = { base : node option; index : node option; scale : int; disp : int64 }
+
+(* X86DAGToDAGISel::matchAddress: fold constants into the displacement and
+   one shift or multiply by 1, 2, 4 or 8 into the index, through add trees
+   in either operand order; any other node takes a free register slot.
+   [None] when neither slot is left. *)
+let rec match_address am (n : node) depth =
+  let index i scale = Some { am with index = Some i; scale } in
+  match n.nop with
+  | NConst c -> Some { am with disp = Int64.add am.disp c }
+  | NAdd when depth < 6 && not (is_wide n) -> (
+      match
+        Option.bind (match_address am n.ops.(0) (depth + 1)) (fun am ->
+            match_address am n.ops.(1) (depth + 1))
+      with
+      | Some _ as folded -> folded
+      | None -> match_register am n)
+  | NShl when am.index = None -> (
+      match n.ops.(1).nop with
+      | NConst k when k >= 0L && k <= 3L -> index n.ops.(0) (1 lsl Int64.to_int k)
+      | _ -> match_register am n)
+  | NMul when am.index = None -> (
+      match n.ops.(1).nop with
+      | NConst (1L | 2L | 4L | 8L as c) -> index n.ops.(0) (Int64.to_int c)
+      | _ -> match_register am n)
+  | _ -> match_register am n
+
+and match_register am n =
+  if am.base = None then Some { am with base = Some n }
+  else if am.index = None then Some { am with index = Some n; scale = 1 }
+  else None
+
+(* Selection: a load's whole address becomes one addressing mode when every
+   user of the address is a load (an address also used as a value keeps
+   its computation, and the load reads it); otherwise, and for stores, a
+   constant offset still folds. x64 takes [base + index * scale + disp32];
+   a64 only [base + index lsl 0|log2 size], and a base-less x64 address
+   becomes a materialized constant base there. *)
+let select ~x64 dag =
+  (* per node: its uses, and those that are a load's address *)
+  let uses = Array.make dag.nnodes 0 and load_uses = Array.make dag.nnodes 0 in
+  List.iter
+    (fun (n : node) ->
+      if not n.dead then
+        Array.iteri
+          (fun k (o : node) ->
+            uses.(o.nid) <- uses.(o.nid) + 1;
+            match n.nop with
+            | NLoad _ when k = 0 -> load_uses.(o.nid) <- load_uses.(o.nid) + 1
+            | _ -> ())
+          n.ops)
+    dag.nodes;
+  let only_loads (a : node) = uses.(a.nid) = load_uses.(a.nid) in
+  let const_offset n ~off k =
+    match n.nop with
+    | NAdd when Array.length n.ops = 2 -> (
+        match n.ops.(1).nop with
+        | NConst c when fits_i32 (Int64.add c (Int64.of_int off)) -> k n.ops.(0) (off + Int64.to_int c)
+        | _ -> ())
+    | _ -> ()
+  in
   List.iter
     (fun (n : node) ->
       if not n.dead then
         match n.nop with
         | NLoad { size; sext; off } -> (
-            match n.ops.(0).nop with
-            | NAdd when Array.length n.ops.(0).ops = 2 -> (
-                match n.ops.(0).ops.(1).nop with
-                | NConst c when fits_i32 (Int64.add c (Int64.of_int off)) ->
-                    n.nop <- NLoad { size; sext; off = off + Int64.to_int c };
-                    n.ops <- [| n.ops.(0).ops.(0) |]
-                | _ -> ())
-            | _ -> ())
-        | NStore { size; off } -> (
-            match n.ops.(1).nop with
-            | NAdd when Array.length n.ops.(1).ops = 2 -> (
-                match n.ops.(1).ops.(1).nop with
-                | NConst c when fits_i32 (Int64.add c (Int64.of_int off)) ->
-                    n.nop <- NStore { size; off = off + Int64.to_int c };
-                    n.ops <- [| n.ops.(0); n.ops.(1).ops.(0) |]
-                | _ -> ())
-            | _ -> ())
+            let addr = n.ops.(0) in
+            let fold nop ops =
+              n.nop <- nop;
+              n.ops <- ops
+            in
+            let load base disp = fold (NLoad { size; sext; off = Int64.to_int disp }) [| base |] in
+            let loadx base index scale disp =
+              fold (NLoadx { size; sext; scale; off = Int64.to_int disp }) (Array.append base [| index |])
+            in
+            let plain () = const_offset addr ~off (fun base off -> load base (Int64.of_int off)) in
+            let start = { base = None; index = None; scale = 1; disp = Int64.of_int off } in
+            match if only_loads addr then match_address start addr 0 else None with
+            | Some am when fits_i32 am.disp -> (
+                match (am.base, am.index) with
+                | Some b, None | None, Some b when am.scale = 1 -> load b am.disp
+                | base, Some i when x64 -> loadx (Array.of_list (Option.to_list base)) i am.scale am.disp
+                | _, Some _ when am.scale <> 1 && am.scale <> size -> plain ()
+                | Some b, Some i when Int64.equal am.disp 0L -> loadx [| b |] i am.scale 0L
+                | None, Some i -> loadx [| mk dag ~ty:Lir.Ptr (NConst am.disp) |] i am.scale 0L
+                | _ -> plain ())
+            | _ -> plain ())
+        | NStore { size; off } ->
+            const_offset n.ops.(1) ~off (fun base off ->
+                n.nop <- NStore { size; off };
+                n.ops <- [| n.ops.(0); base |])
         | _ -> ())
     dag.nodes
 
@@ -842,6 +931,15 @@ let schedule (fl : Flow.t) (dag : dag) =
     | NLoad { size; sext; off } ->
         let d = fresh () in
         push (Minst.Ld { dst = d; base = reg_of n.ops.(0); off; size; sext });
+        n.result_vreg <- d
+    | NLoadx { size; sext; scale; off } ->
+        let d = fresh () in
+        let base, index =
+          match n.ops with
+          | [| b; i |] -> (reg_of b, reg_of i)
+          | ops -> (-1, reg_of ops.(0))
+        in
+        push (Minst.Ldx { dst = d; base; index; scale; off; size; sext });
         n.result_vreg <- d
     | NStore { size; off } ->
         push (Minst.St { src = reg_of n.ops.(0); base = reg_of n.ops.(1); off; size })
@@ -1104,7 +1202,7 @@ let schedule (fl : Flow.t) (dag : dag) =
                | NXor -> "xor" | NShl -> "shl" | NLshr -> "lshr" | NAshr -> "ashr"
                | NRotr -> "rotr" | NSetcc _ -> "setcc" | NFsetcc _ -> "fsetcc"
                | NTrunc -> "trunc" | NZext -> "zext" | NSext -> "sext"
-               | NSitofp -> "sitofp" | NFptosi -> "fptosi" | NLoad _ -> "load"
+               | NSitofp -> "sitofp" | NFptosi -> "fptosi" | NLoad _ | NLoadx _ -> "load"
                | NStore _ -> "store" | NCall _ -> "call" | NCrc32 -> "crc32"
                | NOvf _ -> "ovf" | NOvf_flag -> "ovfflag" | NSelect -> "select"
                | NBr _ -> "br" | NBrcc _ -> "brcc" | NBrcond _ -> "brcond"
@@ -1141,6 +1239,6 @@ let run (fl : Flow.t) (insts : Lir.inst list) =
     legalize dag;
     (* combine round 2 (post-legalization) *)
     fix 2;
-    select dag;
+    select ~x64:(Flow.is_x64 fl) dag;
     schedule fl dag
   end

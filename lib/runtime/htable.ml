@@ -212,22 +212,20 @@ let probe_words ~cap start stop =
 
 let rec pow2_at_least n c = if c >= n then c else pow2_at_least n (2 * c)
 
-let alloc_zeroed mem bytes =
-  let a = Memory.alloc mem ~align:16 bytes in
-  Memory.fill mem ~addr:a ~len:bytes '\000';
-  a
-
 (* ---------------- creation ---------------- *)
 
 (** Create a table and charge its cost to [e]; returns the handle. The
     table starts as a direct-address candidate (when {!Hashes.unhash64}
-    exists) and decides on first contact with the keys. *)
+    exists) and decides on first contact with the keys. Every arena here
+    and in growth starts empty unfilled: {!Memory.alloc} hands out zeroed
+    memory (fresh pages read zero, and {!Memory.free} zero-fills a block
+    before it is reused). *)
 let create e ~payload_size ~capacity_hint =
   let mem = Emu.memory e in
   let entry_size = 8 + ((payload_size + 7) land lnot 7) + 8 in
   let cap = pow2_at_least capacity_hint min_capacity in
   let ht = Memory.alloc mem ~align:16 header_size in
-  let entries = alloc_zeroed mem (cap * entry_size) in
+  let entries = Memory.alloc mem ~align:16 (cap * entry_size) in
   store_int mem ht cap;
   store_int mem (ht + 8) 0;
   store_int mem (ht + 16) entry_size;
@@ -241,7 +239,7 @@ let create e ~payload_size ~capacity_hint =
       cap * entry_size
     end
     else begin
-      let tags = alloc_zeroed mem (cap * 2) in
+      let tags = Memory.alloc mem ~align:16 (cap * 2) in
       store64 mem (ht + 32) mode_tagged;
       store_int mem (ht + 40) tags;
       (cap * entry_size) + (cap * 2)
@@ -318,8 +316,8 @@ let grow mem ht =
   let old_tags = aux_ptr mem ht in
   let esz = entry_size mem ht in
   let new_cap = old_cap * 2 in
-  let entries = alloc_zeroed mem (new_cap * esz) in
-  let tags = alloc_zeroed mem (new_cap * 2) in
+  let entries = Memory.alloc mem ~align:16 (new_cap * esz) in
+  let tags = Memory.alloc mem ~align:16 (new_cap * 2) in
   store_int mem ht new_cap;
   store_int mem (ht + 24) entries;
   store_int mem (ht + 40) tags;
@@ -371,8 +369,8 @@ let fallback_to_tagged mem ht =
   let old_bcap = direct_bcap mem ht in
   let esz = entry_size mem ht in
   let cap = pow2_at_least (max min_capacity (2 * cnt)) min_capacity in
-  let entries = alloc_zeroed mem (cap * esz) in
-  let tags = alloc_zeroed mem (cap * 2) in
+  let entries = Memory.alloc mem ~align:16 (cap * esz) in
+  let tags = Memory.alloc mem ~align:16 (cap * 2) in
   store_int mem ht cap;
   store_int mem (ht + 24) entries;
   store64 mem (ht + 32) mode_tagged;
@@ -413,7 +411,7 @@ let direct_rewindow mem ht k =
   else begin
     let span = Int64.to_int span + 1 in
     let bcap' = pow2_at_least (max span direct_min_buckets) direct_min_buckets in
-    let buckets' = alloc_zeroed mem (bcap' * 4) in
+    let buckets' = Memory.alloc mem ~align:16 (bcap' * 4) in
     let off = Int64.to_int (Int64.sub base lo) in
     Memory.blit mem ~src:buckets ~dst:(buckets' + (4 * off)) ~len:(bcap * 4);
     Memory.free mem ~addr:buckets ~size:(bcap * 4) ~align:16;
@@ -436,7 +434,7 @@ let direct_insert e mem ht h =
   let fellback = ref false in
   (if aux_ptr mem ht = 0 then begin
      (* first insert decides the window *)
-     let buckets = alloc_zeroed mem (direct_min_buckets * 4) in
+     let buckets = Memory.alloc mem ~align:16 (direct_min_buckets * 4) in
      store_int mem (ht + 40) buckets;
      store64 mem (ht + 48) k;
      store_int mem (ht + 56) direct_min_buckets;
@@ -470,7 +468,7 @@ let direct_insert e mem ht h =
         let old_cap = capacity mem ht in
         let old_entries = entries_ptr mem ht in
         let new_cap = old_cap * 2 in
-        let entries = alloc_zeroed mem (new_cap * esz) in
+        let entries = Memory.alloc mem ~align:16 (new_cap * esz) in
         Memory.blit mem ~src:old_entries ~dst:entries ~len:(old_cap * esz);
         Memory.free mem ~addr:old_entries ~size:(old_cap * esz) ~align:16;
         store_int mem ht new_cap;

@@ -80,11 +80,11 @@ let apply_fixups db state (cq : Codegen.compiled) cm =
 let start ?sched db (cq : Codegen.compiled) cm =
   let mem = Engine.memory db in
   let scope = Memory.new_scope () in
+  (* zeroed, as every {!Memory.alloc} *)
   let state =
     Memory.with_scope scope (fun () ->
         Memory.alloc mem ~align:16 cq.Codegen.state_size)
   in
-  Memory.fill mem ~addr:state ~len:cq.Codegen.state_size '\000';
   apply_fixups db state cq cm;
   {
     db;

@@ -233,6 +233,7 @@ let aop_div_s = 0x47
 let aop_msub = 0x48
 let aop_crc32 = 0x49
 let aop_ld = 0x50 (* +log2sz, +4 sext; unsigned scaled off8 *)
+let aop_ldx = 0x58 (* +log2sz, +4 sext; register offset, lsl 0 or log2sz *)
 let aop_st = 0x60 (* +log2sz *)
 let aop_setcc = 0x70 (* +cond *)
 let aop_csel = 0x80 (* +cond *)
@@ -509,7 +510,13 @@ let rec encode_a64 t (i : Minst.t) =
         encode_a64 t (Alu_rrr (Add, scratch, scratch, base));
         encode_a64 t (St { src; base = scratch; off = 0; size })
       end
-  | Ldx _ -> enc_fail "indexed loads are X64-only"
+  | Ldx { dst; base; index; scale; off; size; sext } ->
+      (* exactly [ldr Xt, [Xn, Xm, lsl #k]]: a base, no displacement and
+         k = 0 or log2 of the access size *)
+      if base < 0 || index < 0 || off <> 0 || (scale <> 1 && scale <> size) then
+        enc_fail "a64 indexed load needs [base + index lsl 0|log2 size]";
+      word t (aop_ldx + log2_size size + if sext then 4 else 0) dst base
+        (index lor (log2_size scale lsl 5))
   | Lea { base; _ } when base < 0 -> enc_fail "lea without a base is X64-only"
   | Lea { dst; base; index; scale; off } ->
       if index >= 0 then begin

@@ -604,7 +604,7 @@ let a64_ops =
     @ List.init 4 (fun sh -> (Asm.aop_movz + sh, Movz))
     @ List.init 4 (fun sh -> (Asm.aop_movk + sh, Movk))
     @ alus Asm.aop_alu_rrr alu_r @ alus Asm.aop_alu_rri alu_i @ loads Asm.aop_ld
-    @ stores Asm.aop_st @ conds Asm.aop_setcc Setcc @ conds Asm.aop_csel Csel
+    @ indexed_loads Asm.aop_ldx @ stores Asm.aop_st @ conds Asm.aop_setcc Setcc @ conds Asm.aop_csel Csel
     @ conds Asm.aop_jcc Jcc @ falus Asm.aop_falu)
 
 (* The condition of the opcode byte [code] in a block of twelve at [base],
@@ -773,6 +773,12 @@ let load_a64 ld =
     | Ld1 | Ld1s | Ld2 | Ld2s | Ld4 | Ld4s | Ld8 | Ld8s ->
         (* the offset byte counts access-size units *)
         put ld at op b1 b2 0 0 ~aux:0 (Int64.of_int (b3 lsl ((code - Asm.aop_ld) land 3)))
+    | Ldx1 | Ldx1s | Ldx2 | Ldx2s | Ldx4 | Ldx4s | Ldx8 | Ldx8s ->
+        (* index in the low 5 bits, the shift (0 or log2 of the size) above *)
+        let sh = b3 lsr 5 in
+        if sh <> 0 && sh <> (code - Asm.aop_ldx) land 3 then
+          malformed "a64: bad load shift %d at %d" sh at;
+        put ld at op b1 b2 (b3 land 0x1F) sh ~aux:0 0L
     | St1 | St2 | St4 | St8 ->
         put ld at op b1 b2 0 0 ~aux:0 (Int64.of_int (b3 lsl (code - Asm.aop_st)))
     | Setcc -> put ld at op b1 0 0 (cond_field code Asm.aop_setcc) ~aux:0 0L
@@ -791,8 +797,8 @@ let load_a64 ld =
         put_ret ld (at + 4)
     | Brk -> put ld at op 0 0 0 0 ~aux:0 (Int64.of_int b1)
     (* [End] and the records no a64 opcode maps to *)
-    | End | Mov_i | Lea | Ldx1 | Ldx1s | Ldx2 | Ldx2s | Ldx4 | Ldx4s | Ldx8 | Ldx8s | Mulw
-    | Mulw_s | Div | Div_s | Jmp_mem | Jmp_far | Jcc_far | Call_far ->
+    | End | Mov_i | Lea | Mulw | Mulw_s | Div | Div_s | Jmp_mem | Jmp_far | Jcc_far
+    | Call_far ->
         bad_opcode ld code at);
     pos := at + 4
   done

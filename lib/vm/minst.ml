@@ -53,8 +53,10 @@ type t =
   | Ld of { dst : int; base : int; off : int; size : int; sext : bool }
   | St of { src : int; base : int; off : int; size : int }
   | Ldx of { dst : int; base : int; index : int; scale : int; off : int; size : int; sext : bool }
-      (** X64 only: load from [base + index * scale + off]; [base = -1]
-          when absent; scale in 1/2/4/8, [off] a disp32 *)
+      (** load from [base + index * scale + off]. X64: [base = -1] when
+          absent, scale in 1/2/4/8, [off] a disp32. A64 encodes only
+          [ldr Xt, [Xn, Xm, lsl #k]]: a base, [off = 0] and scale 1 or
+          [size] *)
   | Lea of { dst : int; base : int; index : int; scale : int; off : int }
       (** [index = -1] when absent; scale in 1/2/4/8. X64 also has
           [base = -1] with an index: [index * scale + off] *)

@@ -111,6 +111,12 @@ let gen_a64_inst =
         (fun src base (k, size) -> Minst.St { src; base; off = k * size; size })
         r r
         (pair (int_bound 200) (oneofl [ 1; 2; 4; 8 ]));
+      (* the register-offset load: lsl 0 or log2 of the access size *)
+      map3
+        (fun (dst, base) (index, scaled) (size, sext) ->
+          Minst.Ldx { dst; base; index; scale = (if scaled then size else 1); off = 0; size; sext })
+        (pair r r) (pair r bool)
+        (pair (oneofl [ 1; 2; 4; 8 ]) bool);
       map3
         (fun signed dst (a, b) -> Minst.Mul_hi { signed; dst; a; b })
         bool r (pair r r);
@@ -236,9 +242,45 @@ let unit_cases =
             | exception Asm.Encode_error _ -> ()
             | () ->
                 Alcotest.failf "a64 encoded %s" (Format.asprintf "%a" (Minst.pp Target.x64) i))
-          [ Minst.Ldx { dst = 1; base = 2; index = 3; scale = 8; off = 0; size = 8; sext = false };
-            Minst.Ldx { dst = 1; base = -1; index = 3; scale = 4; off = 16; size = 4; sext = true };
+          [ Minst.Ldx { dst = 1; base = -1; index = 3; scale = 4; off = 16; size = 4; sext = true };
             Minst.Lea { dst = 1; base = -1; index = 3; scale = 8; off = 64 } ]);
+    Alcotest.test_case "a64 register-offset loads round trip; other indexed shapes refuse"
+      `Quick (fun () ->
+        let forms =
+          List.concat_map
+            (fun size ->
+              List.concat_map
+                (fun scale ->
+                  List.map
+                    (fun sext ->
+                      Minst.Ldx { dst = 1; base = 2; index = 3; scale; off = 0; size; sext })
+                    [ false; true ])
+                (List.sort_uniq compare [ 1; size ]))
+            [ 1; 2; 4; 8 ]
+        in
+        let a = Asm.create Target.a64 in
+        List.iter (Asm.emit a) forms;
+        let blob = Asm.finish a in
+        (* one word each, as [ldr Xt, [Xn, Xm, lsl #k]] *)
+        check Alcotest.int "bytes" (4 * List.length forms) (Bytes.length blob);
+        let emu = Emu.create ~mem_size:(1 lsl 20) Target.a64 in
+        ignore (Emu.register_code emu blob);
+        check Alcotest.bool "decode_all gives the forms back" true
+          (Array.to_list (fst (Emu.decode_all Target.a64 blob)) = forms);
+        List.iter
+          (fun i ->
+            let a = Asm.create Target.a64 in
+            match Asm.emit a i with
+            | exception Asm.Encode_error _ -> ()
+            | () ->
+                Alcotest.failf "a64 encoded %s" (Format.asprintf "%a" (Minst.pp Target.a64) i))
+          [ (* no base *)
+            Minst.Ldx { dst = 1; base = -1; index = 3; scale = 8; off = 0; size = 8; sext = false };
+            (* a displacement *)
+            Minst.Ldx { dst = 1; base = 2; index = 3; scale = 8; off = 8; size = 8; sext = false };
+            (* a shift that is neither 0 nor log2 of the size *)
+            Minst.Ldx { dst = 1; base = 2; index = 3; scale = 8; off = 0; size = 4; sext = true };
+            Minst.Ldx { dst = 1; base = 2; index = 3; scale = 2; off = 0; size = 8; sext = false } ]);
     Alcotest.test_case "decode error on garbage" `Quick (fun () ->
         let b = Bytes.make 1 '\xFF' in
         match Emu.decode_all Target.x64 b with

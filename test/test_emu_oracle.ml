@@ -310,16 +310,18 @@ let fuel_stops_exact_in target insts =
 
 let fuel_stops_exact target prog = fuel_stops_exact_in target (straight target prog)
 
-(* ---- indexed loads (x64) ---- *)
+(* ---- indexed loads ---- *)
 
 let ldx ?(dst = 0) ~base ~index ~scale ~off ~size () =
   Minst.Ldx { dst; base; index; scale; off; size; sext = false }
 
-(* [prog] with a faulting indexed load, [index * 8 + 8] with index and
-   base zero, after its first [pos] ops; right before the load nothing, a
-   load or a valid indexed load of the stack, and right after it a move
-   when [then_move] holds, so the faulting one also runs as either half of
-   a pair. [based] picks the form with a base register. *)
+(* [prog] with a faulting indexed load of address 8 after its first [pos]
+   ops; right before the load nothing, a load or a valid indexed load of
+   the stack, and right after it a move when [then_move] holds, so the
+   faulting one also runs as either half of a pair. On x64 the load is
+   [index * 8 + 8] with index and base zero, and [based] picks the form
+   with a base register; on a64, which has only [base + index lsl k], the
+   base is zero and [based] picks k = log2 of the size over k = 0. *)
 let gen_faulting_indexed =
   QCheck2.Gen.(pair gen_faulting (triple bool (oneofl [ 1; 2; 4; 8 ]) bool))
 
@@ -327,13 +329,22 @@ let faulting_indexed (target : Target.t) (prog, pos, before_load) (based, size, 
   let sp = target.Target.sp in
   let before = List.filteri (fun i _ -> i < pos) prog
   and after = List.filteri (fun i _ -> i >= pos) prog in
+  let setup, load =
+    match target.Target.arch with
+    | Target.X64 ->
+        ([ Minst.Mov_ri (15, 0L) ], ldx ~base:(if based then 15 else -1) ~index:15 ~scale:8 ~off:8 ~size ())
+    | Target.A64 ->
+        let scale = if based then size else 1 in
+        ( [ Minst.Mov_ri (15, 0L); Minst.Mov_ri (14, Int64.of_int (8 / scale)) ],
+          ldx ~base:15 ~index:14 ~scale ~off:0 ~size () )
+  in
   List.concat_map (lower target) before
-  @ [ Minst.Mov_ri (15, 0L) ]
+  @ setup
   @ (match before_load with
     | 0 -> []
     | 1 -> [ Minst.Ld { dst = 1; base = sp; off = 0; size = 8; sext = false } ]
     | _ -> [ ldx ~dst:1 ~base:sp ~index:15 ~scale:8 ~off:0 ~size:8 () ])
-  @ [ ldx ~base:(if based then 15 else -1) ~index:15 ~scale:8 ~off:8 ~size () ]
+  @ [ load ]
   @ (if then_move then [ Minst.Mov_rr (1, 0) ] else [])
   @ straight target after
 
@@ -341,7 +352,7 @@ let indexed_fault_exact target (p, form) =
   let code = assemble target (faulting_indexed target p form) in
   let insts, _ = Emu.decode_all target code in
   let load = ref (-1) in
-  Array.iteri (fun j i -> match i with Minst.Ldx { off = 8; _ } -> load := j | _ -> ()) insts;
+  Array.iteri (fun j i -> match i with Minst.Ldx { dst = 0; _ } -> load := j | _ -> ()) insts;
   let emu = fresh target in
   match run_code emu code with
   | _ -> false
@@ -352,17 +363,24 @@ let indexed_fault_exact target (p, form) =
       && Emu.cycles emu = prefix_cycles insts (!load + 1)
 
 (* [prog] with valid indexed loads of the stack after each op: [sp + 0 *
-   8] with a base, [sp * 1 + 8] without *)
+   8] with a base, and on x64 [sp * 1 + 8] without one, on a64 [sp + 1 lsl
+   2] *)
 let with_indexed_loads (target : Target.t) prog =
   let sp = target.Target.sp in
+  let other =
+    match target.Target.arch with
+    | Target.X64 -> ldx ~dst:10 ~base:(-1) ~index:sp ~scale:1 ~off:8 ~size:4 ()
+    | Target.A64 -> ldx ~dst:10 ~base:sp ~index:14 ~scale:4 ~off:0 ~size:4 ()
+  in
   Minst.Mov_ri (15, 0L)
+  :: Minst.Mov_ri (14, 1L)
   :: List.concat
        (List.mapi
           (fun k op ->
             lower target op
             @ [
                 (if k land 1 = 0 then ldx ~dst:10 ~base:sp ~index:15 ~scale:8 ~off:0 ~size:8 ()
-                 else ldx ~dst:10 ~base:(-1) ~index:sp ~scale:1 ~off:8 ~size:4 ());
+                 else other);
               ])
           prog)
   @ [ Minst.Ret ]
@@ -498,13 +516,19 @@ let suite =
       (fuel_stops_exact Target.x64);
     prop "a64 fuel k traps after k + 1 instructions and their cycles" gen_prog
       (fuel_stops_exact Target.a64);
-    prop "x64 cycles and instructions at a faulting indexed load are the prefix's"
-      gen_faulting_indexed (indexed_fault_exact Target.x64);
-    prop "x64 fuel k traps exactly in programs with indexed loads" gen_prog (fun prog ->
-        fuel_stops_exact_in Target.x64 (with_indexed_loads Target.x64 prog));
-    prop "x64 indexed loads leave the reference's result" gen_prog (fun prog ->
-        Int64.equal (run_emu Target.x64 (with_indexed_loads Target.x64 prog)) (reference prog));
   ]
+  @ List.concat_map
+      (fun (target : Target.t) ->
+        let name = match target.Target.arch with Target.X64 -> "x64" | Target.A64 -> "a64" in
+        [
+          prop (name ^ " cycles and instructions at a faulting indexed load are the prefix's")
+            gen_faulting_indexed (indexed_fault_exact target);
+          prop (name ^ " fuel k traps exactly in programs with indexed loads") gen_prog (fun prog ->
+              fuel_stops_exact_in target (with_indexed_loads target prog));
+          prop (name ^ " indexed loads leave the reference's result") gen_prog (fun prog ->
+              Int64.equal (run_emu target (with_indexed_loads target prog)) (reference prog));
+        ])
+      [ Target.x64; Target.a64 ]
   @ List.concat_map
       (fun (target : Target.t) ->
         List.map

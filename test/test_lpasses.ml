@@ -112,6 +112,32 @@ let suite =
         Lir.iter_blocks f (fun blk -> Lir.compact blk);
         check Alcotest.int "arith gone" 0
           (count_iop f (fun o -> o = Lir.Add || o = Lir.Mul)));
+    Alcotest.test_case "InstCombine: a GEP's constant index joins its offset" `Quick (fun () ->
+        let m = new_modul () in
+        let f = Lir.create_func m ~name:"gep" ~arg_tys:[| Lir.Ptr; Lir.I64 |] ~ret_ty:Lir.I64 in
+        let b = Lir.new_block f in
+        let p = Lir.Varg (0, Lir.Ptr) and row = Lir.Varg (1, Lir.I64) in
+        let gep ~base ~index ~scale ~off =
+          Lir.mk_inst f b ~iop:Lir.Gep ~ity:Lir.Ptr
+            ~operands:(Lir.gep_operands ~base ~index ~scale ~off) ()
+        in
+        (* p + 3 * 8 + 4: the index folds, the GEP stays *)
+        let g1 = gep ~base:p ~index:(Lir.Vconst (Lir.I64, 3L)) ~scale:8 ~off:4L in
+        (* p + 0: no GEP left *)
+        let g2 = gep ~base:p ~index:(Lir.Vconst (Lir.I64, 0L)) ~scale:8 ~off:0L in
+        (* p + row * 8 + 4: nothing to fold *)
+        let g3 = gep ~base:p ~index:row ~scale:8 ~off:4L in
+        let ld (g : Lir.inst) = Lir.mk_inst f b ~iop:Lir.Load ~ity:Lir.I64 ~operands:[| Lir.Vinst g |] () in
+        let l1 = ld g1 and l2 = ld g2 and l3 = ld g3 in
+        let s = Lir.mk_inst f b ~iop:Lir.Add ~ity:Lir.I64 ~operands:[| Lir.Vinst l1; Lir.Vinst l2 |] () in
+        let s = Lir.mk_inst f b ~iop:Lir.Add ~ity:Lir.I64 ~operands:[| Lir.Vinst s; Lir.Vinst l3 |] () in
+        ignore (Lir.mk_inst f b ~iop:Lir.Ret ~ity:Lir.Void ~operands:[| Lir.Vinst s |] ());
+        run1 Lpasses.instcombine_pass f;
+        check Alcotest.bool "index folded" true
+          (g1.Lir.operands.(1) = Lir.Vconst (Lir.I64, 0L) && Lir.gep_scale_off g1 = (8, 28L));
+        check Alcotest.bool "zero GEP replaced by its base" true (g2.Lir.deleted && l2.Lir.operands.(0) = p);
+        check Alcotest.bool "variable index kept" true
+          ((not g3.Lir.deleted) && g3.Lir.operands.(1) = row && Lir.gep_scale_off g3 = (8, 4L)));
     Alcotest.test_case "LICM hoists loop-invariant mul" `Quick (fun () ->
         let m = new_modul () in
         let f = Lir.create_func m ~name:"licm" ~arg_tys:[| Lir.I64; Lir.I64 |] ~ret_ty:Lir.I64 in

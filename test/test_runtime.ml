@@ -67,6 +67,17 @@ let memory_cases =
         Memory.fill m ~addr:Memory.page ~len:(1 lsl 20) '\255';
         let m' = Memory.create size in
         check Alcotest.int64 "second arena" 0L (Memory.load64 m' Memory.page));
+    Alcotest.test_case "a freed block comes back zeroed to the next alloc of its shape" `Quick
+      (fun () ->
+        let m = Memory.create (1 lsl 20) in
+        let a = Memory.alloc m ~align:16 4096 in
+        Memory.fill m ~addr:a ~len:4096 '\255';
+        Memory.free m ~addr:a ~size:4096 ~align:16;
+        let b = Memory.alloc m ~align:16 4096 in
+        check Alcotest.int "the same block" a b;
+        for k = 0 to 511 do
+          check Alcotest.int64 "zero" 0L (Memory.load64 m (b + (8 * k)))
+        done);
     Alcotest.test_case "accesses past either end fault with the access in the message" `Quick
       (fun () ->
         let size = 16 * Memory.page in
@@ -318,6 +329,28 @@ let htable_cases =
           let h = Qcomp_support.Hashes.hash64 (Int64.of_int i) in
           let e = Htable.lookup vm ht h in
           check Alcotest.bool "found after growth" true (e <> 0)
+        done);
+    Alcotest.test_case "a table on recycled arenas starts empty" `Quick (fun () ->
+        let vm = Emu.create ~mem_size:(1 lsl 22) Target.x64 in
+        let m = Emu.memory vm in
+        let keys = List.init 12 (fun i -> Qcomp_support.Hashes.hash64 (Int64.of_int (i + 1))) in
+        (* a table filled with entries, then torn down with its query *)
+        let scope = Memory.new_scope () in
+        let entries =
+          Memory.with_scope scope (fun () ->
+              let ht = Htable.create vm ~payload_size:8 ~capacity_hint:16 in
+              List.iter (fun h -> Memory.store64 m (Htable.insert vm ht h) (-1L)) keys;
+              Memory.load64 m (ht + 24))
+        in
+        Memory.free_scope m scope;
+        (* the same shape again reuses the arena, and reads as new *)
+        let ht = Htable.create vm ~payload_size:8 ~capacity_hint:16 in
+        check Alcotest.int64 "recycled entries arena" entries (Memory.load64 m (ht + 24));
+        check Alcotest.int "empty" 0 (Htable.count m ht);
+        List.iter (fun h -> check Alcotest.int "miss" 0 (Htable.lookup vm ht h)) keys;
+        let bytes = Htable.capacity m ht * Int64.to_int (Memory.load64 m (ht + 16)) in
+        for k = 0 to (bytes / 8) - 1 do
+          check Alcotest.int64 "zero" 0L (Memory.load64 m (Int64.to_int entries + (8 * k)))
         done);
     Alcotest.test_case "zero hash is normalized, still findable" `Quick (fun () ->
         let vm = Emu.create ~mem_size:(1 lsl 22) Target.x64 in

@@ -306,7 +306,7 @@ let golden_cases =
         [ 1; 4 ] digests)
     [
       ( "static:cranelift", Server.Static Engine.cranelift, false,
-        [ "c32c830c5212d64936e9cc9401263153"; "e540b3e11bcbcfdedd3a81bbc924208a" ] );
+        [ "901d01b46dd4c33a97fa329f66c6b14a"; "f31a1129ac941072e059a628c0b8e7ae" ] );
       ( "cached", Server.Cached, false,
         [ "ed08d969d581b1a5f56ae8e28a5adb1c"; "804df8c5121f66307e6b1deb4b47ed91" ] );
       ( "tiered", Server.Tiered, false,
