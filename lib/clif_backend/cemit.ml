@@ -106,6 +106,23 @@ let emit ~(asm : Asm.t) (vc : Vcode.t) (ra : Regalloc.t) =
     (* spilled vregs with a block-local register that already hold the
        current value (loaded at first use or written by a def) *)
     let loaded = Hashtbl.create 8 in
+    (* the position of each such vreg's last def in the block: the slot is
+       written once, there (found when a live-out one is first stored) *)
+    let last_def =
+      lazy
+        (let t = Hashtbl.create 8 in
+         Vec.iteri
+           (fun k inst ->
+             List.iter
+               (fun d ->
+                 if Vcode.is_vreg d then
+                   let v = d - Vcode.vreg_base in
+                   if ra.Regalloc.assignment.(v) < 0 && Hashtbl.mem ra.Regalloc.block_pref (v, b)
+                   then Hashtbl.replace t v k)
+               (fst (Vcode.defs_uses inst)))
+           vc.Vcode.insts.(b);
+         t)
+    in
     Vec.iteri
       (fun k inst ->
         let _, uses = Vcode.defs_uses inst in
@@ -174,8 +191,10 @@ let emit ~(asm : Asm.t) (vc : Vcode.t) (ra : Regalloc.t) =
                 | Some preg ->
                     Hashtbl.replace loaded v ();
                     (* later uses in this block read the register; the slot
-                       only matters if the value escapes the block *)
-                    if Bitset.mem ra.Regalloc.live_out.(b) v then
+                       only matters if the value escapes the block, and
+                       then only its last def's value *)
+                    if Bitset.mem ra.Regalloc.live_out.(b) v && Hashtbl.find (Lazy.force last_def) v = k
+                    then
                       Asm.emit asm
                         (Minst.St { src = preg; base = sp; off = ra.Regalloc.spill_slot.(v); size = 8 })
                 | None ->

@@ -219,8 +219,9 @@ let run (vc : Vcode.t) : t =
   (* ---- block-local second chance (regalloc2 splits failing bundles; we
      approximate the common effect): give each spilled vreg a register for
      the parts of its live range inside a single block where one is free.
-     Stores write through to the stack slot, so cross-block flow still goes
-     through memory and correctness never depends on the split. ---- *)
+     The emitter stores the block's last def to the stack slot when the
+     value is live out, so cross-block flow still goes through memory and
+     correctness never depends on the split. ---- *)
   let block_pref : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
   let block_of_point p =
     let rec bs lo hi =

@@ -84,18 +84,18 @@ let pinned_cycles (target : Qcomp_vm.Target.t) =
         ("interpreter", 22_445_835);
         ("stencil", 8_457_578);
         ("directemit", 3_852_309);
-        ("cranelift", 5_810_587);
-        ("llvm-opt", 6_550_746);
+        ("cranelift", 5_750_145);
+        ("llvm-opt", 5_661_116);
         ("llvm-cheap", 8_648_016);
-        ("gcc", 9_499_582);
+        ("gcc", 7_992_236);
       ]
   | Qcomp_vm.Target.A64 ->
       [
         ("interpreter", 22_445_835);
         ("cranelift", 4_931_772);
-        ("llvm-opt", 6_147_126);
+        ("llvm-opt", 5_565_461);
         ("llvm-cheap", 7_884_672);
-        ("gcc", 8_300_863);
+        ("gcc", 7_084_033);
       ]
 
 (** Summed {!Qcomp_engine.Engine.estimated_work} of the same 22 plans at

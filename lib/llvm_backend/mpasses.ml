@@ -406,9 +406,13 @@ let regalloc_greedy ?(stats = { spilled = 0; evictions = 0 }) (m : Mir.t)
     block_start.(b + 1) <- block_start.(b) + Vec.length m.Mir.blocks.(b).Mir.insts
   done;
   let point b k = 2 * (block_start.(b) + k) in
-  (* live interval construction + spill weights *)
+  (* live intervals, spill costs and copy partners. The spill cost is the
+     frequency-weighted count of defs and uses: without live-range
+     splitting an interval spills whole, so that is exactly what spilling
+     it costs. A copy partner is the other side of a copy between vregs. *)
   let ranges = Array.make nv [] in
   let weight = Array.make nv 0.0 in
+  let partners = Array.make nv [] in
   let add_range v s e = if e > s then ranges.(v) <- (s, e) :: ranges.(v) in
   for b = 0 to nb - 1 do
     let n = Vec.length m.Mir.blocks.(b).Mir.insts in
@@ -416,7 +420,13 @@ let regalloc_greedy ?(stats = { spilled = 0; evictions = 0 }) (m : Mir.t)
     let range_end = Array.make nv (-1) in
     Bitset.iter (fun v -> range_end.(v) <- bend) live.live_out.(b);
     for k = n - 1 downto 0 do
-      let defs, uses = Mir.defs_uses (Vec.get m.Mir.blocks.(b).Mir.insts k) in
+      let inst = Vec.get m.Mir.blocks.(b).Mir.insts k in
+      (match inst with
+      | Mir.M (Minst.Mov_rr (d, s)) when Mir.is_vreg d && Mir.is_vreg s && d <> s ->
+          partners.(vidx d) <- vidx s :: partners.(vidx d);
+          partners.(vidx s) <- vidx d :: partners.(vidx s)
+      | _ -> ());
+      let defs, uses = Mir.defs_uses inst in
       let p = point b k in
       List.iter
         (fun d ->
@@ -447,12 +457,7 @@ let regalloc_greedy ?(stats = { spilled = 0; evictions = 0 }) (m : Mir.t)
     done
   done;
   for v = 0 to nv - 1 do
-    ranges.(v) <- List.sort compare ranges.(v);
-    (* spill weight normalized by interval size (LLVM-style density) *)
-    let size =
-      List.fold_left (fun acc (s, e) -> acc + (e - s)) 1 ranges.(v)
-    in
-    weight.(v) <- weight.(v) /. float_of_int size
+    ranges.(v) <- List.sort compare ranges.(v)
   done;
   (* per-preg interval unions; a key may carry several (end, vreg)
      segments that share the same start *)
@@ -508,8 +513,19 @@ let regalloc_greedy ?(stats = { spilled = 0; evictions = 0 }) (m : Mir.t)
     |> List.filter (fun v -> ranges.(v) <> [])
     |> List.sort (fun a b -> compare weight.(b) weight.(a))
   in
+  let free v p = not (conflicts p ranges.(v)) in
+  (* a copy partner's register first: the copy becomes an identity move *)
+  let hint v =
+    List.find_map
+      (fun o ->
+        let p = assignment.(o) in
+        if p >= 0 && free v p then Some p else None)
+      partners.(v)
+  in
   let rec assign v retry =
-    match List.find_opt (fun p -> not (conflicts p ranges.(v))) allocatable with
+    match
+      match hint v with Some p -> Some p | None -> List.find_opt (free v) allocatable
+    with
     | Some p ->
         assignment.(v) <- p;
         insert_segs p v
@@ -559,50 +575,75 @@ let regalloc_greedy ?(stats = { spilled = 0; evictions = 0 }) (m : Mir.t)
       List.iter (fun p -> tree_insert p (point b pos) (point b pos + 2, -1)) caller_saved)
     m.Mir.call_positions;
   List.iter (fun v -> assign v false) queue;
-  (* rewrite: spilled vregs through scratch registers *)
+  (* rewrite: spilled vregs through the scratch registers s1 and s2. A copy
+     into or out of a spilled vreg becomes its one frame store or load
+     (LLVM's foldMemoryOperand on COPY). s1 keeps the spilled value it last
+     loaded or stored, so a later use in the block reads it there, until
+     an instruction writes s1, a call clobbers it, or the block ends. *)
+  let slot r = if Mir.is_vreg r then slot_of.(vidx r) else -1 in
+  let reg r = if Mir.is_vreg r then assignment.(vidx r) else r in
   for b = 0 to nb - 1 do
     let blk = m.Mir.blocks.(b) in
     let nv_out = Vec.create ~dummy:(Mir.M Minst.Nop) () in
+    let emit i = ignore (Vec.push nv_out i) in
+    (* the vreg whose spilled value s1 holds, or -1 *)
+    let in_s1 = ref (-1) in
+    let load dst r = emit (Mir.Mframe_ld { dst; slot = slot r; size = 8 }) in
+    let store src r =
+      emit (Mir.Mframe_st { src; slot = slot r; size = 8 });
+      if src = s1 then in_s1 := r else if !in_s1 = r then in_s1 := -1
+    in
     Vec.iter
       (fun inst ->
-        let defs, uses = Mir.defs_uses inst in
-        let spill_map = Hashtbl.create 4 in
-        let next = ref [ s1; s2 ] in
-        List.iter
-          (fun u ->
-            if Mir.is_vreg u then begin
-              let v = vidx u in
-              if assignment.(v) < 0 && not (Hashtbl.mem spill_map u) then begin
-                match !next with
-                | s :: rest ->
-                    next := rest;
-                    Hashtbl.add spill_map u s;
-                    if slot_of.(v) >= 0 then
-                      ignore (Vec.push nv_out (Mir.Mframe_ld { dst = s; slot = slot_of.(v); size = 8 }))
-                | [] -> failwith "greedy RA: out of spill scratches"
+        match inst with
+        | Mir.M (Minst.Mov_rr (d, s)) when slot d >= 0 || slot s >= 0 ->
+            (* the register the copied value is in: s's own, s1 when it
+               holds s, else a reload (into d's register when d has one) *)
+            let src =
+              if slot s < 0 then reg s
+              else if !in_s1 = s then s1
+              else begin
+                let dst = if slot d >= 0 then s1 else reg d in
+                load dst s;
+                if dst = s1 then in_s1 := s;
+                dst
               end
-            end)
-          uses;
-        let map r =
-          if not (Mir.is_vreg r) then r
-          else
-            match Hashtbl.find_opt spill_map r with
-            | Some s -> s
-            | None ->
-                let v = vidx r in
-                if assignment.(v) >= 0 then assignment.(v) else s1
-        in
-        ignore (Vec.push nv_out (Mir.map_regs map inst));
-        List.iter
-          (fun d ->
-            if Mir.is_vreg d then begin
-              let v = vidx d in
-              if assignment.(v) < 0 && slot_of.(v) >= 0 then begin
-                let s = match Hashtbl.find_opt spill_map d with Some s -> s | None -> s1 in
-                ignore (Vec.push nv_out (Mir.Mframe_st { src = s; slot = slot_of.(v); size = 8 }))
-              end
-            end)
-          defs)
+            in
+            if slot d >= 0 then store src d
+            else if src <> reg d then emit (Mir.M (Minst.Mov_rr (reg d, src)))
+        | _ ->
+            let defs, uses = Mir.defs_uses inst in
+            (* spilled uses: the one s1 holds reads it there, the others
+               are reloaded into a free scratch *)
+            let spill_map = if List.mem !in_s1 uses then [ (!in_s1, s1) ] else [] in
+            let spill_map =
+              List.fold_left
+                (fun acc u ->
+                  if slot u < 0 || List.mem_assoc u acc then acc
+                  else
+                    let taken s = List.exists (fun (_, s') -> s' = s) acc in
+                    let s =
+                      if not (taken s1) then s1
+                      else if not (taken s2) then s2
+                      else failwith "greedy RA: out of spill scratches"
+                    in
+                    load s u;
+                    if s = s1 then in_s1 := u;
+                    (u, s) :: acc)
+                spill_map uses
+            in
+            (* a spilled def that is no use lands in s1 *)
+            let map r =
+              match List.assoc_opt r spill_map with
+              | Some s -> s
+              | None -> if slot r >= 0 then s1 else reg r
+            in
+            let mapped = Mir.map_regs map inst in
+            emit mapped;
+            (match mapped with
+            | Mir.Mcall _ | Mir.M (Minst.Call_ind _ | Minst.Call_rel _) -> in_s1 := -1
+            | _ -> if List.exists (fun d -> map d = s1) defs then in_s1 := -1);
+            List.iter (fun d -> if slot d >= 0 then store (map d) d) defs)
       blk.Mir.insts;
     blk.Mir.insts <- nv_out
   done;
@@ -699,20 +740,29 @@ let prologue_epilogue (m : Mir.t) =
 
 (* ---------------- branch folding ---------------- *)
 
-(* The -O2 pipelines' BranchFolder, reduced to its commonest rewrite: a
-   block whose last instruction jumps to the next non-empty block laid out
-   falls through to it instead. *)
+(* The -O2 pipelines' BranchFolder, reduced to its two commonest rewrites:
+   a block whose last instruction jumps to the next non-empty block laid
+   out falls through to it instead, and a block that ends
+   [jcc c, <next>; jmp t] ends [jcc !c, t]. *)
 let drop_fallthrough_jumps (m : Mir.t) =
   let blocks = m.Mir.blocks in
+  let falls_to b t =
+    t > b
+    && (let rec empty k = k >= t || (Vec.is_empty blocks.(k).Mir.insts && empty (k + 1)) in
+        empty (b + 1))
+  in
   Array.iteri
     (fun b (blk : Mir.block) ->
-      let n = Vec.length blk.Mir.insts in
+      let v = blk.Mir.insts in
+      let n = Vec.length v in
       if n > 0 then
-        match Vec.get blk.Mir.insts (n - 1) with
-        | Mir.M (Minst.Jmp t)
-          when t > b
-               && (let rec empty k = k >= t || (Vec.is_empty blocks.(k).Mir.insts && empty (k + 1)) in
-                   empty (b + 1)) ->
-            Vec.truncate blk.Mir.insts (n - 1)
+        match Vec.get v (n - 1) with
+        | Mir.M (Minst.Jmp t) when falls_to b t -> Vec.truncate v (n - 1)
+        | Mir.M (Minst.Jmp t) when n > 1 -> (
+            match Vec.get v (n - 2) with
+            | Mir.M (Minst.Jcc (c, next)) when falls_to b next ->
+                Vec.set v (n - 2) (Mir.M (Minst.Jcc (Minst.cond_negate c, t)));
+                Vec.truncate v (n - 1)
+            | _ -> ())
         | _ -> ())
     blocks

@@ -104,6 +104,23 @@ let cond_name = function
   | Ov -> "o"
   | Noov -> "no"
 
+(** The condition that holds exactly when [c] does not, on the same
+    flags: [Jcc (cond_negate c, t)] falls through where [Jcc (c, t)]
+    branches. *)
+let cond_negate = function
+  | Eq -> Ne
+  | Ne -> Eq
+  | Slt -> Sge
+  | Sge -> Slt
+  | Sle -> Sgt
+  | Sgt -> Sle
+  | Ult -> Uge
+  | Uge -> Ult
+  | Ule -> Ugt
+  | Ugt -> Ule
+  | Ov -> Noov
+  | Noov -> Ov
+
 let alu_name = function
   | Add -> "add"
   | Sub -> "sub"

@@ -306,7 +306,7 @@ let golden_cases =
         [ 1; 4 ] digests)
     [
       ( "static:cranelift", Server.Static Engine.cranelift, false,
-        [ "901d01b46dd4c33a97fa329f66c6b14a"; "f31a1129ac941072e059a628c0b8e7ae" ] );
+        [ "418b7b50ccc8293b2d0de46e64ad786d"; "5d5e6431354616e2f298fb90ade21231" ] );
       ( "cached", Server.Cached, false,
         [ "ed08d969d581b1a5f56ae8e28a5adb1c"; "804df8c5121f66307e6b1deb4b47ed91" ] );
       ( "tiered", Server.Tiered, false,
