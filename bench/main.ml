@@ -708,7 +708,7 @@ let serve_persist () =
   let db = Experiments.make_db Target.x64 Experiments.Tpch ~sf:sf_tpch_small in
   let cache = Code_cache.create ~capacity:config.Server.cache_capacity in
   let cold = Server.run ~cache db config stream in
-  Code_cache.save cache snap;
+  Code_cache.save cache ~db snap;
   Printf.printf "cold start (fresh cache):\n";
   Format.printf "%a@." (Server.pp_report ~per_query:false) cold;
   let db2 = Experiments.make_db Target.x64 Experiments.Tpch ~sf:sf_tpch_small in
@@ -1073,7 +1073,6 @@ let serve_load () =
         Server.mode = Server.Tiered;
         Server.admission_cap;
         Server.tenants;
-        Server.cache_shards = 2;
       }
     in
     if domains > 0 then

@@ -19,15 +19,12 @@
        --domains N      serve on N real worker domains (workers = N)
                         instead of the discrete-event scheduler (timings
                         become wall-clock)
-       --slots C        background compile slots (default 2)
        --morsel M       rows per execution quantum (default 512)
        --intra N        intra-query lanes: parallelizable pipeline bodies
                         fan each quantum's morsels out over N lanes
                         (simulated deterministically on the event driver,
                         real nested domains under --domains; default 1)
        --cache N        module-cache capacity in entries (default 64)
-       --cache-shards S hash shards of the code cache (default 1; >1 only
-                        pays under --domains)
        --sf K           scale factor (default 2)
        --gap-us G       mean inter-arrival gap in microseconds (default 500)
        --arrival poisson|burst   open-loop timed arrivals from the traffic
@@ -62,9 +59,8 @@ let usage () =
   prerr_endline
     "usage: serve [tpch|tpcds|zipf] [--mode tiered|cached|static:<backend>]\n\
     \             [--reopt] [--no-paramize] [--queries N] [--workers W]\n\
-    \             [--domains N] [--slots C] [--morsel M] [--intra N]\n\
-    \             [--cache N]\n\
-    \             [--cache-shards S] [--sf K] [--gap-us G]\n\
+    \             [--domains N] [--morsel M] [--intra N] [--cache N]\n\
+    \             [--sf K] [--gap-us G]\n\
     \             [--arrival poisson|burst] [--qps Q] [--burst B]\n\
     \             [--idle-us I] [--admission-cap N] [--tenants T]\n\
     \             [--seed S] [--per-query] [--validate]\n\
@@ -153,9 +149,6 @@ let () =
     | "--reopt" :: rest ->
         cfg := { !cfg with Server.reopt = true };
         parse rest
-    | "--slots" :: v :: rest ->
-        cfg := { !cfg with Server.compile_slots = pos_arg "--slots" v };
-        parse rest
     | "--morsel" :: v :: rest ->
         cfg := { !cfg with Server.morsel = pos_arg "--morsel" v };
         parse rest
@@ -164,9 +157,6 @@ let () =
         parse rest
     | "--cache" :: v :: rest ->
         cfg := { !cfg with Server.cache_capacity = pos_arg "--cache" v };
-        parse rest
-    | "--cache-shards" :: v :: rest ->
-        cfg := { !cfg with Server.cache_shards = pos_arg "--cache-shards" v };
         parse rest
     | "--sf" :: v :: rest ->
         sf := pos_arg "--sf" v;
@@ -270,16 +260,11 @@ let () =
   let cache =
     match !load_cache with
     | Some f ->
-        let c =
-          Code_cache.load ~capacity:(!cfg).Server.cache_capacity
-            ~shards:(!cfg).Server.cache_shards ~db f
-        in
+        let c = Code_cache.load ~capacity:(!cfg).Server.cache_capacity ~db f in
         let s = Code_cache.stats c in
         Printf.printf "snapshot: loaded %d modules from %s\n" s.Lru.entries f;
         c
-    | None ->
-        Code_cache.create_sharded ~capacity:(!cfg).Server.cache_capacity
-          ~shards:(!cfg).Server.cache_shards
+    | None -> Code_cache.create ~capacity:(!cfg).Server.cache_capacity
   in
   let serve ?parallel sdb scache =
     match requests with
@@ -290,7 +275,7 @@ let () =
   Format.printf "%a" (Server.pp_report ~per_query:!per_query) report;
   (match !save_cache with
   | Some f ->
-      Code_cache.save cache f;
+      Code_cache.save cache ~db f;
       Printf.printf "snapshot: saved code cache to %s\n" f
   | None -> ());
   if (!cfg).Server.reopt then begin
@@ -325,9 +310,8 @@ let () =
        (name, rows, checksum), the final live code bytes, and a fully
        unpinned, underflow-free cache *)
     let sdb = Experiments.make_db target !workload ~sf:!sf in
-    let sreport = serve sdb (Code_cache.create_sharded
-                               ~capacity:(!cfg).Server.cache_capacity
-                               ~shards:(!cfg).Server.cache_shards)
+    let sreport =
+      serve sdb (Code_cache.create ~capacity:(!cfg).Server.cache_capacity)
     in
     (* under an admission cap, which arrivals get shed is wall-clock on
        the pool (queue occupancy depends on worker speed) but virtual-time

@@ -42,25 +42,17 @@
     disposal is deferred until the last pin drops, so a query never
     executes freed code.
 
-    The module level is {e hash-sharded}: entries are distributed over
-    [shards] independent LRUs (keyed by fingerprint and back-end), each
-    behind its own mutex, so worker domains missing on different plans
-    never contend on one global cache lock — the contention the serving
-    pool measured under load. [shards = 1] (the default, and the only
-    configuration the deterministic discrete-event driver uses) behaves
-    exactly like the previous single-mutex cache, including snapshot byte
-    layout. Stats are aggregated across shards on read.
+    The module level is one LRU behind one mutex, which also guards an
+    {e in-flight compile table}: the first domain to miss on a key marks it
+    in flight and compiles outside the lock; domains racing on the same key
+    wait on the cache's condition variable and pick the finished entry up
+    from the LRU instead of burning a redundant back-end compile
+    ({!get_or_compile}). Deduped waits and actual back-end compiles are
+    counted in {!mem_stats}.
 
-    Each shard also carries an {e in-flight compile table}: the first
-    domain to miss on a key marks it in flight and compiles outside the
-    lock; domains racing on the same key wait on the shard's condition
-    variable and pick the finished entry up from the LRU instead of
-    burning a redundant back-end compile ({!get_or_compile}). Deduped
-    waits and actual back-end compiles are counted in {!mem_stats}.
-
-    Lock ordering: shard mutex before the plan-memo mutex before the
+    Lock ordering: cache mutex before the plan-memo mutex before the
     emulator's code-layout lock (disposal from eviction, and lazy linking
-    in {!force}, happen with the shard mutex held), never the reverse.
+    in {!force}, happen with the cache mutex held), never the reverse.
     Compilation itself ({!compile_uncached}) runs with {e no} cache lock
     held so independent plans compile concurrently; only the
     predict-link-register sequence inside serializes on the layout lock. *)
@@ -102,7 +94,6 @@ type code =
 
 type entry = {
   ce_name : string;  (** query name (for re-codegen after a {!load}) *)
-  ce_key : key;  (** the entry's home key — locates its shard *)
   ce_plan : Qcomp_plan.Algebra.t;
       (** the {e shape}: for parameterized queries, eligible literals have
           been replaced by [Expr.Param] holes ({!Qcomp_plan.Paramize}) *)
@@ -142,68 +133,51 @@ type param_stats = {
   ps_bind_host_s : float;  (** host seconds spent in bind-links *)
 }
 
-(* One hash shard: an independent LRU plus the in-flight compile table,
-   all guarded by [sh_mu]. Counters live per shard (mutated under the
-   shard mutex) and are summed on read. *)
-type shard = {
-  sh_mu : Mutex.t;
-  sh_cv : Condition.t;  (** signalled when an in-flight compile lands *)
-  sh_modules : (key, entry) Lru.t;
-  sh_inflight : (key, unit) Hashtbl.t;
-  mutable sh_bytes_freed : int;  (** code bytes returned to the allocator *)
-  mutable sh_max_entry_bytes : int;  (** largest module ever compiled here *)
-  mutable sh_pin_underflows : int;  (** unbalanced unpins caught, ignored *)
-  mutable sh_shape_hits : int;
-  mutable sh_exact_hits : int;
-  mutable sh_binds : int;
-  mutable sh_bind_host_s : float;
-  mutable sh_compiles : int;  (** back-end compiles actually run *)
-  mutable sh_dedup_waits : int;  (** misses served by waiting on another
-                                     domain's in-flight compile *)
-}
-
+(* The module LRU and the in-flight compile table, with their counters,
+   all guarded by [mu]; the codegen memo has its own mutex. *)
 type t = {
+  mu : Mutex.t;
+  cv : Condition.t;  (** signalled when an in-flight compile lands *)
+  modules : (key, entry) Lru.t;
+  inflight : (key, unit) Hashtbl.t;
   plans_mu : Mutex.t;  (** guards [plans] only *)
   plans : (int64 * string, Qcomp_codegen.Codegen.compiled) Hashtbl.t;
-  shards : shard array;
+  mutable bytes_freed : int;  (** code bytes returned to the allocator *)
+  mutable max_entry_bytes : int;  (** largest module ever compiled here *)
+  mutable pin_underflows : int;  (** unbalanced unpins caught, ignored *)
+  mutable shape_hits : int;
+  mutable exact_hits : int;
+  mutable binds : int;
+  mutable bind_host_s : float;
+  mutable compiles : int;  (** back-end compiles actually run *)
+  mutable dedup_waits : int;  (** misses served by waiting on another
+                                  domain's in-flight compile *)
 }
-
-(* Deterministic shard pick: fingerprint xor a structural hash of the
-   back-end name, so one plan's tiers spread across shards too. *)
-let shard_of t (k : key) =
-  let n = Array.length t.shards in
-  if n = 1 then t.shards.(0)
-  else
-    let h = Int64.to_int k.ck_fp lxor Hashtbl.hash k.ck_backend in
-    t.shards.((h land max_int) mod n)
-
-let shard_of_entry t e = shard_of t e.ce_key
 
 (* Most bound instances a single entry retains. Heavy literal skew (the
    Zipf workloads) concentrates on few vectors, so a short list holds the
    hot ones; the cold tail re-binds in microseconds. *)
 let max_bound_instances = 8
 
-(* Callers hold the shard mutex. A never-linked entry owns no code
+(* Callers hold the cache mutex. A never-linked entry owns no code
    regions: freeing it must neither call dispose (there is nothing to
    release) nor count its bytes as freed — that drift is exactly what the
    overflow path of [load] used to get wrong. Each bound instance owns its
    own copy of the code, so each counts separately. *)
-let dispose_bound sh b =
-  sh.sh_bytes_freed <-
-    sh.sh_bytes_freed + b.b_cm.Qcomp_backend.Backend.cm_code_size;
+let dispose_bound t b =
+  t.bytes_freed <- t.bytes_freed + b.b_cm.Qcomp_backend.Backend.cm_code_size;
   b.b_dispose ()
 
-let free sh e =
-  List.iter (dispose_bound sh) e.ce_bound;
+let free t e =
+  List.iter (dispose_bound t) e.ce_bound;
   e.ce_bound <- []
 
 (* Drop instances beyond the retention cap, least recently used first,
    keeping any instance an in-flight query still references
    ([b_refs > 0]) regardless of its position — it is disposed by the
    trim after its {!release} drops the last reference. Every disposal is
-   counted in [sh_bytes_freed]. Callers hold the shard mutex. *)
-let trim sh e =
+   counted in [bytes_freed]. Callers hold the cache mutex. *)
+let trim t e =
   if List.length e.ce_bound > max_bound_instances then begin
     let rec cut n = function
       | [] -> []
@@ -211,7 +185,7 @@ let trim sh e =
           if n > 0 then b :: cut (n - 1) rest
           else if b.b_refs > 0 then b :: cut 0 rest
           else begin
-            dispose_bound sh b;
+            dispose_bound t b;
             cut 0 rest
           end
     in
@@ -219,63 +193,46 @@ let trim sh e =
   end
 
 (* LRU drop: dispose now, or defer until the last in-flight user unpins.
-   Runs under the shard mutex (drops only happen inside a locked
+   Runs under the cache mutex (drops only happen inside a locked
    [Lru.add]). *)
-let drop sh e = if !(e.ce_pins) > 0 then e.ce_evicted := true else free sh e
+let drop t e = if !(e.ce_pins) > 0 then e.ce_evicted := true else free t e
 
-let make_shard ~capacity =
-  let sh =
+let create ~capacity =
+  let t =
     {
-      sh_mu = Mutex.create ();
-      sh_cv = Condition.create ();
-      sh_modules = Lru.create ~capacity;
-      sh_inflight = Hashtbl.create 8;
-      sh_bytes_freed = 0;
-      sh_max_entry_bytes = 0;
-      sh_pin_underflows = 0;
-      sh_shape_hits = 0;
-      sh_exact_hits = 0;
-      sh_binds = 0;
-      sh_bind_host_s = 0.0;
-      sh_compiles = 0;
-      sh_dedup_waits = 0;
+      mu = Mutex.create ();
+      cv = Condition.create ();
+      modules = Lru.create ~capacity;
+      inflight = Hashtbl.create 8;
+      plans_mu = Mutex.create ();
+      plans = Hashtbl.create 64;
+      bytes_freed = 0;
+      max_entry_bytes = 0;
+      pin_underflows = 0;
+      shape_hits = 0;
+      exact_hits = 0;
+      binds = 0;
+      bind_host_s = 0.0;
+      compiles = 0;
+      dedup_waits = 0;
     }
   in
-  Lru.set_on_drop sh.sh_modules (fun e -> drop sh e);
-  sh
-
-let create_sharded ~capacity ~shards =
-  if shards < 1 then
-    invalid_arg "Code_cache.create_sharded: shards must be positive";
-  if capacity < 1 then
-    invalid_arg "Code_cache.create_sharded: capacity must be positive";
-  (* ceil-divide so the aggregate capacity never shrinks below the ask *)
-  let per = max 1 ((capacity + shards - 1) / shards) in
-  {
-    plans_mu = Mutex.create ();
-    plans = Hashtbl.create 64;
-    shards = Array.init shards (fun _ -> make_shard ~capacity:per);
-  }
-
-let create ~capacity = create_sharded ~capacity ~shards:1
-let shard_count t = Array.length t.shards
+  Lru.set_on_drop t.modules (fun e -> drop t e);
+  t
 
 (** Pin [e] against disposal while a query holds it. Every pin must be
     matched by an {!unpin} when the query finishes. *)
-let pin t e =
-  let sh = shard_of_entry t e in
-  Mutex.protect sh.sh_mu (fun () -> incr e.ce_pins)
+let pin t e = Mutex.protect t.mu (fun () -> incr e.ce_pins)
 
 (** Drop one pin. An unpin without a matching pin is a caller bug that used
     to drive the count negative (and could later double-dispose a module a
     query was still running); it is now clamped at zero, counted in
     [ms_pin_underflows] and logged on first occurrence. *)
 let unpin t e =
-  let sh = shard_of_entry t e in
-  Mutex.protect sh.sh_mu (fun () ->
+  Mutex.protect t.mu (fun () ->
       if !(e.ce_pins) <= 0 then begin
-        sh.sh_pin_underflows <- sh.sh_pin_underflows + 1;
-        if sh.sh_pin_underflows = 1 then
+        t.pin_underflows <- t.pin_underflows + 1;
+        if t.pin_underflows = 1 then
           Printf.eprintf
             "code_cache: unpin without matching pin (clamped at zero)\n%!"
       end
@@ -284,9 +241,9 @@ let unpin t e =
         if !(e.ce_pins) = 0 then
           if !(e.ce_evicted) then begin
             e.ce_evicted := false;
-            free sh e
+            free t e
           end
-          else trim sh e
+          else trim t e
       end)
 
 let key db ~backend plan =
@@ -300,7 +257,7 @@ let key db ~backend plan =
     codegen results are small compared to machine code. Atomic: concurrent
     callers for the same fingerprint get the {e same} codegen result, which
     the tier hot-swap relies on (one state layout per plan). Guarded by its
-    own mutex (nested inside a shard mutex when called from {!force}). *)
+    own mutex (nested inside the cache mutex when called from {!force}). *)
 let plan_ir t db ~fp ~name plan =
   Mutex.protect t.plans_mu (fun () ->
       let pk = (fp, db.Engine.target.Qcomp_vm.Target.name) in
@@ -347,8 +304,7 @@ let force t db ?(params = ([||] : Qcomp_backend.Artifact.param_value array))
         [||]
     | _ -> params
   in
-  let sh = shard_of_entry t e in
-  Mutex.protect sh.sh_mu (fun () ->
+  Mutex.protect t.mu (fun () ->
       let cq =
         match e.ce_cq with
         | Some cq -> cq
@@ -365,7 +321,7 @@ let force t db ?(params = ([||] : Qcomp_backend.Artifact.param_value array))
           if claim then b.b_refs <- b.b_refs + 1;
           if parameterized then
             if e.ce_fresh then e.ce_fresh <- false
-            else sh.sh_exact_hits <- sh.sh_exact_hits + 1;
+            else t.exact_hits <- t.exact_hits + 1;
           (cq, b.b_cm, false)
       | None ->
           let timing = Timing.create ~enabled:false () in
@@ -390,13 +346,13 @@ let force t db ?(params = ([||] : Qcomp_backend.Artifact.param_value array))
             :: e.ce_bound;
           e.ce_fresh <- false;
           if parameterized then begin
-            sh.sh_shape_hits <- sh.sh_shape_hits + 1;
-            sh.sh_binds <- sh.sh_binds + 1;
-            sh.sh_bind_host_s <- sh.sh_bind_host_s +. (Timing.now () -. t0)
+            t.shape_hits <- t.shape_hits + 1;
+            t.binds <- t.binds + 1;
+            t.bind_host_s <- t.bind_host_s +. (Timing.now () -. t0)
           end;
           (* overflow disposes only unreferenced instances; anything a
              query claimed survives until its release *)
-          trim sh e;
+          trim t e;
           (cq, cm, true))
 
 (** Drop the reference [force ~claim:true] took on the instance whose
@@ -405,17 +361,14 @@ let force t db ?(params = ([||] : Qcomp_backend.Artifact.param_value array))
     it is finally disposed (and counted in [ms_bytes_freed]). A module
     already disposed with its evicted entry is ignored. *)
 let release t e cm =
-  let sh = shard_of_entry t e in
-  Mutex.protect sh.sh_mu (fun () ->
+  Mutex.protect t.mu (fun () ->
       match List.find_opt (fun b -> b.b_cm == cm) e.ce_bound with
       | Some b ->
           if b.b_refs > 0 then b.b_refs <- b.b_refs - 1;
-          trim sh e
+          trim t e
       | None -> ())
 
-let find t k =
-  let sh = shard_of t k in
-  Mutex.protect sh.sh_mu (fun () -> Lru.find sh.sh_modules k)
+let find t k = Mutex.protect t.mu (fun () -> Lru.find t.modules k)
 
 (** Lookup that touches neither recency nor the hit/miss counters — for
     policies whose semantics say "no cache" (Static charges the full
@@ -423,8 +376,7 @@ let find t k =
     hit-rate) and for the tier controller probing whether a stronger
     module is already resident without skewing the serving stats. *)
 let find_nostat t k =
-  let sh = shard_of t k in
-  Mutex.protect sh.sh_mu (fun () -> Lru.peek sh.sh_modules k)
+  Mutex.protect t.mu (fun () -> Lru.peek t.modules k)
 
 (* String literals the code generator baked into this plan's code, with
    the linear-memory addresses codegen allocated for them. Long strings
@@ -480,14 +432,12 @@ let compile_uncached t db ~backend
             ~registry:db.Engine.registry modul )
   in
   let bytes = cm.Qcomp_backend.Backend.cm_code_size in
-  let sh = shard_of t k in
-  Mutex.protect sh.sh_mu (fun () ->
-      if bytes > sh.sh_max_entry_bytes then sh.sh_max_entry_bytes <- bytes;
-      sh.sh_compiles <- sh.sh_compiles + 1;
-      if Array.length params > 0 then sh.sh_binds <- sh.sh_binds + 1);
+  Mutex.protect t.mu (fun () ->
+      if bytes > t.max_entry_bytes then t.max_entry_bytes <- bytes;
+      t.compiles <- t.compiles + 1;
+      if Array.length params > 0 then t.binds <- t.binds + 1);
   {
     ce_name = name;
-    ce_key = k;
     ce_plan = plan;
     ce_fp = k.ck_fp;
     ce_code = code;
@@ -511,18 +461,16 @@ let compile_uncached t db ~backend
   }
 
 let insert t k e =
-  let sh = shard_of t k in
-  Mutex.protect sh.sh_mu (fun () ->
-      Lru.add sh.sh_modules k ~weight:e.ce_code_bytes e)
+  Mutex.protect t.mu (fun () -> Lru.add t.modules k ~weight:e.ce_code_bytes e)
 
 (** [get_or_compile t db ~backend ~name plan] is [(entry, hit)]: the cached
     module for the plan under [backend], compiling (and inserting) on miss.
     The returned [ce_compile_s] is the modelled cost — on a hit the caller
     decides whether to charge it (a serving system does not).
 
-    Concurrent misses on one key are deduplicated through the shard's
+    Concurrent misses on one key are deduplicated through the cache's
     in-flight table: the first domain marks the key in flight and compiles
-    outside the lock; racers wait on the shard's condition variable and
+    outside the lock; racers wait on the cache's condition variable and
     pick the finished entry up from the LRU (counted in
     [ms_dedup_waits]) — the redundant back-end compile the old
     compile-then-lose-the-insert race paid is gone, and with it the
@@ -535,90 +483,63 @@ let insert t k e =
 let get_or_compile t db ~backend ?params ?(stats = true) ?(pin = false) ~name
     plan =
   let k = key db ~backend plan in
-  let sh = shard_of t k in
-  let lookup () =
-    if stats then Lru.find sh.sh_modules k else Lru.peek sh.sh_modules k
-  in
-  Mutex.lock sh.sh_mu;
+  let lookup () = if stats then Lru.find t.modules k else Lru.peek t.modules k in
+  Mutex.lock t.mu;
   let waited = ref false in
   let rec loop () =
     match lookup () with
     | Some e ->
         if pin then incr e.ce_pins;
-        Mutex.unlock sh.sh_mu;
+        Mutex.unlock t.mu;
         (e, true)
     | None ->
-        if Hashtbl.mem sh.sh_inflight k then begin
+        if Hashtbl.mem t.inflight k then begin
           if not !waited then begin
-            sh.sh_dedup_waits <- sh.sh_dedup_waits + 1;
+            t.dedup_waits <- t.dedup_waits + 1;
             waited := true
           end;
-          Condition.wait sh.sh_cv sh.sh_mu;
+          Condition.wait t.cv t.mu;
           loop ()
         end
         else begin
-          Hashtbl.replace sh.sh_inflight k ();
-          Mutex.unlock sh.sh_mu;
+          Hashtbl.replace t.inflight k ();
+          Mutex.unlock t.mu;
           let e =
             try compile_uncached t db ~backend ?params ~name plan
             with exn ->
-              Mutex.lock sh.sh_mu;
-              Hashtbl.remove sh.sh_inflight k;
-              Condition.broadcast sh.sh_cv;
-              Mutex.unlock sh.sh_mu;
+              Mutex.lock t.mu;
+              Hashtbl.remove t.inflight k;
+              Condition.broadcast t.cv;
+              Mutex.unlock t.mu;
               raise exn
           in
-          Mutex.lock sh.sh_mu;
+          Mutex.lock t.mu;
           if pin then incr e.ce_pins;
-          Lru.add sh.sh_modules k ~weight:e.ce_code_bytes e;
-          Hashtbl.remove sh.sh_inflight k;
-          Condition.broadcast sh.sh_cv;
-          Mutex.unlock sh.sh_mu;
+          Lru.add t.modules k ~weight:e.ce_code_bytes e;
+          Hashtbl.remove t.inflight k;
+          Condition.broadcast t.cv;
+          Mutex.unlock t.mu;
           (e, false)
         end
   in
   loop ()
 
-let fold_shards t init f =
-  Array.fold_left (fun acc sh -> Mutex.protect sh.sh_mu (fun () -> f acc sh)) init t.shards
-
-let stats t =
-  fold_shards t
-    {
-      Lru.hits = 0;
-      misses = 0;
-      evictions = 0;
-      entries = 0;
-      bytes = 0;
-      bytes_evicted = 0;
-    }
-    (fun acc sh ->
-      let s = Lru.stats sh.sh_modules in
-      {
-        Lru.hits = acc.Lru.hits + s.Lru.hits;
-        misses = acc.Lru.misses + s.Lru.misses;
-        evictions = acc.Lru.evictions + s.Lru.evictions;
-        entries = acc.Lru.entries + s.Lru.entries;
-        bytes = acc.Lru.bytes + s.Lru.bytes;
-        bytes_evicted = acc.Lru.bytes_evicted + s.Lru.bytes_evicted;
-      })
+let stats t = Mutex.protect t.mu (fun () -> Lru.stats t.modules)
 
 let param_stats t =
-  fold_shards t
-    { ps_shape_hits = 0; ps_exact_hits = 0; ps_binds = 0; ps_bind_host_s = 0.0 }
-    (fun acc sh ->
+  Mutex.protect t.mu (fun () ->
       {
-        ps_shape_hits = acc.ps_shape_hits + sh.sh_shape_hits;
-        ps_exact_hits = acc.ps_exact_hits + sh.sh_exact_hits;
-        ps_binds = acc.ps_binds + sh.sh_binds;
-        ps_bind_host_s = acc.ps_bind_host_s +. sh.sh_bind_host_s;
+        ps_shape_hits = t.shape_hits;
+        ps_exact_hits = t.exact_hits;
+        ps_binds = t.binds;
+        ps_bind_host_s = t.bind_host_s;
       })
 
 (** Sum of pins across live entries — zero when the server has quiesced. *)
 let live_pins t =
-  fold_shards t 0 (fun acc sh ->
-      let n = ref acc in
-      Lru.iter sh.sh_modules (fun e -> n := !n + !(e.ce_pins));
+  Mutex.protect t.mu (fun () ->
+      let n = ref 0 in
+      Lru.iter t.modules (fun e -> n := !n + !(e.ce_pins));
       !n)
 
 type mem_stats = {
@@ -632,21 +553,13 @@ type mem_stats = {
 }
 
 let mem_stats t =
-  fold_shards t
-    {
-      ms_bytes_freed = 0;
-      ms_max_entry_bytes = 0;
-      ms_pin_underflows = 0;
-      ms_backend_compiles = 0;
-      ms_dedup_waits = 0;
-    }
-    (fun acc sh ->
+  Mutex.protect t.mu (fun () ->
       {
-        ms_bytes_freed = acc.ms_bytes_freed + sh.sh_bytes_freed;
-        ms_max_entry_bytes = max acc.ms_max_entry_bytes sh.sh_max_entry_bytes;
-        ms_pin_underflows = acc.ms_pin_underflows + sh.sh_pin_underflows;
-        ms_backend_compiles = acc.ms_backend_compiles + sh.sh_compiles;
-        ms_dedup_waits = acc.ms_dedup_waits + sh.sh_dedup_waits;
+        ms_bytes_freed = t.bytes_freed;
+        ms_max_entry_bytes = t.max_entry_bytes;
+        ms_pin_underflows = t.pin_underflows;
+        ms_backend_compiles = t.compiles;
+        ms_dedup_waits = t.dedup_waits;
       })
 
 (* ---------------- persistent snapshots ---------------- *)
@@ -664,10 +577,9 @@ let mem_stats t =
      | { str s, i64 struct addr, i64 body addr } * | str artifact
 
    Records are written LRU-first so a load into any capacity re-creates
-   the same recency order and overflow evicts the coldest entries. A
-   sharded cache writes its shards in index order, each coldest-first —
-   recency is preserved per shard (and exactly overall for the
-   single-shard layout every deterministic run uses). Everything
+   the same recency order and overflow evicts the coldest entries. The
+   header's target is the database's, so a snapshot with no records still
+   names the machine it belongs to. Everything
    malformed — bad magic, other version, other target, length mismatch,
    checksum mismatch, key mismatch, layout mismatch, artifact corruption —
    raises [Invalid_argument]; a snapshot is either loaded exactly or not
@@ -701,26 +613,21 @@ let add_str buf s =
     to a temp file and renamed). Entries whose back-end produced no
     relocatable artifact (the interpreter) are skipped — their modelled
     compile cost is microseconds, there is nothing worth persisting. *)
-let save t file =
+let save t ~db file =
   let records =
-    List.concat_map
-      (fun sh ->
-        Mutex.protect sh.sh_mu (fun () ->
-            (* LRU-first: keys_mru is most-recent-first *)
-            List.rev
-              (List.filter_map
-                 (fun k ->
-                   match Lru.peek sh.sh_modules k with
-                   | Some ({ ce_code = Relocatable art; _ } as e) -> Some (k, e, art)
-                   | _ -> None)
-                 (Lru.keys_mru sh.sh_modules))))
-      (Array.to_list t.shards)
+    Mutex.protect t.mu (fun () ->
+        (* LRU-first: keys_mru is most-recent-first *)
+        List.rev
+          (List.filter_map
+             (fun k ->
+               match Lru.peek t.modules k with
+               | Some ({ ce_code = Relocatable art; _ } as e) -> Some (k, e, art)
+               | _ -> None)
+             (Lru.keys_mru t.modules)))
   in
   let payload = Buffer.create 65536 in
-  let target = ref "" in
   List.iter
     (fun (k, e, art) ->
-      target := k.ck_target;
       Buffer.add_int64_le payload
         (Fingerprint.key_v
            ~backend_version:(backend_code_version k.ck_backend)
@@ -747,7 +654,7 @@ let save t file =
   let buf = Buffer.create (String.length payload + 64) in
   Buffer.add_string buf snap_magic;
   Buffer.add_int32_le buf (Int32.of_int Qcomp_backend.Artifact.format_version);
-  add_str buf !target;
+  add_str buf db.Engine.target.Qcomp_vm.Target.name;
   Buffer.add_int32_le buf (Int32.of_int (List.length records));
   Buffer.add_int32_le buf (Int32.of_int (String.length payload));
   Buffer.add_string buf payload;
@@ -802,110 +709,94 @@ let read_file path =
       close_in ic;
       s
 
+(* A bounds-checked read position in [buf]. *)
+type cursor = { buf : string; mutable pos : int }
+
+let need c n =
+  if n < 0 || c.pos + n > String.length c.buf then corrupt "truncated"
+
+let u32 c =
+  need c 4;
+  let v = Int32.to_int (String.get_int32_le c.buf c.pos) in
+  c.pos <- c.pos + 4;
+  if v < 0 then corrupt "negative length";
+  v
+
+let i64 c =
+  need c 8;
+  let v = String.get_int64_le c.buf c.pos in
+  c.pos <- c.pos + 8;
+  v
+
+let str c =
+  let n = u32 c in
+  need c n;
+  let v = String.sub c.buf c.pos n in
+  c.pos <- c.pos + n;
+  v
+
 (** Load a snapshot written by {!save} into a fresh cache of [capacity]
-    entries over [shards] hash shards (default 1). [db] must be the same
-    deterministic database build the snapshot was taken against (checked
-    via {!Engine.layout_fingerprint}) on the same target with the same
-    runtime registry (checked per record and again by the linker). Entries
-    are inserted coldest-first and {e unlinked}: the first cache hit pays
-    the re-link, so loading is cheap even for snapshots far larger than
-    [capacity] — the overflow simply evicts the coldest records with zero
-    pins and zero spurious byte accounting. All corruption and
-    version/layout mismatches raise [Invalid_argument]. *)
-let load ~capacity ?(shards = 1) ~db file =
+    entries. [db] must be the same deterministic database build the
+    snapshot was taken against (checked via {!Engine.layout_fingerprint})
+    on the same target with the same runtime registry (checked per record
+    and again by the linker). Entries are inserted coldest-first and
+    {e unlinked}: the first cache hit pays the re-link, so loading is cheap
+    even for snapshots far larger than [capacity] — the overflow simply
+    evicts the coldest records with zero pins and zero spurious byte
+    accounting. All corruption and version/layout mismatches raise
+    [Invalid_argument]. *)
+let load ~capacity ~db file =
   let s = read_file file in
   let len = String.length s in
-  let pos = ref 0 in
-  let need n = if n < 0 || !pos + n > len then corrupt "truncated" in
-  let u32 () =
-    need 4;
-    let v = Int32.to_int (String.get_int32_le s !pos) in
-    pos := !pos + 4;
-    if v < 0 then corrupt "negative length";
-    v
-  in
-  let i64 () =
-    need 8;
-    let v = String.get_int64_le s !pos in
-    pos := !pos + 8;
-    v
-  in
-  let str () =
-    let n = u32 () in
-    need n;
-    let v = String.sub s !pos n in
-    pos := !pos + n;
-    v
-  in
-  need 4;
+  let c = { buf = s; pos = 0 } in
+  need c 4;
   if not (String.equal (String.sub s 0 4) snap_magic) then corrupt "bad magic";
-  pos := 4;
-  let version = u32 () in
+  c.pos <- 4;
+  let version = u32 c in
   if version <> Qcomp_backend.Artifact.format_version then
     corrupt
       (Printf.sprintf
          "snapshot format version %d, this build reads %d — recompile the \
           snapshot"
          version Qcomp_backend.Artifact.format_version);
-  let target = str () in
+  let target = str c in
   let live_target = db.Engine.target.Qcomp_vm.Target.name in
   if not (String.equal target live_target) then
     corrupt
       (Printf.sprintf "snapshot targets %s, this machine is %s" target
          live_target);
-  let count = u32 () in
-  let payload_len = u32 () in
-  need (payload_len + 8);
-  let payload = String.sub s !pos payload_len in
-  pos := !pos + payload_len;
-  let crc = i64 () in
-  if !pos <> len then corrupt "trailing bytes";
+  let count = u32 c in
+  let payload_len = u32 c in
+  need c (payload_len + 8);
+  let payload = String.sub s c.pos payload_len in
+  c.pos <- c.pos + payload_len;
+  let crc = i64 c in
+  if c.pos <> len then corrupt "trailing bytes";
   if not (Int64.equal crc (crc_string payload)) then
     corrupt "checksum mismatch";
   (* fresh cursor over the verified payload *)
-  let pos = ref 0 in
-  let need n = if n < 0 || !pos + n > payload_len then corrupt "truncated" in
-  let u32 () =
-    need 4;
-    let v = Int32.to_int (String.get_int32_le payload !pos) in
-    pos := !pos + 4;
-    if v < 0 then corrupt "negative length";
-    v
-  in
-  let i64 () =
-    need 8;
-    let v = String.get_int64_le payload !pos in
-    pos := !pos + 8;
-    v
-  in
-  let str () =
-    let n = u32 () in
-    need n;
-    let v = String.sub payload !pos n in
-    pos := !pos + n;
-    v
-  in
-  let t = create_sharded ~capacity ~shards in
+  let c = { buf = payload; pos = 0 } in
+  let t = create ~capacity in
   let db_fp = Engine.layout_fingerprint db in
   let claimed = Hashtbl.create 32 in
   for _ = 1 to count do
-    let kv = i64 () in
-    let fp = i64 () in
-    let backend = str () in
-    let name = str () in
-    let compile_s = Int64.float_of_bits (i64 ()) in
-    let code_bytes = Int64.to_int (i64 ()) in
-    let rec_db_fp = i64 () in
-    let plan = Qcomp_plan.Wire.of_string (str ()) in
-    let nconsts = u32 () in
+    let kv = i64 c in
+    let fp = i64 c in
+    let backend = str c in
+    let name = str c in
+    let compile_s = Int64.float_of_bits (i64 c) in
+    let code_bytes = Int64.to_int (i64 c) in
+    let rec_db_fp = i64 c in
+    let plan = Qcomp_plan.Wire.of_string (str c) in
+    let nconsts = u32 c in
     let consts =
       List.init nconsts (fun _ ->
-          let cs = str () in
-          let addr = Int64.to_int (i64 ()) in
-          let body = Int64.to_int (i64 ()) in
+          let cs = str c in
+          let addr = Int64.to_int (i64 c) in
+          let body = Int64.to_int (i64 c) in
           (cs, addr, body))
     in
-    let art = Qcomp_backend.Artifact.deserialize (str ()) in
+    let art = Qcomp_backend.Artifact.deserialize (str c) in
     (* the versioned key must reproduce from the decoded plan: any drift
        in format version, backend, target or plan encoding is structural
        corruption, not something to link anyway *)
@@ -935,7 +826,6 @@ let load ~capacity ?(shards = 1) ~db file =
     let e =
       {
         ce_name = name;
-        ce_key = k;
         ce_plan = plan;
         ce_fp = fp;
         ce_code = Relocatable art;
@@ -952,5 +842,5 @@ let load ~capacity ?(shards = 1) ~db file =
     in
     insert t k e
   done;
-  if !pos <> payload_len then corrupt "trailing bytes";
+  if c.pos <> payload_len then corrupt "trailing bytes";
   t

@@ -31,19 +31,13 @@
     be {!pin}ned; a pinned entry that gets evicted is disposed only when
     its last {!unpin} arrives, so running code is never freed.
 
-    Thread-safe and {e hash-sharded}: entries are distributed over
-    independent LRU shards (keyed by fingerprint and back-end), each
-    behind its own mutex, so worker domains hitting different plans never
-    contend on one global lock. [{!create} ~capacity] is the single-shard
-    configuration and the only one the deterministic discrete-event
-    driver uses; {!create_sharded} spreads the capacity over several
-    shards for the parallel pool. Stats aggregate across shards on read.
-    Concurrent misses on one key are deduplicated: the first domain
-    compiles, racers wait on the shard's condition variable and reuse the
-    result ({!get_or_compile}). Compilation runs outside the shard mutex
-    (independent plans compile concurrently) under the emulator's
-    code-layout lock; a shard mutex is always taken before the layout
-    lock, never after. *)
+    Thread-safe: one mutex guards the LRU, its in-flight compile table and
+    the counters; the codegen memo has its own. Concurrent misses on one
+    key are deduplicated: the first domain compiles, racers wait on the
+    cache's condition variable and reuse the result ({!get_or_compile}).
+    Compilation runs outside the cache mutex (independent plans compile
+    concurrently) under the emulator's code-layout lock. Lock order: cache
+    mutex, then plan-memo mutex, then layout lock, never the reverse. *)
 
 type key = {
   ck_fp : int64;  (** canonical plan (shape) fingerprint *)
@@ -75,7 +69,6 @@ type code =
 
 type entry = {
   ce_name : string;  (** query name (for re-codegen after a {!load}) *)
-  ce_key : key;  (** the entry's home key — locates its shard *)
   ce_plan : Qcomp_plan.Algebra.t;
       (** the {e shape}: for parameterized queries, eligible literals have
           been replaced by [Expr.Param] holes ({!Qcomp_plan.Paramize}) *)
@@ -116,17 +109,9 @@ type param_stats = {
 
 type t
 
-(** [create ~capacity] bounds the module LRU to [capacity] entries over a
-    single shard — the deterministic configuration. *)
+(** [create ~capacity] bounds the module LRU to [capacity] entries.
+    Raises [Invalid_argument] unless [capacity] is positive. *)
 val create : capacity:int -> t
-
-(** [create_sharded ~capacity ~shards] distributes [capacity] entries
-    (ceil-divided, so the aggregate bound never shrinks) over [shards]
-    hash shards, each with its own lock — for the parallel pool. Raises
-    [Invalid_argument] unless both are positive. *)
-val create_sharded : capacity:int -> shards:int -> t
-
-val shard_count : t -> int
 
 (** Cache key of [plan] compiled by [backend] for [db]'s target. *)
 val key : Qcomp_engine.Engine.db -> backend:Qcomp_backend.Backend.t -> Qcomp_plan.Algebra.t -> key
@@ -177,8 +162,8 @@ val plan_ir :
     become visible only at their simulated completion event). When the
     back-end supports relocatable output, the entry retains the artifact
     so {!save} can snapshot it. [params] binds the submitter's literal
-    vector into the entry's initial instance. Must not be called with a
-    shard mutex held. *)
+    vector into the entry's initial instance. Must not be called with the
+    cache mutex held. *)
 val compile_uncached :
   t ->
   Qcomp_engine.Engine.db ->
@@ -191,8 +176,8 @@ val compile_uncached :
 val insert : t -> key -> entry -> unit
 
 (** [(entry, hit)] — compiles and inserts on miss. Concurrent misses on
-    one key are deduplicated through a per-shard in-flight table: the
-    first domain compiles, racers block on the shard's condition variable
+    one key are deduplicated through an in-flight table: the first
+    domain compiles, racers block on the cache's condition variable
     and return the finished entry as a hit (counted in
     [ms_dedup_waits] — no redundant back-end compile is ever run).
     [~stats:false] keeps the lookup out of the hit/miss counters;
@@ -220,10 +205,9 @@ val pin : t -> entry -> unit
     [ms_pin_underflows], and logged on first occurrence. *)
 val unpin : t -> entry -> unit
 
-(** Aggregated over all shards. *)
 val stats : t -> Lru.stats
 
-(** The run's parameter-cache counters (aggregated over all shards). *)
+(** The run's parameter-cache counters. *)
 val param_stats : t -> param_stats
 
 (** Sum of pins across live entries — zero once a server run quiesces. *)
@@ -252,18 +236,18 @@ val mem_stats : t -> mem_stats
     version, back-end build or architecture fails key verification loudly
     instead of ever mis-linking. *)
 
-(** [save t file] snapshots every artifact-bearing entry to [file]
+(** [save t ~db file] snapshots every artifact-bearing entry to [file]
     (written atomically via a temp file), coldest entry first so {!load}
-    reconstructs the same recency order (per shard, in shard index order;
-    exactly overall for the single-shard layout deterministic runs use).
-    Interpreter entries (no artifact) are skipped. *)
-val save : t -> string -> unit
+    reconstructs the same recency order. The header names [db]'s target,
+    so a snapshot without records loads back too. Interpreter entries (no
+    artifact) are skipped. *)
+val save : t -> db:Qcomp_engine.Engine.db -> string -> unit
 
-(** [load ~capacity ?shards ~db file] is a fresh cache of [capacity]
-    entries over [shards] hash shards (default 1) holding [file]'s
-    records, unlinked — each entry re-links lazily on its first hit. [db]
-    must be the same deterministic database build the snapshot was taken
-    against (same target, same {!Engine.layout_fingerprint}); loading
+(** [load ~capacity ~db file] is a fresh cache of [capacity] entries
+    holding [file]'s records, unlinked — each entry re-links lazily on its
+    first hit. [db] must be the same deterministic database build the
+    snapshot was taken against (same target, same
+    {!Engine.layout_fingerprint}); loading
     should happen right after the database is built, before any query
     runs, so the baked string constants can be re-materialized at their
     original addresses. If the snapshot holds more than [capacity] records
@@ -271,5 +255,4 @@ val save : t -> string -> unit
     accounting). Truncated, bit-flipped, version-mismatched or
     layout-mismatched snapshots raise [Invalid_argument] with a
     descriptive message. *)
-val load :
-  capacity:int -> ?shards:int -> db:Qcomp_engine.Engine.db -> string -> t
+val load : capacity:int -> db:Qcomp_engine.Engine.db -> string -> t

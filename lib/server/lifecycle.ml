@@ -28,7 +28,6 @@ module Config = struct
 
   type config = {
     workers : int;  (** execution workers *)
-    compile_slots : int;  (** background compile pool size (Tiered) *)
     morsel : int;  (** rows per execution quantum *)
     cache_capacity : int;  (** module-cache entries *)
     mode : mode;
@@ -47,19 +46,19 @@ module Config = struct
         (** bound on admission-queue occupancy; arrivals beyond it are shed
             (rejected, counted, reported). [None] = unbounded *)
     tenants : int;  (** tenant FIFOs in the admission queue (fair dequeue) *)
-    cache_shards : int;
-        (** hash shards of the code cache (when the driver creates it);
-            1 = the deterministic single-lock layout *)
     intra : int;
         (** intra-query lanes per worker: parallelizable pipeline bodies fan
             each quantum's morsels out over this many execution lanes
             ({!Morsel_sched}); 1 = serial bodies, the classic behavior *)
   }
 
+  (** Background compile pool size (Tiered): simultaneous compiles on the
+      event driver, compile domains on the pool. *)
+  let compile_slots = 2
+
   let default_config =
     {
       workers = 4;
-      compile_slots = 2;
       morsel = 512;
       cache_capacity = 64;
       mode = Tiered;
@@ -69,7 +68,6 @@ module Config = struct
       seed = 42L;
       admission_cap = None;
       tenants = 1;
-      cache_shards = 1;
       intra = 1;
     }
 
@@ -79,11 +77,9 @@ module Config = struct
         invalid_arg (Printf.sprintf "%s: %s must be positive" driver name)
     in
     need "workers" c.workers;
-    need "compile_slots" c.compile_slots;
     need "morsel" c.morsel;
     need "cache_capacity" c.cache_capacity;
     need "tenants" c.tenants;
-    need "cache_shards" c.cache_shards;
     need "intra" c.intra;
     match c.admission_cap with
     | Some cap -> need "admission_cap" cap

@@ -26,7 +26,6 @@ module Config : sig
     workers : int;
         (** execution workers: concurrent queries on the event driver,
             worker domains on the pool *)
-    compile_slots : int;  (** background compile pool size (Tiered) *)
     morsel : int;  (** rows per execution quantum *)
     cache_capacity : int;  (** module-cache entries *)
     mode : mode;
@@ -44,9 +43,6 @@ module Config : sig
         (** bound on admission-queue occupancy; arrivals beyond it are shed
             (rejected, counted, reported). [None] = unbounded *)
     tenants : int;  (** tenant FIFOs in the admission queue (fair dequeue) *)
-    cache_shards : int;
-        (** hash shards of the code cache when the pool creates it; the
-            event driver always serves from the single-shard layout *)
     intra : int;
         (** intra-query lanes: parallelizable pipeline bodies fan each
             quantum's morsels out over this many execution lanes
@@ -54,17 +50,19 @@ module Config : sig
             advances by the max over lanes); 1 = serial bodies *)
   }
 
-  (** Tiered without reopt, 4 workers, 2 compile slots, 512-row
-      morsels, unbounded admission, 1 tenant, 1 cache shard, serial
-      bodies (intra 1). *)
+  (** Background compile pool size (Tiered): the event driver's compile
+      slots and the pool's compile domains, 2. *)
+  val compile_slots : int
+
+  (** Tiered without reopt, 4 workers, 512-row morsels, unbounded
+      admission, 1 tenant, serial bodies (intra 1). *)
   val default_config : config
 
   (** Raise [Invalid_argument] naming the field unless [workers],
-      [compile_slots], [morsel], [cache_capacity], [tenants],
-      [cache_shards], [intra] and (when given) [admission_cap] are all
-      positive; [driver] prefixes the message. Both drivers validate with
-      this, so misconfiguration fails the same way everywhere instead of
-      being silently clamped. *)
+      [morsel], [cache_capacity], [tenants], [intra] and (when given)
+      [admission_cap] are all positive; [driver] prefixes the message.
+      Both drivers validate with this, so misconfiguration fails the same
+      way everywhere instead of being silently clamped. *)
   val validate_config : driver:string -> config -> unit
 
   (** Split an incoming plan into its shape (eligible literals replaced by

@@ -74,10 +74,11 @@ let push_front t n =
   t.head <- Some n
 
 let promote t n =
-  if t.head != Some n then begin
-    unlink t n;
-    push_front t n
-  end
+  match t.head with
+  | Some h when h == n -> ()
+  | _ ->
+      unlink t n;
+      push_front t n
 
 let find t k =
   match Hashtbl.find_opt t.tbl k with

@@ -19,7 +19,7 @@
     [workers] worker domains block on a condition variable while the queue
     is empty — an idle pool burns no host CPU — and dequeue tenant-fair
     round-robin. Foreground misses compile on the worker, deduplicated
-    across domains by the cache's per-shard in-flight table; Tiered
+    across domains by the cache's in-flight table; Tiered
     strong-tier compiles run on [compile_slots] dedicated compile domains.
 
     What stays deterministic under parallelism: per-query rows and
@@ -33,10 +33,10 @@
     tests therefore compare the {e multiset} of (name, rows, checksum),
     and use a cap at least the stream length when they need zero sheds.
 
-    Lock ordering: the pool mutex is the outermost; {!Code_cache}'s shard
-    mutexes and the emulator's layout/registry locks nest inside it (the
-    cache also takes its shard mutexes with no pool mutex held — the
-    nesting is one-directional, never shard-then-pool). *)
+    Lock ordering: pool mutex, then {!Code_cache}'s cache mutex, then its
+    plan-memo mutex, then the emulator's layout lock. A domain holding one
+    of these only takes locks later in the order, never an earlier one
+    (the cache also takes its mutex with no pool mutex held). *)
 
 open Qcomp_support
 open Qcomp_engine
@@ -47,9 +47,7 @@ let run_requests ?cache db config requests =
   let cache =
     match cache with
     | Some c -> c
-    | None ->
-        Code_cache.create_sharded ~capacity:config.cache_capacity
-          ~shards:config.cache_shards
+    | None -> Code_cache.create ~capacity:config.cache_capacity
   in
   let mu = Mutex.create () in
   (* work available / feeder finished; workers block here when idle *)
@@ -151,7 +149,7 @@ let run_requests ?cache db config requests =
     in
     Fun.protect ~finally:(fun () -> Qcomp_vm.Emu.release_context view.Engine.emu) loop
   in
-  let n_compile = match config.mode with Tiered -> config.compile_slots | _ -> 0 in
+  let n_compile = match config.mode with Tiered -> compile_slots | _ -> 0 in
   let compilers = List.init n_compile (fun _ -> Domain.spawn compile_worker) in
   let feeder_d = Domain.spawn feeder in
   let workers = List.init config.workers (fun _ -> Domain.spawn worker) in

@@ -15,7 +15,7 @@
 
 (** [run_requests ?cache db config requests] serves the timed [requests]
     open-loop on [config.workers] worker domains (plus
-    [config.compile_slots] background compile domains in Tiered mode): a
+    {!Lifecycle.Config.compile_slots} compile domains in Tiered mode): a
     feeder domain admits (or sheds, at [config.admission_cap]) each
     request at its arrival stamp, idle workers block until work arrives.
     Raises [Invalid_argument] on a bad config

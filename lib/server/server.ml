@@ -66,7 +66,7 @@ let serve_events ?cache db config requests =
     else None
   in
   let free_workers = ref config.workers in
-  let free_slots = ref config.compile_slots in
+  let free_slots = ref compile_slots in
   let compile_jobs = Queue.create () in
   (* the compile pool: bounded slots draining a FIFO of jobs; the host
      compilation runs when the slot is acquired, but the result becomes

@@ -1011,7 +1011,7 @@ let snapshot_version_test =
             Code_cache.get_or_compile cache db ~backend:Engine.directemit ~name:"q12" q.Spec.q_plan
           in
           ignore (Code_cache.force cache db e);
-          Code_cache.save cache file;
+          Code_cache.save cache ~db file;
           ignore (Code_cache.load ~capacity:4 ~db:(make_db ()) file);
           let b =
             let ic = open_in_bin file in

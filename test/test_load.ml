@@ -420,48 +420,42 @@ let overload_pool_test =
       check Alcotest.bool "admitted results identical uncapped" true
         (List.for_all (fun k -> List.mem k uncapped_ref) (multiset tight)))
 
-let sharded_cache_test =
-  Alcotest.test_case "sharded cache serves identically and snapshots" `Quick
+let pool_snapshot_test =
+  Alcotest.test_case "pool-served cache snapshots and reloads warm" `Quick
     (fun () ->
       let stream = Server.make_stream ~seed:7L ~n:40 fixed_plans in
-      let cfg shards =
+      let cfg =
         {
           Server.default_config with
           Server.mode = Server.Cached;
           Server.cache_capacity = 32;
-          Server.cache_shards = shards;
+          Server.workers = 2;
         }
       in
-      let one = Server.run (make_db ~rows:1024 ()) (cfg 1) stream in
-      let four_cache = Code_cache.create_sharded ~capacity:32 ~shards:4 in
-      let four =
-        Server.run ~cache:four_cache (make_db ~rows:1024 ()) (cfg 4) stream
-      in
-      check Alcotest.int "shard count" 4 (Code_cache.shard_count four_cache);
+      let reference = Server.run (make_db ~rows:1024 ()) cfg stream in
+      let db = make_db ~rows:1024 () in
+      let cache = Code_cache.create ~capacity:32 in
+      let cold = Server.run ~cache ~parallel:true db cfg stream in
       check
         Alcotest.(list (triple string int int64))
-        "4 shards = 1 shard" (multiset one) (multiset four);
-      check Alcotest.int "same hits"
-        one.Report.r_cache.Lru.hits four.Report.r_cache.Lru.hits;
-      check Alcotest.int "same misses"
-        one.Report.r_cache.Lru.misses four.Report.r_cache.Lru.misses;
-      (* snapshot from a 4-shard cache reloads into a 2-shard one *)
+        "pool results = event-driver results" (multiset reference)
+        (multiset cold);
       let snap = Filename.temp_file "qcss" ".snap" in
       Fun.protect
         ~finally:(fun () -> Sys.remove snap)
         (fun () ->
-          Code_cache.save four_cache snap;
+          Code_cache.save cache ~db snap;
           let db2 = make_db ~rows:1024 () in
-          let warm = Code_cache.load ~capacity:32 ~shards:2 ~db:db2 snap in
-          check Alcotest.int "entries survive re-sharding"
-            (Code_cache.stats four_cache).Lru.entries
+          let warm = Code_cache.load ~capacity:32 ~db:db2 snap in
+          check Alcotest.int "entries survive the snapshot"
+            (Code_cache.stats cache).Lru.entries
             (Code_cache.stats warm).Lru.entries;
-          let rewarm = Server.run ~cache:warm db2 (cfg 2) stream in
+          let rewarm = Server.run ~cache:warm ~parallel:true db2 cfg stream in
           check Alcotest.int "warm run never misses" 0
             (Code_cache.stats warm).Lru.misses;
           check
             Alcotest.(list (triple string int int64))
-            "warm results identical" (multiset one) (multiset rewarm)))
+            "warm results identical" (multiset reference) (multiset rewarm)))
 
 let suite =
   admission_tests @ trafficgen_tests
@@ -473,5 +467,5 @@ let suite =
       mru_overflow_test;
       overload_event_test;
       overload_pool_test;
-      sharded_cache_test;
+      pool_snapshot_test;
     ]

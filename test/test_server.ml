@@ -400,7 +400,7 @@ let eviction_pressure_test =
         let ms = Code_cache.mem_stats cache in
         let bound =
           (cfg.Server.cache_capacity + cfg.Server.workers
-          + cfg.Server.compile_slots + 1)
+          + Server.compile_slots + 1)
           * ms.Code_cache.ms_max_entry_bytes
         in
         check Alcotest.bool
@@ -882,11 +882,9 @@ let config_validation_test =
               Server.run ~parallel:true (make_db ()) cfg [ ("q", scan) ]))
         [
           ("workers", { c with Server.workers = 0 });
-          ("compile_slots", { c with Server.compile_slots = 0 });
           ("morsel", { c with Server.morsel = 0 });
           ("cache_capacity", { c with Server.cache_capacity = 0 });
           ("tenants", { c with Server.tenants = 0 });
-          ("cache_shards", { c with Server.cache_shards = 0 });
           ("intra", { c with Server.intra = 0 });
           ("admission_cap", { c with Server.admission_cap = Some 0 });
         ])
@@ -1088,10 +1086,10 @@ let snapshot_roundtrip_test =
   Alcotest.test_case "snapshot save/load: warm hits, identical results" `Quick
     (fun () ->
       with_snapshot_file (fun file ->
-          let _db1, cache1, sums =
+          let db1, cache1, sums =
             fill_cache ~capacity:8 ~backend:Engine.cranelift snapshot_plans
           in
-          Code_cache.save cache1 file;
+          Code_cache.save cache1 ~db:db1 file;
           let db2 = make_db () in
           let cache2 = Code_cache.load ~capacity:8 ~db:db2 file in
           check Alcotest.int "all records loaded"
@@ -1119,10 +1117,10 @@ let snapshot_overflow_test =
   Alcotest.test_case "snapshot overflow: clean LRU eviction on load" `Quick
     (fun () ->
       with_snapshot_file (fun file ->
-          let _db1, cache1, sums =
+          let db1, cache1, sums =
             fill_cache ~capacity:8 ~backend:Engine.cranelift snapshot_plans
           in
-          Code_cache.save cache1 file;
+          Code_cache.save cache1 ~db:db1 file;
           let db2 = make_db () in
           let cache2 = Code_cache.load ~capacity:2 ~db:db2 file in
           let s = Code_cache.stats cache2 in
@@ -1154,10 +1152,10 @@ let snapshot_corruption_test =
   Alcotest.test_case "snapshot corruption/version/layout fail loud" `Quick
     (fun () ->
       with_snapshot_file (fun file ->
-          let _db1, cache1, _ =
+          let db1, cache1, _ =
             fill_cache ~capacity:8 ~backend:Engine.cranelift snapshot_plans
           in
-          Code_cache.save cache1 file;
+          Code_cache.save cache1 ~db:db1 file;
           let image =
             let ic = open_in_bin file in
             let s = really_input_string ic (in_channel_length ic) in
@@ -1205,6 +1203,30 @@ let snapshot_corruption_test =
                  ignore
                    (Code_cache.load ~capacity:8 ~db:(make_db ~rows:32 ()) file)))))
 
+(* a cache holding no artifact-bearing entry (here only interpreter
+   bytecode, which is never snapshot) still writes a loadable snapshot:
+   the header names the database's target, not the last record's *)
+let snapshot_empty_test =
+  Alcotest.test_case "snapshot without records round-trips" `Quick (fun () ->
+      with_snapshot_file (fun file ->
+          let db1, cache1, _ =
+            fill_cache ~capacity:8 ~backend:Engine.interpreter snapshot_plans
+          in
+          Code_cache.save cache1 ~db:db1 file;
+          let cache2 = Code_cache.load ~capacity:8 ~db:(make_db ()) file in
+          check Alcotest.int "no records" 0 (Code_cache.stats cache2).Lru.entries;
+          (* and one from a cache that never saw a query *)
+          Code_cache.save (Code_cache.create ~capacity:8) ~db:(make_db ()) file;
+          let cache3 = Code_cache.load ~capacity:8 ~db:(make_db ()) file in
+          check Alcotest.int "no records (fresh cache)" 0
+            (Code_cache.stats cache3).Lru.entries;
+          check Alcotest.bool "other target still rejected" true
+            (raises_invalid (fun () ->
+                 ignore
+                   (Code_cache.load ~capacity:8
+                      ~db:(Engine.create_db ~mem_size:(1 lsl 24) Qcomp_vm.Target.a64)
+                      file)))))
+
 (* the snapshot path must work for every artifact-producing back-end, not
    just cranelift: each one's warm module reproduces its cold checksum *)
 let snapshot_all_backends_test =
@@ -1213,10 +1235,10 @@ let snapshot_all_backends_test =
         (fun b ->
           if Qcomp_backend.Backend.compile_artifact b <> None then
             with_snapshot_file (fun file ->
-                let _db1, cache1, sums =
+                let db1, cache1, sums =
                   fill_cache ~capacity:4 ~backend:b [ ("strings", str_plan) ]
                 in
-                Code_cache.save cache1 file;
+                Code_cache.save cache1 ~db:db1 file;
                 let db2 = make_db () in
                 let cache2 = Code_cache.load ~capacity:4 ~db:db2 file in
                 let nm = Qcomp_backend.Backend.name b in
@@ -1244,5 +1266,6 @@ let suite =
       static_stat_bypass_test; fuzz_test;
       artifact_roundtrip_test; wire_roundtrip_test; key_v_test;
       snapshot_roundtrip_test; snapshot_overflow_test;
-      snapshot_corruption_test; snapshot_all_backends_test;
+      snapshot_corruption_test; snapshot_empty_test;
+      snapshot_all_backends_test;
     ]

@@ -303,7 +303,7 @@ let snapshot_version_test =
               ~name:"q" (List.assoc "agg" plans)
           in
           ignore (Code_cache.force cache db e);
-          Code_cache.save cache file;
+          Code_cache.save cache ~db file;
           (* sanity: the pristine snapshot loads *)
           ignore (Code_cache.load ~capacity:4 ~db:(make_db ()) file);
           let image =
