@@ -229,19 +229,23 @@ let dis_cmd =
   let dis wl target bname query fn =
     let wl, target = resolve_common wl target in
     let backend = match backends_of_arg target bname with [ b ] -> b | _ -> fail "dis takes one back-end" in
-    match Experiments.disassemble target wl backend ~query ?fn () with
-    | fns ->
-        List.iter
-          (fun (name, code) ->
-            Format.printf "%s:@." name;
-            List.iter
-              (fun (off, i) -> Format.printf "  %6d  %a@." off (Qcomp_vm.Minst.pp target) i)
-              code)
-          fns
-    | exception Invalid_argument msg -> fail "%s" msg
+    let checked f = try f () with Invalid_argument msg -> fail "%s" msg in
+    if backend == Engine.interpreter then
+      List.iter
+        (fun bc -> Format.printf "%s:@.%a@?" bc.Qcomp_interp.Bytecode.fn_name Qcomp_interp.Bytecode.pp bc)
+        (checked (Experiments.bytecode target wl ~query ?fn))
+    else
+      List.iter
+        (fun (name, code) ->
+          Format.printf "%s:@." name;
+          List.iter
+            (fun (off, i) -> Format.printf "  %6d  %a@." off (Qcomp_vm.Minst.pp target) i)
+            code)
+        (checked (Experiments.disassemble target wl backend ~query ?fn))
   in
   Cmd.v
-    (Cmd.info "dis" ~doc:"Print the decoded machine code a back-end emits for one query.")
+    (Cmd.info "dis"
+       ~doc:"Print the decoded machine code a back-end emits for one query, or the interpreter's bytecode.")
     Term.(const dis $ workload_arg $ target_arg $ backend_arg $ query_arg $ fn_arg)
 
 let () =

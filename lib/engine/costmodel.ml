@@ -81,7 +81,7 @@ let pinned_cycles (target : Qcomp_vm.Target.t) =
   match target.Qcomp_vm.Target.arch with
   | Qcomp_vm.Target.X64 ->
       [
-        ("interpreter", 22_445_835);
+        ("interpreter", 13_466_779);
         ("stencil", 8_457_578);
         ("directemit", 3_852_309);
         ("cranelift", 5_750_145);
@@ -91,7 +91,7 @@ let pinned_cycles (target : Qcomp_vm.Target.t) =
       ]
   | Qcomp_vm.Target.A64 ->
       [
-        ("interpreter", 22_445_835);
+        ("interpreter", 13_466_779);
         ("cranelift", 4_931_772);
         ("llvm-opt", 5_565_461);
         ("llvm-cheap", 7_884_672);
@@ -103,7 +103,7 @@ let pinned_cycles (target : Qcomp_vm.Target.t) =
 let pinned_work = 81_320
 
 (* Interpreter cycles per unit of estimated work, the prior a query is
-   priced with before it has run: about 276.0. *)
+   priced with before it has run: about 165.6. *)
 let cycles_per_work =
   float_of_int (List.assoc "interpreter" (pinned_cycles Qcomp_vm.Target.x64))
   /. float_of_int pinned_work

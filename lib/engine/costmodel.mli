@@ -42,5 +42,5 @@ val exec_rate : Qcomp_vm.Target.t -> string -> float
 
 (** [prior_seconds ~work] is the predicted interpreter seconds of a query
     with estimated work [work]: [work] times the pinned interpreter total
-    over {!pinned_work} (about 276.0 cycles), at {!clock_hz}. *)
+    over {!pinned_work} (about 165.6 cycles), at {!clock_hz}. *)
 val prior_seconds : work:int -> float

@@ -136,27 +136,30 @@ let validate target workload ~sf backends =
 
 let cycles_to_seconds = Engine.cycles_to_seconds
 
+(* [query]'s generated IR module, on a fresh sf 1 database *)
+let query_module target workload ~query =
+  let q =
+    match List.find_opt (fun (q : Spec.query) -> q.Spec.q_name = query) (queries_of workload) with
+    | Some q -> q
+    | None -> invalid_arg ("disassemble: no query " ^ query)
+  in
+  let db = make_db target workload ~sf:1 in
+  (db, (Engine.plan_to_ir db ~name:q.Spec.q_name q.Spec.q_plan).Qcomp_codegen.Codegen.modul)
+
 (** The machine code [backend] emits for [query]: every defined function
     of the module's artifact (or only [fn]), each as its instructions
     decoded by the emulator's loader, with their byte offsets in the
     text. The database is built at sf 1: code depends on the plan and the
     table addresses, not on the row counts. *)
 let disassemble target workload backend ~query ?fn () =
-  let q =
-    match List.find_opt (fun (q : Spec.query) -> q.Spec.q_name = query) (queries_of workload) with
-    | Some q -> q
-    | None -> invalid_arg ("disassemble: no query " ^ query)
-  in
   let artifact =
     match Qcomp_backend.Backend.compile_artifact backend with
     | Some a -> a
     | None -> invalid_arg ("disassemble: " ^ Qcomp_backend.Backend.name backend ^ " emits no code")
   in
-  let db = make_db target workload ~sf:1 in
-  let cq = Engine.plan_to_ir db ~name:q.Spec.q_name q.Spec.q_plan in
+  let db, m = query_module target workload ~query in
   let a =
-    artifact ~timing:(Timing.create ~enabled:false ()) ~target ~registry:db.Engine.registry
-      cq.Qcomp_codegen.Codegen.modul
+    artifact ~timing:(Timing.create ~enabled:false ()) ~target ~registry:db.Engine.registry m
   in
   let text = a.Qcomp_backend.Artifact.a_text in
   let insts, at = Qcomp_vm.Emu.decode_all target text in
@@ -184,3 +187,22 @@ let disassemble target workload backend ~query ?fn () =
       done;
       (name, !code))
     chosen
+
+(** The bytecode the interpreter runs for [query]: every function of the
+    module (or only [fn]), as {!Qcomp_interp.Bytecode.translate} lays it
+    out, with runtime calls resolved against a fresh sf 1 database. *)
+let bytecode target workload ~query ?fn () =
+  let db, m = query_module target workload ~query in
+  let extern_addr sym =
+    Qcomp_runtime.Registry.addr db.Engine.registry (Qcomp_ir.Func.extern m sym).Qcomp_ir.Func.ext_name
+  in
+  let fns =
+    List.filter_map
+      (fun (f : Qcomp_ir.Func.t) ->
+        match fn with
+        | Some name when name <> f.Qcomp_ir.Func.name -> None
+        | _ -> Some (Qcomp_interp.Bytecode.translate ~extern_addr f))
+      (Vec.to_list m.Qcomp_ir.Func.funcs)
+  in
+  if fns = [] then invalid_arg ("disassemble: no function " ^ Option.value fn ~default:"");
+  fns

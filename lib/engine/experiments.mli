@@ -94,3 +94,15 @@ val disassemble :
   ?fn:string ->
   unit ->
   (string * (int * Qcomp_vm.Minst.t) list) list
+
+(** [bytecode target wl ~query ?fn ()] translates [query]'s module (a
+    database at sf 1) to the interpreter's bytecode: one
+    {!Qcomp_interp.Bytecode.fn} per function, or only [fn]. Raises
+    [Invalid_argument] for an unknown query or function. *)
+val bytecode :
+  Qcomp_vm.Target.t ->
+  workload ->
+  query:string ->
+  ?fn:string ->
+  unit ->
+  Qcomp_interp.Bytecode.fn list

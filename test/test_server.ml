@@ -310,11 +310,11 @@ let golden_cases =
       ( "cached", Server.Cached, false,
         [ "ed08d969d581b1a5f56ae8e28a5adb1c"; "804df8c5121f66307e6b1deb4b47ed91" ] );
       ( "tiered", Server.Tiered, false,
-        [ "eff00788401d4920bf25f62d2394bd24"; "b7b006946d7452a76a7ebda0a57ac65b" ] );
+        [ "ccc9c81a2f728bd120bc370fc7b6b3d9"; "46e0aaaaac4eacd25ef4b62ebbfa99b7" ] );
       ( "tiered+reopt", Server.Tiered, true,
-        [ "eff00788401d4920bf25f62d2394bd24"; "b7b006946d7452a76a7ebda0a57ac65b" ] );
+        [ "ccc9c81a2f728bd120bc370fc7b6b3d9"; "46e0aaaaac4eacd25ef4b62ebbfa99b7" ] );
     ]
-  @ [ ("poisson trace", golden_trace, "5a0dbc14d7c2c8b043bf42326ab0ff27") ]
+  @ [ ("poisson trace", golden_trace, "ad3e5d2327308b3e0553c95a1e727afd") ]
 
 (* repeated stream: cache hits, byte-identical and golden reports *)
 let determinism_test =
